@@ -53,6 +53,6 @@ from .scenarios import (
     omega_L,
     torsion_identity_check,
 )
-from .tensor import AltTensor, LinMap, interior, invert_2form, pullback, wedge
+from .tensor import AltTensor, interior, pullback, wedge
 
 __version__ = "0.1.0"

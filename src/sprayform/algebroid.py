@@ -148,9 +148,6 @@ class AlgebroidChart:
         return np.array([[self.anchor[a][i].eval(env) for i in range(self.r)]
                          for a in range(self.n)])
 
-    def anchor_exprs_flat(self):
-        return [self.anchor[a][i] for a in range(self.n) for i in range(self.r)]
-
     def anchor_of_section(self, i):
         """rho(e_i) as a VectorField on the base."""
         return ex.VectorField(self.xs, [self.anchor[a][i] for a in range(self.n)])
@@ -198,8 +195,8 @@ class Spray:
     def variables(self):
         return self.chart.total_vars
 
-    def engine(self, box=None):
-        return FlowEngine(self.components, self.variables, box=box)
+    def engine(self):
+        return FlowEngine(self.components, self.variables)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .algebroid import (
     check_spray,
     cotangent_algebroid,
     default_spray,
+    jacobi_algebroid,
     jacobi_cocycle,
     AlgebroidChart,
     SymbolicStructure,
@@ -121,7 +122,6 @@ CONFIG_SCHEMA = {
                 "quad_nodes": {"type": "integer", "minimum": 2},
                 "quad_kind": {"enum": ["simpson", "gauss"]},
                 "mu_steps": {"type": "integer", "minimum": 1},
-                "ode_tol": {"type": "number", "exclusiveMinimum": 0},
                 "samples": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
                 "mult_pairs": {"type": "integer", "minimum": 0},
@@ -244,13 +244,21 @@ def _raw_algebroid_chart(raw, n, box):
                           label="raw")
 
 
-def build_scenario(raw):
-    """Construct the scenario object and its report from a validated config."""
+def parse_config(raw):
+    """Kind, chart box, numerics and parsed coefficients of a validated config.
+
+    Every subcommand builds from this one parse, so a malformed coefficient
+    is a config error (exit 2) whichever subcommand reads it.  The
+    coefficients come back as a dict keyed by the kind's builder inputs.
+    """
     kind = raw["kind"]
     n, box = _chart_box(raw)
     nm = build_numerics(raw)
     co = raw["coefficients"]
     xs = _xs(n)
+    inputs = {}
+    if kind in ("poisson", "nijenhuis", "gcs", "jacobi"):
+        inputs["pi"] = _bivector(raw, n)
     if kind == "poisson":
         christoffel = None
         if "christoffel" in co:
@@ -258,21 +266,13 @@ def build_scenario(raw):
             christoffel = [[[ex.parse(co["christoffel"][k][i][j], xs)
                              for j in range(r)] for i in range(n)]
                            for k in range(r)]
-        scen = build_symplectic_groupoid(_bivector(raw, n), box, numerics=nm,
-                                         christoffel=christoffel)
-        return scen, scen.report
-    if kind == "nijenhuis":
-        lmat = _parse_matrix(co["l"], n, n, n, "l")
-        scen, pair, evL1, evL2 = build_nijenhuis(_bivector(raw, n), lmat, box,
-                                                 numerics=nm)
-        return scen, scen.report
-    if kind == "gcs":
-        lmat = _parse_matrix(co["l"], n, n, n, "l")
-        varpi = ex.FormField(tuple(xs), 2, _parse_form(co["varpi"], n, 2, "varpi"))
-        report, scen = gcs_identity_check(_bivector(raw, n), lmat, varpi, box,
-                                          numerics=nm)
-        return scen, report
-    if kind == "dirac":
+        inputs["christoffel"] = christoffel
+    elif kind in ("nijenhuis", "gcs"):
+        inputs["l"] = _parse_matrix(co["l"], n, n, n, "l")
+        if kind == "gcs":
+            inputs["varpi"] = ex.FormField(
+                tuple(xs), 2, _parse_form(co["varpi"], n, 2, "varpi"))
+    elif kind == "dirac":
         sections = []
         for sec in co["sections"]:
             if len(sec["v"]) != n or len(sec["alpha"]) != n:
@@ -280,29 +280,52 @@ def build_scenario(raw):
                                   "components")
             sections.append(([ex.parse(e, xs) for e in sec["v"]],
                              [ex.parse(e, xs) for e in sec["alpha"]]))
-        H = ex.FormField(tuple(xs), 3, _parse_form(co.get("H", {}), n, 3, "H"))
-        scen = build_dirac(sections, H, box, numerics=nm)
-        return scen, scen.report
-    if kind == "jacobi":
+        inputs["sections"] = sections
+        inputs["H"] = ex.FormField(tuple(xs), 3,
+                                   _parse_form(co.get("H", {}), n, 3, "H"))
+    elif kind == "jacobi":
         R = [ex.parse(e, xs) for e in co["R"]]
         if len(R) != n:
             raise ConfigError("R needs one component per dimension")
-        scen = build_jacobi(_bivector(raw, n), R, box, numerics=nm)
+        inputs["R"] = R
+    elif kind == "raw_algebroid":
+        inputs["chart"] = _raw_algebroid_chart(raw, n, box)
+    else:
+        raise ConfigError(f"unknown kind {kind!r}")
+    return kind, box, nm, inputs
+
+
+def build_scenario(raw):
+    """Construct the scenario object and its report from a validated config."""
+    kind, box, nm, c = parse_config(raw)
+    if kind == "poisson":
+        scen = build_symplectic_groupoid(c["pi"], box, numerics=nm,
+                                         christoffel=c["christoffel"])
         return scen, scen.report
-    if kind == "raw_algebroid":
-        A = _raw_algebroid_chart(raw, n, box)
-        report = CheckReport(environment={"kind": kind, "seed": nm.seed,
-                                          "n_quad": nm.n_quad})
-        report.merge(check_algebroid(A, samples=min(100, nm.samples),
-                                     seed=nm.seed + 1), prefix="algebroid_")
-        V = default_spray(A)
-        report.merge(check_spray(V, A, seed=nm.seed + 2), prefix="spray_")
-        G = SprayGroupoid(A, V, n_quad=nm.n_quad, quad_kind=nm.quad_kind)
-        discover_validity_box(G, seed=nm.seed + 3)
-        report.environment["validity_box"] = G.validity_box().tolist()
-        scen = _RawScenario(A, G, nm)
+    if kind == "nijenhuis":
+        scen = build_nijenhuis(c["pi"], c["l"], box, numerics=nm)[0]
+        return scen, scen.report
+    if kind == "gcs":
+        report, scen = gcs_identity_check(c["pi"], c["l"], c["varpi"], box,
+                                          numerics=nm)
         return scen, report
-    raise ConfigError(f"unknown kind {kind!r}")
+    if kind == "dirac":
+        scen = build_dirac(c["sections"], c["H"], box, numerics=nm)
+        return scen, scen.report
+    if kind == "jacobi":
+        scen = build_jacobi(c["pi"], c["R"], box, numerics=nm)
+        return scen, scen.report
+    A = c["chart"]   # raw_algebroid
+    report = CheckReport(environment={"kind": kind, "seed": nm.seed,
+                                      "n_quad": nm.n_quad})
+    report.merge(check_algebroid(A, samples=min(100, nm.samples),
+                                 seed=nm.seed + 1), prefix="algebroid_")
+    V = default_spray(A)
+    report.merge(check_spray(V, A, seed=nm.seed + 2), prefix="spray_")
+    G = SprayGroupoid(A, V, n_quad=nm.n_quad, quad_kind=nm.quad_kind)
+    discover_validity_box(G, seed=nm.seed + 3)
+    report.environment["validity_box"] = G.validity_box().tolist()
+    return _RawScenario(A, G, nm), report
 
 
 class _RawScenario:
@@ -347,7 +370,6 @@ def cmd_check(args):
     if args.seed is not None:
         raw.setdefault("numerics", {})["seed"] = args.seed
     scen, report = build_scenario(raw)
-    report.environment.setdefault("threads", args.threads)
     outputs = raw.get("outputs", {})
     out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     report_path = out_dir / outputs.get("report", "report.json")
@@ -365,25 +387,19 @@ def cmd_convergence(args):
     raw = load_config(args.config)
     if args.seed is not None:
         raw.setdefault("numerics", {})["seed"] = args.seed
-    kind = raw["kind"]
-    n, box = _chart_box(raw)
-    nm = build_numerics(raw)
+    kind, box, nm, c = parse_config(raw)
     levels = []
     for part in args.ladder.split(","):
         nq, _, ss = part.partition("x")
         levels.append((int(nq), int(ss) if ss else 1))
 
     if kind in ("poisson", "nijenhuis", "gcs"):
-        pi = _bivector(raw, n)
-        A = cotangent_algebroid(pi, box)
+        A = cotangent_algebroid(c["pi"], box)
         V = default_spray(A)
         lf = linear_form(poisson_im_pair(A))
         cocycle = None
     elif kind == "jacobi":
-        from .algebroid import jacobi_algebroid
-        pi = _bivector(raw, n)
-        R = [ex.parse(e, _xs(n)) for e in raw["coefficients"]["R"]]
-        A = jacobi_algebroid(pi, R, box, seed=nm.seed)
+        A = jacobi_algebroid(c["pi"], c["R"], box, seed=nm.seed)
         V = default_spray(A)
         lf = jacobi_linear_form(A)
         cocycle = jacobi_cocycle(A)
@@ -484,8 +500,6 @@ def make_parser():
         sp.add_argument("--config", required=True, help="problem config JSON")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent checks")
         sp.add_argument("--out-dir", default=None,
                         help="directory for report files")
 

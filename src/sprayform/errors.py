@@ -45,20 +45,34 @@ class DomainExitError(SprayformError):
         self.point = point
 
 
-class StepUnderflowError(SprayformError):
-    """Step-size control could not reach the requested tolerance."""
+class NonFiniteStateError(SprayformError):
+    """A flow state became NaN or infinite."""
+
+    def __init__(self, time, point=None):
+        super().__init__(f"flow state is not finite at t={time:.6g}")
+        self.time = time
+        self.point = point
 
 
 class DegenerateFormError(SprayformError):
-    """A 2-form that must be invertible is singular or ill-conditioned."""
+    """A 2-form that must be invertible is singular or ill-conditioned.
 
-    def __init__(self, smallest_singular_value, point=None):
-        super().__init__(
-            "2-form is degenerate (smallest singular value "
-            f"{smallest_singular_value:.3e})"
-        )
+    ``row`` is the batch index of the offending point, when known.
+    """
+
+    def __init__(self, smallest_singular_value, point=None, row=None):
+        where = []
+        if row is not None:
+            where.append(f"batch row {row}")
+        if point is not None:
+            where.append("point (" + ", ".join(f"{float(v):.6g}" for v in point)
+                         + ")")
+        super().__init__("2-form is degenerate (smallest singular value "
+                         f"{smallest_singular_value:.3e})"
+                         + (" at " + ", ".join(where) if where else ""))
         self.smallest_singular_value = smallest_singular_value
         self.point = point
+        self.row = row
 
 
 class NotLagrangianError(SprayformError):

@@ -41,13 +41,13 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifierError,
 )
+from .tensor import _merge, index_list
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Call",
     "parse", "partial", "subst", "to_source", "compile_exprs",
-    "ScalarField", "VectorField", "BivectorField", "FormField",
+    "VectorField", "BivectorField", "FormField",
     "PolyVectorField", "schouten", "wedge_vector_bivector",
-    "exterior_derivative", "interior_product", "lie_derivative",
     "ZERO", "ONE", "const", "var",
 ]
 
@@ -689,64 +689,7 @@ def compile_exprs(exprs, variables):
 
 
 # ---------------------------------------------------------------------------
-# Multi-index helpers (strictly increasing tuples)
-
-
-def increasing_indices(dim, degree):
-    return list(itertools.combinations(range(dim), degree))
-
-
-def merge_indices(I, J):
-    """Merge disjoint increasing tuples; return (sign, merged) or (0, None)."""
-    merged = I + J
-    if len(set(merged)) != len(merged):
-        return 0, None
-    order = sorted(range(len(merged)), key=merged.__getitem__)
-    # parity of the sorting permutation
-    seen = [False] * len(order)
-    sign = 1
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign, tuple(sorted(merged))
-
-
-def insert_index(i, I):
-    """Sign and result of inserting i into increasing tuple I (i not in I)."""
-    if i in I:
-        return 0, None
-    pos = sum(1 for j in I if j < i)
-    return (-1) ** pos, tuple(sorted(I + (i,)))
-
-
-def remove_index(i, I):
-    """Sign convention for interior product: position of i inside I."""
-    pos = I.index(i)
-    return (-1) ** pos, I[:pos] + I[pos + 1:]
-
-
-# ---------------------------------------------------------------------------
 # Coefficient fields
-
-
-class ScalarField:
-    """A single expression over named variables."""
-
-    def __init__(self, variables, expr):
-        self.variables = tuple(variables)
-        self.expr = expr
-
-    def at(self, point):
-        env = dict(zip(self.variables, point))
-        return self.expr.eval(env)
 
 
 class VectorField:
@@ -833,7 +776,7 @@ class FormField:
                 de = partial(e, name)
                 if de.is_zero:
                     continue
-                sign, J = insert_index(j, I)
+                sign, J = _merge((j,), I)
                 if sign == 0:
                     continue
                 term = mul(Const(sign), de)
@@ -848,8 +791,8 @@ class FormField:
             raise DimensionError("vector field over different variables")
         comps = {}
         for I, e in self.components.items():
-            for i in I:
-                sign, J = remove_index(i, I)
+            for pos, i in enumerate(I):
+                sign, J = (-1) ** pos, I[:pos] + I[pos + 1:]
                 term = mul(Const(sign), mul(X.components[i], e))
                 comps[J] = add(comps.get(J, ZERO), term)
         return FormField(self.variables, self.degree - 1, comps)
@@ -860,7 +803,7 @@ class FormField:
         comps = {}
         for I, a in self.components.items():
             for J, b in other.components.items():
-                sign, K = merge_indices(I, J)
+                sign, K = _merge(I, J)
                 if sign == 0:
                     continue
                 term = mul(Const(sign), mul(a, b))
@@ -877,12 +820,12 @@ class FormField:
     def at(self, point):
         """Dense component vector on increasing indices at a point."""
         env = dict(zip(self.variables, point))
-        idx = increasing_indices(self.dim, self.degree)
+        idx = index_list(self.dim, self.degree)
         return np.array([self.components.get(I, ZERO).eval(env) for I in idx])
 
     def exprs_dense(self):
         """Dense list of component Exprs in increasing-index order."""
-        idx = increasing_indices(self.dim, self.degree)
+        idx = index_list(self.dim, self.degree)
         return [self.components.get(I, ZERO) for I in idx]
 
     def max_abs_at(self, point):
@@ -939,25 +882,12 @@ class PolyVectorField:
 
     def at(self, point):
         env = dict(zip(self.variables, point))
-        idx = increasing_indices(self.dim, self.degree)
+        idx = index_list(self.dim, self.degree)
         return np.array([self.components.get(I, ZERO).eval(env) for I in idx])
 
     def max_abs_at(self, point):
         vals = self.at(point)
         return float(np.max(np.abs(vals))) if vals.size else 0.0
-
-
-def exterior_derivative(w):
-    """Symbolic exterior derivative of a FormField (d o d = 0 identically)."""
-    return w.d()
-
-
-def interior_product(X, w):
-    return w.interior(X)
-
-
-def lie_derivative(X, w):
-    return w.lie(X)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from . import expr as ex
-from .errors import DimensionError, DomainExitError, StepUnderflowError
+from .errors import DimensionError, DomainExitError, NonFiniteStateError
 
-__all__ = ["QuadratureRule", "Trajectory", "FlowEngine", "quad", "flow",
+__all__ = ["QuadratureRule", "Trajectory", "FlowEngine", "quad",
            "cumulative_integral"]
+
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -64,17 +66,6 @@ class Trajectory:
     times: np.ndarray          # (T+1,)
     states: np.ndarray         # (B, T+1, d)
     jacobians: np.ndarray | None = None   # (B, T+1, d, d)
-    weights: np.ndarray | None = None     # (B, T+1) parallel-transport factors
-
-    @property
-    def batch(self):
-        return self.states.shape[0]
-
-    def endpoint(self):
-        return self.states[:, -1, :]
-
-    def end_jacobian(self):
-        return self.jacobians[:, -1, :, :]
 
 
 class FlowEngine:
@@ -83,7 +74,8 @@ class FlowEngine:
     ``components`` are Exprs over ``variables`` (the coordinates of the total
     space).  ``box`` is an optional (d, 2) array of bounds; a trajectory that
     leaves it raises DomainExitError carrying the exit time.  Bounds may be
-    +-inf for unconstrained coordinates.
+    +-inf for unconstrained coordinates.  A NaN or infinite state raises
+    NonFiniteStateError carrying the time, with or without a box.
     """
 
     def __init__(self, components, variables, box=None):
@@ -95,7 +87,12 @@ class FlowEngine:
         self._v = ex.compile_exprs(self.components, self.variables)
         jac_exprs = [ex.partial(c, v) for c in self.components for v in self.variables]
         self._dv = ex.compile_exprs(jac_exprs, self.variables)
-        self.box = None if box is None else np.asarray(box, dtype=np.float64)
+        if box is None:
+            box = [[-np.inf, np.inf]] * self.dim
+        # +-inf bounds become +-float max, so the one comparison per step
+        # also rejects NaN and inf states
+        self._lo, self._hi = np.clip(np.asarray(box, dtype=np.float64),
+                                     -_FLOAT_MAX, _FLOAT_MAX).T
 
     def velocity(self, Z):
         return self._v(Z)
@@ -105,12 +102,13 @@ class FlowEngine:
         return out.reshape(out.shape[:-1] + (self.dim, self.dim))
 
     def _check_box(self, Z, t):
-        if self.box is None:
+        inside = (Z >= self._lo) & (Z <= self._hi)   # False on NaN
+        if inside.all():
             return
-        bad = (Z < self.box[:, 0]) | (Z > self.box[:, 1])
-        if bad.any():
-            idx = int(np.argwhere(bad.any(axis=-1)).ravel()[0])
-            raise DomainExitError(t, Z[idx].copy())
+        z = Z[int(np.argmin(inside.all(axis=-1)))].copy()
+        if not np.isfinite(z).all():
+            raise NonFiniteStateError(t, z)
+        raise DomainExitError(t, z)
 
     def _steps(self, nodes, substeps):
         """Sequence of (t0, h, count) covering consecutive node gaps."""
@@ -180,22 +178,6 @@ class FlowEngine:
             jacs[:, k + 1] = J
         return Trajectory(np.asarray(nodes, dtype=np.float64), states, jacs)
 
-    def flow_to(self, point, t, tol=1e-10, max_steps=1 << 20):
-        """Single endpoint phi^t(a) with step-doubling error control."""
-        P = np.asarray(point, dtype=np.float64)[None, :]
-        if t == 0.0:
-            return P[0].copy()
-        n = 64
-        prev = None
-        while n <= max_steps:
-            nodes = np.linspace(0.0, t, 2)
-            z = self.flow_on_grid(P, nodes, substeps=n)[0, -1]
-            if prev is not None and float(np.max(np.abs(z - prev))) < tol:
-                return z
-            prev = z
-            n *= 2
-        raise StepUnderflowError(f"could not reach tol {tol} within {max_steps} steps")
-
 
 def quad(values, rule, axis=0):
     """Weighted sum of node values along ``axis`` (values at rule.nodes)."""
@@ -230,8 +212,3 @@ def cumulative_integral(values, nodes):
         out[..., T] = out[..., T - 1] + h * 0.5 * (f0 + f1)
     return out
 
-
-def flow(field_components, variables, point, t, tol=1e-10, box=None):
-    """Convenience single-point flow used by tests and the CLI."""
-    engine = FlowEngine(field_components, variables, box=box)
-    return engine.flow_to(point, t, tol=tol)

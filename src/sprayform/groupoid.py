@@ -39,18 +39,28 @@ from .flow import FlowEngine, QuadratureRule, cumulative_integral
 from .report import CheckReport, SplitMix64
 
 __all__ = ["SprayGroupoid", "MultFormEvaluator", "multiply_poisson",
-           "integrate_cocycle", "differentiate_at_units",
-           "linearization_check", "units_form_predictor",
-           "discover_validity_box"]
+           "differential_of_multiplication", "integrate_cocycle",
+           "differentiate_at_units", "linearization_check",
+           "units_form_predictor", "discover_validity_box"]
+
+# Validity-box discovery: the base part of the box is the chart box scaled by
+# VALIDITY_BASE_SCALE about its centre.  The fiber radius starts at the
+# smallest chart half-width and shrinks by VALIDITY_SHRINK until
+# VALIDITY_SAMPLES flows, run to time VALIDITY_MARGIN so that boundary-grazing
+# trajectories are not certified, all stay in the chart box.
+VALIDITY_BASE_SCALE = 0.5
+VALIDITY_SAMPLES = 40
+VALIDITY_SHRINK = 0.7
+VALIDITY_MIN_RADIUS = 1e-4
+VALIDITY_MARGIN = 1.02
 
 
 @dataclass
 class SprayGroupoid:
     """Structure maps of the local groupoid of a spray.
 
-    Instances are read-only after construction; per-point evaluations are
-    batched and may run concurrently.  The optional trajectory cache is a
-    read-mostly map with single-writer insertion (opt in per call).
+    Evaluations are batched over points; ``validity_fiber_radius`` is set by
+    ``discover_validity_box``.
     """
 
     chart: object
@@ -59,7 +69,6 @@ class SprayGroupoid:
     substeps: int = 1
     quad_kind: str = "simpson"
     validity_fiber_radius: float | None = None
-    validity_base_scale: float = 0.5
 
     def __post_init__(self):
         A = self.chart
@@ -75,7 +84,6 @@ class SprayGroupoid:
         else:
             raise DimensionError(f"unknown quadrature kind {self.quad_kind!r}")
         self._grid = self._trajectory_grid()
-        self._cache = {}
 
     @property
     def n(self):
@@ -120,18 +128,10 @@ class SprayGroupoid:
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
         return P[:, : self.n]
 
-    def trajectory(self, P, use_cache=False):
+    def trajectory(self, P):
         """Flow with tangent Jacobians over the quadrature grid."""
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-        if use_cache and P.shape[0] == 1:
-            key = (self.n_quad, self.substeps, P.tobytes())
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
-        traj = self.engine.flow_with_jacobian(P, self._grid, self.substeps)
-        if use_cache and P.shape[0] == 1:
-            self._cache[key] = traj
-        return traj
+        return self.engine.flow_with_jacobian(P, self._grid, self.substeps)
 
     def tau(self, P):
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
@@ -162,7 +162,7 @@ class SprayGroupoid:
         """Total-space box actually certified by the discovery procedure."""
         A = self.chart
         mid = A.box.mean(axis=1)
-        half = (A.box[:, 1] - A.box[:, 0]) / 2.0 * self.validity_base_scale
+        half = (A.box[:, 1] - A.box[:, 0]) / 2.0 * VALIDITY_BASE_SCALE
         rad = self.validity_fiber_radius
         if rad is None:
             raise DimensionError("validity box not discovered yet")
@@ -177,30 +177,29 @@ class SprayGroupoid:
         return np.stack([rng.point_in_box(box) for _ in range(count)])
 
 
-def discover_validity_box(G, seed=505, samples=40, initial_radius=None,
-                          shrink=0.7, min_radius=1e-4, margin=1.02):
+def discover_validity_box(G, seed=505):
     """Shrink the fiber radius until all unit-time flows stay in the chart box.
 
-    Flows are run to ``margin`` * 1 so boundary-grazing trajectories are not
-    certified.  Sets ``G.validity_fiber_radius`` and returns it.
+    See the VALIDITY_* constants.  Sets ``G.validity_fiber_radius`` and
+    returns it.
     """
     A = G.chart
     half = (A.box[:, 1] - A.box[:, 0]) / 2.0
-    radius = initial_radius if initial_radius is not None else float(np.min(half))
+    radius = float(np.min(half))
     rng = SplitMix64(seed)
     mid = A.box.mean(axis=1)
-    base_half = half * G.validity_base_scale
-    grid = np.linspace(0.0, margin, 17)
-    while radius >= min_radius:
+    base_half = half * VALIDITY_BASE_SCALE
+    grid = np.linspace(0.0, VALIDITY_MARGIN, 17)
+    while radius >= VALIDITY_MIN_RADIUS:
         pts = []
-        for _ in range(samples):
+        for _ in range(VALIDITY_SAMPLES):
             x = mid + base_half * np.array([rng.uniform(-1, 1) for _ in range(A.n)])
             y = radius * rng.direction(A.r)
             pts.append(np.concatenate([x, y]))
         try:
             G.engine.flow_on_grid(np.stack(pts), grid, substeps=4)
         except DomainExitError:
-            radius *= shrink
+            radius *= VALIDITY_SHRINK
             continue
         G.validity_fiber_radius = radius
         return radius
@@ -315,9 +314,6 @@ class MultFormEvaluator:
         full = self.omega_full(np.asarray(point)[None, :])[0]
         return tn.AltTensor.from_full(full, self.degree)
 
-    def omega(self, point, vectors):
-        return self.omega_at(point)(*vectors)
-
     def domega_at(self, point):
         full = self.domega_full(np.asarray(point)[None, :])[0]
         return tn.AltTensor.from_full(full, self.degree + 1)
@@ -335,7 +331,7 @@ class MultFormEvaluator:
         bad = (smin <= 0) | (svals[:, 0] / np.maximum(smin, 1e-300) > cond_bound)
         if bad.any():
             i = int(np.argmax(bad))
-            raise DegenerateFormError(float(smin[i]), P[i])
+            raise DegenerateFormError(float(smin[i]), P[i], i)
         return np.linalg.inv(W)
 
 
@@ -399,10 +395,12 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
         raise DimensionError("a and b batches must have the same shape")
     n = G.n
     tau_b = G.tau(Bp)
-    viol = float(np.max(np.abs(A[:, :n] - tau_b)))
-    if viol > composability_tol:
+    viols = np.max(np.abs(A[:, :n] - tau_b), axis=1)
+    worst = int(np.argmax(viols))
+    if viols[worst] > composability_tol:
         raise ComposabilityError(
-            f"sigma(a) != tau(b): violation {viol:.3e} > {composability_tol:.1e}")
+            f"sigma(a) != tau(b) at batch row {worst}: violation "
+            f"{viols[worst]:.3e} > {composability_tol:.1e}")
 
     # fiber of phi^t(a) at the RK4 stage times: grid spacing h/2
     stage_grid = np.linspace(0.0, 1.0, 2 * n_steps + 1)
@@ -417,7 +415,8 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
         svals = np.linalg.svd(W, compute_uv=False)
         smin = float(np.min(svals[:, -1]))
         if smin <= 0 or float(np.max(svals[:, 0])) / max(smin, 1e-300) > cond_bound:
-            raise DegenerateFormError(smin)
+            row = int(np.argmin(svals[:, -1]))
+            raise DegenerateFormError(smin, k_pts[row], row)
         beta = np.einsum("baj,ba->bj", dtau, p_stage[:, stage_idx])
         return np.linalg.solve(W, beta[..., None])[..., 0]
 
@@ -433,55 +432,6 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
     return k[0] if single else k
 
 
-def differential_of_multiplication(G, evaluator, a, b, v, w, n_steps=32,
-                                   fd_step=1e-4, newton_iters=2):
-    """d mu at (a, b) applied to a composable tangent pair (v, w).
-
-    Fourth-order central differences of ``multiply_poisson`` along a curve of
-    exactly composable pairs: a_s = a + s v, and b_s corrected by a Newton
-    step so that tau(b_s) = sigma(a_s) to machine precision (the correction
-    is O(s^2), so it does not disturb the derivative).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    n = G.n
-    coeffs = {-2: 1.0 / 12, -1: -8.0 / 12, 1: 8.0 / 12, 2: -1.0 / 12}
-    out = np.zeros_like(a)
-    for c, coef in coeffs.items():
-        s = c * fd_step
-        a_s = a + s * v
-        b_s = b + s * w
-        for _ in range(newton_iters):
-            tau_b, dtau = G.tau_with_jacobian(b_s[None, :])
-            res = a_s[:n] - tau_b[0]
-            if float(np.max(np.abs(res))) < 1e-13:
-                break
-            corr, *_ = np.linalg.lstsq(dtau[0], res, rcond=None)
-            b_s = b_s + corr
-        mu = multiply_poisson(G, evaluator, a_s, b_s, n_steps=n_steps)
-        out += (coef / fd_step) * mu
-    return out
-
-
-def composable_tangent(G, b, v_base, rng):
-    """A tangent vector w at b with dtau(w) equal to the given base velocity."""
-    _, dtau = G.tau_with_jacobian(b[None, :])
-    dtau = dtau[0]
-    w0, *_ = np.linalg.lstsq(dtau, np.asarray(v_base, dtype=np.float64), rcond=None)
-    null = _nullspace(dtau)
-    if null.shape[1]:
-        w0 = w0 + null @ np.array([rng.uniform(-1, 1) for _ in range(null.shape[1])])
-    return w0
-
-
-def _nullspace(M, tol=1e-10):
-    _, s, vt = np.linalg.svd(M)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    return vt[rank:].T
-
-
 # ---------------------------------------------------------------------------
 # Batched multiplicativity / associativity checks (the expensive residuals)
 
@@ -490,13 +440,17 @@ def sample_composable_pairs(G, count, seed, fiber_scale=0.5):
     """Composable (a, b) batches: sigma(a) = tau(b) exactly by construction."""
     rng = SplitMix64(seed)
     b = G.sample_validity_points(count, seed, fiber_scale=fiber_scale)
-    tau_b = G.tau(b)
+    return _left_factors(G, b, rng, fiber_scale), b
+
+
+def _left_factors(G, right, rng, fiber_scale):
+    """Points a with sigma(a) = tau(right), fibers drawn from ``rng``."""
+    left = np.empty_like(right)
+    left[:, : G.n] = G.tau(right)
     rad = G.validity_fiber_radius * fiber_scale
-    a = np.empty_like(b)
-    a[:, : G.n] = tau_b
-    for i in range(count):
-        a[i, G.n:] = rad * rng.uniform(0.2, 1.0) * rng.direction(G.r)
-    return a, b
+    for i in range(len(right)):
+        left[i, G.n:] = rad * rng.uniform(0.2, 1.0) * rng.direction(G.r)
+    return left
 
 
 def composable_tangents_batch(G, b, v_base, rng):
@@ -527,13 +481,45 @@ def _newton_composable(G, a_base, b_guess, iters=3, tol=1e-13):
 _FD_STENCIL = ((-2, 1.0 / 12), (-1, -8.0 / 12), (1, 8.0 / 12), (2, -1.0 / 12))
 
 
+def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
+                                   n_steps=32, fd_step=1e-4):
+    """mu(a, b) and d mu at (a, b) on composable tangent pairs, batched.
+
+    ``tangent_pairs`` lists (v, w) batches with dtau(w) = dsigma(v).  Each
+    derivative is a 4th-order central difference of ``multiply_poisson``
+    along exactly composable curves: a_s = a + s v, and b_s Newton-corrected
+    so that tau(b_s) = sigma(a_s) to machine precision (the correction is
+    O(s^2), so it does not disturb the derivative).  The central product and
+    every stencil offset of every pair go through one ``multiply_poisson``
+    call.  Returns (mu, [d mu(v, w) for each pair]).
+    """
+    count = len(a)
+    A_all = [a]
+    B_all = [b]
+    for v, w in tangent_pairs:
+        for c, _ in _FD_STENCIL:
+            s = c * fd_step
+            a_s = a + s * v
+            A_all.append(a_s)
+            B_all.append(_newton_composable(G, a_s[:, : G.n], b + s * w))
+    mu_all = multiply_poisson(G, evaluator, np.concatenate(A_all),
+                              np.concatenate(B_all), n_steps=n_steps)
+    dmu = []
+    for block in range(len(tangent_pairs)):
+        acc = np.zeros((count, G.dim))
+        for k, (c, coef) in enumerate(_FD_STENCIL):
+            sl = (1 + len(_FD_STENCIL) * block + k) * count
+            acc += (coef / fd_step) * mu_all[sl: sl + count]
+        dmu.append(acc)
+    return mu_all[:count], dmu
+
+
 def multiplicativity_residual(G, evaluator, n_pairs=100, seed=2718, n_steps=32,
                               fd_step=1e-4, fiber_scale=0.5):
     """Max residual of the product compatibility over sampled composable data.
 
-    For each pair, two composable tangent pairs are pushed through the
-    derivative of the multiplication (4th-order differences along exactly
-    composable curves, batched across all pairs and stencil offsets) and
+    For each pair, two composable tangent pairs are pushed through
+    ``differential_of_multiplication`` and
 
         | omega_{mu}(dmu(v,w), dmu(v',w')) - omega_a(v,v') - omega_b(w,w') |
 
@@ -547,28 +533,9 @@ def multiplicativity_residual(G, evaluator, n_pairs=100, seed=2718, n_steps=32,
     v2 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
     w1 = composable_tangents_batch(G, b, v1[:, : G.n], rng)
     w2 = composable_tangents_batch(G, b, v2[:, : G.n], rng)
-
-    # assemble the stencil batch: [central] + 8 perturbed copies per pair
-    A_all = [a]
-    B_all = [b]
-    for v, w in ((v1, w1), (v2, w2)):
-        for c, _ in _FD_STENCIL:
-            s = c * fd_step
-            a_s = a + s * v
-            b_s = _newton_composable(G, a_s[:, : G.n], b + s * w)
-            A_all.append(a_s)
-            B_all.append(b_s)
-    A_all = np.concatenate(A_all)
-    B_all = np.concatenate(B_all)
-    mu_all = multiply_poisson(G, evaluator, A_all, B_all, n_steps=n_steps)
-    mu = mu_all[:n_pairs]
-    dmu = []
-    for block in range(2):
-        acc = np.zeros((n_pairs, d))
-        for k, (c, coef) in enumerate(_FD_STENCIL):
-            sl = (1 + 4 * block + k) * n_pairs
-            acc += (coef / fd_step) * mu_all[sl: sl + n_pairs]
-        dmu.append(acc)
+    mu, dmu = differential_of_multiplication(
+        G, evaluator, a, b, [(v1, w1), (v2, w2)], n_steps=n_steps,
+        fd_step=fd_step)
 
     W_mu = evaluator.omega_matrices(mu)
     W_a = evaluator.omega_matrices(a)
@@ -591,17 +558,8 @@ def associativity_residual(G, evaluator, n_triples=50, seed=424242, n_steps=32,
     """max || mu(mu(a,b),c) - mu(a,mu(b,c)) || over sampled composable triples."""
     rng = SplitMix64(seed)
     c = G.sample_validity_points(n_triples, seed, fiber_scale=fiber_scale)
-    tau_c = G.tau(c)
-    b = np.empty_like(c)
-    b[:, : G.n] = tau_c
-    rad = G.validity_fiber_radius * fiber_scale
-    for i in range(n_triples):
-        b[i, G.n:] = rad * rng.uniform(0.2, 1.0) * rng.direction(G.r)
-    tau_b = G.tau(b)
-    a = np.empty_like(c)
-    a[:, : G.n] = tau_b
-    for i in range(n_triples):
-        a[i, G.n:] = rad * rng.uniform(0.2, 1.0) * rng.direction(G.r)
+    b = _left_factors(G, c, rng, fiber_scale)
+    a = _left_factors(G, b, rng, fiber_scale)
 
     first = multiply_poisson(G, evaluator, np.concatenate([a, b]),
                              np.concatenate([b, c]), n_steps=n_steps)

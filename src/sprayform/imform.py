@@ -261,9 +261,10 @@ def exact_im_pair(A, varpi):
 class ScalarSpencer:
     """Canonical first-jet Spencer data on a trivialized-line jacobi chart.
 
-    l = pr (the u-component), D(u, a) = du - a, and the transport cocycle
-    delta(u, a) = <R, a>.  The Leibniz identity D(f s) = f D(s) + df ^ l(s)
-    is checked on coordinate multiples by ``leibniz_residual``.
+    l = pr (the u-component) and D(u, a) = du - a; the transport cocycle
+    delta(u, a) = <R, a> is ``algebroid.jacobi_cocycle``.  The Leibniz
+    identity D(f s) = f D(s) + df ^ l(s) is checked on coordinate multiples
+    by ``leibniz_residual``.
     """
 
     chart: object
@@ -278,10 +279,6 @@ class ScalarSpencer:
         for a, name in enumerate(xs):
             comps[(a,)] = ex.sub(ex.partial(f, name), alpha[a])
         return ex.FormField(xs, 1, comps)
-
-    def cocycle(self):
-        from .algebroid import jacobi_cocycle
-        return jacobi_cocycle(self.chart)
 
     def leibniz_residual(self, samples=25, seed=11):
         """max | D(f s) - f D(s) - df ^ l(s) | on coordinate multiples."""

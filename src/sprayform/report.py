@@ -44,9 +44,6 @@ class SplitMix64:
         """Uniform point in a list of (lo, hi) intervals."""
         return np.array([self.uniform(lo, hi) for lo, hi in box])
 
-    def points_in_box(self, box, count):
-        return np.stack([self.point_in_box(box) for _ in range(count)])
-
     def direction(self, dim):
         """Unit vector; Gaussian components via Box-Muller on uniforms."""
         out = np.empty(dim)
@@ -131,10 +128,6 @@ class CheckReport:
                              float(value) >= float(floor),
                              worst_point=worst_point,
                              note=note or f"value {value:.6g}, floor {floor:.6g}")
-        self.checks.append(result)
-        return result
-
-    def add_result(self, result):
         self.checks.append(result)
         return result
 

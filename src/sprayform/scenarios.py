@@ -42,6 +42,7 @@ from .algebroid import (
 )
 from .errors import CompatibilityError
 from .groupoid import (
+    VALIDITY_BASE_SCALE,
     MultFormEvaluator,
     SprayGroupoid,
     associativity_residual,
@@ -120,7 +121,7 @@ def tau_pullback(G, varpi, P):
 def _roundtrip_checks(report, G, evaluator, data, numerics, slope_window=(0.8, 1.2)):
     base_pts = G.chart.sample_base_points(
         min(20, numerics.samples), numerics.seed + 6,
-        scale=G.validity_base_scale)
+        scale=VALIDITY_BASE_SCALE)
     rt = differentiate_at_units(G, evaluator, data, base_pts,
                                 tol=numerics.tol("units_recovery", 1e-7))
     report.merge(rt)
@@ -150,9 +151,6 @@ class PoissonScenario:
     data: IMFormData
     report: CheckReport
     numerics: Numerics
-
-    def omega_inverse(self, P):
-        return self.evaluator.inverse_matrices(np.atleast_2d(P))
 
 
 def _poisson_identity_gate(pi, box, samples, seed, tol):

@@ -1,4 +1,4 @@
-"""Pointwise multilinear algebra: alternating tensors and linear maps.
+"""Pointwise multilinear algebra: alternating tensors and their batched kernels.
 
 Values of differential forms at a point live here.  The evaluation
 convention is the determinant one (no 1/k! factors):
@@ -20,10 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateFormError, DimensionError
+from .errors import DimensionError
 
-__all__ = ["AltTensor", "LinMap", "wedge", "interior", "pullback",
-           "invert_2form", "sharp", "flat"]
+__all__ = ["AltTensor", "wedge", "interior", "pullback"]
 
 MAX_DIM = 8
 
@@ -45,14 +44,19 @@ def _merge_table(dim, p, q):
     pos_out = index_position(dim, p + q)
     for ia, I in enumerate(index_list(dim, p)):
         for ib, J in enumerate(index_list(dim, q)):
-            merged = I + J
-            if len(set(merged)) != len(merged):
-                continue
-            order = np.argsort(merged)
-            sign = _perm_sign(order)
-            K = tuple(sorted(merged))
-            out.append((ia, ib, pos_out[K], sign))
+            sign, K = _merge(I, J)
+            if sign:
+                out.append((ia, ib, pos_out[K], sign))
     return tuple(out)
+
+
+def _merge(I, J):
+    """Sign and sorted union of disjoint index tuples; (0, None) if they meet."""
+    merged = I + J
+    if len(set(merged)) != len(merged):
+        return 0, None
+    order = sorted(range(len(merged)), key=merged.__getitem__)
+    return _perm_sign(order), tuple(sorted(merged))
 
 
 def _perm_sign(order):
@@ -176,31 +180,6 @@ class AltTensor:
         return f"AltTensor(dim={self.dim}, degree={self.degree}, comps={self.comps})"
 
 
-class LinMap:
-    """Linear map R^{d_in} -> R^{d_out} (Jacobians, anchors, projections)."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        if self.matrix.ndim != 2:
-            raise DimensionError("LinMap expects a matrix")
-
-    @property
-    def d_out(self):
-        return self.matrix.shape[0]
-
-    @property
-    def d_in(self):
-        return self.matrix.shape[1]
-
-    def __matmul__(self, other):
-        return LinMap(self.matrix @ other.matrix)
-
-    def __call__(self, v):
-        return self.matrix @ np.asarray(v, dtype=np.float64)
-
-
 def wedge(a, b):
     """Wedge product under the determinant convention (signed shuffle sum)."""
     if a.dim != b.dim:
@@ -232,7 +211,7 @@ def interior(v, a):
 
 def pullback(a, J):
     """Pullback (J* a)(v1..vk) = a(J v1, .., J vk); J maps the new space in."""
-    M = J.matrix if isinstance(J, LinMap) else np.asarray(J, dtype=np.float64)
+    M = np.asarray(J, dtype=np.float64)
     d_out, d_in = M.shape
     if a.dim != d_out:
         raise DimensionError("pullback: form lives on the codomain of J")
@@ -255,46 +234,6 @@ def pullback(a, J):
     return AltTensor(d_in, k, out)
 
 
-def flat(a, v):
-    """omega-flat of a 2-tensor: the covector  w -> a(v, w)."""
-    if a.degree != 2:
-        raise DimensionError("flat expects a 2-form")
-    return interior(v, a)
-
-
-def sharp(P, alpha):
-    """pi-sharp of a bivector matrix: (pi# alpha)^j = sum_i alpha_i P[i,j]."""
-    P = np.asarray(P, dtype=np.float64)
-    return P.T @ np.asarray(alpha, dtype=np.float64)
-
-
-def two_form_matrix(a):
-    """Matrix W with W[i,j] = a(e_i, e_j) for a 2-tensor."""
-    if a.degree != 2:
-        raise DimensionError("expected a 2-form")
-    W = np.zeros((a.dim, a.dim))
-    for p, (i, j) in enumerate(index_list(a.dim, 2)):
-        W[i, j] = a.comps[p]
-        W[j, i] = -a.comps[p]
-    return W
-
-
-def invert_2form(a, cond_bound=1e12):
-    """Invert a nondegenerate 2-form.
-
-    Returns the bivector matrix Q = W^{-1} whose sharp map inverts the flat
-    map of ``a``:  (Q-sharp)((a-flat)(v)) = v.  Raises DegenerateFormError
-    carrying the smallest singular value when the matrix is singular or has
-    condition number above ``cond_bound``.
-    """
-    W = two_form_matrix(a) if isinstance(a, AltTensor) else np.asarray(a)
-    svals = np.linalg.svd(W, compute_uv=False)
-    smin, smax = svals[-1], svals[0]
-    if smin == 0.0 or smax / smin > cond_bound:
-        raise DegenerateFormError(float(smin))
-    return np.linalg.inv(W)
-
-
 # ---------------------------------------------------------------------------
 # Batched kernels used by the quadrature evaluators (degrees 1..3).
 # Forms are carried as fully antisymmetric dense arrays with leading batch
@@ -312,17 +251,6 @@ def comps_to_full_batch(comps, dim, degree):
             sign = _perm_sign(perm)
             full[(...,) + tuple(I[k] for k in perm)] = sign * comps[..., p]
     return full
-
-
-def full_to_comps_batch(full, degree):
-    if degree == 0:
-        return full[..., None]
-    dim = full.shape[-1]
-    idx = index_list(dim, degree)
-    out = np.empty(full.shape[:-degree] + (len(idx),))
-    for p, I in enumerate(idx):
-        out[..., p] = full[(...,) + I]
-    return out
 
 
 def pullback_full_batch(J, full, degree):

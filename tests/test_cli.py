@@ -45,12 +45,14 @@ def test_unknown_top_level_key_rejected(tmp_path):
 
 
 def test_unknown_numerics_key_rejected(tmp_path):
-    path = _fast_poisson(tmp_path)
-    raw = json.loads(Path(path).read_text())
-    raw["numerics"]["bogus"] = 3
-    bad = _write(tmp_path, raw, "bad.json")
-    with pytest.raises(ConfigError):
-        load_config(bad)
+    # ode_tol was once accepted and read by nothing
+    for key in ("bogus", "ode_tol"):
+        path = _fast_poisson(tmp_path)
+        raw = json.loads(Path(path).read_text())
+        raw["numerics"][key] = 3
+        bad = _write(tmp_path, raw, "bad.json")
+        with pytest.raises(ConfigError):
+            load_config(bad)
 
 
 def test_kind_specific_requirements(tmp_path):
@@ -63,6 +65,22 @@ def test_kind_specific_requirements(tmp_path):
     bad = _write(tmp_path, raw)
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def test_malformed_R_is_config_error_in_every_subcommand(tmp_path, capsys):
+    raw = {
+        "schema_version": 1,
+        "kind": "jacobi",
+        "chart": {"dim": 1, "box": [[-1.0, 1.0]]},
+        "coefficients": {"pi": {}, "R": ["1", "0"]},   # R needs 1 component
+        "numerics": {"quad_nodes": 16, "samples": 10, "seed": 6},
+    }
+    path = _write(tmp_path, raw)
+    assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert main(["convergence", "--config", path, "--out-dir", str(tmp_path),
+                 "--ladder", "8,16"]) == 2
+    assert main(["eval", "--config", path, "--point", "0,0,0"]) == 2
+    assert "R needs one component" in capsys.readouterr().err
 
 
 def test_schema_subcommand(capsys):

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from sprayform import expr as ex
-from sprayform.errors import DomainExitError
+from sprayform.errors import DomainExitError, NonFiniteStateError
 from sprayform.expr import parse
-from sprayform.flow import (
-    FlowEngine,
-    QuadratureRule,
-    cumulative_integral,
-    flow,
-    quad,
-)
+from sprayform.flow import FlowEngine, QuadratureRule, cumulative_integral, quad
 
 XS2 = ["x1", "x2"]
 XYP = ["x1", "x2", "y1", "y2"]   # (x, p) on the cotangent space of R^2
@@ -25,9 +19,15 @@ def _const_pi_engine():
     return FlowEngine(comps, XYP)
 
 
+def _endpoint(eng, z0, t, substeps=64):
+    """phi^t(z0) by fixed-step RK4 with ``substeps`` steps."""
+    nodes = np.linspace(0.0, t, 2)
+    return eng.flow_on_grid(np.asarray(z0)[None, :], nodes, substeps)[0, -1]
+
+
 def test_zero_field_flow_is_identity():
     eng = FlowEngine([ex.ZERO, ex.ZERO], XS2)
-    out = eng.flow_to(np.array([0.4, -0.2]), 0.73)
+    out = _endpoint(eng, np.array([0.4, -0.2]), 0.73)
     assert np.allclose(out, [0.4, -0.2])
 
 
@@ -35,7 +35,7 @@ def test_constant_pi_flow_closed_form():
     eng = _const_pi_engine()
     z0 = np.array([0.1, 0.2, 0.3, -0.4])
     t = 0.8
-    out = eng.flow_to(z0, t, tol=1e-12)
+    out = _endpoint(eng, z0, t)
     want = z0 + t * np.array([-z0[3], z0[2], 0.0, 0.0])
     assert np.max(np.abs(out - want)) < 1e-12
 
@@ -44,7 +44,7 @@ def test_jacobi_spray_flow_closed_form():
     # V(x; u, p) = (-u, 0, 0): phi^t(x,u,p) = (x - t u, u, p)
     eng = FlowEngine([parse("-y1", JVARS), ex.ZERO, ex.ZERO], JVARS)
     z0 = np.array([0.2, 0.5, -0.3])
-    out = eng.flow_to(z0, 1.0)
+    out = _endpoint(eng, z0, 1.0)
     assert np.allclose(out, [0.2 - 0.5, 0.5, -0.3], atol=1e-14)
 
 
@@ -109,9 +109,34 @@ def test_domain_exit_raises_with_time():
     assert 0.0 < err.value.exit_time <= 0.2
 
 
-def test_flow_helper_single_point():
-    out = flow([parse("x1", ["x1"])], ["x1"], np.array([1.0]), 1.0, tol=1e-12)
+def test_exponential_flow_single_point():
+    # x' = x: phi^1(1) = e; the RK4 error at 256 steps is ~5e-12
+    eng = FlowEngine([parse("x1", ["x1"])], ["x1"])
+    out = _endpoint(eng, np.array([1.0]), 1.0, substeps=256)
     assert out[0] == pytest.approx(np.e, rel=1e-10)
+
+
+@pytest.mark.parametrize("box", [None, [[-np.inf, np.inf]] * 2])
+def test_rk4_overflow_raises_with_time(box):
+    # compiled evaluation returns 1e308; the RK4 combination k1 + 2 k2 + ..
+    # overflows to inf outside it, and the step's box check must catch it
+    eng = FlowEngine([ex.const(1e308), ex.ZERO], XS2, box=box)
+    nodes = np.linspace(0.0, 1.0, 5)
+    for solve in (eng.flow_on_grid, eng.flow_with_jacobian):
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteStateError, match="t=0.25") as err:
+            solve(np.array([[0.0, 0.0]]), nodes)
+        assert err.value.time == 0.25
+        assert np.isinf(err.value.point[0])
+
+
+@pytest.mark.parametrize("box", [None, [[-1.0, 1.0]] * 2])
+def test_nan_state_raises_with_time(box):
+    # NaN compares false against every bound, so it must not pass as inside
+    eng = FlowEngine([parse("x2", XS2), ex.ZERO], XS2, box=box)
+    with pytest.raises(NonFiniteStateError, match="t=0") as err:
+        eng.flow_on_grid(np.array([[0.1, np.nan]]), np.linspace(0, 1, 5))
+    assert err.value.time == 0.0
 
 
 # ---------------------------------------------------------------------------

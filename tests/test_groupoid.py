@@ -10,12 +10,16 @@ from sprayform.algebroid import (
     jacobi_algebroid,
     jacobi_cocycle,
 )
-from sprayform.errors import ComposabilityError, NonlinearCocycleError
+from sprayform.errors import (
+    ComposabilityError,
+    DegenerateFormError,
+    NonlinearCocycleError,
+)
 from sprayform.expr import BivectorField, FormField, parse
 from sprayform.groupoid import (
     MultFormEvaluator,
     SprayGroupoid,
-    composable_tangent,
+    composable_tangents_batch,
     differential_of_multiplication,
     differentiate_at_units,
     discover_validity_box,
@@ -25,6 +29,7 @@ from sprayform.groupoid import (
     units_form_predictor,
 )
 from sprayform.imform import (
+    LinearForm,
     exact_im_pair,
     jacobi_linear_form,
     linear_form,
@@ -209,6 +214,40 @@ def test_multiply_rejects_noncomposable(flat_groupoid):
         multiply_poisson(G, ev, a, b)
 
 
+def test_composability_error_names_the_worst_row(flat_groupoid):
+    _, G, ev = flat_groupoid
+    b = np.array([[0.1, 0.2, 0.1, 0.0], [0.0, -0.1, 0.2, 0.1],
+                  [0.3, 0.0, -0.1, 0.2]])
+    a = b.copy()
+    a[2, 0] += 0.4   # sigma(a) misses tau(b) in row 2 only
+    with pytest.raises(ComposabilityError, match="row 2"):
+        multiply_poisson(G, ev, a, b, n_steps=2)
+
+
+def test_degenerate_form_in_product_names_row_and_point(flat_groupoid):
+    A, G, _ = flat_groupoid
+    b = np.array([[0.3, 0.1, 0.1, 0.0], [0.0, 0.2, 0.2, 0.1],
+                  [-0.4, 0.0, -0.1, 0.2]])
+    a = b.copy()
+    a[:, 2:] = 0.1
+    zero = MultFormEvaluator(G, LinearForm(A, 2, FormField(A.total_vars, 2)))
+    with pytest.raises(DegenerateFormError) as err:
+        multiply_poisson(G, zero, a, b, n_steps=2)
+    assert err.value.smallest_singular_value == 0.0
+    assert err.value.row == 0
+    # Lambda = x1 dx1^dy1 + dx2^dy2 is degenerate exactly where x1 = 0; for
+    # pi = 0 the flow is the identity, so omega = Lambda
+    form = FormField(A.total_vars, 2, {(0, 2): parse("x1", A.total_vars),
+                                       (1, 3): ex.ONE})
+    ev = MultFormEvaluator(G, LinearForm(A, 2, form))
+    with pytest.raises(DegenerateFormError) as err:
+        multiply_poisson(G, ev, a, b, n_steps=2)
+    assert err.value.row == 1
+    assert np.array_equal(err.value.point, b[1])   # first stage: k = b
+    assert "row 1" in str(err.value)
+    assert "point (0, 0.2, 0.2, 0.1)" in str(err.value)
+
+
 def test_constant_pi_associativity(const_groupoid):
     _, G, ev = const_groupoid
     rng = SplitMix64(99)
@@ -228,13 +267,15 @@ def test_differential_of_multiplication_flat(flat_groupoid):
     """For pi = 0, mu = fiberwise addition, so d mu(v, w) = v + w restricted
     to the right slots: base from b, fibers added."""
     _, G, ev = flat_groupoid
-    a = np.array([0.2, 0.1, 0.15, -0.2])
-    b = np.array([0.2, 0.1, 0.05, 0.3])
+    a = np.array([[0.2, 0.1, 0.15, -0.2], [-0.1, 0.3, 0.0, 0.1]])
+    b = np.array([[0.2, 0.1, 0.05, 0.3], [-0.1, 0.3, 0.2, -0.1]])
     rng = SplitMix64(15)
-    v = np.array([0.3, -0.2, 0.5, 0.7])
-    w = composable_tangent(G, b, v[:2], rng)
-    dmu = differential_of_multiplication(G, ev, a, b, v, w, n_steps=8)
-    want = np.concatenate([w[:2], v[2:] + w[2:]])
+    v = np.array([[0.3, -0.2, 0.5, 0.7], [-0.4, 0.1, 0.2, 0.0]])
+    w = composable_tangents_batch(G, b, v[:, :2], rng)
+    mu, (dmu,) = differential_of_multiplication(G, ev, a, b, [(v, w)],
+                                                n_steps=8)
+    assert np.max(np.abs(mu - np.hstack([b[:, :2], a[:, 2:] + b[:, 2:]]))) < 1e-12
+    want = np.hstack([w[:, :2], v[:, 2:] + w[:, 2:]])
     assert np.max(np.abs(dmu - want)) < 1e-8
 
 

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sprayform import expr as ex
+from sprayform.algebroid import cotangent_algebroid, default_spray
 from sprayform.errors import DegenerateFormError, DimensionError
-from sprayform.tensor import (
-    AltTensor,
-    LinMap,
-    interior,
-    invert_2form,
-    pullback,
-    two_form_matrix,
-    wedge,
-)
+from sprayform.groupoid import MultFormEvaluator, SprayGroupoid
+from sprayform.imform import LinearForm
+from sprayform.tensor import AltTensor, index_list, interior, pullback, wedge
 
 
 def _e(d, i):
@@ -174,20 +170,29 @@ def test_pullback_functorial(seed):
     assert np.allclose(lhs.comps, rhs.comps, atol=1e-12)
 
 
-def test_linmap_composition():
-    A = LinMap(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    B = LinMap(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose((A @ B).matrix, A.matrix @ B.matrix)
-
-
 # ---------------------------------------------------------------------------
-# invert_2form
+# inversion of 2-forms (MultFormEvaluator.inverse_matrices)
+
+
+def _inverse_matrix(W):
+    """``inverse_matrices`` of the constant 2-form with matrix W.
+
+    With pi = 0 the default spray vanishes, so the flow is the identity and
+    the quadrature form equals the constant linear form up to the roundoff
+    of the quadrature weights.
+    """
+    d = W.shape[0]
+    n = d // 2
+    A = cotangent_algebroid(ex.BivectorField(n, {}), [[-1.0, 1.0]] * n)
+    G = SprayGroupoid(A, default_spray(A), n_quad=2)
+    comps = {I: ex.const(W[I]) for I in index_list(d, 2) if W[I] != 0.0}
+    lform = LinearForm(A, 2, ex.FormField(A.total_vars, 2, comps))
+    return MultFormEvaluator(G, lform).inverse_matrices(np.zeros((1, d)))[0]
 
 
 def test_invert_canonical():
-    w = AltTensor.from_components(2, 2, {(0, 1): 1.0})
-    Q = invert_2form(w)
-    W = two_form_matrix(w)
+    W = AltTensor.from_components(2, 2, {(0, 1): 1.0}).to_full()
+    Q = _inverse_matrix(W)
     assert np.allclose(Q @ W, np.eye(2))
     # sharp-after-flat is the identity: Q-sharp(W-flat(v)) = v
     v = np.array([0.3, -0.7])
@@ -196,26 +201,24 @@ def test_invert_canonical():
 
 
 def test_invert_scaling():
-    w = AltTensor.from_components(2, 2, {(0, 1): 2.0})
-    assert np.allclose(invert_2form(w), 0.5 * invert_2form(
-        AltTensor.from_components(2, 2, {(0, 1): 1.0})))
+    W = AltTensor.from_components(2, 2, {(0, 1): 1.0}).to_full()
+    assert np.allclose(_inverse_matrix(2.0 * W), 0.5 * _inverse_matrix(W))
 
 
 def test_invert_random_4d_against_direct_inverse():
     rng = np.random.default_rng(7)
     M = rng.uniform(-1, 1, (4, 4))
     W = M - M.T
-    a = AltTensor.from_full(W, 2)
-    Q = invert_2form(a)
+    Q = _inverse_matrix(W)
     assert np.max(np.abs(Q @ W - np.eye(4))) < 1e-12
     assert np.allclose(Q, np.linalg.inv(W))
 
 
 def test_invert_degenerate_reports_singular_value():
-    w = AltTensor(4, 2)  # zero form
     with pytest.raises(DegenerateFormError) as err:
-        invert_2form(w)
+        _inverse_matrix(np.zeros((4, 4)))  # zero form
     assert err.value.smallest_singular_value == 0.0
+    assert err.value.row == 0
 
 
 def test_dimension_cap():
