@@ -26,8 +26,8 @@ ds = build_dirac(sections, H, [[-1, 1]] * 3,
 for line in ds.report.summary_lines():
     print(line)
 
-# The fitted structure functions of the frame at a point (least squares
-# against the frame; the fit residual gates involutivity).
-x = np.array([0.2, -0.4, 0.1])
-print("\nstructure functions at", x)
-print(np.round(ds.chart.structure.values(x), 6))
+# The fitted structure functions of the frame at a batch of points (least
+# squares against the frame; the fit residual gates involutivity).
+X = np.array([[0.2, -0.4, 0.1]])
+print("\nstructure functions at", X[0])
+print(np.round(ds.chart.structure.values(X)[0], 6))

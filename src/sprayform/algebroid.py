@@ -71,52 +71,55 @@ class SymbolicStructure:
     def entry(self, i, j, k):
         return self.table[i][j][k]
 
-    def values(self, x):
-        env = dict(zip(self.xs, x))
-        c = np.empty((self.r, self.r, self.r))
-        for i in range(self.r):
-            for j in range(self.r):
-                for k in range(self.r):
-                    c[i, j, k] = self.table[i][j][k].eval(env)
-        return c
+    def values(self, X):
+        """c_{ij}^k at a point batch: (B, n) -> (B, r, r, r)."""
+        r = self.r
+        flat = [self.table[i][j][k]
+                for i in range(r) for j in range(r) for k in range(r)]
+        return ex.batch_values(flat, self.xs, X, (r, r, r))
 
-    def directional_derivative(self, x, direction):
-        env = dict(zip(self.xs, x))
-        out = np.zeros((self.r, self.r, self.r))
-        for i in range(self.r):
-            for j in range(self.r):
-                for k in range(self.r):
-                    e = self.table[i][j][k]
-                    for m, v in enumerate(direction):
-                        if v != 0.0:
-                            out[i, j, k] += v * ex.partial(e, self.xs[m]).eval(env)
+    def directional_derivative(self, X, V):
+        """sum_m V^m d_m c for D directions V (B, D, n) at X: (B, D, r, r, r).
+
+        The partials are taken and compiled once; the sum runs over m in order.
+        """
+        n, r = self.n, self.r
+        partials = [ex.partial(self.table[i][j][k], self.xs[m]) for m in range(n)
+                    for i in range(r) for j in range(r) for k in range(r)]
+        dc = ex.batch_values(partials, self.xs, X, (n, r, r, r))
+        out = np.zeros(np.shape(V)[:2] + (r, r, r))
+        for m in range(n):
+            out += V[:, :, m, None, None, None] * dc[:, None, m]
         return out
 
 
 class FittedStructure:
     """Structure functions solved pointwise; derivatives by 4th-order FD.
 
-    The fit residual is the non-involutivity of the frame at that point; it
-    is gated at construction time, so calling ``values`` on a gated chart is
-    safe anywhere in the box.
+    ``solve`` maps a point batch (B, n) to (c (B, r, r, r), fit residual
+    (B,)).  The fit residual is the non-involutivity of the frame at that
+    point; it is gated at construction time, so calling ``values`` on a gated
+    chart is safe anywhere in the box.
     """
 
-    def __init__(self, n, r, solve_at, fd_step=1e-4):
+    def __init__(self, n, r, solve, fd_step=1e-4):
         self.n, self.r = n, r
-        self._solve = solve_at   # x -> (c (r,r,r), residual)
+        self._solve = solve
         self.fd_step = fd_step
 
-    def values(self, x):
-        return self._solve(np.asarray(x, dtype=np.float64))[0]
+    def values(self, X):
+        """c_{ij}^k at a point batch: (B, n) -> (B, r, r, r)."""
+        return self._solve(np.asarray(X, dtype=np.float64))[0]
 
-    def fit_residual(self, x):
-        return self._solve(np.asarray(x, dtype=np.float64))[1]
+    def directional_derivative(self, X, V):
+        """sum_m V^m d_m c for D directions V (B, D, n) at X: (B, D, r, r, r)."""
+        X = np.asarray(X, dtype=np.float64)[:, None, :]
+        h, r = self.fd_step, self.r
 
-    def directional_derivative(self, x, direction):
-        x = np.asarray(x, dtype=np.float64)
-        d = np.asarray(direction, dtype=np.float64)
-        h = self.fd_step
-        f = lambda s: self.values(x + s * d)
+        def f(s):
+            Y = (X + s * V).reshape(-1, self.n)
+            return self.values(Y).reshape(np.shape(V)[:2] + (r, r, r))
+
         return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
 
 
@@ -143,10 +146,10 @@ class AlgebroidChart:
     def total_vars(self):
         return self.xs + self.ys
 
-    def anchor_at(self, x):
-        env = dict(zip(self.xs, x))
-        return np.array([[self.anchor[a][i].eval(env) for i in range(self.r)]
-                         for a in range(self.n)])
+    def anchor_at(self, X):
+        """Anchor matrices rho at a point batch: (B, n) -> (B, n, r)."""
+        flat = [e for row in self.anchor for e in row]
+        return ex.batch_values(flat, self.xs, X, (self.n, self.r))
 
     def anchor_of_section(self, i):
         """rho(e_i) as a VectorField on the base."""
@@ -214,71 +217,56 @@ def check_algebroid(A, samples=100, seed=2024, tol=1e-9):
     pts = A.sample_base_points(samples, seed, scale=0.9)
     n, r = A.n, A.r
     xs = A.xs
+    B = len(pts)
 
-    symbolic = isinstance(A.structure, SymbolicStructure)
+    c = A.structure.values(pts)      # (B, r, r, r)
+    rho = A.anchor_at(pts)           # (B, n, r)
+    report.add_pointwise(
+        "antisymmetry", np.max(np.abs(c + np.swapaxes(c, 1, 2)), axis=(1, 2, 3)),
+        tol, pts)
 
-    res_anti = res_anchor = res_jacobi = res_leibniz = 0.0
-    worst = {"anti": None, "anchor": None, "jacobi": None, "leibniz": None}
-
-    # Anchor entry derivative table (exact), for the anchor-morphism residual.
-    danchor = [[[ex.partial(A.anchor[a][i], xs[b]) for b in range(n)]
-                for i in range(r)] for a in range(n)]
-
-    for x in pts:
-        env = dict(zip(xs, x))
-        c = A.structure.values(x)
-        rho = A.anchor_at(x)
-
-        m = float(np.max(np.abs(c + np.swapaxes(c, 0, 1))))
-        if m > res_anti:
-            res_anti, worst["anti"] = m, x
-
-        # rho([e_i,e_j])^a = sum_k c_ij^k rho^a_k  vs  [rho e_i, rho e_j]^a,
-        # with [X, Y]^a = X^b d_b Y^a - Y^b d_b X^a.
-        # D[a, j, b] = d rho^a_j / d x_b
-        D = np.array([[[danchor[a][i][b].eval(env) for b in range(n)]
-                       for i in range(r)] for a in range(n)])
-        lhs = np.einsum("ijk,ak->ija", c, rho)
-        comm = np.einsum("bi,ajb->ija", rho, D) - np.einsum("bj,aib->ija", rho, D)
-        m = float(np.max(np.abs(lhs - comm)))
-        if m > res_anchor:
-            res_anchor, worst["anchor"] = m, x
-
-        # Jacobi: sum_cyc [ sum_m c_jk^m c_im^p + rho(e_i)(c_jk^p) ] = 0
-        rho_dc = np.empty((r, r, r, r))  # index (i, j, k, p): rho(e_i)(c_jk^p)
-        for i in range(r):
-            direction = rho[:, i]
-            rho_dc[i] = A.structure.directional_derivative(x, direction)
-        term = np.einsum("jkm,imp->ijkp", c, c) + rho_dc
+    # rho([e_i,e_j])^a = sum_k c_ij^k rho^a_k  vs  [rho e_i, rho e_j]^a,
+    # with [X, Y]^a = X^b d_b Y^a - Y^b d_b X^a.
+    # D[:, a, j, b] = d rho^a_j / d x_b (exact)
+    danchor = [ex.partial(A.anchor[a][i], xs[b])
+               for a in range(n) for i in range(r) for b in range(n)]
+    D = ex.batch_values(danchor, xs, pts, (n, r, n))
+    # Jacobi: sum_cyc [ sum_m c_jk^m c_im^p + rho(e_i)(c_jk^p) ] = 0, with
+    # rho_dc[:, i, j, k, p] = rho(e_i)(c_jk^p)
+    rho_dc = A.structure.directional_derivative(pts, np.swapaxes(rho, 1, 2))
+    res_anchor = np.empty(B)
+    res_jacobi = np.empty(B)
+    for p in range(B):
+        lhs = np.einsum("ijk,ak->ija", c[p], rho[p])
+        comm = np.einsum("bi,ajb->ija", rho[p], D[p]) - \
+            np.einsum("bj,aib->ija", rho[p], D[p])
+        res_anchor[p] = np.max(np.abs(lhs - comm))
+        term = np.einsum("jkm,imp->ijkp", c[p], c[p]) + rho_dc[p]
         jac = term + np.einsum("ijkp->jkip", term) + np.einsum("ijkp->kijp", term)
-        m = float(np.max(np.abs(jac)))
-        if m > res_jacobi:
-            res_jacobi, worst["jacobi"] = m, x
+        res_jacobi[p] = np.max(np.abs(jac))
+    report.add_pointwise("anchor_morphism", res_anchor, tol, pts)
+    report.add_pointwise("jacobi_identity", res_jacobi, tol, pts)
 
-        # Leibniz on coordinate multiples: [e_i, x^b e_j] - x^b [e_i,e_j]
-        #   - (rho(e_i) x^b) e_j = 0; with brackets expanded through c this
-        # reduces to an exact identity, evaluated here as a guard against
-        # inconsistent (anchor, structure) pairs in fitted charts.
-        if symbolic:
-            for i in range(min(r, 2)):
-                for j in range(min(r, 2)):
-                    for b in range(min(n, 2)):
-                        s = [ex.ONE if k == i else ex.ZERO for k in range(r)]
-                        t = [ex.Var(xs[b]) if k == j else ex.ZERO for k in range(r)]
-                        br = A.section_bracket(s, t)
-                        expect = np.array(
-                            [x[b] * c[i, j, k] + (rho[b, i] if k == j else 0.0)
-                             for k in range(r)])
-                        got = np.array([e.eval(env) for e in br])
-                        m = float(np.max(np.abs(got - expect)))
-                        if m > res_leibniz:
-                            res_leibniz, worst["leibniz"] = m, x
-
-    report.add("antisymmetry", res_anti, tol, worst["anti"])
-    report.add("anchor_morphism", res_anchor, tol, worst["anchor"])
-    report.add("jacobi_identity", res_jacobi, tol, worst["jacobi"])
-    if symbolic:
-        report.add("leibniz_rule", res_leibniz, tol, worst["leibniz"])
+    # Leibniz on coordinate multiples: [e_i, x^b e_j] - x^b [e_i,e_j]
+    #   - (rho(e_i) x^b) e_j = 0; with brackets expanded through c this
+    # reduces to an exact identity, evaluated here as a guard against
+    # inconsistent (anchor, structure) pairs.
+    if isinstance(A.structure, SymbolicStructure):
+        combos = [(i, j, b) for i in range(min(r, 2)) for j in range(min(r, 2))
+                  for b in range(min(n, 2))]
+        brackets = []
+        for i, j, b in combos:
+            s = [ex.ONE if k == i else ex.ZERO for k in range(r)]
+            t = [ex.Var(xs[b]) if k == j else ex.ZERO for k in range(r)]
+            brackets += A.section_bracket(s, t)
+        got = ex.batch_values(brackets, xs, pts, (len(combos), r))
+        res_leibniz = np.zeros(B)
+        for q, (i, j, b) in enumerate(combos):
+            expect = pts[:, b, None] * c[:, i, j]
+            expect[:, j] += rho[:, b, i]
+            res_leibniz = np.maximum(
+                res_leibniz, np.max(np.abs(got[:, q] - expect), axis=1))
+        report.add_pointwise("leibniz_rule", res_leibniz, tol, pts)
     return report
 
 
@@ -327,22 +315,16 @@ def check_spray(V, A, samples=40, seed=77, tol_anchor=1e-10, tol_scaling=1e-8,
     xs, ys = A.xs, A.ys
 
     # (i) base part equals rho(x) y, evaluated at random total-space points
-    res = 0.0
-    worst = None
     pts = []
     base_pts = A.sample_base_points(samples, seed, scale=0.8)
     for x in base_pts:
         y = np.array([rng.uniform(-fiber_radius, fiber_radius) for _ in range(A.r)])
         pts.append(np.concatenate([x, y]))
     pts = np.stack(pts)
-    for z in pts:
-        env = dict(zip(xs + ys, z))
-        rho = A.anchor_at(z[:A.n])
-        vbase = np.array([c.eval(env) for c in V.base_part])
-        m = float(np.max(np.abs(vbase - rho @ z[A.n:])))
-        if m > res:
-            res, worst = m, z
-    report.add("anchor_condition", res, tol_anchor, worst)
+    rho = A.anchor_at(pts[:, :A.n])
+    vbase = ex.compile_exprs(V.base_part, xs + ys)(pts)
+    res = [np.max(np.abs(vbase[p] - rho[p] @ pts[p, A.n:])) for p in range(len(pts))]
+    report.add_pointwise("anchor_condition", res, tol_anchor, pts)
 
     # (ii) flow scaling on a subset of points
     engine = V.engine()
@@ -440,60 +422,57 @@ def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
                           structure=SymbolicStructure(n, 1, [[[ex.ZERO]]]),
                           ).sample_base_points(fit_samples, seed, scale=0.9)
 
+    frame_fn = ex.compile_exprs(
+        [e for i in range(r) for e in fr.vectors[i] + fr.covectors[i]], xs)
+    if np.any(np.abs(dH.values(grid)) > 1e-12):
+        raise CompatibilityError("H is not closed")
     # Lagrangian gate: <e_i, e_j>_+ = alpha_i(v_j) + alpha_j(v_i) == 0
-    res = 0.0
-    for x in grid:
-        env = dict(zip(xs, x))
-        for i in range(r):
-            for j in range(i, r):
-                pair = 0.0
-                for a in range(n):
-                    pair += fr.covectors[i][a].eval(env) * fr.vectors[j][a].eval(env)
-                    pair += fr.covectors[j][a].eval(env) * fr.vectors[i][a].eval(env)
-                res = max(res, abs(pair))
-        # closedness of H
-        if dH.max_abs_at(x) > 1e-12:
-            raise CompatibilityError("H is not closed")
-    if res > tol_lagrangian:
+    F = frame_fn(grid).reshape(len(grid), r, 2 * n)
+    vec, cov = F[..., :n], F[..., n:]
+    pairs = []
+    for i in range(r):
+        for j in range(i, r):
+            pair = np.zeros(len(grid))
+            for a in range(n):
+                pair += cov[:, i, a] * vec[:, j, a]
+                pair += cov[:, j, a] * vec[:, i, a]
+            pairs.append(pair)
+    res = float(np.max(np.abs(pairs)))
+    if not res <= tol_lagrangian:  # a NaN fails too
         raise NotLagrangianError(res)
 
-    brackets = [[_courant_bracket(fr, i, j, xs) for j in range(r)] for i in range(r)]
-    frame_exprs = []
-    for i in range(r):
-        frame_exprs.append(fr.vectors[i] + fr.covectors[i])
-    frame_fn = ex.compile_exprs([e for col in frame_exprs for e in col], xs)
-    bracket_fn = {}
+    cols = []
     for i in range(r):
         for j in range(r):
-            lie_vw, form = brackets[i][j]
-            cols = lie_vw + [form.component((a,)) for a in range(n)]
-            bracket_fn[(i, j)] = ex.compile_exprs(cols, xs)
+            lie_vw, form = _courant_bracket(fr, i, j, xs)
+            cols += lie_vw + [form.component((a,)) for a in range(n)]
+    bracket_fn = ex.compile_exprs(cols, xs)
 
-    def solve_at(x):
-        F = frame_fn(x[None, :])[0].reshape(r, 2 * n).T   # (2n, r)
-        if np.linalg.matrix_rank(F, tol=1e-10) < r:
-            raise NotInvolutiveError(float("inf"), x)
-        cmat = np.empty((r, r, r))
-        resid = 0.0
-        for i in range(r):
-            for j in range(r):
-                b = bracket_fn[(i, j)](x[None, :])[0]
-                sol, _, _, _ = np.linalg.lstsq(F, b, rcond=None)
-                cmat[i, j] = sol
-                resid = max(resid, float(np.max(np.abs(F @ sol - b))))
+    def solve(X):
+        frames = frame_fn(X).reshape(len(X), r, 2 * n)
+        brackets = bracket_fn(X).reshape(len(X), r, r, 2 * n)
+        cmat = np.empty((len(X), r, r, r))
+        resid = np.zeros(len(X))
+        for p, x in enumerate(X):
+            F = frames[p].T   # (2n, r)
+            if np.linalg.matrix_rank(F, tol=1e-10) < r:
+                raise NotInvolutiveError(float("inf"), x)
+            for i in range(r):
+                for j in range(r):
+                    b = brackets[p, i, j]
+                    sol, _, _, _ = np.linalg.lstsq(F, b, rcond=None)
+                    cmat[p, i, j] = sol
+                    resid[p] = max(resid[p], float(np.max(np.abs(F @ sol - b))))
         return cmat, resid
 
-    worst_res, worst_pt = 0.0, None
-    for x in grid:
-        _, resid = solve_at(x)
-        if resid > worst_res:
-            worst_res, worst_pt = resid, x
-    if worst_res > tol_involutive:
-        raise NotInvolutiveError(worst_res, worst_pt)
+    _, resid = solve(grid)
+    worst = int(np.argmax(resid))
+    if not resid[worst] <= tol_involutive:
+        raise NotInvolutiveError(float(resid[worst]), grid[worst])
 
     anchor = [[fr.vectors[i][a] for i in range(r)] for a in range(n)]
     return AlgebroidChart(n=n, r=r, box=box, anchor=anchor,
-                          structure=FittedStructure(n, r, solve_at),
+                          structure=FittedStructure(n, r, solve),
                           frame=fr, label=label)
 
 
@@ -514,14 +493,10 @@ def jacobi_algebroid(pi, R, box, tol_compat=1e-9, compat_samples=40,
     br_pr = ex.schouten(pi, Rfield)
     rng = SplitMix64(seed)
     box = np.asarray(box, dtype=np.float64)
-    res = 0.0
-    for _ in range(compat_samples):
-        x = np.array([rng.uniform(lo, hi) for lo, hi in box])
-        lhs = br.at(x)
-        rhs = 2.0 * rw.at(x)
-        if lhs.size:
-            res = max(res, float(np.max(np.abs(lhs - rhs))))
-        res = max(res, float(np.max(np.abs(br_pr.at(x)))) if br_pr.at(x).size else 0.0)
+    X = np.array([[rng.uniform(lo, hi) for lo, hi in box]
+                  for _ in range(compat_samples)])
+    res = max(float(np.max(np.abs(v), initial=0.0))
+              for v in (br.values(X) - 2.0 * rw.values(X), br_pr.values(X)))
     if res > tol_compat:
         raise CompatibilityError(
             f"(pi, R) fails the Jacobi compatibility equations (residual {res:.3e})")

@@ -262,10 +262,13 @@ def parse_config(raw):
     if kind == "poisson":
         christoffel = None
         if "christoffel" in co:
-            r = n
-            christoffel = [[[ex.parse(co["christoffel"][k][i][j], xs)
-                             for j in range(r)] for i in range(n)]
-                           for k in range(r)]
+            raw_c = co["christoffel"]
+            if len(raw_c) != n or any(len(row) != n for row in raw_c) or \
+                    any(len(cell) != n for row in raw_c for cell in row):
+                raise ConfigError("christoffel must be an r x n x r array of "
+                                  "expressions (r = n for poisson)")
+            christoffel = [[[ex.parse(e, xs) for e in cell] for cell in row]
+                           for row in raw_c]
         inputs["christoffel"] = christoffel
     elif kind in ("nijenhuis", "gcs"):
         inputs["l"] = _parse_matrix(co["l"], n, n, n, "l")
@@ -383,15 +386,30 @@ def cmd_check(args):
     return 0 if report.all_passed else 1
 
 
+def _parse_ladder(text):
+    """(n_quad, substeps) rungs of ``--ladder``: comma-separated N or NxM.
+
+    The finest rung is the reference, so fitting an order takes three.
+    """
+    levels = []
+    for part in text.split(","):
+        nq, sep, ss = part.partition("x")
+        try:
+            levels.append((int(nq), int(ss) if sep else 1))
+        except ValueError:
+            levels.append((0, 0))
+    if len(levels) < 3 or min(min(level) for level in levels) < 1:
+        raise ConfigError(f"--ladder {text!r}: need three or more rungs N or "
+                          f"NxM with positive integers N, M")
+    return levels
+
+
 def cmd_convergence(args):
     raw = load_config(args.config)
     if args.seed is not None:
         raw.setdefault("numerics", {})["seed"] = args.seed
     kind, box, nm, c = parse_config(raw)
-    levels = []
-    for part in args.ladder.split(","):
-        nq, _, ss = part.partition("x")
-        levels.append((int(nq), int(ss) if ss else 1))
+    levels = _parse_ladder(args.ladder)
 
     if kind in ("poisson", "nijenhuis", "gcs"):
         A = cotangent_algebroid(c["pi"], box)

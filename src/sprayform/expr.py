@@ -7,6 +7,13 @@ downstream are limited only by evaluation roundoff.  The only rewriting done
 at construction time is constant folding (including 0/1 absorption); there is
 no canonical form, and correctness is always established by evaluation.
 
+Expressions have one evaluation path: ``compile_exprs`` turns a list of them
+into one vectorized function of a point batch, and the fields' ``values``
+methods go through it.  Division by zero, log/sqrt outside their domain and
+overflow raise EvalDomainError instead of producing inf or NaN.  ``Expr.eval``
+walks the tree at one point; it is the reference oracle that the tests
+compare the compiled path against, and the package itself never calls it.
+
 Grammar (EBNF)::
 
     expression := term {("+" | "-") term}
@@ -45,7 +52,7 @@ from .tensor import _merge, index_list
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Call",
-    "parse", "partial", "subst", "to_source", "compile_exprs",
+    "parse", "partial", "subst", "to_source", "compile_exprs", "batch_values",
     "VectorField", "BivectorField", "FormField",
     "PolyVectorField", "schouten", "wedge_vector_bivector",
     "ZERO", "ONE", "const", "var",
@@ -64,6 +71,7 @@ class Expr:
     __slots__ = ()
 
     def eval(self, env):
+        """Tree-walk value at ``env``: the tests' oracle for compile_exprs."""
         raise NotImplementedError
 
     def diff(self, name):
@@ -688,6 +696,13 @@ def compile_exprs(exprs, variables):
     return wrapped
 
 
+def batch_values(exprs, variables, P, shape):
+    """Values of ``exprs`` at a point batch P (..., len(variables)) through
+    one compiled function, reshaped to ``P.shape[:-1] + shape``."""
+    P = np.asarray(P, dtype=np.float64)
+    return compile_exprs(exprs, variables)(P).reshape(P.shape[:-1] + shape)
+
+
 # ---------------------------------------------------------------------------
 # Coefficient fields
 
@@ -705,9 +720,9 @@ class VectorField:
     def dim(self):
         return len(self.variables)
 
-    def at(self, point):
-        env = dict(zip(self.variables, point))
-        return np.array([c.eval(env) for c in self.components])
+    def values(self, P):
+        """Components at a point batch: (..., dim) -> (..., dim)."""
+        return batch_values(self.components, self.variables, P, (self.dim,))
 
     def apply_to(self, f):
         """Directional derivative X(f) as an Expr."""
@@ -817,20 +832,15 @@ class FormField:
             out = out + self.interior(X).d()
         return out
 
-    def at(self, point):
-        """Dense component vector on increasing indices at a point."""
-        env = dict(zip(self.variables, point))
-        idx = index_list(self.dim, self.degree)
-        return np.array([self.components.get(I, ZERO).eval(env) for I in idx])
-
     def exprs_dense(self):
         """Dense list of component Exprs in increasing-index order."""
         idx = index_list(self.dim, self.degree)
         return [self.components.get(I, ZERO) for I in idx]
 
-    def max_abs_at(self, point):
-        vals = self.at(point)
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
+    def values(self, P):
+        """Dense increasing-index components at a point batch: (..., nC)."""
+        exprs = self.exprs_dense()
+        return batch_values(exprs, self.variables, P, (len(exprs),))
 
 
 class BivectorField:
@@ -860,14 +870,10 @@ class BivectorField:
     def matrix_exprs(self):
         return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
 
-    def at(self, point):
-        env = dict(zip(self.variables, point))
-        P = np.zeros((self.dim, self.dim))
-        for (i, j), e in self.components.items():
-            v = e.eval(env)
-            P[i, j] = v
-            P[j, i] = -v
-        return P
+    def values(self, P):
+        """Full antisymmetric matrices at a point batch: (..., dim, dim)."""
+        exprs = [e for row in self.matrix_exprs() for e in row]
+        return batch_values(exprs, self.variables, P, (self.dim, self.dim))
 
 
 class PolyVectorField:
@@ -880,14 +886,11 @@ class PolyVectorField:
             f"x{i+1}" for i in range(dim))
         self.components = dict(components or {})
 
-    def at(self, point):
-        env = dict(zip(self.variables, point))
-        idx = index_list(self.dim, self.degree)
-        return np.array([self.components.get(I, ZERO).eval(env) for I in idx])
-
-    def max_abs_at(self, point):
-        vals = self.at(point)
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
+    def values(self, P):
+        """Dense increasing-index components at a point batch: (..., nC)."""
+        exprs = [self.components.get(I, ZERO)
+                 for I in index_list(self.dim, self.degree)]
+        return batch_values(exprs, self.variables, P, (len(exprs),))
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,6 @@ class LinearForm:
     def differential(self):
         return LinearForm(self.chart, self.degree + 1, self.form.d())
 
-    def at(self, point):
-        return self.form.at(point)
-
 
 def linear_form(data):
     """Associated linear form of an IM pair, by the coordinate formula."""
@@ -165,37 +162,28 @@ def im_residuals(A, data, samples=60, seed=313, tol=1e-8):
     eq2_pieces = [[data.l[j].lie(rho[i]) - dl[i].interior(rho[j])
                    - data.nu[i].interior(rho[j])
                    for j in range(r)] for i in range(r)]
-    if k >= 2:
-        eq3_pieces = [[data.l[j].interior(rho[i]) + data.l[i].interior(rho[j])
-                       for j in range(r)] for i in range(r)]
-    else:
-        eq3_pieces = None
+    eq3_pieces = [[data.l[j].interior(rho[i]) + data.l[i].interior(rho[j])
+                   for j in range(r)] for i in range(r)] if k >= 2 else []
 
-    res = {"covariance_nu": 0.0, "covariance_l": 0.0, "anchor_antisymmetry": 0.0}
-    worst = {key: None for key in res}
-    for x in pts:
-        c = A.structure.values(x)
-        nu_vals = np.stack([f.at(x) for f in data.nu])     # (r, nC_k)
-        l_vals = np.stack([f.at(x) for f in data.l])       # (r, nC_{k-1})
+    B = len(pts)
+    c = A.structure.values(pts)                                   # (B, r, r, r)
+    res = {name: np.zeros((B, r, r))
+           for name in ("covariance_nu", "covariance_l", "anchor_antisymmetry")}
+    for name, forms, pieces in (("covariance_nu", data.nu, eq1_pieces),
+                                ("covariance_l", data.l, eq2_pieces)):
+        vals = np.stack([f.values(pts) for f in forms], axis=1)   # (B, r, nC)
         for i in range(r):
             for j in range(r):
-                bracket_nu = c[i, j] @ nu_vals
-                m = float(np.max(np.abs(bracket_nu - eq1_pieces[i][j].at(x)))) \
-                    if bracket_nu.size else 0.0
-                if m > res["covariance_nu"]:
-                    res["covariance_nu"], worst["covariance_nu"] = m, x
-                bracket_l = c[i, j] @ l_vals
-                m = float(np.max(np.abs(bracket_l - eq2_pieces[i][j].at(x)))) \
-                    if bracket_l.size else 0.0
-                if m > res["covariance_l"]:
-                    res["covariance_l"], worst["covariance_l"] = m, x
-                if eq3_pieces is not None:
-                    vals = eq3_pieces[i][j].at(x)
-                    m = float(np.max(np.abs(vals))) if vals.size else 0.0
-                    if m > res["anchor_antisymmetry"]:
-                        res["anchor_antisymmetry"], worst["anchor_antisymmetry"] = m, x
-    for name in ("covariance_nu", "covariance_l", "anchor_antisymmetry"):
-        report.add(name, res[name], tol, worst[name])
+                want = pieces[i][j].values(pts)
+                for b in range(B):
+                    res[name][b, i, j] = np.max(
+                        np.abs(c[b, i, j] @ vals[b] - want[b]), initial=0.0)
+    for i, row in enumerate(eq3_pieces):
+        for j, piece in enumerate(row):
+            res["anchor_antisymmetry"][:, i, j] = np.max(
+                np.abs(piece.values(pts)), axis=1, initial=0.0)
+    for name, m in res.items():
+        report.add_pointwise(name, np.max(m, axis=(1, 2)), tol, pts)
     return report
 
 
@@ -300,9 +288,8 @@ class ScalarSpencer:
                 lhs = self.D_of_section(fu, falpha)
                 rhs = self.D_of_section(u, alpha).scale(f) + \
                     df.scale(self.l_of_section(u, alpha))
-                diff = lhs - rhs
-                for x in pts:
-                    worst = max(worst, diff.max_abs_at(x))
+                worst = max(worst, float(np.max(np.abs((lhs - rhs).values(pts)),
+                                                initial=0.0)))
         return worst
 
 

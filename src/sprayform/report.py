@@ -118,6 +118,14 @@ class CheckReport:
         self.checks.append(result)
         return result
 
+    def add_pointwise(self, name, residuals, tolerance, points, note=""):
+        """Add the largest per-point residual with the first point attaining
+        it (none if all are 0); a NaN counts as largest, so it fails."""
+        residuals = np.asarray(residuals)
+        i = int(np.argmax(residuals))
+        worst = points[i] if not residuals[i] <= 0.0 else None
+        return self.add(name, residuals[i], tolerance, worst, note)
+
     def add_margin(self, name, value, floor, worst_point=None, note=""):
         """A lower-bound check: passes iff ``value >= floor``.
 

@@ -102,7 +102,7 @@ def sigma_pullback(G, varpi, P):
     """(sigma^* varpi) at points P, as full batched tensors."""
     P = np.atleast_2d(P)
     base = P[:, : G.n]
-    vals = np.stack([varpi.at(x) for x in base])
+    vals = varpi.values(base)
     full = tn.comps_to_full_batch(vals, G.n, varpi.degree)
     dsig = np.zeros((P.shape[0], G.n, G.dim))
     dsig[:, :, : G.n] = np.eye(G.n)
@@ -113,7 +113,7 @@ def tau_pullback(G, varpi, P):
     """(tau^* varpi) at points P, as full batched tensors."""
     P = np.atleast_2d(P)
     tau, dtau = G.tau_with_jacobian(P)
-    vals = np.stack([varpi.at(x) for x in tau])
+    vals = varpi.values(tau)
     full = tn.comps_to_full_batch(vals, G.n, varpi.degree)
     return tn.pullback_full_batch(dtau, full, varpi.degree)
 
@@ -156,12 +156,9 @@ class PoissonScenario:
 def _poisson_identity_gate(pi, box, samples, seed, tol):
     br = ex.schouten(pi, pi)
     rng = SplitMix64(seed)
-    res = 0.0
-    for _ in range(samples):
-        x = np.array([rng.uniform(lo, hi) for lo, hi in np.asarray(box, float)])
-        vals = br.at(x)
-        if vals.size:
-            res = max(res, float(np.max(np.abs(vals))))
+    X = np.array([[rng.uniform(lo, hi) for lo, hi in np.asarray(box, float)]
+                  for _ in range(samples)])
+    res = float(np.max(np.abs(br.values(X)), initial=0.0))
     if res > tol:
         raise CompatibilityError(
             f"poisson_identity: [pi,pi] residual {res:.3e} exceeds {tol:.1e}")
@@ -213,8 +210,8 @@ def build_symplectic_groupoid(pi, box, numerics=None, christoffel=None,
     dsig[:, : G.n] = np.eye(G.n)
     push_s = np.einsum("ai,bij,cj->bac", dsig, Q, dsig)
     push_t = np.einsum("bai,bij,bcj->bac", dtau, Q, dtau)
-    pi_s = np.stack([pi.at(x) for x in pts[:, : G.n]])
-    pi_t = np.stack([pi.at(x) for x in tau])
+    pi_s = pi.values(pts[:, : G.n])
+    pi_t = pi.values(tau)
     tol_real = nm.tol("realization", 1e-6)
     report.add("realization_source", float(np.max(np.abs(push_s - pi_s))), tol_real)
     report.add("realization_target", float(np.max(np.abs(push_t + pi_t))), tol_real)
@@ -225,17 +222,19 @@ def build_symplectic_groupoid(pi, box, numerics=None, christoffel=None,
 
     # units formula
     rng = SplitMix64(nm.seed + 9)
+    xu = G.chart.sample_base_points(10, nm.seed + 10, scale=0.5)
+    Wu = [evaluator.omega_matrices(G.unit(x)[None, :])[0] for x in xu]
+    # four draws of (v, a, w, b) per unit, in sampling order
+    X = np.repeat(xu, 4, axis=0)
+    v, a, w, b = np.moveaxis(np.array(
+        [[rng.direction(G.n) for _ in range(4)] for _ in X]), 1, 0)
+    P = pi.values(X)
+    pred = units_form_predictor(A, data.l, X, [(v, a), (w, b)])
     res_units = 0.0
-    for x in G.chart.sample_base_points(10, nm.seed + 10, scale=0.5):
-        Wu = evaluator.omega_matrices(G.unit(x)[None, :])[0]
-        P = pi.at(x)
-        for _ in range(4):
-            v, a = rng.direction(G.n), rng.direction(G.n)
-            w, b = rng.direction(G.n), rng.direction(G.n)
-            got = np.concatenate([v, a]) @ Wu @ np.concatenate([w, b])
-            want = b @ v - a @ w + a @ (P @ b)
-            pred = units_form_predictor(A, data.l, x, [(v, a), (w, b)])
-            res_units = max(res_units, abs(got - want), abs(pred - want))
+    for q in range(len(X)):
+        got = np.concatenate([v[q], a[q]]) @ Wu[q // 4] @ np.concatenate([w[q], b[q]])
+        want = b[q] @ v[q] - a[q] @ w[q] + a[q] @ (P[q] @ b[q])
+        res_units = max(res_units, abs(got - want), abs(pred[q] - want))
     report.add("units_formula", res_units, nm.tol("units_formula", 1e-8))
 
     if full_checks:
@@ -275,11 +274,10 @@ class NijenhuisPair:
     def dim(self):
         return self.pi.dim
 
-    def l_covector_matrix_at(self, x):
-        env = dict(zip(self.pi.variables, x))
-        n = self.dim
-        return np.array([[self.lmat[i][j].eval(env) for j in range(n)]
-                         for i in range(n)])
+    def l_covector_matrices(self, X):
+        """lmat at a point batch: (B, n) -> (B, n, n)."""
+        flat = [e for row in self.lmat for e in row]
+        return ex.batch_values(flat, self.pi.variables, X, (self.dim, self.dim))
 
     def lmat_power(self, k):
         n = self.dim
@@ -435,13 +433,9 @@ def torsion_identity_check(scenario, pair, samples=10, seed=606,
     report.add("torsion_identity", res, tol, worst)
 
     torsion_syms = nijenhuis_torsion(pair.lmat, scenario.chart.xs)
-    tmax = 0.0
-    for x in pts[:, : G.n]:
-        env = dict(zip(scenario.chart.xs, x))
-        for row in torsion_syms:
-            for col in row:
-                for e in col:
-                    tmax = max(tmax, abs(e.eval(env)))
+    flat = [e for row in torsion_syms for col in row for e in col]
+    tmax = float(np.max(np.abs(
+        ex.compile_exprs(flat, scenario.chart.xs)(pts[:, : G.n]))))
     if tmax < 1e-12:
         report.add("torsion_free_closedness", float(np.max(np.abs(dWL2))),
                    tol, note="symbolic torsion vanishes; d omega_{L^2} must too")
@@ -459,6 +453,9 @@ def pi_pushforwards_residual(scenario, pair, samples=30, seed=717, kmax=2):
     tau, dtau = G.tau_with_jacobian(pts)
     dsig = np.zeros((G.n, G.dim))
     dsig[:, : G.n] = np.eye(G.n)
+    base = pts[:, : G.n]
+    l_s, l_t = pair.l_covector_matrices(base), pair.l_covector_matrices(tau)
+    pi_s, pi_t = scenario.pi.values(base), scenario.pi.values(tau)
     res = 0.0
     for k in range(kmax + 1):
         Lk = np.linalg.matrix_power(Lmats, k) if k else \
@@ -466,14 +463,10 @@ def pi_pushforwards_residual(scenario, pair, samples=30, seed=717, kmax=2):
         Pk = np.matmul(Lk, Q)
         push_s = np.einsum("ai,bij,cj->bac", dsig, Pk, dsig)
         push_t = np.einsum("bai,bij,bcj->bac", dtau, Pk, dtau)
-        for b, x in enumerate(pts[:, : G.n]):
-            lv_s = pair.l_covector_matrix_at(x).T
-            P_s = scenario.pi.at(x)
-            want_s = np.linalg.matrix_power(lv_s, k) @ P_s
+        for b in range(len(pts)):
+            want_s = np.linalg.matrix_power(l_s[b].T, k) @ pi_s[b]
             res = max(res, float(np.max(np.abs(push_s[b] - want_s))))
-            lv_t = pair.l_covector_matrix_at(tau[b]).T
-            P_t = scenario.pi.at(tau[b])
-            want_t = np.linalg.matrix_power(lv_t, k) @ P_t
+            want_t = np.linalg.matrix_power(l_t[b].T, k) @ pi_t[b]
             res = max(res, float(np.max(np.abs(push_t[b] + want_t))))
     return res
 
@@ -553,10 +546,10 @@ def build_nijenhuis(pi, lmat, box, numerics=None):
     # L at units is block-diagonal (vector action, covector action)
     res_blk = 0.0
     res_sigma = 0.0
-    for x in scenario.chart.sample_base_points(8, nm.seed + 22, scale=0.5):
+    xu = scenario.chart.sample_base_points(8, nm.seed + 22, scale=0.5)
+    n = scenario.chart.n
+    for x, lm in zip(xu, pair.l_covector_matrices(xu)):
         Lu = L_tensor(scenario, evL, scenario.groupoid.unit(x)[None, :])[0]
-        lm = pair.l_covector_matrix_at(x)
-        n = scenario.chart.n
         want = np.zeros((2 * n, 2 * n))
         want[:n, :n] = lm.T
         want[n:, n:] = lm
@@ -566,10 +559,10 @@ def build_nijenhuis(pi, lmat, box, numerics=None):
     pts = scenario.groupoid.sample_validity_points(20, nm.seed + 23,
                                                    fiber_scale=0.7)
     Lm = L_tensor(scenario, evL, pts)
-    n = scenario.chart.n
+    lms = pair.l_covector_matrices(pts[:, :n])
     # dsigma o L = l o dsigma reduces to the first n rows of L
-    for b, z in enumerate(pts):
-        lv = pair.l_covector_matrix_at(z[:n]).T
+    for b in range(len(pts)):
+        lv = lms[b].T
         got = Lm[b][:n, :]
         want = np.hstack([lv, np.zeros((n, n))])
         res_sigma = max(res_sigma, float(np.max(np.abs(got - want))))
@@ -648,22 +641,23 @@ def gcs_identity_check(pi, lmat, varpi, box, numerics=None):
     varpi_l = ex.FormField(xs, 2, varpi_l_comps)
     dvarpi_l = varpi_l.d()
 
-    for _ in range(min(30, nm.samples)):
-        x = np.array([rng.uniform(lo, hi) for lo, hi in boxa])
-        env = dict(zip(xs, x))
-        L = np.array([[lmat[i][j].eval(env) for j in range(n)] for i in range(n)])
-        P = pi.at(x)
-        Wv = tn.comps_to_full_batch(varpi.at(x)[None, :], n, 2)[0]
+    X = np.array([[rng.uniform(lo, hi) for lo, hi in boxa]
+                  for _ in range(min(30, nm.samples))])
+    Ls = NijenhuisPair(pi, lmat).l_covector_matrices(X)
+    Ts = ex.batch_values([T[i][a][b] for i in range(n) for a in range(n)
+                          for b in range(n)], xs, X, (n, n, n))
+    Ps = pi.values(X)
+    Wvs = tn.comps_to_full_batch(varpi.values(X), n, 2)
+    dWs = tn.comps_to_full_batch(dvarpi.values(X), n, 3)
+    dWls = tn.comps_to_full_batch(dvarpi_l.values(X), n, 3)
+    for L, P, Wv, dW, dWl, Tv in zip(Ls, Ps, Wvs, dWs, dWls, Ts):
         res_alg = max(res_alg, float(np.max(np.abs(L @ L + Wv @ P + np.eye(n)))))
         res_commute = max(res_commute,
                           float(np.max(np.abs(L @ Wv - Wv @ L.T))))
-        dW = tn.comps_to_full_batch(dvarpi.at(x)[None, :], n, 3)[0]
         for a in range(n):
             for b in range(n):
-                tv = np.array([T[i][a][b].eval(env) for i in range(n)])
                 want = P.T @ dW[a, b]
-                res_tors = max(res_tors, float(np.max(np.abs(tv - want))))
-        dWl = tn.comps_to_full_batch(dvarpi_l.at(x)[None, :], n, 3)[0]
+                res_tors = max(res_tors, float(np.max(np.abs(Tv[:, a, b] - want))))
         lv = L.T
         cyc = (np.einsum("ia,ibc->abc", lv, dW)
                + np.einsum("jb,ajc->abc", lv, dW)

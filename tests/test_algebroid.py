@@ -17,6 +17,7 @@ from sprayform.algebroid import (
 )
 from sprayform.errors import (
     CompatibilityError,
+    EvalDomainError,
     NotInvolutiveError,
     NotLagrangianError,
 )
@@ -41,10 +42,19 @@ def test_abelian_algebroid_all_residuals_zero():
     assert all(c.residual == 0.0 for c in rep.checks)
 
 
+def test_overflowing_coefficient_raises_instead_of_passing():
+    """pi^{12} = x3^120 overflows on most of the box: the check must raise,
+    not report residual 0 for points whose values are inf or NaN."""
+    pi = BivectorField(3, {(0, 1): parse("x3^120", XS3)}, XS3)
+    A = cotangent_algebroid(pi, [[-1e3, 1e3]] * 3)
+    with pytest.raises(EvalDomainError):
+        check_algebroid(A)
+
+
 def test_so3_cotangent_structure_functions_and_residuals():
     A = cotangent_algebroid(so3_bivector(), BOX3)
     # linear pi: c_ij^k = d pi^ij / d x_k are the so(3) constants
-    c = A.structure.values(np.array([0.3, -0.2, 0.9]))
+    c = A.structure.values(np.array([[0.3, -0.2, 0.9]]))[0]
     want = np.zeros((3, 3, 3))
     want[0, 1, 2] = 1.0
     want[1, 0, 2] = -1.0
@@ -136,10 +146,8 @@ def test_dirac_graph_of_so3_matches_cotangent_in_transported_frame():
         sections.append((v, alpha))
     AD = dirac_algebroid(sections, FormField(XS3, 3, {}), BOX3)
     AC = cotangent_algebroid(pi, BOX3)
-    rng = np.random.default_rng(12)
-    for _ in range(5):
-        x = rng.uniform(-0.8, 0.8, 3)
-        assert np.max(np.abs(AD.structure.values(x) - AC.structure.values(x))) < 1e-8
+    X = np.random.default_rng(12).uniform(-0.8, 0.8, (5, 3))
+    assert np.max(np.abs(AD.structure.values(X) - AC.structure.values(X))) < 1e-8
     rep = check_algebroid(AD, samples=30)
     assert rep.all_passed
 
@@ -156,8 +164,8 @@ def test_dirac_graph_of_constant_closed_two_form():
         alpha = [ex.const(val) for val in alpha_vals]
         sections.append((v, alpha))
     AD = dirac_algebroid(sections, FormField(XS3, 3, {}), BOX3)
-    x = np.array([0.1, 0.2, 0.3])
-    assert np.max(np.abs(AD.structure.values(x))) < 1e-12
+    X = np.array([[0.1, 0.2, 0.3]])
+    assert np.max(np.abs(AD.structure.values(X))) < 1e-12
 
 
 def test_dirac_rejects_non_lagrangian():
@@ -201,16 +209,16 @@ def test_jacobi_line_anchor():
     pi0 = BivectorField(1, {}, ["x1"])
     A = jacobi_algebroid(pi0, [ex.ONE], [[-1, 1]])
     # rho(u, p) = -u d/dx
-    assert np.allclose(A.anchor_at(np.array([0.3])), [[-1.0, 0.0]])
+    assert np.allclose(A.anchor_at(np.array([[0.3]])), [[[-1.0, 0.0]]])
     assert check_algebroid(A, samples=20).all_passed
 
 
 def test_jacobi_abelian():
     pi0 = BivectorField(2, {}, XS2)
     A = jacobi_algebroid(pi0, [ex.ZERO, ex.ZERO], BOX2)
-    x = np.array([0.2, -0.6])
-    assert np.max(np.abs(A.structure.values(x))) == 0.0
-    assert np.max(np.abs(A.anchor_at(x))) == 0.0
+    X = np.array([[0.2, -0.6]])
+    assert np.max(np.abs(A.structure.values(X))) == 0.0
+    assert np.max(np.abs(A.anchor_at(X))) == 0.0
 
 
 def test_jacobi_embeds_poisson_with_central_extension():
@@ -219,12 +227,12 @@ def test_jacobi_embeds_poisson_with_central_extension():
     pi = so3_bivector()
     AJ = jacobi_algebroid(pi, [ex.ZERO] * 3, BOX3)
     AC = cotangent_algebroid(pi, BOX3)
-    x = np.array([0.25, -0.5, 0.75])
-    cJ = AJ.structure.values(x)
-    assert np.max(np.abs(cJ[1:, 1:, 1:] - AC.structure.values(x))) < 1e-14
+    X = np.array([[0.25, -0.5, 0.75]])
+    cJ = AJ.structure.values(X)[0]
+    assert np.max(np.abs(cJ[1:, 1:, 1:] - AC.structure.values(X)[0])) < 1e-14
     assert np.max(np.abs(cJ[0, :, :])) == 0.0
     assert np.max(np.abs(cJ[:, 0, :])) == 0.0
-    assert np.max(np.abs(cJ[1:, 1:, 0] + pi.at(x))) < 1e-14
+    assert np.max(np.abs(cJ[1:, 1:, 0] + pi.values(X)[0])) < 1e-14
     assert check_algebroid(AJ, samples=30).all_passed
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sprayform.cli import CONFIG_SCHEMA, load_config, main
+from sprayform.cli import CONFIG_SCHEMA, load_config, main, parse_config
 from sprayform.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -81,6 +81,25 @@ def test_malformed_R_is_config_error_in_every_subcommand(tmp_path, capsys):
                  "--ladder", "8,16"]) == 2
     assert main(["eval", "--config", path, "--point", "0,0,0"]) == 2
     assert "R needs one component" in capsys.readouterr().err
+    # a well-formed config with a malformed ladder
+    raw["coefficients"]["R"] = ["1"]
+    path = _write(tmp_path, raw, "good_R.json")
+    for ladder in ("16,32,abc", "16,32,", "16x,32,64", "0,16,32", "16,32"):
+        assert main(["convergence", "--config", path, "--out-dir",
+                     str(tmp_path), "--ladder", ladder]) == 2
+        assert "config error: --ladder" in capsys.readouterr().err
+
+
+def test_malformed_christoffel_is_config_error(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "constant_poisson.json").read_text())
+    raw["coefficients"]["christoffel"] = [[["0"]]]
+    path = _write(tmp_path, raw)
+    assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert "christoffel must be an r x n x r array" in capsys.readouterr().err
+    n = raw["chart"]["dim"]
+    raw["coefficients"]["christoffel"] = [[["0"] * n] * n] * n
+    _, _, _, inputs = parse_config(raw)
+    assert len(inputs["christoffel"]) == n
 
 
 def test_schema_subcommand(capsys):

@@ -106,9 +106,10 @@ def test_log_domain_raises():
 
 
 def test_compiled_domain_errors():
-    fn = ex.compile_exprs([parse("sqrt(x1)", XS)], XS)
-    with pytest.raises(EvalDomainError):
-        fn(np.array([[0.5, 0, 0], [-2.0, 0, 0]]))
+    for source, bad in (("sqrt(x1)", -2.0), ("1/x1", 0.0), ("x1^120", 900.0)):
+        fn = ex.compile_exprs([parse(source, XS)], XS)
+        with pytest.raises(EvalDomainError):
+            fn(np.array([[0.5, 0, 0], [bad, 0, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +192,8 @@ def test_dd_is_zero():
     w = FormField(XS, 1, {(0,): parse("sin(x2)*x3", XS),
                           (2,): parse("exp(x1)", XS)})
     ddw = w.d().d()
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        assert ddw.max_abs_at(rng.uniform(-1, 1, 3)) < 1e-14
+    X = np.random.default_rng(4).uniform(-1, 1, (10, 3))
+    assert np.max(np.abs(ddw.values(X))) < 1e-14
 
 
 def test_d_sin_coefficient():
@@ -216,7 +216,7 @@ def _so3():
 def test_schouten_constant_bivector_vanishes():
     pi = BivectorField(3, {(0, 1): ex.ONE, (1, 2): ex.const(2.0)}, XS)
     br = schouten(pi, pi)
-    assert br.max_abs_at(np.array([0.5, -0.3, 0.8])) == 0.0
+    assert np.max(np.abs(br.values(np.array([[0.5, -0.3, 0.8]])))) == 0.0
 
 
 def test_schouten_so3_vanishes_brute_force():
@@ -226,8 +226,7 @@ def test_schouten_so3_vanishes_brute_force():
     rng = np.random.default_rng(11)
 
     def entry(x, i, j):
-        P = pi.at(x)
-        return P[i, j]
+        return pi.values(x[None, :])[0, i, j]
 
     def brute(x, i, k, l):
         # 2 sum_j (pi^{ij} d_j pi^{kl} + pi^{kj} d_j pi^{li} + pi^{lj} d_j pi^{ik})
@@ -241,11 +240,10 @@ def test_schouten_so3_vanishes_brute_force():
                 total += entry(x, a, j) * d
         return 2.0 * total
 
-    for _ in range(20):
-        x = rng.uniform(-1, 1, 3)
-        assert br.max_abs_at(x) < 1e-12
-        for (i, k, l) in [(0, 1, 2)]:
-            assert abs(brute(x, i, k, l)) < 1e-9
+    X = rng.uniform(-1, 1, (20, 3))
+    assert np.max(np.abs(br.values(X))) < 1e-12
+    for x in X:
+        assert abs(brute(x, 0, 1, 2)) < 1e-9
 
 
 def test_schouten_bivector_vector_hand_value():
@@ -254,7 +252,7 @@ def test_schouten_bivector_vector_hand_value():
     pi = BivectorField(2, {(0, 1): parse("x1", xs)}, xs)
     R = VectorField(xs, [ex.ONE, ex.ZERO])
     br = schouten(pi, R)
-    assert br.at(np.array([1.0, 1.0])) == pytest.approx([-1.0])
+    assert br.values(np.array([[1.0, 1.0]]))[0] == pytest.approx([-1.0])
 
 
 def test_jacobi_compatibility_contact_example():
@@ -263,11 +261,9 @@ def test_jacobi_compatibility_contact_example():
     R = VectorField(XS, [ex.ZERO, ex.ZERO, ex.ONE])
     br = schouten(pi, pi)
     rw = wedge_vector_bivector(R, pi)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        x = rng.uniform(-1, 1, 3)
-        assert np.max(np.abs(br.at(x) - 2 * rw.at(x))) < 1e-14
-        assert np.max(np.abs(schouten(pi, R).at(x))) < 1e-14
+    X = np.random.default_rng(3).uniform(-1, 1, (10, 3))
+    assert np.max(np.abs(br.values(X) - 2 * rw.values(X))) < 1e-14
+    assert np.max(np.abs(schouten(pi, R).values(X))) < 1e-14
 
 
 def test_jacobi_bracket_jacobiator_vanishes_under_compatibility():
@@ -309,14 +305,80 @@ def test_schouten_dimension_mismatch():
 # compiled evaluation
 
 
+# Four expressions per group: rational ones (+ - * /), which the compiled
+# path must reproduce bit for bit, and ones with "^" or function calls,
+# where numpy's and the math library's pow/sin/.. may differ in the last bit.
+_EXACT = ("x1*x2 - x3/(x1 + 2)", "-x2 + 0.5*x1*x3",
+          "x3/(x2 - 3) + x1", "x1*x1*x2 - 1/(x3 + 4)")
+_INEXACT = ("x1*x2 + sin(x3)", "exp(x1) - x2^3", "x3/(x1 + 2) + (x1 + x3)^2",
+            "log(x1 + 2)*sqrt(x2 + 2) - cos(x3)^-2")
+
+
+def _batched_cases(e, Z):
+    """(batched values at Z, Expr list in the same per-point order) pairs.
+
+    Covers ``compile_exprs`` and every batched evaluation method that is
+    built on it: the field classes here, and the chart's anchor, structure
+    functions and covector matrices.
+    """
+    from sprayform.algebroid import cotangent_algebroid
+    from sprayform.expr import PolyVectorField
+    from sprayform.scenarios import NijenhuisPair
+    comps = {(0, 1): e[0], (0, 2): e[1], (1, 2): e[2]}
+    form = FormField(XS, 2, comps)
+    pi = BivectorField(3, comps, XS)
+    A = cotangent_algebroid(pi, [[-1.0, 1.0]] * 3)
+    lmat = [[e[(i + j) % 4] for j in range(3)] for i in range(3)]
+    return [
+        (ex.compile_exprs(e, XS)(Z), e),
+        (VectorField(XS, e[:3]).values(Z), e[:3]),
+        (form.values(Z), form.exprs_dense()),
+        (pi.values(Z), [pi.entry(i, j) for i in range(3) for j in range(3)]),
+        (PolyVectorField(3, 3, {(0, 1, 2): e[3]}, XS).values(Z), [e[3]]),
+        (A.anchor_at(Z), [x for row in A.anchor for x in row]),
+        (A.structure.values(Z),
+         [A.structure.entry(i, j, k) for i in range(3) for j in range(3)
+          for k in range(3)]),
+        (NijenhuisPair(pi, lmat).l_covector_matrices(Z),
+         [x for row in lmat for x in row]),
+    ]
+
+
 def test_compiled_matches_tree_eval():
-    exprs = [parse(s, XS) for s in
-             ("x1*x2 + sin(x3)", "exp(x1) - x2^3", "x3/(x1 + 2)")]
-    fn = ex.compile_exprs(exprs, XS)
+    """Row b of every batched evaluation equals the tree walk at Z[b]."""
     rng = np.random.default_rng(0)
     Z = rng.uniform(-1, 1, (40, 3))
-    out = fn(Z)
-    for b in range(40):
+    for sources, exact in ((_EXACT, True), (_INEXACT, False)):
+        exprs = [parse(s, XS) for s in sources]
+        for out, flat in _batched_cases(exprs, Z):
+            out = out.reshape(len(Z), -1)
+            for b in range(len(Z)):
+                env = dict(zip(XS, Z[b]))
+                want = np.array([x.eval(env) for x in flat])
+                if exact:
+                    assert np.array_equal(out[b], want)
+                else:
+                    assert out[b] == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def test_directional_derivative_matches_tree_eval():
+    """sum_m v^m d_m c in order over m, against tree-walked partials."""
+    from sprayform.algebroid import cotangent_algebroid
+    rng = np.random.default_rng(1)
+    Z = rng.uniform(-1, 1, (10, 3))
+    V = rng.uniform(-1, 1, (10, 2, 3))
+    V[:, 1, 0] = 0.0
+    e = [parse(s, XS) for s in _EXACT]
+    pi = BivectorField(3, {(0, 1): e[0], (0, 2): e[1], (1, 2): e[3]}, XS)
+    S = cotangent_algebroid(pi, [[-1.0, 1.0]] * 3).structure
+    out = S.directional_derivative(Z, V)
+    assert out.shape == (10, 2, 3, 3, 3)
+    for b in range(10):
         env = dict(zip(XS, Z[b]))
-        for j, e in enumerate(exprs):
-            assert out[b, j] == pytest.approx(e.eval(env), rel=1e-14, abs=1e-14)
+        for d in range(2):
+            want = np.zeros((3, 3, 3))
+            for m in range(3):
+                want += V[b, d, m] * np.array(
+                    [[[partial(S.entry(i, j, k), XS[m]).eval(env)
+                       for k in range(3)] for j in range(3)] for i in range(3)])
+            assert np.array_equal(out[b, d], want)

@@ -381,21 +381,23 @@ def test_units_form_predictor_poisson(so3_groupoid):
     data = poisson_im_pair(A)
     rng = SplitMix64(20)
     pi = so3_bivector()
-    for _ in range(5):
-        x = A.sample_base_points(1, seed=rng.next_u64() % 10**6, scale=0.5)[0]
-        P = pi.at(x)
-        v, a = rng.direction(3), rng.direction(3)
-        w, b = rng.direction(3), rng.direction(3)
-        pred = units_form_predictor(A, data.l, x, [(v, a), (w, b)])
-        want = b @ v - a @ w + a @ (P @ b)
-        assert pred == pytest.approx(want, abs=1e-12)
+    X = np.concatenate([
+        A.sample_base_points(1, seed=rng.next_u64() % 10**6, scale=0.5)
+        for _ in range(5)])
+    v, a, w, b = (np.stack([rng.direction(3) for _ in range(5)])
+                  for _ in range(4))
+    pred = units_form_predictor(A, data.l, X, [(v, a), (w, b)])
+    P = pi.values(X)
+    for q in range(5):
+        want = b[q] @ v[q] - a[q] @ w[q] + a[q] @ (P[q] @ b[q])
+        assert pred[q] == pytest.approx(want, abs=1e-12)
 
 
 def test_units_form_predictor_pure_tangent_vanishes(so3_groupoid):
     A, _, _ = so3_groupoid
     data = poisson_im_pair(A)
     rng = SplitMix64(21)
-    x = np.array([0.2, 0.1, -0.3])
-    v, w = rng.direction(3), rng.direction(3)
-    zero = np.zeros(3)
-    assert units_form_predictor(A, data.l, x, [(v, zero), (w, zero)]) == 0.0
+    X = np.array([[0.2, 0.1, -0.3]])
+    v, w = rng.direction(3)[None, :], rng.direction(3)[None, :]
+    zero = np.zeros((1, 3))
+    assert units_form_predictor(A, data.l, X, [(v, zero), (w, zero)])[0] == 0.0
