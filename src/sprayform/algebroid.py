@@ -41,7 +41,7 @@ from .errors import (
     NotInvolutiveError,
     NotLagrangianError,
 )
-from .flow import FlowEngine, cumulative_integral
+from .flow import FlowEngine, central_difference, cumulative_integral
 from .report import CheckReport, SplitMix64
 
 __all__ = [
@@ -50,6 +50,9 @@ __all__ = [
     "cotangent_algebroid", "dirac_algebroid", "jacobi_algebroid",
     "transport_weight",
 ]
+
+
+FIT_FD_STEP = 1e-4    # finite-difference step of fitted structure functions
 
 
 def base_vars(n):
@@ -99,13 +102,12 @@ class FittedStructure:
     ``solve`` maps a point batch (B, n) to (c (B, r, r, r), fit residual
     (B,)).  The fit residual is the non-involutivity of the frame at that
     point; it is gated at construction time, so calling ``values`` on a gated
-    chart is safe anywhere in the box.
+    chart is safe anywhere in the box.  Derivatives difference ``values`` at
+    step FIT_FD_STEP.
     """
 
-    def __init__(self, n, r, solve, fd_step=1e-4):
-        self.n, self.r = n, r
+    def __init__(self, solve):
         self._solve = solve
-        self.fd_step = fd_step
 
     def values(self, X):
         """c_{ij}^k at a point batch: (B, n) -> (B, r, r, r)."""
@@ -113,14 +115,7 @@ class FittedStructure:
 
     def directional_derivative(self, X, V):
         """sum_m V^m d_m c for D directions V (B, D, n) at X: (B, D, r, r, r)."""
-        X = np.asarray(X, dtype=np.float64)[:, None, :]
-        h, r = self.fd_step, self.r
-
-        def f(s):
-            Y = (X + s * V).reshape(-1, self.n)
-            return self.values(Y).reshape(np.shape(V)[:2] + (r, r, r))
-
-        return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
+        return central_difference(self.values, X, V, FIT_FD_STEP)[1]
 
 
 @dataclass
@@ -472,7 +467,7 @@ def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
 
     anchor = [[fr.vectors[i][a] for i in range(r)] for a in range(n)]
     return AlgebroidChart(n=n, r=r, box=box, anchor=anchor,
-                          structure=FittedStructure(n, r, solve),
+                          structure=FittedStructure(solve),
                           frame=fr, label=label)
 
 

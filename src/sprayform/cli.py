@@ -54,7 +54,7 @@ from .scenarios import (
     convergence_study,
     gcs_identity_check,
 )
-from .tensor import index_list
+from .tensor import AltTensor, index_list
 
 SCHEMA_VERSION = 1
 
@@ -467,11 +467,12 @@ def cmd_eval(args):
     out = {"schema_version": SCHEMA_VERSION}
     point = _parse_vector(args.point, G.dim)
     if ev is not None:
-        W = ev.omega_at(point)
+        W = AltTensor.from_full(ev.omega_full(point[None, :])[0], ev.degree)
         keys = ["".join(str(i + 1) for i in I)
                 for I in index_list(G.dim, ev.degree)]
         out["omega"] = dict(zip(keys, [float(v) for v in W.comps]))
-        dW = ev.domega_at(point)
+        dW = AltTensor.from_full(ev.domega_full(point[None, :])[0],
+                                 ev.degree + 1)
         dkeys = ["".join(str(i + 1) for i in I)
                  for I in index_list(G.dim, ev.degree + 1)]
         out["domega"] = dict(zip(dkeys, [float(v) for v in dW.comps]))

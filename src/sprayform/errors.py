@@ -36,22 +36,37 @@ class DimensionError(SprayformError):
     """Mismatched dimensions or degrees in tensor algebra."""
 
 
-class DomainExitError(SprayformError):
-    """A trajectory left the declared coordinate box."""
+def _where(row, point):
+    """The known parts of "batch row R, point (..)", comma-separated."""
+    where = [] if row is None else [f"batch row {row}"]
+    if point is not None:
+        where.append("point (" + ", ".join(f"{float(v):.6g}" for v in point)
+                     + ")")
+    return ", ".join(where)
 
-    def __init__(self, exit_time, point=None):
-        super().__init__(f"trajectory left the domain box at t={exit_time:.6g}")
+
+class DomainExitError(SprayformError):
+    """A trajectory (batch index ``row``, when known) left the coordinate box."""
+
+    def __init__(self, exit_time, point=None, row=None):
+        where = _where(row, point)
+        super().__init__(f"trajectory left the domain box at t={exit_time:.6g}"
+                         + (", " + where if where else ""))
         self.exit_time = exit_time
         self.point = point
+        self.row = row
 
 
 class NonFiniteStateError(SprayformError):
-    """A flow state became NaN or infinite."""
+    """A flow state (batch index ``row``, when known) became NaN or infinite."""
 
-    def __init__(self, time, point=None):
-        super().__init__(f"flow state is not finite at t={time:.6g}")
+    def __init__(self, time, point=None, row=None):
+        where = _where(row, point)
+        super().__init__(f"flow state is not finite at t={time:.6g}"
+                         + (", " + where if where else ""))
         self.time = time
         self.point = point
+        self.row = row
 
 
 class DegenerateFormError(SprayformError):
@@ -61,15 +76,10 @@ class DegenerateFormError(SprayformError):
     """
 
     def __init__(self, smallest_singular_value, point=None, row=None):
-        where = []
-        if row is not None:
-            where.append(f"batch row {row}")
-        if point is not None:
-            where.append("point (" + ", ".join(f"{float(v):.6g}" for v in point)
-                         + ")")
+        where = _where(row, point)
         super().__init__("2-form is degenerate (smallest singular value "
                          f"{smallest_singular_value:.3e})"
-                         + (" at " + ", ".join(where) if where else ""))
+                         + (" at " + where if where else ""))
         self.smallest_singular_value = smallest_singular_value
         self.point = point
         self.row = row

@@ -241,10 +241,12 @@ class Pow(Expr):
     __setattr__ = Const.__setattr__
 
     def eval(self, env):
-        base = self.a.eval(env)
-        if base == 0.0 and self.n < 0:
+        power = _int_power(self.a.eval(env), abs(self.n))
+        if self.n >= 0:
+            return power
+        if power == 0.0:
             raise EvalDomainError("zero raised to a negative power")
-        return base ** self.n
+        return 1.0 / power
 
     def diff(self, name):
         da = self.a.diff(name)
@@ -255,6 +257,19 @@ class Pow(Expr):
 
     def _key(self):
         return (self.a, self.n)
+
+
+def _int_power(base, n):
+    """base^n, n >= 0, by one fixed sequence of squarings and products, so
+    numpy arrays and Python floats round alike (``**`` and C pow do not)."""
+    power = 1.0
+    while n:
+        if n & 1:
+            power = power * base
+        n >>= 1
+        if n:
+            base = base * base
+    return power
 
 
 _CALL_EVAL = {
@@ -380,7 +395,7 @@ def pow_int(a, n):
     if n == 1:
         return a
     if isinstance(a, Const):
-        return Const(a.value ** n)
+        return Const(Pow(a, n).eval({}))   # folds by the evaluators' rule
     return Pow(a, n)
 
 
@@ -646,7 +661,8 @@ def _codegen(e, names):
     if isinstance(e, Neg):
         return f"(-{_codegen(e.a, names)})"
     if isinstance(e, Pow):
-        return f"({_codegen(e.a, names)} ** {e.n})"
+        power = f"_int_power({_codegen(e.a, names)}, {abs(e.n)})"
+        return power if e.n >= 0 else f"(1.0 / {power})"
     if isinstance(e, Call):
         return f"{_CODEGEN_FNS[e.fn]}({_codegen(e.a, names)})"
     raise TypeError(type(e))
@@ -679,7 +695,7 @@ def compile_exprs(exprs, variables):
             continue  # out starts zeroed
         lines.append(f"    out[..., {j}] = {_codegen(e, names)}")
     lines.append("    return out")
-    namespace = {"np": np}
+    namespace = {"np": np, "_int_power": _int_power}
     exec(compile("\n".join(lines), "<sprayform-expr>", "exec"), namespace)
     fn = namespace["_generated"]
 

@@ -1,4 +1,5 @@
-"""Flows of sprays with tangent (variational) flow, plus 1-D quadrature.
+"""Flows of sprays with tangent (variational) flow, 1-D quadrature, and the
+one finite-difference stencil that every numerical derivative goes through.
 
 The integrator is classical fixed-step RK4.  Steps are aligned with the
 quadrature nodes on [0, 1]: the state is computed exactly at the nodes that
@@ -23,7 +24,7 @@ from . import expr as ex
 from .errors import DimensionError, DomainExitError, NonFiniteStateError
 
 __all__ = ["QuadratureRule", "Trajectory", "FlowEngine", "quad",
-           "cumulative_integral"]
+           "cumulative_integral", "central_difference"]
 
 _FLOAT_MAX = np.finfo(np.float64).max
 
@@ -73,9 +74,10 @@ class FlowEngine:
 
     ``components`` are Exprs over ``variables`` (the coordinates of the total
     space).  ``box`` is an optional (d, 2) array of bounds; a trajectory that
-    leaves it raises DomainExitError carrying the exit time.  Bounds may be
-    +-inf for unconstrained coordinates.  A NaN or infinite state raises
-    NonFiniteStateError carrying the time, with or without a box.
+    leaves it raises DomainExitError carrying the exit time, the batch row
+    and its state.  Bounds may be +-inf for unconstrained coordinates.  A NaN
+    or infinite state raises NonFiniteStateError carrying the same, with or
+    without a box.
     """
 
     def __init__(self, components, variables, box=None):
@@ -105,10 +107,11 @@ class FlowEngine:
         inside = (Z >= self._lo) & (Z <= self._hi)   # False on NaN
         if inside.all():
             return
-        z = Z[int(np.argmin(inside.all(axis=-1)))].copy()
+        row = int(np.argmin(inside.all(axis=-1)))
+        z = Z[row].copy()
         if not np.isfinite(z).all():
-            raise NonFiniteStateError(t, z)
-        raise DomainExitError(t, z)
+            raise NonFiniteStateError(t, z, row=row)
+        raise DomainExitError(t, z, row=row)
 
     def _steps(self, nodes, substeps):
         """Sequence of (t0, h, count) covering consecutive node gaps."""
@@ -183,6 +186,26 @@ def quad(values, rule, axis=0):
     """Weighted sum of node values along ``axis`` (values at rule.nodes)."""
     values = np.asarray(values)
     return np.tensordot(rule.weights, np.moveaxis(values, axis, 0), axes=(0, 0))
+
+
+_STENCIL = ((-2, 1.0 / 12), (-1, -8.0 / 12), (1, 8.0 / 12), (2, -1.0 / 12))
+
+
+def central_difference(f, X, V, h):
+    """f(X) and the 4th-order central differences of f along V.
+
+    X is (B, n) and V (B, D, n).  ``f`` maps rows to rows and is called
+    once, on X followed by every offset X + (c h) V.  Returns f(X) (B, ...)
+    and sum_c (coef_c / h) f(X + c h V) for each direction (B, D, ...).
+    """
+    B, D = V.shape[:2]
+    offsets = [X + (c * h) * V[:, j] for j in range(D) for c, _ in _STENCIL]
+    values = f(np.concatenate([X] + offsets))
+    shifted = values[B:].reshape((D, len(_STENCIL), B) + values.shape[1:])
+    deriv = np.zeros((B, D) + values.shape[1:])
+    for k, (_, coef) in enumerate(_STENCIL):
+        deriv += (coef / h) * np.swapaxes(shifted[:, k], 0, 1)
+    return values[:B], deriv
 
 
 def cumulative_integral(values, nodes):

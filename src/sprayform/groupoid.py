@@ -35,7 +35,8 @@ from .errors import (
     DomainExitError,
     NonlinearCocycleError,
 )
-from .flow import FlowEngine, QuadratureRule, cumulative_integral
+from .flow import (FlowEngine, QuadratureRule, central_difference,
+                   cumulative_integral)
 from .report import CheckReport, SplitMix64
 
 __all__ = ["SprayGroupoid", "MultFormEvaluator", "multiply_poisson",
@@ -53,6 +54,8 @@ VALIDITY_SAMPLES = 40
 VALIDITY_SHRINK = 0.7
 VALIDITY_MIN_RADIUS = 1e-4
 VALIDITY_MARGIN = 1.02
+OMEGA_FD_STEP = 1e-3      # d omega of weighted evaluators
+PRODUCT_FD_STEP = 1e-4    # d mu
 
 
 @dataclass
@@ -285,38 +288,24 @@ class MultFormEvaluator:
         Trivial coefficients: the de Rham differential commutes with the
         construction, so this is the quadrature of the (symbolic) d Lambda.
         Weighted evaluators: 4th-order central differences of the omega
-        coefficients (documented looser tolerance ~1e-6).
+        coefficients at step OMEGA_FD_STEP (documented looser tolerance
+        ~1e-6).
         """
         if self._delta is None:
             traj = self.groupoid.trajectory(P)
             return self._quadrature(traj, self._dlam, self.degree + 1)
         return self._domega_fd(P)
 
-    def _domega_fd(self, P, step=1e-3):
+    def _domega_fd(self, P):
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
         B, d = P.shape
         k = self.degree
-        comps = np.zeros((B,) + (d,) * (k + 1))
-        for m in range(d):
-            offs = []
-            for c in (-2, -1, 1, 2):
-                Q = P.copy()
-                Q[:, m] += c * step
-                offs.append(self.omega_full(Q))
-            dm = (offs[0] - 8 * offs[1] + 8 * offs[2] - offs[3]) / (12 * step)
-            # antisymmetrized insertion of the new index in slot 0
-            comps += _insert_slot(dm, m, k, d)
-        return comps
-
-    # -- point API ----------------------------------------------------------
-
-    def omega_at(self, point):
-        full = self.omega_full(np.asarray(point)[None, :])[0]
-        return tn.AltTensor.from_full(full, self.degree)
-
-    def domega_at(self, point):
-        full = self.domega_full(np.asarray(point)[None, :])[0]
-        return tn.AltTensor.from_full(full, self.degree + 1)
+        _, partials = central_difference(
+            self.omega_full, P, np.broadcast_to(np.eye(d), (B, d, d)),
+            OMEGA_FD_STEP)
+        # (d omega)_{j0..jk} = sum_s (-1)^s d_{j_s} omega_{j0..^s..jk}
+        return sum((-1) ** s * np.moveaxis(partials, 1, 1 + s)
+                   for s in range(k + 1))
 
     def omega_matrices(self, P):
         """(B, d, d) antisymmetric matrices (degree-2 evaluators only)."""
@@ -333,22 +322,6 @@ class MultFormEvaluator:
             i = int(np.argmax(bad))
             raise DegenerateFormError(float(smin[i]), P[i], i)
         return np.linalg.inv(W)
-
-
-def _insert_slot(dm, m, k, d):
-    """Contribution of the m-partial to the de Rham differential.
-
-    (d omega)_{j0..jk} = sum_s (-1)^s  d_{j_s} omega_{j0..^s..jk}; this
-    places index m in slot s with the alternating sign, for every s.
-    """
-    out = np.zeros(dm.shape[:1] + (d,) * (k + 1))
-    for s in range(k + 1):
-        expanded = np.zeros_like(out)
-        sl = [slice(None)] * (k + 2)
-        sl[1 + s] = m
-        expanded[tuple(sl)] = dm
-        out += ((-1) ** s) * expanded
-    return out
 
 
 def _assert_fiberwise_linear(delta, chart, samples=8, seed=17):
@@ -476,44 +449,36 @@ def _newton_composable(G, a_base, b_guess, iters=3, tol=1e-13):
     return b
 
 
-_FD_STENCIL = ((-2, 1.0 / 12), (-1, -8.0 / 12), (1, 8.0 / 12), (2, -1.0 / 12))
-
-
 def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
-                                   n_steps=32, fd_step=1e-4):
+                                   n_steps=32):
     """mu(a, b) and d mu at (a, b) on composable tangent pairs, batched.
 
     ``tangent_pairs`` lists (v, w) batches with dtau(w) = dsigma(v).  Each
-    derivative is a 4th-order central difference of ``multiply_poisson``
-    along exactly composable curves: a_s = a + s v, and b_s Newton-corrected
-    so that tau(b_s) = sigma(a_s) to machine precision (the correction is
-    O(s^2), so it does not disturb the derivative).  The central product and
-    every stencil offset of every pair go through one ``multiply_poisson``
-    call.  Returns (mu, [d mu(v, w) for each pair]).
+    derivative is a 4th-order central difference (step PRODUCT_FD_STEP) of
+    ``multiply_poisson`` along exactly composable curves: a_s = a + s v, and
+    b_s Newton-corrected so that tau(b_s) = sigma(a_s) to machine precision
+    (the correction is O(s^2), so it does not disturb the derivative).  The
+    central product and every stencil offset of every pair go through one
+    Newton correction (a no-op on composable rows) and one
+    ``multiply_poisson`` call.  Returns (mu, [d mu(v, w) for each pair]).
     """
-    count = len(a)
-    A_all = [a]
-    B_all = [b]
-    for v, w in tangent_pairs:
-        for c, _ in _FD_STENCIL:
-            s = c * fd_step
-            a_s = a + s * v
-            A_all.append(a_s)
-            B_all.append(_newton_composable(G, a_s[:, : G.n], b + s * w))
-    mu_all = multiply_poisson(G, evaluator, np.concatenate(A_all),
-                              np.concatenate(B_all), n_steps=n_steps)
-    dmu = []
-    for block in range(len(tangent_pairs)):
-        acc = np.zeros((count, G.dim))
-        for k, (c, coef) in enumerate(_FD_STENCIL):
-            sl = (1 + len(_FD_STENCIL) * block + k) * count
-            acc += (coef / fd_step) * mu_all[sl: sl + count]
-        dmu.append(acc)
-    return mu_all[:count], dmu
+    d = G.dim
+
+    def product(rows):
+        a_s, b_s = rows[:, :d], rows[:, d:]
+        return multiply_poisson(G, evaluator, a_s,
+                                _newton_composable(G, a_s[:, : G.n], b_s),
+                                n_steps=n_steps)
+
+    V = np.stack([np.concatenate([v, w], axis=1) for v, w in tangent_pairs],
+                 axis=1)
+    mu, dmu = central_difference(product, np.concatenate([a, b], axis=1), V,
+                                 PRODUCT_FD_STEP)
+    return mu, list(np.swapaxes(dmu, 0, 1))
 
 
 def multiplicativity_residual(G, evaluator, n_pairs=100, seed=2718, n_steps=32,
-                              fd_step=1e-4, fiber_scale=0.5):
+                              fiber_scale=0.5):
     """Max residual of the product compatibility over sampled composable data.
 
     For each pair, two composable tangent pairs are pushed through
@@ -532,8 +497,7 @@ def multiplicativity_residual(G, evaluator, n_pairs=100, seed=2718, n_steps=32,
     w1 = composable_tangents_batch(G, b, v1[:, : G.n], rng)
     w2 = composable_tangents_batch(G, b, v2[:, : G.n], rng)
     mu, dmu = differential_of_multiplication(
-        G, evaluator, a, b, [(v1, w1), (v2, w2)], n_steps=n_steps,
-        fd_step=fd_step)
+        G, evaluator, a, b, [(v1, w1), (v2, w2)], n_steps=n_steps)
 
     W_mu = evaluator.omega_matrices(mu)
     W_a = evaluator.omega_matrices(a)

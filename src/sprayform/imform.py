@@ -167,21 +167,25 @@ def im_residuals(A, data, samples=60, seed=313, tol=1e-8):
 
     B = len(pts)
     c = A.structure.values(pts)                                   # (B, r, r, r)
+    # every form's values from one compiled function, in the order used below
+    dense = [f.exprs_dense() for f in list(data.nu) + sum(eq1_pieces, [])
+             + list(data.l) + sum(eq2_pieces, []) + sum(eq3_pieces, [])]
+    flat = ex.batch_values(sum(dense, []), A.xs, pts, (sum(map(len, dense)),))
+    vals = iter(np.split(flat, np.cumsum(list(map(len, dense)))[:-1], axis=-1))
     res = {name: np.zeros((B, r, r))
            for name in ("covariance_nu", "covariance_l", "anchor_antisymmetry")}
-    for name, forms, pieces in (("covariance_nu", data.nu, eq1_pieces),
-                                ("covariance_l", data.l, eq2_pieces)):
-        vals = np.stack([f.values(pts) for f in forms], axis=1)   # (B, r, nC)
+    for name in ("covariance_nu", "covariance_l"):
+        forms = np.stack([next(vals) for _ in range(r)], axis=1)  # (B, r, nC)
         for i in range(r):
             for j in range(r):
-                want = pieces[i][j].values(pts)
+                want = next(vals)
                 for b in range(B):
                     res[name][b, i, j] = np.max(
-                        np.abs(c[b, i, j] @ vals[b] - want[b]), initial=0.0)
-    for i, row in enumerate(eq3_pieces):
-        for j, piece in enumerate(row):
+                        np.abs(c[b, i, j] @ forms[b] - want[b]), initial=0.0)
+    for i in range(len(eq3_pieces)):
+        for j in range(r):
             res["anchor_antisymmetry"][:, i, j] = np.max(
-                np.abs(piece.values(pts)), axis=1, initial=0.0)
+                np.abs(next(vals)), axis=1, initial=0.0)
     for name, m in res.items():
         report.add_pointwise(name, np.max(m, axis=(1, 2)), tol, pts)
     return report
@@ -272,13 +276,13 @@ class ScalarSpencer:
         """max | D(f s) - f D(s) - df ^ l(s) | on coordinate multiples."""
         A = self.chart
         xs = A.xs
-        worst = 0.0
         pts = A.sample_base_points(samples, seed, scale=0.9)
         # frame sections: e_0 = (1, 0), e_i = (0, dx^i)
         frames = [(ex.ONE, [ex.ZERO] * A.n)]
         for i in range(A.n):
             frames.append((ex.ZERO, [ex.ONE if a == i else ex.ZERO
                                      for a in range(A.n)]))
+        exprs = []
         for b in range(A.n):
             f = ex.Var(xs[b])
             df = ex.FormField(xs, 1, {(b,): ex.ONE})
@@ -288,9 +292,9 @@ class ScalarSpencer:
                 lhs = self.D_of_section(fu, falpha)
                 rhs = self.D_of_section(u, alpha).scale(f) + \
                     df.scale(self.l_of_section(u, alpha))
-                worst = max(worst, float(np.max(np.abs((lhs - rhs).values(pts)),
-                                                initial=0.0)))
-        return worst
+                exprs += (lhs - rhs).exprs_dense()
+        vals = ex.batch_values(exprs, xs, pts, (len(exprs),))
+        return float(np.max(np.abs(vals), initial=0.0))
 
 
 def jacobi_linear_form(A):

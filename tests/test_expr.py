@@ -106,10 +106,18 @@ def test_log_domain_raises():
 
 
 def test_compiled_domain_errors():
-    for source, bad in (("sqrt(x1)", -2.0), ("1/x1", 0.0), ("x1^120", 900.0)):
+    for source, bad in (("sqrt(x1)", -2.0), ("1/x1", 0.0), ("x1^120", 900.0),
+                        ("x1^-2", 0.0)):
         fn = ex.compile_exprs([parse(source, XS)], XS)
         with pytest.raises(EvalDomainError):
             fn(np.array([[0.5, 0, 0], [bad, 0, 0]]))
+
+
+def test_constant_power_folds_like_evaluation():
+    # C pow gives 0.026999999999999996; the evaluators' squaring rule 0.027
+    assert parse("0.3^3", XS).value == 0.3 * (0.3 * 0.3)
+    with pytest.raises(EvalDomainError):
+        parse("0^-1", XS)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +313,11 @@ def test_schouten_dimension_mismatch():
 # compiled evaluation
 
 
-# Four expressions per group: rational ones (+ - * /), which the compiled
-# path must reproduce bit for bit, and ones with "^" or function calls,
-# where numpy's and the math library's pow/sin/.. may differ in the last bit.
-_EXACT = ("x1*x2 - x3/(x1 + 2)", "-x2 + 0.5*x1*x3",
-          "x3/(x2 - 3) + x1", "x1*x1*x2 - 1/(x3 + 4)")
+# Four expressions per group: rational ones (+ - * / ^), which the compiled
+# path must reproduce bit for bit, and ones with function calls, where
+# numpy's and the math library's sin/exp/.. may differ in the last bit.
+_EXACT = ("x1*x2 - x3/(x1 + 2)", "-x2^3 + 0.5*x1*x3",
+          "x3/(x2 - 3) + (x1 + x3)^2", "x1^5*x2 - (x3 + 4)^-2")
 _INEXACT = ("x1*x2 + sin(x3)", "exp(x1) - x2^3", "x3/(x1 + 2) + (x1 + x3)^2",
             "log(x1 + 2)*sqrt(x2 + 2) - cos(x3)^-2")
 

@@ -1,4 +1,4 @@
-"""Spray flows, variational flow, quadrature."""
+"""Spray flows, variational flow, quadrature, finite differences."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ import pytest
 from sprayform import expr as ex
 from sprayform.errors import DomainExitError, NonFiniteStateError
 from sprayform.expr import parse
-from sprayform.flow import FlowEngine, QuadratureRule, cumulative_integral, quad
+from sprayform.flow import (FlowEngine, QuadratureRule, central_difference,
+                            cumulative_integral, quad)
 
 XS2 = ["x1", "x2"]
 XYP = ["x1", "x2", "y1", "y2"]   # (x, p) on the cotangent space of R^2
@@ -109,6 +110,17 @@ def test_domain_exit_raises_with_time():
     assert 0.0 < err.value.exit_time <= 0.2
 
 
+def test_domain_exit_names_batch_row():
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    eng = FlowEngine([ex.ONE, ex.ZERO], XS2, box=box)
+    P = np.array([[0.0, 0.0], [-0.5, 0.3], [0.95, -0.2], [0.1, 0.1]])
+    for solve in (eng.flow_on_grid, eng.flow_with_jacobian):
+        with pytest.raises(DomainExitError, match="batch row 2, point") as err:
+            solve(P, np.linspace(0, 1, 17))
+        assert err.value.row == 2
+        assert err.value.point[1] == -0.2
+
+
 def test_exponential_flow_single_point():
     # x' = x: phi^1(1) = e; the RK4 error at 256 steps is ~5e-12
     eng = FlowEngine([parse("x1", ["x1"])], ["x1"])
@@ -127,6 +139,7 @@ def test_rk4_overflow_raises_with_time(box):
                 pytest.raises(NonFiniteStateError, match="t=0.25") as err:
             solve(np.array([[0.0, 0.0]]), nodes)
         assert err.value.time == 0.25
+        assert err.value.row == 0
         assert np.isinf(err.value.point[0])
 
 
@@ -212,3 +225,45 @@ def test_cumulative_integral_matches_simpson_total():
     assert cum[-1] == pytest.approx(quad(vals, rule), abs=1e-14)
     # additivity: increments are consistent prefix sums
     assert np.all(np.diff(cum) > 0)
+
+
+# ---------------------------------------------------------------------------
+# finite differences
+
+
+def _quartic(P):
+    """(N, 2) -> (N, 2, 2): polynomial entries of degree <= 4."""
+    x, y = P[:, 0], P[:, 1]
+    return np.stack([np.stack([x**4 - 2 * x**2 * y, y**3 + x], axis=-1),
+                     np.stack([x * y**3, 0.5 * y**4 - x * y], axis=-1)], axis=1)
+
+
+def _quartic_derivative(P, V):
+    """sum_m V^m d_m _quartic at P, (B, D, 2, 2)."""
+    x, y = P[:, 0, None], P[:, 1, None]
+    vx, vy = V[..., 0], V[..., 1]
+    d00 = (4 * x**3 - 4 * x * y) * vx - 2 * x**2 * vy
+    d01 = vx + 3 * y**2 * vy
+    d10 = y**3 * vx + 3 * x * y**2 * vy
+    d11 = -y * vx + (2 * y**3 - x) * vy
+    return np.stack([np.stack([d00, d01], axis=-1),
+                     np.stack([d10, d11], axis=-1)], axis=-2)
+
+
+def test_central_difference_exact_on_quartic():
+    """The 4th-order stencil is exact for degree <= 4, up to roundoff; f is
+    called once, on the centre rows and every offset row."""
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-1, 1, (5, 2))
+    V = rng.uniform(-1, 1, (5, 3, 2))
+    calls = []
+
+    def f(P):
+        calls.append(P.shape)
+        return _quartic(P)
+
+    value, deriv = central_difference(f, X, V, 1e-2)
+    assert calls == [(5 * (1 + 4 * 3), 2)]
+    assert np.array_equal(value, _quartic(X))
+    assert deriv.shape == (5, 3, 2, 2)
+    assert np.max(np.abs(deriv - _quartic_derivative(X, V))) < 1e-12

@@ -159,7 +159,7 @@ def test_domega_fd_cross_check(so3_groupoid):
     evE = MultFormEvaluator(G, linear_form(exact_im_pair(A, varpi)))
     pts = G.sample_validity_points(4, seed=5, fiber_scale=0.5)
     exact = evE.domega_full(pts)
-    fd = evE._domega_fd(pts, step=1e-2)
+    fd = evE._domega_fd(pts)
     assert np.max(np.abs(exact - fd)) < 1e-5
 
 
