@@ -323,24 +323,19 @@ def check_spray(V, A, samples=40, seed=77, tol_anchor=1e-10, tol_scaling=1e-8,
 
     # (ii) flow scaling on a subset of points
     engine = V.engine()
-    res = 0.0
-    worst = None
-    scale_mat = np.ones(A.n + A.r)
-    for z in pts[: min(8, len(pts))]:
-        for t in (0.5, 2.0):
-            for s in (0.25, 0.5):
-                za = z.copy()
-                za[A.n:] *= t
-                nodes = np.linspace(0.0, s, 9)
-                left = engine.flow_on_grid(za[None, :], nodes, substeps=4)[0, -1]
-                nodes2 = np.linspace(0.0, s * t, 9)
-                right = engine.flow_on_grid(z[None, :], nodes2, substeps=4)[0, -1]
-                right_scaled = right.copy()
-                right_scaled[A.n:] *= t
-                m = float(np.max(np.abs(left - right_scaled)))
-                if m > res:
-                    res, worst = m, z
-    report.add("flow_scaling", res, tol_scaling, worst)
+    Z = pts[: min(8, len(pts))]
+    res = np.empty((len(Z), 2, 2))
+    for i, t in enumerate((0.5, 2.0)):
+        Za = Z.copy()
+        Za[:, A.n:] *= t
+        for j, s in enumerate((0.25, 0.5)):
+            left = engine.flow_on_grid(Za, np.linspace(0.0, s, 9), substeps=4)
+            right = engine.flow_on_grid(Z, np.linspace(0.0, s * t, 9),
+                                        substeps=4)[:, -1]
+            right[:, A.n:] *= t
+            res[:, i, j] = np.max(np.abs(left[:, -1] - right), axis=1)
+    report.add_pointwise("flow_scaling", res.reshape(-1), tol_scaling,
+                         np.repeat(Z, 4, axis=0))
     return report
 
 

@@ -123,9 +123,10 @@ class SprayGroupoid:
 
     # -- structure maps ----------------------------------------------------
 
-    def unit(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.concatenate([x, np.zeros(self.r)])
+    def units(self, X):
+        """Zero-section points over the base points X (B, n)."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        return np.concatenate([X, np.zeros((len(X), self.r))], axis=1)
 
     def sigma(self, P):
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
@@ -567,24 +568,17 @@ def differentiate_at_units(G, evaluator, data, base_points, tol=1e-7):
     n, r = G.n, G.r
     k = evaluator.degree
     X = np.atleast_2d(base_points)
-    P = np.stack([G.unit(x) for x in X])
+    P = G.units(X)
     W = evaluator.omega_full(P)
     T = evaluator.domega_full(P)
     res_l = np.zeros((len(X), r))
     res_nu = np.zeros((len(X), r))
     for j in range(r):
         slot = n + j
-        l_vals = data.l[j].values(X)
-        want_l = tn.comps_to_full_batch(l_vals, n, k - 1)
+        want_l = tn.comps_to_full_batch(data.l[j].values(X), n, k - 1)
         want_nu = tn.comps_to_full_batch(data.nu[j].values(X), n, k)
-        for idx in range(len(X)):
-            if k == 1:
-                res_l[idx, j] = abs(float(W[idx][slot]) - float(l_vals[idx, 0]))
-            else:
-                got = _restrict_horizontal(W[idx], slot, k - 1, n)
-                res_l[idx, j] = np.max(np.abs(got - want_l[idx]), initial=0.0)
-            got_nu = _restrict_horizontal(T[idx], slot, k, n)
-            res_nu[idx, j] = np.max(np.abs(got_nu - want_nu[idx]), initial=0.0)
+        res_l[:, j] = _max_per_row(_restrict_horizontal(W, slot, k - 1, n) - want_l)
+        res_nu[:, j] = _max_per_row(_restrict_horizontal(T, slot, k, n) - want_nu)
     report = CheckReport()
     report.add_pointwise("units_recover_l", np.max(res_l, axis=1), tol, X)
     report.add_pointwise("units_recover_nu", np.max(res_nu, axis=1), tol, X)
@@ -592,11 +586,13 @@ def differentiate_at_units(G, evaluator, data, base_points, tol=1e-7):
 
 
 def _restrict_horizontal(full, slot, deg, n):
-    """full(slot, . , .., .) with the remaining arguments horizontal."""
-    contracted = full[slot] if full.ndim >= 1 else full
-    # take the leading (deg) axes restricted to indices < n
-    slicer = (slice(0, n),) * deg
-    return contracted[slicer] if deg else contracted
+    """full[b](slot, . , .., .) with the remaining deg arguments horizontal."""
+    return full[(slice(None), slot) + (slice(0, n),) * deg]
+
+
+def _max_per_row(diff):
+    """max |diff[b]| over all but the batch axis (0 for empty rows)."""
+    return np.max(np.abs(diff).reshape(len(diff), -1), axis=1, initial=0.0)
 
 
 def linearization_check(G, evaluator, point, ladder=(0.1, 0.05, 0.025, 0.0125)):
@@ -607,23 +603,20 @@ def linearization_check(G, evaluator, point, ladder=(0.1, 0.05, 0.025, 0.0125)):
     close to 1.
     """
     point = np.asarray(point, dtype=np.float64)
-    n, r = G.n, G.r
     k = evaluator.degree
     lam_full = tn.comps_to_full_batch(
         evaluator.lform.form.values(point[None, :]), G.dim, k)[0]
-    resids = []
-    for t in ladder:
-        scaled = point.copy()
-        scaled[n:] *= t
-        W = evaluator.omega_full(scaled[None, :])[0]
-        D = np.ones(G.dim)
-        D[n:] = t
-        pulled = W.copy()
-        for axis in range(k):
-            shape = [1] * k
-            shape[axis] = G.dim
-            pulled = pulled * D.reshape(shape)
-        resids.append(float(np.max(np.abs(pulled / t - lam_full))))
+    ts = np.asarray(ladder, dtype=np.float64)
+    # row i of D is the fiber scaling m_t, t = ladder[i], on the total space
+    D = np.ones((len(ts), G.dim))
+    D[:, G.n:] = ts[:, None]
+    pulled = evaluator.omega_full(point * D)
+    for axis in range(k):
+        shape = [len(ts)] + [1] * k
+        shape[1 + axis] = G.dim
+        pulled = pulled * D.reshape(shape)
+    resids = _max_per_row(pulled / ts.reshape((-1,) + (1,) * k)
+                          - lam_full).tolist()
     if max(resids) < 1e-12:
         return None, resids  # remainder vanishes identically (exactly linear)
     logs_t = np.log(np.asarray(ladder))

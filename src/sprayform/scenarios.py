@@ -224,7 +224,7 @@ def build_symplectic_groupoid(pi, box, numerics=None, christoffel=None,
     # units formula
     rng = SplitMix64(nm.seed + 9)
     xu = G.chart.sample_base_points(10, nm.seed + 10, scale=0.5)
-    Wu = [evaluator.omega_matrices(G.unit(x)[None, :])[0] for x in xu]
+    Wu = evaluator.omega_matrices(G.units(xu))
     # four draws of (v, a, w, b) per unit, in sampling order
     X = np.repeat(xu, 4, axis=0)
     v, a, w, b = np.moveaxis(np.array(
@@ -536,8 +536,7 @@ def build_nijenhuis(pi, lmat, box, numerics=None):
     # L at units is block-diagonal (vector action, covector action)
     xu = scenario.chart.sample_base_points(8, nm.seed + 22, scale=0.5)
     n = scenario.chart.n
-    Lu = L_tensor(scenario, evL,
-                  np.stack([scenario.groupoid.unit(x) for x in xu]))
+    Lu = L_tensor(scenario, evL, scenario.groupoid.units(xu))
     lm = pair.l_covector_matrices(xu)
     want = np.zeros_like(Lu)
     want[:, :n, :n] = np.swapaxes(lm, 1, 2)
@@ -743,6 +742,11 @@ def dirac_checks(scenario, samples=100, seed=1234, numerics=None):
     frame_fn = ex.compile_exprs(
         [e for i in range(A.r)
          for e in (A.frame.vectors[i] + A.frame.covectors[i])], A.xs)
+
+    def frames(X):
+        return frame_fn(X).reshape(len(X), A.r, 2 * n)
+
+    L_pts = frames(pts[:, :n])
     for b in range(len(pts)):
         stack = np.vstack([W[b].T, dsig, dtau[b]])
         s = np.linalg.svd(stack, compute_uv=False)
@@ -753,8 +757,7 @@ def dirac_checks(scenario, samples=100, seed=1234, numerics=None):
         rank = int(np.sum(sv > 1e-10 * sv[0]))
         K = vt[rank:].T                      # (d + n, dim ker)
         img = np.vstack([dsig @ K[:d], K[d:]])   # (2n, dim ker)
-        Lx = frame_fn(pts[b, :n][None, :])[0].reshape(A.r, 2 * n).T
-        ang = scipy.linalg.subspace_angles(img, Lx)
+        ang = scipy.linalg.subspace_angles(img, L_pts[b].T)
         res_angle = max(res_angle, float(np.max(ang)) if ang.size else 0.0)
     report.add_margin("robustness_margin", smin,
                       nm.tol("robustness_margin", 1e-3),
@@ -765,9 +768,8 @@ def dirac_checks(scenario, samples=100, seed=1234, numerics=None):
     # at-units closed-form value
     rng = SplitMix64(seed + 1)
     res_units = 0.0
-    for x in A.sample_base_points(8, seed + 2, scale=0.5):
-        Wu = scenario.evaluator.omega_matrices(G.unit(x)[None, :])[0]
-        F = frame_fn(x[None, :])[0].reshape(A.r, 2 * n)
+    xu = A.sample_base_points(8, seed + 2, scale=0.5)
+    for Wu, F in zip(scenario.evaluator.omega_matrices(G.units(xu)), frames(xu)):
         for _ in range(4):
             v1, lam1 = rng.direction(n), rng.direction(A.r)
             v2, lam2 = rng.direction(n), rng.direction(A.r)
@@ -856,15 +858,14 @@ def jacobi_checks(scenario, samples=40, seed=909, numerics=None):
     report = CheckReport()
     pts = G.sample_validity_points(samples, seed, fiber_scale=0.7)
 
+    om = scenario.evaluator.omega_full(pts)
     closed = _jacobi_closed_form(scenario, pts)
     if closed is not None:
-        om = scenario.evaluator.omega_full(pts)
         report.add("closed_form", float(np.max(np.abs(om - closed))),
                    nm.tol("closed_form", 1e-8))
 
     # contact margin: | omega ^ (d omega)^n | over the box
     margin = np.inf
-    om = scenario.evaluator.omega_full(pts)
     dom = scenario.evaluator.domega_full(pts)
     for b in range(len(pts)):
         a1 = tn.AltTensor(G.dim, 1, om[b])
@@ -883,8 +884,8 @@ def jacobi_checks(scenario, samples=40, seed=909, numerics=None):
     cols = [i for i in range(G.dim) if i != n]  # everything except the u slot
     for c_, i in enumerate(cols):
         basis[i, c_] = 1.0
-    for x in A.sample_base_points(8, seed + 3, scale=0.5):
-        omu = scenario.evaluator.omega_full(G.unit(x)[None, :])[0]
+    xu = A.sample_base_points(8, seed + 3, scale=0.5)
+    for omu in scenario.evaluator.omega_full(G.units(xu)):
         res_l = max(res_l, abs(omu[n] - 1.0),
                     float(np.max(np.abs(np.delete(omu, n)))))
         null = scipy.linalg.null_space(omu[None, :])

@@ -3,10 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sprayform.cli import CONFIG_SCHEMA, load_config, main, parse_config
 from sprayform.errors import ConfigError
+from sprayform.flow import FlowEngine
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -140,6 +142,24 @@ def test_check_byte_identical_reports(tmp_path):
         (tmp_path / "b" / "r.json").read_bytes()
     assert (tmp_path / "a" / "r.csv").read_bytes() == \
         (tmp_path / "b" / "r.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["gcs_r2", "jacobi_line", "dirac_twisted"])
+def test_check_makes_no_one_row_flow_solves(name, tmp_path, monkeypatch):
+    """Every check evaluates its sample set in one batched flow call."""
+    batch_sizes = []
+    for method in ("flow_on_grid", "flow_with_jacobian"):
+        original = getattr(FlowEngine, method)
+
+        def counted(self, points, *args, _original=original, **kwargs):
+            batch_sizes.append(len(np.atleast_2d(points)))
+            return _original(self, points, *args, **kwargs)
+
+        monkeypatch.setattr(FlowEngine, method, counted)
+    code = main(["check", "--config", str(CONFIGS / f"{name}.json"),
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert batch_sizes and min(batch_sizes) > 1
 
 
 def test_check_non_poisson_is_runtime_error(tmp_path, capsys):

@@ -87,10 +87,12 @@ def jacobi_line_groupoid():
 
 def test_units_and_projections(so3_groupoid):
     A, G, _ = so3_groupoid
-    x = np.array([0.2, -0.4, 0.1])
-    u = G.unit(x)
-    assert np.allclose(G.sigma(u)[0], x)
-    assert np.allclose(G.tau(u)[0], x)
+    X = np.array([[0.2, -0.4, 0.1], [-0.3, 0.0, 0.5]])
+    U = G.units(X)
+    assert U.shape == (2, G.dim)
+    assert np.array_equal(U[:, G.n:], np.zeros((2, G.r)))
+    assert np.allclose(G.sigma(U), X)
+    assert np.allclose(G.tau(U), X)
 
 
 def test_inverse_is_an_involution(so3_groupoid):
@@ -145,6 +147,28 @@ def test_omega_jacobi_line_closed_form(jacobi_line_groupoid):
     resid = max(np.max(np.abs(om[:, 1] - du)), np.max(np.abs(om[:, 0] - dx)),
                 np.max(np.abs(om[:, 2])))
     assert resid < 1e-8
+
+
+def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid):
+    """Row b of a batched omega or flow equals the one-row call on row b, bit
+    for bit, so a check may evaluate its whole sample set in one call
+    without moving a residual's last digit."""
+    A, G3, ev3 = so3_groupoid
+    varpi = FormField(XS3, 2, {(0, 1): parse("x1 * x3", XS3)})
+    evE = MultFormEvaluator(G3, linear_form(exact_im_pair(A, varpi)))
+    _, GJ, evJ = jacobi_line_groupoid
+    for G, ev in ((G3, ev3), (G3, evE), (GJ, evJ)):
+        pts = np.concatenate([
+            G.sample_validity_points(6, seed=9, fiber_scale=0.8),
+            G.units(G.chart.sample_base_points(3, 10, scale=0.5))])
+        batched = ev.omega_full(pts)
+        grids = [(G._grid, G.substeps), (np.linspace(0.0, 0.5, 9), 4)]
+        states = [G.engine.flow_on_grid(pts, nodes, sub) for nodes, sub in grids]
+        for b in range(len(pts)):
+            row = pts[b:b + 1]
+            assert np.array_equal(batched[b], ev.omega_full(row)[0])
+            for (nodes, sub), S in zip(grids, states):
+                assert np.array_equal(S[b], G.engine.flow_on_grid(row, nodes, sub)[0])
 
 
 def test_domega_poisson_is_zero(so3_groupoid):
