@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -163,15 +164,23 @@ CONFIG_SCHEMA = {
 # Config loading
 
 
+@functools.cache
+def _config_validator():
+    """CONFIG_SCHEMA's validator, built and schema-checked once per process."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def load_config(path):
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    # the error jsonschema.validate raises, without checking the schema again
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     return raw
 
 

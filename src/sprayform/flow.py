@@ -8,9 +8,10 @@ interpolation error enters the quadrature.  The tangent flow J_t solves the
 variational equation dJ/dt = DV(phi^t) J in lockstep with the state, using
 exact symbolic partials of the vector field.
 
-Everything is batched: points are arrays of shape (B, d); trajectories carry
-states of shape (B, T+1, d) and Jacobians of shape (B, T+1, d, d).
-Trajectory computation is pure given the field and the points.
+Everything is batched over points (B, d), and one in-place RK4 loop serves
+both solves.  ``flow_with_jacobian`` either stores a Trajectory (states
+(B, T+1, d), Jacobians (B, T+1, d, d)) for callers that need interior nodes,
+or streams each node to a consumer and stores nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import expr as ex
 from .errors import DimensionError, DomainExitError, NonFiniteStateError
 
 __all__ = ["QuadratureRule", "Trajectory", "FlowEngine", "quad",
-           "cumulative_integral", "central_difference"]
+           "cumulative_integral", "simpson_step", "central_difference"]
 
 _FLOAT_MAX = np.finfo(np.float64).max
 
@@ -88,20 +89,13 @@ class FlowEngine:
         self.components = list(components)
         self._v = ex.compile_exprs(self.components, self.variables)
         jac_exprs = [ex.partial(c, v) for c in self.components for v in self.variables]
-        self._dv = ex.compile_exprs(jac_exprs, self.variables)
+        self._vdv = ex.compile_exprs(self.components + jac_exprs, self.variables)
         if box is None:
             box = [[-np.inf, np.inf]] * self.dim
         # +-inf bounds become +-float max, so the one comparison per step
         # also rejects NaN and inf states
         self._lo, self._hi = np.clip(np.asarray(box, dtype=np.float64),
                                      -_FLOAT_MAX, _FLOAT_MAX).T
-
-    def velocity(self, Z):
-        return self._v(Z)
-
-    def velocity_jacobian(self, Z):
-        out = self._dv(Z)
-        return out.reshape(out.shape[:-1] + (self.dim, self.dim))
 
     def _check_box(self, Z, t):
         inside = (Z >= self._lo) & (Z <= self._hi)   # False on NaN
@@ -113,73 +107,80 @@ class FlowEngine:
             raise NonFiniteStateError(t, z, row=row)
         raise DomainExitError(t, z, row=row)
 
-    def _steps(self, nodes, substeps):
-        """Sequence of (t0, h, count) covering consecutive node gaps."""
-        out = []
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            h = (b - a) / substeps
-            out.append((a, h, substeps))
-        return out
-
     def flow_on_grid(self, points, nodes, substeps=1):
         """States at the given time nodes; nodes[0] must be 0."""
         P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        B = P.shape[0]
-        T = len(nodes)
-        states = np.empty((B, T, self.dim))
-        states[:, 0] = P
+        states = np.empty((P.shape[0], len(nodes), self.dim))
         z = P.copy()
-        self._check_box(z, float(nodes[0]))
-        for k, (t0, h, count) in enumerate(self._steps(nodes, substeps)):
-            t = t0
-            for _ in range(count):
-                z = self._rk4_step(z, h)
-                t += h
-                self._check_box(z, t)
-            states[:, k + 1] = z
+        for k in self._rk4(z, z, self._v, nodes, substeps):
+            states[:, k] = z
         return states
 
-    def _rk4_step(self, z, h):
-        k1 = self._v(z)
-        k2 = self._v(z + 0.5 * h * k1)
-        k3 = self._v(z + 0.5 * h * k2)
-        k4 = self._v(z + h * k3)
-        return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def flow_with_jacobian(self, points, nodes, substeps=1, at_node=None):
+        """Flow and tangent map J_t as one (B, d, d+1) state [z | J].
 
-    def _rk4_step_jac(self, z, J, h):
-        def rhs(zz, JJ):
-            dv = self.velocity_jacobian(zz)
-            return self._v(zz), np.matmul(dv, JJ)
-
-        k1, K1 = rhs(z, J)
-        k2, K2 = rhs(z + 0.5 * h * k1, J + 0.5 * h * K1)
-        k3, K3 = rhs(z + 0.5 * h * k2, J + 0.5 * h * K2)
-        k4, K4 = rhs(z + h * k3, J + h * K3)
-        z2 = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        J2 = J + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-        return z2, J2
-
-    def flow_with_jacobian(self, points, nodes, substeps=1):
-        """Trajectory with the tangent flow integrated in lockstep."""
+        Without ``at_node``, returns a Trajectory storing every node.  With
+        it, stores nothing: ``at_node(k, z, J)`` sees views of the state at
+        each node k, and the end state (z, J) is returned.
+        """
         P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        B = P.shape[0]
-        T = len(nodes)
-        states = np.empty((B, T, self.dim))
-        jacs = np.empty((B, T, self.dim, self.dim))
-        states[:, 0] = P
-        jacs[:, 0] = np.eye(self.dim)
-        z = P.copy()
-        J = np.broadcast_to(np.eye(self.dim), (B, self.dim, self.dim)).copy()
+        B, d = P.shape
+        S = np.empty((B, d, d + 1))
+        S[..., 0] = P
+        S[..., 1:] = np.eye(d)
+        z, J = S[..., 0], S[..., 1:]
+        K = np.empty_like(S)
+
+        def rhs(X):
+            # [V | DV J]: V and DV from one compiled call
+            vdv = self._vdv(X[..., 0])
+            K[..., 0] = vdv[:, :d]
+            np.matmul(vdv[:, d:].reshape(B, d, d), X[..., 1:], out=K[..., 1:])
+            return K
+
+        nodes_reached = self._rk4(S, z, rhs, nodes, substeps)
+        if at_node is not None:
+            for k in nodes_reached:
+                at_node(k, z, J)
+            return z.copy(), J.copy()
+        states = np.empty((B, len(nodes), d))
+        jacs = np.empty((B, len(nodes), d, d))
+        for k in nodes_reached:
+            states[:, k] = z
+            jacs[:, k] = J
+        return Trajectory(np.asarray(nodes, dtype=np.float64), states, jacs)
+
+    def _rk4(self, S, z, rhs, nodes, substeps):
+        """Fixed-step RK4 on the state S in place, yielding k at each node k.
+
+        ``z`` is the view of S holding the points, box-checked after every
+        step; ``rhs(X)`` is dX/dt (it may return one buffer each call).  Each
+        element gets the IEEE operations of S + (h/6) (k1 + 2 k2 + 2 k3 + k4)
+        in that order.
+        """
+        stage = np.empty_like(S)
+        acc = np.empty_like(S)
         self._check_box(z, float(nodes[0]))
-        for k, (t0, h, count) in enumerate(self._steps(nodes, substeps)):
-            t = t0
-            for _ in range(count):
-                z, J = self._rk4_step_jac(z, J, h)
+        yield 0
+        for k in range(len(nodes) - 1):
+            h = (nodes[k + 1] - nodes[k]) / substeps
+            t = nodes[k]
+            for _ in range(substeps):
+                K = rhs(S)
+                np.copyto(acc, K)
+                for i, c in enumerate((0.5 * h, 0.5 * h, h)):
+                    np.multiply(K, c, out=stage)
+                    stage += S
+                    if i:
+                        K *= 2.0
+                        acc += K
+                    K = rhs(stage)
+                acc += K
+                acc *= h / 6.0
+                S += acc
                 t += h
                 self._check_box(z, t)
-            states[:, k + 1] = z
-            jacs[:, k + 1] = J
-        return Trajectory(np.asarray(nodes, dtype=np.float64), states, jacs)
+            yield k + 1
 
 
 def quad(values, rule, axis=0):
@@ -212,10 +213,8 @@ def cumulative_integral(values, nodes):
     """Cumulative integral on a uniform grid, consistent with Simpson.
 
     For an even number of intervals the final entry equals the composite
-    Simpson value exactly.  Interior odd nodes use the half-integral of the
-    local quadratic:  int_0^h = h (5 f0 + 8 f1 - f2) / 12.
-
-    ``values`` has node values along the last axis.
+    Simpson value exactly (see ``simpson_step``).  ``values`` has node values
+    along the last axis.
     """
     values = np.asarray(values, dtype=np.float64)
     T = values.shape[-1] - 1
@@ -224,14 +223,21 @@ def cumulative_integral(values, nodes):
         return np.zeros_like(values)
     out = np.zeros_like(values)
     for m in range(0, T - 1, 2):
-        f0 = values[..., m]
-        f1 = values[..., m + 1]
-        f2 = values[..., m + 2]
-        out[..., m + 1] = out[..., m] + h * (5.0 * f0 + 8.0 * f1 - f2) / 12.0
-        out[..., m + 2] = out[..., m] + h * (f0 + 4.0 * f1 + f2) / 3.0
+        out[..., m + 1], out[..., m + 2] = simpson_step(
+            out[..., m], values[..., m], values[..., m + 1], values[..., m + 2], h)
     if T % 2:  # trailing single interval: trapezoid with quadratic correction
         f0 = values[..., T - 1]
         f1 = values[..., T]
         out[..., T] = out[..., T - 1] + h * 0.5 * (f0 + f1)
     return out
 
+
+def simpson_step(c0, f0, f1, f2, h):
+    """Cumulative integrals at the next two nodes of a uniform grid.
+
+    ``c0`` is the integral up to the node of value f0.  The far node adds the
+    Simpson panel h (f0 + 4 f1 + f2) / 3; the middle node adds the half-panel
+    integral of the local quadratic, h (5 f0 + 8 f1 - f2) / 12.
+    """
+    return (c0 + h * (5.0 * f0 + 8.0 * f1 - f2) / 12.0,
+            c0 + h * (f0 + 4.0 * f1 + f2) / 3.0)

@@ -13,6 +13,11 @@ quadrature nodes and J_t the tangent flow.  The scalar weight w(t) is 1 for
 trivial coefficients and the line-bundle parallel transport
 exp(-int_0^t <R, a_s> ds) for the trivialized jacobi case.
 
+The quadrature streams: ``SprayGroupoid.flow_end`` hands each node of one
+tangent-flow solve to consumers that accumulate as it goes, so omega,
+d omega, dtau, cocycles and each product-ODE stage store no (B, T, d, d)
+trajectory; ``SprayGroupoid.trajectory`` stores one for interior nodes.
+
 The Poisson multiplication solves  dk/dt = -Pi#_k( dtau_k^T p_t ),  k_0 = b,
 where p_t is the fiber of phi^t(a), Pi is the pointwise inverse of omega and
 dtau the Jacobian of target = projection o time-1 flow.  With the sharp/flat
@@ -36,7 +41,7 @@ from .errors import (
     NonlinearCocycleError,
 )
 from .flow import (FlowEngine, QuadratureRule, central_difference,
-                   cumulative_integral)
+                   simpson_step)
 from .report import CheckReport, SplitMix64
 
 __all__ = ["SprayGroupoid", "MultFormEvaluator", "multiply_poisson",
@@ -133,9 +138,26 @@ class SprayGroupoid:
         return P[:, : self.n]
 
     def trajectory(self, P):
-        """Flow with tangent Jacobians over the quadrature grid."""
+        """Flow and tangent Jacobians stored at every grid node (see flow_end)."""
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
         return self.engine.flow_with_jacobian(P, self._grid, self.substeps)
+
+    def flow_end(self, P, *consumers):
+        """(z, J) at t = 1 from one tangent-flow solve that stores nothing.
+
+        ``consumer(j, z, J)`` runs at the j-th quadrature node, for each
+        consumer (``MultFormEvaluator.omega_sum``, ``integrate_cocycle``).
+        """
+        P = np.atleast_2d(np.asarray(P, dtype=np.float64))
+        sl = self._node_slice()
+
+        def at_node(k, z, J):
+            if sl.start <= k < sl.stop:
+                for consume in consumers:
+                    consume(k - sl.start, z, J)
+
+        return self.engine.flow_with_jacobian(P, self._grid, self.substeps,
+                                              at_node)
 
     def tau(self, P):
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
@@ -143,9 +165,8 @@ class SprayGroupoid:
         return states[:, -1, : self.n]
 
     def tau_with_jacobian(self, P):
-        traj = self.trajectory(P)
-        end = traj.states[:, -1]
-        return end[:, : self.n], traj.jacobians[:, -1, : self.n, :]
+        end, J = self.flow_end(P)
+        return end[:, : self.n], J[:, : self.n, :]
 
     def inverse(self, P):
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
@@ -155,9 +176,7 @@ class SprayGroupoid:
         return out
 
     def inverse_with_jacobian(self, P):
-        traj = self.trajectory(P)
-        end = traj.states[:, -1].copy()
-        J = traj.jacobians[:, -1].copy()
+        end, J = self.flow_end(P)
         end[:, self.n:] *= -1.0
         J[:, self.n:, :] *= -1.0
         return end, J
@@ -247,41 +266,24 @@ class MultFormEvaluator:
             return ("const", const_full)
         return ("fn", ex.compile_exprs(exprs, G.spray.variables))
 
-    # -- core quadrature ---------------------------------------------------
+    # -- quadrature ---------------------------------------------------------
 
-    def _weights_along(self, traj):
-        if self._delta is None:
-            return None
-        vals = self._delta(traj.states)[..., 0]
-        return np.exp(-cumulative_integral(vals, traj.times))
+    def omega_sum(self):
+        """Flow consumer accumulating omega (see ``_FormSum``)."""
+        return _FormSum(self, self._lam, self.degree)
 
-    def _quadrature(self, traj, comp_src, degree):
-        """sum_j qw_j w_j J_j^T (comp values)_j J_j, batched."""
-        G = self.groupoid
-        sl = G._node_slice()
-        jacs = traj.jacobians[:, sl]
-        kind, payload = comp_src
-        if kind == "const":
-            full = payload
-        else:
-            comps = payload(traj.states[:, sl])
-            full = tn.comps_to_full_batch(comps, G.dim, degree)
-        pulled = tn.pullback_full_batch(jacs, full, degree)
-        w = G.rule.weights
-        transport = self._weights_along(traj)
-        if transport is not None:
-            w = w * transport[:, sl]
-            shape = w.shape + (1,) * degree
-            return np.sum(pulled * w.reshape(shape), axis=1)
-        return np.einsum("bt...,t->b...", pulled, w)
-
-    def omega_full_from_traj(self, traj):
-        return self._quadrature(traj, self._lam, self.degree)
+    def domega_sum(self):
+        """Flow consumer accumulating d omega, for unweighted evaluators."""
+        if self._delta is not None:
+            raise DimensionError("weighted evaluators differentiate omega "
+                                 "numerically: use domega_full")
+        return _FormSum(self, self._dlam, self.degree + 1)
 
     def omega_full(self, P):
         """Batched full antisymmetric arrays of omega at points P (B, d)."""
-        traj = self.groupoid.trajectory(P)
-        return self._quadrature(traj, self._lam, self.degree)
+        acc = self.omega_sum()
+        self.groupoid.flow_end(P, acc)
+        return acc.value
 
     def domega_full(self, P):
         """Batched full arrays of d omega.
@@ -293,8 +295,9 @@ class MultFormEvaluator:
         ~1e-6).
         """
         if self._delta is None:
-            traj = self.groupoid.trajectory(P)
-            return self._quadrature(traj, self._dlam, self.degree + 1)
+            acc = self.domega_sum()
+            self.groupoid.flow_end(P, acc)
+            return acc.value
         return self._domega_fd(P)
 
     def _domega_fd(self, P):
@@ -323,6 +326,49 @@ class MultFormEvaluator:
             i = int(np.argmax(bad))
             raise DegenerateFormError(float(smin[i]), P[i], i)
         return np.linalg.inv(W)
+
+
+class _FormSum:
+    """Flow consumer: sum_j qw_j w_j J_j^T F(z_j) J_j, added in node order.
+
+    F is the evaluator's Lambda or d Lambda and qw the rule weights.  The
+    weight w_j is 1, or for a weighted evaluator the transport
+    exp(-int_0^t_j delta), whose cumulative Simpson value at an odd node
+    needs the next node: those terms are added one node late.  After the
+    solve, ``value`` is the sum and ``transport`` the last node's weight.
+    """
+
+    def __init__(self, evaluator, comp_src, degree):
+        self.ev, self.comp_src, self.degree = evaluator, comp_src, degree
+        self.value, self.transport = 0.0, None
+        self._even = self._odd = None   # (integral, delta), (delta, term)
+
+    def __call__(self, j, z, J):
+        G = self.ev.groupoid
+        kind, payload = self.comp_src
+        full = payload if kind == "const" else \
+            tn.comps_to_full_batch(payload(z), G.dim, self.degree)
+        pulled = tn.pullback_full_batch(J, full, self.degree)
+        if self.ev._delta is None:
+            self.value += G.rule.weights[j] * pulled
+            return
+        f = self.ev._delta(z)[..., 0]
+        if j % 2:
+            self._odd = (f, pulled)
+            return
+        if j == 0:
+            c = np.zeros_like(f)
+        else:
+            (c0, f0), (f1, pulled1) = self._even, self._odd
+            c1, c = simpson_step(c0, f0, f1, f, G._grid[1] - G._grid[0])
+            self._add_weighted(j - 1, c1, pulled1)
+        self._add_weighted(j, c, pulled)
+        self._even = (c, f)
+
+    def _add_weighted(self, j, integral, pulled):
+        self.transport = np.exp(-integral)
+        w = self.ev.groupoid.rule.weights[j] * self.transport
+        self.value += w.reshape(w.shape + (1,) * self.degree) * pulled
 
 
 def _assert_fiberwise_linear(delta, chart, samples=8, seed=17):
@@ -380,10 +426,11 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
     p_stage = a_states[:, :, n:]          # (B, 2*n_steps+1, r)
 
     def rhs(k_pts, stage_idx):
-        # one flow-with-Jacobian serves both dtau and the omega quadrature
-        traj = G.trajectory(k_pts)
-        dtau = traj.jacobians[:, -1, :n, :]
-        W = evaluator.omega_full_from_traj(traj)
+        # one streamed tangent-flow solve gives dtau and the omega quadrature
+        acc = evaluator.omega_sum()
+        _, J = G.flow_end(k_pts, acc)
+        dtau = J[:, :n, :]
+        W = acc.value
         svals = np.linalg.svd(W, compute_uv=False)
         smin = float(np.min(svals[:, -1]))
         if smin <= 0 or float(np.max(svals[:, 0])) / max(smin, 1e-300) > cond_bound:
@@ -540,18 +587,18 @@ def associativity_residual(G, evaluator, n_triples=50, seed=424242, n_steps=32,
 # Cocycles
 
 
-def integrate_cocycle(G, delta, points):
-    """f(g) = quadrature of delta along the spray flow of g.
+def integrate_cocycle(G, delta, points, *consumers):
+    """f(g) = quadrature of delta along the spray flow of g, batched.
 
     ``delta`` must be fiberwise linear (checked symbolically up to sampled
-    evaluation); returns an array of values over the batch.
+    evaluation).  The flow solve also feeds ``consumers`` (see
+    ``SprayGroupoid.flow_end``).
     """
     _assert_fiberwise_linear(delta, G.chart)
     fn = ex.compile_exprs([delta], G.spray.variables)
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    traj = G.trajectory(P)
-    vals = fn(traj.states[:, G._node_slice()])[..., 0]
-    return vals @ G.rule.weights
+    vals = []
+    G.flow_end(points, lambda j, z, J: vals.append(fn(z)[:, 0]), *consumers)
+    return np.stack(vals, axis=1) @ G.rule.weights
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .algebroid import (
     dirac_algebroid,
     jacobi_algebroid,
     jacobi_cocycle,
-    transport_weight,
 )
 from .errors import CompatibilityError
 from .flow import central_difference
@@ -99,24 +98,23 @@ class Numerics:
 # Shared helpers
 
 
+def _pullback_through(varpi, X, DX):
+    """varpi at the base points X (B, n) pulled back through DX (B, n, d)."""
+    full = tn.comps_to_full_batch(varpi.values(X), X.shape[1], varpi.degree)
+    return tn.pullback_full_batch(DX, full, varpi.degree)
+
+
 def sigma_pullback(G, varpi, P):
     """(sigma^* varpi) at points P, as full batched tensors."""
     P = np.atleast_2d(P)
-    base = P[:, : G.n]
-    vals = varpi.values(base)
-    full = tn.comps_to_full_batch(vals, G.n, varpi.degree)
     dsig = np.zeros((P.shape[0], G.n, G.dim))
     dsig[:, :, : G.n] = np.eye(G.n)
-    return tn.pullback_full_batch(dsig, full, varpi.degree)
+    return _pullback_through(varpi, P[:, : G.n], dsig)
 
 
 def tau_pullback(G, varpi, P):
     """(tau^* varpi) at points P, as full batched tensors."""
-    P = np.atleast_2d(P)
-    tau, dtau = G.tau_with_jacobian(P)
-    vals = varpi.values(tau)
-    full = tn.comps_to_full_batch(vals, G.n, varpi.degree)
-    return tn.pullback_full_batch(dtau, full, varpi.degree)
+    return _pullback_through(varpi, *G.tau_with_jacobian(np.atleast_2d(P)))
 
 
 def _roundtrip_checks(report, G, evaluator, data, numerics, slope_window=(0.8, 1.2)):
@@ -492,9 +490,8 @@ def omega_Lk_two_ways(scenario, pair, k, samples=15, seed=808):
     states = traj.states[:, sl]
     jacs = traj.jacobians[:, sl]
     B, T = states.shape[:2]
-    flat = states.reshape(B * T, -1)
-    M = lk_fn(flat[:, :n]).reshape(B, T, n, n)
-    DM = dlk_fn(flat[:, :n]).reshape(B, T, n, n, n)
+    M = lk_fn(states[..., :n]).reshape(B, T, n, n)
+    DM = dlk_fn(states[..., :n]).reshape(B, T, n, n, n)
     y = states[..., n:]
     # d(ell^k): [[I, 0], [sum_j dM_ij y_j, M]]
     Dmap = np.zeros((B, T, 2 * n, 2 * n))
@@ -727,14 +724,17 @@ def dirac_checks(scenario, samples=100, seed=1234, numerics=None):
     report = CheckReport()
     pts = G.sample_validity_points(samples, seed, fiber_scale=0.7)
 
-    dW = scenario.evaluator.domega_full(pts)
-    rhs = tau_pullback(G, scenario.H, pts) - sigma_pullback(G, scenario.H, pts)
+    n, d = G.n, G.dim
+    # one tangent-flow solve serves d omega, omega and (tau, dtau)
+    dW, W = scenario.evaluator.domega_sum(), scenario.evaluator.omega_sum()
+    end, J = G.flow_end(pts, dW, W)
+    dW, W = dW.value, W.value
+    tau, dtau = end[:, :n], J[:, :n, :]
+    rhs = _pullback_through(scenario.H, tau, dtau) - \
+        sigma_pullback(G, scenario.H, pts)
     report.add("relative_H_closedness", float(np.max(np.abs(dW - rhs))),
                nm.tol("relative_H_closedness", 1e-6))
 
-    W = scenario.evaluator.omega_matrices(pts)
-    tau, dtau = G.tau_with_jacobian(pts)
-    n, d = G.n, G.dim
     dsig = np.zeros((n, d))
     dsig[:, :n] = np.eye(n)
     smin = np.inf
@@ -858,7 +858,10 @@ def jacobi_checks(scenario, samples=40, seed=909, numerics=None):
     report = CheckReport()
     pts = G.sample_validity_points(samples, seed, fiber_scale=0.7)
 
-    om = scenario.evaluator.omega_full(pts)
+    # one tangent-flow solve serves omega, the cocycle and the transport
+    om = scenario.evaluator.omega_sum()
+    cocycle = integrate_cocycle(G, jacobi_cocycle(A), pts, om)
+    transport_end, om = om.transport, om.value
     closed = _jacobi_closed_form(scenario, pts)
     if closed is not None:
         report.add("closed_form", float(np.max(np.abs(om - closed))),
@@ -895,11 +898,8 @@ def jacobi_checks(scenario, samples=40, seed=909, numerics=None):
     report.add("units_recover_pr", res_l, nm.tol("units_recover_pr", 1e-8))
 
     # transport/cocycle consistency on the quadrature grid
-    f = integrate_cocycle(G, jacobi_cocycle(A), pts)
-    traj = G.trajectory(pts)
-    w = transport_weight(A, traj)
     report.add("cocycle_weight_consistency",
-               float(np.max(np.abs(np.exp(-f) - w[:, -1]))),
+               float(np.max(np.abs(np.exp(-cocycle) - transport_end))),
                nm.tol("cocycle_weight", 1e-10))
 
     point = G.sample_validity_points(1, seed + 4, fiber_scale=0.8)[0]

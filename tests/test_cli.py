@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -55,6 +56,28 @@ def test_unknown_numerics_key_rejected(tmp_path):
         bad = _write(tmp_path, raw, "bad.json")
         with pytest.raises(ConfigError):
             load_config(bad)
+
+
+def test_schema_errors_match_jsonschema_validate(tmp_path):
+    """load_config checks the schema once per process; every message it
+    gives is the one jsonschema.validate gives, word for word."""
+    base = json.loads(Path(_fast_poisson(tmp_path)).read_text())
+    cases = [
+        {**base, "surprise": 1},
+        {**base, "kind": "symplectic"},
+        {k: v for k, v in base.items() if k != "chart"},
+        {**base, "numerics": {**base["numerics"], "quad_nodes": "many"}},
+        {**base, "chart": {"dim": 2, "box": "unit"}},
+        {**base, "schema_version": 2},
+        [],
+    ]
+    for i, raw in enumerate(cases):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(raw, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            load_config(_write(tmp_path, raw, f"bad{i}.json"))
+        assert str(got.value) == \
+            f"config schema violation: {want.value.message}"
 
 
 def test_kind_specific_requirements(tmp_path):

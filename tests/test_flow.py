@@ -110,11 +110,40 @@ def test_domain_exit_raises_with_time():
     assert 0.0 < err.value.exit_time <= 0.2
 
 
+def _streamed(eng):
+    """flow_with_jacobian with a node consumer, so that it stores nothing."""
+    def solve(points, nodes, substeps=1):
+        return eng.flow_with_jacobian(points, nodes, substeps,
+                                      at_node=lambda k, z, J: None)
+    return solve
+
+
+def test_streamed_nodes_equal_stored_trajectory():
+    """The consumer sees, node by node, exactly the states and Jacobians the
+    stored trajectory holds, and the streamed solve returns the end state."""
+    eng = FlowEngine([parse("x2 * x2 - y1", XYP), parse("x1 * y2", XYP),
+                      parse("-y1 * y2", XYP), parse("y1 * y1", XYP)], XYP)
+    P = np.array([[0.1, 0.2, 0.3, -0.4], [-0.3, 0.1, 0.2, 0.5],
+                  [0.0, -0.2, -0.1, 0.3]])
+    nodes = np.linspace(0.0, 1.0, 9)
+    traj = eng.flow_with_jacobian(P, nodes, 2)
+    seen = []
+    z_end, J_end = eng.flow_with_jacobian(
+        P, nodes, 2, at_node=lambda k, z, J: seen.append((k, z.copy(), J.copy())))
+    assert [k for k, _, _ in seen] == list(range(len(nodes)))
+    for k, z, J in seen:
+        assert np.array_equal(z, traj.states[:, k])
+        assert np.array_equal(J, traj.jacobians[:, k])
+    assert np.array_equal(z_end, traj.states[:, -1])
+    assert np.array_equal(J_end, traj.jacobians[:, -1])
+    assert np.array_equal(traj.states, eng.flow_on_grid(P, nodes, 2))
+
+
 def test_domain_exit_names_batch_row():
     box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
     eng = FlowEngine([ex.ONE, ex.ZERO], XS2, box=box)
     P = np.array([[0.0, 0.0], [-0.5, 0.3], [0.95, -0.2], [0.1, 0.1]])
-    for solve in (eng.flow_on_grid, eng.flow_with_jacobian):
+    for solve in (eng.flow_on_grid, eng.flow_with_jacobian, _streamed(eng)):
         with pytest.raises(DomainExitError, match="batch row 2, point") as err:
             solve(P, np.linspace(0, 1, 17))
         assert err.value.row == 2
@@ -134,7 +163,7 @@ def test_rk4_overflow_raises_with_time(box):
     # overflows to inf outside it, and the step's box check must catch it
     eng = FlowEngine([ex.const(1e308), ex.ZERO], XS2, box=box)
     nodes = np.linspace(0.0, 1.0, 5)
-    for solve in (eng.flow_on_grid, eng.flow_with_jacobian):
+    for solve in (eng.flow_on_grid, eng.flow_with_jacobian, _streamed(eng)):
         with np.errstate(over="ignore"), \
                 pytest.raises(NonFiniteStateError, match="t=0.25") as err:
             solve(np.array([[0.0, 0.0]]), nodes)

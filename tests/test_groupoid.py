@@ -1,9 +1,12 @@
 """Groupoid structure maps, the quadrature form, multiplication, round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sprayform import expr as ex
+from sprayform import tensor as tn
 from sprayform.algebroid import (
     cotangent_algebroid,
     default_spray,
@@ -16,6 +19,7 @@ from sprayform.errors import (
     NonlinearCocycleError,
 )
 from sprayform.expr import BivectorField, FormField, parse
+from sprayform.flow import cumulative_integral
 from sprayform.groupoid import (
     MultFormEvaluator,
     SprayGroupoid,
@@ -26,6 +30,7 @@ from sprayform.groupoid import (
     integrate_cocycle,
     linearization_check,
     multiply_poisson,
+    sample_composable_pairs,
     units_form_predictor,
 )
 from sprayform.imform import (
@@ -150,7 +155,8 @@ def test_omega_jacobi_line_closed_form(jacobi_line_groupoid):
 
 
 def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid):
-    """Row b of a batched omega or flow equals the one-row call on row b, bit
+    """Row b of a batched omega, flow or (tau, dtau) equals the one-row call
+    on row b, and a stacked product equals its blocks multiplied apart, bit
     for bit, so a check may evaluate its whole sample set in one call
     without moving a residual's last digit."""
     A, G3, ev3 = so3_groupoid
@@ -164,11 +170,87 @@ def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid)
         batched = ev.omega_full(pts)
         grids = [(G._grid, G.substeps), (np.linspace(0.0, 0.5, 9), 4)]
         states = [G.engine.flow_on_grid(pts, nodes, sub) for nodes, sub in grids]
+        tau, dtau = G.tau_with_jacobian(pts)
         for b in range(len(pts)):
             row = pts[b:b + 1]
             assert np.array_equal(batched[b], ev.omega_full(row)[0])
             for (nodes, sub), S in zip(grids, states):
                 assert np.array_equal(S[b], G.engine.flow_on_grid(row, nodes, sub)[0])
+            tau_b, dtau_b = G.tau_with_jacobian(row)
+            assert np.array_equal(tau[b], tau_b[0])
+            assert np.array_equal(dtau[b], dtau_b[0])
+    # the product: a stacked batch equals its blocks computed separately
+    a, b = sample_composable_pairs(G3, 5, seed=24, fiber_scale=0.5)
+    stacked = multiply_poisson(G3, ev3, a, b, n_steps=4)
+    for block in (slice(0, 2), slice(2, 5)):
+        assert np.array_equal(stacked[block],
+                              multiply_poisson(G3, ev3, a[block], b[block],
+                                               n_steps=4))
+
+
+def _stored_quadrature(G, form, P, delta=None):
+    """Two-pass oracle: store the trajectory, pull the form back at every
+    node, then reduce over the nodes in one call (einsum for trivial
+    coefficients, the transport-weighted np.sum for a cocycle delta)."""
+    traj = G.trajectory(P)
+    sl = G._node_slice()
+    comps = ex.compile_exprs(form.exprs_dense(), G.spray.variables)(
+        traj.states[:, sl])
+    full = tn.comps_to_full_batch(comps, G.dim, form.degree)
+    pulled = tn.pullback_full_batch(traj.jacobians[:, sl], full, form.degree)
+    if delta is None:
+        return np.einsum("bt...,t->b...", pulled, G.rule.weights)
+    vals = ex.compile_exprs([delta], G.spray.variables)(traj.states)[..., 0]
+    w = G.rule.weights * np.exp(-cumulative_integral(vals, traj.times))[:, sl]
+    return np.sum(pulled * w.reshape(w.shape + (1,) * form.degree), axis=1)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.asarray(a, dtype=np.float64).view(np.uint64),
+        np.asarray(b, dtype=np.float64).view(np.uint64))
+
+
+def test_streamed_quadrature_matches_stored_trajectory(so3_groupoid,
+                                                       jacobi_line_groupoid):
+    """omega_full and domega_full accumulate node by node without storing a
+    trajectory; they equal the stored two-pass quadrature bit for bit."""
+    A, G3, ev3 = so3_groupoid
+    varpi = FormField(XS3, 2, {(0, 1): parse("x1 * x3", XS3)})
+    evE = MultFormEvaluator(G3, linear_form(exact_im_pair(A, varpi)))
+    Gg = SprayGroupoid(A, default_spray(A), n_quad=12, quad_kind="gauss")
+    Gg.validity_fiber_radius = G3.validity_fiber_radius
+    evG = MultFormEvaluator(Gg, linear_form(poisson_im_pair(A)))
+    _, GJ, evJ = jacobi_line_groupoid
+    cases = [(ev3, False), (ev3, True), (evE, False), (evE, True),
+             (evG, False), (evJ, False)]
+    for ev, d in cases:
+        G = ev.groupoid
+        pts = np.concatenate([
+            G.sample_validity_points(7, seed=21, fiber_scale=0.8),
+            G.units(G.chart.sample_base_points(2, 22, scale=0.5))])
+        form = ev.lform.form.d() if d else ev.lform.form
+        got = ev.domega_full(pts) if d else ev.omega_full(pts)
+        want = _stored_quadrature(G, form, pts, ev.weight_cocycle)
+        assert _same_bits(got, want)
+        if ev is evE and d:   # the degree-3 d Lambda is far from zero
+            assert np.max(np.abs(got)) > 1e-3
+
+
+def test_omega_full_stores_no_trajectory(so3_groupoid):
+    """omega_full on 900 rows peaks below one stored (B, 65, d, d) Jacobian
+    trajectory (16 MiB)."""
+    _, G, ev = so3_groupoid
+    pts = G.sample_validity_points(900, seed=23, fiber_scale=0.8)
+    traj_bytes = 900 * len(G._grid) * G.dim * G.dim * 8
+    ev.omega_full(pts[:2])          # warm up lazy allocations
+    tracemalloc.start()
+    try:
+        ev.omega_full(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < traj_bytes
 
 
 def test_domega_poisson_is_zero(so3_groupoid):
