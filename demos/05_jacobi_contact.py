@@ -35,7 +35,7 @@ print(np.round(np.stack([-(1 - np.exp(-p)),
                          np.zeros_like(p)], axis=1), 8))
 
 f = integrate_cocycle(G, jacobi_cocycle(js.chart), pts)
-w = transport_weight(js.chart, G.trajectory(pts))
+w = transport_weight(G, pts)
 print("\nexp(-cocycle) vs transport weight at t=1:")
 print(np.exp(-f), w[:, -1])
 

@@ -331,9 +331,9 @@ def check_spray(V, A, samples=40, seed=77, tol_anchor=1e-10, tol_scaling=1e-8,
         for j, s in enumerate((0.25, 0.5)):
             left = engine.flow_on_grid(Za, np.linspace(0.0, s, 9), substeps=4)
             right = engine.flow_on_grid(Z, np.linspace(0.0, s * t, 9),
-                                        substeps=4)[:, -1]
+                                        substeps=4)
             right[:, A.n:] *= t
-            res[:, i, j] = np.max(np.abs(left[:, -1] - right), axis=1)
+            res[:, i, j] = np.max(np.abs(left - right), axis=1)
     report.add_pointwise("flow_scaling", res.reshape(-1), tol_scaling,
                          np.repeat(Z, 4, axis=0))
     return report
@@ -531,20 +531,17 @@ def jacobi_cocycle(A):
     return total
 
 
-def transport_weight(R_or_chart, traj):
-    """Scalar parallel transport weights along a jacobi-spray trajectory.
+def transport_weight(G, P):
+    """Scalar parallel transport weights along the jacobi-spray flows of P.
 
-    w(t) = exp(-int_0^t <R(x_s), p_s> ds), computed by a cumulative rule on
-    the trajectory's own grid whose total is exactly the composite-Simpson
-    value.  Returns an array shaped like (batch, nodes).
+    w(t) = exp(-int_0^t <R(x_s), p_s> ds) at the quadrature nodes of the
+    spray groupoid G on a jacobi chart, computed by a cumulative rule whose
+    total is exactly the composite-Simpson value, so G needs the Simpson
+    rule.  Returns an array shaped like (batch, nodes).
     """
-    if isinstance(R_or_chart, AlgebroidChart):
-        A = R_or_chart
-        delta = jacobi_cocycle(A)
-        variables = A.total_vars
-    else:
-        raise DimensionError("pass the jacobi AlgebroidChart")
-    fn = ex.compile_exprs([delta], variables)
-    vals = fn(traj.states)[..., 0]           # (B, T+1)
-    integral = cumulative_integral(vals, traj.times)
-    return np.exp(-integral)
+    if G.quad_kind != "simpson":
+        raise DimensionError("transport weights need the Simpson rule")
+    fn = ex.compile_exprs([jacobi_cocycle(G.chart)], G.chart.total_vars)
+    vals = []
+    G.flow_end(P, lambda j, z, J: vals.append(fn(z)[:, 0]))
+    return np.exp(-cumulative_integral(np.stack(vals, axis=1), G.rule.nodes))

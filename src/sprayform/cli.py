@@ -456,9 +456,13 @@ def cmd_convergence(args):
     return 0 if (order >= 3.5 or order == float("inf")) else 1
 
 
-def _parse_vector(text, expected=None):
-    vals = np.array([float(t) for t in text.split(",") if t.strip() != ""])
-    if expected is not None and len(vals) != expected:
+def _parse_vector(text, expected):
+    try:
+        vals = np.array([float(t) for t in text.split(",") if t.strip() != ""])
+    except ValueError:
+        raise ConfigError(f"{text!r} is not a comma-separated list of numbers") \
+            from None
+    if len(vals) != expected:
         raise ConfigError(f"expected {expected} components, got {len(vals)}")
     return vals
 
@@ -500,8 +504,8 @@ def cmd_eval(args):
             a = _parse_vector(a_txt, G.dim)
             b = _parse_vector(b_txt, G.dim)
             nm = scen.numerics
-            out["mu"] = multiply_poisson(G, ev, a, b,
-                                         n_steps=nm.mu_steps).tolist()
+            out["mu"] = multiply_poisson(G, ev, a[None, :], b[None, :],
+                                         n_steps=nm.mu_steps)[0].tolist()
     if raw["kind"] == "jacobi":
         out["cocycle"] = float(integrate_cocycle(
             G, jacobi_cocycle(scen.chart), point[None, :])[0])

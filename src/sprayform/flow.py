@@ -9,9 +9,9 @@ variational equation dJ/dt = DV(phi^t) J in lockstep with the state, using
 exact symbolic partials of the vector field.
 
 Everything is batched over points (B, d), and one in-place RK4 loop serves
-both solves.  ``flow_with_jacobian`` either stores a Trajectory (states
-(B, T+1, d), Jacobians (B, T+1, d, d)) for callers that need interior nodes,
-or streams each node to a consumer and stores nothing.
+both solves.  Neither stores a trajectory: each returns the end state, and
+an optional ``at_node`` consumer sees the state at every node as the loop
+passes it.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from scipy.special import roots_legendre
 from . import expr as ex
 from .errors import DimensionError, DomainExitError, NonFiniteStateError
 
-__all__ = ["QuadratureRule", "Trajectory", "FlowEngine", "quad",
-           "cumulative_integral", "simpson_step", "central_difference"]
+__all__ = ["QuadratureRule", "FlowEngine", "cumulative_integral",
+           "simpson_step", "central_difference"]
 
 _FLOAT_MAX = np.finfo(np.float64).max
 
@@ -59,15 +59,6 @@ class QuadratureRule:
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=np.float64))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-
-
-@dataclass
-class Trajectory:
-    """A batch of solution curves sampled on a common time grid."""
-
-    times: np.ndarray          # (T+1,)
-    states: np.ndarray         # (B, T+1, d)
-    jacobians: np.ndarray | None = None   # (B, T+1, d, d)
 
 
 class FlowEngine:
@@ -107,21 +98,22 @@ class FlowEngine:
             raise NonFiniteStateError(t, z, row=row)
         raise DomainExitError(t, z, row=row)
 
-    def flow_on_grid(self, points, nodes, substeps=1):
-        """States at the given time nodes; nodes[0] must be 0."""
-        P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        states = np.empty((P.shape[0], len(nodes), self.dim))
-        z = P.copy()
+    def flow_on_grid(self, points, nodes, substeps=1, at_node=None):
+        """State at nodes[-1]; nodes[0] must be 0.
+
+        ``at_node(k, z)``, if given, sees a view of the state at each node k.
+        """
+        z = np.atleast_2d(np.asarray(points, dtype=np.float64)).copy()
         for k in self._rk4(z, z, self._v, nodes, substeps):
-            states[:, k] = z
-        return states
+            if at_node is not None:
+                at_node(k, z)
+        return z
 
     def flow_with_jacobian(self, points, nodes, substeps=1, at_node=None):
         """Flow and tangent map J_t as one (B, d, d+1) state [z | J].
 
-        Without ``at_node``, returns a Trajectory storing every node.  With
-        it, stores nothing: ``at_node(k, z, J)`` sees views of the state at
-        each node k, and the end state (z, J) is returned.
+        Returns the end state (z, J).  ``at_node(k, z, J)``, if given, sees
+        views of the state at each node k.
         """
         P = np.atleast_2d(np.asarray(points, dtype=np.float64))
         B, d = P.shape
@@ -138,17 +130,10 @@ class FlowEngine:
             np.matmul(vdv[:, d:].reshape(B, d, d), X[..., 1:], out=K[..., 1:])
             return K
 
-        nodes_reached = self._rk4(S, z, rhs, nodes, substeps)
-        if at_node is not None:
-            for k in nodes_reached:
+        for k in self._rk4(S, z, rhs, nodes, substeps):
+            if at_node is not None:
                 at_node(k, z, J)
-            return z.copy(), J.copy()
-        states = np.empty((B, len(nodes), d))
-        jacs = np.empty((B, len(nodes), d, d))
-        for k in nodes_reached:
-            states[:, k] = z
-            jacs[:, k] = J
-        return Trajectory(np.asarray(nodes, dtype=np.float64), states, jacs)
+        return z.copy(), J.copy()
 
     def _rk4(self, S, z, rhs, nodes, substeps):
         """Fixed-step RK4 on the state S in place, yielding k at each node k.
@@ -181,12 +166,6 @@ class FlowEngine:
                 t += h
                 self._check_box(z, t)
             yield k + 1
-
-
-def quad(values, rule, axis=0):
-    """Weighted sum of node values along ``axis`` (values at rule.nodes)."""
-    values = np.asarray(values)
-    return np.tensordot(rule.weights, np.moveaxis(values, axis, 0), axes=(0, 0))
 
 
 _STENCIL = ((-2, 1.0 / 12), (-1, -8.0 / 12), (1, 8.0 / 12), (2, -1.0 / 12))

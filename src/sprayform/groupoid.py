@@ -14,9 +14,9 @@ trivial coefficients and the line-bundle parallel transport
 exp(-int_0^t <R, a_s> ds) for the trivialized jacobi case.
 
 The quadrature streams: ``SprayGroupoid.flow_end`` hands each node of one
-tangent-flow solve to consumers that accumulate as it goes, so omega,
-d omega, dtau, cocycles and each product-ODE stage store no (B, T, d, d)
-trajectory; ``SprayGroupoid.trajectory`` stores one for interior nodes.
+tangent-flow solve to consumers that accumulate as it goes, so nothing
+stores a trajectory.  omega, d omega, dtau, cocycles, transport weights and
+each product-ODE stage all read the flow through such consumers.
 
 The Poisson multiplication solves  dk/dt = -Pi#_k( dtau_k^T p_t ),  k_0 = b,
 where p_t is the fiber of phi^t(a), Pi is the pointwise inverse of omega and
@@ -91,7 +91,7 @@ class SprayGroupoid:
             self.rule = QuadratureRule.gauss_legendre(self.n_quad)
         else:
             raise DimensionError(f"unknown quadrature kind {self.quad_kind!r}")
-        self._grid = self._trajectory_grid()
+        self._grid, self._nodes = self._flow_grid()
 
     @property
     def n(self):
@@ -105,26 +105,18 @@ class SprayGroupoid:
     def dim(self):
         return self.chart.n + self.chart.r
 
-    def _trajectory_grid(self):
-        """Quadrature nodes with t=0 and t=1 adjoined when missing.
+    def _flow_grid(self):
+        """Quadrature nodes with t=0 and t=1 adjoined when missing, and the
+        slice of that grid holding the nodes.
 
         The structure maps need the endpoint flow; the quadrature needs the
-        rule's nodes.  ``_node_slice`` recovers the node positions.
+        rule's nodes.
         """
         nodes = self.rule.nodes
-        self._pre = 0 if nodes[0] == 0.0 else 1
-        self._post = 0 if nodes[-1] == 1.0 else 1
-        parts = []
-        if self._pre:
-            parts.append([0.0])
-        parts.append(nodes)
-        if self._post:
-            parts.append([1.0])
-        return np.concatenate(parts)
-
-    def _node_slice(self):
-        """Positions of the quadrature nodes inside the trajectory grid."""
-        return slice(self._pre, len(self._grid) - self._post)
+        pre = [] if nodes[0] == 0.0 else [0.0]
+        post = [] if nodes[-1] == 1.0 else [1.0]
+        grid = np.concatenate([pre, nodes, post])
+        return grid, slice(len(pre), len(pre) + len(nodes))
 
     # -- structure maps ----------------------------------------------------
 
@@ -137,19 +129,16 @@ class SprayGroupoid:
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
         return P[:, : self.n]
 
-    def trajectory(self, P):
-        """Flow and tangent Jacobians stored at every grid node (see flow_end)."""
-        P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-        return self.engine.flow_with_jacobian(P, self._grid, self.substeps)
-
     def flow_end(self, P, *consumers):
         """(z, J) at t = 1 from one tangent-flow solve that stores nothing.
 
         ``consumer(j, z, J)`` runs at the j-th quadrature node, for each
-        consumer (``MultFormEvaluator.omega_sum``, ``integrate_cocycle``).
+        consumer (``MultFormEvaluator.omega_sum``, ``integrate_cocycle``,
+        ``algebroid.transport_weight``); z and J are views valid only
+        during the call.
         """
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-        sl = self._node_slice()
+        sl = self._nodes
 
         def at_node(k, z, J):
             if sl.start <= k < sl.stop:
@@ -160,20 +149,16 @@ class SprayGroupoid:
                                               at_node)
 
     def tau(self, P):
-        P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-        states = self.engine.flow_on_grid(P, self._grid, self.substeps)
-        return states[:, -1, : self.n]
+        return self.engine.flow_on_grid(P, self._grid, self.substeps)[:, : self.n]
 
     def tau_with_jacobian(self, P):
         end, J = self.flow_end(P)
         return end[:, : self.n], J[:, : self.n, :]
 
     def inverse(self, P):
-        P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-        end = self.engine.flow_on_grid(P, self._grid, self.substeps)[:, -1]
-        out = end.copy()
-        out[:, self.n:] *= -1.0
-        return out
+        end = self.engine.flow_on_grid(P, self._grid, self.substeps)
+        end[:, self.n:] *= -1.0
+        return end
 
     def inverse_with_jacobian(self, P):
         end, J = self.flow_end(P)
@@ -400,17 +385,16 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
                      cond_bound=1e12):
     """Groupoid product on a symplectic spray groupoid, batched.
 
-    ``a``, ``b`` are composable batches of points ((B, d) or single points):
+    ``a``, ``b`` are composable (B, d) batches of points:
     sigma(a) = tau(b) within ``composability_tol`` (checked strictly, no
     silent projection).  Solves the multiplication ODE by RK4 with
     ``n_steps`` steps; each stage evaluates omega^{-1} and dtau at the
     current solution, which costs one flow-with-Jacobian per stage.
     """
-    single = np.asarray(a).ndim == 1
-    A = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    Bp = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if A.shape != Bp.shape:
-        raise DimensionError("a and b batches must have the same shape")
+    A = np.asarray(a, dtype=np.float64)
+    Bp = np.asarray(b, dtype=np.float64)
+    if A.ndim != 2 or A.shape != Bp.shape:
+        raise DimensionError("a and b must be (B, d) batches of one shape")
     n = G.n
     tau_b = G.tau(Bp)
     viols = np.max(np.abs(A[:, :n] - tau_b), axis=1)
@@ -422,8 +406,9 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
 
     # fiber of phi^t(a) at the RK4 stage times: grid spacing h/2
     stage_grid = np.linspace(0.0, 1.0, 2 * n_steps + 1)
-    a_states = G.engine.flow_on_grid(A, stage_grid, G.substeps)
-    p_stage = a_states[:, :, n:]          # (B, 2*n_steps+1, r)
+    p_stage = []
+    G.engine.flow_on_grid(A, stage_grid, G.substeps,
+                          lambda k, z: p_stage.append(z[:, n:].copy()))
 
     def rhs(k_pts, stage_idx):
         # one streamed tangent-flow solve gives dtau and the omega quadrature
@@ -436,7 +421,7 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
         if smin <= 0 or float(np.max(svals[:, 0])) / max(smin, 1e-300) > cond_bound:
             row = int(np.argmin(svals[:, -1]))
             raise DegenerateFormError(smin, k_pts[row], row)
-        beta = np.einsum("baj,ba->bj", dtau, p_stage[:, stage_idx])
+        beta = np.einsum("baj,ba->bj", dtau, p_stage[stage_idx])
         return np.linalg.solve(W, beta[..., None])[..., 0]
 
     h = 1.0 / n_steps
@@ -448,7 +433,7 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
         k3 = rhs(k + 0.5 * h * k2, s0 + 1)
         k4 = rhs(k + h * k3, s0 + 2)
         k = k + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return k[0] if single else k
+    return k
 
 
 # ---------------------------------------------------------------------------

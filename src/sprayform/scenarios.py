@@ -188,11 +188,14 @@ def build_symplectic_groupoid(pi, box, numerics=None, christoffel=None,
                               tol=nm.tol("im_residuals", 1e-9)), prefix="im_")
     evaluator = MultFormEvaluator(G, linear_form(data))
 
-    # nondegeneracy margin, with fiber-radius auto-shrink
+    # nondegeneracy margin, with fiber-radius auto-shrink; the solve that
+    # gives omega also gives (tau, dtau) for the realization check
     margin_floor = nm.nondegeneracy_margin
     for _ in range(30):
         pts = G.sample_validity_points(nm.samples, nm.seed + 8)
-        W = evaluator.omega_matrices(pts)
+        acc = evaluator.omega_sum()
+        end, J = G.flow_end(pts, acc)
+        W = acc.value
         margin = float(np.min(np.linalg.svd(W, compute_uv=False)[:, -1]))
         if margin >= margin_floor:
             break
@@ -204,7 +207,7 @@ def build_symplectic_groupoid(pi, box, numerics=None, christoffel=None,
 
     # realization: source pushes omega^{-1} to pi, target to -pi
     Q = np.linalg.inv(W)
-    tau, dtau = G.tau_with_jacobian(pts)
+    tau, dtau = end[:, : G.n], J[:, : G.n, :]
     dsig = np.zeros((G.n, G.dim))
     dsig[:, : G.n] = np.eye(G.n)
     push_s = np.einsum("ai,bij,cj->bac", dsig, Q, dsig)
@@ -485,22 +488,21 @@ def omega_Lk_two_ways(scenario, pair, k, samples=15, seed=808):
     W0[:n, n:] = np.eye(n)
     W0[n:, :n] = -np.eye(n)
 
-    traj = G.trajectory(pts)
-    sl = G._node_slice()
-    states = traj.states[:, sl]
-    jacs = traj.jacobians[:, sl]
-    B, T = states.shape[:2]
-    M = lk_fn(states[..., :n]).reshape(B, T, n, n)
-    DM = dlk_fn(states[..., :n]).reshape(B, T, n, n, n)
-    y = states[..., n:]
-    # d(ell^k): [[I, 0], [sum_j dM_ij y_j, M]]
-    Dmap = np.zeros((B, T, 2 * n, 2 * n))
-    Dmap[..., :n, :n] = np.eye(n)
-    Dmap[..., n:, :n] = np.einsum("btijc,btj->btic", DM, y)
-    Dmap[..., n:, n:] = M
-    chain = np.matmul(Dmap, jacs)
-    pulled = tn.pullback_full_batch(chain, W0, 2)
-    WB = np.einsum("bt...,t->b...", pulled, G.rule.weights)
+    B = len(pts)
+    WB = np.zeros((B, 2 * n, 2 * n))
+
+    def route_b(j, z, J):
+        # d(ell^k): [[I, 0], [sum_j dM_ij y_j, M]]
+        Dmap = np.zeros((B, 2 * n, 2 * n))
+        Dmap[:, :n, :n] = np.eye(n)
+        Dmap[:, n:, :n] = np.einsum("bijc,bj->bic",
+                                    dlk_fn(z[:, :n]).reshape(B, n, n, n),
+                                    z[:, n:])
+        Dmap[:, n:, n:] = lk_fn(z[:, :n]).reshape(B, n, n)
+        pulled = tn.pullback_full_batch(np.matmul(Dmap, J), W0, 2)
+        WB[...] += G.rule.weights[j] * pulled
+
+    G.flow_end(pts, route_b)
     return float(np.max(np.abs(WA - WB)))
 
 

@@ -250,7 +250,7 @@ def test_criterion_9_jacobi_line(jacobi_line_scenario):
 
     pts = G.sample_validity_points(30, 901)
     f = integrate_cocycle(G, jacobi_cocycle(jacobi_line_scenario.chart), pts)
-    w = transport_weight(jacobi_line_scenario.chart, G.trajectory(pts))
+    w = transport_weight(G, pts)
     consistency = float(np.max(np.abs(np.exp(-f) - w[:, -1])))
     ok = closed < 1e-8 and margin >= 0.1 and consistency < 1e-10
     _report(9, ok, f"closed form {closed:.2e} (tol 1e-8), contact margin "

@@ -17,6 +17,7 @@ from sprayform.algebroid import (
 )
 from sprayform.errors import (
     CompatibilityError,
+    DimensionError,
     EvalDomainError,
     NotInvolutiveError,
     NotLagrangianError,
@@ -265,23 +266,26 @@ def test_transport_weight_zero_cocycle_is_one():
     A = jacobi_algebroid(pi0, [ex.ZERO, ex.ZERO], BOX2)
     G = SprayGroupoid(A, default_spray(A), n_quad=16)
     pts = np.array([[0.1, -0.2, 0.4, 0.2, -0.1]])
-    traj = G.trajectory(pts)
-    w = transport_weight(A, traj)
+    w = transport_weight(G, pts)
+    assert w.shape == (1, 17)
     assert np.allclose(w, 1.0)
 
 
 def test_transport_weight_closed_form_and_composition():
     A, G = _jacobi_line_groupoid()
     pts = np.array([[0.0, 0.4, 0.7], [0.2, -0.3, -0.5]])
-    traj = G.trajectory(pts)
-    w = transport_weight(A, traj)
+    w = transport_weight(G, pts)
     # p is constant along the flow: w(t) = exp(-t p)
     for b in range(2):
         p = pts[b, 2]
-        assert np.max(np.abs(w[b] - np.exp(-traj.times * p))) < 1e-10
+        assert np.max(np.abs(w[b] - np.exp(-G.rule.nodes * p))) < 1e-10
     # additivity: w(1) = w(t_k) * exp(-int_{t_k}^1 <R, p_s> ds), the second
     # factor known analytically since the integrand is the constant p
     k = 16
-    t_k = traj.times[k]
+    t_k = G.rule.nodes[k]
     p = pts[:, 2]
     assert np.max(np.abs(w[:, -1] - w[:, k] * np.exp(-(1 - t_k) * p))) < 1e-10
+    # the cumulative rule needs uniform nodes: Gauss nodes are refused
+    Gg = SprayGroupoid(A, default_spray(A), n_quad=16, quad_kind="gauss")
+    with pytest.raises(DimensionError, match="Simpson"):
+        transport_weight(Gg, pts)

@@ -12,6 +12,7 @@ from sprayform.errors import ConfigError
 from sprayform.flow import FlowEngine
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH = CONFIGS.parent / "perfbench"
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -115,6 +116,18 @@ def test_malformed_R_is_config_error_in_every_subcommand(tmp_path, capsys):
         assert "config error: --ladder" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--point", "0.1,abc,0,0"],
+    ["--point", "0,0,0.1,0.2", "--vectors", "1,0,0,0;0,x,1,0"],
+    ["--point", "0,0,0.1,0.2", "--pair", "0.1,0.2,0.3,-0.1|0.1,zz,0,0"],
+])
+def test_malformed_eval_vector_is_config_error(flags, tmp_path, capsys):
+    """A non-numeric --point, --vectors row or --pair side exits 2, not 1."""
+    path = _fast_poisson(tmp_path)
+    assert main(["eval", "--config", path] + flags) == 2
+    assert "is not a comma-separated list of numbers" in capsys.readouterr().err
+
+
 def test_malformed_christoffel_is_config_error(tmp_path, capsys):
     raw = json.loads((CONFIGS / "constant_poisson.json").read_text())
     raw["coefficients"]["christoffel"] = [[["0"]]]
@@ -183,6 +196,26 @@ def test_check_makes_no_one_row_flow_solves(name, tmp_path, monkeypatch):
                  "--out-dir", str(tmp_path)])
     assert code == 0
     assert batch_sizes and min(batch_sizes) > 1
+
+
+def test_traced_check_counts_flow_work(tmp_path, monkeypatch):
+    """The span tracer of perfbench/ installs around a check: every public
+    function stays reachable only through its wrapper (install verifies
+    this), and the flow work counts it reads off the FlowEngine arguments
+    (points, nodes, substeps) are those of 64-node solves."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import layer_metrics
+    from tracer import Tracer
+
+    tracer = Tracer()
+    with tracer:
+        code = main(["check", "--config", str(CONFIGS / "gcs_r2.json"),
+                     "--out-dir", str(tmp_path)])
+    metrics = layer_metrics(tracer.spans)
+    assert code == 0
+    assert metrics["flow.jac_solves"] > 0
+    assert metrics["flow.grid_solves"] > 0
+    assert metrics["flow.jac_steps"] == 64 * metrics["flow.jac_solves"]
 
 
 def test_check_non_poisson_is_runtime_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ from sprayform import expr as ex
 from sprayform.errors import DomainExitError, NonFiniteStateError
 from sprayform.expr import parse
 from sprayform.flow import (FlowEngine, QuadratureRule, central_difference,
-                            cumulative_integral, quad)
+                            cumulative_integral)
 
 XS2 = ["x1", "x2"]
 XYP = ["x1", "x2", "y1", "y2"]   # (x, p) on the cotangent space of R^2
@@ -23,7 +23,7 @@ def _const_pi_engine():
 def _endpoint(eng, z0, t, substeps=64):
     """phi^t(z0) by fixed-step RK4 with ``substeps`` steps."""
     nodes = np.linspace(0.0, t, 2)
-    return eng.flow_on_grid(np.asarray(z0)[None, :], nodes, substeps)[0, -1]
+    return eng.flow_on_grid(np.asarray(z0)[None, :], nodes, substeps)[0]
 
 
 def test_zero_field_flow_is_identity():
@@ -51,16 +51,16 @@ def test_jacobi_spray_flow_closed_form():
 
 def test_flow_with_jacobian_identity_field():
     eng = FlowEngine([ex.ZERO, ex.ZERO], XS2)
-    traj = eng.flow_with_jacobian(np.array([[0.1, 0.2]]), np.linspace(0, 1, 5))
-    assert np.allclose(traj.jacobians[0, -1], np.eye(2))
+    _, J = eng.flow_with_jacobian(np.array([[0.1, 0.2]]), np.linspace(0, 1, 5))
+    assert np.allclose(J[0], np.eye(2))
 
 
 def test_constant_pi_jacobian_block_structure():
     # J_t = [[I, t S], [0, I]] with S = [[0,-1],[1,0]]
     eng = _const_pi_engine()
-    traj = eng.flow_with_jacobian(np.array([[0.1, 0.2, 0.3, -0.4]]),
+    _, J = eng.flow_with_jacobian(np.array([[0.1, 0.2, 0.3, -0.4]]),
                                   np.linspace(0, 1, 9))
-    J = traj.jacobians[0, -1]
+    J = J[0]
     S = np.array([[0.0, -1.0], [1.0, 0.0]])
     want = np.eye(4)
     want[:2, 2:] = S
@@ -73,16 +73,18 @@ def test_jacobian_group_property_nonlinear():
     z = np.array([[0.3, -0.2]])
     t, s = 0.4, 0.3
     grid_t = np.linspace(0, t, 33)
-    tr1 = eng.flow_with_jacobian(z, grid_t)
-    z_t = tr1.states[:, -1]
-    tr2 = eng.flow_with_jacobian(z_t, np.linspace(0, s, 33))
-    tr3 = eng.flow_with_jacobian(z, np.linspace(0, t + s, 65))
-    lhs = tr2.jacobians[0, -1] @ tr1.jacobians[0, -1]
-    assert np.max(np.abs(lhs - tr3.jacobians[0, -1])) < 1e-8
+    z_t, J1 = eng.flow_with_jacobian(z, grid_t)
+    z2, J2 = eng.flow_with_jacobian(z_t, np.linspace(0, s, 33))
+    dets = []
+    z3, J3 = eng.flow_with_jacobian(
+        z, np.linspace(0, t + s, 65),
+        at_node=lambda k, _, Jk: dets.append(np.linalg.det(Jk[0])))
+    lhs = J2[0] @ J1[0]
+    assert np.max(np.abs(lhs - J3[0])) < 1e-8
     # flow group property
-    assert np.max(np.abs(tr2.states[0, -1] - tr3.states[0, -1])) < 1e-9
+    assert np.max(np.abs(z2[0] - z3[0])) < 1e-9
     # det J stays nonzero along the trajectory
-    dets = np.linalg.det(tr3.jacobians[0])
+    assert len(dets) == 65
     assert np.all(np.abs(dets) > 1e-6)
 
 
@@ -93,10 +95,10 @@ def test_rk4_observed_order_on_so3():
              parse("-y1*x2 + y2*x1", xs), ex.ZERO, ex.ZERO, ex.ZERO]
     eng = FlowEngine(comps, xs)
     z = np.array([[0.4, -0.3, 0.5, 0.3, 0.2, -0.4]])
-    ref = eng.flow_on_grid(z, np.linspace(0, 1, 2), substeps=512)[0, -1]
+    ref = eng.flow_on_grid(z, np.linspace(0, 1, 2), substeps=512)[0]
     errs = []
     for sub in (16, 32):
-        out = eng.flow_on_grid(z, np.linspace(0, 1, 2), substeps=sub)[0, -1]
+        out = eng.flow_on_grid(z, np.linspace(0, 1, 2), substeps=sub)[0]
         errs.append(np.max(np.abs(out - ref)))
     factor = errs[0] / errs[1]
     assert 12.0 <= factor <= 20.0   # 16 +- 25%
@@ -111,32 +113,35 @@ def test_domain_exit_raises_with_time():
 
 
 def _streamed(eng):
-    """flow_with_jacobian with a node consumer, so that it stores nothing."""
+    """flow_with_jacobian with a node consumer."""
     def solve(points, nodes, substeps=1):
         return eng.flow_with_jacobian(points, nodes, substeps,
                                       at_node=lambda k, z, J: None)
     return solve
 
 
-def test_streamed_nodes_equal_stored_trajectory():
-    """The consumer sees, node by node, exactly the states and Jacobians the
-    stored trajectory holds, and the streamed solve returns the end state."""
+def test_streamed_nodes_equal_truncated_solves():
+    """Both consumers see, node by node, exactly the end state of the solve
+    stopped at that node, and each solve returns the last node's state."""
     eng = FlowEngine([parse("x2 * x2 - y1", XYP), parse("x1 * y2", XYP),
                       parse("-y1 * y2", XYP), parse("y1 * y1", XYP)], XYP)
     P = np.array([[0.1, 0.2, 0.3, -0.4], [-0.3, 0.1, 0.2, 0.5],
                   [0.0, -0.2, -0.1, 0.3]])
     nodes = np.linspace(0.0, 1.0, 9)
-    traj = eng.flow_with_jacobian(P, nodes, 2)
-    seen = []
+    seen, seen_z = [], []
     z_end, J_end = eng.flow_with_jacobian(
         P, nodes, 2, at_node=lambda k, z, J: seen.append((k, z.copy(), J.copy())))
-    assert [k for k, _, _ in seen] == list(range(len(nodes)))
-    for k, z, J in seen:
-        assert np.array_equal(z, traj.states[:, k])
-        assert np.array_equal(J, traj.jacobians[:, k])
-    assert np.array_equal(z_end, traj.states[:, -1])
-    assert np.array_equal(J_end, traj.jacobians[:, -1])
-    assert np.array_equal(traj.states, eng.flow_on_grid(P, nodes, 2))
+    grid_end = eng.flow_on_grid(
+        P, nodes, 2, at_node=lambda k, z: seen_z.append((k, z.copy())))
+    assert [k for k, _, _ in seen] == [k for k, _ in seen_z] == \
+        list(range(len(nodes)))
+    for (k, z, J), (_, zg) in zip(seen, seen_z):
+        z_k, J_k = eng.flow_with_jacobian(P, nodes[:k + 1], 2)
+        assert np.array_equal(z, z_k) and np.array_equal(zg, z_k)
+        assert np.array_equal(J, J_k)
+    assert np.array_equal(z_end, seen[-1][1])
+    assert np.array_equal(J_end, seen[-1][2])
+    assert np.array_equal(grid_end, z_end)
 
 
 def test_domain_exit_names_batch_row():
@@ -200,28 +205,28 @@ def test_gauss_weights_sum_to_one():
 def test_simpson_exact_on_low_degree_polynomials(deg):
     rule = QuadratureRule.simpson(8)
     vals = rule.nodes ** deg
-    assert quad(vals, rule) == pytest.approx(1.0 / (deg + 1), abs=1e-15)
+    assert vals @ rule.weights == pytest.approx(1.0 / (deg + 1), abs=1e-15)
 
 
 def test_gauss_exact_up_to_rule_degree():
     rule = QuadratureRule.gauss_legendre(6)   # exact through degree 11
     for deg in range(12):
         vals = rule.nodes ** deg
-        assert quad(vals, rule) == pytest.approx(1.0 / (deg + 1), abs=1e-13)
+        assert vals @ rule.weights == pytest.approx(1.0 / (deg + 1), abs=1e-13)
 
 
 def test_quad_constant_tensor():
     rule = QuadratureRule.simpson(16)
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    vals = np.broadcast_to(A, (17, 2, 2))
-    assert np.allclose(quad(vals, rule), A)
+    vals = np.broadcast_to(A[..., None], (2, 2, 17))
+    assert np.allclose(vals @ rule.weights, A)
 
 
 def test_quad_linear_in_t():
     rule = QuadratureRule.simpson(4)
     A = np.array([2.0, -1.0])
-    vals = rule.nodes[:, None] * A
-    assert np.allclose(quad(vals, rule), A / 2.0)
+    vals = A[:, None] * rule.nodes
+    assert np.allclose(vals @ rule.weights, A / 2.0)
 
 
 def test_quad_exponential_against_antiderivative():
@@ -229,20 +234,20 @@ def test_quad_exponential_against_antiderivative():
     rule = QuadratureRule.simpson(64)
     vals = np.exp(-rule.nodes)
     want = 1.0 - np.exp(-1.0)
-    assert quad(vals, rule) == pytest.approx(want, abs=1e-9)
-    assert quad(np.exp(-QuadratureRule.simpson(128).nodes),
-                QuadratureRule.simpson(128)) == pytest.approx(want, abs=1e-10)
+    assert vals @ rule.weights == pytest.approx(want, abs=1e-9)
+    fine = QuadratureRule.simpson(128)
+    assert np.exp(-fine.nodes) @ fine.weights == pytest.approx(want, abs=1e-10)
 
 
 def test_simpson_observed_order():
     # quadrature error of a smooth integrand drops ~16x when doubling n
     f = lambda t: np.exp(np.sin(3.0 * t))
-    exact = quad(f(QuadratureRule.simpson(4096).nodes),
-                 QuadratureRule.simpson(4096))
+    ref = QuadratureRule.simpson(4096)
+    exact = f(ref.nodes) @ ref.weights
     errs = []
     for n in (16, 32):
         rule = QuadratureRule.simpson(n)
-        errs.append(abs(quad(f(rule.nodes), rule) - exact))
+        errs.append(abs(f(rule.nodes) @ rule.weights - exact))
     assert 12.0 <= errs[0] / errs[1] <= 20.0
 
 
@@ -251,7 +256,7 @@ def test_cumulative_integral_matches_simpson_total():
     rule = QuadratureRule.simpson(32)
     vals = np.exp(-rule.nodes)
     cum = cumulative_integral(vals, rule.nodes)
-    assert cum[-1] == pytest.approx(quad(vals, rule), abs=1e-14)
+    assert cum[-1] == pytest.approx(vals @ rule.weights, abs=1e-14)
     # additivity: increments are consistent prefix sums
     assert np.all(np.diff(cum) > 0)
 

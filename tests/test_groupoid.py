@@ -16,6 +16,7 @@ from sprayform.algebroid import (
 from sprayform.errors import (
     ComposabilityError,
     DegenerateFormError,
+    DimensionError,
     NonlinearCocycleError,
 )
 from sprayform.expr import BivectorField, FormField, parse
@@ -169,13 +170,13 @@ def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid)
             G.units(G.chart.sample_base_points(3, 10, scale=0.5))])
         batched = ev.omega_full(pts)
         grids = [(G._grid, G.substeps), (np.linspace(0.0, 0.5, 9), 4)]
-        states = [G.engine.flow_on_grid(pts, nodes, sub) for nodes, sub in grids]
+        states = [_grid_states(G, pts, nodes, sub) for nodes, sub in grids]
         tau, dtau = G.tau_with_jacobian(pts)
         for b in range(len(pts)):
             row = pts[b:b + 1]
             assert np.array_equal(batched[b], ev.omega_full(row)[0])
             for (nodes, sub), S in zip(grids, states):
-                assert np.array_equal(S[b], G.engine.flow_on_grid(row, nodes, sub)[0])
+                assert np.array_equal(S[b], _grid_states(G, row, nodes, sub)[0])
             tau_b, dtau_b = G.tau_with_jacobian(row)
             assert np.array_equal(tau[b], tau_b[0])
             assert np.array_equal(dtau[b], dtau_b[0])
@@ -188,20 +189,29 @@ def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid)
                                                n_steps=4))
 
 
+def _grid_states(G, P, nodes, substeps):
+    """(B, T+1, d) states of one flow_on_grid solve, collected per node."""
+    seen = []
+    G.engine.flow_on_grid(P, nodes, substeps, lambda k, z: seen.append(z.copy()))
+    return np.stack(seen, axis=1)
+
+
 def _stored_quadrature(G, form, P, delta=None):
-    """Two-pass oracle: store the trajectory, pull the form back at every
-    node, then reduce over the nodes in one call (einsum for trivial
+    """Two-pass oracle: store the flow and its Jacobians at every quadrature
+    node through a collecting consumer, pull the form back at every node,
+    then reduce over the nodes in one call (einsum for trivial
     coefficients, the transport-weighted np.sum for a cocycle delta)."""
-    traj = G.trajectory(P)
-    sl = G._node_slice()
-    comps = ex.compile_exprs(form.exprs_dense(), G.spray.variables)(
-        traj.states[:, sl])
+    seen = []
+    G.flow_end(P, lambda j, z, J: seen.append((z.copy(), J.copy())))
+    states = np.stack([z for z, _ in seen], axis=1)
+    jacs = np.stack([J for _, J in seen], axis=1)
+    comps = ex.compile_exprs(form.exprs_dense(), G.spray.variables)(states)
     full = tn.comps_to_full_batch(comps, G.dim, form.degree)
-    pulled = tn.pullback_full_batch(traj.jacobians[:, sl], full, form.degree)
+    pulled = tn.pullback_full_batch(jacs, full, form.degree)
     if delta is None:
         return np.einsum("bt...,t->b...", pulled, G.rule.weights)
-    vals = ex.compile_exprs([delta], G.spray.variables)(traj.states)[..., 0]
-    w = G.rule.weights * np.exp(-cumulative_integral(vals, traj.times))[:, sl]
+    vals = ex.compile_exprs([delta], G.spray.variables)(states)[..., 0]
+    w = G.rule.weights * np.exp(-cumulative_integral(vals, G.rule.nodes))
     return np.sum(pulled * w.reshape(w.shape + (1,) * form.degree), axis=1)
 
 
@@ -237,20 +247,26 @@ def test_streamed_quadrature_matches_stored_trajectory(so3_groupoid,
             assert np.max(np.abs(got)) > 1e-3
 
 
-def test_omega_full_stores_no_trajectory(so3_groupoid):
-    """omega_full on 900 rows peaks below one stored (B, 65, d, d) Jacobian
-    trajectory (16 MiB)."""
-    _, G, ev = so3_groupoid
-    pts = G.sample_validity_points(900, seed=23, fiber_scale=0.8)
-    traj_bytes = 900 * len(G._grid) * G.dim * G.dim * 8
-    ev.omega_full(pts[:2])          # warm up lazy allocations
+def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
-        ev.omega_full(pts)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < traj_bytes
+
+
+def test_omega_full_stores_no_trajectory(so3_groupoid):
+    """On 900 rows, omega_full peaks below one stored (B, 65, d, d) Jacobian
+    trajectory (16 MiB) and tau below one stored (B, 65, d) state
+    trajectory (2.7 MiB)."""
+    _, G, ev = so3_groupoid
+    pts = G.sample_validity_points(900, seed=23, fiber_scale=0.8)
+    state_bytes = 900 * len(G._grid) * G.dim * 8
+    ev.omega_full(pts[:2])          # warm up lazy allocations
+    G.tau(pts[:2])
+    assert _peak_bytes(ev.omega_full, pts) < state_bytes * G.dim
+    assert _peak_bytes(G.tau, pts) < state_bytes
 
 
 def test_domega_poisson_is_zero(so3_groupoid):
@@ -292,10 +308,12 @@ def test_omega_gauss_rule_agrees_with_simpson():
 
 def test_multiply_flat_is_fiberwise_addition(flat_groupoid):
     _, G, ev = flat_groupoid
-    a = np.array([0.3, -0.1, 0.2, 0.4])
-    b = np.array([0.3, -0.1, -0.3, 0.1])
+    a = np.array([[0.3, -0.1, 0.2, 0.4]])
+    b = np.array([[0.3, -0.1, -0.3, 0.1]])
     mu = multiply_poisson(G, ev, a, b, n_steps=8)
-    assert np.max(np.abs(mu - [0.3, -0.1, -0.1, 0.5])) < 1e-10
+    assert np.max(np.abs(mu - [[0.3, -0.1, -0.1, 0.5]])) < 1e-10
+    with pytest.raises(DimensionError, match=r"\(B, d\) batches"):
+        multiply_poisson(G, ev, a[0], b[0], n_steps=8)
 
 
 def test_multiply_unit_laws(so3_groupoid):
@@ -314,8 +332,8 @@ def test_multiply_unit_laws(so3_groupoid):
 
 def test_multiply_rejects_noncomposable(flat_groupoid):
     _, G, ev = flat_groupoid
-    a = np.array([0.5, 0.0, 0.1, 0.0])
-    b = np.array([0.0, 0.0, 0.1, 0.0])
+    a = np.array([[0.5, 0.0, 0.1, 0.0]])
+    b = np.array([[0.0, 0.0, 0.1, 0.0]])
     with pytest.raises(ComposabilityError):
         multiply_poisson(G, ev, a, b)
 

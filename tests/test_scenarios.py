@@ -366,7 +366,7 @@ def test_jacobi_r_zero_reduces_to_poisson_channel(so3_scenario):
     assert np.max(np.abs(om[:, 3] - 1.0)) < 1e-12      # du channel
     # weights are identically one
     from sprayform.algebroid import transport_weight
-    w = transport_weight(js.chart, G.trajectory(pts))
+    w = transport_weight(G, pts)
     assert np.max(np.abs(w - 1.0)) < 1e-14
     # d omega on the (x, p) block matches the Poisson form at the matching
     # cotangent point (strip the u coordinate; u is inert for this spray)
