@@ -53,6 +53,5 @@ from .scenarios import (
     omega_L,
     torsion_identity_check,
 )
-from .tensor import AltTensor, interior, pullback, wedge
 
 __version__ = "0.1.0"

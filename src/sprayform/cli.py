@@ -55,7 +55,7 @@ from .scenarios import (
     convergence_study,
     gcs_identity_check,
 )
-from .tensor import AltTensor, index_list
+from . import tensor as tn
 
 SCHEMA_VERSION = 1
 
@@ -456,12 +456,15 @@ def cmd_convergence(args):
     return 0 if (order >= 3.5 or order == float("inf")) else 1
 
 
-def _parse_vector(text, expected):
+def _parse_numbers(text):
     try:
-        vals = np.array([float(t) for t in text.split(",") if t.strip() != ""])
+        return np.array([float(t) for t in text.split(",") if t.strip() != ""])
     except ValueError:
         raise ConfigError(f"{text!r} is not a comma-separated list of numbers") \
             from None
+
+
+def _check_length(vals, expected):
     if len(vals) != expected:
         raise ConfigError(f"expected {expected} components, got {len(vals)}")
     return vals
@@ -471,6 +474,12 @@ def cmd_eval(args):
     raw = load_config(args.config)
     if args.seed is not None:
         raw.setdefault("numerics", {})["seed"] = args.seed
+    # malformed numbers fail before the build; their lengths need G.dim
+    point = _parse_numbers(args.point)
+    vecs = [_parse_numbers(v) for v in args.vectors.split(";")] \
+        if args.vectors else None
+    pair = [_parse_numbers(t) for t in args.pair.partition("|")[::2]] \
+        if args.pair else None
     scen, report = build_scenario(raw)
     if scen is None:
         raise ConfigError("prechecks failed; nothing to evaluate "
@@ -478,31 +487,27 @@ def cmd_eval(args):
     G = scen.groupoid
     ev = scen.evaluator
     out = {"schema_version": SCHEMA_VERSION}
-    point = _parse_vector(args.point, G.dim)
+    point = _check_length(point, G.dim)
     if ev is not None:
-        W = AltTensor.from_full(ev.omega_full(point[None, :])[0], ev.degree)
-        keys = ["".join(str(i + 1) for i in I)
-                for I in index_list(G.dim, ev.degree)]
-        out["omega"] = dict(zip(keys, [float(v) for v in W.comps]))
-        dW = AltTensor.from_full(ev.domega_full(point[None, :])[0],
-                                 ev.degree + 1)
-        dkeys = ["".join(str(i + 1) for i in I)
-                 for I in index_list(G.dim, ev.degree + 1)]
-        out["domega"] = dict(zip(dkeys, [float(v) for v in dW.comps]))
-        if args.vectors:
-            vecs = [_parse_vector(v, G.dim) for v in args.vectors.split(";")]
+        comps = {}
+        for name, full, k in (("omega", ev.omega_full, ev.degree),
+                              ("domega", ev.domega_full, ev.degree + 1)):
+            comps[name] = tn.full_to_comps_batch(full(point[None, :]), G.dim, k)
+            out[name] = {"".join(str(i + 1) for i in I): float(v)
+                         for I, v in zip(tn.index_list(G.dim, k), comps[name][0])}
+        if vecs is not None:
+            vecs = [_check_length(v, G.dim) for v in vecs]
             if len(vecs) != ev.degree:
                 raise ConfigError(f"omega takes {ev.degree} vectors")
-            out["omega_on_vectors"] = float(W(*vecs))
+            out["omega_on_vectors"] = float(
+                tn.evaluate_batch(comps["omega"], np.column_stack(vecs)[None])[0])
         if ev.degree == 2:
             try:
                 out["Pi"] = ev.inverse_matrices(point[None, :])[0].tolist()
             except SprayformError:
                 out["Pi"] = None
-        if args.pair and raw["kind"] in ("poisson", "nijenhuis", "gcs"):
-            a_txt, _, b_txt = args.pair.partition("|")
-            a = _parse_vector(a_txt, G.dim)
-            b = _parse_vector(b_txt, G.dim)
+        if pair is not None and raw["kind"] in ("poisson", "nijenhuis", "gcs"):
+            a, b = [_check_length(v, G.dim) for v in pair]
             nm = scen.numerics
             out["mu"] = multiply_poisson(G, ev, a[None, :], b[None, :],
                                          n_steps=nm.mu_steps)[0].tolist()

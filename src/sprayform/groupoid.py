@@ -151,8 +151,8 @@ class SprayGroupoid:
     def tau(self, P):
         return self.engine.flow_on_grid(P, self._grid, self.substeps)[:, : self.n]
 
-    def tau_with_jacobian(self, P):
-        end, J = self.flow_end(P)
+    def tau_with_jacobian(self, P, *consumers):
+        end, J = self.flow_end(P, *consumers)
         return end[:, : self.n], J[:, : self.n, :]
 
     def inverse(self, P):
@@ -160,8 +160,8 @@ class SprayGroupoid:
         end[:, self.n:] *= -1.0
         return end
 
-    def inverse_with_jacobian(self, P):
-        end, J = self.flow_end(P)
+    def inverse_with_jacobian(self, P, *consumers):
+        end, J = self.flow_end(P, *consumers)
         end[:, self.n:] *= -1.0
         J[:, self.n:, :] *= -1.0
         return end, J
@@ -457,16 +457,20 @@ def _left_factors(G, right, rng, fiber_scale):
     return left
 
 
-def composable_tangents_batch(G, b, v_base, rng):
-    """Batched solution of dtau(w) = v_base plus a random kernel component."""
-    _, dtau = G.tau_with_jacobian(b)
+def composable_tangents_batch(dtau, v_bases, rng):
+    """Batched solutions w of dtau(w) = v_base plus a random kernel
+    component, one (B, d) batch per entry of ``v_bases``, drawn in order."""
     pinv = np.linalg.pinv(dtau)
-    w = np.einsum("bja,ba->bj", pinv, v_base)
     proj = np.einsum("bja,bak->bjk", pinv, dtau)
-    B, d = b.shape
-    rand = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(B)])
-    w += rand - np.einsum("bjk,bk->bj", proj, rand)
-    return w
+    B, _, d = dtau.shape
+    out = []
+    for v_base in v_bases:
+        w = np.einsum("bja,ba->bj", pinv, v_base)
+        rand = np.array([[rng.uniform(-1, 1) for _ in range(d)]
+                         for _ in range(B)])
+        w += rand - np.einsum("bjk,bk->bj", proj, rand)
+        out.append(w)
+    return out
 
 
 def _newton_composable(G, a_base, b_guess, iters=3, tol=1e-13):
@@ -527,20 +531,22 @@ def multiplicativity_residual(G, evaluator, n_pairs=100, seed=2718, n_steps=32,
     d = G.dim
     v1 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
     v2 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
-    w1 = composable_tangents_batch(G, b, v1[:, : G.n], rng)
-    w2 = composable_tangents_batch(G, b, v2[:, : G.n], rng)
+    # one tangent-flow solve per batch: dtau and omega at b, the inverse
+    # and omega at a
+    om_b, om_a = evaluator.omega_sum(), evaluator.omega_sum()
+    _, dtau = G.tau_with_jacobian(b, om_b)
+    w1, w2 = composable_tangents_batch(dtau, [v1[:, : G.n], v2[:, : G.n]], rng)
     mu, dmu = differential_of_multiplication(
         G, evaluator, a, b, [(v1, w1), (v2, w2)], n_steps=n_steps)
 
     W_mu = evaluator.omega_matrices(mu)
-    W_a = evaluator.omega_matrices(a)
-    W_b = evaluator.omega_matrices(b)
+    inv_a, dinv = G.inverse_with_jacobian(a, om_a)
+    W_a, W_b = om_a.value, om_b.value
     lhs = np.einsum("bi,bij,bj->b", dmu[0], W_mu, dmu[1])
     rhs = np.einsum("bi,bij,bj->b", v1, W_a, v2) + \
         np.einsum("bi,bij,bj->b", w1, W_b, w2)
     mult_res = float(np.max(np.abs(lhs - rhs)))
 
-    inv_a, dinv = G.inverse_with_jacobian(a)
     W_inv = evaluator.omega_matrices(inv_a)
     pulled = np.einsum("bji,bjk,bkl->bil", dinv, W_inv, dinv)
     inv_res = float(np.max(np.abs(pulled + W_a)))
@@ -675,38 +681,38 @@ def units_form_predictor(A, l_fields, X, args):
     X = np.asarray(X, dtype=np.float64)
     rho = A.anchor_at(X)
     l_vals = np.stack([f.values(X) for f in l_fields], axis=1)   # (B, r, nC)
-    degree = l_fields[0].degree
     k = len(args)
 
-    def pure_value(b, ls, fiber_list, tm_list):
+    def pure_value(fiber_list, tm_list):
         j = len(fiber_list)
         if j == 0:
             return 0.0
         total = 0.0
         for i in range(j):
             a_i = fiber_list[i]
-            others = [rho[b] @ fiber_list[m] for m in range(j) if m != i]
-            vectors = others + list(tm_list)
-            lt = sum((a_i[m] * ls[m] for m in range(A.r)),
-                     tn.AltTensor(A.n, degree))
-            total += ((-1.0) ** i) * lt(*vectors)
+            others = [np.matmul(rho, fiber_list[m][..., None])[..., 0]
+                      for m in range(j) if m != i]
+            cols = others + list(tm_list)
+            V = np.stack(cols, axis=-1) if cols else np.zeros((len(X), A.n, 0))
+            lt = np.zeros((len(X), l_vals.shape[2]))
+            for m in range(A.r):
+                lt = lt + l_vals[:, m] * a_i[:, m, None]
+            total = total + ((-1.0) ** i) * tn.evaluate_batch(lt, V)
         return total / j
 
     out = np.zeros(len(X))
-    for b in range(len(X)):
-        ls = [tn.AltTensor(A.n, degree, l_vals[b, m]) for m in range(A.r)]
-        for pattern in _binary_patterns(k):
-            fibers, tms, sign = [], [], 1
-            moved = 0
-            for pos, take_fiber in enumerate(pattern):
-                if take_fiber:
-                    # moving this fiber argument in front of the tm args before it
-                    sign *= (-1) ** (pos - moved)
-                    fibers.append(np.asarray(args[pos][1][b], dtype=np.float64))
-                    moved += 1
-                else:
-                    tms.append(np.asarray(args[pos][0][b], dtype=np.float64))
-            out[b] += sign * pure_value(b, ls, fibers, tms)
+    for pattern in _binary_patterns(k):
+        fibers, tms, sign = [], [], 1
+        moved = 0
+        for pos, take_fiber in enumerate(pattern):
+            if take_fiber:
+                # moving this fiber argument in front of the tm args before it
+                sign *= (-1) ** (pos - moved)
+                fibers.append(np.asarray(args[pos][1], dtype=np.float64))
+                moved += 1
+            else:
+                tms.append(np.asarray(args[pos][0], dtype=np.float64))
+        out += sign * pure_value(fibers, tms)
     return out
 
 

@@ -870,15 +870,11 @@ def jacobi_checks(scenario, samples=40, seed=909, numerics=None):
                    nm.tol("closed_form", 1e-8))
 
     # contact margin: | omega ^ (d omega)^n | over the box
-    margin = np.inf
-    dom = scenario.evaluator.domega_full(pts)
-    for b in range(len(pts)):
-        a1 = tn.AltTensor(G.dim, 1, om[b])
-        a2 = tn.AltTensor.from_full(dom[b], 2)
-        top = a1
-        for _ in range(n):
-            top = tn.wedge(top, a2)
-        margin = min(margin, float(np.max(np.abs(top.comps))))
+    dom = tn.full_to_comps_batch(scenario.evaluator.domega_full(pts), G.dim, 2)
+    top = om
+    for i in range(n):
+        top = tn.wedge_batch(top, dom, G.dim, 1 + 2 * i, 2)
+    margin = float(np.min(np.max(np.abs(top), axis=1)))
     report.add_margin("contact_margin", margin, nm.tol("contact_margin", 0.1),
                       note=f"min |omega ^ (d omega)^{n}| = {margin:.3e}")
 

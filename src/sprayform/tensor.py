@@ -1,16 +1,16 @@
-"""Pointwise multilinear algebra: alternating tensors and their batched kernels.
+"""Alternating forms as batched arrays of components.
 
-Values of differential forms at a point live here.  The evaluation
-convention is the determinant one (no 1/k! factors):
+A k-form on R^d is carried either as its components over strictly
+increasing multi-indices, shape (..., nC) with nC = C(d, k) in
+``index_list`` order, or as the fully antisymmetric dense array, shape
+(..., d, .., d); leading axes are batch axes.  The evaluation convention is
+the determinant one (no 1/k! factors):
 
     (dx^1 ^ dx^2)(e1, e2) = 1
 
-so a k-tensor applied to vectors v1..vk is  sum_I  a_I * det(V[I, :]),
+so a k-form applied to vectors v1..vk is  sum_I  a_I * det(V[I, :]),
 with V the matrix whose columns are the vectors and I running over strictly
-increasing multi-indices.  Ambient dimensions are capped at 8, which bounds
-the dense component storage at C(8,4) = 70 entries.
-
-All values are plain immutable data; share freely between threads.
+increasing multi-indices.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["AltTensor", "wedge", "interior", "pullback"]
-
-MAX_DIM = 8
+__all__ = ["comps_to_full_batch", "full_to_comps_batch", "wedge_batch",
+           "evaluate_batch", "pullback_full_batch"]
 
 
 @lru_cache(maxsize=None)
@@ -76,168 +75,10 @@ def _perm_sign(order):
     return sign
 
 
-class AltTensor:
-    """Alternating covariant k-tensor on R^d, dense over increasing indices."""
-
-    __slots__ = ("dim", "degree", "comps")
-
-    def __init__(self, dim, degree, comps=None):
-        if dim > MAX_DIM:
-            raise DimensionError(f"dimension {dim} exceeds the supported cap {MAX_DIM}")
-        if not 0 <= degree <= dim:
-            raise DimensionError(f"degree {degree} out of range for dim {dim}")
-        self.dim = int(dim)
-        self.degree = int(degree)
-        n = len(index_list(dim, degree))
-        if comps is None:
-            self.comps = np.zeros(n)
-        else:
-            comps = np.asarray(comps, dtype=np.float64)
-            if comps.shape != (n,):
-                raise DimensionError(f"expected {n} components, got {comps.shape}")
-            self.comps = comps
-
-    @classmethod
-    def from_components(cls, dim, degree, mapping):
-        """Build from a {multi-index tuple: value} mapping (indices 0-based)."""
-        pos = index_position(dim, degree)
-        comps = np.zeros(len(pos))
-        for I, v in mapping.items():
-            comps[pos[tuple(I)]] = v
-        return cls(dim, degree, comps)
-
-    @classmethod
-    def basis_covector(cls, dim, i):
-        return cls.from_components(dim, 1, {(i,): 1.0})
-
-    def component(self, I):
-        return float(self.comps[index_position(self.dim, self.degree)[tuple(I)]])
-
-    def to_full(self):
-        """Fully antisymmetric dense array of shape (d,)*k."""
-        full = np.zeros((self.dim,) * self.degree)
-        if self.degree == 0:
-            return self.comps[0] if self.comps.size else np.zeros(())
-        for p, I in enumerate(index_list(self.dim, self.degree)):
-            v = self.comps[p]
-            if v == 0.0:
-                continue
-            for perm in itertools.permutations(range(self.degree)):
-                sign = _perm_sign(perm)
-                full[tuple(I[k] for k in perm)] = sign * v
-        return full
-
-    @classmethod
-    def from_full(cls, full, degree=None):
-        full = np.asarray(full, dtype=np.float64)
-        k = full.ndim if degree is None else degree
-        d = full.shape[0] if k else 0
-        if k == 0:
-            return cls(0, 0, np.array([float(full)]))
-        idx = index_list(d, k)
-        comps = np.array([full[I] for I in idx])
-        return cls(d, k, comps)
-
-    def __call__(self, *vectors):
-        if len(vectors) != self.degree:
-            raise DimensionError(f"expected {self.degree} vectors")
-        if self.degree == 0:
-            return float(self.comps[0])
-        V = np.column_stack([np.asarray(v, dtype=np.float64) for v in vectors])
-        if V.shape[0] != self.dim:
-            raise DimensionError("vector dimension mismatch")
-        total = 0.0
-        for p, I in enumerate(index_list(self.dim, self.degree)):
-            a = self.comps[p]
-            if a != 0.0:
-                total += a * np.linalg.det(V[list(I), :])
-        return float(total)
-
-    def __add__(self, other):
-        self._check_like(other)
-        return AltTensor(self.dim, self.degree, self.comps + other.comps)
-
-    def __sub__(self, other):
-        self._check_like(other)
-        return AltTensor(self.dim, self.degree, self.comps - other.comps)
-
-    def __mul__(self, scalar):
-        return AltTensor(self.dim, self.degree, self.comps * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def _check_like(self, other):
-        if self.dim != other.dim or self.degree != other.degree:
-            raise DimensionError("tensor shape mismatch")
-
-    def norm_max(self):
-        return float(np.max(np.abs(self.comps))) if self.comps.size else 0.0
-
-    def __repr__(self):
-        return f"AltTensor(dim={self.dim}, degree={self.degree}, comps={self.comps})"
-
-
-def wedge(a, b):
-    """Wedge product under the determinant convention (signed shuffle sum)."""
-    if a.dim != b.dim:
-        raise DimensionError("wedge needs a common ambient dimension")
-    if a.degree + b.degree > a.dim:
-        raise DimensionError("wedge degree exceeds ambient dimension")
-    out = np.zeros(len(index_list(a.dim, a.degree + b.degree)))
-    for ia, ib, io, sign in _merge_table(a.dim, a.degree, b.degree):
-        out[io] += sign * a.comps[ia] * b.comps[ib]
-    return AltTensor(a.dim, a.degree + b.degree, out)
-
-
-def interior(v, a):
-    """Interior product (i_v a)(w2..wk) = a(v, w2..wk)."""
-    if a.degree < 1:
-        raise DimensionError("interior product needs degree >= 1")
-    v = np.asarray(v, dtype=np.float64)
-    pos_out = index_position(a.dim, a.degree - 1)
-    out = np.zeros(len(pos_out))
-    for p, I in enumerate(index_list(a.dim, a.degree)):
-        c = a.comps[p]
-        if c == 0.0:
-            continue
-        for slot, i in enumerate(I):
-            J = I[:slot] + I[slot + 1:]
-            out[pos_out[J]] += ((-1) ** slot) * v[i] * c
-    return AltTensor(a.dim, a.degree - 1, out)
-
-
-def pullback(a, J):
-    """Pullback (J* a)(v1..vk) = a(J v1, .., J vk); J maps the new space in."""
-    M = np.asarray(J, dtype=np.float64)
-    d_out, d_in = M.shape
-    if a.dim != d_out:
-        raise DimensionError("pullback: form lives on the codomain of J")
-    k = a.degree
-    if k == 0:
-        return AltTensor(d_in, 0, a.comps.copy())
-    if k > d_in:
-        raise DimensionError("pullback target dimension is below the form degree")
-    rows = index_list(d_out, k)
-    cols = index_list(d_in, k)
-    out = np.zeros(len(cols))
-    for pc, C in enumerate(cols):
-        sub = M[:, list(C)]
-        total = 0.0
-        for pr, R in enumerate(rows):
-            c = a.comps[pr]
-            if c != 0.0:
-                total += c * np.linalg.det(sub[list(R), :])
-        out[pc] = total
-    return AltTensor(d_in, k, out)
-
-
 # ---------------------------------------------------------------------------
-# Batched kernels used by the quadrature evaluators (degrees 1..3).
-# Forms are carried as fully antisymmetric dense arrays with leading batch
-# axes; these helpers keep the hot paths inside einsum.
+# Batched kernels.  The quadrature evaluators (degrees 1..3) carry dense
+# arrays, which keep the pullback inside einsum; wedge and evaluation work
+# on components.
 
 
 def comps_to_full_batch(comps, dim, degree):
@@ -251,6 +92,35 @@ def comps_to_full_batch(comps, dim, degree):
             sign = _perm_sign(perm)
             full[(...,) + tuple(I[k] for k in perm)] = sign * comps[..., p]
     return full
+
+
+def full_to_comps_batch(full, dim, degree):
+    """(..., d, .., d) antisymmetric -> (..., nC) increasing components."""
+    idx = np.asarray(index_list(dim, degree), dtype=np.intp).reshape(-1, degree)
+    return full[(...,) + tuple(idx.T)]
+
+
+def wedge_batch(a, b, dim, p, q):
+    """Wedge of (..., nC) components of degrees p and q on R^dim."""
+    if p + q > dim:
+        raise DimensionError("wedge degree exceeds ambient dimension")
+    out = np.zeros(a.shape[:-1] + (len(index_list(dim, p + q)),))
+    for ia, ib, io, sign in _merge_table(dim, p, q):
+        out[..., io] += sign * a[..., ia] * b[..., ib]
+    return out
+
+
+def evaluate_batch(comps, V):
+    """Values sum_I a_I det(V[I, :]) of (..., nC) components on the columns
+    of V, shape (..., d, k); zero components add nothing."""
+    d, k = V.shape[-2:]
+    idx = index_list(d, k)
+    dets = np.linalg.det(V[..., np.asarray(idx, dtype=np.intp), :])
+    total = 0.0   # summed in index order: np.sum would pair terms, rounding apart
+    for p in range(len(idx)):
+        a = comps[..., p]
+        total = total + np.where(a != 0.0, a * dets[..., p], 0.0)
+    return total
 
 
 def pullback_full_batch(J, full, degree):

@@ -43,7 +43,7 @@ from sprayform.scenarios import (
     tau_pullback,
     torsion_identity_check,
 )
-from sprayform.tensor import AltTensor, wedge
+from sprayform import tensor as tn
 
 from conftest import XS2, XS3, constant_bivector_r2
 
@@ -245,8 +245,9 @@ def test_criterion_9_jacobi_line(jacobi_line_scenario):
     origin = np.zeros(3)
     om = ev.omega_full(origin[None, :])[0]
     dom = ev.domega_full(origin[None, :])[0]
-    top = wedge(AltTensor(3, 1, om), AltTensor.from_full(dom, 2))
-    margin = float(np.max(np.abs(top.comps)))
+    top = tn.wedge_batch(om[None], tn.full_to_comps_batch(dom[None], 3, 2),
+                         3, 1, 2)
+    margin = float(np.max(np.abs(top)))
 
     pts = G.sample_validity_points(30, 901)
     f = integrate_cocycle(G, jacobi_cocycle(jacobi_line_scenario.chart), pts)

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from sprayform import cli
 from sprayform.cli import CONFIG_SCHEMA, load_config, main, parse_config
 from sprayform.errors import ConfigError
 from sprayform.flow import FlowEngine
@@ -121,8 +122,14 @@ def test_malformed_R_is_config_error_in_every_subcommand(tmp_path, capsys):
     ["--point", "0,0,0.1,0.2", "--vectors", "1,0,0,0;0,x,1,0"],
     ["--point", "0,0,0.1,0.2", "--pair", "0.1,0.2,0.3,-0.1|0.1,zz,0,0"],
 ])
-def test_malformed_eval_vector_is_config_error(flags, tmp_path, capsys):
-    """A non-numeric --point, --vectors row or --pair side exits 2, not 1."""
+def test_malformed_eval_vector_is_config_error(flags, tmp_path, capsys,
+                                              monkeypatch):
+    """A non-numeric --point, --vectors row or --pair side exits 2, not 1,
+    before the scenario is built."""
+    def no_build(raw):
+        raise AssertionError("build_scenario ran before the numbers parsed")
+
+    monkeypatch.setattr(cli, "build_scenario", no_build)
     path = _fast_poisson(tmp_path)
     assert main(["eval", "--config", path] + flags) == 2
     assert "is not a comma-separated list of numbers" in capsys.readouterr().err
@@ -285,6 +292,34 @@ def test_eval_flat_canonical_value(tmp_path, capsys):
     assert out["omega"]["13"] == pytest.approx(1.0, abs=1e-14)
     assert out["mu"] == pytest.approx([0.0, 0.0, 0.1, 0.4], abs=1e-10)
     assert out["Pi"] is not None
+
+
+def test_eval_has_no_total_dimension_cap(tmp_path, capsys):
+    """The chart dim <= 8 of the schema is the only dimension limit: a
+    5-dim Poisson chart has a 10-dim groupoid, and a 1-dim one a 2-form
+    whose d omega has no components."""
+    nm = {"quad_nodes": 8, "mu_steps": 4, "samples": 10}
+    path = _fast_poisson(tmp_path, numerics=nm, chart={
+        "dim": 5, "box": [[-1.0, 1.0]] * 5}, coefficients={
+        "pi": {"12": "1", "34": "1"}})
+    assert main(["eval", "--config", path, "--point", "0.1" + ",0" * 9]) == 0
+    assert len(json.loads(capsys.readouterr().out)["omega"]) == 45
+    path = _fast_poisson(tmp_path, numerics=nm, coefficients={"pi": {}},
+                         chart={"dim": 1, "box": [[-1.0, 1.0]]})
+    assert main(["eval", "--config", path, "--point", "0.1,0.2"]) == 0
+    assert json.loads(capsys.readouterr().out)["domega"] == {}
+
+
+def test_check_jacobi_has_no_total_dimension_cap(tmp_path, capsys):
+    """A 4-dim Jacobi chart has a 9-dim groupoid; its contact margin, a
+    9-form omega ^ (d omega)^4, is computed, not refused."""
+    path = _fast_poisson(
+        tmp_path, kind="jacobi", numerics={"quad_nodes": 8, "samples": 10},
+        chart={"dim": 4, "box": [[-1.0, 1.0]] * 4},
+        coefficients={"pi": {}, "R": ["1", "0", "0", "0"]})
+    code = main(["check", "--config", path, "--out-dir", str(tmp_path)])
+    assert "exceeds the supported cap" not in capsys.readouterr().err
+    assert code == 0
 
 
 def test_eval_out_of_box_is_runtime_error(tmp_path, capsys):

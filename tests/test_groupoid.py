@@ -20,7 +20,7 @@ from sprayform.errors import (
     NonlinearCocycleError,
 )
 from sprayform.expr import BivectorField, FormField, parse
-from sprayform.flow import cumulative_integral
+from sprayform.flow import FlowEngine, cumulative_integral
 from sprayform.groupoid import (
     MultFormEvaluator,
     SprayGroupoid,
@@ -30,6 +30,7 @@ from sprayform.groupoid import (
     discover_validity_box,
     integrate_cocycle,
     linearization_check,
+    multiplicativity_residual,
     multiply_poisson,
     sample_composable_pairs,
     units_form_predictor,
@@ -156,10 +157,11 @@ def test_omega_jacobi_line_closed_form(jacobi_line_groupoid):
 
 
 def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid):
-    """Row b of a batched omega, flow or (tau, dtau) equals the one-row call
-    on row b, and a stacked product equals its blocks multiplied apart, bit
-    for bit, so a check may evaluate its whole sample set in one call
-    without moving a residual's last digit."""
+    """Row b of a batched omega, flow, (tau, dtau), component gather, wedge
+    or evaluation on vectors equals the one-row call on row b, and a stacked
+    product equals its blocks multiplied apart, bit for bit, so a check may
+    evaluate its whole sample set in one call without moving a residual's
+    last digit."""
     A, G3, ev3 = so3_groupoid
     varpi = FormField(XS3, 2, {(0, 1): parse("x1 * x3", XS3)})
     evE = MultFormEvaluator(G3, linear_form(exact_im_pair(A, varpi)))
@@ -172,9 +174,19 @@ def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid)
         grids = [(G._grid, G.substeps), (np.linspace(0.0, 0.5, 9), 4)]
         states = [_grid_states(G, pts, nodes, sub) for nodes, sub in grids]
         tau, dtau = G.tau_with_jacobian(pts)
+        d, k = G.dim, ev.degree
+        comps = tn.full_to_comps_batch(batched, d, k)
+        V = np.random.default_rng(11).uniform(-1, 1, (len(pts), d, k))
+        values = tn.evaluate_batch(comps, V)
+        wedged = tn.wedge_batch(comps, comps, d, k, k)
         for b in range(len(pts)):
             row = pts[b:b + 1]
             assert np.array_equal(batched[b], ev.omega_full(row)[0])
+            one = tn.full_to_comps_batch(batched[b:b + 1], d, k)
+            assert np.array_equal(comps[b], one[0])
+            assert np.array_equal(values[b],
+                                  tn.evaluate_batch(one, V[b:b + 1])[0])
+            assert np.array_equal(wedged[b], tn.wedge_batch(one, one, d, k, k)[0])
             for (nodes, sub), S in zip(grids, states):
                 assert np.array_equal(S[b], _grid_states(G, row, nodes, sub)[0])
             tau_b, dtau_b = G.tau_with_jacobian(row)
@@ -395,12 +407,32 @@ def test_differential_of_multiplication_flat(flat_groupoid):
     b = np.array([[0.2, 0.1, 0.05, 0.3], [-0.1, 0.3, 0.2, -0.1]])
     rng = SplitMix64(15)
     v = np.array([[0.3, -0.2, 0.5, 0.7], [-0.4, 0.1, 0.2, 0.0]])
-    w = composable_tangents_batch(G, b, v[:, :2], rng)
+    (w,) = composable_tangents_batch(G.tau_with_jacobian(b)[1], [v[:, :2]], rng)
     mu, (dmu,) = differential_of_multiplication(G, ev, a, b, [(v, w)],
                                                 n_steps=8)
     assert np.max(np.abs(mu - np.hstack([b[:, :2], a[:, 2:] + b[:, 2:]]))) < 1e-12
     want = np.hstack([w[:, :2], v[:, 2:] + w[:, 2:]])
     assert np.max(np.abs(dmu - want)) < 1e-8
+
+
+def test_multiplicativity_residual_solves_each_batch_once(const_groupoid,
+                                                         monkeypatch):
+    """dtau and omega at the right factors b, and the inverse and omega at
+    the left factors a, each come from one tangent-flow solve."""
+    _, G, ev = const_groupoid
+    solved, original = [], FlowEngine.flow_with_jacobian
+
+    def counted(self, P, *args):
+        solved.append(P.copy())
+        return original(self, P, *args)
+
+    monkeypatch.setattr(FlowEngine, "flow_with_jacobian", counted)
+    out = multiplicativity_residual(G, ev, n_pairs=4, n_steps=4)
+    for P in out["pairs"]:
+        assert sum(S.shape == P.shape and np.array_equal(S, P)
+                   for S in solved) == 1
+    assert np.isfinite(out["multiplicativity"])
+    assert out["inversion_antisymmetry"] < 1e-12
 
 
 # ---------------------------------------------------------------------------
