@@ -10,7 +10,7 @@ pushes the inverse of omega down to pi.
 import numpy as np
 
 from sprayform.expr import BivectorField, parse
-from sprayform.scenarios import Numerics, build_symplectic_groupoid
+from sprayform.scenarios import Numerics, build_symplectic_groupoid, run_checks
 
 xs = ["x1", "x2", "x3"]
 pi = BivectorField(3, {(0, 1): parse("x3", xs),
@@ -22,7 +22,7 @@ nm = Numerics(n_quad=64, mu_steps=32, samples=50, seed=7,
 scen = build_symplectic_groupoid(pi, [[-1, 1]] * 3, numerics=nm)
 
 print("verdicts")
-for line in scen.report.summary_lines():
+for line in run_checks(scen).summary_lines():
     print(" ", line)
 
 G = scen.groupoid

@@ -11,7 +11,7 @@ import numpy as np
 
 from sprayform import expr as ex
 from sprayform.expr import FormField, parse
-from sprayform.scenarios import Numerics, build_dirac
+from sprayform.scenarios import Numerics, build_dirac, run_checks
 
 xs = ["x1", "x2", "x3"]
 sections = [
@@ -23,7 +23,7 @@ H = FormField(xs, 3, {(0, 1, 2): ex.const(-1.0)})
 
 ds = build_dirac(sections, H, [[-1, 1]] * 3,
                  numerics=Numerics(n_quad=64, samples=50, seed=11))
-for line in ds.report.summary_lines():
+for line in run_checks(ds).summary_lines():
     print(line)
 
 # The fitted structure functions of the frame at a batch of points (least

@@ -16,12 +16,12 @@ from sprayform.algebroid import jacobi_cocycle, transport_weight
 from sprayform.expr import BivectorField, parse
 from sprayform import expr as ex
 from sprayform.groupoid import integrate_cocycle
-from sprayform.scenarios import Numerics, build_jacobi
+from sprayform.scenarios import Numerics, build_jacobi, run_checks
 
 pi0 = BivectorField(1, {}, ["x1"])
 js = build_jacobi(pi0, [ex.ONE], [[-1, 1]],
                   numerics=Numerics(n_quad=64, samples=40, seed=13))
-for line in js.report.summary_lines():
+for line in run_checks(js).summary_lines():
     print(line)
 
 G = js.groupoid
@@ -44,6 +44,7 @@ xs = ["x1", "x2", "x3"]
 piC = BivectorField(3, {(0, 1): ex.const(-1.0), (1, 2): parse("x2", xs)}, xs)
 jsC = build_jacobi(piC, [ex.ZERO, ex.ZERO, ex.ONE], [[-0.6, 0.6]] * 3,
                    numerics=Numerics(n_quad=32, samples=15, seed=14))
+reportC = run_checks(jsC)
 print("\ncontact groupoid over R^3:",
-      "pass" if jsC.report.all_passed else "fail",
-      "| "+jsC.report["contact_margin"].note)
+      "pass" if reportC.all_passed else "fail",
+      "| "+reportC["contact_margin"].note)

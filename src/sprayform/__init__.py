@@ -36,12 +36,11 @@ from .groupoid import (
 from .imform import IMFormData, LinearForm, ScalarSpencer, d_IM, im_residuals, linear_form
 from .report import CheckReport, SplitMix64
 from .scenarios import (
-    DiracScenario,
-    JacobiScenario,
     NijenhuisPair,
     Numerics,
-    PoissonScenario,
+    Scenario,
     build_dirac,
+    build_gcs,
     build_jacobi,
     build_nijenhuis,
     build_symplectic_groupoid,
@@ -51,6 +50,7 @@ from .scenarios import (
     jacobi_checks,
     nijenhuis_torsion,
     omega_L,
+    run_checks,
     torsion_identity_check,
 )
 

@@ -2,14 +2,17 @@
 
 Subcommands:
 
-* ``check``        run the scenario pipeline for the config's kind; write a
-                   JSON report and a residual CSV; exit 0 iff all pass.
+* ``check``        build the scenario of the config's kind and run its named
+                   checks; write a JSON report and a residual CSV; exit 0
+                   iff all pass.
 * ``convergence``  resolution ladder for the config's form; CSV table.
-* ``eval``         print omega / d omega / Pi / mu / cocycle values at a
-                   point in JSON.
+* ``eval``         build the scenario (no checks) and print omega / d omega /
+                   Pi / mu / cocycle values at a point in JSON.
 * ``schema``       print the config JSON schema.
 
-Exit codes: 0 pass, 1 check failure, 2 config error, 3 runtime math error.
+Exit codes: 0 pass, 1 check failure, 2 config error, 3 runtime math error
+(stderr names the failing construction gate, or the check or convergence
+rung that was running).
 Reports are byte-identical across runs with the same config and seed.
 """
 
@@ -27,16 +30,7 @@ import jsonschema
 import numpy as np
 
 from . import expr as ex
-from .algebroid import (
-    check_algebroid,
-    check_spray,
-    cotangent_algebroid,
-    default_spray,
-    jacobi_algebroid,
-    jacobi_cocycle,
-    AlgebroidChart,
-    SymbolicStructure,
-)
+from .algebroid import AlgebroidChart, SymbolicStructure, jacobi_cocycle
 from .errors import ConfigError, ExprError, SprayformError
 from .groupoid import (
     SprayGroupoid,
@@ -44,17 +38,7 @@ from .groupoid import (
     integrate_cocycle,
     multiply_poisson,
 )
-from .imform import linear_form, poisson_im_pair, jacobi_linear_form
-from .report import CheckReport
-from .scenarios import (
-    Numerics,
-    build_dirac,
-    build_jacobi,
-    build_nijenhuis,
-    build_symplectic_groupoid,
-    convergence_study,
-    gcs_identity_check,
-)
+from .scenarios import Numerics, build, convergence_study, run_checks
 from . import tensor as tn
 
 SCHEMA_VERSION = 1
@@ -208,17 +192,9 @@ def _parse_matrix(rows, n_rows, n_cols, n_vars, what):
 
 
 def build_numerics(raw):
-    nm = raw.get("numerics", {})
-    return Numerics(
-        n_quad=nm.get("quad_nodes", 64),
-        mu_steps=nm.get("mu_steps", 32),
-        samples=nm.get("samples", 100),
-        seed=nm.get("seed", 20240),
-        quad_kind=nm.get("quad_kind", "simpson"),
-        mult_pairs=nm.get("mult_pairs", 25),
-        assoc_triples=nm.get("assoc_triples", 10),
-        tolerances=nm.get("tolerances", {}),
-    )
+    """The config's numerics keys; ``Numerics`` supplies the defaults."""
+    return Numerics(**{"n_quad" if key == "quad_nodes" else key: value
+                       for key, value in raw.get("numerics", {}).items()})
 
 
 def _bivector(raw, n):
@@ -254,18 +230,18 @@ def _raw_algebroid_chart(raw, n, box):
 
 
 def parse_config(raw):
-    """Kind, chart box, numerics and parsed coefficients of a validated config.
+    """Kind, numerics and builder inputs of a validated config.
 
     Every subcommand builds from this one parse, so a malformed coefficient
-    is a config error (exit 2) whichever subcommand reads it.  The
-    coefficients come back as a dict keyed by the kind's builder inputs.
+    is a config error (exit 2) whichever subcommand reads it.  The inputs
+    are the keyword arguments of the kind's builder (``scenarios.build``).
     """
     kind = raw["kind"]
     n, box = _chart_box(raw)
     nm = build_numerics(raw)
     co = raw["coefficients"]
     xs = _xs(n)
-    inputs = {}
+    inputs = {"box": box}
     if kind in ("poisson", "nijenhuis", "gcs", "jacobi"):
         inputs["pi"] = _bivector(raw, n)
     if kind == "poisson":
@@ -280,7 +256,7 @@ def parse_config(raw):
                            for row in raw_c]
         inputs["christoffel"] = christoffel
     elif kind in ("nijenhuis", "gcs"):
-        inputs["l"] = _parse_matrix(co["l"], n, n, n, "l")
+        inputs["lmat"] = _parse_matrix(co["l"], n, n, n, "l")
         if kind == "gcs":
             inputs["varpi"] = ex.FormField(
                 tuple(xs), 2, _parse_form(co["varpi"], n, 2, "varpi"))
@@ -301,51 +277,27 @@ def parse_config(raw):
             raise ConfigError("R needs one component per dimension")
         inputs["R"] = R
     elif kind == "raw_algebroid":
-        inputs["chart"] = _raw_algebroid_chart(raw, n, box)
+        inputs = {"chart": _raw_algebroid_chart(raw, n, box)}
     else:
         raise ConfigError(f"unknown kind {kind!r}")
-    return kind, box, nm, inputs
+    return kind, nm, inputs
 
 
-def build_scenario(raw):
-    """Construct the scenario object and its report from a validated config."""
-    kind, box, nm, c = parse_config(raw)
-    if kind == "poisson":
-        scen = build_symplectic_groupoid(c["pi"], box, numerics=nm,
-                                         christoffel=c["christoffel"])
-        return scen, scen.report
-    if kind == "nijenhuis":
-        scen = build_nijenhuis(c["pi"], c["l"], box, numerics=nm)[0]
-        return scen, scen.report
-    if kind == "gcs":
-        report, scen = gcs_identity_check(c["pi"], c["l"], c["varpi"], box,
-                                          numerics=nm)
-        return scen, report
-    if kind == "dirac":
-        scen = build_dirac(c["sections"], c["H"], box, numerics=nm)
-        return scen, scen.report
-    if kind == "jacobi":
-        scen = build_jacobi(c["pi"], c["R"], box, numerics=nm)
-        return scen, scen.report
-    A = c["chart"]   # raw_algebroid
-    report = CheckReport(environment={"kind": kind, "seed": nm.seed,
-                                      "n_quad": nm.n_quad})
-    report.merge(check_algebroid(A, samples=min(100, nm.samples),
-                                 seed=nm.seed + 1), prefix="algebroid_")
-    V = default_spray(A)
-    report.merge(check_spray(V, A, seed=nm.seed + 2), prefix="spray_")
-    G = SprayGroupoid(A, V, n_quad=nm.n_quad, quad_kind=nm.quad_kind)
-    discover_validity_box(G, seed=nm.seed + 3)
-    report.environment["validity_box"] = G.validity_box().tolist()
-    return _RawScenario(A, G, nm), report
+def _load(args):
+    """The validated config of ``--config``, with ``--seed`` applied."""
+    raw = load_config(args.config)
+    if args.seed is not None:
+        raw.setdefault("numerics", {})["seed"] = args.seed
+    return raw
 
 
-class _RawScenario:
-    def __init__(self, chart, groupoid, numerics):
-        self.chart = chart
-        self.groupoid = groupoid
-        self.numerics = numerics
-        self.evaluator = None
+def _groupoid_scenario(kind, nm, inputs):
+    """The built scenario, which must have a groupoid to evaluate on."""
+    scen = build(kind, nm, inputs)
+    if scen.groupoid is None:
+        raise ConfigError("prechecks failed; nothing to evaluate (worst: "
+                          f"{scen.gates['gcs_prechecks'].worst().name})")
+    return scen
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +309,16 @@ def write_report(report, path):
     Path(path).write_text(report.to_json() + "\n")
 
 
-def residuals_csv_text(report):
+def _csv_text(rows):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check", "residual", "tolerance", "verdict"])
-    for c in report.checks:
-        writer.writerow([c.name, format(c.residual, ".17g"),
-                         format(c.tolerance, ".17g"),
-                         "pass" if c.passed else "fail"])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def residuals_csv_text(report):
+    return _csv_text([["check", "residual", "tolerance", "verdict"]] + [
+        [c.name, format(c.residual, ".17g"), format(c.tolerance, ".17g"),
+         "pass" if c.passed else "fail"] for c in report.checks])
 
 
 def write_csv(text, path):
@@ -378,10 +331,8 @@ def write_csv(text, path):
 
 
 def cmd_check(args):
-    raw = load_config(args.config)
-    if args.seed is not None:
-        raw.setdefault("numerics", {})["seed"] = args.seed
-    scen, report = build_scenario(raw)
+    raw = _load(args)
+    report = run_checks(build(*parse_config(raw)))
     outputs = raw.get("outputs", {})
     out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     report_path = out_dir / outputs.get("report", "report.json")
@@ -414,38 +365,23 @@ def _parse_ladder(text):
 
 
 def cmd_convergence(args):
-    raw = load_config(args.config)
-    if args.seed is not None:
-        raw.setdefault("numerics", {})["seed"] = args.seed
-    kind, box, nm, c = parse_config(raw)
+    raw = _load(args)
+    kind, nm, inputs = parse_config(raw)
     levels = _parse_ladder(args.ladder)
-
-    if kind in ("poisson", "nijenhuis", "gcs"):
-        A = cotangent_algebroid(c["pi"], box)
-        V = default_spray(A)
-        lf = linear_form(poisson_im_pair(A))
-        cocycle = None
-    elif kind == "jacobi":
-        A = jacobi_algebroid(c["pi"], c["R"], box, seed=nm.seed)
-        V = default_spray(A)
-        lf = jacobi_linear_form(A)
-        cocycle = jacobi_cocycle(A)
-    else:
+    if kind not in ("poisson", "nijenhuis", "gcs", "jacobi"):
         raise ConfigError(f"convergence ladder not supported for kind {kind!r}")
-
+    # the chart, spray and form that check certifies
+    scen = _groupoid_scenario(kind, nm, inputs)
+    A, V, ev = scen.chart, scen.groupoid.spray, scen.evaluator
     G0 = SprayGroupoid(A, V, n_quad=levels[0][0])
     discover_validity_box(G0, seed=nm.seed + 3)
     pts = G0.sample_validity_points(min(10, nm.samples), nm.seed + 4)
-    rows, order = convergence_study(A, V, lf, pts, levels=levels,
-                                    weight_cocycle=cocycle)
+    rows, order = convergence_study(A, V, ev.lform, pts, levels=levels,
+                                    weight_cocycle=ev.weight_cocycle)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n_quad", "substeps", "h", "error", "fitted_order"])
-    for r in rows:
-        writer.writerow([r["n_quad"], r["substeps"], format(r["h"], ".17g"),
-                         format(r["error"], ".17g"), format(order, ".6g")])
-    text = buf.getvalue()
+    text = _csv_text([["n_quad", "substeps", "h", "error", "fitted_order"]] + [
+        [r["n_quad"], r["substeps"], format(r["h"], ".17g"),
+         format(r["error"], ".17g"), format(order, ".6g")] for r in rows])
     out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     csv_path = out_dir / raw.get("outputs", {}).get("convergence_csv",
                                                     "convergence.csv")
@@ -471,21 +407,15 @@ def _check_length(vals, expected):
 
 
 def cmd_eval(args):
-    raw = load_config(args.config)
-    if args.seed is not None:
-        raw.setdefault("numerics", {})["seed"] = args.seed
+    raw = _load(args)
     # malformed numbers fail before the build; their lengths need G.dim
     point = _parse_numbers(args.point)
     vecs = [_parse_numbers(v) for v in args.vectors.split(";")] \
         if args.vectors else None
     pair = [_parse_numbers(t) for t in args.pair.partition("|")[::2]] \
         if args.pair else None
-    scen, report = build_scenario(raw)
-    if scen is None:
-        raise ConfigError("prechecks failed; nothing to evaluate "
-                          f"(worst: {report.worst().name})")
-    G = scen.groupoid
-    ev = scen.evaluator
+    scen = _groupoid_scenario(*parse_config(raw))
+    G, ev = scen.groupoid, scen.evaluator
     out = {"schema_version": SCHEMA_VERSION}
     point = _check_length(point, G.dim)
     if ev is not None:
@@ -508,9 +438,8 @@ def cmd_eval(args):
                 out["Pi"] = None
         if pair is not None and raw["kind"] in ("poisson", "nijenhuis", "gcs"):
             a, b = [_check_length(v, G.dim) for v in pair]
-            nm = scen.numerics
             out["mu"] = multiply_poisson(G, ev, a[None, :], b[None, :],
-                                         n_steps=nm.mu_steps)[0].tolist()
+                                         n_steps=scen.numerics.mu_steps)[0].tolist()
     if raw["kind"] == "jacobi":
         out["cocycle"] = float(integrate_cocycle(
             G, jacobi_cocycle(scen.chart), point[None, :])[0])
@@ -570,10 +499,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ExprError as exc:
+    except (ConfigError, ExprError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SprayformError as exc:

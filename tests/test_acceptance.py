@@ -34,11 +34,14 @@ from sprayform.report import SplitMix64
 from sprayform.scenarios import (
     NijenhuisPair,
     Numerics,
+    build_gcs,
     build_symplectic_groupoid,
     convergence_study,
-    gcs_identity_check,
     holomorphic_check,
+    omega_L,
+    omega_L2,
     omega_L2_pair,
+    run_checks,
     sigma_pullback,
     tau_pullback,
     torsion_identity_check,
@@ -168,10 +171,8 @@ def test_criterion_5_chain_map_closedness(so3_scenario,
 
     pi = constant_bivector_r2()
     nm = Numerics(n_quad=64, samples=20, seed=502, mult_pairs=0)
-    scen2 = build_symplectic_groupoid(pi, [[-1, 1]] * 2, numerics=nm,
-                                      full_checks=False)
+    scen2 = build_symplectic_groupoid(pi, [[-1, 1]] * 2, numerics=nm)
     g = parse("1 + x1/2", XS2)
-    from sprayform.scenarios import omega_L
     evL = omega_L(NijenhuisPair(pi, [[g, ex.ZERO], [ex.ZERO, g]]), scen2)
     pts2 = scen2.groupoid.sample_validity_points(20, 503, fiber_scale=0.6)
     ds.append(float(np.max(np.abs(evL.domega_full(pts2)))))
@@ -193,12 +194,12 @@ def test_criterion_6_nijenhuis_holomorphic():
     pi = constant_bivector_r2()
     J0 = [[ex.ZERO, ex.const(-1.0)], [ex.ONE, ex.ZERO]]
     nm = Numerics(n_quad=64, samples=50, seed=601, mult_pairs=0)
-    scen = build_symplectic_groupoid(pi, [[-1, 1]] * 2, numerics=nm,
-                                     full_checks=False)
+    scen = build_symplectic_groupoid(pi, [[-1, 1]] * 2, numerics=nm)
     pair = NijenhuisPair(pi, J0)
     holo = holomorphic_check(scen, pair, nm)
-    tors_rep, evL1, evL2 = torsion_identity_check(scen, pair, samples=10,
-                                                  seed=602, tol=1e-6)
+    evL2 = omega_L2(pair, scen)
+    tors_rep = torsion_identity_check(scen, pair, omega_L(pair, scen), evL2,
+                                      samples=10, seed=602, tol=1e-6)
     marius = tors_rep["torsion_identity"].residual
     pair2 = omega_L2_pair(pair, scen.chart)
     rr = differentiate_at_units(scen.groupoid, evL2, pair2,
@@ -218,8 +219,7 @@ def test_criterion_7_generalized_complex_identity():
     lmat = [[ex.ZERO, ex.const(-s)], [ex.const(s), ex.ZERO]]
     varpi = FormField(XS2, 2, {(0, 1): ex.const(1 - s * s)})
     nm = Numerics(n_quad=64, samples=100, seed=701, mult_pairs=0)
-    rep, scen = gcs_identity_check(pi, lmat, varpi, [[-1, 1]] * 2,
-                                   numerics=nm)
+    rep = run_checks(build_gcs(pi, lmat, varpi, [[-1, 1]] * 2, numerics=nm))
     res = rep["gcs_identity"].residual
     ok = (rep["gcs_algebraic_relation"].passed
           and rep["gcs_torsion_relation"].passed and res < 1e-6)

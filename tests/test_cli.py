@@ -7,9 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sprayform import cli
+from sprayform import cli, groupoid, scenarios
 from sprayform.cli import CONFIG_SCHEMA, load_config, main, parse_config
-from sprayform.errors import ConfigError
+from sprayform.errors import ConfigError, DomainExitError
 from sprayform.flow import FlowEngine
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -126,10 +126,10 @@ def test_malformed_eval_vector_is_config_error(flags, tmp_path, capsys,
                                               monkeypatch):
     """A non-numeric --point, --vectors row or --pair side exits 2, not 1,
     before the scenario is built."""
-    def no_build(raw):
-        raise AssertionError("build_scenario ran before the numbers parsed")
+    def no_build(*args, **kwargs):
+        raise AssertionError("build ran before the numbers parsed")
 
-    monkeypatch.setattr(cli, "build_scenario", no_build)
+    monkeypatch.setattr(cli, "build", no_build)
     path = _fast_poisson(tmp_path)
     assert main(["eval", "--config", path] + flags) == 2
     assert "is not a comma-separated list of numbers" in capsys.readouterr().err
@@ -143,7 +143,7 @@ def test_malformed_christoffel_is_config_error(tmp_path, capsys):
     assert "christoffel must be an r x n x r array" in capsys.readouterr().err
     n = raw["chart"]["dim"]
     raw["coefficients"]["christoffel"] = [[["0"] * n] * n] * n
-    _, _, _, inputs = parse_config(raw)
+    _, _, inputs = parse_config(raw)
     assert len(inputs["christoffel"]) == n
 
 
@@ -187,22 +187,89 @@ def test_check_byte_identical_reports(tmp_path):
         (tmp_path / "b" / "r.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["gcs_r2", "jacobi_line", "dirac_twisted"])
+# tangent-flow solves of `check`: one per sample set
+CHECK_JAC_SOLVES = {"gcs_r2": 7, "jacobi_line": 4, "dirac_twisted": 5,
+                    "nijenhuis_r2": 15}
+
+
+@pytest.mark.parametrize("name", ["gcs_r2", "jacobi_line", "dirac_twisted",
+                                  "nijenhuis_r2"])
 def test_check_makes_no_one_row_flow_solves(name, tmp_path, monkeypatch):
-    """Every check evaluates its sample set in one batched flow call."""
-    batch_sizes = []
-    for method in ("flow_on_grid", "flow_with_jacobian"):
+    """Every check evaluates its sample set in one batched flow call, and
+    the forms a sample set needs share one tangent-flow solve."""
+    batch_sizes = {"flow_on_grid": [], "flow_with_jacobian": []}
+    for method, sizes in batch_sizes.items():
         original = getattr(FlowEngine, method)
 
-        def counted(self, points, *args, _original=original, **kwargs):
-            batch_sizes.append(len(np.atleast_2d(points)))
+        def counted(self, points, *args, _original=original, _sizes=sizes,
+                    **kwargs):
+            _sizes.append(len(np.atleast_2d(points)))
             return _original(self, points, *args, **kwargs)
 
         monkeypatch.setattr(FlowEngine, method, counted)
     code = main(["check", "--config", str(CONFIGS / f"{name}.json"),
                  "--out-dir", str(tmp_path)])
     assert code == 0
-    assert batch_sizes and min(batch_sizes) > 1
+    sizes = sum(batch_sizes.values(), [])
+    assert sizes and min(sizes) > 1
+    assert len(batch_sizes["flow_with_jacobian"]) == CHECK_JAC_SOLVES[name]
+
+
+_ALGEBROID = ["algebroid_antisymmetry", "algebroid_anchor_morphism",
+              "algebroid_jacobi_identity", "algebroid_leibniz_rule"]
+_SPRAY = ["spray_anchor_condition", "spray_flow_scaling"]
+_IM = ["im_covariance_nu", "im_covariance_l", "im_anchor_antisymmetry"]
+_POISSON_CORE = ["poisson_identity", *_ALGEBROID, *_SPRAY, *_IM,
+                 "nondegeneracy_margin", "realization_source",
+                 "realization_target", "closedness", "units_formula"]
+_ROUNDTRIP = ["units_recover_l", "units_recover_nu", "linearization_slope"]
+REPORT_CHECKS = {
+    "constant_poisson": _POISSON_CORE + [
+        "multiplicativity", "inversion_antisymmetry", "associativity",
+        *_ROUNDTRIP],
+    "nijenhuis_r2": _POISSON_CORE + _ROUNDTRIP + [
+        "pair_covariance_nu", "pair_covariance_l", "pair_anchor_antisymmetry",
+        "L_units_block", "L_sigma_related", "torsion_identity",
+        "torsion_free_closedness", "pi_pushforwards", "omega_Lk_two_ways",
+        "L2_units_recover_l", "L2_units_recover_nu", "omega_L2_pointwise"],
+    "gcs_r2": [
+        "gcs_algebraic_relation", "gcs_torsion_relation",
+        "gcs_l_varpi_commute", "gcs_dvarpi_cyclic", "gcs_identity",
+        *("base_" + name for name in _POISSON_CORE + _ROUNDTRIP)],
+    "dirac_twisted": _ALGEBROID[:3] + _SPRAY + _IM + [
+        "relative_H_closedness", "robustness_margin", "forward_dirac_angles",
+        "units_formula", *_ROUNDTRIP],
+    "jacobi_line": _ALGEBROID + _SPRAY + [
+        "spencer_leibniz", "closed_form", "contact_margin",
+        "units_kernel_angles", "units_recover_pr",
+        "cocycle_weight_consistency", "linearization_slope"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CHECKS))
+def test_check_report_order(name, tmp_path):
+    """The report lists its checks in a fixed order and states the kind of
+    the config that ran."""
+    config = load_config(CONFIGS / f"{name}.json")
+    assert main(["check", "--config", str(CONFIGS / f"{name}.json"),
+                 "--out-dir", str(tmp_path)]) == 0
+    report = json.loads(
+        (tmp_path / config["outputs"]["report"]).read_text())
+    assert [c["name"] for c in report["checks"]] == REPORT_CHECKS[name]
+    assert report["environment"]["kind"] == config["kind"]
+
+
+def test_runtime_error_names_its_check(tmp_path, capsys, monkeypatch):
+    """A runtime error inside a check exits 3 with the check named first."""
+    def leaves_box(*args, **kwargs):
+        raise DomainExitError(0.5, np.array([0.1, 0.2, 3.0, 0.0]), row=2)
+
+    monkeypatch.setattr(scenarios, "associativity_residual", leaves_box)
+    path = _fast_poisson(tmp_path)
+    assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: product: trajectory left the domain box at "
+        "t=0.5, batch row 2, point (0.1, 0.2, 3, 0)\n")
 
 
 def test_traced_check_counts_flow_work(tmp_path, monkeypatch):
@@ -322,6 +389,29 @@ def test_check_jacobi_has_no_total_dimension_cap(tmp_path, capsys):
     assert code == 0
 
 
+def test_eval_builds_without_checks(capsys, monkeypatch):
+    """eval builds the scenario and runs no check: on so3 without --pair
+    it makes no product call and a handful of tangent-flow solves."""
+    solves = []
+    original = FlowEngine.flow_with_jacobian
+
+    def counted(self, *args, **kwargs):
+        solves.append(1)
+        return original(self, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eval ran a product or a check")
+
+    monkeypatch.setattr(FlowEngine, "flow_with_jacobian", counted)
+    for owner, name in ((groupoid, "multiply_poisson"),
+                        (cli, "multiply_poisson"), (cli, "run_checks")):
+        monkeypatch.setattr(owner, name, forbidden)
+    assert main(["eval", "--config", str(CONFIGS / "so3.json"),
+                 "--point", "0.1,0.2,-0.1,0.2,0.1,-0.1"]) == 0
+    assert len(solves) <= 5
+    assert "omega" in json.loads(capsys.readouterr().out)
+
+
 def test_eval_out_of_box_is_runtime_error(tmp_path, capsys):
     cfg_path = _fast_poisson(tmp_path)
     code = main(["eval", "--config", cfg_path, "--point", "5,0,0,0"])
@@ -341,6 +431,26 @@ def test_eval_jacobi_cocycle(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["cocycle"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_convergence_integrates_the_checked_spray(tmp_path, monkeypatch):
+    """convergence studies the spray that check certifies, including a
+    poisson config's christoffel terms."""
+    class Captured(Exception):
+        pass
+
+    def capture(chart, spray, *args, **kwargs):
+        raise Captured(spray)
+
+    monkeypatch.setattr(cli, "convergence_study", capture)
+    raw = json.loads((CONFIGS / "constant_poisson.json").read_text())
+    raw["coefficients"]["christoffel"] = [[["0.1", "0"], ["0", "0"]],
+                                          [["0", "0"], ["0", "0"]]]
+    with pytest.raises(Captured) as got:
+        main(["convergence", "--config", _write(tmp_path, raw),
+              "--out-dir", str(tmp_path)])
+    spray = got.value.args[0]
+    assert any(not e.is_zero for e in spray.fiber_part)
 
 
 def test_convergence_command(tmp_path, capsys):

@@ -5,29 +5,31 @@ import pytest
 
 from sprayform import expr as ex
 from sprayform.algebroid import cotangent_algebroid, default_spray
-from sprayform.errors import CompatibilityError
+from sprayform.errors import CompatibilityError, DomainExitError
 from sprayform.expr import BivectorField, FormField, parse
 from sprayform.groupoid import SprayGroupoid, discover_validity_box
 from sprayform.imform import linear_form, poisson_im_pair
 from sprayform.scenarios import (
     NijenhuisPair,
     Numerics,
+    build_gcs,
     build_jacobi,
     build_nijenhuis,
     build_symplectic_groupoid,
     convergence_study,
-    gcs_identity_check,
     holomorphic_check,
     nijenhuis_torsion,
     omega_L,
+    omega_L2,
     omega_Lk_two_ways,
     pi_pushforwards_residual,
+    run_checks,
     sigma_pullback,
     tau_pullback,
     torsion_identity_check,
 )
 
-from conftest import XS2, XS3, constant_bivector_r2, so3_bivector
+from conftest import XS2, XS3, checked, constant_bivector_r2, so3_bivector
 
 BOX2 = [[-1.0, 1.0]] * 2
 BOX3 = [[-1.0, 1.0]] * 3
@@ -43,8 +45,8 @@ LIGHT = Numerics(n_quad=32, mu_steps=16, samples=25, seed=6, mult_pairs=6,
 def test_flat_scenario_everything_tiny():
     nm = Numerics(n_quad=16, mu_steps=8, samples=30, seed=2, mult_pairs=6,
                   assoc_triples=4)
-    scen = build_symplectic_groupoid(BivectorField(2, {}, XS2), BOX2,
-                                     numerics=nm)
+    scen = checked(build_symplectic_groupoid(BivectorField(2, {}, XS2), BOX2,
+                                             numerics=nm))
     assert scen.report.all_passed
     for name in ("realization_source", "multiplicativity", "associativity"):
         assert scen.report[name].residual < 1e-9
@@ -52,7 +54,7 @@ def test_flat_scenario_everything_tiny():
 
 def test_linear_pi_r2_realization():
     pi = BivectorField(2, {(0, 1): parse("x1", XS2)}, XS2)
-    scen = build_symplectic_groupoid(pi, BOX2, numerics=LIGHT)
+    scen = checked(build_symplectic_groupoid(pi, BOX2, numerics=LIGHT))
     assert scen.report.all_passed
     assert scen.report["realization_source"].residual < 1e-6
 
@@ -83,7 +85,7 @@ def conformal_pair_scenario():
     pi = constant_bivector_r2()
     g = parse("1 + x1/2", XS2)
     lmat = [[g, ex.ZERO], [ex.ZERO, g]]
-    return build_nijenhuis(pi, lmat, BOX2, numerics=LIGHT)
+    return checked(build_nijenhuis(pi, lmat, BOX2, numerics=LIGHT))
 
 
 def test_identity_pair_gives_same_form(so3_scenario):
@@ -108,8 +110,7 @@ def test_scalar_pair_scales_form(so3_scenario):
 
 
 def test_conformal_pair_full_report(conformal_pair_scenario):
-    scen, pair, evL1, evL2 = conformal_pair_scenario
-    assert scen.report.all_passed
+    assert conformal_pair_scenario.report.all_passed
 
 
 def test_omega_L_closed_form_constant_rotation():
@@ -118,8 +119,7 @@ def test_omega_L_closed_form_constant_rotation():
     s = 0.5
     lmat = [[ex.ZERO, ex.const(-s)], [ex.const(s), ex.ZERO]]
     nmat = np.array([[0.0, -s], [s, 0.0]])
-    scen = build_symplectic_groupoid(pi, BOX2, numerics=LIGHT,
-                                     full_checks=False)
+    scen = build_symplectic_groupoid(pi, BOX2, numerics=LIGHT)
     pair = NijenhuisPair(pi, lmat)
     evL = omega_L(pair, scen, k=1)
     # oracle: ell(x,p) = (x, N p); J_t = [[I, tS],[0,I]], S = [[0,-1],[1,0]];
@@ -182,8 +182,10 @@ def test_conformal_factor_is_not_an_im_pair_in_3d(so3_scenario):
 
 
 def test_pushforwards_and_two_ways(conformal_pair_scenario):
-    scen, pair, evL1, evL2 = conformal_pair_scenario
-    assert pi_pushforwards_residual(scen, pair, samples=10, seed=3) < 1e-6
+    scen = conformal_pair_scenario
+    pair = scen.pair
+    assert pi_pushforwards_residual(scen, pair, omega_L(pair, scen),
+                                    samples=10, seed=3) < 1e-6
     assert omega_Lk_two_ways(scen, pair, 1, samples=6, seed=4) < 1e-7
     assert omega_Lk_two_ways(scen, pair, 2, samples=6, seed=5) < 1e-7
 
@@ -195,8 +197,7 @@ def test_invertible_pair_transported_spray_cross_check():
     s = 0.5
     lmat = [[ex.ZERO, ex.const(-s)], [ex.const(s), ex.ZERO]]
     N = np.array([[0.0, -s], [s, 0.0]])
-    scen = build_symplectic_groupoid(pi, BOX2, numerics=LIGHT,
-                                     full_checks=False)
+    scen = build_symplectic_groupoid(pi, BOX2, numerics=LIGHT)
     pair = NijenhuisPair(pi, lmat)
     evL = omega_L(pair, scen, k=1)
 
@@ -204,8 +205,7 @@ def test_invertible_pair_transported_spray_cross_check():
     P = np.array([[0.0, 1.0], [-1.0, 0.0]])
     P2 = np.linalg.inv(N).T @ P
     pi2 = BivectorField(2, {(0, 1): ex.const(P2[0, 1])}, XS2)
-    scen2 = build_symplectic_groupoid(pi2, BOX2, numerics=LIGHT,
-                                      full_checks=False)
+    scen2 = build_symplectic_groupoid(pi2, BOX2, numerics=LIGHT)
     pts = scen.groupoid.sample_validity_points(8, seed=6, fiber_scale=0.5)
     # ell(x, p) = (x, N p); pullback through d ell = diag(I, N)
     mapped = pts.copy()
@@ -226,12 +226,12 @@ def test_invertible_pair_transported_spray_cross_check():
 def test_holomorphic_identity_on_r2():
     pi = constant_bivector_r2()
     J0 = [[ex.ZERO, ex.const(-1.0)], [ex.ONE, ex.ZERO]]
-    scen = build_symplectic_groupoid(pi, BOX2, numerics=LIGHT,
-                                     full_checks=False)
+    scen = build_symplectic_groupoid(pi, BOX2, numerics=LIGHT)
     pair = NijenhuisPair(pi, J0)
     assert holomorphic_check(scen, pair, LIGHT) < 1e-6
-    rep, evL1, evL2 = torsion_identity_check(scen, pair, samples=6, seed=7,
-                                             tol=1e-6)
+    rep = torsion_identity_check(scen, pair, omega_L(pair, scen),
+                                 omega_L2(pair, scen), samples=6, seed=7,
+                                 tol=1e-6)
     assert rep.all_passed
 
 
@@ -247,7 +247,7 @@ def test_gcs_identity_constant_triple():
     pi = constant_bivector_r2()
     lmat = [[ex.ZERO, ex.const(-s)], [ex.const(s), ex.ZERO]]
     varpi = FormField(XS2, 2, {(0, 1): ex.const(1 - s * s)})
-    rep, scen = gcs_identity_check(pi, lmat, varpi, BOX2, numerics=LIGHT)
+    rep = run_checks(build_gcs(pi, lmat, varpi, BOX2, numerics=LIGHT))
     assert rep["gcs_algebraic_relation"].passed
     assert rep["gcs_torsion_relation"].passed
     assert rep["gcs_identity"].residual < 1e-6
@@ -257,7 +257,7 @@ def test_gcs_specialization_l_zero_symplectic():
     pi = constant_bivector_r2()
     lmat = [[ex.ZERO, ex.ZERO], [ex.ZERO, ex.ZERO]]
     varpi = FormField(XS2, 2, {(0, 1): ex.ONE})
-    rep, scen = gcs_identity_check(pi, lmat, varpi, BOX2, numerics=LIGHT)
+    rep = run_checks(build_gcs(pi, lmat, varpi, BOX2, numerics=LIGHT))
     assert rep.all_passed
 
 
@@ -266,7 +266,7 @@ def test_gcs_specialization_varpi_zero_is_holomorphic():
     pi = constant_bivector_r2()
     J0 = [[ex.ZERO, ex.const(-1.0)], [ex.ONE, ex.ZERO]]
     varpi = FormField(XS2, 2, {})
-    rep, scen = gcs_identity_check(pi, J0, varpi, BOX2, numerics=LIGHT)
+    rep = run_checks(build_gcs(pi, J0, varpi, BOX2, numerics=LIGHT))
     assert rep["gcs_algebraic_relation"].passed
     assert rep["gcs_torsion_relation"].passed
     assert rep["gcs_identity"].residual < 1e-6
@@ -276,9 +276,10 @@ def test_gcs_negative_control_skips_main_check():
     pi = constant_bivector_r2()
     lmat = [[ex.ZERO, ex.const(-0.5)], [ex.const(0.5), ex.ZERO]]
     varpi = FormField(XS2, 2, {(0, 1): ex.const(3.0)})   # wrong varpi
-    rep, scen = gcs_identity_check(pi, lmat, varpi, BOX2, numerics=LIGHT)
+    scen = build_gcs(pi, lmat, varpi, BOX2, numerics=LIGHT)
+    rep = run_checks(scen)
     assert not rep["gcs_algebraic_relation"].passed
-    assert scen is None
+    assert scen.groupoid is None
     with pytest.raises(KeyError):
         rep["gcs_identity"]
 
@@ -298,7 +299,8 @@ def test_dirac_graph_of_constant_form_exactness():
         sections.append((v, alpha))
     from sprayform.scenarios import build_dirac
     nm = Numerics(n_quad=32, samples=20, seed=21)
-    ds = build_dirac(sections, FormField(XS2, 3, {}), BOX2, numerics=nm)
+    ds = checked(build_dirac(sections, FormField(XS2, 3, {}), BOX2,
+                             numerics=nm))
     assert ds.report.all_passed
     G = ds.groupoid
     varpi = FormField(XS2, 2, {(0, 1): ex.const(c)})
@@ -318,7 +320,8 @@ def test_dirac_graph_of_so3_matches_poisson_pipeline(so3_scenario):
         sections.append((v, alpha))
     from sprayform.scenarios import build_dirac
     nm = Numerics(n_quad=64, samples=30, seed=23)
-    ds = build_dirac(sections, FormField(XS3, 3, {}), BOX3, numerics=nm)
+    ds = checked(build_dirac(sections, FormField(XS3, 3, {}), BOX3,
+                             numerics=nm))
     assert ds.report.all_passed
     assert ds.report["relative_H_closedness"].residual < 1e-7
 
@@ -348,8 +351,8 @@ def test_jacobi_contact_r3():
     pi = BivectorField(3, {(0, 1): ex.const(-1.0), (1, 2): parse("x2", XS3)},
                        XS3)
     nm = Numerics(n_quad=32, samples=15, seed=25)
-    js = build_jacobi(pi, [ex.ZERO, ex.ZERO, ex.ONE], [[-0.6, 0.6]] * 3,
-                      numerics=nm)
+    js = checked(build_jacobi(pi, [ex.ZERO, ex.ZERO, ex.ONE],
+                              [[-0.6, 0.6]] * 3, numerics=nm))
     assert js.report.all_passed
 
 
@@ -358,7 +361,7 @@ def test_jacobi_r_zero_reduces_to_poisson_channel(so3_scenario):
     and d omega embeds the Poisson quadrature form on the T*M block."""
     pi = so3_bivector()
     nm = Numerics(n_quad=64, samples=15, seed=26)
-    js = build_jacobi(pi, [ex.ZERO] * 3, BOX3, numerics=nm)
+    js = checked(build_jacobi(pi, [ex.ZERO] * 3, BOX3, numerics=nm))
     assert js.report.all_passed
     G = js.groupoid
     pts = G.sample_validity_points(6, seed=27, fiber_scale=0.4)
@@ -430,3 +433,14 @@ def test_convergence_flat_case_roundoff():
                                     levels=[(16, 1), (32, 1), (64, 1)])
     assert all(r["error"] < 1e-14 for r in rows)
     assert order == float("inf")
+
+
+def test_convergence_error_names_the_rung():
+    """A flow that leaves the box on a rung names that rung."""
+    A = cotangent_algebroid(BivectorField(2, {}, XS2), BOX2)
+    lf = linear_form(poisson_im_pair(A))
+    with pytest.raises(DomainExitError) as got:
+        convergence_study(A, default_spray(A), lf, np.array([[5.0, 0, 0, 0]]),
+                          levels=[(8, 2), (16, 1), (32, 1)])
+    assert str(got.value).startswith(
+        "convergence rung 8x2: trajectory left the domain box at t=0")
