@@ -420,9 +420,10 @@ def cmd_eval(args):
     point = _check_length(point, G.dim)
     if ev is not None:
         comps = {}
-        for name, full, k in (("omega", ev.omega_full, ev.degree),
-                              ("domega", ev.domega_full, ev.degree + 1)):
-            comps[name] = tn.full_to_comps_batch(full(point[None, :]), G.dim, k)
+        fulls = ev.omega_and_domega_full(point[None, :])
+        for name, full, k in zip(("omega", "domega"), fulls,
+                                 (ev.degree, ev.degree + 1)):
+            comps[name] = tn.full_to_comps_batch(full, G.dim, k)
             out[name] = {"".join(str(i + 1) for i in I): float(v)
                          for I, v in zip(tn.index_list(G.dim, k), comps[name][0])}
         if vecs is not None:

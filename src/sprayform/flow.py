@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import expr as ex
 from .errors import DimensionError, DomainExitError, NonFiniteStateError
@@ -53,7 +52,7 @@ class QuadratureRule:
 
     @classmethod
     def gauss_legendre(cls, n=32):
-        x, w = roots_legendre(n)
+        x, w = np.polynomial.legendre.leggauss(n)
         return cls("gauss", n, (x + 1.0) / 2.0, w / 2.0)
 
     def __post_init__(self):

@@ -285,6 +285,15 @@ class MultFormEvaluator:
             return acc.value
         return self._domega_fd(P)
 
+    def omega_and_domega_full(self, P):
+        """(omega_full(P), domega_full(P)), from one tangent-flow solve on
+        unweighted evaluators; weighted ones difference omega as above."""
+        if self._delta is not None:
+            return self.omega_full(P), self._domega_fd(P)
+        om, dom = self.omega_sum(), self.domega_sum()
+        self.groupoid.flow_end(P, om, dom)
+        return om.value, dom.value
+
     def _domega_fd(self, P):
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
         B, d = P.shape
@@ -607,8 +616,7 @@ def differentiate_at_units(G, evaluator, data, base_points, tol=1e-7):
     k = evaluator.degree
     X = np.atleast_2d(base_points)
     P = G.units(X)
-    W = evaluator.omega_full(P)
-    T = evaluator.domega_full(P)
+    W, T = evaluator.omega_and_domega_full(P)
     res_l = np.zeros((len(X), r))
     res_nu = np.zeros((len(X), r))
     for j in range(r):

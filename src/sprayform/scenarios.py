@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import expr as ex
 from . import tensor as tn
@@ -171,6 +170,49 @@ def sigma_pullback(G, varpi, P):
 def tau_pullback(G, varpi, P):
     """(tau^* varpi) at points P, as full batched tensors."""
     return _pullback_through(varpi, *G.tau_with_jacobian(np.atleast_2d(P)))
+
+
+def _svd_rank(s, shape):
+    """Number of singular values above max(s) * eps * max(M, N)."""
+    tol = np.amax(s, initial=0.0) * (np.finfo(np.float64).eps * max(shape))
+    return int(np.sum(s > tol))
+
+
+def _orth(A):
+    """Orthonormal basis of the column space of A (M, N), as (M, rank).
+
+    Fortran order, like LAPACK's U: the layout selects the BLAS kernel of
+    the products in ``_subspace_angles``, and with it their last bits.
+    """
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    return np.asfortranarray(u[:, :_svd_rank(s, A.shape)])
+
+
+def _null_space(A):
+    """Orthonormal basis of the null space of A (M, N), as (N, N - rank)."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    return vh[_svd_rank(s, A.shape):].T
+
+
+def _subspace_angles(A, B):
+    """Principal angles between the column spaces of A and B, descending.
+
+    Bjorck-Golub: the cosines are the singular values of QA^T QB.  Where a
+    cosine^2 >= 1/2 the angle comes from the sines instead, the singular
+    values of the wider basis minus its projection on the other.  Same
+    operations, in the same order, as ``scipy.linalg.subspace_angles``.
+    """
+    QA, QB = _orth(A), _orth(B)
+    QA_QB = np.dot(QA.T, QB)
+    sigma = np.linalg.svd(QA_QB, compute_uv=False)
+    if QA.shape[1] >= QB.shape[1]:
+        R = QB - np.dot(QA, QA_QB)
+    else:
+        R = QA - np.dot(QB, QA_QB.T)
+    mask = sigma ** 2 >= 0.5
+    mu = np.arcsin(np.clip(np.linalg.svd(R, compute_uv=False), -1.0, 1.0)) \
+        if mask.any() else 0.0
+    return np.where(mask, mu, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
 
 
 def _groupoid(A, nm, seed_offset, christoffel=None, quad_kind=None):
@@ -830,7 +872,7 @@ def dirac_checks(scenario, samples, seed):
         rank = int(np.sum(sv > 1e-10 * sv[0]))
         K = vt[rank:].T                      # (d + n, dim ker)
         img = np.vstack([dsig @ K[:d], K[d:]])   # (2n, dim ker)
-        ang = scipy.linalg.subspace_angles(img, L_pts[b].T)
+        ang = _subspace_angles(img, L_pts[b].T)
         res_angle = max(res_angle, float(np.max(ang)) if ang.size else 0.0)
     report.add_margin("robustness_margin", smin,
                       nm.tol("robustness_margin", 1e-3),
@@ -937,8 +979,7 @@ def jacobi_checks(scenario, samples, seed):
     for omu in scenario.evaluator.omega_full(G.units(xu)):
         res_l = max(res_l, abs(omu[n] - 1.0),
                     float(np.max(np.abs(np.delete(omu, n)))))
-        null = scipy.linalg.null_space(omu[None, :])
-        ang = scipy.linalg.subspace_angles(null, basis)
+        ang = _subspace_angles(_null_space(omu[None, :]), basis)
         res_ker = max(res_ker, float(np.max(ang)) if ang.size else 0.0)
     report.add("units_kernel_angles", res_ker, nm.tol("units_kernel", 1e-5))
     report.add("units_recover_pr", res_l, nm.tol("units_recover_pr", 1e-8))

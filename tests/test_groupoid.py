@@ -435,6 +435,30 @@ def test_multiplicativity_residual_solves_each_batch_once(const_groupoid,
     assert out["inversion_antisymmetry"] < 1e-12
 
 
+@pytest.mark.parametrize("fixture, solves", [("so3_groupoid", 1),
+                                              ("jacobi_line_groupoid", None)])
+def test_omega_and_domega_share_one_solve(fixture, solves, request,
+                                          monkeypatch):
+    """Unweighted evaluators get omega and d omega from one tangent-flow
+    solve; weighted ones difference omega.  Both equal the separate calls
+    bit for bit."""
+    _, G, ev = request.getfixturevalue(fixture)
+    P = np.vstack([G.units(np.array([[0.1, -0.2, 0.3][:G.n]])),
+                   G.sample_validity_points(3, seed=44, fiber_scale=0.5)])
+    want = ev.omega_full(P), ev.domega_full(P)
+    counted, original = [], FlowEngine.flow_with_jacobian
+
+    def count(self, *args):
+        counted.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(FlowEngine, "flow_with_jacobian", count)
+    got = ev.omega_and_domega_full(P)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    if solves is not None:
+        assert len(counted) == solves
+
+
 # ---------------------------------------------------------------------------
 # cocycles
 
