@@ -36,53 +36,71 @@ class DimensionError(SprayformError):
     """Mismatched dimensions or degrees in tensor algebra."""
 
 
-def _where(row, point):
-    """The known parts of "batch row R, point (..)", comma-separated."""
-    where = [] if row is None else [f"batch row {row}"]
-    if point is not None:
-        where.append("point (" + ", ".join(f"{float(v):.6g}" for v in point)
-                     + ")")
-    return ", ".join(where)
+class BatchRowError(SprayformError):
+    """An error at one row of a point batch: ``row`` is the batch index of
+    the offending point (when known) and ``point`` the point.
 
-
-class DomainExitError(SprayformError):
-    """A trajectory (batch index ``row``, when known) left the coordinate box."""
-
-    def __init__(self, exit_time, point=None, row=None):
-        where = _where(row, point)
-        super().__init__(f"trajectory left the domain box at t={exit_time:.6g}"
-                         + (", " + where if where else ""))
-        self.exit_time = exit_time
-        self.point = point
-        self.row = row
-
-
-class NonFiniteStateError(SprayformError):
-    """A flow state (batch index ``row``, when known) became NaN or infinite."""
-
-    def __init__(self, time, point=None, row=None):
-        where = _where(row, point)
-        super().__init__(f"flow state is not finite at t={time:.6g}"
-                         + (", " + where if where else ""))
-        self.time = time
-        self.point = point
-        self.row = row
-
-
-class DegenerateFormError(SprayformError):
-    """A 2-form that must be invertible is singular or ill-conditioned.
-
-    ``row`` is the batch index of the offending point, when known.
+    ``relocate`` moves the error to the row's place in the batch of the
+    caller that owns it, for calls that pack several callers' rows.
     """
 
-    def __init__(self, smallest_singular_value, point=None, row=None):
-        where = _where(row, point)
-        super().__init__("2-form is degenerate (smallest singular value "
-                         f"{smallest_singular_value:.3e})"
-                         + (" at " + where if where else ""))
-        self.smallest_singular_value = smallest_singular_value
+    def __init__(self, point=None, row=None):
         self.point = point
         self.row = row
+        super().__init__(self._message())
+
+    def _where(self):
+        """The known parts of "batch row R, point (..)", comma-separated."""
+        where = [] if self.row is None else [f"batch row {self.row}"]
+        if self.point is not None:
+            where.append("point (" + ", ".join(f"{float(v):.6g}"
+                                               for v in self.point) + ")")
+        return ", ".join(where)
+
+    def relocate(self, owner, row):
+        """Put ``owner: `` in front and name ``row`` as the batch row."""
+        self.row = row
+        self.args = (f"{owner}: {self._message()}",)
+
+
+class DomainExitError(BatchRowError):
+    """A trajectory left the coordinate box."""
+
+    def __init__(self, exit_time, point=None, row=None):
+        self.exit_time = exit_time
+        super().__init__(point, row)
+
+    def _message(self):
+        where = self._where()
+        return (f"trajectory left the domain box at t={self.exit_time:.6g}"
+                + (", " + where if where else ""))
+
+
+class NonFiniteStateError(BatchRowError):
+    """A flow state became NaN or infinite."""
+
+    def __init__(self, time, point=None, row=None):
+        self.time = time
+        super().__init__(point, row)
+
+    def _message(self):
+        where = self._where()
+        return (f"flow state is not finite at t={self.time:.6g}"
+                + (", " + where if where else ""))
+
+
+class DegenerateFormError(BatchRowError):
+    """A 2-form that must be invertible is singular or ill-conditioned."""
+
+    def __init__(self, smallest_singular_value, point=None, row=None):
+        self.smallest_singular_value = smallest_singular_value
+        super().__init__(point, row)
+
+    def _message(self):
+        where = self._where()
+        return ("2-form is degenerate (smallest singular value "
+                f"{self.smallest_singular_value:.3e})"
+                + (" at " + where if where else ""))
 
 
 class NotLagrangianError(SprayformError):
@@ -109,8 +127,19 @@ class CompatibilityError(SprayformError):
     """Input tensors fail the algebraic compatibility equations."""
 
 
-class ComposabilityError(SprayformError):
-    """Arguments of the groupoid multiplication are not composable."""
+class ComposabilityError(BatchRowError):
+    """Arguments of the groupoid multiplication are not composable:
+    |sigma(a) - tau(b)| is ``violation``, above the tolerance ``tol``."""
+
+    def __init__(self, violation, tol, row=None):
+        self.violation = violation
+        self.tol = tol
+        super().__init__(None, row)
+
+    def _message(self):
+        at = "" if self.row is None else f" at batch row {self.row}"
+        return (f"sigma(a) != tau(b){at}: violation {self.violation:.3e} > "
+                f"{self.tol:.1e}")
 
 
 class NonlinearCocycleError(SprayformError):

@@ -24,7 +24,8 @@ from . import expr as ex
 from .errors import DimensionError, DomainExitError, NonFiniteStateError
 
 __all__ = ["QuadratureRule", "FlowEngine", "cumulative_integral",
-           "simpson_step", "central_difference"]
+           "simpson_step", "central_difference", "stencil_rows",
+           "stencil_derivatives"]
 
 _FLOAT_MAX = np.finfo(np.float64).max
 
@@ -174,12 +175,25 @@ def central_difference(f, X, V, h):
     """f(X) and the 4th-order central differences of f along V.
 
     X is (B, n) and V (B, D, n).  ``f`` maps rows to rows and is called
-    once, on X followed by every offset X + (c h) V.  Returns f(X) (B, ...)
-    and sum_c (coef_c / h) f(X + c h V) for each direction (B, D, ...).
+    once, on ``stencil_rows(X, V, h)``.  Returns f(X) (B, ...) and
+    sum_c (coef_c / h) f(X + c h V) for each direction (B, D, ...).
     """
-    B, D = V.shape[:2]
-    offsets = [X + (c * h) * V[:, j] for j in range(D) for c, _ in _STENCIL]
-    values = f(np.concatenate([X] + offsets))
+    return stencil_derivatives(f(stencil_rows(X, V, h)), len(X), h)
+
+
+def stencil_rows(X, V, h):
+    """X followed by every offset X + (c h) V[:, j], direction-major: the
+    rows the central difference evaluates, for a caller that evaluates them
+    itself and hands the values to ``stencil_derivatives``."""
+    D = V.shape[1]
+    return np.concatenate([X] + [X + (c * h) * V[:, j] for j in range(D)
+                                 for c, _ in _STENCIL])
+
+
+def stencil_derivatives(values, B, h):
+    """(f(X), derivatives) of ``central_difference`` from the values of f on
+    the ``stencil_rows`` of B rows."""
+    D = (len(values) // B - 1) // len(_STENCIL)
     shifted = values[B:].reshape((D, len(_STENCIL), B) + values.shape[1:])
     deriv = np.zeros((B, D) + values.shape[1:])
     for k, (_, coef) in enumerate(_STENCIL):

@@ -27,13 +27,14 @@ antisymmetric matrix W of omega.  Everything is batched over points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import expr as ex
 from . import tensor as tn
 from .errors import (
+    BatchRowError,
     ComposabilityError,
     DegenerateFormError,
     DimensionError,
@@ -41,12 +42,12 @@ from .errors import (
     NonlinearCocycleError,
 )
 from .flow import (FlowEngine, QuadratureRule, central_difference,
-                   simpson_step)
+                   simpson_step, stencil_derivatives, stencil_rows)
 from .report import CheckReport, SplitMix64
 
 __all__ = ["SprayGroupoid", "MultFormEvaluator", "multiply_poisson",
-           "differential_of_multiplication", "integrate_cocycle",
-           "differentiate_at_units", "linearization_check",
+           "product_residuals", "differential_of_multiplication",
+           "integrate_cocycle", "differentiate_at_units", "linearization_check",
            "units_form_predictor", "discover_validity_box"]
 
 # Validity-box discovery: the base part of the box is the chart box scaled by
@@ -313,13 +314,20 @@ class MultFormEvaluator:
 
     def inverse_matrices(self, P, cond_bound=1e12):
         W = self.omega_matrices(P)
-        svals = np.linalg.svd(W, compute_uv=False)
-        smin = svals[:, -1]
-        bad = (smin <= 0) | (svals[:, 0] / np.maximum(smin, 1e-300) > cond_bound)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DegenerateFormError(float(smin[i]), P[i], i)
+        _check_conditioning(W, P, cond_bound)
         return np.linalg.inv(W)
+
+
+def _check_conditioning(W, points, cond_bound):
+    """Raise DegenerateFormError at the first row b of W (B, d, d) that is
+    singular or whose own condition number s_max / s_min exceeds
+    ``cond_bound``; one row's conditioning never depends on another's."""
+    svals = np.linalg.svd(W, compute_uv=False)
+    smin = svals[:, -1]
+    bad = (smin <= 0) | (svals[:, 0] / np.maximum(smin, 1e-300) > cond_bound)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateFormError(float(smin[i]), points[i], i)
 
 
 class _FormSum:
@@ -330,15 +338,23 @@ class _FormSum:
     exp(-int_0^t_j delta), whose cumulative Simpson value at an odd node
     needs the next node: those terms are added one node late.  After the
     solve, ``value`` is the sum and ``transport`` the last node's weight.
+    An unweighted sum of a constant zero F (d Lambda of a constant Lambda)
+    is exactly zero and skips the pullbacks.
     """
 
     def __init__(self, evaluator, comp_src, degree):
         self.ev, self.comp_src, self.degree = evaluator, comp_src, degree
         self.value, self.transport = 0.0, None
         self._even = self._odd = None   # (integral, delta), (delta, term)
+        kind, payload = comp_src
+        self._zero = kind == "const" and not payload.any() and \
+            evaluator._delta is None
 
     def __call__(self, j, z, J):
         G = self.ev.groupoid
+        if self._zero:
+            self.value = np.zeros((len(z),) + (G.dim,) * self.degree)
+            return
         kind, payload = self.comp_src
         full = payload if kind == "const" else \
             tn.comps_to_full_batch(payload(z), G.dim, self.degree)
@@ -395,10 +411,12 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
     """Groupoid product on a symplectic spray groupoid, batched.
 
     ``a``, ``b`` are composable (B, d) batches of points:
-    sigma(a) = tau(b) within ``composability_tol`` (checked strictly, no
-    silent projection).  Solves the multiplication ODE by RK4 with
-    ``n_steps`` steps; each stage evaluates omega^{-1} and dtau at the
-    current solution, which costs one flow-with-Jacobian per stage.
+    sigma(a) = tau(b) within ``composability_tol``, a scalar or one
+    tolerance per row (checked strictly, no silent projection).  Solves the
+    multiplication ODE by RK4 with ``n_steps`` steps; each stage evaluates
+    omega^{-1} and dtau at the current solution, which costs one
+    flow-with-Jacobian per stage.  omega must be nondegenerate with
+    condition number at most ``cond_bound`` at every row on its own.
     """
     A = np.asarray(a, dtype=np.float64)
     Bp = np.asarray(b, dtype=np.float64)
@@ -407,11 +425,12 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
     n = G.n
     tau_b = G.tau(Bp)
     viols = np.max(np.abs(A[:, :n] - tau_b), axis=1)
-    worst = int(np.argmax(viols))
-    if viols[worst] > composability_tol:
-        raise ComposabilityError(
-            f"sigma(a) != tau(b) at batch row {worst}: violation "
-            f"{viols[worst]:.3e} > {composability_tol:.1e}")
+    tol = np.broadcast_to(np.asarray(composability_tol, dtype=np.float64),
+                          viols.shape)
+    over = viols > tol
+    if over.any():
+        worst = int(np.argmax(np.where(over, viols, -np.inf)))
+        raise ComposabilityError(viols[worst], tol[worst], worst)
 
     # fiber of phi^t(a) at the RK4 stage times: grid spacing h/2
     stage_grid = np.linspace(0.0, 1.0, 2 * n_steps + 1)
@@ -425,11 +444,7 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
         _, J = G.flow_end(k_pts, acc)
         dtau = J[:, :n, :]
         W = acc.value
-        svals = np.linalg.svd(W, compute_uv=False)
-        smin = float(np.min(svals[:, -1]))
-        if smin <= 0 or float(np.max(svals[:, 0])) / max(smin, 1e-300) > cond_bound:
-            row = int(np.argmin(svals[:, -1]))
-            raise DegenerateFormError(smin, k_pts[row], row)
+        _check_conditioning(W, k_pts, cond_bound)
         beta = np.einsum("baj,ba->bj", dtau, p_stage[stage_idx])
         return np.linalg.solve(W, beta[..., None])[..., 0]
 
@@ -495,44 +510,98 @@ def _newton_composable(G, a_base, b_guess, iters=3, tol=1e-13):
     return b
 
 
+@dataclass
+class _ProductRows:
+    """Rows of one check's product: composable (B, d) batches ``a`` and
+    ``b``, the composability tolerance the check asks for, and the index of
+    row 0 in the check's own batch (a check's rows may be split across
+    product calls)."""
+
+    check: str
+    a: np.ndarray
+    b: np.ndarray
+    composability_tol: float = 1e-9
+    first_row: int = 0
+
+    def split(self, k):
+        """Rows [:k] and [k:], each knowing its place in the check's batch."""
+        return (replace(self, a=self.a[:k], b=self.b[:k]),
+                replace(self, a=self.a[k:], b=self.b[k:],
+                        first_row=self.first_row + k))
+
+
+def _multiply_rows(G, evaluator, blocks, n_steps):
+    """One ``multiply_poisson`` call on the rows of ``blocks``, packed in
+    order; returns each block's products.
+
+    Each row is checked for composability against its own block's
+    tolerance.  Batched evaluation is row invariant, so a block gets the
+    bits a call of its own gives.  An error at a packed row names the check
+    that owns it and the row's index in that check's own batch.
+    """
+    sizes = [len(blk.a) for blk in blocks]
+    ends = np.cumsum(sizes)
+    tol = np.repeat([blk.composability_tol for blk in blocks], sizes)
+    try:
+        out = multiply_poisson(G, evaluator,
+                               np.concatenate([blk.a for blk in blocks]),
+                               np.concatenate([blk.b for blk in blocks]),
+                               n_steps=n_steps, composability_tol=tol)
+    except BatchRowError as exc:
+        if exc.row is not None:
+            i = int(np.searchsorted(ends, exc.row, side="right"))
+            start = ends[i] - sizes[i]
+            exc.relocate(blocks[i].check,
+                         blocks[i].first_row + exc.row - start)
+        raise
+    return np.split(out, ends[:-1])
+
+
+def _stencil_product_rows(G, a, b, tangent_pairs):
+    """The product rows of d mu at (a, b) on composable tangent pairs.
+
+    The central-difference stencil (step PRODUCT_FD_STEP) runs along
+    exactly composable curves: a_s = a + s v, and b_s Newton-corrected over
+    all rows at once so that tau(b_s) = sigma(a_s) to machine precision (the
+    correction is O(s^2), so it does not disturb the derivative; on the
+    already composable centre rows it is a no-op).
+    """
+    d = G.dim
+    V = np.stack([np.concatenate([v, w], axis=1) for v, w in tangent_pairs],
+                 axis=1)
+    rows = stencil_rows(np.concatenate([a, b], axis=1), V, PRODUCT_FD_STEP)
+    a_s = rows[:, :d]
+    return _ProductRows("multiplicativity", a_s,
+                       _newton_composable(G, a_s[:, : G.n], rows[:, d:]))
+
+
 def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
                                    n_steps=32):
     """mu(a, b) and d mu at (a, b) on composable tangent pairs, batched.
 
     ``tangent_pairs`` lists (v, w) batches with dtau(w) = dsigma(v).  Each
-    derivative is a 4th-order central difference (step PRODUCT_FD_STEP) of
-    ``multiply_poisson`` along exactly composable curves: a_s = a + s v, and
-    b_s Newton-corrected so that tau(b_s) = sigma(a_s) to machine precision
-    (the correction is O(s^2), so it does not disturb the derivative).  The
-    central product and every stencil offset of every pair go through one
-    Newton correction (a no-op on composable rows) and one
-    ``multiply_poisson`` call.  Returns (mu, [d mu(v, w) for each pair]).
+    derivative is a 4th-order central difference of ``multiply_poisson``
+    (see ``_stencil_product_rows``); the central product and every stencil
+    offset of every pair go through one ``multiply_poisson`` call.  Returns
+    (mu, [d mu(v, w) for each pair]).
     """
-    d = G.dim
-
-    def product(rows):
-        a_s, b_s = rows[:, :d], rows[:, d:]
-        return multiply_poisson(G, evaluator, a_s,
-                                _newton_composable(G, a_s[:, : G.n], b_s),
-                                n_steps=n_steps)
-
-    V = np.stack([np.concatenate([v, w], axis=1) for v, w in tangent_pairs],
-                 axis=1)
-    mu, dmu = central_difference(product, np.concatenate([a, b], axis=1), V,
-                                 PRODUCT_FD_STEP)
+    (products,) = _multiply_rows(
+        G, evaluator, [_stencil_product_rows(G, a, b, tangent_pairs)], n_steps)
+    mu, dmu = stencil_derivatives(products, len(a), PRODUCT_FD_STEP)
     return mu, list(np.swapaxes(dmu, 0, 1))
 
 
-def multiplicativity_residual(G, evaluator, n_pairs=100, seed=2718, n_steps=32,
-                              fiber_scale=0.5):
-    """Max residual of the product compatibility over sampled composable data.
+def _multiplicativity(G, evaluator, n_pairs, seed, fiber_scale=0.5):
+    """The stencil rows of the multiplicativity check, and the function that
+    turns their products into the multiplicativity and inversion
+    antisymmetry residuals.
 
-    For each pair, two composable tangent pairs are pushed through
-    ``differential_of_multiplication`` and
+    For each sampled composable pair (a, b), two composable tangent pairs
+    go through d mu and
 
         | omega_{mu}(dmu(v,w), dmu(v',w')) - omega_a(v,v') - omega_b(w,w') |
 
-    is maximized.  Also returns the inversion-antisymmetry residual
+    is maximized.  The inversion-antisymmetry residual is
     | (iota^* omega + omega) | over the same a-points.
     """
     rng = SplitMix64(seed)
@@ -545,42 +614,93 @@ def multiplicativity_residual(G, evaluator, n_pairs=100, seed=2718, n_steps=32,
     om_b, om_a = evaluator.omega_sum(), evaluator.omega_sum()
     _, dtau = G.tau_with_jacobian(b, om_b)
     w1, w2 = composable_tangents_batch(dtau, [v1[:, : G.n], v2[:, : G.n]], rng)
-    mu, dmu = differential_of_multiplication(
-        G, evaluator, a, b, [(v1, w1), (v2, w2)], n_steps=n_steps)
-
-    W_mu = evaluator.omega_matrices(mu)
     inv_a, dinv = G.inverse_with_jacobian(a, om_a)
-    W_a, W_b = om_a.value, om_b.value
-    lhs = np.einsum("bi,bij,bj->b", dmu[0], W_mu, dmu[1])
-    rhs = np.einsum("bi,bij,bj->b", v1, W_a, v2) + \
-        np.einsum("bi,bij,bj->b", w1, W_b, w2)
-    mult_res = float(np.max(np.abs(lhs - rhs)))
+    rows = _stencil_product_rows(G, a, b, [(v1, w1), (v2, w2)])
 
-    W_inv = evaluator.omega_matrices(inv_a)
-    pulled = np.einsum("bji,bjk,bkl->bil", dinv, W_inv, dinv)
-    inv_res = float(np.max(np.abs(pulled + W_a)))
-    return {"multiplicativity": mult_res, "inversion_antisymmetry": inv_res,
-            "mu": mu, "pairs": (a, b)}
+    def residuals(products):
+        mu, dmu = stencil_derivatives(products, n_pairs, PRODUCT_FD_STEP)
+        # omega at the products and at the inverses from one solve
+        W_mu, W_inv = np.split(
+            evaluator.omega_matrices(np.concatenate([mu, inv_a])), [n_pairs])
+        W_a, W_b = om_a.value, om_b.value
+        lhs = np.einsum("bi,bij,bj->b", dmu[:, 0], W_mu, dmu[:, 1])
+        rhs = np.einsum("bi,bij,bj->b", v1, W_a, v2) + \
+            np.einsum("bi,bij,bj->b", w1, W_b, w2)
+        pulled = np.einsum("bji,bjk,bkl->bil", dinv, W_inv, dinv)
+        return {"multiplicativity": float(np.max(np.abs(lhs - rhs))),
+                "inversion_antisymmetry": float(np.max(np.abs(pulled + W_a))),
+                "mu": mu, "pairs": (a, b)}
+
+    return rows, residuals
 
 
-def associativity_residual(G, evaluator, n_triples=50, seed=424242, n_steps=32,
-                           fiber_scale=0.4):
-    """max || mu(mu(a,b),c) - mu(a,mu(b,c)) || over sampled composable triples."""
+def _associativity(G, n_triples, seed, fiber_scale=0.4):
+    """Stage 1 of the associativity check, mu(a, b) and mu(b, c) on sampled
+    composable triples; the function that makes stage 2, mu(mu(a, b), c)
+    and mu(a, mu(b, c)), from stage 1's products; and the function that
+    turns stage 2's products into max || mu(mu(a,b),c) - mu(a,mu(b,c)) ||.
+    """
     rng = SplitMix64(seed)
     c = G.sample_validity_points(n_triples, seed, fiber_scale=fiber_scale)
     b = _left_factors(G, c, rng, fiber_scale)
     a = _left_factors(G, b, rng, fiber_scale)
 
-    first = multiply_poisson(G, evaluator, np.concatenate([a, b]),
-                             np.concatenate([b, c]), n_steps=n_steps)
-    ab = first[:n_triples]
-    bc = first[n_triples:]
-    second = multiply_poisson(
-        G, evaluator, np.concatenate([ab, a]), np.concatenate([c, bc]),
-        n_steps=n_steps, composability_tol=1e-8)
-    left = second[:n_triples]
-    right = second[n_triples:]
-    return float(np.max(np.abs(left - right)))
+    def stage2(first):
+        ab, bc = first[:n_triples], first[n_triples:]
+        return _ProductRows("associativity stage 2", np.concatenate([ab, a]),
+                           np.concatenate([c, bc]), composability_tol=1e-8)
+
+    def residual(second):
+        return float(np.max(np.abs(second[:n_triples] - second[n_triples:])))
+
+    return (_ProductRows("associativity stage 1", np.concatenate([a, b]),
+                        np.concatenate([b, c])), stage2, residual)
+
+
+def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
+                      assoc_seed, n_steps=32):
+    """Multiplicativity, inversion antisymmetry and associativity of the
+    Poisson product, from two product calls of (nearly) equal size.
+
+    Every product row is prepared first: the Newton-corrected stencil rows
+    of the multiplicativity check (9 per pair) and the associativity
+    triples.  Call 1 multiplies associativity stage 1 (2 rows per triple)
+    and the first half of the stencil rows, call 2 stage 2 (2 rows per
+    triple) and the second half.  The split comes from the row counts
+    alone.  Each row gets the bits a call of its own gives, so the residuals
+    equal those of ``multiplicativity_residual`` and
+    ``associativity_residual`` with the same seeds.
+    """
+    stencil, mult_residuals = _multiplicativity(G, evaluator, n_pairs,
+                                                mult_seed)
+    stage1, stage2, assoc_residual = _associativity(G, n_triples, assoc_seed)
+    head, tail = stencil.split((len(stencil.a) + 1) // 2)
+    first, head_products = _multiply_rows(G, evaluator, [stage1, head], n_steps)
+    second, tail_products = _multiply_rows(G, evaluator,
+                                           [stage2(first), tail], n_steps)
+    out = mult_residuals(np.concatenate([head_products, tail_products]))
+    out["associativity"] = assoc_residual(second)
+    return out
+
+
+def multiplicativity_residual(G, evaluator, n_pairs=100, seed=2718, n_steps=32,
+                              fiber_scale=0.5):
+    """The multiplicativity and inversion antisymmetry residuals of
+    ``product_residuals`` alone, from one product call."""
+    stencil, residuals = _multiplicativity(G, evaluator, n_pairs, seed,
+                                           fiber_scale)
+    (products,) = _multiply_rows(G, evaluator, [stencil], n_steps)
+    return residuals(products)
+
+
+def associativity_residual(G, evaluator, n_triples=50, seed=424242, n_steps=32,
+                           fiber_scale=0.4):
+    """max || mu(mu(a,b),c) - mu(a,mu(b,c)) || over sampled composable
+    triples, from one product call per stage."""
+    stage1, stage2, residual = _associativity(G, n_triples, seed, fiber_scale)
+    (first,) = _multiply_rows(G, evaluator, [stage1], n_steps)
+    (second,) = _multiply_rows(G, evaluator, [stage2(first)], n_steps)
+    return residual(second)
 
 
 # ---------------------------------------------------------------------------

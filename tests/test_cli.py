@@ -188,8 +188,8 @@ def test_check_byte_identical_reports(tmp_path):
 
 
 # tangent-flow solves of `check`: one per sample set
-CHECK_JAC_SOLVES = {"gcs_r2": 6, "jacobi_line": 4, "dirac_twisted": 4,
-                    "nijenhuis_r2": 13}
+CHECK_JAC_SOLVES = {"gcs_r2": 5, "jacobi_line": 4, "dirac_twisted": 4,
+                    "nijenhuis_r2": 12}
 
 
 @pytest.mark.parametrize("name", ["gcs_r2", "jacobi_line", "dirac_twisted",
@@ -213,6 +213,30 @@ def test_check_makes_no_one_row_flow_solves(name, tmp_path, monkeypatch):
     sizes = sum(batch_sizes.values(), [])
     assert sizes and min(sizes) > 1
     assert len(batch_sizes["flow_with_jacobian"]) == CHECK_JAC_SOLVES[name]
+
+
+def test_so3_check_runs_two_balanced_product_calls(tmp_path, monkeypatch):
+    """so3's product rows (225 stencil rows, 20 per associativity stage) go
+    through two product calls of nearly equal size, and check makes 265
+    tangent-flow solves: 128 per product call (4 RK4 stages x 32 steps)
+    and 9 outside the product."""
+    rows, solves = [], []
+    product, solve = groupoid.multiply_poisson, FlowEngine.flow_with_jacobian
+
+    def counted_product(G, ev, a, b, **kwargs):
+        rows.append(len(a))
+        return product(G, ev, a, b, **kwargs)
+
+    def counted_solve(self, *args):
+        solves.append(1)
+        return solve(self, *args)
+
+    monkeypatch.setattr(groupoid, "multiply_poisson", counted_product)
+    monkeypatch.setattr(FlowEngine, "flow_with_jacobian", counted_solve)
+    assert main(["check", "--config", str(CONFIGS / "so3.json"),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert rows == [20 + 113, 20 + 112]
+    assert len(solves) == 265
 
 
 _ALGEBROID = ["algebroid_antisymmetry", "algebroid_anchor_morphism",
@@ -264,7 +288,7 @@ def test_runtime_error_names_its_check(tmp_path, capsys, monkeypatch):
     def leaves_box(*args, **kwargs):
         raise DomainExitError(0.5, np.array([0.1, 0.2, 3.0, 0.0]), row=2)
 
-    monkeypatch.setattr(scenarios, "associativity_residual", leaves_box)
+    monkeypatch.setattr(scenarios, "product_residuals", leaves_box)
     path = _fast_poisson(tmp_path)
     assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 3
     assert capsys.readouterr().err == (

@@ -13,17 +13,23 @@ from sprayform.algebroid import (
     jacobi_algebroid,
     jacobi_cocycle,
 )
+from sprayform import groupoid
 from sprayform.errors import (
     ComposabilityError,
     DegenerateFormError,
     DimensionError,
+    DomainExitError,
     NonlinearCocycleError,
 )
 from sprayform.expr import BivectorField, FormField, parse
-from sprayform.flow import FlowEngine, cumulative_integral
+from sprayform.flow import FlowEngine, central_difference, cumulative_integral
 from sprayform.groupoid import (
+    PRODUCT_FD_STEP,
     MultFormEvaluator,
     SprayGroupoid,
+    _left_factors,
+    _newton_composable,
+    associativity_residual,
     composable_tangents_batch,
     differential_of_multiplication,
     differentiate_at_units,
@@ -32,6 +38,7 @@ from sprayform.groupoid import (
     linearization_check,
     multiplicativity_residual,
     multiply_poisson,
+    product_residuals,
     sample_composable_pairs,
     units_form_predictor,
 )
@@ -384,6 +391,61 @@ def test_degenerate_form_in_product_names_row_and_point(flat_groupoid):
     assert "point (0, 0.2, 0.2, 0.1)" in str(err.value)
 
 
+def test_condition_guard_is_per_row(flat_groupoid):
+    """Each row's omega is checked against cond_bound on its own: rows that
+    are each well conditioned pass together even when the batch's largest
+    singular value over its smallest exceeds the bound, and get the bits of
+    one-row calls."""
+    A, G, _ = flat_groupoid
+    # Lambda = x1 (dx1^dy1 + dx2^dy2): omega = x1 J for pi = 0, condition
+    # number 1 at every row; over rows x1 = 0.1 and 0.5 the batch ratio is 5
+    x1 = parse("x1", A.total_vars)
+    ev = MultFormEvaluator(G, LinearForm(A, 2, FormField(
+        A.total_vars, 2, {(0, 2): x1, (1, 3): x1})))
+    b = np.array([[0.1, 0.2, 0.1, 0.0], [0.5, -0.1, 0.2, 0.1]])
+    a = b.copy()
+    a[:, 2:] = 0.05
+    got = multiply_poisson(G, ev, a, b, n_steps=2, cond_bound=2.0)
+    for r in range(2):
+        one = multiply_poisson(G, ev, a[r:r + 1], b[r:r + 1], n_steps=2,
+                               cond_bound=2.0)
+        assert np.array_equal(got[r], one[0])
+
+
+def test_condition_guard_names_the_row_over_its_own_bound(flat_groupoid):
+    A, G, _ = flat_groupoid
+    # Lambda = x1 dx1^dy1 + dx2^dy2: condition number 1/|x1| for |x1| < 1
+    form = FormField(A.total_vars, 2, {(0, 2): parse("x1", A.total_vars),
+                                       (1, 3): ex.ONE})
+    ev = MultFormEvaluator(G, LinearForm(A, 2, form))
+    b = np.array([[0.5, 0.2, 0.1, 0.0], [0.05, -0.1, 0.2, 0.1],
+                  [0.02, 0.1, 0.0, 0.1]])
+    a = b.copy()
+    a[:, 2:] = 0.05
+    with pytest.raises(DegenerateFormError) as err:
+        multiply_poisson(G, ev, a, b, n_steps=2, cond_bound=10.0)
+    assert err.value.row == 1
+    assert err.value.smallest_singular_value == pytest.approx(0.05)
+
+
+def test_composability_tolerance_per_row(flat_groupoid):
+    """A scalar or per-row composability tolerance; the error names the
+    worst row among those over their own tolerance."""
+    _, G, ev = flat_groupoid
+    b = np.array([[0.1, 0.2, 0.1, 0.0], [0.0, -0.1, 0.2, 0.1],
+                  [0.3, 0.0, -0.1, 0.2]])
+    a = b.copy()
+    a[0, 0] += 5e-9
+    a[1, 0] += 2e-9
+    with pytest.raises(ComposabilityError, match="row 0"):
+        multiply_poisson(G, ev, a, b, n_steps=2)
+    with pytest.raises(ComposabilityError, match="row 1: violation 2"):
+        multiply_poisson(G, ev, a, b, n_steps=2,
+                         composability_tol=np.array([1e-8, 1e-9, 1e-9]))
+    multiply_poisson(G, ev, a, b, n_steps=2,
+                     composability_tol=np.array([1e-8, 1e-8, 1e-9]))
+
+
 def test_constant_pi_associativity(const_groupoid):
     _, G, ev = const_groupoid
     rng = SplitMix64(99)
@@ -418,7 +480,8 @@ def test_differential_of_multiplication_flat(flat_groupoid):
 def test_multiplicativity_residual_solves_each_batch_once(const_groupoid,
                                                          monkeypatch):
     """dtau and omega at the right factors b, and the inverse and omega at
-    the left factors a, each come from one tangent-flow solve."""
+    the left factors a, each come from one tangent-flow solve, alone and in
+    the product schedule."""
     _, G, ev = const_groupoid
     solved, original = [], FlowEngine.flow_with_jacobian
 
@@ -427,12 +490,163 @@ def test_multiplicativity_residual_solves_each_batch_once(const_groupoid,
         return original(self, P, *args)
 
     monkeypatch.setattr(FlowEngine, "flow_with_jacobian", counted)
-    out = multiplicativity_residual(G, ev, n_pairs=4, n_steps=4)
-    for P in out["pairs"]:
-        assert sum(S.shape == P.shape and np.array_equal(S, P)
-                   for S in solved) == 1
-    assert np.isfinite(out["multiplicativity"])
-    assert out["inversion_antisymmetry"] < 1e-12
+    for run in (lambda: multiplicativity_residual(G, ev, n_pairs=4, n_steps=4),
+                lambda: product_residuals(G, ev, 4, 2, 2718, 5, n_steps=4)):
+        solved.clear()
+        out = run()
+        for P in out["pairs"]:
+            assert sum(S.shape == P.shape and np.array_equal(S, P)
+                       for S in solved) == 1
+        assert np.isfinite(out["multiplicativity"])
+        assert out["inversion_antisymmetry"] < 1e-12
+
+
+def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
+    """The schedule's two product calls give, bit for bit, the residuals
+    built from separate products: the d mu stencil in one call of its own
+    and each associativity product in its own call."""
+    _, G, ev = so3_groupoid
+    n_pairs, n_triples, n_steps, d = 3, 2, 4, G.dim
+    calls, original = [], groupoid.multiply_poisson
+
+    def counted(G_, ev_, a, b, **kwargs):
+        calls.append(len(a))
+        return original(G_, ev_, a, b, **kwargs)
+
+    monkeypatch.setattr(groupoid, "multiply_poisson", counted)
+    out = product_residuals(G, ev, n_pairs, n_triples, 11, 12, n_steps=n_steps)
+    # 9 stencil rows per pair, 2 rows per triple and stage
+    assert calls == [4 + 14, 4 + 13]
+    monkeypatch.undo()
+
+    rng = SplitMix64(11)
+    a, b = sample_composable_pairs(G, n_pairs, 11, fiber_scale=0.5)
+    v1 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
+    v2 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
+    w1, w2 = composable_tangents_batch(G.tau_with_jacobian(b)[1],
+                                       [v1[:, : G.n], v2[:, : G.n]], rng)
+
+    def product(rows):
+        a_s = rows[:, :d]
+        return multiply_poisson(G, ev, a_s,
+                                _newton_composable(G, a_s[:, : G.n], rows[:, d:]),
+                                n_steps=n_steps)
+
+    V = np.stack([np.hstack([v1, w1]), np.hstack([v2, w2])], axis=1)
+    mu, dmu = central_difference(product, np.hstack([a, b]), V, PRODUCT_FD_STEP)
+    W_a, W_b, W_mu = (ev.omega_matrices(P) for P in (a, b, mu))
+    lhs = np.einsum("bi,bij,bj->b", dmu[:, 0], W_mu, dmu[:, 1])
+    rhs = np.einsum("bi,bij,bj->b", v1, W_a, v2) + \
+        np.einsum("bi,bij,bj->b", w1, W_b, w2)
+    assert out["multiplicativity"] == float(np.max(np.abs(lhs - rhs)))
+    assert np.array_equal(out["mu"], mu)
+    inv_a, dinv = G.inverse_with_jacobian(a)
+    pulled = np.einsum("bji,bjk,bkl->bil", dinv, ev.omega_matrices(inv_a), dinv)
+    assert out["inversion_antisymmetry"] == float(np.max(np.abs(pulled + W_a)))
+
+    rng = SplitMix64(12)
+    c = G.sample_validity_points(n_triples, 12, fiber_scale=0.4)
+    bb = _left_factors(G, c, rng, 0.4)
+    aa = _left_factors(G, bb, rng, 0.4)
+    ab = multiply_poisson(G, ev, aa, bb, n_steps=n_steps)
+    bc = multiply_poisson(G, ev, bb, c, n_steps=n_steps)
+    left = multiply_poisson(G, ev, ab, c, n_steps=n_steps, composability_tol=1e-8)
+    right = multiply_poisson(G, ev, aa, bc, n_steps=n_steps,
+                             composability_tol=1e-8)
+    assoc = float(np.max(np.abs(left - right)))
+    assert out["associativity"] == assoc
+    assert associativity_residual(G, ev, n_triples, 12, n_steps=n_steps) == assoc
+
+
+def _edit_rows(monkeypatch, which, edit):
+    """Wrap the product-row preparation so that ``edit`` changes the rows of
+    ``which`` ("multiplicativity", "stage 1" or "stage 2" of associativity)
+    before they are packed."""
+    if which == "multiplicativity":
+        original_mult = groupoid._multiplicativity
+
+        def mult(*args):
+            rows, residuals = original_mult(*args)
+            edit(rows)
+            return rows, residuals
+
+        monkeypatch.setattr(groupoid, "_multiplicativity", mult)
+        return
+    original_assoc = groupoid._associativity
+
+    def assoc(*args):
+        stage1, stage2, residual = original_assoc(*args)
+        if which == "stage 1":
+            edit(stage1)
+            return stage1, stage2, residual
+
+        def edited(first):
+            rows = stage2(first)
+            edit(rows)
+            return rows
+
+        return stage1, edited, residual
+
+    monkeypatch.setattr(groupoid, "_associativity", assoc)
+
+
+def _shift(row, by):
+    def edit(rows):
+        rows.a[row, 0] += by
+    return edit
+
+
+def test_packed_product_error_names_check_and_its_row(const_groupoid,
+                                                       monkeypatch):
+    """An error at a packed product row names the check that owns the row
+    and the row's index in that check's own batch."""
+    _, G, ev = const_groupoid
+
+    def run():
+        # 2 pairs, 3 triples: 9 + 9 stencil rows, 6 stage rows per call
+        return product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)
+
+    _edit_rows(monkeypatch, "stage 1", _shift(4, 0.3))
+    with pytest.raises(ComposabilityError) as err:
+        run()
+    assert err.value.row == 4
+    assert str(err.value) == ("associativity stage 1: sigma(a) != tau(b) at "
+                              "batch row 4: violation 3.000e-01 > 1.0e-09")
+    monkeypatch.undo()
+
+    def leave_box(rows):
+        rows.b[1, 0] = 3.0   # outside the chart box [-1, 1]
+
+    _edit_rows(monkeypatch, "stage 2", leave_box)
+    with pytest.raises(DomainExitError) as err:
+        run()
+    assert err.value.row == 1
+    assert str(err.value).startswith(
+        "associativity stage 2: trajectory left the domain box at t=0, "
+        "batch row 1, point (3, ")
+    monkeypatch.undo()
+
+    # row 6 + 2 of the second call is row 9 + 2 of the 18 stencil rows
+    _edit_rows(monkeypatch, "multiplicativity", _shift(11, 0.3))
+    with pytest.raises(ComposabilityError) as err:
+        run()
+    assert err.value.row == 11
+    assert str(err.value).startswith(
+        "multiplicativity: sigma(a) != tau(b) at batch row 11: ")
+
+
+def test_packed_rows_keep_their_check_tolerance(const_groupoid, monkeypatch):
+    """Stage 2 rows are checked at 1e-8 and stencil rows at 1e-9 in the
+    same packed call."""
+    _, G, ev = const_groupoid
+    _edit_rows(monkeypatch, "stage 2", _shift(0, 5e-9))
+    out = product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)
+    assert np.isfinite(out["associativity"])
+    monkeypatch.undo()
+    _edit_rows(monkeypatch, "multiplicativity", _shift(12, 5e-9))
+    with pytest.raises(ComposabilityError,
+                       match="^multiplicativity: .* row 12: violation 5"):
+        product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)
 
 
 @pytest.mark.parametrize("fixture, solves", [("so3_groupoid", 1),
