@@ -275,12 +275,17 @@ class MultFormEvaluator:
         """Batched full arrays of d omega.
 
         Trivial coefficients: the de Rham differential commutes with the
-        construction, so this is the quadrature of the (symbolic) d Lambda.
+        construction, so this is the quadrature of the (symbolic) d Lambda;
+        when d Lambda is the constant zero (a constant Lambda, as for the
+        canonical Poisson form), that quadrature is zero and needs no solve.
         Weighted evaluators: 4th-order central differences of the omega
         coefficients at step OMEGA_FD_STEP (documented looser tolerance
         ~1e-6).
         """
         if self._delta is None:
+            kind, payload = self._dlam
+            if kind == "const" and not payload.any():
+                return np.zeros((len(P),) + payload.shape)
             acc = self.domega_sum()
             self.groupoid.flow_end(P, acc)
             return acc.value
@@ -338,23 +343,15 @@ class _FormSum:
     exp(-int_0^t_j delta), whose cumulative Simpson value at an odd node
     needs the next node: those terms are added one node late.  After the
     solve, ``value`` is the sum and ``transport`` the last node's weight.
-    An unweighted sum of a constant zero F (d Lambda of a constant Lambda)
-    is exactly zero and skips the pullbacks.
     """
 
     def __init__(self, evaluator, comp_src, degree):
         self.ev, self.comp_src, self.degree = evaluator, comp_src, degree
         self.value, self.transport = 0.0, None
         self._even = self._odd = None   # (integral, delta), (delta, term)
-        kind, payload = comp_src
-        self._zero = kind == "const" and not payload.any() and \
-            evaluator._delta is None
 
     def __call__(self, j, z, J):
         G = self.ev.groupoid
-        if self._zero:
-            self.value = np.zeros((len(z),) + (G.dim,) * self.degree)
-            return
         kind, payload = self.comp_src
         full = payload if kind == "const" else \
             tn.comps_to_full_batch(payload(z), G.dim, self.degree)
@@ -591,7 +588,7 @@ def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
     return mu, list(np.swapaxes(dmu, 0, 1))
 
 
-def _multiplicativity(G, evaluator, n_pairs, seed, fiber_scale=0.5):
+def _multiplicativity(G, evaluator, n_pairs, seed):
     """The stencil rows of the multiplicativity check, and the function that
     turns their products into the multiplicativity and inversion
     antisymmetry residuals.
@@ -605,7 +602,7 @@ def _multiplicativity(G, evaluator, n_pairs, seed, fiber_scale=0.5):
     | (iota^* omega + omega) | over the same a-points.
     """
     rng = SplitMix64(seed)
-    a, b = sample_composable_pairs(G, n_pairs, seed, fiber_scale)
+    a, b = sample_composable_pairs(G, n_pairs, seed, fiber_scale=0.5)
     d = G.dim
     v1 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
     v2 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
@@ -634,13 +631,13 @@ def _multiplicativity(G, evaluator, n_pairs, seed, fiber_scale=0.5):
     return rows, residuals
 
 
-def _associativity(G, n_triples, seed, fiber_scale=0.4):
+def _associativity(G, n_triples, seed):
     """Stage 1 of the associativity check, mu(a, b) and mu(b, c) on sampled
     composable triples; the function that makes stage 2, mu(mu(a, b), c)
     and mu(a, mu(b, c)), from stage 1's products; and the function that
     turns stage 2's products into max || mu(mu(a,b),c) - mu(a,mu(b,c)) ||.
     """
-    rng = SplitMix64(seed)
+    rng, fiber_scale = SplitMix64(seed), 0.4
     c = G.sample_validity_points(n_triples, seed, fiber_scale=fiber_scale)
     b = _left_factors(G, c, rng, fiber_scale)
     a = _left_factors(G, b, rng, fiber_scale)
@@ -668,8 +665,7 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     and the first half of the stencil rows, call 2 stage 2 (2 rows per
     triple) and the second half.  The split comes from the row counts
     alone.  Each row gets the bits a call of its own gives, so the residuals
-    equal those of ``multiplicativity_residual`` and
-    ``associativity_residual`` with the same seeds.
+    equal those of the same products multiplied in separate calls.
     """
     stencil, mult_residuals = _multiplicativity(G, evaluator, n_pairs,
                                                 mult_seed)
@@ -681,26 +677,6 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     out = mult_residuals(np.concatenate([head_products, tail_products]))
     out["associativity"] = assoc_residual(second)
     return out
-
-
-def multiplicativity_residual(G, evaluator, n_pairs=100, seed=2718, n_steps=32,
-                              fiber_scale=0.5):
-    """The multiplicativity and inversion antisymmetry residuals of
-    ``product_residuals`` alone, from one product call."""
-    stencil, residuals = _multiplicativity(G, evaluator, n_pairs, seed,
-                                           fiber_scale)
-    (products,) = _multiply_rows(G, evaluator, [stencil], n_steps)
-    return residuals(products)
-
-
-def associativity_residual(G, evaluator, n_triples=50, seed=424242, n_steps=32,
-                           fiber_scale=0.4):
-    """max || mu(mu(a,b),c) - mu(a,mu(b,c)) || over sampled composable
-    triples, from one product call per stage."""
-    stage1, stage2, residual = _associativity(G, n_triples, seed, fiber_scale)
-    (first,) = _multiply_rows(G, evaluator, [stage1], n_steps)
-    (second,) = _multiply_rows(G, evaluator, [stage2(first)], n_steps)
-    return residual(second)
 
 
 # ---------------------------------------------------------------------------
