@@ -7,12 +7,15 @@ downstream are limited only by evaluation roundoff.  The only rewriting done
 at construction time is constant folding (including 0/1 absorption); there is
 no canonical form, and correctness is always established by evaluation.
 
-Expressions have one evaluation path: ``compile_exprs`` turns a list of them
-into one vectorized function of a point batch, and the fields' ``values``
-methods go through it.  Division by zero, log/sqrt outside their domain and
-overflow raise EvalDomainError instead of producing inf or NaN.  ``Expr.eval``
-walks the tree at one point; it is the reference oracle that the tests
-compare the compiled path against, and the package itself never calls it.
+Expressions have one evaluator: ``compile_exprs`` turns a list of them into
+one vectorized function of a point batch, and the fields' ``values`` methods
+go through it.  Division by zero, log/sqrt outside their domain and overflow
+raise EvalDomainError instead of producing inf or NaN.  Constant folding
+applies the compiled code's rules (``a^n`` by ``_int_power``), and a constant
+that is not finite, a literal such as ``1e999`` or a fold such as ``2^2000``,
+raises EvalDomainError where it is made.  The package has no tree walk: the
+tests compare the compiled path with one (``tests/expr_oracle.py``) and the
+derivatives, printer and Schouten brackets with sympy.
 
 Grammar (EBNF)::
 
@@ -64,15 +67,14 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 # ---------------------------------------------------------------------------
 # Expression trees
 
+# Printing precedence of each node kind, loosest first.
+_PREC = {"add": 1, "mul": 2, "pow": 3, "neg": 4, "atom": 5}
+
 
 class Expr:
     """Immutable expression tree node."""
 
     __slots__ = ()
-
-    def eval(self, env):
-        """Tree-walk value at ``env``: the tests' oracle for compile_exprs."""
-        raise NotImplementedError
 
     def diff(self, name):
         raise NotImplementedError
@@ -107,16 +109,18 @@ class Expr:
 
 
 class Const(Expr):
+    """A finite float; a literal or fold that overflows raises EvalDomainError."""
+
     __slots__ = ("value",)
 
     def __init__(self, value):
-        object.__setattr__(self, "value", float(value))
+        value = float(value)
+        if not math.isfinite(value):
+            raise EvalDomainError(f"non-finite constant {value}")
+        object.__setattr__(self, "value", value)
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
-
-    def eval(self, env):
-        return self.value
 
     def diff(self, name):
         return ZERO
@@ -133,9 +137,6 @@ class Var(Expr):
 
     __setattr__ = Const.__setattr__
 
-    def eval(self, env):
-        return env[self.name]
-
     def diff(self, name):
         return ONE if name == self.name else ZERO
 
@@ -144,180 +145,6 @@ class Var(Expr):
 
     def _key(self):
         return (self.name,)
-
-
-class _Binary(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    __setattr__ = Const.__setattr__
-
-    def _collect(self, out):
-        self.a._collect(out)
-        self.b._collect(out)
-
-    def _key(self):
-        return (self.a, self.b)
-
-
-class Add(_Binary):
-    __slots__ = ()
-
-    def eval(self, env):
-        return self.a.eval(env) + self.b.eval(env)
-
-    def diff(self, name):
-        return add(self.a.diff(name), self.b.diff(name))
-
-
-class Sub(_Binary):
-    __slots__ = ()
-
-    def eval(self, env):
-        return self.a.eval(env) - self.b.eval(env)
-
-    def diff(self, name):
-        return sub(self.a.diff(name), self.b.diff(name))
-
-
-class Mul(_Binary):
-    __slots__ = ()
-
-    def eval(self, env):
-        return self.a.eval(env) * self.b.eval(env)
-
-    def diff(self, name):
-        return add(mul(self.a.diff(name), self.b), mul(self.a, self.b.diff(name)))
-
-
-class Div(_Binary):
-    __slots__ = ()
-
-    def eval(self, env):
-        den = self.b.eval(env)
-        if den == 0.0:
-            raise EvalDomainError("division by zero")
-        return self.a.eval(env) / den
-
-    def diff(self, name):
-        # (a/b)' = a'/b - a b'/b^2
-        return sub(div(self.a.diff(name), self.b),
-                   div(mul(self.a, self.b.diff(name)), mul(self.b, self.b)))
-
-
-class Neg(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        object.__setattr__(self, "a", a)
-
-    __setattr__ = Const.__setattr__
-
-    def eval(self, env):
-        return -self.a.eval(env)
-
-    def diff(self, name):
-        return neg(self.a.diff(name))
-
-    def _collect(self, out):
-        self.a._collect(out)
-
-    def _key(self):
-        return (self.a,)
-
-
-class Pow(Expr):
-    """Integer power.  The exponent is part of the node, not a subtree."""
-
-    __slots__ = ("a", "n")
-
-    def __init__(self, a, n):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "n", int(n))
-
-    __setattr__ = Const.__setattr__
-
-    def eval(self, env):
-        power = _int_power(self.a.eval(env), abs(self.n))
-        if self.n >= 0:
-            return power
-        if power == 0.0:
-            raise EvalDomainError("zero raised to a negative power")
-        return 1.0 / power
-
-    def diff(self, name):
-        da = self.a.diff(name)
-        return mul(mul(Const(self.n), pow_int(self.a, self.n - 1)), da)
-
-    def _collect(self, out):
-        self.a._collect(out)
-
-    def _key(self):
-        return (self.a, self.n)
-
-
-def _int_power(base, n):
-    """base^n, n >= 0, by one fixed sequence of squarings and products, so
-    numpy arrays and Python floats round alike (``**`` and C pow do not)."""
-    power = 1.0
-    while n:
-        if n & 1:
-            power = power * base
-        n >>= 1
-        if n:
-            base = base * base
-    return power
-
-
-_CALL_EVAL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-}
-
-
-class Call(Expr):
-    __slots__ = ("fn", "a")
-
-    def __init__(self, fn, a):
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "a", a)
-
-    __setattr__ = Const.__setattr__
-
-    def eval(self, env):
-        x = self.a.eval(env)
-        try:
-            return _CALL_EVAL[self.fn](x)
-        except (ValueError, OverflowError) as exc:
-            raise EvalDomainError(f"{self.fn}({x!r}): {exc}") from exc
-
-    def diff(self, name):
-        da = self.a.diff(name)
-        if self.fn == "sin":
-            outer = Call("cos", self.a)
-        elif self.fn == "cos":
-            outer = neg(Call("sin", self.a))
-        elif self.fn == "exp":
-            outer = self
-        elif self.fn == "log":
-            return div(da, self.a)
-        elif self.fn == "sqrt":
-            return div(da, mul(Const(2.0), self))
-        else:  # pragma: no cover
-            raise ArityError(f"unknown function {self.fn}")
-        return mul(outer, da)
-
-    def _collect(self, out):
-        self.a._collect(out)
-
-    def _key(self):
-        return (self.fn, self.a)
 
 
 ZERO = Const(0.0)
@@ -394,9 +221,161 @@ def pow_int(a, n):
         return ONE
     if n == 1:
         return a
-    if isinstance(a, Const):
-        return Const(Pow(a, n).eval({}))   # folds by the evaluators' rule
-    return Pow(a, n)
+    if not isinstance(a, Const):
+        return Pow(a, n)
+    # fold by the compiled code's rule
+    power = _int_power(a.value, abs(n))
+    if n > 0:
+        return Const(power)
+    if power == 0.0:
+        raise EvalDomainError("zero raised to a negative power")
+    return Const(1.0 / power)
+
+
+class _Binary(Expr):
+    """Infix operator node.
+
+    Each subclass declares its source symbol ``op``, its precedence
+    ``prec`` and its smart constructor ``make``; the parser, the printer,
+    code generation and ``subst`` read them from there.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    __setattr__ = Const.__setattr__
+
+    def _collect(self, out):
+        self.a._collect(out)
+        self.b._collect(out)
+
+    def _key(self):
+        return (self.a, self.b)
+
+
+class Add(_Binary):
+    __slots__ = ()
+    op, prec, make = "+", _PREC["add"], staticmethod(add)
+
+    def diff(self, name):
+        return add(self.a.diff(name), self.b.diff(name))
+
+
+class Sub(_Binary):
+    __slots__ = ()
+    op, prec, make = "-", _PREC["add"], staticmethod(sub)
+
+    def diff(self, name):
+        return sub(self.a.diff(name), self.b.diff(name))
+
+
+class Mul(_Binary):
+    __slots__ = ()
+    op, prec, make = "*", _PREC["mul"], staticmethod(mul)
+
+    def diff(self, name):
+        return add(mul(self.a.diff(name), self.b), mul(self.a, self.b.diff(name)))
+
+
+class Div(_Binary):
+    __slots__ = ()
+    op, prec, make = "/", _PREC["mul"], staticmethod(div)
+
+    def diff(self, name):
+        # (a/b)' = a'/b - a b'/b^2
+        return sub(div(self.a.diff(name), self.b),
+                   div(mul(self.a, self.b.diff(name)), mul(self.b, self.b)))
+
+
+_BINARY = {cls.op: cls for cls in (Add, Sub, Mul, Div)}
+
+
+class Neg(Expr):
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        object.__setattr__(self, "a", a)
+
+    __setattr__ = Const.__setattr__
+
+    def diff(self, name):
+        return neg(self.a.diff(name))
+
+    def _collect(self, out):
+        self.a._collect(out)
+
+    def _key(self):
+        return (self.a,)
+
+
+class Pow(Expr):
+    """Integer power.  The exponent is part of the node, not a subtree."""
+
+    __slots__ = ("a", "n")
+
+    def __init__(self, a, n):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "n", int(n))
+
+    __setattr__ = Const.__setattr__
+
+    def diff(self, name):
+        da = self.a.diff(name)
+        return mul(mul(Const(self.n), pow_int(self.a, self.n - 1)), da)
+
+    def _collect(self, out):
+        self.a._collect(out)
+
+    def _key(self):
+        return (self.a, self.n)
+
+
+def _int_power(base, n):
+    """base^n, n >= 0, by one fixed sequence of squarings and products, so
+    numpy arrays and Python floats round alike (``**`` and C pow do not)."""
+    power = 1.0
+    while n:
+        if n & 1:
+            power = power * base
+        n >>= 1
+        if n:
+            base = base * base
+    return power
+
+
+class Call(Expr):
+    __slots__ = ("fn", "a")
+
+    def __init__(self, fn, a):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "a", a)
+
+    __setattr__ = Const.__setattr__
+
+    def diff(self, name):
+        da = self.a.diff(name)
+        if self.fn == "sin":
+            outer = Call("cos", self.a)
+        elif self.fn == "cos":
+            outer = neg(Call("sin", self.a))
+        elif self.fn == "exp":
+            outer = self
+        elif self.fn == "log":
+            return div(da, self.a)
+        elif self.fn == "sqrt":
+            return div(da, mul(Const(2.0), self))
+        else:  # pragma: no cover
+            raise ArityError(f"unknown function {self.fn}")
+        return mul(outer, da)
+
+    def _collect(self, out):
+        self.a._collect(out)
+
+    def _key(self):
+        return (self.fn, self.a)
 
 
 def partial(e, name):
@@ -416,14 +395,11 @@ def subst(e, mapping):
         return pow_int(subst(e.a, mapping), e.n)
     if isinstance(e, Call):
         return Call(e.fn, subst(e.a, mapping))
-    ctor = {Add: add, Sub: sub, Mul: mul, Div: div}[type(e)]
-    return ctor(subst(e.a, mapping), subst(e.b, mapping))
+    return e.make(subst(e.a, mapping), subst(e.b, mapping))
 
 
 # ---------------------------------------------------------------------------
 # Printing
-
-_PREC = {"add": 1, "mul": 2, "pow": 3, "neg": 4, "atom": 5}
 
 
 def _print(e):
@@ -435,38 +411,15 @@ def _print(e):
         return _fmt_const(v), _PREC["atom"]
     if isinstance(e, Var):
         return e.name, _PREC["atom"]
-    if isinstance(e, Add):
+    if isinstance(e, _Binary):
         sa, pa = _print(e.a)
         sb, pb = _print(e.b)
-        if pb <= _PREC["add"]:
-            sb = f"({sb})"
-        if pa < _PREC["add"]:
+        if pa < e.prec:
             sa = f"({sa})"
-        return f"{sa} + {sb}", _PREC["add"]
-    if isinstance(e, Sub):
-        sa, pa = _print(e.a)
-        sb, pb = _print(e.b)
-        if pb <= _PREC["add"]:
+        if pb <= e.prec:    # left-associative: an equal right operand nests
             sb = f"({sb})"
-        if pa < _PREC["add"]:
-            sa = f"({sa})"
-        return f"{sa} - {sb}", _PREC["add"]
-    if isinstance(e, Mul):
-        sa, pa = _print(e.a)
-        sb, pb = _print(e.b)
-        if pa < _PREC["mul"]:
-            sa = f"({sa})"
-        if pb <= _PREC["mul"]:
-            sb = f"({sb})"
-        return f"{sa}*{sb}", _PREC["mul"]
-    if isinstance(e, Div):
-        sa, pa = _print(e.a)
-        sb, pb = _print(e.b)
-        if pa < _PREC["mul"]:
-            sa = f"({sa})"
-        if pb <= _PREC["mul"]:
-            sb = f"({sb})"
-        return f"{sa}/{sb}", _PREC["mul"]
+        sep = f" {e.op} " if e.prec == _PREC["add"] else e.op
+        return f"{sa}{sep}{sb}", e.prec
     if isinstance(e, Neg):
         sa, pa = _print(e.a)
         if pa < _PREC["neg"]:
@@ -558,8 +511,7 @@ class _Parser:
             kind, text, _, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                rhs = self.term()
-                node = add(node, rhs) if text == "+" else sub(node, rhs)
+                node = _BINARY[text].make(node, self.term())
             else:
                 return node
 
@@ -569,8 +521,7 @@ class _Parser:
             kind, text, _, _ = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                rhs = self.power()
-                node = mul(node, rhs) if text == "*" else div(node, rhs)
+                node = _BINARY[text].make(node, self.power())
             else:
                 return node
 
@@ -650,14 +601,8 @@ def _codegen(e, names):
         return repr(e.value)
     if isinstance(e, Var):
         return names[e.name]
-    if isinstance(e, Add):
-        return f"({_codegen(e.a, names)} + {_codegen(e.b, names)})"
-    if isinstance(e, Sub):
-        return f"({_codegen(e.a, names)} - {_codegen(e.b, names)})"
-    if isinstance(e, Mul):
-        return f"({_codegen(e.a, names)} * {_codegen(e.b, names)})"
-    if isinstance(e, Div):
-        return f"({_codegen(e.a, names)} / {_codegen(e.b, names)})"
+    if isinstance(e, _Binary):
+        return f"({_codegen(e.a, names)} {e.op} {_codegen(e.b, names)})"
     if isinstance(e, Neg):
         return f"(-{_codegen(e.a, names)})"
     if isinstance(e, Pow):
@@ -707,8 +652,6 @@ def compile_exprs(exprs, variables):
         except FloatingPointError as exc:
             raise EvalDomainError(f"domain violation during evaluation: {exc}") from exc
 
-    wrapped.n_inputs = len(variables)
-    wrapped.n_outputs = len(exprs)
     return wrapped
 
 
@@ -827,19 +770,6 @@ class FormField:
                 term = mul(Const(sign), mul(X.components[i], e))
                 comps[J] = add(comps.get(J, ZERO), term)
         return FormField(self.variables, self.degree - 1, comps)
-
-    def wedge(self, other):
-        if other.variables != self.variables:
-            raise DimensionError("wedge over different variables")
-        comps = {}
-        for I, a in self.components.items():
-            for J, b in other.components.items():
-                sign, K = _merge(I, J)
-                if sign == 0:
-                    continue
-                term = mul(Const(sign), mul(a, b))
-                comps[K] = add(comps.get(K, ZERO), term)
-        return FormField(self.variables, self.degree + other.degree, comps)
 
     def lie(self, X):
         """Lie derivative via the Cartan formula: d(i_X w) + i_X(dw)."""

@@ -26,6 +26,7 @@ from sprayform.expr import BivectorField, FormField, parse
 from sprayform.groupoid import SprayGroupoid
 
 from conftest import XS2, XS3, constant_bivector_r2, so3_bivector
+from expr_oracle import tree_eval
 
 BOX3 = [[-1.0, 1.0]] * 3
 BOX2 = [[-1.0, 1.0]] * 2
@@ -97,7 +98,7 @@ def test_default_spray_constant_pi():
     A = cotangent_algebroid(constant_bivector_r2(), BOX2)
     V = default_spray(A)
     env = {"x1": 0.0, "x2": 0.0, "y1": 0.3, "y2": -0.5}
-    vals = [c.eval(env) for c in V.components]
+    vals = [tree_eval(c, env) for c in V.components]
     # (pi# p)^j = sum_i p_i pi^{ij}: (p2*pi^{21}, p1*pi^{12}) = (0.5, 0.3)
     assert vals == pytest.approx([0.5, 0.3, 0.0, 0.0])
 

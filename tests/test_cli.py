@@ -40,6 +40,11 @@ def _fast_poisson(tmp_path, **overrides):
 # schema validation
 
 
+def test_config_schema_is_valid_under_its_metaschema():
+    # checked here, not in every process that loads a config
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
 def test_unknown_top_level_key_rejected(tmp_path):
     path = _fast_poisson(tmp_path)
     raw = json.loads(Path(path).read_text())
@@ -159,6 +164,19 @@ def test_bad_expression_is_config_error(tmp_path, capsys):
     raw["coefficients"]["pi"] = {"12": "x1*("}
     bad = _write(tmp_path, raw, "bad.json")
     assert main(["check", "--config", bad]) == 2
+
+
+@pytest.mark.parametrize("source", ["1e999", "1e308*10", "2^2000"])
+def test_non_finite_constant_is_runtime_error(tmp_path, capsys, source):
+    """An overflowing literal or fold exits 3, as division by a constant
+    zero does, instead of compiling the bare name ``inf``."""
+    path = _fast_poisson(tmp_path)
+    raw = json.loads(Path(path).read_text())
+    raw["coefficients"]["pi"] = {"12": source}
+    bad = _write(tmp_path, raw, "bad.json")
+    assert main(["check", "--config", bad, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "runtime error: non-finite constant inf\n"
 
 
 # ---------------------------------------------------------------------------
