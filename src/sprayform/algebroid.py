@@ -99,11 +99,10 @@ class SymbolicStructure:
 class FittedStructure:
     """Structure functions solved pointwise; derivatives by 4th-order FD.
 
-    ``solve`` maps a point batch (B, n) to (c (B, r, r, r), fit residual
-    (B,)).  The fit residual is the non-involutivity of the frame at that
-    point; it is gated at construction time, so calling ``values`` on a gated
-    chart is safe anywhere in the box.  Derivatives difference ``values`` at
-    step FIT_FD_STEP.
+    ``solve`` maps a point batch (B, n) to c (B, r, r, r).  The fit residual,
+    the non-involutivity of the frame, is gated at construction time, so
+    calling ``values`` on a gated chart is safe anywhere in the box.
+    Derivatives difference ``values`` at step FIT_FD_STEP.
     """
 
     def __init__(self, solve):
@@ -111,7 +110,7 @@ class FittedStructure:
 
     def values(self, X):
         """c_{ij}^k at a point batch: (B, n) -> (B, r, r, r)."""
-        return self._solve(np.asarray(X, dtype=np.float64))[0]
+        return self._solve(np.asarray(X, dtype=np.float64))
 
     def directional_derivative(self, X, V):
         """sum_m V^m d_m c for D directions V (B, D, n) at X: (B, D, r, r, r)."""
@@ -172,9 +171,8 @@ class AlgebroidChart:
         rng = SplitMix64(seed)
         mid = self.box.mean(axis=1)
         half = (self.box[:, 1] - self.box[:, 0]) / 2.0 * scale
-        pts = np.stack([mid + half * np.array([rng.uniform(-1, 1) for _ in range(self.n)])
-                        for _ in range(count)])
-        return pts
+        return np.stack([mid + half * np.array([rng.uniform(-1, 1) for _ in range(self.n)])
+                         for _ in range(count)])
 
 
 @dataclass
@@ -310,12 +308,9 @@ def check_spray(V, A, samples=40, seed=77, tol_anchor=1e-10, tol_scaling=1e-8,
     xs, ys = A.xs, A.ys
 
     # (i) base part equals rho(x) y, evaluated at random total-space points
-    pts = []
-    base_pts = A.sample_base_points(samples, seed, scale=0.8)
-    for x in base_pts:
-        y = np.array([rng.uniform(-fiber_radius, fiber_radius) for _ in range(A.r)])
-        pts.append(np.concatenate([x, y]))
-    pts = np.stack(pts)
+    pts = np.stack([np.concatenate([x, [rng.uniform(-fiber_radius, fiber_radius)
+                                        for _ in range(A.r)]])
+                    for x in A.sample_base_points(samples, seed, scale=0.8)])
     rho = A.anchor_at(pts[:, :A.n])
     vbase = ex.compile_exprs(V.base_part, xs + ys)(pts)
     res = [np.max(np.abs(vbase[p] - rho[p] @ pts[p, A.n:])) for p in range(len(pts))]
@@ -438,31 +433,35 @@ def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
             cols += lie_vw + [form.component((a,)) for a in range(n)]
     bracket_fn = ex.compile_exprs(cols, xs)
 
-    def solve(X):
+    def fit(X):
+        """Structure functions (B, r, r, r) at X, with the frames and brackets
+        they were fitted to: one rank SVD per batch, then one least-squares
+        call per point for all r^2 brackets."""
         frames = frame_fn(X).reshape(len(X), r, 2 * n)
         brackets = bracket_fn(X).reshape(len(X), r, r, 2 * n)
-        cmat = np.empty((len(X), r, r, r))
-        resid = np.zeros(len(X))
-        for p, x in enumerate(X):
-            F = frames[p].T   # (2n, r)
-            if np.linalg.matrix_rank(F, tol=1e-10) < r:
-                raise NotInvolutiveError(float("inf"), x)
-            for i in range(r):
-                for j in range(r):
-                    b = brackets[p, i, j]
-                    sol, _, _, _ = np.linalg.lstsq(F, b, rcond=None)
-                    cmat[p, i, j] = sol
-                    resid[p] = max(resid[p], float(np.max(np.abs(F @ sol - b))))
-        return cmat, resid
+        F = np.swapaxes(frames, 1, 2)   # (B, 2n, r)
+        # matrix_rank(F[p], tol=1e-10) at every point
+        rank = np.count_nonzero(np.linalg.svd(F, compute_uv=False) > 1e-10, axis=-1)
+        deficient = np.flatnonzero(rank < r)
+        if deficient.size:
+            raise NotInvolutiveError(float("inf"), X[deficient[0]])
+        rhs = brackets.reshape(len(X), r * r, 2 * n)
+        cmat = np.empty((len(X), r * r, r))
+        for p in range(len(X)):
+            cmat[p] = np.linalg.lstsq(F[p], rhs[p].T, rcond=None)[0].T
+        return cmat.reshape(len(X), r, r, r), F, brackets
 
-    _, resid = solve(grid)
+    # involutivity gate: the worst fit residual over the fit samples
+    cmat, F, brackets = fit(grid)
+    resid = [max(float(np.max(np.abs(F[p] @ cmat[p, i, j] - brackets[p, i, j])))
+                 for i in range(r) for j in range(r)) for p in range(len(grid))]
     worst = int(np.argmax(resid))
     if not resid[worst] <= tol_involutive:
         raise NotInvolutiveError(float(resid[worst]), grid[worst])
 
     anchor = [[fr.vectors[i][a] for i in range(r)] for a in range(n)]
     return AlgebroidChart(n=n, r=r, box=box, anchor=anchor,
-                          structure=FittedStructure(solve),
+                          structure=FittedStructure(lambda X: fit(X)[0]),
                           frame=fr, label=label)
 
 

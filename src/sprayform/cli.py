@@ -31,7 +31,7 @@ import numpy as np
 
 from . import expr as ex
 from .algebroid import AlgebroidChart, SymbolicStructure, jacobi_cocycle
-from .errors import ConfigError, ExprError, SprayformError
+from .errors import ConfigError, EvalDomainError, ExprError, SprayformError
 from .groupoid import (
     SprayGroupoid,
     discover_validity_box,
@@ -171,6 +171,17 @@ def _xs(n):
     return [f"x{i+1}" for i in range(n)]
 
 
+def _parse(node, xs, path):
+    """The expression, or nested lists of expressions, of a coefficient entry.
+    A constant that cannot be folded names its entry: ``pi["12"]: ...``."""
+    if isinstance(node, list):
+        return [_parse(e, xs, f"{path}[{i}]") for i, e in enumerate(node)]
+    try:
+        return ex.parse(node, xs)
+    except EvalDomainError as exc:
+        raise EvalDomainError(f"{path}: {exc}") from exc
+
+
 def _parse_form(mapping, n, degree, what):
     comps = {}
     xs = _xs(n)
@@ -179,15 +190,14 @@ def _parse_form(mapping, n, degree, what):
         if len(idx) != degree or sorted(set(idx)) != list(idx) or max(idx) >= n:
             raise ConfigError(f"{what}: bad multi-index {key!r} for degree "
                               f"{degree} in dimension {n}")
-        comps[idx] = ex.parse(src, xs)
+        comps[idx] = _parse(src, xs, f'{what}["{key}"]')
     return comps
 
 
 def _parse_matrix(rows, n_rows, n_cols, n_vars, what):
     if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
         raise ConfigError(f"{what}: expected a {n_rows} x {n_cols} matrix")
-    xs = _xs(n_vars)
-    return [[ex.parse(e, xs) for e in row] for row in rows]
+    return _parse(rows, _xs(n_vars), what)
 
 
 def build_numerics(raw):
@@ -220,9 +230,7 @@ def _raw_algebroid_chart(raw, n, box):
     if len(c_raw) != r or any(len(row) != r for row in c_raw) or \
             any(len(cell) != r for row in c_raw for cell in row):
         raise ConfigError("c must be an r x r x r array of expressions")
-    xs = _xs(n)
-    table = [[[ex.parse(c_raw[i][j][k], xs) for k in range(r)]
-              for j in range(r)] for i in range(r)]
+    table = _parse(c_raw, _xs(n), "c")
     return AlgebroidChart(n=n, r=r, box=box, anchor=anchor_rows,
                           structure=SymbolicStructure(n, r, table),
                           label="raw")
@@ -251,8 +259,7 @@ def parse_config(raw):
                     any(len(cell) != n for row in raw_c for cell in row):
                 raise ConfigError("christoffel must be an r x n x r array of "
                                   "expressions (r = n for poisson)")
-            christoffel = [[[ex.parse(e, xs) for e in cell] for cell in row]
-                           for row in raw_c]
+            christoffel = _parse(raw_c, xs, "christoffel")
         inputs["christoffel"] = christoffel
     elif kind in ("nijenhuis", "gcs"):
         inputs["lmat"] = _parse_matrix(co["l"], n, n, n, "l")
@@ -261,17 +268,17 @@ def parse_config(raw):
                 tuple(xs), 2, _parse_form(co["varpi"], n, 2, "varpi"))
     elif kind == "dirac":
         sections = []
-        for sec in co["sections"]:
+        for s, sec in enumerate(co["sections"]):
             if len(sec["v"]) != n or len(sec["alpha"]) != n:
                 raise ConfigError("each section needs n vector and n covector "
                                   "components")
-            sections.append(([ex.parse(e, xs) for e in sec["v"]],
-                             [ex.parse(e, xs) for e in sec["alpha"]]))
+            sections.append((_parse(sec["v"], xs, f"sections[{s}].v"),
+                             _parse(sec["alpha"], xs, f"sections[{s}].alpha")))
         inputs["sections"] = sections
         inputs["H"] = ex.FormField(tuple(xs), 3,
                                    _parse_form(co.get("H", {}), n, 3, "H"))
     elif kind == "jacobi":
-        R = [ex.parse(e, xs) for e in co["R"]]
+        R = _parse(co["R"], xs, "R")
         if len(R) != n:
             raise ConfigError("R needs one component per dimension")
         inputs["R"] = R

@@ -12,10 +12,11 @@ one vectorized function of a point batch, and the fields' ``values`` methods
 go through it.  Division by zero, log/sqrt outside their domain and overflow
 raise EvalDomainError instead of producing inf or NaN.  Constant folding
 applies the compiled code's rules (``a^n`` by ``_int_power``), and a constant
-that is not finite, a literal such as ``1e999`` or a fold such as ``2^2000``,
-raises EvalDomainError where it is made.  The package has no tree walk: the
-tests compare the compiled path with one (``tests/expr_oracle.py``) and the
-derivatives, printer and Schouten brackets with sympy.
+that is not finite, a literal such as ``1e999`` or a fold such as ``2^2000``
+or ``(1e200)^-2``, raises EvalDomainError where it is made.  The package has
+no tree walk: the tests compare the compiled path with one
+(``tests/expr_oracle.py``) and the derivatives, printer and Schouten brackets
+with sympy.
 
 Grammar (EBNF)::
 
@@ -229,6 +230,8 @@ def pow_int(a, n):
         return Const(power)
     if power == 0.0:
         raise EvalDomainError("zero raised to a negative power")
+    if not math.isfinite(power):   # the compiled a^-n raises here too
+        raise EvalDomainError(f"overflow in constant power ({a.value!r})^{n}")
     return Const(1.0 / power)
 
 

@@ -53,12 +53,10 @@ class IMFormData:
         r = self.chart.r
         if len(self.l) != r or len(self.nu) != r:
             raise DimensionError("need one (l, nu) pair per frame section")
-        for f in self.l:
-            if f.degree != self.degree - 1:
-                raise DimensionError("l must have degree k-1")
-        for f in self.nu:
-            if f.degree != self.degree:
-                raise DimensionError("nu must have degree k")
+        if any(f.degree != self.degree - 1 for f in self.l):
+            raise DimensionError("l must have degree k-1")
+        if any(f.degree != self.degree for f in self.nu):
+            raise DimensionError("nu must have degree k")
 
 
 @dataclass
@@ -87,15 +85,12 @@ def linear_form(data):
         Dj = data.l[j].d() + data.nu[j]
         yj = ex.Var(A.ys[j])
         for I, e in Dj.components.items():
-            term = ex.mul(yj, e)
-            comps[I] = ex.add(comps.get(I, ex.ZERO), term)
+            comps[I] = ex.add(comps.get(I, ex.ZERO), ex.mul(yj, e))
         sign = ex.Const((-1.0) ** (k - 1))
         for I, e in data.l[j].components.items():
             K = tuple(I) + (n + j,)
-            term = ex.mul(sign, e)
-            comps[K] = ex.add(comps.get(K, ex.ZERO), term)
-    field = ex.FormField(total, k, comps)
-    return LinearForm(A, k, field)
+            comps[K] = ex.add(comps.get(K, ex.ZERO), ex.mul(sign, e))
+    return LinearForm(A, k, ex.FormField(total, k, comps))
 
 
 def recover_im_pair(lf):
@@ -267,10 +262,8 @@ class ScalarSpencer:
     def D_of_section(self, f, alpha):
         """D(f, alpha) = df - alpha as a 1-FormField; inputs are Exprs."""
         xs = self.chart.xs
-        comps = {}
-        for a, name in enumerate(xs):
-            comps[(a,)] = ex.sub(ex.partial(f, name), alpha[a])
-        return ex.FormField(xs, 1, comps)
+        return ex.FormField(xs, 1, {(a,): ex.sub(ex.partial(f, name), alpha[a])
+                                    for a, name in enumerate(xs)})
 
     def leibniz_residual(self, samples=25, seed=11):
         """max | D(f s) - f D(s) - df ^ l(s) | on coordinate multiples."""

@@ -59,20 +59,8 @@ def _merge(I, J):
 
 
 def _perm_sign(order):
-    order = list(order)
-    seen = [False] * len(order)
-    sign = 1
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 or -1 as the permutation has an even or odd number of inversions."""
+    return -1 if sum(a > b for a, b in itertools.combinations(order, 2)) % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +69,27 @@ def _perm_sign(order):
 # on components.
 
 
+@lru_cache(maxsize=None)
+def _scatter_table(dim, degree):
+    """For comps_to_full_batch: each flat position in (d, .., d), the
+    increasing component it takes, and the sign of the permutation."""
+    rows = [(np.ravel_multi_index([I[k] for k in perm], (dim,) * degree),
+             p, _perm_sign(perm))
+            for p, I in enumerate(index_list(dim, degree))
+            for perm in itertools.permutations(range(degree))]
+    pos, src, sign = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    return pos, src, sign.astype(np.float64)
+
+
 def comps_to_full_batch(comps, dim, degree):
     """(..., nC) increasing components -> (..., d, .., d) antisymmetric."""
     lead = comps.shape[:-1]
     if degree == 0:
         return comps[..., 0]
-    full = np.zeros(lead + (dim,) * degree)
-    for p, I in enumerate(index_list(dim, degree)):
-        for perm in itertools.permutations(range(degree)):
-            sign = _perm_sign(perm)
-            full[(...,) + tuple(I[k] for k in perm)] = sign * comps[..., p]
-    return full
+    pos, src, sign = _scatter_table(dim, degree)
+    full = np.zeros(lead + (dim ** degree,))
+    full[..., pos] = sign * comps[..., src]
+    return full.reshape(lead + (dim,) * degree)
 
 
 def full_to_comps_batch(full, dim, degree):

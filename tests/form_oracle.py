@@ -1,10 +1,12 @@
-"""Reference evaluation and pullback of one alternating form, by determinants.
+"""Reference evaluation, pullback and dense layout of alternating forms.
 
 A form is its component vector over strictly increasing multi-indices, in
 ``tensor.index_list`` order.  These loops spell out the determinant
-convention one component at a time, apart from the batched kernels they
-check.
+convention and the antisymmetric layout one component at a time, apart from
+the batched kernels they check.
 """
+
+import itertools
 
 import numpy as np
 
@@ -24,3 +26,16 @@ def pullback(a, degree, J):
     return np.array([sum(c * np.linalg.det(J[np.ix_(R, C)])
                          for c, R in zip(a, index_list(d_out, degree)))
                      for C in index_list(d_in, degree)])
+
+
+def comps_to_full(comps, dim, degree):
+    """(..., nC) components -> (..., d, .., d) antisymmetric, one assignment
+    per permuted multi-index, signed by the permutation matrix's determinant."""
+    if degree == 0:
+        return comps[..., 0]
+    full = np.zeros(comps.shape[:-1] + (dim,) * degree)
+    for p, I in enumerate(index_list(dim, degree)):
+        for perm in itertools.permutations(range(degree)):
+            sign = round(np.linalg.det(np.eye(degree)[list(perm)]))
+            full[(...,) + tuple(I[k] for k in perm)] = sign * comps[..., p]
+    return full

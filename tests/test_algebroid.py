@@ -7,6 +7,8 @@ from sprayform import expr as ex
 from sprayform.algebroid import (
     AlgebroidChart,
     SymbolicStructure,
+    _courant_bracket,
+    base_vars,
     check_algebroid,
     check_spray,
     cotangent_algebroid,
@@ -25,7 +27,8 @@ from sprayform.errors import (
 from sprayform.expr import BivectorField, FormField, parse
 from sprayform.groupoid import SprayGroupoid
 
-from conftest import XS2, XS3, constant_bivector_r2, so3_bivector
+from conftest import (XS2, XS3, constant_bivector_r2, so3_bivector,
+                      twisted_dirac_sections)
 from expr_oracle import tree_eval
 
 BOX3 = [[-1.0, 1.0]] * 3
@@ -139,15 +142,15 @@ def test_christoffel_spray_keeps_homogeneity():
 # dirac builder
 
 
-def test_dirac_graph_of_so3_matches_cotangent_in_transported_frame():
+def _so3_graph_sections():
     pi = so3_bivector()
-    sections = []
-    for i in range(3):
-        v = [pi.entry(i, a) for a in range(3)]
-        alpha = [ex.ONE if a == i else ex.ZERO for a in range(3)]
-        sections.append((v, alpha))
-    AD = dirac_algebroid(sections, FormField(XS3, 3, {}), BOX3)
-    AC = cotangent_algebroid(pi, BOX3)
+    return [([pi.entry(i, a) for a in range(3)],
+             [ex.ONE if a == i else ex.ZERO for a in range(3)]) for i in range(3)]
+
+
+def test_dirac_graph_of_so3_matches_cotangent_in_transported_frame():
+    AD = dirac_algebroid(_so3_graph_sections(), FormField(XS3, 3, {}), BOX3)
+    AC = cotangent_algebroid(so3_bivector(), BOX3)
     X = np.random.default_rng(12).uniform(-0.8, 0.8, (5, 3))
     assert np.max(np.abs(AD.structure.values(X) - AC.structure.values(X))) < 1e-8
     rep = check_algebroid(AD, samples=30)
@@ -187,6 +190,45 @@ def test_dirac_rejects_non_involutive():
         sections.append((v, alpha))
     with pytest.raises(NotInvolutiveError):
         dirac_algebroid(sections, FormField(XS3, 3, {}), BOX3)
+
+
+@pytest.mark.parametrize("sections,H", [
+    (twisted_dirac_sections, {(0, 1, 2): ex.const(-1.0)}),
+    (_so3_graph_sections, {}),
+], ids=["twisted", "so3_graph"])
+def test_dirac_fit_matches_per_bracket_lstsq(sections, H):
+    """The fitted structure functions equal one single-column least-squares
+    solve per point and bracket, bit for bit."""
+    AD = dirac_algebroid(sections(), FormField(XS3, 3, H), BOX3)
+    fr, r = AD.frame, AD.r
+    X = np.random.default_rng(16).uniform(-0.9, 0.9, (50, 3))
+    frames = ex.compile_exprs(
+        [e for i in range(r) for e in fr.vectors[i] + fr.covectors[i]],
+        XS3)(X).reshape(len(X), r, 6)
+    want = np.empty((len(X), r, r, r))
+    for i in range(r):
+        for j in range(r):
+            lie_vw, form = _courant_bracket(fr, i, j, base_vars(3))
+            b = ex.compile_exprs(
+                lie_vw + [form.component((a,)) for a in range(3)], XS3)(X)
+            for p in range(len(X)):
+                want[p, i, j] = np.linalg.lstsq(frames[p].T, b[p], rcond=None)[0]
+    assert np.array_equal(AD.structure.values(X), want)
+
+
+def test_dirac_rank_deficient_point_is_named():
+    # e1 = x1 d1 drops rank on the plane x1 = 0, which no fit sample hits
+    sections = [([parse("x1", XS3), ex.ZERO, ex.ZERO], [ex.ZERO] * 3),
+                ([ex.ZERO, ex.ONE, ex.ZERO], [ex.ZERO] * 3),
+                ([ex.ZERO, ex.ZERO, ex.ONE], [ex.ZERO] * 3)]
+    AD = dirac_algebroid(sections, FormField(XS3, 3, {}), BOX3)
+    X = np.random.default_rng(3).uniform(0.1, 0.9, (8, 3))
+    assert np.all(AD.structure.values(X) == 0.0)
+    X[5, 0] = X[6, 0] = 0.0
+    with pytest.raises(NotInvolutiveError) as err:
+        AD.structure.values(X)
+    assert err.value.residual == float("inf")
+    assert np.array_equal(err.value.worst_point, X[5])
 
 
 def test_dirac_rejects_nonclosed_H():

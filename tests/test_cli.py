@@ -176,7 +176,30 @@ def test_non_finite_constant_is_runtime_error(tmp_path, capsys, source):
     bad = _write(tmp_path, raw, "bad.json")
     assert main(["check", "--config", bad, "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert err == "runtime error: non-finite constant inf\n"
+    assert err == 'runtime error: pi["12"]: non-finite constant inf\n'
+
+
+@pytest.mark.parametrize("source,message", [
+    ("x1/0", "division by constant zero"),
+    ("(1e200)^-2", "overflow in constant power (1e+200)^-2"),
+])
+def test_fold_error_names_its_coefficient(tmp_path, capsys, source, message):
+    """A constant that cannot be folded exits 3 and names the coefficient."""
+    path = _fast_poisson(tmp_path)
+    raw = json.loads(Path(path).read_text())
+    raw["coefficients"]["pi"] = {"12": source}
+    bad = _write(tmp_path, raw, "bad.json")
+    assert main(["check", "--config", bad, "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f'runtime error: pi["12"]: {message}\n'
+
+
+def test_fold_error_names_a_section_entry(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "dirac_twisted.json").read_text())
+    raw["coefficients"]["sections"][1]["alpha"][2] = "1/(2-2)"
+    bad = _write(tmp_path, raw, "bad.json")
+    assert main(["check", "--config", bad, "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == ("runtime error: sections[1].alpha[2]: "
+                                       "division by constant zero\n")
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +256,11 @@ def test_check_makes_no_one_row_flow_solves(name, tmp_path, monkeypatch):
     assert len(batch_sizes["flow_with_jacobian"]) == CHECK_JAC_SOLVES[name]
 
 
-def test_so3_check_runs_two_balanced_product_calls(tmp_path, monkeypatch):
-    """so3's product rows (225 stencil rows, 20 per associativity stage) go
-    through two product calls of nearly equal size, and check makes 265
-    tangent-flow solves: 128 per product call (4 RK4 stages x 32 steps)
-    and 9 outside the product."""
+@pytest.fixture(scope="module")
+def so3_check(tmp_path_factory):
+    """One ``check`` of the bundled so3 config: its exit code, output
+    directory, product-call row counts and number of tangent-flow solves."""
+    out = tmp_path_factory.mktemp("so3_check")
     rows, solves = [], []
     product, solve = groupoid.multiply_poisson, FlowEngine.flow_with_jacobian
 
@@ -249,12 +272,23 @@ def test_so3_check_runs_two_balanced_product_calls(tmp_path, monkeypatch):
         solves.append(1)
         return solve(self, *args)
 
-    monkeypatch.setattr(groupoid, "multiply_poisson", counted_product)
-    monkeypatch.setattr(FlowEngine, "flow_with_jacobian", counted_solve)
-    assert main(["check", "--config", str(CONFIGS / "so3.json"),
-                 "--out-dir", str(tmp_path)]) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groupoid, "multiply_poisson", counted_product)
+        mp.setattr(FlowEngine, "flow_with_jacobian", counted_solve)
+        code = main(["check", "--config", str(CONFIGS / "so3.json"),
+                     "--out-dir", str(out)])
+    return code, out, rows, len(solves)
+
+
+def test_so3_check_runs_two_balanced_product_calls(so3_check):
+    """so3's product rows (225 stencil rows, 20 per associativity stage) go
+    through two product calls of nearly equal size, and check makes 265
+    tangent-flow solves: 128 per product call (4 RK4 stages x 32 steps)
+    and 9 outside the product."""
+    code, _, rows, solves = so3_check
+    assert code == 0
     assert rows == [20 + 113, 20 + 112]
-    assert len(solves) == 265
+    assert solves == 265
 
 
 _ALGEBROID = ["algebroid_antisymmetry", "algebroid_anchor_morphism",
@@ -513,11 +547,10 @@ def test_bundled_configs_validate():
         load_config(CONFIGS / name)
 
 
-def test_bundled_so3_config_passes(tmp_path):
-    code = main(["check", "--config", str(CONFIGS / "so3.json"),
-                 "--out-dir", str(tmp_path)])
+def test_bundled_so3_config_passes(so3_check):
+    code, out, _, _ = so3_check
     assert code == 0
-    report = json.loads((tmp_path / "so3_report.json").read_text())
+    report = json.loads((out / "so3_report.json").read_text())
     assert report["verdict"] == "pass"
     assert "validity_box" in report["environment"]
 

@@ -123,6 +123,16 @@ def test_constant_power_folds_like_evaluation():
         parse("0^-1", XS)
 
 
+@pytest.mark.parametrize("src", ["(1e200)^-2", "(-1e200)^-3", "x1 * (1e300)^-2"])
+def test_overflowing_negative_power_fold_raises(src):
+    """a^-n folds as 1/a^n; when a^n overflows the fold raises, as the
+    compiled x1^-n does, instead of folding to zero."""
+    with pytest.raises(EvalDomainError, match="overflow in constant power"):
+        parse(src, XS)
+    with pytest.raises(EvalDomainError, match="overflow"):
+        ex.compile_exprs([parse("x1^-2", XS)], XS)(np.full((1, len(XS)), 1e200))
+
+
 @pytest.mark.parametrize("src", ["1e999", "1e308*10", "2^2000", "-1e999",
                                  "x1 + 2^2000", "1e308/1e-10"])
 def test_non_finite_constant_raises(src):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from form_oracle import evaluate, pullback
+from form_oracle import comps_to_full, evaluate, pullback
 from sprayform import expr as ex
 from sprayform import tensor as tn
 from sprayform.algebroid import cotangent_algebroid, default_spray
@@ -29,6 +29,27 @@ def _pull(a, degree, J):
     full = tn.comps_to_full_batch(a, d_out, degree)
     return tn.full_to_comps_batch(tn.pullback_full_batch(J, full, degree),
                                   d_in, degree)
+
+
+# ---------------------------------------------------------------------------
+# dense layout
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (3, 5)])
+@pytest.mark.parametrize("dim,degree", [(d, k) for d in range(1, 7)
+                                        for k in range(min(3, d) + 1)])
+def test_comps_to_full_batch_matches_permutation_loop(dim, degree, lead):
+    """The cached scatter gives the loop's bits, signed zeros included."""
+    rng = np.random.default_rng(100 * dim + degree)
+    comps = rng.uniform(-1, 1, lead + (len(index_list(dim, degree)),))
+    flat = comps.reshape(-1)
+    flat[::3] = -0.0
+    flat[1::5] = 0.0
+    got = tn.comps_to_full_batch(comps, dim, degree)
+    want = comps_to_full(comps, dim, degree)
+    assert got.shape == want.shape == lead + (dim,) * degree
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
