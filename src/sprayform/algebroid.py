@@ -127,7 +127,6 @@ class AlgebroidChart:
     anchor: list                         # n x r nested list of Expr in x
     structure: object                    # SymbolicStructure | FittedStructure
     frame: object = None                 # builder-specific frame metadata
-    label: str = "algebroid"
 
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=np.float64)
@@ -338,7 +337,7 @@ def check_spray(V, A, samples=40, seed=77, tol_anchor=1e-10, tol_scaling=1e-8,
 # Builders
 
 
-def cotangent_algebroid(pi, box, label="cotangent"):
+def cotangent_algebroid(pi, box):
     """Cotangent algebroid of a bivector: rho = pi-sharp, Koszul bracket.
 
     In the coordinate coframe e_j = dx^j the structure functions are
@@ -353,8 +352,7 @@ def cotangent_algebroid(pi, box, label="cotangent"):
               for j in range(n)] for i in range(n)]
     return AlgebroidChart(n=n, r=n, box=box, anchor=anchor,
                           structure=SymbolicStructure(n, n, table),
-                          frame={"kind": "coordinate-coframe", "pi": pi},
-                          label=label)
+                          frame={"kind": "coordinate-coframe", "pi": pi})
 
 
 @dataclass
@@ -382,8 +380,7 @@ def _courant_bracket(fr, i, j, xs):
 
 
 def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
-                    tol_lagrangian=1e-10, tol_involutive=1e-8,
-                    label="dirac"):
+                    tol_lagrangian=1e-10, tol_involutive=1e-8):
     """Build the Lie algebroid of an H-twisted Dirac structure.
 
     ``sections`` is a list of (v_exprs, alpha_exprs) pairs spanning the
@@ -462,11 +459,11 @@ def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
     anchor = [[fr.vectors[i][a] for i in range(r)] for a in range(n)]
     return AlgebroidChart(n=n, r=r, box=box, anchor=anchor,
                           structure=FittedStructure(lambda X: fit(X)[0]),
-                          frame=fr, label=label)
+                          frame=fr)
 
 
 def jacobi_algebroid(pi, R, box, tol_compat=1e-9, compat_samples=40,
-                     seed=99, label="jacobi"):
+                     seed=99):
     """First-jet algebroid of a trivialized Jacobi structure (pi, R).
 
     Compatibility ([pi,pi] = 2 R^pi and [pi,R] = 0) is residual-checked
@@ -517,8 +514,7 @@ def jacobi_algebroid(pi, R, box, tol_compat=1e-9, compat_samples=40,
                 table[1 + i][1 + j][1 + k] = t
     return AlgebroidChart(n=n, r=r, box=box, anchor=anchor,
                           structure=SymbolicStructure(n, r, table),
-                          frame={"kind": "first-jet", "pi": pi, "R": Rfield},
-                          label=label)
+                          frame={"kind": "first-jet", "pi": pi, "R": Rfield})
 
 
 def jacobi_cocycle(A):

@@ -38,7 +38,8 @@ from .groupoid import (
     integrate_cocycle,
     multiply_poisson,
 )
-from .scenarios import Numerics, build, convergence_study, run_checks
+from .scenarios import (TOLERANCE_NAMES, Numerics, build, convergence_study,
+                        run_checks)
 from . import tensor as tn
 
 SCHEMA_VERSION = 1
@@ -112,6 +113,7 @@ CONFIG_SCHEMA = {
                 "mult_pairs": {"type": "integer", "minimum": 0},
                 "assoc_triples": {"type": "integer", "minimum": 0},
                 "tolerances": {"type": "object",
+                               "propertyNames": {"enum": list(TOLERANCE_NAMES)},
                                "additionalProperties": {"type": "number"}},
             },
         },
@@ -173,13 +175,13 @@ def _xs(n):
 
 def _parse(node, xs, path):
     """The expression, or nested lists of expressions, of a coefficient entry.
-    A constant that cannot be folded names its entry: ``pi["12"]: ...``."""
+    An entry that does not parse or fold names itself: ``pi["12"]: ...``."""
     if isinstance(node, list):
         return [_parse(e, xs, f"{path}[{i}]") for i, e in enumerate(node)]
     try:
         return ex.parse(node, xs)
-    except EvalDomainError as exc:
-        raise EvalDomainError(f"{path}: {exc}") from exc
+    except (EvalDomainError, ExprError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _parse_form(mapping, n, degree, what):
@@ -232,14 +234,13 @@ def _raw_algebroid_chart(raw, n, box):
         raise ConfigError("c must be an r x r x r array of expressions")
     table = _parse(c_raw, _xs(n), "c")
     return AlgebroidChart(n=n, r=r, box=box, anchor=anchor_rows,
-                          structure=SymbolicStructure(n, r, table),
-                          label="raw")
+                          structure=SymbolicStructure(n, r, table))
 
 
 def parse_config(raw):
     """Kind, numerics and builder inputs of a validated config.
 
-    Every subcommand builds from this one parse, so a malformed coefficient
+    Every subcommand builds from this one parse, so a bad coefficient
     is a config error (exit 2) whichever subcommand reads it.  The inputs
     are the keyword arguments of the kind's builder (``scenarios.build``).
     """
@@ -382,7 +383,7 @@ def cmd_convergence(args):
     G0 = SprayGroupoid(A, V, n_quad=levels[0][0])
     discover_validity_box(G0, seed=nm.seed + 3)
     pts = G0.sample_validity_points(min(10, nm.samples), nm.seed + 4)
-    rows, order = convergence_study(A, V, ev.lform, pts, levels=levels,
+    rows, order = convergence_study(A, V, ev.form, pts, levels=levels,
                                     weight_cocycle=ev.weight_cocycle)
 
     text = _csv_text([["n_quad", "substeps", "h", "error", "fitted_order"]] + [
@@ -414,7 +415,7 @@ def _check_length(vals, expected):
 
 def cmd_eval(args):
     raw = _load(args)
-    # malformed numbers fail before the build; their lengths need G.dim
+    # bad numbers fail before the build; their lengths need G.dim
     point = _parse_numbers(args.point)
     vecs = [_parse_numbers(v) for v in args.vectors.split(";")] \
         if args.vectors else None

@@ -228,10 +228,11 @@ def pow_int(a, n):
     power = _int_power(a.value, abs(n))
     if n > 0:
         return Const(power)
-    if power == 0.0:
+    if a.value == 0.0:
         raise EvalDomainError("zero raised to a negative power")
-    if not math.isfinite(power):   # the compiled a^-n raises here too
-        raise EvalDomainError(f"overflow in constant power ({a.value!r})^{n}")
+    if power == 0.0 or not math.isfinite(power):   # the compiled a^-n raises too
+        flow = "underflow" if power == 0.0 else "overflow"
+        raise EvalDomainError(f"{flow} in constant power ({a.value!r})^{n}")
     return Const(1.0 / power)
 
 

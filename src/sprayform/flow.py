@@ -34,8 +34,6 @@ _FLOAT_MAX = np.finfo(np.float64).max
 class QuadratureRule:
     """Nodes and weights on [0, 1].  Weights sum to one."""
 
-    kind: str
-    n: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -49,12 +47,12 @@ class QuadratureRule:
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         w /= 3.0 * n
-        return cls("simpson", n, nodes, w)
+        return cls(nodes, w)
 
     @classmethod
     def gauss_legendre(cls, n=32):
         x, w = np.polynomial.legendre.leggauss(n)
-        return cls("gauss", n, (x + 1.0) / 2.0, w / 2.0)
+        return cls((x + 1.0) / 2.0, w / 2.0)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=np.float64))

@@ -216,7 +216,8 @@ def discover_validity_box(G, seed=505):
 
 
 class MultFormEvaluator:
-    """Quadrature evaluator of the multiplicative form of a linear form.
+    """Quadrature evaluator of the multiplicative form of a linear form
+    (a fiberwise-linear FormField over the total variables).
 
     ``weight_cocycle``: optional fiberwise-linear Expr whose cumulative
     integral along the flow produces the scalar parallel transport factor
@@ -224,15 +225,14 @@ class MultFormEvaluator:
     that cumulative and total quadratures agree exactly.
     """
 
-    def __init__(self, groupoid, lform, weight_cocycle=None):
+    def __init__(self, groupoid, form, weight_cocycle=None):
         self.groupoid = groupoid
-        self.lform = lform
-        self.degree = lform.degree
+        self.form = form
+        self.degree = form.degree
         if self.degree > 3:
             raise DimensionError("evaluators support degree <= 3")
-        self._lam = self._compile_comps(lform.exprs_dense(), self.degree)
-        dform = lform.form.d()
-        self._dlam = self._compile_comps(dform.exprs_dense(), self.degree + 1)
+        self._lam = self._compile_comps(form.exprs_dense(), self.degree)
+        self._dlam = self._compile_comps(form.d().exprs_dense(), self.degree + 1)
         self.weight_cocycle = weight_cocycle
         if weight_cocycle is not None:
             _assert_fiberwise_linear(weight_cocycle, groupoid.chart)
@@ -588,21 +588,23 @@ def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
     return mu, list(np.swapaxes(dmu, 0, 1))
 
 
-def _multiplicativity(G, evaluator, n_pairs, seed):
-    """The stencil rows of the multiplicativity check, and the function that
-    turns their products into the multiplicativity and inversion
-    antisymmetry residuals.
+def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
+                      assoc_seed, n_steps=32):
+    """Multiplicativity, inversion antisymmetry and associativity of the
+    Poisson product, from two product calls of (nearly) equal size.
 
-    For each sampled composable pair (a, b), two composable tangent pairs
-    go through d mu and
-
-        | omega_{mu}(dmu(v,w), dmu(v',w')) - omega_a(v,v') - omega_b(w,w') |
-
-    is maximized.  The inversion-antisymmetry residual is
-    | (iota^* omega + omega) | over the same a-points.
+    Multiplicativity maximizes, over sampled composable pairs (a, b) with
+    two composable tangent pairs each,
+        | omega_{mu}(dmu(v,w), dmu(v',w')) - omega_a(v,v') - omega_b(w,w') |;
+    inversion antisymmetry | iota^* omega + omega | over the same a-points;
+    associativity || mu(mu(a,b),c) - mu(a,mu(b,c)) || over sampled
+    composable triples.  Call 1 multiplies stage 1, mu(a, b) and mu(b, c),
+    with the first half of the d mu stencil rows (9 per pair), call 2
+    stage 2 with the second half; the split comes from the row counts
+    alone.  Each row gets the bits a call of its own gives.
     """
-    rng = SplitMix64(seed)
-    a, b = sample_composable_pairs(G, n_pairs, seed, fiber_scale=0.5)
+    rng = SplitMix64(mult_seed)
+    a, b = sample_composable_pairs(G, n_pairs, mult_seed, fiber_scale=0.5)
     d = G.dim
     v1 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
     v2 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
@@ -612,71 +614,36 @@ def _multiplicativity(G, evaluator, n_pairs, seed):
     _, dtau = G.tau_with_jacobian(b, om_b)
     w1, w2 = composable_tangents_batch(dtau, [v1[:, : G.n], v2[:, : G.n]], rng)
     inv_a, dinv = G.inverse_with_jacobian(a, om_a)
-    rows = _stencil_product_rows(G, a, b, [(v1, w1), (v2, w2)])
+    stencil = _stencil_product_rows(G, a, b, [(v1, w1), (v2, w2)])
 
-    def residuals(products):
-        mu, dmu = stencil_derivatives(products, n_pairs, PRODUCT_FD_STEP)
-        # omega at the products and at the inverses from one solve
-        W_mu, W_inv = np.split(
-            evaluator.omega_matrices(np.concatenate([mu, inv_a])), [n_pairs])
-        W_a, W_b = om_a.value, om_b.value
-        lhs = np.einsum("bi,bij,bj->b", dmu[:, 0], W_mu, dmu[:, 1])
-        rhs = np.einsum("bi,bij,bj->b", v1, W_a, v2) + \
-            np.einsum("bi,bij,bj->b", w1, W_b, w2)
-        pulled = np.einsum("bji,bjk,bkl->bil", dinv, W_inv, dinv)
-        return {"multiplicativity": float(np.max(np.abs(lhs - rhs))),
-                "inversion_antisymmetry": float(np.max(np.abs(pulled + W_a))),
-                "mu": mu, "pairs": (a, b)}
+    rng, fiber_scale = SplitMix64(assoc_seed), 0.4
+    tc = G.sample_validity_points(n_triples, assoc_seed, fiber_scale=fiber_scale)
+    tb = _left_factors(G, tc, rng, fiber_scale)
+    ta = _left_factors(G, tb, rng, fiber_scale)
 
-    return rows, residuals
-
-
-def _associativity(G, n_triples, seed):
-    """Stage 1 of the associativity check, mu(a, b) and mu(b, c) on sampled
-    composable triples; the function that makes stage 2, mu(mu(a, b), c)
-    and mu(a, mu(b, c)), from stage 1's products; and the function that
-    turns stage 2's products into max || mu(mu(a,b),c) - mu(a,mu(b,c)) ||.
-    """
-    rng, fiber_scale = SplitMix64(seed), 0.4
-    c = G.sample_validity_points(n_triples, seed, fiber_scale=fiber_scale)
-    b = _left_factors(G, c, rng, fiber_scale)
-    a = _left_factors(G, b, rng, fiber_scale)
-
-    def stage2(first):
-        ab, bc = first[:n_triples], first[n_triples:]
-        return _ProductRows("associativity stage 2", np.concatenate([ab, a]),
-                           np.concatenate([c, bc]), composability_tol=1e-8)
-
-    def residual(second):
-        return float(np.max(np.abs(second[:n_triples] - second[n_triples:])))
-
-    return (_ProductRows("associativity stage 1", np.concatenate([a, b]),
-                        np.concatenate([b, c])), stage2, residual)
-
-
-def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
-                      assoc_seed, n_steps=32):
-    """Multiplicativity, inversion antisymmetry and associativity of the
-    Poisson product, from two product calls of (nearly) equal size.
-
-    Every product row is prepared first: the Newton-corrected stencil rows
-    of the multiplicativity check (9 per pair) and the associativity
-    triples.  Call 1 multiplies associativity stage 1 (2 rows per triple)
-    and the first half of the stencil rows, call 2 stage 2 (2 rows per
-    triple) and the second half.  The split comes from the row counts
-    alone.  Each row gets the bits a call of its own gives, so the residuals
-    equal those of the same products multiplied in separate calls.
-    """
-    stencil, mult_residuals = _multiplicativity(G, evaluator, n_pairs,
-                                                mult_seed)
-    stage1, stage2, assoc_residual = _associativity(G, n_triples, assoc_seed)
     head, tail = stencil.split((len(stencil.a) + 1) // 2)
+    stage1 = _ProductRows("associativity stage 1", np.concatenate([ta, tb]),
+                          np.concatenate([tb, tc]))
     first, head_products = _multiply_rows(G, evaluator, [stage1, head], n_steps)
-    second, tail_products = _multiply_rows(G, evaluator,
-                                           [stage2(first), tail], n_steps)
-    out = mult_residuals(np.concatenate([head_products, tail_products]))
-    out["associativity"] = assoc_residual(second)
-    return out
+    ab, bc = first[:n_triples], first[n_triples:]
+    stage2 = _ProductRows("associativity stage 2", np.concatenate([ab, ta]),
+                          np.concatenate([tc, bc]), composability_tol=1e-8)
+    second, tail_products = _multiply_rows(G, evaluator, [stage2, tail], n_steps)
+
+    mu, dmu = stencil_derivatives(np.concatenate([head_products, tail_products]),
+                                  n_pairs, PRODUCT_FD_STEP)
+    # omega at the products and at the inverses from one solve
+    W_mu, W_inv = np.split(
+        evaluator.omega_matrices(np.concatenate([mu, inv_a])), [n_pairs])
+    lhs = np.einsum("bi,bij,bj->b", dmu[:, 0], W_mu, dmu[:, 1])
+    rhs = np.einsum("bi,bij,bj->b", v1, om_a.value, v2) + \
+        np.einsum("bi,bij,bj->b", w1, om_b.value, w2)
+    pulled = np.einsum("bji,bjk,bkl->bil", dinv, W_inv, dinv)
+    assoc = second[:n_triples] - second[n_triples:]
+    return {"multiplicativity": float(np.max(np.abs(lhs - rhs))),
+            "inversion_antisymmetry": float(np.max(np.abs(pulled + om_a.value))),
+            "associativity": float(np.max(np.abs(assoc))),
+            "mu": mu, "pairs": (a, b)}
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +714,7 @@ def linearization_check(G, evaluator, point, ladder=(0.1, 0.05, 0.025, 0.0125)):
     point = np.asarray(point, dtype=np.float64)
     k = evaluator.degree
     lam_full = tn.comps_to_full_batch(
-        evaluator.lform.form.values(point[None, :]), G.dim, k)[0]
+        evaluator.form.values(point[None, :]), G.dim, k)[0]
     ts = np.asarray(ladder, dtype=np.float64)
     # row i of D is the fiber scaling m_t, t = ladder[i], on the total space
     D = np.ones((len(ts), G.dim))

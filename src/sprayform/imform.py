@@ -34,7 +34,7 @@ from . import expr as ex
 from .errors import DimensionError
 from .report import CheckReport
 
-__all__ = ["IMFormData", "ScalarSpencer", "LinearForm", "linear_form",
+__all__ = ["IMFormData", "ScalarSpencer", "linear_form",
            "im_residuals", "d_IM", "jacobi_linear_form",
            "poisson_im_pair", "dirac_im_pair", "exact_im_pair",
            "im_pair_from_covector_map"]
@@ -59,23 +59,9 @@ class IMFormData:
             raise DimensionError("nu must have degree k")
 
 
-@dataclass
-class LinearForm:
-    """Fiberwise-linear k-form on the total space, with Expr components."""
-
-    chart: object
-    degree: int
-    form: ex.FormField   # over chart.total_vars
-
-    def exprs_dense(self):
-        return self.form.exprs_dense()
-
-    def differential(self):
-        return LinearForm(self.chart, self.degree + 1, self.form.d())
-
-
 def linear_form(data):
-    """Associated linear form of an IM pair, by the coordinate formula."""
+    """Associated linear form of an IM pair, by the coordinate formula: a
+    fiberwise-linear FormField over the chart's total variables."""
     A = data.chart
     k = data.degree
     total = A.total_vars
@@ -90,25 +76,25 @@ def linear_form(data):
         for I, e in data.l[j].components.items():
             K = tuple(I) + (n + j,)
             comps[K] = ex.add(comps.get(K, ex.ZERO), ex.mul(sign, e))
-    return LinearForm(A, k, ex.FormField(total, k, comps))
+    return ex.FormField(total, k, comps)
 
 
-def recover_im_pair(lf):
-    """Invert ``linear_form``: (l, nu) from a LinearForm, symbolically.
+def recover_im_pair(A, form):
+    """Invert ``linear_form``: (l, nu) from a linear form on chart A,
+    symbolically.
 
     l(e_j) is the interior product with the constant vertical e_j restricted
     to the zero section; D(e_j) is the pullback of Lambda along the constant
     section e_j, and nu(e_j) = D(e_j) - d l(e_j).
     """
-    A = lf.chart
-    k = lf.degree
+    k = form.degree
     n, r = A.n, A.r
     zero_fiber = {A.ys[j]: ex.ZERO for j in range(r)}
     ls, nus = [], []
     for j in range(r):
         # i_{e_j} Lambda restricted to y = 0, keeping only dx-components
         lcomp = {}
-        for I, e in lf.form.components.items():
+        for I, e in form.components.items():
             if n + j in I:
                 pos = I.index(n + j)
                 J = I[:pos] + I[pos + 1:]
@@ -120,7 +106,7 @@ def recover_im_pair(lf):
         # pullback along the constant section y = e_j: dy -> 0, y_m -> delta_mj
         sub = {A.ys[m]: (ex.ONE if m == j else ex.ZERO) for m in range(r)}
         Dcomp = {}
-        for I, e in lf.form.components.items():
+        for I, e in form.components.items():
             if any(idx >= n for idx in I):
                 continue
             Dcomp[I] = ex.add(Dcomp.get(I, ex.ZERO), ex.subst(e, sub))
@@ -297,4 +283,4 @@ def jacobi_linear_form(A):
     comps = {(n,): ex.ONE}  # du  (u is the first fiber coordinate)
     for i in range(n):
         comps[(i,)] = ex.neg(ex.Var(A.ys[1 + i]))
-    return LinearForm(A, 1, ex.FormField(total, 1, comps))
+    return ex.FormField(total, 1, comps)

@@ -72,6 +72,20 @@ NONDEGENERACY_MARGIN = 1e-3
 L_FD_STEP = 2e-3    # finite-difference step of the L field (torsion identity)
 
 
+# The names ``Numerics.tol`` reads, and so the keys ``numerics.tolerances``
+# accepts; several differ from the report line they bound.
+TOLERANCE_NAMES = (
+    "im_residuals", "units_recovery", "poisson_identity", "realization",
+    "closedness", "units_formula", "multiplicativity", "inversion_antisymmetry",
+    "associativity", "pair_im_residuals", "L_units_block", "L_sigma_related",
+    "torsion_identity", "pi_pushforwards", "omega_Lk_two_ways",
+    "L2_units_recovery", "omega_L2_pointwise", "gcs_prechecks", "gcs_identity",
+    "relative_H_closedness", "robustness_margin", "forward_dirac_angles",
+    "closed_form", "contact_margin", "units_kernel", "units_recover_pr",
+    "cocycle_weight", "spencer_leibniz",
+)
+
+
 @dataclass
 class Numerics:
     """Resolution and sampling knobs; a config key left out gets the default."""
@@ -1022,7 +1036,7 @@ def build_raw_algebroid(chart, numerics=None):
 # Convergence studies
 
 
-def convergence_study(chart, spray, lform, points, levels=None,
+def convergence_study(chart, spray, form, points, levels=None,
                       weight_cocycle=None, reference=None):
     """Errors and fitted order of the quadrature form along a resolution ladder.
 
@@ -1039,7 +1053,7 @@ def convergence_study(chart, spray, lform, points, levels=None,
     for n_quad, substeps in levels:
         with _named(f"convergence rung {n_quad}x{substeps}"):
             G = SprayGroupoid(chart, spray, n_quad=n_quad, substeps=substeps)
-            ev = MultFormEvaluator(G, lform, weight_cocycle=weight_cocycle)
+            ev = MultFormEvaluator(G, form, weight_cocycle=weight_cocycle)
             values.append(ev.omega_full(points))
     if reference is None:
         ref = values[-1]

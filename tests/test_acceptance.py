@@ -262,7 +262,7 @@ def test_criterion_9_jacobi_line(jacobi_line_scenario):
 def test_criterion_10_convergence_orders(so3_scenario):
     A = so3_scenario.chart
     V = so3_scenario.groupoid.spray
-    lf = so3_scenario.evaluator.lform
+    lf = so3_scenario.evaluator.form
     pts = so3_scenario.groupoid.sample_validity_points(8, 1001)
     _, order_combined = convergence_study(A, V, lf, pts)
     _, order_quad = convergence_study(

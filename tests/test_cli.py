@@ -11,6 +11,7 @@ from sprayform import cli, groupoid, scenarios
 from sprayform.cli import CONFIG_SCHEMA, load_config, main, parse_config
 from sprayform.errors import ConfigError, DomainExitError
 from sprayform.flow import FlowEngine
+from sprayform.scenarios import TOLERANCE_NAMES, Numerics
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PERFBENCH = CONFIGS.parent / "perfbench"
@@ -99,6 +100,24 @@ def test_kind_specific_requirements(tmp_path):
         load_config(bad)
 
 
+def test_tolerance_names_are_the_names_check_reads(tmp_path, monkeypatch):
+    """The tolerance keys the schema accepts are, without repeats, exactly
+    the names that ``check`` of the bundled configs reads."""
+    read, original = set(), Numerics.tol
+
+    def recorded(self, name, default):
+        read.add(name)
+        return original(self, name, default)
+
+    monkeypatch.setattr(Numerics, "tol", recorded)
+    for config in sorted(CONFIGS.glob("*.json")):
+        main(["check", "--config", str(config), "--out-dir", str(tmp_path)])
+    assert len(set(TOLERANCE_NAMES)) == len(TOLERANCE_NAMES)
+    assert read == set(TOLERANCE_NAMES)
+    assert CONFIG_SCHEMA["properties"]["numerics"]["properties"][
+        "tolerances"]["propertyNames"] == {"enum": list(TOLERANCE_NAMES)}
+
+
 def test_malformed_R_is_config_error_in_every_subcommand(tmp_path, capsys):
     raw = {
         "schema_version": 1,
@@ -164,6 +183,9 @@ def test_bad_expression_is_config_error(tmp_path, capsys):
     raw["coefficients"]["pi"] = {"12": "x1*("}
     bad = _write(tmp_path, raw, "bad.json")
     assert main(["check", "--config", bad]) == 2
+    # a syntax error names its entry, as a fold error does
+    assert capsys.readouterr().err == ("config error: pi[\"12\"]: unexpected "
+                                       "'end of input' (line 1, column 5)\n")
 
 
 @pytest.mark.parametrize("source", ["1e999", "1e308*10", "2^2000"])
@@ -380,7 +402,7 @@ def test_check_non_poisson_is_runtime_error(tmp_path, capsys):
     assert "poisson_identity" in err
 
 
-def test_check_failure_exit_code(tmp_path):
+def test_check_failure_exit_code(tmp_path, capsys):
     path = _fast_poisson(tmp_path)
     raw = json.loads(Path(path).read_text())
     # an unreachable tolerance forces a check failure (exit 1)
@@ -388,6 +410,11 @@ def test_check_failure_exit_code(tmp_path):
     bad = _write(tmp_path, raw, "hard.json")
     code = main(["check", "--config", bad, "--out-dir", str(tmp_path)])
     assert code == 1
+    # the same tolerance under a misspelt name is a config error, not ignored
+    raw["numerics"]["tolerances"] = {"multiplicativty": 1e-300}
+    bad = _write(tmp_path, raw, "misspelt.json")
+    assert main(["check", "--config", bad, "--out-dir", str(tmp_path)]) == 2
+    assert "'multiplicativty' is not one of" in capsys.readouterr().err
 
 
 def test_check_raw_algebroid(tmp_path):

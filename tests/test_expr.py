@@ -123,11 +123,15 @@ def test_constant_power_folds_like_evaluation():
         parse("0^-1", XS)
 
 
-@pytest.mark.parametrize("src", ["(1e200)^-2", "(-1e200)^-3", "x1 * (1e300)^-2"])
-def test_overflowing_negative_power_fold_raises(src):
-    """a^-n folds as 1/a^n; when a^n overflows the fold raises, as the
-    compiled x1^-n does, instead of folding to zero."""
-    with pytest.raises(EvalDomainError, match="overflow in constant power"):
+@pytest.mark.parametrize("src,flow", [
+    pytest.param(src, flow, id=src) for src, flow in [
+        ("(1e200)^-2", "overflow"), ("(-1e200)^-3", "overflow"),
+        ("x1 * (1e300)^-2", "overflow"), ("(1e-200)^-2", "underflow")]])
+def test_overflowing_negative_power_fold_raises(src, flow):
+    """a^-n folds as 1/a^n; when a^n overflows, or underflows to zero for a
+    nonzero a, the fold raises and names which, as the compiled x1^-n
+    raises, instead of folding to zero or blaming a zero base."""
+    with pytest.raises(EvalDomainError, match=f"^{flow} in constant power"):
         parse(src, XS)
     with pytest.raises(EvalDomainError, match="overflow"):
         ex.compile_exprs([parse("x1^-2", XS)], XS)(np.full((1, len(XS)), 1e200))

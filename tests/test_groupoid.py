@@ -41,7 +41,6 @@ from sprayform.groupoid import (
     units_form_predictor,
 )
 from sprayform.imform import (
-    LinearForm,
     exact_im_pair,
     jacobi_linear_form,
     linear_form,
@@ -256,7 +255,7 @@ def test_streamed_quadrature_matches_stored_trajectory(so3_groupoid,
         pts = np.concatenate([
             G.sample_validity_points(7, seed=21, fiber_scale=0.8),
             G.units(G.chart.sample_base_points(2, 22, scale=0.5))])
-        form = ev.lform.form.d() if d else ev.lform.form
+        form = ev.form.d() if d else ev.form
         got = ev.domega_full(pts) if d else ev.omega_full(pts)
         want = _stored_quadrature(G, form, pts, ev.weight_cocycle)
         assert _same_bits(got, want)
@@ -378,7 +377,7 @@ def test_degenerate_form_in_product_names_row_and_point(flat_groupoid):
                   [-0.4, 0.0, -0.1, 0.2]])
     a = b.copy()
     a[:, 2:] = 0.1
-    zero = MultFormEvaluator(G, LinearForm(A, 2, FormField(A.total_vars, 2)))
+    zero = MultFormEvaluator(G, FormField(A.total_vars, 2))
     with pytest.raises(DegenerateFormError) as err:
         multiply_poisson(G, zero, a, b, n_steps=2)
     assert err.value.smallest_singular_value == 0.0
@@ -387,7 +386,7 @@ def test_degenerate_form_in_product_names_row_and_point(flat_groupoid):
     # pi = 0 the flow is the identity, so omega = Lambda
     form = FormField(A.total_vars, 2, {(0, 2): parse("x1", A.total_vars),
                                        (1, 3): ex.ONE})
-    ev = MultFormEvaluator(G, LinearForm(A, 2, form))
+    ev = MultFormEvaluator(G, form)
     with pytest.raises(DegenerateFormError) as err:
         multiply_poisson(G, ev, a, b, n_steps=2)
     assert err.value.row == 1
@@ -405,8 +404,8 @@ def test_condition_guard_is_per_row(flat_groupoid):
     # Lambda = x1 (dx1^dy1 + dx2^dy2): omega = x1 J for pi = 0, condition
     # number 1 at every row; over rows x1 = 0.1 and 0.5 the batch ratio is 5
     x1 = parse("x1", A.total_vars)
-    ev = MultFormEvaluator(G, LinearForm(A, 2, FormField(
-        A.total_vars, 2, {(0, 2): x1, (1, 3): x1})))
+    ev = MultFormEvaluator(G, FormField(A.total_vars, 2,
+                                        {(0, 2): x1, (1, 3): x1}))
     b = np.array([[0.1, 0.2, 0.1, 0.0], [0.5, -0.1, 0.2, 0.1]])
     a = b.copy()
     a[:, 2:] = 0.05
@@ -422,7 +421,7 @@ def test_condition_guard_names_the_row_over_its_own_bound(flat_groupoid):
     # Lambda = x1 dx1^dy1 + dx2^dy2: condition number 1/|x1| for |x1| < 1
     form = FormField(A.total_vars, 2, {(0, 2): parse("x1", A.total_vars),
                                        (1, 3): ex.ONE})
-    ev = MultFormEvaluator(G, LinearForm(A, 2, form))
+    ev = MultFormEvaluator(G, form)
     b = np.array([[0.5, 0.2, 0.1, 0.0], [0.05, -0.1, 0.2, 0.1],
                   [0.02, 0.1, 0.0, 0.1]])
     a = b.copy()
@@ -559,41 +558,26 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
     assert out["associativity"] == assoc
 
 
-def _edit_rows(monkeypatch, which, edit):
-    """Wrap the product-row preparation so that ``edit`` changes the rows of
-    ``which`` ("multiplicativity", "stage 1" or "stage 2" of associativity)
-    before they are packed."""
-    if which == "multiplicativity":
-        original_mult = groupoid._multiplicativity
+def _edit_rows(monkeypatch, check, row, edit):
+    """Wrap the one product-packing seam, ``groupoid._multiply_rows``, so
+    that ``edit(block, i)`` changes row ``row`` of ``check``'s own batch
+    (local row ``i = row - first_row`` of the block that holds it) before
+    the rows are packed."""
+    original = groupoid._multiply_rows
 
-        def mult(*args):
-            rows, residuals = original_mult(*args)
-            edit(rows)
-            return rows, residuals
+    def packed(G, evaluator, blocks, n_steps):
+        for blk in blocks:
+            i = row - blk.first_row
+            if blk.check == check and 0 <= i < len(blk.a):
+                edit(blk, i)
+        return original(G, evaluator, blocks, n_steps)
 
-        monkeypatch.setattr(groupoid, "_multiplicativity", mult)
-        return
-    original_assoc = groupoid._associativity
-
-    def assoc(*args):
-        stage1, stage2, residual = original_assoc(*args)
-        if which == "stage 1":
-            edit(stage1)
-            return stage1, stage2, residual
-
-        def edited(first):
-            rows = stage2(first)
-            edit(rows)
-            return rows
-
-        return stage1, edited, residual
-
-    monkeypatch.setattr(groupoid, "_associativity", assoc)
+    monkeypatch.setattr(groupoid, "_multiply_rows", packed)
 
 
-def _shift(row, by):
-    def edit(rows):
-        rows.a[row, 0] += by
+def _shift(by):
+    def edit(blk, i):
+        blk.a[i, 0] += by
     return edit
 
 
@@ -607,7 +591,7 @@ def test_packed_product_error_names_check_and_its_row(const_groupoid,
         # 2 pairs, 3 triples: 9 + 9 stencil rows, 6 stage rows per call
         return product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)
 
-    _edit_rows(monkeypatch, "stage 1", _shift(4, 0.3))
+    _edit_rows(monkeypatch, "associativity stage 1", 4, _shift(0.3))
     with pytest.raises(ComposabilityError) as err:
         run()
     assert err.value.row == 4
@@ -615,10 +599,10 @@ def test_packed_product_error_names_check_and_its_row(const_groupoid,
                               "batch row 4: violation 3.000e-01 > 1.0e-09")
     monkeypatch.undo()
 
-    def leave_box(rows):
-        rows.b[1, 0] = 3.0   # outside the chart box [-1, 1]
+    def leave_box(blk, i):
+        blk.b[i, 0] = 3.0   # outside the chart box [-1, 1]
 
-    _edit_rows(monkeypatch, "stage 2", leave_box)
+    _edit_rows(monkeypatch, "associativity stage 2", 1, leave_box)
     with pytest.raises(DomainExitError) as err:
         run()
     assert err.value.row == 1
@@ -628,7 +612,7 @@ def test_packed_product_error_names_check_and_its_row(const_groupoid,
     monkeypatch.undo()
 
     # row 6 + 2 of the second call is row 9 + 2 of the 18 stencil rows
-    _edit_rows(monkeypatch, "multiplicativity", _shift(11, 0.3))
+    _edit_rows(monkeypatch, "multiplicativity", 11, _shift(0.3))
     with pytest.raises(ComposabilityError) as err:
         run()
     assert err.value.row == 11
@@ -640,11 +624,11 @@ def test_packed_rows_keep_their_check_tolerance(const_groupoid, monkeypatch):
     """Stage 2 rows are checked at 1e-8 and stencil rows at 1e-9 in the
     same packed call."""
     _, G, ev = const_groupoid
-    _edit_rows(monkeypatch, "stage 2", _shift(0, 5e-9))
+    _edit_rows(monkeypatch, "associativity stage 2", 0, _shift(5e-9))
     out = product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)
     assert np.isfinite(out["associativity"])
     monkeypatch.undo()
-    _edit_rows(monkeypatch, "multiplicativity", _shift(12, 5e-9))
+    _edit_rows(monkeypatch, "multiplicativity", 12, _shift(5e-9))
     with pytest.raises(ComposabilityError,
                        match="^multiplicativity: .* row 12: violation 5"):
         product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)

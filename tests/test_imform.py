@@ -46,11 +46,11 @@ def _rand_total(rng, n, r):
 def test_poisson_pair_linear_form_is_canonical_symplectic(so3_chart):
     lf = linear_form(poisson_im_pair(so3_chart))
     # Lambda = sum_i dx^i ^ dy^i |-> components {(i, n+i): 1}
-    assert set(lf.form.components) == {(0, 3), (1, 4), (2, 5)}
-    for e in lf.form.components.values():
+    assert set(lf.components) == {(0, 3), (1, 4), (2, 5)}
+    for e in lf.components.values():
         assert isinstance(e, ex.Const) and e.value == 1.0
     # closed pair: d Lambda = 0 identically
-    assert not lf.form.d().components
+    assert not lf.d().components
 
 
 def test_sign_convention_at_units(so3_chart):
@@ -58,7 +58,7 @@ def test_sign_convention_at_units(so3_chart):
     lf = linear_form(poisson_im_pair(so3_chart))
     rng = np.random.default_rng(0)
     z = _rand_total(rng, 3, 3)
-    lam = lf.form.values(z[None, :])[0]
+    lam = lf.values(z[None, :])[0]
     w = rng.uniform(-1, 1, 3)
     b = rng.uniform(-1, 1, 3)
     horizontal = np.concatenate([w, np.zeros(3)])
@@ -73,8 +73,8 @@ def test_nu_only_pair_has_no_dy_terms(so3_chart):
     from sprayform.imform import IMFormData
     data = IMFormData(so3_chart, 2, ls, nus)
     lf = linear_form(data)
-    assert all(max(I) < n + 3 for I in lf.form.components)  # all indices
-    assert all(all(i < n for i in I) for I in lf.form.components)  # dx only
+    assert all(max(I) < n + 3 for I in lf.components)  # all indices
+    assert all(all(i < n for i in I) for I in lf.components)  # dx only
 
 
 def test_round_trip_lemma(so3_chart):
@@ -87,7 +87,7 @@ def test_round_trip_lemma(so3_chart):
                                       (1, 2): parse("x1 + 2", XS3)}))
     from sprayform.imform import IMFormData
     data = IMFormData(so3_chart, 2, ls, nus)
-    rec = recover_im_pair(linear_form(data))
+    rec = recover_im_pair(so3_chart, linear_form(data))
     X = rng.uniform(-1, 1, (20, 3))
     for j in range(3):
         assert np.max(np.abs((rec.l[j] - data.l[j]).values(X))) < 1e-10
@@ -104,8 +104,8 @@ def test_linear_form_fiber_scaling(so3_chart):
         zt = z.copy()
         zt[3:] *= t
         D = np.diag([1.0, 1, 1, t, t, t])
-        lhs = pullback(lf.form.values(zt[None, :])[0], 2, D)
-        rhs = lf.form.values(z[None, :])[0] * t
+        lhs = pullback(lf.values(zt[None, :])[0], 2, D)
+        rhs = lf.values(z[None, :])[0] * t
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -124,7 +124,7 @@ def test_exact_pair_linear_form_is_lie_derivative_of_pullback(so3_chart):
     lie = qvarpi.lie(Vfield)
     rng = np.random.default_rng(9)
     Z = np.stack([_rand_total(rng, 3, 3) for _ in range(10)])
-    assert np.max(np.abs(lf.form.values(Z) - lie.values(Z))) < 1e-12
+    assert np.max(np.abs(lf.values(Z) - lie.values(Z))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +185,11 @@ def test_chain_map_d_of_linear_form(so3_chart):
     varpi = FormField(XS3, 2, {(0, 1): parse("x1", XS3),
                                (0, 2): parse("x2*x3", XS3)})
     pair = exact_im_pair(so3_chart, varpi)
-    lhs = linear_form(pair).differential()
+    lhs = linear_form(pair).d()
     rhs = linear_form(d_IM(pair))
     rng = np.random.default_rng(2)
     Z = np.stack([_rand_total(rng, 3, 3) for _ in range(10)])
-    assert np.max(np.abs(lhs.form.values(Z) - rhs.form.values(Z))) < 1e-13
+    assert np.max(np.abs(lhs.values(Z) - rhs.values(Z))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_jacobi_linear_form_components():
     A = jacobi_algebroid(pi0, [ex.ONE], [[-1, 1]])
     lf = jacobi_linear_form(A)
     # Lambda = du - p dx on (x; u, p)
-    comps = {I: ex.to_source(e) for I, e in lf.form.components.items()}
+    comps = {I: ex.to_source(e) for I, e in lf.components.items()}
     assert comps == {(1,): "1", (0,): "-y2"}
 
 
@@ -213,7 +213,7 @@ def test_jacobi_linear_form_matches_coordinate_recipe():
     # build by hand: y-part sum_j y^j D_j with D(e_0) = 0, D(e_i) = -dx^i;
     # l-part only from l(e_0) = 1
     want = {(2,): "1", (0,): "-y2", (1,): "-y3"}
-    got = {I: ex.to_source(e) for I, e in lf.form.components.items()}
+    got = {I: ex.to_source(e) for I, e in lf.components.items()}
     assert got == want
 
 
@@ -222,7 +222,7 @@ def test_jacobi_recovers_pr_via_interior():
     A = jacobi_algebroid(pi0, [ex.ONE], [[-1, 1]])
     lf = jacobi_linear_form(A)
     # i_{e_0} Lambda at the zero section recovers l = pr (value 1 on e_0)
-    lam = lf.form.values(np.array([[0.3, 0.0, 0.0]]))[0]
+    lam = lf.values(np.array([[0.3, 0.0, 0.0]]))[0]
     assert evaluate(lam, np.array([0.0, 1.0, 0.0])) == pytest.approx(1.0)
     assert evaluate(lam, np.array([0.0, 0.0, 1.0])) == pytest.approx(0.0)
 
@@ -243,7 +243,7 @@ def test_scaling_symbolic_by_fiber_degree(so3_chart):
     rng = np.random.default_rng(13)
     env_samples = [dict(zip(so3_chart.total_vars, _rand_total(rng, 3, 3)))
                    for _ in range(5)]
-    for I, e in lf.form.components.items():
+    for I, e in lf.components.items():
         if any(i >= n for i in I):
             for y in so3_chart.ys:
                 d = ex.partial(e, y)

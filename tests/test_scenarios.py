@@ -389,7 +389,7 @@ def test_jacobi_r_zero_reduces_to_poisson_channel(so3_scenario):
 def test_convergence_orders_all_axes(so3_scenario):
     A = so3_scenario.chart
     V = so3_scenario.groupoid.spray
-    lf = so3_scenario.evaluator.lform
+    lf = so3_scenario.evaluator.form
     pts = so3_scenario.groupoid.sample_validity_points(8, seed=28)
     _, order_combined = convergence_study(A, V, lf, pts)
     assert order_combined >= 3.5

@@ -13,7 +13,6 @@ from sprayform.algebroid import cotangent_algebroid, default_spray
 from sprayform.cli import main
 from sprayform.errors import DegenerateFormError, DimensionError
 from sprayform.groupoid import MultFormEvaluator, SprayGroupoid
-from sprayform.imform import LinearForm
 from sprayform.tensor import index_list
 
 CANONICAL = np.array([[0.0, 1.0], [-1.0, 0.0]])   # dx1 ^ dx2 on R^2
@@ -208,8 +207,8 @@ def _inverse_matrix(W):
     A = cotangent_algebroid(ex.BivectorField(n, {}), [[-1.0, 1.0]] * n)
     G = SprayGroupoid(A, default_spray(A), n_quad=2)
     comps = {I: ex.const(W[I]) for I in index_list(d, 2) if W[I] != 0.0}
-    lform = LinearForm(A, 2, ex.FormField(A.total_vars, 2, comps))
-    return MultFormEvaluator(G, lform).inverse_matrices(np.zeros((1, d)))[0]
+    form = ex.FormField(A.total_vars, 2, comps)
+    return MultFormEvaluator(G, form).inverse_matrices(np.zeros((1, d)))[0]
 
 
 def test_invert_canonical():

@@ -1,0 +1,90 @@
+#!/usr/bin/env bash
+# Run the report-identity set with the sprayform package sources at SRC and
+# write, under OUT, each run's exit code, stderr, report JSON, residual CSV,
+# convergence CSV and eval output:
+#
+#   - `check` on every bundled config in configs/;
+#   - `check` on so3 at acceptance numerics (100 multiplicativity pairs,
+#     50 associativity triples) and on dirac_twisted, nijenhuis_r2, gcs_r2
+#     and jacobi_line, each at seeds 20240 and 7319, written from configs/
+#     at run time;
+#   - `convergence` on so3 and jacobi_line over rungs 32..1024;
+#   - `eval` on every kind's build.
+#
+# Usage (from the repository root, whose configs/ both sides read):
+#
+#   tools/report_identity.sh BASE_CHECKOUT/src OUT/base
+#   tools/report_identity.sh src OUT/head
+#   diff -r OUT/base OUT/head
+#
+# stdout of `check` and `convergence` names the output path, which differs
+# by side, so it is not kept.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+  echo "usage: $0 SRC OUT" >&2
+  exit 2
+fi
+src=$(cd "$1" && pwd)
+out=$2
+seeded=$(mktemp -d)
+trap 'rm -rf "$seeded"' EXIT
+
+for seed in 20240 7319; do
+  for name in so3 dirac_twisted nijenhuis_r2 gcs_r2 jacobi_line; do
+    python3 - "$seed" "$name" "$seeded" <<'EOF'
+import json, sys
+seed, name, out = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+with open(f"configs/{name}.json") as f:
+    cfg = json.load(f)
+if name == "so3":
+    cfg["numerics"].update(mult_pairs=100, assoc_triples=50)
+    name = "so3_acceptance"
+cfg["numerics"]["seed"] = seed
+cfg["outputs"] = {"report": "report.json", "csv": "residuals.csv"}
+with open(f"{out}/{name}_{seed}.json", "w") as f:
+    json.dump(cfg, f, indent=2)
+EOF
+  done
+done
+
+# run NAME SUBCOMMAND ARGS...: one CLI run into $out/NAME; stdout is kept
+# only for eval, whose output is the result
+run() {
+  local dir="$out/$1" cmd=$2 status=0
+  shift 2
+  mkdir -p "$dir"
+  if [ "$cmd" = eval ]; then
+    PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 python3 -m sprayform.cli eval \
+      "$@" > "$dir/stdout" 2> "$dir/stderr" || status=$?
+  else
+    PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 python3 -m sprayform.cli "$cmd" \
+      "$@" --out-dir "$dir" > /dev/null 2> "$dir/stderr" || status=$?
+  fi
+  echo "$status" > "$dir/exit_code"
+}
+
+for cfg in configs/*.json "$seeded"/*.json; do
+  run "$(basename "$cfg" .json)" check --config "$cfg"
+done
+for name in so3 jacobi_line; do
+  run "convergence_$name" convergence --config "configs/$name.json" \
+    --ladder 32,64,128,256,512,1024
+done
+run eval_constant_poisson_vectors eval --config configs/constant_poisson.json \
+  --point 0.1,0.2,0.3,-0.1 --vectors "1,0.5,0,-0.2;0.3,0,1,0.7"
+run eval_constant_poisson_pair eval --config configs/constant_poisson.json \
+  --point 0.1,0.2,0.3,-0.1 --pair "0.2,0.5,0.2,0.1|0.1,0.2,0.3,-0.1"
+run eval_so3_vectors eval --config configs/so3.json \
+  --point 0.1,0.2,-0.1,0.2,0.1,-0.1 \
+  --vectors "1,0,0.2,0,0.5,0;0,1,0,0.3,0,-0.4"
+run eval_jacobi_line eval --config configs/jacobi_line.json --point 0.0,0.3,0.5
+run eval_nijenhuis_r2 eval --config configs/nijenhuis_r2.json \
+  --point 0.1,0.2,0.3,-0.1 --vectors "1,0.5,0,-0.2;0.3,0,1,0.7" \
+  --pair "0.2,0.5,0.2,0.1|0.1,0.2,0.3,-0.1"
+run eval_dirac_twisted eval --config configs/dirac_twisted.json \
+  --point 0.1,0.2,-0.1,0.2,0.1,-0.1
+run eval_gcs_r2 eval --config configs/gcs_r2.json \
+  --point 0.1,0.2,0.3,-0.1 --pair "0.2,0.5,0.2,0.1|0.1,0.2,0.3,-0.1"
+run eval_bad_poisson eval --config configs/bad_poisson.json \
+  --point 0.1,0.2,-0.1,0.2,0.1,-0.1
