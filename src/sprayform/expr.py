@@ -9,7 +9,8 @@ no canonical form, and correctness is always established by evaluation.
 
 Expressions have one evaluator: ``compile_exprs`` turns a list of them into
 one vectorized function of a point batch, and the fields' ``values`` methods
-go through it.  Division by zero, log/sqrt outside their domain and overflow
+go through it.  The flow engine's generated right-hand side
+(``flow._compile_rhs``) writes its rows with the same code generator.  Division by zero, log/sqrt outside their domain and overflow
 raise EvalDomainError instead of producing inf or NaN.  Constant folding
 applies the compiled code's rules (``a^n`` by ``_int_power``), and a constant
 that is not finite, a literal such as ``1e999`` or a fold such as ``2^2000``
@@ -230,10 +231,14 @@ def pow_int(a, n):
         return Const(power)
     if a.value == 0.0:
         raise EvalDomainError("zero raised to a negative power")
-    if power == 0.0 or not math.isfinite(power):   # the compiled a^-n raises too
-        flow = "underflow" if power == 0.0 else "overflow"
-        raise EvalDomainError(f"{flow} in constant power ({a.value!r})^{n}")
-    return Const(1.0 / power)
+    # the compiled a^-n raises too: a^n underflows to zero, or a^n or the
+    # reciprocal of a subnormal a^n overflows
+    if power == 0.0:
+        raise EvalDomainError(f"underflow in constant power ({a.value!r})^{n}")
+    inverse = 1.0 / power
+    if inverse == 0.0 or not math.isfinite(inverse):
+        raise EvalDomainError(f"overflow in constant power ({a.value!r})^{n}")
+    return Const(inverse)
 
 
 class _Binary(Expr):
@@ -627,12 +632,7 @@ def compile_exprs(exprs, variables):
     """
     variables = list(variables)
     names = {v: f"v{i}" for i, v in enumerate(variables)}
-    used = set()
-    for e in exprs:
-        used |= e.variables()
-    unknown = used - set(variables)
-    if unknown:
-        raise UnknownIdentifierError(f"expressions use undeclared {sorted(unknown)}")
+    used = _used_variables(exprs, variables)
 
     lines = ["def _generated(Z, np=np):"]
     for i, v in enumerate(variables):
@@ -654,9 +654,27 @@ def compile_exprs(exprs, variables):
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 return fn(Z)
         except FloatingPointError as exc:
-            raise EvalDomainError(f"domain violation during evaluation: {exc}") from exc
+            raise _domain_violation(exc) from exc
 
     return wrapped
+
+
+def _used_variables(exprs, variables):
+    """The variables ``exprs`` use; UnknownIdentifierError if one is not
+    among ``variables``."""
+    used = set()
+    for e in exprs:
+        used |= e.variables()
+    unknown = used - set(variables)
+    if unknown:
+        raise UnknownIdentifierError(f"expressions use undeclared {sorted(unknown)}")
+    return used
+
+
+def _domain_violation(exc):
+    """The EvalDomainError of a numpy FloatingPointError raised by generated
+    code."""
+    return EvalDomainError(f"domain violation during evaluation: {exc}")
 
 
 def batch_values(exprs, variables, P, shape):

@@ -8,10 +8,31 @@ interpolation error enters the quadrature.  The tangent flow J_t solves the
 variational equation dJ/dt = DV(phi^t) J in lockstep with the state, using
 exact symbolic partials of the vector field.
 
-Everything is batched over points (B, d), and one in-place RK4 loop serves
-both solves.  Neither stores a trajectory: each returns the end state, and
-an optional ``at_node`` consumer sees the state at every node as the loop
-passes it.
+State layout.  A coordinate z_i is live when its component V_i or one of
+its partials dV_i/dz_k is not the symbolic zero (``Expr.is_zero``), and
+frozen otherwise: then z_i keeps its start value and the row J_i. stays
+e_i, so both are held as constants, box-checked once at t = 0 and never
+stepped.  A solve of B points integrates one component-major array of shape
+(rows, B): z_i for each live i, then, with the tangent flow, the d entries
+of J_i. for each live i.  On so(3)* the fiber coordinates are frozen, and
+the state has 3 + 3 * 6 = 21 rows instead of 6 + 36.
+
+One generated function per engine and solve kind writes the derivative of
+the live rows into the stage buffer in place, emitted from the symbolic
+partials: (DV J)_i. = sum_k dV_i/dz_k J_k., where a +-1 coefficient is one
+in-place add or subtract of the block J_k., a frozen k contributes
+dV_i/dz_k to column k alone, and rows that read only frozen coordinates are
+written once per solve.  numpy floating-point errors raise for the whole
+solve: in the right-hand side (or a node consumer) as EvalDomainError, and
+in the RK4 arithmetic by replaying that step as numpy would compute it
+outside the solve, whose non-finite state the step's box check then names.
+
+Neither solve stores a trajectory.  Each returns the end state batch-major,
+z of shape (B, d) and J of shape (B, d, d) with J[b, i, j] = dz_i/dz_j, and
+an optional ``at_node`` consumer sees the full state at every node as the
+loop passes it, component-major: z of shape (d, B) and J of shape (d, d, B).
+A consumer that wants batch-major arrays reads the views z.T and
+J.transpose(2, 0, 1); the arrays are valid only during the call.
 """
 
 from __future__ import annotations
@@ -28,6 +49,7 @@ __all__ = ["QuadratureRule", "FlowEngine", "cumulative_integral",
            "stencil_derivatives"]
 
 _FLOAT_MAX = np.finfo(np.float64).max
+_RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 
 
 @dataclass(frozen=True)
@@ -67,7 +89,8 @@ class FlowEngine:
     leaves it raises DomainExitError carrying the exit time, the batch row
     and its state.  Bounds may be +-inf for unconstrained coordinates.  A NaN
     or infinite state raises NonFiniteStateError carrying the same, with or
-    without a box.
+    without a box.  ``live`` and ``frozen`` partition the coordinate indices
+    (see the module docstring).
     """
 
     def __init__(self, components, variables, box=None):
@@ -76,94 +99,315 @@ class FlowEngine:
         if len(components) != self.dim:
             raise DimensionError("vector field needs one component per coordinate")
         self.components = list(components)
-        self._v = ex.compile_exprs(self.components, self.variables)
-        jac_exprs = [ex.partial(c, v) for c in self.components for v in self.variables]
-        self._vdv = ex.compile_exprs(self.components + jac_exprs, self.variables)
+        partials = [[ex.partial(c, v) for v in self.variables]
+                    for c in self.components]
+        self.live = tuple(i for i, c in enumerate(self.components)
+                          if not (c.is_zero and all(p.is_zero for p in partials[i])))
+        self.frozen = tuple(i for i in range(self.dim) if i not in self.live)
+        # consecutive live coordinates (every bundled config) are copied by
+        # a slice, at half the cost of an index list
+        live = self.live
+        self._live_rows = (slice(live[0], live[-1] + 1)
+                           if live and live[-1] - live[0] + 1 == len(live)
+                           else list(live))
+        self._rhs = {False: _compile_rhs(self.components, self.variables,
+                                         self.live),
+                     True: _compile_rhs(self.components, self.variables,
+                                        self.live, partials)}
         if box is None:
             box = [[-np.inf, np.inf]] * self.dim
         # +-inf bounds become +-float max, so the one comparison per step
         # also rejects NaN and inf states
         self._lo, self._hi = np.clip(np.asarray(box, dtype=np.float64),
-                                     -_FLOAT_MAX, _FLOAT_MAX).T
-
-    def _check_box(self, Z, t):
-        inside = (Z >= self._lo) & (Z <= self._hi)   # False on NaN
-        if inside.all():
-            return
-        row = int(np.argmin(inside.all(axis=-1)))
-        z = Z[row].copy()
-        if not np.isfinite(z).all():
-            raise NonFiniteStateError(t, z, row=row)
-        raise DomainExitError(t, z, row=row)
+                                     -_FLOAT_MAX, _FLOAT_MAX).T[:, :, None]
 
     def flow_on_grid(self, points, nodes, substeps=1, at_node=None):
-        """State at nodes[-1]; nodes[0] must be 0.
+        """State (B, d) at nodes[-1]; nodes[0] must be 0.
 
-        ``at_node(k, z)``, if given, sees a view of the state at each node k.
+        ``at_node(k, z)``, if given, sees the (d, B) state at each node k.
         """
-        z = np.atleast_2d(np.asarray(points, dtype=np.float64)).copy()
-        for k in self._rk4(z, z, self._v, nodes, substeps):
-            if at_node is not None:
-                at_node(k, z)
-        return z
+        z, _ = self._solve(points, nodes, substeps, False, at_node)
+        return z.T.copy()
 
     def flow_with_jacobian(self, points, nodes, substeps=1, at_node=None):
-        """Flow and tangent map J_t as one (B, d, d+1) state [z | J].
+        """Flow and tangent map: the end state (z, J), (B, d) and (B, d, d).
 
-        Returns the end state (z, J).  ``at_node(k, z, J)``, if given, sees
-        views of the state at each node k.
+        ``at_node(k, z, J)``, if given, sees the (d, B) state and the
+        (d, d, B) tangent map at each node k.
         """
-        P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        B, d = P.shape
-        S = np.empty((B, d, d + 1))
-        S[..., 0] = P
-        S[..., 1:] = np.eye(d)
-        z, J = S[..., 0], S[..., 1:]
-        K = np.empty_like(S)
+        z, J = self._solve(points, nodes, substeps, True, at_node)
+        return z.T.copy(), J.transpose(2, 0, 1).copy()
 
-        def rhs(X):
-            # [V | DV J]: V and DV from one compiled call
-            vdv = self._vdv(X[..., 0])
-            K[..., 0] = vdv[:, :d]
-            np.matmul(vdv[:, d:].reshape(B, d, d), X[..., 1:], out=K[..., 1:])
-            return K
+    def _solve(self, points, nodes, substeps, jacobian, at_node):
+        """RK4 on the live rows; the full (d, B) z and (d, d, B) J (None
+        without ``jacobian``) at the last node."""
+        Z = np.atleast_2d(np.asarray(points, dtype=np.float64)).T.copy()
+        d, B = Z.shape
+        live, frozen, m = self._live_rows, list(self.frozen), len(self.live)
+        S = np.zeros((m * (d + 1) if jacobian else m, B))
+        S[:m] = Z[live]
+        J = None
+        if jacobian:
+            S[m:].reshape(m, d, B)[range(m), self.live] = 1.0
+            J = np.zeros((d, d, B))
+            J[frozen, frozen] = 1.0
+        F = Z[frozen]
+        K = np.zeros_like(S)     # never-written rows are zero for good
+        acc, stage, T = np.empty_like(S), np.empty_like(S), np.empty((d, B))
+        lo, hi = self._lo[live], self._hi[live]
+        views = (Z,) if J is None else (Z, J)
 
-        for k in self._rk4(S, z, rhs, nodes, substeps):
+        def publish(X):
+            Z[live] = X[:m]
+            if J is not None:
+                J[live] = X[m:].reshape(m, d, B)
+
+        def check(X, t):
+            z = X[:m]
+            inside = (z >= lo) & (z <= hi)   # False on NaN
+            if not inside.all():
+                publish(X)
+                _raise_state_error(Z, inside, t)
+
+        def consume(k, X):
+            publish(X)
+            try:
+                at_node(k, *views)
+            except FloatingPointError as exc:
+                raise ex._domain_violation(exc) from exc
+
+        caller = np.geterr()
+        with np.errstate(**_RAISE):
+            inside = (Z >= self._lo) & (Z <= self._hi)
+            if not inside.all():
+                _raise_state_error(Z, inside, float(nodes[0]))
+            bind = self._rhs[jacobian]
+            # the state and the RK4 sum alternate between two buffers, so a
+            # step that raises leaves its start state intact
+            cur, nxt = (S, bind(S, F, K, T)), (acc, bind(acc, F, K, T))
+            at_stage = bind(stage, F, K, T)
             if at_node is not None:
-                at_node(k, z, J)
-        return z.copy(), J.copy()
+                consume(0, S)
+            for k in range(len(nodes) - 1):
+                h = (nodes[k + 1] - nodes[k]) / substeps
+                t = nodes[k]
+                for _ in range(substeps):
+                    (X, at_X), (Y, _) = cur, nxt
+                    try:
+                        _rk4_step(X, Y, K, stage, h, at_X, at_stage)
+                    except FloatingPointError:
+                        with np.errstate(**caller):
+                            _rk4_step(X, Y, K, stage, h, _raising(at_X),
+                                      _raising(at_stage))
+                    cur, nxt = nxt, cur
+                    t += h
+                    check(Y, t)
+                if at_node is not None:
+                    consume(k + 1, cur[0])
+            publish(cur[0])
+        return Z, J
 
-    def _rk4(self, S, z, rhs, nodes, substeps):
-        """Fixed-step RK4 on the state S in place, yielding k at each node k.
 
-        ``z`` is the view of S holding the points, box-checked after every
-        step; ``rhs(X)`` is dX/dt (it may return one buffer each call).  Each
-        element gets the IEEE operations of S + (h/6) (k1 + 2 k2 + 2 k3 + k4)
-        in that order.
-        """
-        stage = np.empty_like(S)
-        acc = np.empty_like(S)
-        self._check_box(z, float(nodes[0]))
-        yield 0
-        for k in range(len(nodes) - 1):
-            h = (nodes[k + 1] - nodes[k]) / substeps
-            t = nodes[k]
-            for _ in range(substeps):
-                K = rhs(S)
-                np.copyto(acc, K)
-                for i, c in enumerate((0.5 * h, 0.5 * h, h)):
-                    np.multiply(K, c, out=stage)
-                    stage += S
-                    if i:
-                        K *= 2.0
-                        acc += K
-                    K = rhs(stage)
-                acc += K
-                acc *= h / 6.0
-                S += acc
-                t += h
-                self._check_box(z, t)
-            yield k + 1
+def _rk4_step(X, Y, K, stage, h, at_X, at_stage):
+    """Y = X + (h/6) (k1 + 2 k2 + 2 k3 + k4), each element by these IEEE
+    operations in this order; ``at_X()`` and ``at_stage()`` write the
+    derivative at X and at ``stage`` into K."""
+    at_X()
+    np.copyto(Y, K)
+    np.multiply(K, 0.5 * h, out=stage)
+    stage += X
+    at_stage()
+    for c in (0.5 * h, h):
+        np.multiply(K, 2.0, out=stage)
+        Y += stage
+        np.multiply(K, c, out=stage)
+        stage += X
+        at_stage()
+    Y += K
+    Y *= h / 6.0
+    Y += X
+
+
+def _raising(rhs):
+    """``rhs`` run under the solve's error state, for a replayed step."""
+    def guarded():
+        with np.errstate(**_RAISE):
+            rhs()
+    return guarded
+
+
+def _raise_state_error(Z, inside, t):
+    """NonFiniteStateError or DomainExitError at the first batch row (column
+    of the (d, B) state Z) that has a coordinate outside the box."""
+    row = int(np.argmin(inside.all(axis=0)))
+    z = Z[:, row].copy()
+    if not np.isfinite(z).all():
+        raise NonFiniteStateError(t, z, row=row)
+    raise DomainExitError(t, z, row=row)
+
+
+# ---------------------------------------------------------------------------
+# Right-hand side generation
+
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
+
+
+def _compile_rhs(components, variables, live, partials=None):
+    """Factory of the derivative of the live rows (see the module docstring).
+
+    ``bind(X, F, K, T)`` returns ``rhs()``, which writes into K the
+    derivative of the state X: V_i for each live i, then, given
+    ``partials`` (the d x d symbolic dV_i/dz_k), the block (DV J)_i. of
+    each live i.  F holds the frozen coordinates, one row each, and T is a
+    (d, B) scratch block.  K starts zeroed: a symbolically zero row is never
+    written, and ``bind`` writes the rows that read only frozen coordinates.
+    A FloatingPointError in either raises EvalDomainError.
+    """
+    d, m = len(variables), len(live)
+    ex._used_variables(components, variables)
+    pos = {i: a for a, i in enumerate(live)}
+    frozen = [i for i in range(d) if i not in pos]
+    fixed = {variables[i] for i in frozen}
+    names = {v: f"z{i}" for i, v in enumerate(variables)}
+    head = [f"z{i} = X[{pos[i]}]" if i in pos else f"z{i} = F[{frozen.index(i)}]"
+            for i in range(d)]
+    once, each = [], []
+
+    def statements(e):
+        """Where a row holding ``e`` is written: once per solve when ``e``
+        reads only frozen coordinates, else at every call."""
+        return once if e.variables() <= fixed else each
+
+    def operand(e):
+        """Source of a coefficient; one that reads only frozen coordinates is
+        evaluated once per solve."""
+        if isinstance(e, (ex.Var, ex.Const)) or not e.variables() <= fixed:
+            return _source(e, names)
+        once.append(f"c{len(once)} = {_source(e, names)}")
+        return f"c{len(once) - 1}"
+
+    for a, i in enumerate(live):
+        head.append(f"k{i} = K[{a}]")
+        if not components[i].is_zero:
+            statements(components[i]).append(
+                _assign(f"k{i}", components[i], names))
+        if partials is None:
+            continue
+        base = m + a * d
+        head.append(f"kJ{i} = K[{base}:{base + d}]")
+        head.append(f"J{i} = X[{base}:{base + d}]")
+        terms = [(k, *_signed(p)) for k, p in enumerate(partials[i])
+                 if not p.is_zero]
+        inner = [t for t in terms if t[0] in pos]
+        outer = [t for t in terms if t[0] not in pos]
+        head.extend(f"kJ{i}_{k} = K[{base + k}]" for k, _, _ in outer)
+        if inner:
+            each.extend(_block(f"kJ{i}", inner, operand))
+            each.extend(_add_row(f"kJ{i}_{k}", sign, core, operand)
+                        for k, sign, core in outer)
+        else:
+            for k, _, _ in outer:
+                statements(partials[i][k]).append(
+                    _assign(f"kJ{i}_{k}", partials[i][k], names))
+
+    def guarded(lines, indent):
+        pad = " " * indent
+        if not lines:
+            return [f"{pad}pass"]
+        return ([f"{pad}try:"] + [f"{pad}    {s}" for s in lines]
+                + [f"{pad}except FloatingPointError as exc:",
+                   f"{pad}    raise _domain_violation(exc) from exc"])
+
+    src = (["def _bind(X, F, K, T):"] + [f"    {s}" for s in head]
+           + guarded(once, 4) + ["    def rhs():"] + guarded(each, 8)
+           + ["    return rhs"])
+    namespace = {"np": np, "_int_power": ex._int_power,
+                 "_domain_violation": ex._domain_violation}
+    exec(compile("\n".join(src), "<sprayform-rhs>", "exec"), namespace)
+    return namespace["_bind"]
+
+
+def _signed(e):
+    """(sign, core) with e = sign * core bit for bit, sign +-1.0.
+
+    Negations, factors +-1 and the signs of constants move up through
+    products, quotients and sums (a + (-b) becomes a - b), which IEEE
+    arithmetic allows exactly: negation is exact and rounding symmetric.
+    """
+    if isinstance(e, ex.Neg):
+        sign, core = _signed(e.a)
+        return -sign, core
+    if isinstance(e, ex.Const):
+        return (-1.0, ex.Const(-e.value)) if e.value < 0.0 else (1.0, e)
+    if isinstance(e, (ex.Mul, ex.Div)):
+        (sa, ca), (sb, cb) = _signed(e.a), _signed(e.b)
+        if cb.is_one:
+            return sa * sb, ca
+        if ca.is_one and isinstance(e, ex.Mul):
+            return sa * sb, cb
+        return sa * sb, type(e)(ca, cb)
+    if isinstance(e, (ex.Add, ex.Sub)):
+        (sa, ca), (sb, cb) = _signed(e.a), _signed(e.b)
+        if isinstance(e, ex.Sub):
+            sb = -sb
+        if sa == sb:
+            return sa, ex.Add(ca, cb)
+        return (1.0, ex.Sub(ca, cb)) if sa > 0 else (1.0, ex.Sub(cb, ca))
+    return 1.0, e
+
+
+def _source(e, names):
+    """numpy source of ``e`` after ``_signed``."""
+    sign, core = _signed(e)
+    if isinstance(core, ex._Binary):
+        src = f"({_source(core.a, names)} {core.op} {_source(core.b, names)})"
+    else:
+        src = ex._codegen(core, names)
+    return src if sign > 0 else f"(-{src})"
+
+
+def _assign(target, e, names):
+    """Statement writing ``e`` into the row ``target`` by one ufunc call on
+    its operands where its top node allows."""
+    sign, core = _signed(e)
+    if isinstance(core, ex.Const):
+        return f"{target}.fill({sign * core.value!r})"
+    if sign < 0:
+        return f"np.negative({_source(core, names)}, out={target})"
+    if isinstance(core, ex._Binary):
+        return (f"np.{_UFUNCS[core.op]}({_source(core.a, names)}, "
+                f"{_source(core.b, names)}, out={target})")
+    return f"np.copyto({target}, {_source(core, names)})"
+
+
+def _add_row(target, sign, core, operand):
+    """Statement adding sign * core to the row ``target``."""
+    if isinstance(core, ex.Const):
+        return f"np.add({target}, {sign * core.value!r}, out={target})"
+    op = "add" if sign > 0 else "subtract"
+    return f"np.{op}({target}, {operand(core)}, out={target})"
+
+
+def _block(target, terms, operand):
+    """Statements writing sum_k sign_k core_k J_k. into the block ``target``
+    for terms (k, sign, core) over live k.  Positive terms come first; when
+    all are negative, their magnitudes are summed and negated once."""
+    terms = sorted(terms, key=lambda term: term[1] < 0)
+    flip = terms[0][1]
+    lines = []
+    for n, (k, sign, core) in enumerate(terms):
+        op = "add" if sign * flip > 0 else "subtract"
+        if core.is_one:
+            lines.append(f"np.copyto({target}, J{k})" if n == 0 else
+                         f"np.{op}({target}, J{k}, out={target})")
+        elif n == 0:
+            lines.append(f"np.multiply(J{k}, {operand(core)}, out={target})")
+        else:
+            lines.append(f"np.multiply(J{k}, {operand(core)}, out=T)")
+            lines.append(f"np.{op}({target}, T, out={target})")
+    if flip < 0:
+        lines.append(f"np.negative({target}, out={target})")
+    return lines
 
 
 _STENCIL = ((-2, 1.0 / 12), (-1, -8.0 / 12), (1, 8.0 / 12), (2, -1.0 / 12))

@@ -27,6 +27,7 @@ antisymmetric matrix W of omega.  Everything is batched over points.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -135,7 +136,8 @@ class SprayGroupoid:
 
         ``consumer(j, z, J)`` runs at the j-th quadrature node, for each
         consumer (``MultFormEvaluator.omega_sum``, ``integrate_cocycle``,
-        ``algebroid.transport_weight``); z and J are views valid only
+        ``algebroid.transport_weight``); z (d, B) and J (d, d, B) are the
+        component-major arrays of ``FlowEngine``'s ``at_node``, valid only
         during the call.
         """
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
@@ -231,8 +233,8 @@ class MultFormEvaluator:
         self.degree = form.degree
         if self.degree > 3:
             raise DimensionError("evaluators support degree <= 3")
-        self._lam = self._compile_comps(form.exprs_dense(), self.degree)
-        self._dlam = self._compile_comps(form.d().exprs_dense(), self.degree + 1)
+        self._lam = _form_terms(form, groupoid)
+        self._dlam = _form_terms(form.d(), groupoid)
         self.weight_cocycle = weight_cocycle
         if weight_cocycle is not None:
             _assert_fiberwise_linear(weight_cocycle, groupoid.chart)
@@ -242,15 +244,6 @@ class MultFormEvaluator:
                                            groupoid.spray.variables)
         else:
             self._delta = None
-
-    def _compile_comps(self, exprs, degree):
-        """Compiled component function, or a precomputed constant tensor."""
-        G = self.groupoid
-        if all(isinstance(e, ex.Const) for e in exprs):
-            comps = np.array([e.value for e in exprs])
-            const_full = tn.comps_to_full_batch(comps[None, :], G.dim, degree)[0]
-            return ("const", const_full)
-        return ("fn", ex.compile_exprs(exprs, G.spray.variables))
 
     # -- quadrature ---------------------------------------------------------
 
@@ -283,9 +276,8 @@ class MultFormEvaluator:
         ~1e-6).
         """
         if self._delta is None:
-            kind, payload = self._dlam
-            if kind == "const" and not payload.any():
-                return np.zeros((len(P),) + payload.shape)
+            if not self._dlam[0]:
+                return np.zeros((len(P),) + (self.groupoid.dim,) * (self.degree + 1))
             acc = self.domega_sum()
             self.groupoid.flow_end(P, acc)
             return acc.value
@@ -335,47 +327,120 @@ def _check_conditioning(W, points, cond_bound):
         raise DegenerateFormError(float(smin[i]), points[i], i)
 
 
+def _form_terms(form, G):
+    """(terms, fn) of a form's nonzero components for ``_FormSum``.
+
+    One term (I, value, column) per component I in increasing order: a
+    constant component carries its value, any other its column in the
+    output of ``fn``, the one compiled function of the non-constant ones
+    (None when there are none).
+    """
+    terms, exprs = [], []
+    for I, e in sorted(form.components.items()):
+        if isinstance(e, ex.Const):
+            terms.append((I, e.value, None))
+        else:
+            terms.append((I, None, len(exprs)))
+            exprs.append(e)
+    fn = ex.compile_exprs(exprs, G.spray.variables) if exprs else None
+    return terms, fn
+
+
 class _FormSum:
     """Flow consumer: sum_j qw_j w_j J_j^T F(z_j) J_j, added in node order.
 
     F is the evaluator's Lambda or d Lambda and qw the rule weights.  The
     weight w_j is 1, or for a weighted evaluator the transport
     exp(-int_0^t_j delta), whose cumulative Simpson value at an odd node
-    needs the next node: those terms are added one node late.  After the
-    solve, ``value`` is the sum and ``transport`` the last node's weight.
+    needs the next node: those terms are added one node late.
+
+    The sum is kept component-major, like the flow state: each nonzero
+    component F_I, I = (i_1 < .. < i_k), adds the outer product
+    c F_I(z) J_{i_1} x .. x J_{i_k} of rows of J (shape (d, .., d, B)),
+    c = qw_j w_j.  A frozen row J_i = e_i (see ``flow``) is a fixed index
+    instead of a factor, so with one live row the product is a row or column
+    update.  After the solve, ``value`` is the alternation of that sum,
+    sum_s sign(s) (axes permuted by s), with the batch axis first: the
+    pullback sum_I F_I det-minors of J, shape (B, d, .., d).  ``transport``
+    is the last node's weight.
     """
 
-    def __init__(self, evaluator, comp_src, degree):
-        self.ev, self.comp_src, self.degree = evaluator, comp_src, degree
-        self.value, self.transport = 0.0, None
-        self._even = self._odd = None   # (integral, delta), (delta, term)
+    def __init__(self, evaluator, form_terms, degree):
+        self.ev, self.degree = evaluator, degree
+        self.terms, self.fn = form_terms
+        self.transport = None
+        self._sum = self._value = self._plan = self._scratch = None
+        self._even = self._odd = None   # (integral, delta), (delta, J, F)
 
     def __call__(self, j, z, J):
         G = self.ev.groupoid
-        kind, payload = self.comp_src
-        full = payload if kind == "const" else \
-            tn.comps_to_full_batch(payload(z), G.dim, self.degree)
-        pulled = tn.pullback_full_batch(J, full, self.degree)
+        if self._sum is None:
+            self._allocate(G, z.shape[1])
+        self._value = None
+        F = None if self.fn is None else self.fn(z.T)
         if self.ev._delta is None:
-            self.value += G.rule.weights[j] * pulled
+            self._add(G.rule.weights[j], J, F)
             return
-        f = self.ev._delta(z)[..., 0]
+        f = self.ev._delta(z.T)[..., 0]
         if j % 2:
-            self._odd = (f, pulled)
+            self._odd = (f, J.copy(), F)
             return
         if j == 0:
             c = np.zeros_like(f)
         else:
-            (c0, f0), (f1, pulled1) = self._even, self._odd
+            (c0, f0), (f1, J1, F1) = self._even, self._odd
             c1, c = simpson_step(c0, f0, f1, f, G._grid[1] - G._grid[0])
-            self._add_weighted(j - 1, c1, pulled1)
-        self._add_weighted(j, c, pulled)
+            self._add_weighted(j - 1, c1, J1, F1)
+        self._add_weighted(j, c, J, F)
         self._even = (c, f)
 
-    def _add_weighted(self, j, integral, pulled):
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = _alternate(self._sum, self.degree)
+        return self._value
+
+    def _allocate(self, G, B):
+        """The zero sum, each term's view of it and live rows, and a scratch
+        product for each count of live rows up to the terms' largest."""
+        d, k = G.dim, self.degree
+        self._sum = np.zeros((d,) * k + (B,))
+        frozen = set(G.engine.frozen)
+        self._plan = []
+        for I, value, col in self.terms:
+            at = tuple(i if i in frozen else slice(None) for i in I)
+            rows = [i for i in I if i not in frozen]
+            self._plan.append((self._sum[at], rows, value, col))
+        depth = max((len(rows) for _, rows, _, _ in self._plan), default=0)
+        self._scratch = [np.empty((d,) * n + (B,)) for n in range(depth + 1)]
+
+    def _add_weighted(self, j, integral, J, F):
         self.transport = np.exp(-integral)
-        w = self.ev.groupoid.rule.weights[j] * self.transport
-        self.value += w.reshape(w.shape + (1,) * self.degree) * pulled
+        self._add(self.ev.groupoid.rule.weights[j] * self.transport, J, F)
+
+    def _add(self, scale, J, F):
+        """sum += scale F_I J_{i_1} x .. x J_{i_k} over the terms I."""
+        scratch = self._scratch
+        for target, rows, value, col in self._plan:
+            c = scale * (value if col is None else F[:, col])
+            if not rows:
+                target += c
+                continue
+            np.multiply(J[rows[0]], c, out=scratch[1])
+            for n, i in enumerate(rows[1:], start=1):
+                np.multiply(scratch[n][..., None, :], J[i], out=scratch[n + 1])
+            target += scratch[len(rows)]
+
+
+def _alternate(M, degree):
+    """sum over permutations s of the first ``degree`` axes of M of
+    sign(s) M permuted by s, with M's last (batch) axis moved first."""
+    perms = itertools.permutations(range(degree))
+    out = M.transpose((degree,) + next(perms)).copy()
+    for perm in perms:
+        add = np.add if tn._perm_sign(perm) > 0 else np.subtract
+        add(out, M.transpose((degree,) + perm), out=out)
+    return out
 
 
 def _assert_fiberwise_linear(delta, chart, samples=8, seed=17):
@@ -433,7 +498,7 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
     stage_grid = np.linspace(0.0, 1.0, 2 * n_steps + 1)
     p_stage = []
     G.engine.flow_on_grid(A, stage_grid, G.substeps,
-                          lambda k, z: p_stage.append(z[:, n:].copy()))
+                          lambda k, z: p_stage.append(z[n:].T.copy()))
 
     def rhs(k_pts, stage_idx):
         # one streamed tangent-flow solve gives dtau and the omega quadrature
@@ -660,7 +725,7 @@ def integrate_cocycle(G, delta, points, *consumers):
     _assert_fiberwise_linear(delta, G.chart)
     fn = ex.compile_exprs([delta], G.spray.variables)
     vals = []
-    G.flow_end(points, lambda j, z, J: vals.append(fn(z)[:, 0]), *consumers)
+    G.flow_end(points, lambda j, z, J: vals.append(fn(z.T)[:, 0]), *consumers)
     return np.stack(vals, axis=1) @ G.rule.weights
 
 

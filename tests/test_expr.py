@@ -126,11 +126,13 @@ def test_constant_power_folds_like_evaluation():
 @pytest.mark.parametrize("src,flow", [
     pytest.param(src, flow, id=src) for src, flow in [
         ("(1e200)^-2", "overflow"), ("(-1e200)^-3", "overflow"),
-        ("x1 * (1e300)^-2", "overflow"), ("(1e-200)^-2", "underflow")]])
+        ("x1 * (1e300)^-2", "overflow"), ("(1e-200)^-2", "underflow"),
+        ("(1e-155)^-2", "overflow")]])
 def test_overflowing_negative_power_fold_raises(src, flow):
-    """a^-n folds as 1/a^n; when a^n overflows, or underflows to zero for a
-    nonzero a, the fold raises and names which, as the compiled x1^-n
-    raises, instead of folding to zero or blaming a zero base."""
+    """a^-n folds as 1/a^n; when a^n overflows, underflows to zero for a
+    nonzero a, or is subnormal with an overflowing reciprocal, the fold
+    raises and names which, as the compiled x1^-n raises, instead of folding
+    to zero or inf or blaming a zero base."""
     with pytest.raises(EvalDomainError, match=f"^{flow} in constant power"):
         parse(src, XS)
     with pytest.raises(EvalDomainError, match="overflow"):

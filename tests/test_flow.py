@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sprayform import expr as ex
-from sprayform.errors import DomainExitError, NonFiniteStateError
+from sprayform.errors import (DomainExitError, EvalDomainError,
+                              NonFiniteStateError)
 from sprayform.expr import parse
 from sprayform.flow import (FlowEngine, QuadratureRule, central_difference,
                             cumulative_integral)
@@ -78,7 +79,7 @@ def test_jacobian_group_property_nonlinear():
     dets = []
     z3, J3 = eng.flow_with_jacobian(
         z, np.linspace(0, t + s, 65),
-        at_node=lambda k, _, Jk: dets.append(np.linalg.det(Jk[0])))
+        at_node=lambda k, _, Jk: dets.append(np.linalg.det(Jk[..., 0])))
     lhs = J2[0] @ J1[0]
     assert np.max(np.abs(lhs - J3[0])) < 1e-8
     # flow group property
@@ -130,9 +131,10 @@ def test_streamed_nodes_equal_truncated_solves():
     nodes = np.linspace(0.0, 1.0, 9)
     seen, seen_z = [], []
     z_end, J_end = eng.flow_with_jacobian(
-        P, nodes, 2, at_node=lambda k, z, J: seen.append((k, z.copy(), J.copy())))
+        P, nodes, 2, at_node=lambda k, z, J: seen.append(
+            (k, z.T.copy(), J.transpose(2, 0, 1).copy())))
     grid_end = eng.flow_on_grid(
-        P, nodes, 2, at_node=lambda k, z: seen_z.append((k, z.copy())))
+        P, nodes, 2, at_node=lambda k, z: seen_z.append((k, z.T.copy())))
     assert [k for k, _, _ in seen] == [k for k, _ in seen_z] == \
         list(range(len(nodes)))
     for (k, z, J), (_, zg) in zip(seen, seen_z):
@@ -301,3 +303,51 @@ def test_central_difference_exact_on_quartic():
     assert np.array_equal(value, _quartic(X))
     assert deriv.shape == (5, 3, 2, 2)
     assert np.max(np.abs(deriv - _quartic_derivative(X, V))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# error paths of the live-row engine: the messages of the dense [z | J]
+# engine it replaced
+
+
+def _solves(eng):
+    return (eng.flow_on_grid, eng.flow_with_jacobian, _streamed(eng))
+
+
+def test_domain_error_in_rhs_is_eval_domain_error():
+    # x1 = 0.5 - t reaches 0 exactly at the last stage of the second step,
+    # where dx2/dt = 1/x1 divides by zero
+    eng = FlowEngine([ex.const(-1.0), parse("1/x1", XS2)], XS2)
+    P = np.array([[0.9, 0.0], [0.5, 0.0]])
+    for solve in _solves(eng):
+        with pytest.raises(EvalDomainError) as err:
+            solve(P, np.linspace(0.0, 1.0, 5))
+        assert str(err.value) == ("domain violation during evaluation: "
+                                  "divide by zero encountered in divide")
+
+
+def test_rk4_overflow_names_time_and_row():
+    # dx1/dt = x2 with x2 = 1e308 in row 2 only: the RK4 sum overflows in
+    # the first step, and its box check names row 2 at t = 0.25
+    eng = FlowEngine([parse("x2", XS2), ex.ZERO], XS2)
+    P = np.array([[0.1, 0.2], [0.0, -0.5], [0.0, 1e308], [0.3, 1e308]])
+    for solve in _solves(eng):
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteStateError) as err:
+            solve(P, np.linspace(0.0, 1.0, 5))
+        assert str(err.value) == ("flow state is not finite at t=0.25, "
+                                  "batch row 2, point (inf, 1e+308)")
+        assert err.value.row == 2
+
+
+def test_frozen_coordinate_outside_box_at_start():
+    # x2 has no velocity and no partials: it is frozen and checked at t = 0
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    eng = FlowEngine([parse("x2", XS2), ex.ZERO], XS2, box=box)
+    assert eng.frozen == (1,)
+    P = np.array([[0.0, 0.5], [0.1, 1.5], [0.2, -2.0]])
+    for solve in _solves(eng):
+        with pytest.raises(DomainExitError) as err:
+            solve(P, np.linspace(0.0, 1.0, 5))
+        assert str(err.value) == ("trajectory left the domain box at t=0, "
+                                  "batch row 1, point (0.1, 1.5)")
