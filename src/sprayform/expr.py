@@ -9,9 +9,10 @@ no canonical form, and correctness is always established by evaluation.
 
 Expressions have one evaluator: ``compile_exprs`` turns a list of them into
 one vectorized function of a point batch, and the fields' ``values`` methods
-go through it.  The flow engine's generated right-hand side
-(``flow._compile_rhs``) writes its rows with the same code generator.  Division by zero, log/sqrt outside their domain and overflow
-raise EvalDomainError instead of producing inf or NaN.  Constant folding
+go through it.  Its code generator (``numpy_source`` and ``numpy_assign``)
+also writes the rows of the flow engine's generated right-hand side.
+Division by zero, log/sqrt outside their domain and overflow raise
+EvalDomainError instead of producing inf or NaN.  Constant folding
 applies the compiled code's rules (``a^n`` by ``_int_power``), and a constant
 that is not finite, a literal such as ``1e999`` or a fold such as ``2^2000``
 or ``(1e200)^-2``, raises EvalDomainError where it is made.  The package has
@@ -244,9 +245,10 @@ def pow_int(a, n):
 class _Binary(Expr):
     """Infix operator node.
 
-    Each subclass declares its source symbol ``op``, its precedence
-    ``prec`` and its smart constructor ``make``; the parser, the printer,
-    code generation and ``subst`` read them from there.
+    Each subclass declares its source symbol ``op``, the numpy ufunc
+    ``ufunc`` that computes it, its precedence ``prec`` and its smart
+    constructor ``make``; the parser, the printer, code generation and
+    ``subst`` read them from there.
     """
 
     __slots__ = ("a", "b")
@@ -267,7 +269,7 @@ class _Binary(Expr):
 
 class Add(_Binary):
     __slots__ = ()
-    op, prec, make = "+", _PREC["add"], staticmethod(add)
+    op, ufunc, prec, make = "+", "add", _PREC["add"], staticmethod(add)
 
     def diff(self, name):
         return add(self.a.diff(name), self.b.diff(name))
@@ -275,7 +277,7 @@ class Add(_Binary):
 
 class Sub(_Binary):
     __slots__ = ()
-    op, prec, make = "-", _PREC["add"], staticmethod(sub)
+    op, ufunc, prec, make = "-", "subtract", _PREC["add"], staticmethod(sub)
 
     def diff(self, name):
         return sub(self.a.diff(name), self.b.diff(name))
@@ -283,7 +285,7 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     __slots__ = ()
-    op, prec, make = "*", _PREC["mul"], staticmethod(mul)
+    op, ufunc, prec, make = "*", "multiply", _PREC["mul"], staticmethod(mul)
 
     def diff(self, name):
         return add(mul(self.a.diff(name), self.b), mul(self.a, self.b.diff(name)))
@@ -291,7 +293,7 @@ class Mul(_Binary):
 
 class Div(_Binary):
     __slots__ = ()
-    op, prec, make = "/", _PREC["mul"], staticmethod(div)
+    op, ufunc, prec, make = "/", "divide", _PREC["mul"], staticmethod(div)
 
     def diff(self, name):
         # (a/b)' = a'/b - a b'/b^2
@@ -600,26 +602,101 @@ def parse(source, variables):
 
 # ---------------------------------------------------------------------------
 # Compilation to vectorized numpy code
+#
+# ``signed``, ``numpy_source``, ``numpy_assign``, ``guard`` and
+# ``exec_generated`` are the one code generator: ``compile_exprs`` below
+# and the flow engine's right-hand side (``flow._compile_rhs``) write their
+# statements with them.
 
 _CODEGEN_FNS = {"sin": "np.sin", "cos": "np.cos", "exp": "np.exp",
                 "log": "np.log", "sqrt": "np.sqrt"}
+# the numpy error state generated code runs under
+RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 
 
-def _codegen(e, names):
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return names[e.name]
-    if isinstance(e, _Binary):
-        return f"({_codegen(e.a, names)} {e.op} {_codegen(e.b, names)})"
+def signed(e):
+    """(sign, core) with e = sign * core, sign +-1.0.
+
+    Negations, factors +-1 and the signs of constants move up through
+    products, quotients and sums (a + (-b) becomes a - b), which IEEE
+    arithmetic allows exactly: negation is exact and rounding symmetric.
+    The one difference is the sign of a zero: (-a) + (-b) is +0 where
+    -(a + b) is -0 when a = -b.
+    """
     if isinstance(e, Neg):
-        return f"(-{_codegen(e.a, names)})"
-    if isinstance(e, Pow):
-        power = f"_int_power({_codegen(e.a, names)}, {abs(e.n)})"
-        return power if e.n >= 0 else f"(1.0 / {power})"
-    if isinstance(e, Call):
-        return f"{_CODEGEN_FNS[e.fn]}({_codegen(e.a, names)})"
-    raise TypeError(type(e))
+        sign, core = signed(e.a)
+        return -sign, core
+    if isinstance(e, Const):
+        return (-1.0, Const(-e.value)) if e.value < 0.0 else (1.0, e)
+    if isinstance(e, (Mul, Div)):
+        (sa, ca), (sb, cb) = signed(e.a), signed(e.b)
+        if cb.is_one:
+            return sa * sb, ca
+        if ca.is_one and isinstance(e, Mul):
+            return sa * sb, cb
+        return sa * sb, type(e)(ca, cb)
+    if isinstance(e, (Add, Sub)):
+        (sa, ca), (sb, cb) = signed(e.a), signed(e.b)
+        if isinstance(e, Sub):
+            sb = -sb
+        if sa == sb:
+            return sa, Add(ca, cb)
+        return (1.0, Sub(ca, cb)) if sa > 0 else (1.0, Sub(cb, ca))
+    return 1.0, e
+
+
+def numpy_source(e, names):
+    """numpy source of ``e`` after ``signed``; ``names`` maps each variable
+    to the name of its array."""
+    sign, core = signed(e)
+    if isinstance(core, Const):
+        src = repr(core.value)
+    elif isinstance(core, Var):
+        src = names[core.name]
+    elif isinstance(core, _Binary):
+        src = (f"({numpy_source(core.a, names)} {core.op} "
+               f"{numpy_source(core.b, names)})")
+    elif isinstance(core, Pow):
+        power = f"_int_power({numpy_source(core.a, names)}, {abs(core.n)})"
+        src = power if core.n >= 0 else f"(1.0 / {power})"
+    elif isinstance(core, Call):
+        src = f"{_CODEGEN_FNS[core.fn]}({numpy_source(core.a, names)})"
+    else:
+        raise TypeError(type(core))
+    return src if sign > 0 else f"(-{src})"
+
+
+def numpy_assign(target, e, names):
+    """Statement writing ``e`` into the array ``target`` by one ufunc call
+    on its operands where its top node allows."""
+    sign, core = signed(e)
+    if isinstance(core, Const):
+        return f"{target}.fill({sign * core.value!r})"
+    if sign < 0:
+        return f"np.negative({numpy_source(core, names)}, out={target})"
+    if isinstance(core, _Binary):
+        return (f"np.{core.ufunc}({numpy_source(core.a, names)}, "
+                f"{numpy_source(core.b, names)}, out={target})")
+    return f"np.copyto({target}, {numpy_source(core, names)})"
+
+
+def guard(lines):
+    """Statement ``lines`` in a try block that turns a FloatingPointError
+    into EvalDomainError; no lines for none."""
+    if not lines:
+        return []
+    return (["try:"] + [f"    {s}" for s in lines]
+            + ["except FloatingPointError as exc:",
+               "    raise _domain_violation(exc) from exc"])
+
+
+def exec_generated(lines, name):
+    """The namespace left by running the generated source ``lines``, which
+    sees ``np``, ``_int_power``, ``_domain_violation`` and ``RAISE``."""
+    namespace = {"np": np, "_int_power": _int_power,
+                 "_domain_violation": _domain_violation, "RAISE": RAISE}
+    exec(compile("\n".join(lines), f"<sprayform-{name}>", "exec"), namespace)
+    return namespace
 
 
 def compile_exprs(exprs, variables):
@@ -632,34 +709,25 @@ def compile_exprs(exprs, variables):
     """
     variables = list(variables)
     names = {v: f"v{i}" for i, v in enumerate(variables)}
-    used = _used_variables(exprs, variables)
-
-    lines = ["def _generated(Z, np=np):"]
-    for i, v in enumerate(variables):
-        if v in used:
-            lines.append(f"    {names[v]} = Z[..., {i}]")
-    lines.append(f"    out = np.zeros(Z.shape[:-1] + ({len(exprs)},), dtype=np.float64)")
-    for j, e in enumerate(exprs):
-        if e.is_zero:
-            continue  # out starts zeroed
-        lines.append(f"    out[..., {j}] = {_codegen(e, names)}")
-    lines.append("    return out")
-    namespace = {"np": np, "_int_power": _int_power}
-    exec(compile("\n".join(lines), "<sprayform-expr>", "exec"), namespace)
-    fn = namespace["_generated"]
+    used = used_variables(exprs, variables)
+    body = [f"{names[v]} = Z[..., {i}]" for i, v in enumerate(variables)
+            if v in used]
+    body.append(f"out = np.zeros(Z.shape[:-1] + ({len(exprs)},))")
+    body += guard([numpy_assign(f"out[..., {j}]", e, names)
+                   for j, e in enumerate(exprs)
+                   if not e.is_zero])     # out starts zeroed
+    body.append("return out")
+    fn = exec_generated(["def _generated(Z):"] + [f"    {s}" for s in body],
+                        "expr")["_generated"]
 
     def wrapped(Z):
-        Z = np.asarray(Z, dtype=np.float64)
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                return fn(Z)
-        except FloatingPointError as exc:
-            raise _domain_violation(exc) from exc
+        with np.errstate(**RAISE):
+            return fn(np.asarray(Z, dtype=np.float64))
 
     return wrapped
 
 
-def _used_variables(exprs, variables):
+def used_variables(exprs, variables):
     """The variables ``exprs`` use; UnknownIdentifierError if one is not
     among ``variables``."""
     used = set()

@@ -23,9 +23,12 @@ partials: (DV J)_i. = sum_k dV_i/dz_k J_k., where a +-1 coefficient is one
 in-place add or subtract of the block J_k., a frozen k contributes
 dV_i/dz_k to column k alone, and rows that read only frozen coordinates are
 written once per solve.  numpy floating-point errors raise for the whole
-solve: in the right-hand side (or a node consumer) as EvalDomainError, and
-in the RK4 arithmetic by replaying that step as numpy would compute it
-outside the solve, whose non-finite state the step's box check then names.
+solve.  One in the evaluation of V or of a partial is EvalDomainError.  One
+in the products with J or in the RK4 arithmetic replays that step under the
+caller's error state, the evaluation still raising: the step's box check
+then names a non-finite state, and a non-finite J is returned as the
+matmul of a dense engine would leave it.  Node consumers run under the
+caller's error state.
 
 Neither solve stores a trajectory.  Each returns the end state batch-major,
 z of shape (B, d) and J of shape (B, d, d) with J[b, i, j] = dz_i/dz_j, and
@@ -37,6 +40,7 @@ J.transpose(2, 0, 1); the arrays are valid only during the call.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +53,6 @@ __all__ = ["QuadratureRule", "FlowEngine", "cumulative_integral",
            "stencil_derivatives"]
 
 _FLOAT_MAX = np.finfo(np.float64).max
-_RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 
 
 @dataclass(frozen=True)
@@ -104,12 +107,6 @@ class FlowEngine:
         self.live = tuple(i for i, c in enumerate(self.components)
                           if not (c.is_zero and all(p.is_zero for p in partials[i])))
         self.frozen = tuple(i for i in range(self.dim) if i not in self.live)
-        # consecutive live coordinates (every bundled config) are copied by
-        # a slice, at half the cost of an index list
-        live = self.live
-        self._live_rows = (slice(live[0], live[-1] + 1)
-                           if live and live[-1] - live[0] + 1 == len(live)
-                           else list(live))
         self._rhs = {False: _compile_rhs(self.components, self.variables,
                                          self.live),
                      True: _compile_rhs(self.components, self.variables,
@@ -143,7 +140,8 @@ class FlowEngine:
         without ``jacobian``) at the last node."""
         Z = np.atleast_2d(np.asarray(points, dtype=np.float64)).T.copy()
         d, B = Z.shape
-        live, frozen, m = self._live_rows, list(self.frozen), len(self.live)
+        live, frozen, m = (np.array(self.live, dtype=np.intp),
+                           list(self.frozen), len(self.live))
         S = np.zeros((m * (d + 1) if jacobian else m, B))
         S[:m] = Z[live]
         J = None
@@ -171,13 +169,11 @@ class FlowEngine:
 
         def consume(k, X):
             publish(X)
-            try:
+            with np.errstate(**caller):
                 at_node(k, *views)
-            except FloatingPointError as exc:
-                raise ex._domain_violation(exc) from exc
 
         caller = np.geterr()
-        with np.errstate(**_RAISE):
+        with np.errstate(**ex.RAISE):
             inside = (Z >= self._lo) & (Z <= self._hi)
             if not inside.all():
                 _raise_state_error(Z, inside, float(nodes[0]))
@@ -185,20 +181,20 @@ class FlowEngine:
             # the state and the RK4 sum alternate between two buffers, so a
             # step that raises leaves its start state intact
             cur, nxt = (S, bind(S, F, K, T)), (acc, bind(acc, F, K, T))
-            at_stage = bind(stage, F, K, T)
+            at_stage, replay_stage = bind(stage, F, K, T)
             if at_node is not None:
                 consume(0, S)
             for k in range(len(nodes) - 1):
                 h = (nodes[k + 1] - nodes[k]) / substeps
                 t = nodes[k]
                 for _ in range(substeps):
-                    (X, at_X), (Y, _) = cur, nxt
+                    (X, (at_X, replay_X)), (Y, _) = cur, nxt
                     try:
                         _rk4_step(X, Y, K, stage, h, at_X, at_stage)
                     except FloatingPointError:
                         with np.errstate(**caller):
-                            _rk4_step(X, Y, K, stage, h, _raising(at_X),
-                                      _raising(at_stage))
+                            _rk4_step(X, Y, K, stage, h, replay_X,
+                                      replay_stage)
                     cur, nxt = nxt, cur
                     t += h
                     check(Y, t)
@@ -228,14 +224,6 @@ def _rk4_step(X, Y, K, stage, h, at_X, at_stage):
     Y += X
 
 
-def _raising(rhs):
-    """``rhs`` run under the solve's error state, for a replayed step."""
-    def guarded():
-        with np.errstate(**_RAISE):
-            rhs()
-    return guarded
-
-
 def _raise_state_error(Z, inside, t):
     """NonFiniteStateError or DomainExitError at the first batch row (column
     of the (d, B) state Z) that has a coordinate outside the box."""
@@ -249,146 +237,97 @@ def _raise_state_error(Z, inside, t):
 # ---------------------------------------------------------------------------
 # Right-hand side generation
 
-_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
-
 
 def _compile_rhs(components, variables, live, partials=None):
     """Factory of the derivative of the live rows (see the module docstring).
 
-    ``bind(X, F, K, T)`` returns ``rhs()``, which writes into K the
-    derivative of the state X: V_i for each live i, then, given
+    ``bind(X, F, K, T)`` returns ``(rhs, replay)``.  ``rhs()`` writes into
+    K the derivative of the state X: V_i for each live i, then, given
     ``partials`` (the d x d symbolic dV_i/dz_k), the block (DV J)_i. of
     each live i.  F holds the frozen coordinates, one row each, and T is a
     (d, B) scratch block.  K starts zeroed: a symbolically zero row is never
     written, and ``bind`` writes the rows that read only frozen coordinates.
-    A FloatingPointError in either raises EvalDomainError.
+
+    Each call first evaluates V and the coefficients dV_i/dz_k, where a
+    FloatingPointError raises EvalDomainError, then multiplies and adds the
+    rows of J.  ``replay()`` does the same with the evaluation alone under
+    raising error state, for a step replayed under the caller's.
     """
     d, m = len(variables), len(live)
-    ex._used_variables(components, variables)
+    ex.used_variables(components, variables)
     pos = {i: a for a, i in enumerate(live)}
     frozen = [i for i in range(d) if i not in pos]
     fixed = {variables[i] for i in frozen}
     names = {v: f"z{i}" for i, v in enumerate(variables)}
     head = [f"z{i} = X[{pos[i]}]" if i in pos else f"z{i} = F[{frozen.index(i)}]"
             for i in range(d)]
-    once, each = [], []
+    once, evaluate, products = [], [], []
+    counter = itertools.count()
 
     def statements(e):
-        """Where a row holding ``e`` is written: once per solve when ``e``
+        """Where a value of ``e`` is evaluated: once per solve when ``e``
         reads only frozen coordinates, else at every call."""
-        return once if e.variables() <= fixed else each
+        return once if e.variables() <= fixed else evaluate
 
-    def operand(e):
-        """Source of a coefficient; one that reads only frozen coordinates is
-        evaluated once per solve."""
-        if isinstance(e, (ex.Var, ex.Const)) or not e.variables() <= fixed:
-            return _source(e, names)
-        once.append(f"c{len(once)} = {_source(e, names)}")
-        return f"c{len(once) - 1}"
+    def coefficient(e):
+        """Source of the coefficient ``e`` for a product with J: a variable
+        or constant itself, any other the name of its value."""
+        if isinstance(e, (ex.Var, ex.Const)):
+            return ex.numpy_source(e, names)
+        name = f"c{next(counter)}"
+        statements(e).append(f"{name} = {ex.numpy_source(e, names)}")
+        return name
 
     for a, i in enumerate(live):
         head.append(f"k{i} = K[{a}]")
         if not components[i].is_zero:
             statements(components[i]).append(
-                _assign(f"k{i}", components[i], names))
+                ex.numpy_assign(f"k{i}", components[i], names))
         if partials is None:
             continue
         base = m + a * d
         head.append(f"kJ{i} = K[{base}:{base + d}]")
         head.append(f"J{i} = X[{base}:{base + d}]")
-        terms = [(k, *_signed(p)) for k, p in enumerate(partials[i])
+        terms = [(k, *ex.signed(p)) for k, p in enumerate(partials[i])
                  if not p.is_zero]
         inner = [t for t in terms if t[0] in pos]
         outer = [t for t in terms if t[0] not in pos]
         head.extend(f"kJ{i}_{k} = K[{base + k}]" for k, _, _ in outer)
         if inner:
-            each.extend(_block(f"kJ{i}", inner, operand))
-            each.extend(_add_row(f"kJ{i}_{k}", sign, core, operand)
-                        for k, sign, core in outer)
+            products.extend(_block(f"kJ{i}", inner, coefficient))
+            products.extend(_add_row(f"kJ{i}_{k}", sign, core, coefficient)
+                            for k, sign, core in outer)
         else:
             for k, _, _ in outer:
                 statements(partials[i][k]).append(
-                    _assign(f"kJ{i}_{k}", partials[i][k], names))
+                    ex.numpy_assign(f"kJ{i}_{k}", partials[i][k], names))
 
-    def guarded(lines, indent):
-        pad = " " * indent
-        if not lines:
-            return [f"{pad}pass"]
-        return ([f"{pad}try:"] + [f"{pad}    {s}" for s in lines]
-                + [f"{pad}except FloatingPointError as exc:",
-                   f"{pad}    raise _domain_violation(exc) from exc"])
-
-    src = (["def _bind(X, F, K, T):"] + [f"    {s}" for s in head]
-           + guarded(once, 4) + ["    def rhs():"] + guarded(each, 8)
-           + ["    return rhs"])
-    namespace = {"np": np, "_int_power": ex._int_power,
-                 "_domain_violation": ex._domain_violation}
-    exec(compile("\n".join(src), "<sprayform-rhs>", "exec"), namespace)
-    return namespace["_bind"]
+    replay = (["with np.errstate(**RAISE):"]
+              + [f"    {s}" for s in ex.guard(evaluate)] if evaluate else [])
+    src = (["def _bind(X, F, K, T):"]
+           + _indent(head + ex.guard(once), 4)
+           + ["    def rhs():"]
+           + _indent(ex.guard(evaluate) + products, 8)
+           + ["    def replay():"]
+           + _indent(replay + products, 8)
+           + ["    return rhs, replay"])
+    return ex.exec_generated(src, "rhs")["_bind"]
 
 
-def _signed(e):
-    """(sign, core) with e = sign * core bit for bit, sign +-1.0.
-
-    Negations, factors +-1 and the signs of constants move up through
-    products, quotients and sums (a + (-b) becomes a - b), which IEEE
-    arithmetic allows exactly: negation is exact and rounding symmetric.
-    """
-    if isinstance(e, ex.Neg):
-        sign, core = _signed(e.a)
-        return -sign, core
-    if isinstance(e, ex.Const):
-        return (-1.0, ex.Const(-e.value)) if e.value < 0.0 else (1.0, e)
-    if isinstance(e, (ex.Mul, ex.Div)):
-        (sa, ca), (sb, cb) = _signed(e.a), _signed(e.b)
-        if cb.is_one:
-            return sa * sb, ca
-        if ca.is_one and isinstance(e, ex.Mul):
-            return sa * sb, cb
-        return sa * sb, type(e)(ca, cb)
-    if isinstance(e, (ex.Add, ex.Sub)):
-        (sa, ca), (sb, cb) = _signed(e.a), _signed(e.b)
-        if isinstance(e, ex.Sub):
-            sb = -sb
-        if sa == sb:
-            return sa, ex.Add(ca, cb)
-        return (1.0, ex.Sub(ca, cb)) if sa > 0 else (1.0, ex.Sub(cb, ca))
-    return 1.0, e
+def _indent(lines, n):
+    """Statement ``lines`` indented by n spaces; ``pass`` for none."""
+    return [" " * n + s for s in lines or ["pass"]]
 
 
-def _source(e, names):
-    """numpy source of ``e`` after ``_signed``."""
-    sign, core = _signed(e)
-    if isinstance(core, ex._Binary):
-        src = f"({_source(core.a, names)} {core.op} {_source(core.b, names)})"
-    else:
-        src = ex._codegen(core, names)
-    return src if sign > 0 else f"(-{src})"
-
-
-def _assign(target, e, names):
-    """Statement writing ``e`` into the row ``target`` by one ufunc call on
-    its operands where its top node allows."""
-    sign, core = _signed(e)
-    if isinstance(core, ex.Const):
-        return f"{target}.fill({sign * core.value!r})"
-    if sign < 0:
-        return f"np.negative({_source(core, names)}, out={target})"
-    if isinstance(core, ex._Binary):
-        return (f"np.{_UFUNCS[core.op]}({_source(core.a, names)}, "
-                f"{_source(core.b, names)}, out={target})")
-    return f"np.copyto({target}, {_source(core, names)})"
-
-
-def _add_row(target, sign, core, operand):
+def _add_row(target, sign, core, coefficient):
     """Statement adding sign * core to the row ``target``."""
     if isinstance(core, ex.Const):
         return f"np.add({target}, {sign * core.value!r}, out={target})"
     op = "add" if sign > 0 else "subtract"
-    return f"np.{op}({target}, {operand(core)}, out={target})"
+    return f"np.{op}({target}, {coefficient(core)}, out={target})"
 
 
-def _block(target, terms, operand):
+def _block(target, terms, coefficient):
     """Statements writing sum_k sign_k core_k J_k. into the block ``target``
     for terms (k, sign, core) over live k.  Positive terms come first; when
     all are negative, their magnitudes are summed and negated once."""
@@ -401,9 +340,9 @@ def _block(target, terms, operand):
             lines.append(f"np.copyto({target}, J{k})" if n == 0 else
                          f"np.{op}({target}, J{k}, out={target})")
         elif n == 0:
-            lines.append(f"np.multiply(J{k}, {operand(core)}, out={target})")
+            lines.append(f"np.multiply(J{k}, {coefficient(core)}, out={target})")
         else:
-            lines.append(f"np.multiply(J{k}, {operand(core)}, out=T)")
+            lines.append(f"np.multiply(J{k}, {coefficient(core)}, out=T)")
             lines.append(f"np.{op}({target}, T, out={target})")
     if flip < 0:
         lines.append(f"np.negative({target}, out={target})")

@@ -351,3 +351,35 @@ def test_frozen_coordinate_outside_box_at_start():
             solve(P, np.linspace(0.0, 1.0, 5))
         assert str(err.value) == ("trajectory left the domain box at t=0, "
                                   "batch row 1, point (0.1, 1.5)")
+
+
+def test_tangent_overflow_leaves_the_state_alone():
+    # dx1/dt = x1 x2 with x1 = 0 and x2 frozen: z stays put while
+    # dJ_11/dt = x2 J_11 overflows in row 1 only.  The products with J run
+    # under the caller's error state, as the matmul of the dense engine
+    # did: J goes non-finite in that row and the finite state raises nothing
+    eng = FlowEngine([parse("x1 * x2", XS2), ex.ZERO], XS2)
+    P = np.array([[0.0, 1.0], [0.0, 1e308]])
+    nodes = np.linspace(0.0, 1.0, 5)
+    with np.errstate(over="ignore"):
+        z, J = eng.flow_with_jacobian(P, nodes)
+    assert np.array_equal(z, P)
+    assert abs(J[0, 0, 0] - np.e) < 1e-3 and np.isfinite(J[0]).all()
+    assert np.isinf(J[1, 0, 0])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        eng.flow_with_jacobian(P, nodes)
+
+
+def test_consumers_run_under_the_callers_error_state():
+    eng = FlowEngine([parse("x2", XS2), ex.ZERO], XS2)
+    P = np.array([[0.1, 0.2]])
+    nodes = np.linspace(0.0, 1.0, 3)
+    seen = []
+    with np.errstate(over="ignore", divide="warn", invalid="print"):
+        eng.flow_on_grid(P, nodes,
+                         at_node=lambda k, z: seen.append(np.geterr()))
+        eng.flow_with_jacobian(P, nodes,
+                               at_node=lambda k, z, J: seen.append(np.geterr()))
+    assert len(seen) == 6
+    assert all((s["over"], s["divide"], s["invalid"]) == ("ignore", "warn", "print")
+               for s in seen)

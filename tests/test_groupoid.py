@@ -48,7 +48,6 @@ from sprayform.imform import (
 )
 from sprayform.report import SplitMix64
 
-import flow_oracle
 from conftest import XS2, XS3, constant_bivector_r2, so3_bivector
 
 BOX2 = [[-1.0, 1.0]] * 2
@@ -214,22 +213,29 @@ def _grid_states(G, P, nodes, substeps):
     return np.stack(seen, axis=1)
 
 
-def _stored_quadrature(G, form, P, delta=None):
-    """Two-pass oracle: store the flow and its Jacobians at every quadrature
-    node through a collecting consumer, then pull the form back at every
-    node and reduce over the nodes in one call."""
+def _stored_quadrature(G, form_sum, P):
+    """Two-pass oracle: store copies of the flow and its Jacobians at every
+    quadrature node through a collecting consumer, then feed the stored
+    nodes, in order, through the fresh consumer ``form_sum``."""
     seen = []
-    G.flow_end(P, lambda j, z, J: seen.append(
-        (z.T.copy(), J.transpose(2, 0, 1).copy())))
-    return flow_oracle.quadrature(G, form, np.stack([z for z, _ in seen], axis=1),
-                                  np.stack([J for _, J in seen], axis=1), delta)
+    G.flow_end(P, lambda j, z, J: seen.append((j, z.copy(), J.copy())))
+    for j, z, J in seen:
+        form_sum(j, z, J)
+    return form_sum.value
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.asarray(a, dtype=np.float64).view(np.uint64),
+        np.asarray(b, dtype=np.float64).view(np.uint64))
 
 
 def test_streamed_quadrature_matches_stored_trajectory(so3_groupoid,
                                                        jacobi_line_groupoid):
     """omega_full and domega_full accumulate node by node without storing a
-    trajectory; they equal the stored two-pass quadrature, which pulls back
-    by matmul, to roundoff (8 ulps of the largest entry; 1.5 measured)."""
+    trajectory; they equal, bit for bit, the same sum fed from copies of the
+    node states stored by a first pass (tests/test_flow_oracle.py compares
+    both with the matmul pullback, to roundoff)."""
     A, G3, ev3 = so3_groupoid
     varpi = FormField(XS3, 2, {(0, 1): parse("x1 * x3", XS3)})
     evE = MultFormEvaluator(G3, linear_form(exact_im_pair(A, varpi)))
@@ -244,11 +250,10 @@ def test_streamed_quadrature_matches_stored_trajectory(so3_groupoid,
         pts = np.concatenate([
             G.sample_validity_points(7, seed=21, fiber_scale=0.8),
             G.units(G.chart.sample_base_points(2, 22, scale=0.5))])
-        form = ev.form.d() if d else ev.form
         got = ev.domega_full(pts) if d else ev.omega_full(pts)
-        want = _stored_quadrature(G, form, pts, ev.weight_cocycle)
-        assert got.shape == want.shape
-        assert flow_oracle.roundoff(got, want) <= 8.0
+        want = _stored_quadrature(
+            G, ev.domega_sum() if d else ev.omega_sum(), pts)
+        assert _same_bits(got, want)
         if ev is evE and d:   # the degree-3 d Lambda is far from zero
             assert np.max(np.abs(got)) > 1e-3
 
