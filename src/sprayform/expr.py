@@ -41,6 +41,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -245,9 +246,9 @@ def pow_int(a, n):
 class _Binary(Expr):
     """Infix operator node.
 
-    Each subclass declares its source symbol ``op``, the numpy ufunc
-    ``ufunc`` that computes it, its precedence ``prec`` and its smart
-    constructor ``make``; the parser, the printer, code generation and
+    Each subclass declares its source symbol ``op``, the function ``call``
+    that computes it in generated code, its precedence ``prec`` and its
+    smart constructor ``make``; the parser, the printer, code generation and
     ``subst`` read them from there.
     """
 
@@ -269,7 +270,7 @@ class _Binary(Expr):
 
 class Add(_Binary):
     __slots__ = ()
-    op, ufunc, prec, make = "+", "add", _PREC["add"], staticmethod(add)
+    op, call, prec, make = "+", "np.add", _PREC["add"], staticmethod(add)
 
     def diff(self, name):
         return add(self.a.diff(name), self.b.diff(name))
@@ -277,7 +278,7 @@ class Add(_Binary):
 
 class Sub(_Binary):
     __slots__ = ()
-    op, ufunc, prec, make = "-", "subtract", _PREC["add"], staticmethod(sub)
+    op, call, prec, make = "-", "np.subtract", _PREC["add"], staticmethod(sub)
 
     def diff(self, name):
         return sub(self.a.diff(name), self.b.diff(name))
@@ -285,7 +286,7 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     __slots__ = ()
-    op, ufunc, prec, make = "*", "multiply", _PREC["mul"], staticmethod(mul)
+    op, call, prec, make = "*", "np.multiply", _PREC["mul"], staticmethod(mul)
 
     def diff(self, name):
         return add(mul(self.a.diff(name), self.b), mul(self.a, self.b.diff(name)))
@@ -293,7 +294,7 @@ class Mul(_Binary):
 
 class Div(_Binary):
     __slots__ = ()
-    op, ufunc, prec, make = "/", "divide", _PREC["mul"], staticmethod(div)
+    op, call, prec, make = "/", "_divide", _PREC["mul"], staticmethod(div)
 
     def diff(self, name):
         # (a/b)' = a'/b - a b'/b^2
@@ -609,7 +610,7 @@ def parse(source, variables):
 # statements with them.
 
 _CODEGEN_FNS = {"sin": "np.sin", "cos": "np.cos", "exp": "np.exp",
-                "log": "np.log", "sqrt": "np.sqrt"}
+                "log": "_log", "sqrt": "_sqrt"}
 # the numpy error state generated code runs under
 RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 
@@ -654,11 +655,12 @@ def numpy_source(e, names):
     elif isinstance(core, Var):
         src = names[core.name]
     elif isinstance(core, _Binary):
-        src = (f"({numpy_source(core.a, names)} {core.op} "
-               f"{numpy_source(core.b, names)})")
+        a, b = numpy_source(core.a, names), numpy_source(core.b, names)
+        src = (f"{core.call}({a}, {b})" if isinstance(core, Div)
+               else f"({a} {core.op} {b})")
     elif isinstance(core, Pow):
-        power = f"_int_power({numpy_source(core.a, names)}, {abs(core.n)})"
-        src = power if core.n >= 0 else f"(1.0 / {power})"
+        power = "_int_power" if core.n >= 0 else "_inverse_power"
+        src = f"{power}({numpy_source(core.a, names)}, {abs(core.n)})"
     elif isinstance(core, Call):
         src = f"{_CODEGEN_FNS[core.fn]}({numpy_source(core.a, names)})"
     else:
@@ -675,7 +677,7 @@ def numpy_assign(target, e, names):
     if sign < 0:
         return f"np.negative({numpy_source(core, names)}, out={target})"
     if isinstance(core, _Binary):
-        return (f"np.{core.ufunc}({numpy_source(core.a, names)}, "
+        return (f"{core.call}({numpy_source(core.a, names)}, "
                 f"{numpy_source(core.b, names)}, out={target})")
     return f"np.copyto({target}, {numpy_source(core, names)})"
 
@@ -690,13 +692,29 @@ def guard(lines):
                "    raise _domain_violation(exc) from exc"])
 
 
-def exec_generated(lines, name):
+def exec_generated(lines, name, complex_rows=False):
     """The namespace left by running the generated source ``lines``, which
-    sees ``np``, ``_int_power``, ``_domain_violation`` and ``RAISE``."""
+    sees ``np``, ``_int_power``, ``_domain_violation``, ``RAISE`` and the
+    ``_REAL_OPS``, or with ``complex_rows`` the ``_COMPLEX_OPS``."""
     namespace = {"np": np, "_int_power": _int_power,
-                 "_domain_violation": _domain_violation, "RAISE": RAISE}
+                 "_domain_violation": _domain_violation, "RAISE": RAISE,
+                 **(_COMPLEX_OPS if complex_rows else _REAL_OPS)}
     exec(compile("\n".join(lines), f"<sprayform-{name}>", "exec"), namespace)
     return namespace
+
+
+def _real_parts_first(fn):
+    """``fn``, run first on the real parts so as to raise where a real row
+    does: numpy's complex sqrt and log of x < 0 and division by i y do not."""
+    def checked(*args, **kwargs):
+        fn(*(np.real(a) for a in args))
+        return fn(*args, **kwargs)
+    return checked
+
+
+_REAL_OPS = {"_sqrt": np.sqrt, "_log": np.log, "_divide": np.divide,
+             "_inverse_power": lambda base, n: 1.0 / _int_power(base, n)}
+_COMPLEX_OPS = {name: _real_parts_first(fn) for name, fn in _REAL_OPS.items()}
 
 
 def compile_exprs(exprs, variables):
@@ -705,24 +723,31 @@ def compile_exprs(exprs, variables):
     The result maps an array ``Z`` of shape ``(..., len(variables))`` to an
     array of shape ``(..., len(exprs))``.  Domain violations (division by
     zero, log/sqrt outside their domain, overflow) raise EvalDomainError
-    instead of producing silent non-finite values.
+    instead of producing silent non-finite values.  A complex ``Z`` runs
+    the same source in complex arithmetic (``exec_generated``); any other
+    ``Z`` is cast to float64.
     """
     variables = list(variables)
     names = {v: f"v{i}" for i, v in enumerate(variables)}
     used = used_variables(exprs, variables)
     body = [f"{names[v]} = Z[..., {i}]" for i, v in enumerate(variables)
             if v in used]
-    body.append(f"out = np.zeros(Z.shape[:-1] + ({len(exprs)},))")
+    body.append(f"out = np.zeros(Z.shape[:-1] + ({len(exprs)},), Z.dtype)")
     body += guard([numpy_assign(f"out[..., {j}]", e, names)
                    for j, e in enumerate(exprs)
                    if not e.is_zero])     # out starts zeroed
     body.append("return out")
-    fn = exec_generated(["def _generated(Z):"] + [f"    {s}" for s in body],
-                        "expr")["_generated"]
+    src = ["def _generated(Z):"] + [f"    {s}" for s in body]
+    generated = functools.cache(
+        lambda complex_rows: exec_generated(src, "expr", complex_rows)["_generated"])
+    real = generated(False)
 
     def wrapped(Z):
+        Z = np.asarray(Z)
         with np.errstate(**RAISE):
-            return fn(np.asarray(Z, dtype=np.float64))
+            if Z.dtype.kind == "c":
+                return generated(True)(Z.astype(np.complex128, copy=False))
+            return real(np.asarray(Z, dtype=np.float64))
 
     return wrapped
 
@@ -748,7 +773,7 @@ def _domain_violation(exc):
 def batch_values(exprs, variables, P, shape):
     """Values of ``exprs`` at a point batch P (..., len(variables)) through
     one compiled function, reshaped to ``P.shape[:-1] + shape``."""
-    P = np.asarray(P, dtype=np.float64)
+    P = np.asarray(P)
     return compile_exprs(exprs, variables)(P).reshape(P.shape[:-1] + shape)
 
 
@@ -960,14 +985,10 @@ def schouten(p, q):
         comps = {}
         for (i, k, l) in itertools.combinations(range(n), 3):
             total = ZERO
-            for j in range(n):
-                t1 = mul(p.entry(i, j), partial(q.entry(k, l), xs[j]))
-                t2 = mul(p.entry(k, j), partial(q.entry(l, i), xs[j]))
-                t3 = mul(p.entry(l, j), partial(q.entry(i, k), xs[j]))
-                total = add(total, add(t1, add(t2, t3)))
-                t1 = mul(q.entry(i, j), partial(p.entry(k, l), xs[j]))
-                t2 = mul(q.entry(k, j), partial(p.entry(l, i), xs[j]))
-                t3 = mul(q.entry(l, j), partial(p.entry(i, k), xs[j]))
+            for j, (u, w) in itertools.product(range(n), ((p, q), (q, p))):
+                t1 = mul(u.entry(i, j), partial(w.entry(k, l), xs[j]))
+                t2 = mul(u.entry(k, j), partial(w.entry(l, i), xs[j]))
+                t3 = mul(u.entry(l, j), partial(w.entry(i, k), xs[j]))
                 total = add(total, add(t1, add(t2, t3)))
             comps[(i, k, l)] = total
         return PolyVectorField(n, 3, comps, xs)

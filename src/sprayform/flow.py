@@ -1,5 +1,5 @@
 """Flows of sprays with tangent (variational) flow, 1-D quadrature, and the
-one finite-difference stencil that every numerical derivative goes through.
+finite-difference stencil of the derivatives that are not complex steps.
 
 The integrator is classical fixed-step RK4.  Steps are aligned with the
 quadrature nodes on [0, 1]: the state is computed exactly at the nodes that
@@ -28,7 +28,9 @@ in the products with J or in the RK4 arithmetic replays that step under the
 caller's error state, the evaluation still raising: the step's box check
 then names a non-finite state, and a non-finite J is returned as the
 matmul of a dense engine would leave it.  Node consumers run under the
-caller's error state.
+caller's error state.  A complex batch (a complex step) runs the same source
+in complex arithmetic (``expr.exec_generated``); the box check reads the
+real part of the state, and a non-finite imaginary part is non-finite.
 
 Neither solve stores a trajectory.  Each returns the end state batch-major,
 z of shape (B, d) and J of shape (B, d, d) with J[b, i, j] = dz_i/dz_j, and
@@ -40,6 +42,7 @@ J.transpose(2, 0, 1); the arrays are valid only during the call.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -49,8 +52,7 @@ from . import expr as ex
 from .errors import DimensionError, DomainExitError, NonFiniteStateError
 
 __all__ = ["QuadratureRule", "FlowEngine", "cumulative_integral",
-           "simpson_step", "central_difference", "stencil_rows",
-           "stencil_derivatives"]
+           "simpson_step", "central_difference"]
 
 _FLOAT_MAX = np.finfo(np.float64).max
 
@@ -107,10 +109,9 @@ class FlowEngine:
         self.live = tuple(i for i, c in enumerate(self.components)
                           if not (c.is_zero and all(p.is_zero for p in partials[i])))
         self.frozen = tuple(i for i in range(self.dim) if i not in self.live)
-        self._rhs = {False: _compile_rhs(self.components, self.variables,
-                                         self.live),
-                     True: _compile_rhs(self.components, self.variables,
-                                        self.live, partials)}
+        self._rhs = functools.cache(lambda jacobian, complex_rows: _compile_rhs(
+            self.components, self.variables, self.live,
+            partials if jacobian else None, complex_rows))
         if box is None:
             box = [[-np.inf, np.inf]] * self.dim
         # +-inf bounds become +-float max, so the one comparison per step
@@ -138,20 +139,21 @@ class FlowEngine:
     def _solve(self, points, nodes, substeps, jacobian, at_node):
         """RK4 on the live rows; the full (d, B) z and (d, d, B) J (None
         without ``jacobian``) at the last node."""
-        Z = np.atleast_2d(np.asarray(points, dtype=np.float64)).T.copy()
+        dtype = np.result_type(np.asarray(points), np.float64)
+        Z = np.atleast_2d(np.asarray(points, dtype=dtype)).T.copy()
         d, B = Z.shape
         live, frozen, m = (np.array(self.live, dtype=np.intp),
                            list(self.frozen), len(self.live))
-        S = np.zeros((m * (d + 1) if jacobian else m, B))
+        S = np.zeros((m * (d + 1) if jacobian else m, B), dtype)
         S[:m] = Z[live]
         J = None
         if jacobian:
             S[m:].reshape(m, d, B)[range(m), self.live] = 1.0
-            J = np.zeros((d, d, B))
+            J = np.zeros((d, d, B), dtype)
             J[frozen, frozen] = 1.0
         F = Z[frozen]
         K = np.zeros_like(S)     # never-written rows are zero for good
-        acc, stage, T = np.empty_like(S), np.empty_like(S), np.empty((d, B))
+        acc, stage, T = np.empty_like(S), np.empty_like(S), np.empty((d, B), dtype)
         lo, hi = self._lo[live], self._hi[live]
         views = (Z,) if J is None else (Z, J)
 
@@ -161,8 +163,7 @@ class FlowEngine:
                 J[live] = X[m:].reshape(m, d, B)
 
         def check(X, t):
-            z = X[:m]
-            inside = (z >= lo) & (z <= hi)   # False on NaN
+            inside = _inside(X[:m], lo, hi)
             if not inside.all():
                 publish(X)
                 _raise_state_error(Z, inside, t)
@@ -174,10 +175,10 @@ class FlowEngine:
 
         caller = np.geterr()
         with np.errstate(**ex.RAISE):
-            inside = (Z >= self._lo) & (Z <= self._hi)
+            inside = _inside(Z, self._lo, self._hi)
             if not inside.all():
                 _raise_state_error(Z, inside, float(nodes[0]))
-            bind = self._rhs[jacobian]
+            bind = self._rhs(jacobian, dtype.kind == "c")
             # the state and the RK4 sum alternate between two buffers, so a
             # step that raises leaves its start state intact
             cur, nxt = (S, bind(S, F, K, T)), (acc, bind(acc, F, K, T))
@@ -204,6 +205,12 @@ class FlowEngine:
         return Z, J
 
 
+def _inside(z, lo, hi):
+    """Where Re z is in [lo, hi] (not on NaN) and Im z, if any, finite."""
+    inside = (z.real >= lo) & (z.real <= hi)
+    return inside & np.isfinite(z.imag) if z.dtype.kind == "c" else inside
+
+
 def _rk4_step(X, Y, K, stage, h, at_X, at_stage):
     """Y = X + (h/6) (k1 + 2 k2 + 2 k3 + k4), each element by these IEEE
     operations in this order; ``at_X()`` and ``at_stage()`` write the
@@ -226,19 +233,20 @@ def _rk4_step(X, Y, K, stage, h, at_X, at_stage):
 
 def _raise_state_error(Z, inside, t):
     """NonFiniteStateError or DomainExitError at the first batch row (column
-    of the (d, B) state Z) that has a coordinate outside the box."""
+    of the (d, B) state Z) that has a coordinate outside the box; the error
+    names the real part of the row's state."""
     row = int(np.argmin(inside.all(axis=0)))
-    z = Z[:, row].copy()
-    if not np.isfinite(z).all():
-        raise NonFiniteStateError(t, z, row=row)
-    raise DomainExitError(t, z, row=row)
+    error = (DomainExitError if np.isfinite(Z[:, row]).all()
+             else NonFiniteStateError)
+    raise error(t, Z[:, row].real.copy(), row=row)
 
 
 # ---------------------------------------------------------------------------
 # Right-hand side generation
 
 
-def _compile_rhs(components, variables, live, partials=None):
+def _compile_rhs(components, variables, live, partials=None,
+                 complex_rows=False):
     """Factory of the derivative of the live rows (see the module docstring).
 
     ``bind(X, F, K, T)`` returns ``(rhs, replay)``.  ``rhs()`` writes into
@@ -252,6 +260,7 @@ def _compile_rhs(components, variables, live, partials=None):
     FloatingPointError raises EvalDomainError, then multiplies and adds the
     rows of J.  ``replay()`` does the same with the evaluation alone under
     raising error state, for a step replayed under the caller's.
+    ``complex_rows`` binds complex buffers (``ex.exec_generated``).
     """
     d, m = len(variables), len(live)
     ex.used_variables(components, variables)
@@ -311,7 +320,7 @@ def _compile_rhs(components, variables, live, partials=None):
            + ["    def replay():"]
            + _indent(replay + products, 8)
            + ["    return rhs, replay"])
-    return ex.exec_generated(src, "rhs")["_bind"]
+    return ex.exec_generated(src, "rhs", complex_rows)["_bind"]
 
 
 def _indent(lines, n):
@@ -356,25 +365,13 @@ def central_difference(f, X, V, h):
     """f(X) and the 4th-order central differences of f along V.
 
     X is (B, n) and V (B, D, n).  ``f`` maps rows to rows and is called
-    once, on ``stencil_rows(X, V, h)``.  Returns f(X) (B, ...) and
-    sum_c (coef_c / h) f(X + c h V) for each direction (B, D, ...).
+    once, on X followed by every offset X + (c h) V[:, j], direction-major.
+    Returns f(X) (B, ...) and sum_c (coef_c / h) f(X + c h V) for each
+    direction (B, D, ...).
     """
-    return stencil_derivatives(f(stencil_rows(X, V, h)), len(X), h)
-
-
-def stencil_rows(X, V, h):
-    """X followed by every offset X + (c h) V[:, j], direction-major: the
-    rows the central difference evaluates, for a caller that evaluates them
-    itself and hands the values to ``stencil_derivatives``."""
-    D = V.shape[1]
-    return np.concatenate([X] + [X + (c * h) * V[:, j] for j in range(D)
-                                 for c, _ in _STENCIL])
-
-
-def stencil_derivatives(values, B, h):
-    """(f(X), derivatives) of ``central_difference`` from the values of f on
-    the ``stencil_rows`` of B rows."""
-    D = (len(values) // B - 1) // len(_STENCIL)
+    B, D = V.shape[:2]
+    values = f(np.concatenate([X] + [X + (c * h) * V[:, j] for j in range(D)
+                                     for c, _ in _STENCIL]))
     shifted = values[B:].reshape((D, len(_STENCIL), B) + values.shape[1:])
     deriv = np.zeros((B, D) + values.shape[1:])
     for k, (_, coef) in enumerate(_STENCIL):
@@ -392,16 +389,13 @@ def cumulative_integral(values, nodes):
     values = np.asarray(values, dtype=np.float64)
     T = values.shape[-1] - 1
     h = nodes[1] - nodes[0]
-    if T == 0:
-        return np.zeros_like(values)
     out = np.zeros_like(values)
     for m in range(0, T - 1, 2):
         out[..., m + 1], out[..., m + 2] = simpson_step(
             out[..., m], values[..., m], values[..., m + 1], values[..., m + 2], h)
     if T % 2:  # trailing single interval: trapezoid with quadratic correction
-        f0 = values[..., T - 1]
-        f1 = values[..., T]
-        out[..., T] = out[..., T - 1] + h * 0.5 * (f0 + f1)
+        out[..., T] = out[..., T - 1] + h * 0.5 * (values[..., T - 1]
+                                                   + values[..., T])
     return out
 
 

@@ -23,6 +23,11 @@ where p_t is the fiber of phi^t(a), Pi is the pointwise inverse of omega and
 dtau the Jacobian of target = projection o time-1 flow.  With the sharp/flat
 conventions used here this is  dk/dt = solve(W_k, dtau_k^T p_t)  for the
 antisymmetric matrix W of omega.  Everything is batched over points.
+
+d mu is a complex step: the product is analytic, so on composable tangents
+d mu(v, w) = Im mu(a + i h v, b + i h w) / h to roundoff at h = COMPLEX_STEP,
+and the real part is mu(a, b) to O(h^2).  The product, the flow and the form
+sum take the dtype of their input, and their checks read real parts.
 """
 
 from __future__ import annotations
@@ -42,8 +47,7 @@ from .errors import (
     DomainExitError,
     NonlinearCocycleError,
 )
-from .flow import (FlowEngine, QuadratureRule, central_difference,
-                   simpson_step, stencil_derivatives, stencil_rows)
+from .flow import FlowEngine, QuadratureRule, central_difference, simpson_step
 from .report import CheckReport, SplitMix64
 
 __all__ = ["SprayGroupoid", "MultFormEvaluator", "multiply_poisson",
@@ -62,7 +66,7 @@ VALIDITY_SHRINK = 0.7
 VALIDITY_MIN_RADIUS = 1e-4
 VALIDITY_MARGIN = 1.02
 OMEGA_FD_STEP = 1e-3      # d omega of weighted evaluators
-PRODUCT_FD_STEP = 1e-4    # d mu
+COMPLEX_STEP = 1e-20      # d mu (see the module docstring)
 
 
 @dataclass
@@ -140,7 +144,6 @@ class SprayGroupoid:
         component-major arrays of ``FlowEngine``'s ``at_node``, valid only
         during the call.
         """
-        P = np.atleast_2d(np.asarray(P, dtype=np.float64))
         sl = self._nodes
 
         def at_node(k, z, J):
@@ -318,13 +321,13 @@ class MultFormEvaluator:
 def _check_conditioning(W, points, cond_bound):
     """Raise DegenerateFormError at the first row b of W (B, d, d) that is
     singular or whose own condition number s_max / s_min exceeds
-    ``cond_bound``; one row's conditioning never depends on another's."""
-    svals = np.linalg.svd(W, compute_uv=False)
+    ``cond_bound``, judged by real parts; rows never affect each other."""
+    svals = np.linalg.svd(W.real, compute_uv=False)
     smin = svals[:, -1]
     bad = (smin <= 0) | (svals[:, 0] / np.maximum(smin, 1e-300) > cond_bound)
     if bad.any():
         i = int(np.argmax(bad))
-        raise DegenerateFormError(float(smin[i]), points[i], i)
+        raise DegenerateFormError(float(smin[i]), points[i].real, i)
 
 
 def _form_terms(form, G):
@@ -375,7 +378,7 @@ class _FormSum:
     def __call__(self, j, z, J):
         G = self.ev.groupoid
         if self._sum is None:
-            self._allocate(G, z.shape[1])
+            self._allocate(G, z.shape[1], J.dtype)
         self._value = None
         F = None if self.fn is None else self.fn(z.T)
         if self.ev._delta is None:
@@ -400,11 +403,11 @@ class _FormSum:
             self._value = _alternate(self._sum, self.degree)
         return self._value
 
-    def _allocate(self, G, B):
+    def _allocate(self, G, B, dtype):
         """The zero sum, each term's view of it and live rows, and a scratch
         product for each count of live rows up to the terms' largest."""
         d, k = G.dim, self.degree
-        self._sum = np.zeros((d,) * k + (B,))
+        self._sum = np.zeros((d,) * k + (B,), dtype)
         frozen = set(G.engine.frozen)
         self._plan = []
         for I, value, col in self.terms:
@@ -412,7 +415,7 @@ class _FormSum:
             rows = [i for i in I if i not in frozen]
             self._plan.append((self._sum[at], rows, value, col))
         depth = max((len(rows) for _, rows, _, _ in self._plan), default=0)
-        self._scratch = [np.empty((d,) * n + (B,)) for n in range(depth + 1)]
+        self._scratch = [np.empty((d,) * n + (B,), dtype) for n in range(depth + 1)]
 
     def _add_weighted(self, j, integral, J, F):
         self.transport = np.exp(-integral)
@@ -479,14 +482,16 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
     omega^{-1} and dtau at the current solution, which costs one
     flow-with-Jacobian per stage.  omega must be nondegenerate with
     condition number at most ``cond_bound`` at every row on its own.
+    Complex rows multiply in complex arithmetic, checked by real parts.
     """
-    A = np.asarray(a, dtype=np.float64)
-    Bp = np.asarray(b, dtype=np.float64)
+    A, Bp = np.asarray(a), np.asarray(b)
+    dtype = np.result_type(A, Bp, np.float64)
+    A, Bp = A.astype(dtype), Bp.astype(dtype)
     if A.ndim != 2 or A.shape != Bp.shape:
         raise DimensionError("a and b must be (B, d) batches of one shape")
     n = G.n
     tau_b = G.tau(Bp)
-    viols = np.max(np.abs(A[:, :n] - tau_b), axis=1)
+    viols = np.max(np.abs((A[:, :n] - tau_b).real), axis=1)
     tol = np.broadcast_to(np.asarray(composability_tol, dtype=np.float64),
                           viols.shape)
     over = viols > tol
@@ -559,25 +564,12 @@ def composable_tangents_batch(dtau, v_bases, rng):
     return out
 
 
-def _newton_composable(G, a_base, b_guess, iters=3, tol=1e-13):
-    """Correct b so that tau(b) = a_base, batched (correction is O(s^2))."""
-    b = b_guess.copy()
-    for _ in range(iters):
-        tau_b, dtau = G.tau_with_jacobian(b)
-        res = a_base - tau_b
-        if float(np.max(np.abs(res))) < tol:
-            break
-        pinv = np.linalg.pinv(dtau)
-        b = b + np.einsum("bja,ba->bj", pinv, res)
-    return b
-
-
 @dataclass
 class _ProductRows:
     """Rows of one check's product: composable (B, d) batches ``a`` and
-    ``b``, the composability tolerance the check asks for, and the index of
-    row 0 in the check's own batch (a check's rows may be split across
-    product calls)."""
+    ``b`` (real, or the complex rows of a complex step), the composability
+    tolerance the check asks for, and the index of row 0 in the check's own
+    batch (a check's rows may be split across product calls)."""
 
     check: str
     a: np.ndarray
@@ -619,22 +611,15 @@ def _multiply_rows(G, evaluator, blocks, n_steps):
     return np.split(out, ends[:-1])
 
 
-def _stencil_product_rows(G, a, b, tangent_pairs):
-    """The product rows of d mu at (a, b) on composable tangent pairs.
-
-    The central-difference stencil (step PRODUCT_FD_STEP) runs along
-    exactly composable curves: a_s = a + s v, and b_s Newton-corrected over
-    all rows at once so that tau(b_s) = sigma(a_s) to machine precision (the
-    correction is O(s^2), so it does not disturb the derivative; on the
-    already composable centre rows it is a no-op).
-    """
-    d = G.dim
-    V = np.stack([np.concatenate([v, w], axis=1) for v, w in tangent_pairs],
-                 axis=1)
-    rows = stencil_rows(np.concatenate([a, b], axis=1), V, PRODUCT_FD_STEP)
-    a_s = rows[:, :d]
-    return _ProductRows("multiplicativity", a_s,
-                       _newton_composable(G, a_s[:, : G.n], rows[:, d:]))
+def _complex_step_rows(a, b, tangent_pairs):
+    """The product rows of d mu at (a, b) on composable tangent pairs (v, w):
+    (a + i h v, b + i h w) at h = COMPLEX_STEP, one row per pair and point,
+    direction-major.  Their products give mu, the real part of the first
+    direction's rows, and each d mu(v, w), imaginary part over h."""
+    step = 1j * COMPLEX_STEP
+    return _ProductRows("multiplicativity",
+                        np.concatenate([a + step * v for v, _ in tangent_pairs]),
+                        np.concatenate([b + step * w for _, w in tangent_pairs]))
 
 
 def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
@@ -642,15 +627,14 @@ def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
     """mu(a, b) and d mu at (a, b) on composable tangent pairs, batched.
 
     ``tangent_pairs`` lists (v, w) batches with dtau(w) = dsigma(v).  Each
-    derivative is a 4th-order central difference of ``multiply_poisson``
-    (see ``_stencil_product_rows``); the central product and every stencil
-    offset of every pair go through one ``multiply_poisson`` call.  Returns
-    (mu, [d mu(v, w) for each pair]).
+    derivative is a complex step of ``multiply_poisson`` (see the module
+    docstring); one complex row per pair and point, all in one
+    ``multiply_poisson`` call.  Returns (mu, [d mu(v, w) for each pair]).
     """
     (products,) = _multiply_rows(
-        G, evaluator, [_stencil_product_rows(G, a, b, tangent_pairs)], n_steps)
-    mu, dmu = stencil_derivatives(products, len(a), PRODUCT_FD_STEP)
-    return mu, list(np.swapaxes(dmu, 0, 1))
+        G, evaluator, [_complex_step_rows(a, b, tangent_pairs)], n_steps)
+    dmu = products.imag.reshape(-1, len(a), G.dim) / COMPLEX_STEP
+    return products[: len(a)].real, list(dmu)
 
 
 def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
@@ -664,9 +648,10 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     inversion antisymmetry | iota^* omega + omega | over the same a-points;
     associativity || mu(mu(a,b),c) - mu(a,mu(b,c)) || over sampled
     composable triples.  Call 1 multiplies stage 1, mu(a, b) and mu(b, c),
-    with the first half of the d mu stencil rows (9 per pair), call 2
-    stage 2 with the second half; the split comes from the row counts
-    alone.  Each row gets the bits a call of its own gives.
+    with the first half of the complex d mu rows (2 per pair), call 2
+    stage 2 (complex rows with zero imaginary part, like stage 1) with the
+    second half; the split comes from the row counts alone.  Each row gets
+    the bits a call of its own gives.
     """
     rng = SplitMix64(mult_seed)
     a, b = sample_composable_pairs(G, n_pairs, mult_seed, fiber_scale=0.5)
@@ -679,14 +664,14 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     _, dtau = G.tau_with_jacobian(b, om_b)
     w1, w2 = composable_tangents_batch(dtau, [v1[:, : G.n], v2[:, : G.n]], rng)
     inv_a, dinv = G.inverse_with_jacobian(a, om_a)
-    stencil = _stencil_product_rows(G, a, b, [(v1, w1), (v2, w2)])
+    steps = _complex_step_rows(a, b, [(v1, w1), (v2, w2)])
 
     rng, fiber_scale = SplitMix64(assoc_seed), 0.4
     tc = G.sample_validity_points(n_triples, assoc_seed, fiber_scale=fiber_scale)
     tb = _left_factors(G, tc, rng, fiber_scale)
     ta = _left_factors(G, tb, rng, fiber_scale)
 
-    head, tail = stencil.split((len(stencil.a) + 1) // 2)
+    head, tail = steps.split((len(steps.a) + 1) // 2)
     stage1 = _ProductRows("associativity stage 1", np.concatenate([ta, tb]),
                           np.concatenate([tb, tc]))
     first, head_products = _multiply_rows(G, evaluator, [stage1, head], n_steps)
@@ -695,16 +680,17 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
                           np.concatenate([tc, bc]), composability_tol=1e-8)
     second, tail_products = _multiply_rows(G, evaluator, [stage2, tail], n_steps)
 
-    mu, dmu = stencil_derivatives(np.concatenate([head_products, tail_products]),
-                                  n_pairs, PRODUCT_FD_STEP)
+    products = np.concatenate([head_products, tail_products])
+    mu = products[:n_pairs].real
+    dmu1, dmu2 = products.imag.reshape(2, n_pairs, d) / COMPLEX_STEP
     # omega at the products and at the inverses from one solve
     W_mu, W_inv = np.split(
         evaluator.omega_matrices(np.concatenate([mu, inv_a])), [n_pairs])
-    lhs = np.einsum("bi,bij,bj->b", dmu[:, 0], W_mu, dmu[:, 1])
+    lhs = np.einsum("bi,bij,bj->b", dmu1, W_mu, dmu2)
     rhs = np.einsum("bi,bij,bj->b", v1, om_a.value, v2) + \
         np.einsum("bi,bij,bj->b", w1, om_b.value, w2)
     pulled = np.einsum("bji,bjk,bkl->bil", dinv, W_inv, dinv)
-    assoc = second[:n_triples] - second[n_triples:]
+    assoc = (second[:n_triples] - second[n_triples:]).real
     return {"multiplicativity": float(np.max(np.abs(lhs - rhs))),
             "inversion_antisymmetry": float(np.max(np.abs(pulled + om_a.value))),
             "associativity": float(np.max(np.abs(assoc))),
@@ -837,7 +823,8 @@ def units_form_predictor(A, l_fields, X, args):
         return total / j
 
     out = np.zeros(len(X))
-    for pattern in _binary_patterns(k):
+    # which arguments are fiber arguments, the first varying fastest
+    for pattern in (p[::-1] for p in itertools.product((False, True), repeat=k)):
         fibers, tms, sign = [], [], 1
         moved = 0
         for pos, take_fiber in enumerate(pattern):
@@ -850,8 +837,3 @@ def units_form_predictor(A, l_fields, X, args):
                 tms.append(np.asarray(args[pos][0], dtype=np.float64))
         out += sign * pure_value(fibers, tms)
     return out
-
-
-def _binary_patterns(k):
-    for mask in range(1 << k):
-        yield [bool(mask & (1 << pos)) for pos in range(k)]

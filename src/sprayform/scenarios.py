@@ -70,6 +70,7 @@ __all__ = [
 # Floor of the smallest singular value of omega on the Poisson validity sample.
 NONDEGENERACY_MARGIN = 1e-3
 L_FD_STEP = 2e-3    # finite-difference step of the L field (torsion identity)
+CONVERGENCE_ROUNDOFF = 100.0  # order-fit error floor, in eps x max |omega_ref|
 
 
 # The names ``Numerics.tol`` reads, and so the keys ``numerics.tolerances``
@@ -1044,7 +1045,8 @@ def convergence_study(chart, spray, form, points, levels=None,
     ``levels`` is a list of (n_quad, substeps) pairs; the effective step is
     h = 1 / (n_quad * substeps).  Errors are measured against ``reference``
     values (same shape as the form output) when given, else against the
-    finest ladder level, which is then excluded from the order fit.  Returns
+    finest ladder level, which is then excluded from the order fit, as is
+    every level whose error is roundoff (see CONVERGENCE_ROUNDOFF).  Returns
     a list of rows {n_quad, substeps, h, error} plus the fitted order.  A
     library error raised on a rung names the rung.
     """
@@ -1072,7 +1074,8 @@ def convergence_study(chart, spray, form, points, levels=None,
     if np.ptp(hs) < 1e-15 * np.max(hs):
         # pure quadrature ladder (step held fixed): fit against the node count
         hs = 1.0 / np.array([r["n_quad"] for r in rows])[fit_slice]
-    good = errs > 1e-15
+    floor = CONVERGENCE_ROUNDOFF * np.finfo(np.float64).eps * np.max(np.abs(ref))
+    good = errs > floor
     if int(np.sum(good)) >= 2:
         order = float(np.polyfit(np.log(hs[good]), np.log(errs[good]), 1)[0])
     else:

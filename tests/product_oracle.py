@@ -1,0 +1,44 @@
+"""The 4th-order stencil of d mu: the reference the tests compare the
+complex-step d mu of ``groupoid`` with.
+
+Each offset runs along an exactly composable curve: a_s = a + s v, and b_s
+Newton-corrected so that tau(b_s) = sigma(a_s) to machine precision (the
+correction is O(s^2), so it does not disturb the derivative; on the already
+composable centre rows it is a no-op).  Its error is the stencil's own,
+O(h^4) truncation plus roundoff amplified by 1/h.
+"""
+
+import numpy as np
+
+from sprayform.flow import central_difference
+from sprayform.groupoid import multiply_poisson
+
+STEP = 1e-4
+
+
+def newton_composable(G, a_base, b_guess, iters=3, tol=1e-13):
+    """Correct b so that tau(b) = a_base, batched."""
+    b = b_guess.copy()
+    for _ in range(iters):
+        tau_b, dtau = G.tau_with_jacobian(b)
+        res = a_base - tau_b
+        if float(np.max(np.abs(res))) < tol:
+            break
+        b = b + np.einsum("bja,ba->bj", np.linalg.pinv(dtau), res)
+    return b
+
+
+def stencil_differential(G, evaluator, a, b, tangent_pairs, n_steps=32,
+                         h=STEP):
+    """mu(a, b) and [d mu(v, w) for each pair] by the central difference."""
+    d = G.dim
+
+    def product(rows):
+        a_s = rows[:, :d]
+        return multiply_poisson(
+            G, evaluator, a_s, newton_composable(G, a_s[:, : G.n], rows[:, d:]),
+            n_steps=n_steps)
+
+    V = np.stack([np.hstack([v, w]) for v, w in tangent_pairs], axis=1)
+    mu, dmu = central_difference(product, np.hstack([a, b]), V, h)
+    return mu, list(np.swapaxes(dmu, 0, 1))

@@ -115,6 +115,38 @@ def test_compiled_domain_errors():
             fn(np.array([[0.5, 0, 0], [bad, 0, 0]]))
 
 
+def test_compiled_complex_rows_keep_the_imaginary_part():
+    """A complex batch is evaluated in complex arithmetic, never cast to
+    float64: its imaginary part over h is the complex-step derivative, and
+    its real part the real row's value."""
+    e = parse("sqrt(x1) * log(x2) / (x1 + x3) + exp(sin(x3))^-2", XS)
+    fn = ex.compile_exprs([e, partial(e, "x1")], XS)
+    X = np.array([[0.7, 1.3, 0.2], [0.4, 2.1, -0.3]])
+    h = 1e-20
+    with np.errstate(all="raise"):     # a ComplexWarning would not raise
+        out = fn(X + [1j * h, 0, 0])
+    assert out.dtype == np.complex128
+    real = fn(X)
+    assert np.max(np.abs(out.real - real)) < 1e-15
+    assert np.max(np.abs(out[:, 0].imag / h - real[:, 1])) < 1e-14
+
+
+@pytest.mark.parametrize("source, bad", [("sqrt(x1)", -2.0), ("log(x1)", -1.0),
+                                         ("log(x1)", 0.0), ("1/x1", 0.0),
+                                         ("x1^-2", 0.0), ("x2/x1", 0.0)])
+def test_compiled_complex_rows_test_the_real_domain(source, bad):
+    """numpy's complex sqrt and log of a negative real part, and its division
+    by an imaginary number, raise nothing: a complex row raises the
+    EvalDomainError its real row raises."""
+    fn = ex.compile_exprs([parse(source, XS)], XS)
+    Z = np.array([[0.5, 1.0, 0], [bad, 1.0, 0]])
+    with pytest.raises(EvalDomainError) as real:
+        fn(Z)
+    with pytest.raises(EvalDomainError) as cplx:
+        fn(Z + [1e-20j, 1e-20j, 0])
+    assert str(cplx.value) == str(real.value)
+
+
 def test_constant_power_folds_like_evaluation():
     # C pow gives 0.026999999999999996; the evaluators' squaring rule 0.027
     assert parse("0.3^3", XS).value == 0.3 * (0.3 * 0.3)

@@ -383,3 +383,60 @@ def test_consumers_run_under_the_callers_error_state():
     assert len(seen) == 6
     assert all((s["over"], s["divide"], s["invalid"]) == ("ignore", "warn", "print")
                for s in seen)
+
+
+# ---------------------------------------------------------------------------
+# complex rows (the complex step of d mu)
+
+
+def test_complex_step_of_the_flow_is_its_tangent_map():
+    """Im phi(z + i h v) / h is J v to roundoff, and the real part is the
+    real flow; the box check reads the real part."""
+    comps = [parse("x2 * x2 - y1", XYP), parse("sqrt(x1 + 2) * y2", XYP),
+             parse("-y1 * y2 / (1 + x1 * x1)", XYP), parse("log(2 + y1)", XYP)]
+    box = [[-1.5, 1.5]] * 2 + [[-np.inf, np.inf]] * 2
+    eng = FlowEngine(comps, XYP, box=box)
+    P = np.array([[0.1, 0.2, 0.3, -0.2], [-0.3, 0.1, -0.1, 0.4]])
+    V = np.array([[0.5, -1.0, 0.2, 0.3], [1.0, 0.0, -0.7, 0.1]])
+    h = 1e-20
+    nodes = np.linspace(0.0, 1.0, 9)
+    z, J = eng.flow_with_jacobian(P, nodes)
+    for solve in _solves(eng):
+        out = solve(P + 1j * h * V, nodes)
+        zc = out[0] if isinstance(out, tuple) else out
+        assert zc.dtype == np.complex128
+        assert np.max(np.abs(zc.real - z)) < 1e-15
+        assert np.max(np.abs(zc.imag / h - np.einsum("bij,bj->bi", J, V))) < 1e-14
+
+
+@pytest.mark.parametrize("field, start", [("1/x1", 0.5), ("sqrt(x1)", 0.3),
+                                          ("log(x1)", 0.3)])
+def test_complex_rows_in_rhs_raise_the_real_domain_error(field, start):
+    # x1 = start - t: its real part leaves the field's domain, where the
+    # complex sqrt, log and division of numpy raise nothing
+    eng = FlowEngine([ex.const(-1.0), parse(field, XS2)], XS2)
+    P = np.array([[0.9, 0.0], [start, 0.0]])
+    nodes = np.linspace(0.0, 1.0, 5)
+    for solve in _solves(eng):
+        with pytest.raises(EvalDomainError) as real:
+            solve(P, nodes)
+        with pytest.raises(EvalDomainError) as cplx:
+            solve(P + 1e-20j, nodes)
+        assert str(cplx.value) == str(real.value)
+
+
+def test_nonfinite_imaginary_part_raises():
+    # the imaginary part of x1 overflows in the RK4 sum of the first step
+    # in row 1 (and turns its real part NaN: numpy's complex product
+    # inf * 0), or is infinite at the start where the real part is finite
+    eng = FlowEngine([parse("x2", XS2), ex.ZERO], XS2)
+    nodes = np.linspace(0.0, 1.0, 5)
+    P = np.array([[0.1, 0.2], [0.0, -0.5 + 1e308j]])
+    for solve in _solves(eng):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteStateError) as err:
+            solve(P, nodes)
+        assert (err.value.time, err.value.row) == (0.25, 1)
+        with pytest.raises(NonFiniteStateError,
+                           match=r"t=0, batch row 0, point \(0.1, 0.2\)"):
+            solve(np.array([[complex(0.1, np.inf), 0.2]]), nodes)

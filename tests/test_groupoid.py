@@ -22,13 +22,12 @@ from sprayform.errors import (
     NonlinearCocycleError,
 )
 from sprayform.expr import BivectorField, FormField, parse
-from sprayform.flow import FlowEngine, central_difference
+from sprayform.flow import FlowEngine
 from sprayform.groupoid import (
-    PRODUCT_FD_STEP,
+    COMPLEX_STEP,
     MultFormEvaluator,
     SprayGroupoid,
     _left_factors,
-    _newton_composable,
     composable_tangents_batch,
     differential_of_multiplication,
     differentiate_at_units,
@@ -49,6 +48,7 @@ from sprayform.imform import (
 from sprayform.report import SplitMix64
 
 from conftest import XS2, XS3, constant_bivector_r2, so3_bivector
+from product_oracle import stencil_differential
 
 BOX2 = [[-1.0, 1.0]] * 2
 BOX3 = [[-1.0, 1.0]] * 3
@@ -367,9 +367,21 @@ def test_composability_error_names_the_worst_row(flat_groupoid):
 
 
 def test_degenerate_form_in_product_names_row_and_point(flat_groupoid):
+    _degenerate_rows_are_named(flat_groupoid, 0.0)
+
+
+def test_degenerate_complex_rows_are_named_by_real_parts(flat_groupoid):
+    # a step this large makes the complex omega at row 1 well conditioned
+    # (s_min ~ 1e-3): the guard must read the real part, as for any step
+    _degenerate_rows_are_named(flat_groupoid, 1e-3j)
+
+
+def _degenerate_rows_are_named(flat_groupoid, step):
+    """Rows a + step v (complex for step != 0, judged and named by their
+    real parts) whose omega is degenerate raise at their row and point."""
     A, G, _ = flat_groupoid
     b = np.array([[0.3, 0.1, 0.1, 0.0], [0.0, 0.2, 0.2, 0.1],
-                  [-0.4, 0.0, -0.1, 0.2]])
+                  [-0.4, 0.0, -0.1, 0.2]]) + step * np.array([1, 2, 3, 4])
     a = b.copy()
     a[:, 2:] = 0.1
     zero = MultFormEvaluator(G, FormField(A.total_vars, 2))
@@ -385,7 +397,7 @@ def test_degenerate_form_in_product_names_row_and_point(flat_groupoid):
     with pytest.raises(DegenerateFormError) as err:
         multiply_poisson(G, ev, a, b, n_steps=2)
     assert err.value.row == 1
-    assert np.array_equal(err.value.point, b[1])   # first stage: k = b
+    assert np.array_equal(err.value.point, b[1].real)   # first stage: k = b
     assert "row 1" in str(err.value)
     assert "point (0, 0.2, 0.2, 0.1)" in str(err.value)
 
@@ -473,7 +485,40 @@ def test_differential_of_multiplication_flat(flat_groupoid):
                                                 n_steps=8)
     assert np.max(np.abs(mu - np.hstack([b[:, :2], a[:, 2:] + b[:, 2:]]))) < 1e-12
     want = np.hstack([w[:, :2], v[:, 2:] + w[:, 2:]])
-    assert np.max(np.abs(dmu - want)) < 1e-8
+    assert np.max(np.abs(dmu - want)) < 1e-13
+
+
+def _tangent_pairs(G, b, count, seed):
+    """``count`` composable tangent pairs (v, w) at the right factors b."""
+    rng = SplitMix64(seed)
+    vs = [np.array([[rng.uniform(-1, 1) for _ in range(G.dim)] for _ in b])
+          for _ in range(count)]
+    ws = composable_tangents_batch(G.tau_with_jacobian(b)[1],
+                                   [v[:, : G.n] for v in vs], rng)
+    return list(zip(vs, ws))
+
+
+def test_complex_step_dmu_matches_the_stencil(so3_groupoid):
+    """The complex-step d mu on so(3)* agrees with the 4th-order stencil
+    along Newton-corrected composable curves, whose own error is ~1e-10."""
+    _, G, ev = so3_groupoid
+    a, b = sample_composable_pairs(G, 3, 21, fiber_scale=0.5)
+    pairs = _tangent_pairs(G, b, 2, 22)
+    mu, dmu = differential_of_multiplication(G, ev, a, b, pairs, n_steps=8)
+    mu_fd, dmu_fd = stencil_differential(G, ev, a, b, pairs, n_steps=8)
+    assert np.max(np.abs(mu - mu_fd)) < 1e-14
+    assert max(np.max(np.abs(x - y)) for x, y in zip(dmu, dmu_fd)) < 1e-8
+
+
+def test_complex_step_rows_are_tangent_composable(so3_groupoid):
+    """The imaginary part of sigma(a) - tau(b) over h on the sampled rows,
+    dsigma(v) - dtau(w), vanishes to roundoff: the complex rows lie on the
+    tangent of the composable set, with no Newton correction."""
+    _, G, _ = so3_groupoid
+    a, b = sample_composable_pairs(G, 6, 23, fiber_scale=0.5)
+    rows = groupoid._complex_step_rows(a, b, _tangent_pairs(G, b, 2, 24))
+    gap = (rows.a[:, : G.n] - G.tau(rows.b)).imag / COMPLEX_STEP
+    assert np.max(np.abs(gap)) < 1e-12
 
 
 def test_multiplicativity_residual_solves_each_batch_once(const_groupoid,
@@ -499,8 +544,8 @@ def test_multiplicativity_residual_solves_each_batch_once(const_groupoid,
 
 def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
     """The schedule's two product calls give, bit for bit, the residuals
-    built from separate products: the d mu stencil in one call of its own
-    and each associativity product in its own call."""
+    built from separate products: the complex d mu rows in one call of
+    their own and each associativity product in its own complex call."""
     _, G, ev = so3_groupoid
     n_pairs, n_triples, n_steps, d = 3, 2, 4, G.dim
     calls, original = [], groupoid.multiply_poisson
@@ -511,8 +556,8 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
 
     monkeypatch.setattr(groupoid, "multiply_poisson", counted)
     out = product_residuals(G, ev, n_pairs, n_triples, 11, 12, n_steps=n_steps)
-    # 9 stencil rows per pair, 2 rows per triple and stage
-    assert calls == [4 + 14, 4 + 13]
+    # 2 complex rows per pair, 2 rows per triple and stage
+    assert calls == [4 + 3, 4 + 3]
     monkeypatch.undo()
 
     rng = SplitMix64(11)
@@ -522,16 +567,14 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
     w1, w2 = composable_tangents_batch(G.tau_with_jacobian(b)[1],
                                        [v1[:, : G.n], v2[:, : G.n]], rng)
 
-    def product(rows):
-        a_s = rows[:, :d]
-        return multiply_poisson(G, ev, a_s,
-                                _newton_composable(G, a_s[:, : G.n], rows[:, d:]),
+    step = 1j * COMPLEX_STEP
+    products = multiply_poisson(G, ev, np.vstack([a + step * v1, a + step * v2]),
+                                np.vstack([b + step * w1, b + step * w2]),
                                 n_steps=n_steps)
-
-    V = np.stack([np.hstack([v1, w1]), np.hstack([v2, w2])], axis=1)
-    mu, dmu = central_difference(product, np.hstack([a, b]), V, PRODUCT_FD_STEP)
+    mu = products[:n_pairs].real
+    dmu1, dmu2 = np.split(products.imag / COMPLEX_STEP, 2)
     W_a, W_b, W_mu = (ev.omega_matrices(P) for P in (a, b, mu))
-    lhs = np.einsum("bi,bij,bj->b", dmu[:, 0], W_mu, dmu[:, 1])
+    lhs = np.einsum("bi,bij,bj->b", dmu1, W_mu, dmu2)
     rhs = np.einsum("bi,bij,bj->b", v1, W_a, v2) + \
         np.einsum("bi,bij,bj->b", w1, W_b, w2)
     assert out["multiplicativity"] == float(np.max(np.abs(lhs - rhs)))
@@ -544,12 +587,13 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
     c = G.sample_validity_points(n_triples, 12, fiber_scale=0.4)
     bb = _left_factors(G, c, rng, 0.4)
     aa = _left_factors(G, bb, rng, 0.4)
+    aa, bb, c = (P.astype(complex) for P in (aa, bb, c))
     ab = multiply_poisson(G, ev, aa, bb, n_steps=n_steps)
     bc = multiply_poisson(G, ev, bb, c, n_steps=n_steps)
     left = multiply_poisson(G, ev, ab, c, n_steps=n_steps, composability_tol=1e-8)
     right = multiply_poisson(G, ev, aa, bc, n_steps=n_steps,
                              composability_tol=1e-8)
-    assoc = float(np.max(np.abs(left - right)))
+    assoc = float(np.max(np.abs((left - right).real)))
     assert out["associativity"] == assoc
 
 
@@ -583,7 +627,7 @@ def test_packed_product_error_names_check_and_its_row(const_groupoid,
     _, G, ev = const_groupoid
 
     def run():
-        # 2 pairs, 3 triples: 9 + 9 stencil rows, 6 stage rows per call
+        # 2 pairs, 3 triples: 2 + 2 complex rows, 6 stage rows per call
         return product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)
 
     _edit_rows(monkeypatch, "associativity stage 1", 4, _shift(0.3))
@@ -606,26 +650,26 @@ def test_packed_product_error_names_check_and_its_row(const_groupoid,
         "batch row 1, point (3, ")
     monkeypatch.undo()
 
-    # row 6 + 2 of the second call is row 9 + 2 of the 18 stencil rows
-    _edit_rows(monkeypatch, "multiplicativity", 11, _shift(0.3))
+    # row 6 + 1 of the second call is row 2 + 1 of the 4 complex rows
+    _edit_rows(monkeypatch, "multiplicativity", 3, _shift(0.3))
     with pytest.raises(ComposabilityError) as err:
         run()
-    assert err.value.row == 11
+    assert err.value.row == 3
     assert str(err.value).startswith(
-        "multiplicativity: sigma(a) != tau(b) at batch row 11: ")
+        "multiplicativity: sigma(a) != tau(b) at batch row 3: ")
 
 
 def test_packed_rows_keep_their_check_tolerance(const_groupoid, monkeypatch):
-    """Stage 2 rows are checked at 1e-8 and stencil rows at 1e-9 in the
+    """Stage 2 rows are checked at 1e-8 and complex d mu rows at 1e-9 in the
     same packed call."""
     _, G, ev = const_groupoid
     _edit_rows(monkeypatch, "associativity stage 2", 0, _shift(5e-9))
     out = product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)
     assert np.isfinite(out["associativity"])
     monkeypatch.undo()
-    _edit_rows(monkeypatch, "multiplicativity", 12, _shift(5e-9))
+    _edit_rows(monkeypatch, "multiplicativity", 2, _shift(5e-9))
     with pytest.raises(ComposabilityError,
-                       match="^multiplicativity: .* row 12: violation 5"):
+                       match="^multiplicativity: .* row 2: violation 5"):
         product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)
 
 
