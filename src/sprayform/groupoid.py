@@ -288,9 +288,12 @@ class MultFormEvaluator:
 
     def omega_and_domega_full(self, P):
         """(omega_full(P), domega_full(P)), from one tangent-flow solve on
-        unweighted evaluators; weighted ones difference omega as above."""
+        unweighted evaluators; weighted ones difference omega as above.  A
+        zero d Lambda gets zeros, as in ``domega_full``, and no consumer."""
         if self._delta is not None:
             return self.omega_full(P), self._domega_fd(P)
+        if not self._dlam[0]:
+            return self.omega_full(P), self.domega_full(P)
         om, dom = self.omega_sum(), self.domega_sum()
         self.groupoid.flow_end(P, om, dom)
         return om.value, dom.value
@@ -314,20 +317,40 @@ class MultFormEvaluator:
 
     def inverse_matrices(self, P, cond_bound=1e12):
         W = self.omega_matrices(P)
-        _check_conditioning(W, P, cond_bound)
-        return np.linalg.inv(W)
+        inv = _check_conditioning(W, P, cond_bound)
+        # the guard's inverse is inv(W.real): W itself on real rows
+        return np.linalg.inv(W) if inv is None or W.dtype.kind == "c" else inv
 
 
 def _check_conditioning(W, points, cond_bound):
     """Raise DegenerateFormError at the first row b of W (B, d, d) that is
     singular or whose own condition number s_max / s_min exceeds
-    ``cond_bound``, judged by real parts; rows never affect each other."""
-    svals = np.linalg.svd(W.real, compute_uv=False)
+    ``cond_bound``, judged by real parts; rows never affect each other.
+
+    One inverse certifies most batches: s_max / s_min <= ||W||_F ||W^-1||_F,
+    so rows whose product is at most cond_bound / 4 pass.  When a row is
+    not certified, or the inverse raises or is not finite, the SVD of every
+    row decides, so the rows that fail and the error are the SVD's.
+    Returns inv(W.real), or None when it raised.
+    """
+    Wr = W.real
+    try:
+        inv = np.linalg.inv(Wr)
+    except np.linalg.LinAlgError:
+        inv = None
+    else:
+        with np.errstate(all="ignore"):
+            bound = (np.linalg.norm(Wr, axis=(1, 2))
+                     * np.linalg.norm(inv, axis=(1, 2)))
+        if np.all(bound <= cond_bound / 4):
+            return inv
+    svals = np.linalg.svd(Wr, compute_uv=False)
     smin = svals[:, -1]
     bad = (smin <= 0) | (svals[:, 0] / np.maximum(smin, 1e-300) > cond_bound)
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateFormError(float(smin[i]), points[i].real, i)
+    return inv
 
 
 def _form_terms(form, G):
@@ -362,17 +385,24 @@ class _FormSum:
     c F_I(z) J_{i_1} x .. x J_{i_k} of rows of J (shape (d, .., d, B)),
     c = qw_j w_j.  A frozen row J_i = e_i (see ``flow``) is a fixed index
     instead of a factor, so with one live row the product is a row or column
-    update.  After the solve, ``value`` is the alternation of that sum,
-    sum_s sign(s) (axes permuted by s), with the batch axis first: the
-    pullback sum_I F_I det-minors of J, shape (B, d, .., d).  ``transport``
-    is the last node's weight.
+    update.  Constant components with one live row whose part of the sum no
+    other component writes form one group: per node one product of the
+    group's rows of J, gathered by one index, with each component's c F_I
+    and one add into the group's running sum, which ``value`` copies into
+    the sum.  Each of these parts gets the same additions in the same order
+    as when added term by term, so the grouping moves no bit.  After the
+    solve, ``value`` is the alternation of the sum, sum_s sign(s) (axes
+    permuted by s), with the batch axis first: the pullback sum_I F_I
+    det-minors of J, shape (B, d, .., d).  ``transport`` is the last node's
+    weight.
     """
 
     def __init__(self, evaluator, form_terms, degree):
         self.ev, self.degree = evaluator, degree
         self.terms, self.fn = form_terms
         self.transport = None
-        self._sum = self._value = self._plan = self._scratch = None
+        self._sum = self._value = self._group = self._plan = None
+        self._scratch = None
         self._even = self._odd = None   # (integral, delta), (delta, J, F)
 
     def __call__(self, j, z, J):
@@ -400,20 +430,37 @@ class _FormSum:
     @property
     def value(self):
         if self._value is None:
+            if self._group is not None:
+                _, _, total, targets = self._group
+                for target, part in zip(targets, total):
+                    target[...] = part
             self._value = _alternate(self._sum, self.degree)
         return self._value
 
     def _allocate(self, G, B, dtype):
-        """The zero sum, each term's view of it and live rows, and a scratch
-        product for each count of live rows up to the terms' largest."""
+        """The zero sum; the group (its rows of J, their coefficients, its
+        running sum and the views of the sum it fills), or None; the other
+        terms, each with its view of the sum and live rows; and a scratch
+        product for each count of live rows up to theirs."""
         d, k = G.dim, self.degree
         self._sum = np.zeros((d,) * k + (B,), dtype)
         frozen = set(G.engine.frozen)
-        self._plan = []
-        for I, value, col in self.terms:
-            at = tuple(i if i in frozen else slice(None) for i in I)
+        ats = [tuple(i if i in frozen else slice(None) for i in I)
+               for I, _, _ in self.terms]
+        group, self._plan = [], []
+        for n, ((I, value, col), at) in enumerate(zip(self.terms, ats)):
             rows = [i for i in I if i not in frozen]
-            self._plan.append((self._sum[at], rows, value, col))
+            alone = not any(_overlap(at, other)
+                            for m, other in enumerate(ats) if m != n)
+            if col is None and len(rows) == 1 and alone:
+                group.append((rows[0], value, self._sum[at]))
+            else:
+                self._plan.append((self._sum[at], rows, value, col))
+        if group:
+            rows, values, targets = zip(*group)
+            self._group = (np.array(rows, dtype=np.intp),
+                           np.array(values, dtype=float)[:, None, None],
+                           np.zeros((len(rows), d, B), dtype), targets)
         depth = max((len(rows) for _, rows, _, _ in self._plan), default=0)
         self._scratch = [np.empty((d,) * n + (B,), dtype) for n in range(depth + 1)]
 
@@ -423,6 +470,11 @@ class _FormSum:
 
     def _add(self, scale, J, F):
         """sum += scale F_I J_{i_1} x .. x J_{i_k} over the terms I."""
+        if self._group is not None:
+            rows, coeffs, total, _ = self._group
+            product = J[rows]
+            np.multiply(product, scale * coeffs, out=product)
+            total += product
         scratch = self._scratch
         for target, rows, value, col in self._plan:
             c = scale * (value if col is None else F[:, col])
@@ -433,6 +485,13 @@ class _FormSum:
             for n, i in enumerate(rows[1:], start=1):
                 np.multiply(scratch[n][..., None, :], J[i], out=scratch[n + 1])
             target += scratch[len(rows)]
+
+
+def _overlap(at, other):
+    """Whether the views sum[at] and sum[other] share an element: on each
+    axis a slice meets every index and two fixed indices meet when equal."""
+    return all(isinstance(i, slice) or isinstance(j, slice) or i == j
+               for i, j in zip(at, other))
 
 
 def _alternate(M, degree):

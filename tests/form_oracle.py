@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from sprayform.flow import simpson_step
 from sprayform.tensor import index_list
 
 
@@ -39,3 +40,47 @@ def comps_to_full(comps, dim, degree):
             sign = round(np.linalg.det(np.eye(degree)[list(perm)]))
             full[(...,) + tuple(I[k] for k in perm)] = sign * comps[..., p]
     return full
+
+
+def node_term_sum(evaluator, form_terms, degree, P):
+    """The quadrature sum of ``groupoid._FormSum``, one node and one term at
+    a time: for each node j in order and each component I of ``form_terms``
+    (``groupoid._form_terms``) in order, add c F_I J_{i_1} x .. x J_{i_k}
+    with c = qw_j w_j, the outer product of full rows of J (a frozen row is
+    the unit vector it is), then alternate.
+
+    The weight w_j is 1, or for a weighted evaluator exp(-c_j) with c_j the
+    cumulative Simpson integral of the cocycle to node j.  The products with
+    the zero entries of frozen rows add zeros, which move no bit of a finite
+    sum, so the result is the per-term sum bit for bit.
+    """
+    G = evaluator.groupoid
+    nodes = []
+    G.flow_end(P, lambda j, z, J: nodes.append((z.T.copy(), J.copy())))
+    terms, fn = form_terms
+    weights = G.rule.weights
+    if evaluator._delta is None:
+        scales = list(weights)
+    else:
+        f = [evaluator._delta(z)[..., 0] for z, _ in nodes]
+        cum = [np.zeros_like(f[0])]
+        for j in range(2, len(nodes), 2):
+            cum.extend(simpson_step(cum[j - 2], f[j - 2], f[j - 1], f[j],
+                                    G._grid[1] - G._grid[0]))
+        scales = [weights[j] * np.exp(-c) for j, c in enumerate(cum)]
+    d, (_, J0) = G.dim, nodes[0]
+    total = np.zeros((d,) * degree + (J0.shape[-1],), J0.dtype)
+    for (z, J), scale in zip(nodes, scales):
+        F = None if fn is None else fn(z)
+        for I, value, col in terms:
+            prod = scale * (value if col is None else F[:, col])
+            for i in I:
+                prod = prod[..., None, :] * J[i] if prod.ndim > 1 else J[i] * prod
+            total += prod
+    out = np.zeros_like(np.moveaxis(total, -1, 0))
+    for perm in itertools.permutations(range(degree)):
+        inversions = sum(perm[a] > perm[b] for a in range(degree)
+                         for b in range(a + 1, degree))
+        term = total.transpose((degree,) + perm)
+        out = out + term if inversions % 2 == 0 else out - term
+    return out
