@@ -538,5 +538,5 @@ def transport_weight(G, P):
         raise DimensionError("transport weights need the Simpson rule")
     fn = ex.compile_exprs([jacobi_cocycle(G.chart)], G.chart.total_vars)
     vals = []
-    G.flow_end(P, lambda j, z, J: vals.append(fn(z.T)[:, 0]))
+    G.flow_end(P, lambda j, node: vals.append(fn(node.z.T)[:, 0]))
     return np.exp(-cumulative_integral(np.stack(vals, axis=1), G.rule.nodes))

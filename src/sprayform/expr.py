@@ -604,10 +604,10 @@ def parse(source, variables):
 # ---------------------------------------------------------------------------
 # Compilation to vectorized numpy code
 #
-# ``signed``, ``numpy_source``, ``numpy_assign``, ``guard`` and
-# ``exec_generated`` are the one code generator: ``compile_exprs`` below
-# and the flow engine's right-hand side (``flow._compile_rhs``) write their
-# statements with them.
+# ``signed``, ``numpy_source``, ``numpy_assign``, ``guard``, ``indent`` and
+# ``exec_generated`` are the one code generator: ``compile_exprs`` below,
+# the flow engine's right-hand side (``flow._compile_rhs``) and the form
+# node sum (``groupoid._compile_node_sum``) write their statements with them.
 
 _CODEGEN_FNS = {"sin": "np.sin", "cos": "np.cos", "exp": "np.exp",
                 "log": "_log", "sqrt": "_sqrt"}
@@ -690,6 +690,11 @@ def guard(lines):
     return (["try:"] + [f"    {s}" for s in lines]
             + ["except FloatingPointError as exc:",
                "    raise _domain_violation(exc) from exc"])
+
+
+def indent(lines, n):
+    """Statement ``lines`` indented by n spaces; ``pass`` for none."""
+    return [" " * n + s for s in lines or ["pass"]]
 
 
 def exec_generated(lines, name, complex_rows=False):

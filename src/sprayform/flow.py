@@ -33,11 +33,12 @@ in complex arithmetic (``expr.exec_generated``); the box check reads the
 real part of the state, and a non-finite imaginary part is non-finite.
 
 Neither solve stores a trajectory.  Each returns the end state batch-major,
-z of shape (B, d) and J of shape (B, d, d) with J[b, i, j] = dz_i/dz_j, and
-an optional ``at_node`` consumer sees the full state at every node as the
-loop passes it, component-major: z of shape (d, B) and J of shape (d, d, B).
-A consumer that wants batch-major arrays reads the views z.T and
-J.transpose(2, 0, 1); the arrays are valid only during the call.
+z of shape (B, d) and J of shape (B, d, d) with J[b, i, j] = dz_i/dz_j.  An
+optional ``at_node(k, node)`` consumer sees each node k as the loop passes
+it (``Node``): the live rows X and frozen rows F, or the full state
+component-major, z (d, B) and J (d, d, B), written from X only when read.
+Batch-major views are z.T and J.transpose(2, 0, 1).  All are valid only
+during the call.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 from . import expr as ex
 from .errors import DimensionError, DomainExitError, NonFiniteStateError
 
-__all__ = ["QuadratureRule", "FlowEngine", "cumulative_integral",
+__all__ = ["QuadratureRule", "FlowEngine", "Node", "cumulative_integral",
            "simpson_step", "central_difference"]
 
 _FLOAT_MAX = np.finfo(np.float64).max
@@ -122,7 +123,7 @@ class FlowEngine:
     def flow_on_grid(self, points, nodes, substeps=1, at_node=None):
         """State (B, d) at nodes[-1]; nodes[0] must be 0.
 
-        ``at_node(k, z)``, if given, sees the (d, B) state at each node k.
+        ``at_node(k, node)``, if given, sees the ``Node`` k (no ``J``).
         """
         z, _ = self._solve(points, nodes, substeps, False, at_node)
         return z.T.copy()
@@ -130,8 +131,7 @@ class FlowEngine:
     def flow_with_jacobian(self, points, nodes, substeps=1, at_node=None):
         """Flow and tangent map: the end state (z, J), (B, d) and (B, d, d).
 
-        ``at_node(k, z, J)``, if given, sees the (d, B) state and the
-        (d, d, B) tangent map at each node k.
+        ``at_node(k, node)``, if given, sees the ``Node`` k.
         """
         z, J = self._solve(points, nodes, substeps, True, at_node)
         return z.T.copy(), J.transpose(2, 0, 1).copy()
@@ -155,7 +155,6 @@ class FlowEngine:
         K = np.zeros_like(S)     # never-written rows are zero for good
         acc, stage, T = np.empty_like(S), np.empty_like(S), np.empty((d, B), dtype)
         lo, hi = self._lo[live], self._hi[live]
-        views = (Z,) if J is None else (Z, J)
 
         def publish(X):
             Z[live] = X[:m]
@@ -168,10 +167,12 @@ class FlowEngine:
                 publish(X)
                 _raise_state_error(Z, inside, t)
 
+        node = Node(F, publish, Z, J)
+
         def consume(k, X):
-            publish(X)
+            node.X, node.stale = X, True
             with np.errstate(**caller):
-                at_node(k, *views)
+                at_node(k, node)
 
         caller = np.geterr()
         with np.errstate(**ex.RAISE):
@@ -203,6 +204,33 @@ class FlowEngine:
                     consume(k + 1, cur[0])
             publish(cur[0])
         return Z, J
+
+
+class Node:
+    """A solve's state at one node: ``X`` the live rows of the RK4 state and
+    ``F`` the frozen coordinates (see the module docstring); ``z`` and ``J``
+    (None without the tangent flow) the full state, written from X by
+    ``publish`` when first read after the solve marks X ``stale``."""
+
+    __slots__ = ("X", "F", "stale", "_publish", "_full")
+
+    def __init__(self, F, publish, z, J):
+        self.X, self.F, self.stale = None, F, False
+        self._publish, self._full = publish, (z, J)
+
+    @property
+    def z(self):
+        return self._views()[0]
+
+    @property
+    def J(self):
+        return self._views()[1]
+
+    def _views(self):
+        if self.stale:
+            self._publish(self.X)
+            self.stale = False
+        return self._full
 
 
 def _inside(z, lo, hi):
@@ -314,18 +342,13 @@ def _compile_rhs(components, variables, live, partials=None,
     replay = (["with np.errstate(**RAISE):"]
               + [f"    {s}" for s in ex.guard(evaluate)] if evaluate else [])
     src = (["def _bind(X, F, K, T):"]
-           + _indent(head + ex.guard(once), 4)
+           + ex.indent(head + ex.guard(once), 4)
            + ["    def rhs():"]
-           + _indent(ex.guard(evaluate) + products, 8)
+           + ex.indent(ex.guard(evaluate) + products, 8)
            + ["    def replay():"]
-           + _indent(replay + products, 8)
+           + ex.indent(replay + products, 8)
            + ["    return rhs, replay"])
     return ex.exec_generated(src, "rhs", complex_rows)["_bind"]
-
-
-def _indent(lines, n):
-    """Statement ``lines`` indented by n spaces; ``pass`` for none."""
-    return [" " * n + s for s in lines or ["pass"]]
 
 
 def _add_row(target, sign, core, coefficient):

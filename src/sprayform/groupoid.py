@@ -15,8 +15,9 @@ exp(-int_0^t <R, a_s> ds) for the trivialized jacobi case.
 
 The quadrature streams: ``SprayGroupoid.flow_end`` hands each node of one
 tangent-flow solve to consumers that accumulate as it goes, so nothing
-stores a trajectory.  omega, d omega, dtau, cocycles, transport weights and
-each product-ODE stage all read the flow through such consumers.
+stores a trajectory.  The omega and d omega sums of every check and
+product-ODE stage run code generated from Lambda on the live RK4 state;
+cocycles and transport weights read the full state, written out for them.
 
 The Poisson multiplication solves  dk/dt = -Pi#_k( dtau_k^T p_t ),  k_0 = b,
 where p_t is the fiber of phi^t(a), Pi is the pointwise inverse of omega and
@@ -32,6 +33,7 @@ sum take the dtype of their input, and their checks read real parts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -51,9 +53,9 @@ from .flow import FlowEngine, QuadratureRule, central_difference, simpson_step
 from .report import CheckReport, SplitMix64
 
 __all__ = ["SprayGroupoid", "MultFormEvaluator", "multiply_poisson",
-           "product_residuals", "differential_of_multiplication",
-           "integrate_cocycle", "differentiate_at_units", "linearization_check",
-           "units_form_predictor", "discover_validity_box"]
+           "product_residuals", "integrate_cocycle", "differentiate_at_units",
+           "linearization_check", "units_form_predictor",
+           "discover_validity_box"]
 
 # Validity-box discovery: the base part of the box is the chart box scaled by
 # VALIDITY_BASE_SCALE about its centre.  The fiber radius starts at the
@@ -97,7 +99,13 @@ class SprayGroupoid:
             self.rule = QuadratureRule.gauss_legendre(self.n_quad)
         else:
             raise DimensionError(f"unknown quadrature kind {self.quad_kind!r}")
-        self._grid, self._nodes = self._flow_grid()
+        # the structure maps need the endpoint flow, the quadrature the rule's
+        # nodes: t = 0 and t = 1 adjoined when missing, and the nodes' slice
+        nodes = self.rule.nodes
+        pre = [] if nodes[0] == 0.0 else [0.0]
+        post = [] if nodes[-1] == 1.0 else [1.0]
+        self._grid = np.concatenate([pre, nodes, post])
+        self._nodes = slice(len(pre), len(pre) + len(nodes))
 
     @property
     def n(self):
@@ -110,19 +118,6 @@ class SprayGroupoid:
     @property
     def dim(self):
         return self.chart.n + self.chart.r
-
-    def _flow_grid(self):
-        """Quadrature nodes with t=0 and t=1 adjoined when missing, and the
-        slice of that grid holding the nodes.
-
-        The structure maps need the endpoint flow; the quadrature needs the
-        rule's nodes.
-        """
-        nodes = self.rule.nodes
-        pre = [] if nodes[0] == 0.0 else [0.0]
-        post = [] if nodes[-1] == 1.0 else [1.0]
-        grid = np.concatenate([pre, nodes, post])
-        return grid, slice(len(pre), len(pre) + len(nodes))
 
     # -- structure maps ----------------------------------------------------
 
@@ -138,21 +133,22 @@ class SprayGroupoid:
     def flow_end(self, P, *consumers):
         """(z, J) at t = 1 from one tangent-flow solve that stores nothing.
 
-        ``consumer(j, z, J)`` runs at the j-th quadrature node, for each
+        ``consumer(j, node)`` runs at the j-th quadrature node, for each
         consumer (``MultFormEvaluator.omega_sum``, ``integrate_cocycle``,
-        ``algebroid.transport_weight``); z (d, B) and J (d, d, B) are the
-        component-major arrays of ``FlowEngine``'s ``at_node``, valid only
-        during the call.
+        ``algebroid.transport_weight``); ``node`` is the ``flow.Node`` of
+        ``FlowEngine``'s ``at_node``, valid only during the call.  A form
+        sum that ``skip``s the batch runs at no node.
         """
         sl = self._nodes
+        consumers = [c for c in consumers if not (hasattr(c, "skip") and c.skip(P))]
 
-        def at_node(k, z, J):
+        def at_node(k, node):
             if sl.start <= k < sl.stop:
                 for consume in consumers:
-                    consume(k - sl.start, z, J)
+                    consume(k - sl.start, node)
 
         return self.engine.flow_with_jacobian(P, self._grid, self.substeps,
-                                              at_node)
+                                              at_node if consumers else None)
 
     def tau(self, P):
         return self.engine.flow_on_grid(P, self._grid, self.substeps)[:, : self.n]
@@ -236,17 +232,13 @@ class MultFormEvaluator:
         self.degree = form.degree
         if self.degree > 3:
             raise DimensionError("evaluators support degree <= 3")
-        self._lam = _form_terms(form, groupoid)
-        self._dlam = _form_terms(form.d(), groupoid)
+        self._lam, self._dlam = _form_terms(form), _form_terms(form.d())
+        self._codes = {}      # (degree, complex rows) -> _compile_node_sum
         self.weight_cocycle = weight_cocycle
         if weight_cocycle is not None:
             _assert_fiberwise_linear(weight_cocycle, groupoid.chart)
             if groupoid.quad_kind != "simpson":
                 raise DimensionError("weighted evaluators need the Simpson rule")
-            self._delta = ex.compile_exprs([weight_cocycle],
-                                           groupoid.spray.variables)
-        else:
-            self._delta = None
 
     # -- quadrature ---------------------------------------------------------
 
@@ -256,7 +248,7 @@ class MultFormEvaluator:
 
     def domega_sum(self):
         """Flow consumer accumulating d omega, for unweighted evaluators."""
-        if self._delta is not None:
+        if self.weight_cocycle is not None:
             raise DimensionError("weighted evaluators differentiate omega "
                                  "numerically: use domega_full")
         return _FormSum(self, self._dlam, self.degree + 1)
@@ -278,19 +270,19 @@ class MultFormEvaluator:
         coefficients at step OMEGA_FD_STEP (documented looser tolerance
         ~1e-6).
         """
-        if self._delta is None:
-            if not self._dlam[0]:
-                return np.zeros((len(P),) + (self.groupoid.dim,) * (self.degree + 1))
-            acc = self.domega_sum()
-            self.groupoid.flow_end(P, acc)
-            return acc.value
-        return self._domega_fd(P)
+        if self.weight_cocycle is not None:
+            return self._domega_fd(P)
+        if not self._dlam[0]:
+            return np.zeros((len(P),) + (self.groupoid.dim,) * (self.degree + 1))
+        acc = self.domega_sum()
+        self.groupoid.flow_end(P, acc)
+        return acc.value
 
     def omega_and_domega_full(self, P):
         """(omega_full(P), domega_full(P)), from one tangent-flow solve on
         unweighted evaluators; weighted ones difference omega as above.  A
         zero d Lambda gets zeros, as in ``domega_full``, and no consumer."""
-        if self._delta is not None:
+        if self.weight_cocycle is not None:
             return self.omega_full(P), self._domega_fd(P)
         if not self._dlam[0]:
             return self.omega_full(P), self.domega_full(P)
@@ -353,13 +345,12 @@ def _check_conditioning(W, points, cond_bound):
     return inv
 
 
-def _form_terms(form, G):
-    """(terms, fn) of a form's nonzero components for ``_FormSum``.
+def _form_terms(form):
+    """(terms, exprs) of a form's nonzero components for ``_FormSum``.
 
     One term (I, value, column) per component I in increasing order: a
-    constant component carries its value, any other its column in the
-    output of ``fn``, the one compiled function of the non-constant ones
-    (None when there are none).
+    constant component carries its value, any other its column among
+    ``exprs``, the non-constant components in order.
     """
     terms, exprs = [], []
     for I, e in sorted(form.components.items()):
@@ -368,8 +359,7 @@ def _form_terms(form, G):
         else:
             terms.append((I, None, len(exprs)))
             exprs.append(e)
-    fn = ex.compile_exprs(exprs, G.spray.variables) if exprs else None
-    return terms, fn
+    return terms, exprs
 
 
 class _FormSum:
@@ -378,120 +368,147 @@ class _FormSum:
     F is the evaluator's Lambda or d Lambda and qw the rule weights.  The
     weight w_j is 1, or for a weighted evaluator the transport
     exp(-int_0^t_j delta), whose cumulative Simpson value at an odd node
-    needs the next node: those terms are added one node late.
-
-    The sum is kept component-major, like the flow state: each nonzero
-    component F_I, I = (i_1 < .. < i_k), adds the outer product
-    c F_I(z) J_{i_1} x .. x J_{i_k} of rows of J (shape (d, .., d, B)),
-    c = qw_j w_j.  A frozen row J_i = e_i (see ``flow``) is a fixed index
-    instead of a factor, so with one live row the product is a row or column
-    update.  Constant components with one live row whose part of the sum no
-    other component writes form one group: per node one product of the
-    group's rows of J, gathered by one index, with each component's c F_I
-    and one add into the group's running sum, which ``value`` copies into
-    the sum.  Each of these parts gets the same additions in the same order
-    as when added term by term, so the grouping moves no bit.  After the
-    solve, ``value`` is the alternation of the sum, sum_s sign(s) (axes
-    permuted by s), with the batch axis first: the pullback sum_I F_I
-    det-minors of J, shape (B, d, .., d).  ``transport`` is the last node's
-    weight.
+    needs the next node: those terms are added one node late, from a copy
+    of the node's live rows.  Code generated from the form
+    (``_compile_node_sum``) adds, in place from the live RK4 state, the
+    outer product c F_I(z) J_{i_1} x .. x J_{i_k} of rows of J for each
+    component I = (i_1 < .. < i_k), c = qw_j w_j, to a component-major
+    (d, .., d, B) sum.  ``value`` is its alternation, batch axis first: the
+    pullback sum_I F_I det-minors of J.  ``transport`` is the last node's
+    weight.  A form with no components ``skip``s: zeros, and no node.
     """
 
     def __init__(self, evaluator, form_terms, degree):
-        self.ev, self.degree = evaluator, degree
-        self.terms, self.fn = form_terms
-        self.transport = None
-        self._sum = self._value = self._group = self._plan = None
-        self._scratch = None
-        self._even = self._odd = None   # (integral, delta), (delta, J, F)
+        self.ev, self.degree, self.terms = evaluator, degree, form_terms
+        self.transport = self._value = None
+        self._even = self._odd = None   # (integral, delta), (X, values)
 
-    def __call__(self, j, z, J):
-        G = self.ev.groupoid
-        if self._sum is None:
-            self._allocate(G, z.shape[1], J.dtype)
-        self._value = None
-        F = None if self.fn is None else self.fn(z.T)
-        if self.ev._delta is None:
-            self._add(G.rule.weights[j], J, F)
-            return
-        f = self.ev._delta(z.T)[..., 0]
-        if j % 2:
-            self._odd = (f, J.copy(), F)
-            return
+    def skip(self, P):
+        """Before a solve of P: whether the form has no components (zeros)."""
+        if not self.terms[0]:
+            P = np.atleast_2d(P)
+            self._value = np.zeros((len(P),) + (self.ev.groupoid.dim,) * self.degree,
+                                   np.result_type(P, np.float64))
+        return not self.terms[0]
+
+    def __call__(self, j, node):
+        X, G = node.X, self.ev.groupoid
         if j == 0:
-            c = np.zeros_like(f)
-        else:
-            (c0, f0), (f1, J1, F1) = self._even, self._odd
-            c1, c = simpson_step(c0, f0, f1, f, G._grid[1] - G._grid[0])
-            self._add_weighted(j - 1, c1, J1, F1)
-        self._add_weighted(j, c, J, F)
-        self._even = (c, f)
+            key = (self.degree, X.dtype.kind == "c")
+            if key not in self.ev._codes:
+                self.ev._codes[key] = _compile_node_sum(self.ev, *self.terms, *key)
+            self._sum, self._finish, self._values, self._add = \
+                self.ev._codes[key][0](node.F, X.shape[1])
+            self._value = None
+        if self.ev.weight_cocycle is None:
+            self._add(X, self._values(X), G.rule.weights[j])
+            return
+        if j % 2:
+            X = X.copy()
+            self._odd = (X, self._values(X))
+            return
+        V = self._values(X)
+        c = np.zeros_like(V[:, -1])
+        if j:
+            (c0, f0), (X1, V1) = self._even, self._odd
+            c1, c = simpson_step(c0, f0, V1[:, -1], V[:, -1], G._grid[1] - G._grid[0])
+            self._add_weighted(j - 1, c1, X1, V1)
+        self._add_weighted(j, c, X, V)
+        self._even = (c, V[:, -1])
 
     @property
     def value(self):
         if self._value is None:
-            if self._group is not None:
-                _, _, total, targets = self._group
-                for target, part in zip(targets, total):
-                    target[...] = part
+            self._finish()
             self._value = _alternate(self._sum, self.degree)
         return self._value
 
-    def _allocate(self, G, B, dtype):
-        """The zero sum; the group (its rows of J, their coefficients, its
-        running sum and the views of the sum it fills), or None; the other
-        terms, each with its view of the sum and live rows; and a scratch
-        product for each count of live rows up to theirs."""
-        d, k = G.dim, self.degree
-        self._sum = np.zeros((d,) * k + (B,), dtype)
-        frozen = set(G.engine.frozen)
-        ats = [tuple(i if i in frozen else slice(None) for i in I)
-               for I, _, _ in self.terms]
-        group, self._plan = [], []
-        for n, ((I, value, col), at) in enumerate(zip(self.terms, ats)):
-            rows = [i for i in I if i not in frozen]
-            alone = not any(_overlap(at, other)
-                            for m, other in enumerate(ats) if m != n)
-            if col is None and len(rows) == 1 and alone:
-                group.append((rows[0], value, self._sum[at]))
-            else:
-                self._plan.append((self._sum[at], rows, value, col))
-        if group:
-            rows, values, targets = zip(*group)
-            self._group = (np.array(rows, dtype=np.intp),
-                           np.array(values, dtype=float)[:, None, None],
-                           np.zeros((len(rows), d, B), dtype), targets)
-        depth = max((len(rows) for _, rows, _, _ in self._plan), default=0)
-        self._scratch = [np.empty((d,) * n + (B,), dtype) for n in range(depth + 1)]
-
-    def _add_weighted(self, j, integral, J, F):
+    def _add_weighted(self, j, integral, X, V):
         self.transport = np.exp(-integral)
-        self._add(self.ev.groupoid.rule.weights[j] * self.transport, J, F)
-
-    def _add(self, scale, J, F):
-        """sum += scale F_I J_{i_1} x .. x J_{i_k} over the terms I."""
-        if self._group is not None:
-            rows, coeffs, total, _ = self._group
-            product = J[rows]
-            np.multiply(product, scale * coeffs, out=product)
-            total += product
-        scratch = self._scratch
-        for target, rows, value, col in self._plan:
-            c = scale * (value if col is None else F[:, col])
-            if not rows:
-                target += c
-                continue
-            np.multiply(J[rows[0]], c, out=scratch[1])
-            for n, i in enumerate(rows[1:], start=1):
-                np.multiply(scratch[n][..., None, :], J[i], out=scratch[n + 1])
-            target += scratch[len(rows)]
+        self._add(X, V, self.ev.groupoid.rule.weights[j] * self.transport)
 
 
-def _overlap(at, other):
-    """Whether the views sum[at] and sum[other] share an element: on each
-    axis a slice meets every index and two fixed indices meet when equal."""
-    return all(isinstance(i, slice) or isinstance(j, slice) or i == j
-               for i, j in zip(at, other))
+def _compile_node_sum(ev, terms, exprs, degree, complex_rows):
+    """(bind, grouped, per_node): the node sum of ``_FormSum`` for the terms
+    of ``_form_terms``, and how many terms it adds in groups and one by one.
+
+    ``bind(F, B)`` allocates the zero sum S for B rows with frozen rows F
+    and returns S, ``finish()``, which copies the group sums into S,
+    ``values(X)``, None or a new (B, n) array of the non-constant
+    coefficients, then a weighted evaluator's cocycle, at the live rows X
+    (written as ``compile_exprs`` writes its columns), and ``add(X, V, s)``,
+    which adds the node with c = s.
+
+    A frozen row J_i = e_i (see ``flow``) is a fixed index of S, not a
+    factor.  Constant components with one live row whose part of S no other
+    component writes are grouped: a run of them on consecutive live rows is
+    one product of a block of X with their c F_I and one add into the run's
+    own sum.  Each part of S gets the additions of the term-by-term sum in
+    its order, so grouping moves no bit.  The other terms are added one by
+    one.
+    """
+    G = ev.groupoid
+    d, live, frozen = G.dim, G.engine.live, G.engine.frozen
+    m, pos = len(live), {i: a for a, i in enumerate(live)}
+
+    def rows_of(i, n=1):
+        return f"X[{m + pos[i] * d}:{m + (pos[i] + n) * d}]"
+
+    def index(at):
+        return ", ".join(":" if isinstance(i, slice) else str(i) for i in at) or "()"
+
+    ats = [tuple(i if i in frozen else slice(None) for i in I) for I, _, _ in terms]
+    writes = np.zeros((d,) * degree, int)
+    for at in ats:
+        writes[at] += 1
+    runs, plan = [], []
+    for (I, value, col), at in zip(terms, ats):
+        rows = [i for i in I if i in pos]
+        if col is None and len(rows) == 1 and np.all(writes[at] == 1):
+            if not runs or pos[rows[0]] != pos[runs[-1][-1][0]] + 1:
+                runs.append([])
+            runs[-1].append((rows[0], value, at))
+        else:
+            plan.append((rows, value, col, at))
+    consts, head, body, finish = {}, [], [], []
+    for r, run in enumerate(runs):
+        n = len(run)   # K: complex for complex rows, the cast numpy makes anyway
+        consts[f"K{r}"] = np.array([v for _, v, _ in run],
+                                   complex if complex_rows else float)[:, None, None]
+        head += [f"G{r}, P{r} = np.zeros(({n}, {d}, B), F.dtype), "
+                 f"np.empty(({n}, {d}, B), F.dtype)"]
+        body += [f"np.multiply({rows_of(run[0][0], n)}.reshape({n}, {d}, B), "
+                 f"s * K{r}, out=P{r})",
+                 f"np.add(G{r}, P{r}, out=G{r})"]
+        finish += [f"np.copyto(S[{index(at)}], G{r}[{g}])"
+                   for g, (_, _, at) in enumerate(run)]
+    depth = max((len(rows) for rows, _, _, _ in plan), default=0)
+    head += [f"T{k} = np.empty({(d,) * k} + (B,), F.dtype)" for k in range(1, depth + 1)]
+    for n, (rows, value, col, at) in enumerate(plan):
+        head.append(f"S{n} = S[{index(at)}]")
+        body.append(f"c = s * {f'V[:, {col}]' if value is None else f'({value!r})'}")
+        factors = [f"np.multiply({rows_of(rows[0])}, c, out=T1)"] if rows else []
+        factors += [f"np.multiply(T{k}[..., None, :], {rows_of(i)}, out=T{k + 1})"
+                    for k, i in enumerate(rows[1:], start=1)]
+        body += factors + [f"np.add(S{n}, {f'T{len(rows)}' if rows else 'c'}, out=S{n})"]
+    columns = exprs + ([ev.weight_cocycle] if ev.weight_cocycle is not None else [])
+    used = ex.used_variables(columns, G.spray.variables)
+    names = {v: f"z{i}" for i, v in enumerate(G.spray.variables)}
+    values = [f"z{i} = X[{pos[i]}]" if i in pos else f"z{i} = F[{frozen.index(i)}]"
+              for i, v in enumerate(G.spray.variables) if v in used]
+    values += [f"V = np.zeros((B, {len(columns)}), X.dtype)",
+               "with np.errstate(**RAISE):"] + ex.indent(ex.guard(
+                   [ex.numpy_assign(f"V[:, {c}]", e, names)
+                    for c, e in enumerate(columns)]), 4) if columns else ["V = None"]
+    src = ([f"def _bind({', '.join(['F', 'B', *consts])}):",
+            f"    S = np.zeros({(d,) * degree} + (B,), F.dtype)"]
+           + ex.indent(head, 4)
+           + ["    def values(X):"] + ex.indent(values + ["return V"], 8)
+           + ["    def add(X, V, s):"] + ex.indent(body, 8)
+           + ["    def finish():"] + ex.indent(finish, 8)
+           + ["    return S, finish, values, add"])
+    bind = ex.exec_generated(src, "form", complex_rows)["_bind"]
+    return functools.partial(bind, **consts), sum(map(len, runs)), len(plan)
 
 
 def _alternate(M, degree):
@@ -562,7 +579,7 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
     stage_grid = np.linspace(0.0, 1.0, 2 * n_steps + 1)
     p_stage = []
     G.engine.flow_on_grid(A, stage_grid, G.substeps,
-                          lambda k, z: p_stage.append(z[n:].T.copy()))
+                          lambda k, node: p_stage.append(node.z[n:].T.copy()))
 
     def rhs(k_pts, stage_idx):
         # one streamed tangent-flow solve gives dtau and the omega quadrature
@@ -681,21 +698,6 @@ def _complex_step_rows(a, b, tangent_pairs):
                         np.concatenate([b + step * w for _, w in tangent_pairs]))
 
 
-def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
-                                   n_steps=32):
-    """mu(a, b) and d mu at (a, b) on composable tangent pairs, batched.
-
-    ``tangent_pairs`` lists (v, w) batches with dtau(w) = dsigma(v).  Each
-    derivative is a complex step of ``multiply_poisson`` (see the module
-    docstring); one complex row per pair and point, all in one
-    ``multiply_poisson`` call.  Returns (mu, [d mu(v, w) for each pair]).
-    """
-    (products,) = _multiply_rows(
-        G, evaluator, [_complex_step_rows(a, b, tangent_pairs)], n_steps)
-    dmu = products.imag.reshape(-1, len(a), G.dim) / COMPLEX_STEP
-    return products[: len(a)].real, list(dmu)
-
-
 def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
                       assoc_seed, n_steps=32):
     """Multiplicativity, inversion antisymmetry and associativity of the
@@ -770,7 +772,8 @@ def integrate_cocycle(G, delta, points, *consumers):
     _assert_fiberwise_linear(delta, G.chart)
     fn = ex.compile_exprs([delta], G.spray.variables)
     vals = []
-    G.flow_end(points, lambda j, z, J: vals.append(fn(z.T)[:, 0]), *consumers)
+    G.flow_end(points, lambda j, node: vals.append(fn(node.z.T)[:, 0]),
+               *consumers)
     return np.stack(vals, axis=1) @ G.rule.weights
 
 
@@ -792,21 +795,17 @@ def differentiate_at_units(G, evaluator, data, base_points, tol=1e-7):
     W, T = evaluator.omega_and_domega_full(P)
     res_l = np.zeros((len(X), r))
     res_nu = np.zeros((len(X), r))
+    horizontal = (slice(0, n),)     # the remaining arguments
     for j in range(r):
-        slot = n + j
+        at = (slice(None), n + j)
         want_l = tn.comps_to_full_batch(data.l[j].values(X), n, k - 1)
         want_nu = tn.comps_to_full_batch(data.nu[j].values(X), n, k)
-        res_l[:, j] = _max_per_row(_restrict_horizontal(W, slot, k - 1, n) - want_l)
-        res_nu[:, j] = _max_per_row(_restrict_horizontal(T, slot, k, n) - want_nu)
+        res_l[:, j] = _max_per_row(W[at + horizontal * (k - 1)] - want_l)
+        res_nu[:, j] = _max_per_row(T[at + horizontal * k] - want_nu)
     report = CheckReport()
     report.add_pointwise("units_recover_l", np.max(res_l, axis=1), tol, X)
     report.add_pointwise("units_recover_nu", np.max(res_nu, axis=1), tol, X)
     return report
-
-
-def _restrict_horizontal(full, slot, deg, n):
-    """full[b](slot, . , .., .) with the remaining deg arguments horizontal."""
-    return full[(slice(None), slot) + (slice(0, n),) * deg]
 
 
 def _max_per_row(diff):
@@ -885,13 +884,11 @@ def units_form_predictor(A, l_fields, X, args):
     # which arguments are fiber arguments, the first varying fastest
     for pattern in (p[::-1] for p in itertools.product((False, True), repeat=k)):
         fibers, tms, sign = [], [], 1
-        moved = 0
         for pos, take_fiber in enumerate(pattern):
             if take_fiber:
                 # moving this fiber argument in front of the tm args before it
-                sign *= (-1) ** (pos - moved)
+                sign *= (-1) ** len(tms)
                 fibers.append(np.asarray(args[pos][1], dtype=np.float64))
-                moved += 1
             else:
                 tms.append(np.asarray(args[pos][0], dtype=np.float64))
         out += sign * pure_value(fibers, tms)

@@ -15,7 +15,8 @@ coordinates (x; y) with D_j := d(l(e_j)) + nu(e_j),
 
 and the pair is recovered from Lambda by restricting the interior product
 with the constant vertical e_j to the zero section (giving l) and by pulling
-Lambda back along the section (giving D).
+Lambda back along the section (giving D); tests/test_imform.py checks that
+round trip.
 
 Sign convention, fixed here once: the canonical 2-form built from the
 Poisson pair (l, nu) = (-id, 0) is Lambda = sum_i dx^i ^ dy^i, i.e. at a
@@ -77,42 +78,6 @@ def linear_form(data):
             K = tuple(I) + (n + j,)
             comps[K] = ex.add(comps.get(K, ex.ZERO), ex.mul(sign, e))
     return ex.FormField(total, k, comps)
-
-
-def recover_im_pair(A, form):
-    """Invert ``linear_form``: (l, nu) from a linear form on chart A,
-    symbolically.
-
-    l(e_j) is the interior product with the constant vertical e_j restricted
-    to the zero section; D(e_j) is the pullback of Lambda along the constant
-    section e_j, and nu(e_j) = D(e_j) - d l(e_j).
-    """
-    k = form.degree
-    n, r = A.n, A.r
-    zero_fiber = {A.ys[j]: ex.ZERO for j in range(r)}
-    ls, nus = [], []
-    for j in range(r):
-        # i_{e_j} Lambda restricted to y = 0, keeping only dx-components
-        lcomp = {}
-        for I, e in form.components.items():
-            if n + j in I:
-                pos = I.index(n + j)
-                J = I[:pos] + I[pos + 1:]
-                if any(idx >= n for idx in J):
-                    continue
-                coeff = ex.subst(ex.mul(ex.Const((-1.0) ** pos), e), zero_fiber)
-                lcomp[J] = ex.add(lcomp.get(J, ex.ZERO), coeff)
-        ls.append(ex.FormField(A.xs, k - 1, lcomp))
-        # pullback along the constant section y = e_j: dy -> 0, y_m -> delta_mj
-        sub = {A.ys[m]: (ex.ONE if m == j else ex.ZERO) for m in range(r)}
-        Dcomp = {}
-        for I, e in form.components.items():
-            if any(idx >= n for idx in I):
-                continue
-            Dcomp[I] = ex.add(Dcomp.get(I, ex.ZERO), ex.subst(e, sub))
-        Dj = ex.FormField(A.xs, k, Dcomp)
-        nus.append(Dj - ls[-1].d())
-    return IMFormData(A, k, ls, nus)
 
 
 def d_IM(data):

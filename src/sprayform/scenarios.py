@@ -621,8 +621,8 @@ def omega_Lk_two_ways(scenario, pair, k, samples=15, seed=808):
     B = len(pts)
     WB = np.zeros((B, 2 * n, 2 * n))
 
-    def route_b(j, z, J):
-        z, J = z.T, J.transpose(2, 0, 1)
+    def route_b(j, node):
+        z, J = node.z.T, node.J.transpose(2, 0, 1)
         # d(ell^k): [[I, 0], [sum_j dM_ij y_j, M]]
         Dmap = np.zeros((B, 2 * n, 2 * n))
         Dmap[:, :n, :n] = np.eye(n)

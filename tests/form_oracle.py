@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from sprayform.expr import compile_exprs
 from sprayform.flow import simpson_step
 from sprayform.tensor import index_list
 
@@ -56,13 +57,16 @@ def node_term_sum(evaluator, form_terms, degree, P):
     """
     G = evaluator.groupoid
     nodes = []
-    G.flow_end(P, lambda j, z, J: nodes.append((z.T.copy(), J.copy())))
-    terms, fn = form_terms
+    G.flow_end(P, lambda j, node: nodes.append((node.z.T.copy(),
+                                                 node.J.copy())))
+    terms, exprs = form_terms
+    fn = compile_exprs(exprs, G.spray.variables) if exprs else None
     weights = G.rule.weights
-    if evaluator._delta is None:
+    if evaluator.weight_cocycle is None:
         scales = list(weights)
     else:
-        f = [evaluator._delta(z)[..., 0] for z, _ in nodes]
+        delta = compile_exprs([evaluator.weight_cocycle], G.spray.variables)
+        f = [delta(z)[..., 0] for z, _ in nodes]
         cum = [np.zeros_like(f[0])]
         for j in range(2, len(nodes), 2):
             cum.extend(simpson_step(cum[j - 2], f[j - 2], f[j - 1], f[j],

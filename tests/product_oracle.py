@@ -1,6 +1,11 @@
-"""The 4th-order stencil of d mu: the reference the tests compare the
-complex-step d mu of ``groupoid`` with.
+"""d mu two ways: the complex step of ``groupoid.product_residuals`` on its
+own, and the 4th-order stencil that the tests compare it with.
 
+``differential_of_multiplication`` builds the complex-step rows with
+``groupoid._complex_step_rows`` and multiplies them in one
+``groupoid._multiply_rows`` call, as ``product_residuals`` does.
+
+The stencil is the independent reference.
 Each offset runs along an exactly composable curve: a_s = a + s v, and b_s
 Newton-corrected so that tau(b_s) = sigma(a_s) to machine precision (the
 correction is O(s^2), so it does not disturb the derivative; on the already
@@ -10,10 +15,23 @@ O(h^4) truncation plus roundoff amplified by 1/h.
 
 import numpy as np
 
+from sprayform import groupoid
 from sprayform.flow import central_difference
-from sprayform.groupoid import multiply_poisson
+from sprayform.groupoid import COMPLEX_STEP, multiply_poisson
 
 STEP = 1e-4
+
+
+def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
+                                   n_steps=32):
+    """mu(a, b) and [d mu(v, w) for each pair] at (a, b) on composable
+    tangent pairs (v, w), dtau(w) = dsigma(v): one complex row per pair and
+    point, all in one ``multiply_poisson`` call."""
+    (products,) = groupoid._multiply_rows(
+        G, evaluator, [groupoid._complex_step_rows(a, b, tangent_pairs)],
+        n_steps)
+    dmu = products.imag.reshape(-1, len(a), G.dim) / COMPLEX_STEP
+    return products[: len(a)].real, list(dmu)
 
 
 def newton_composable(G, a_base, b_guess, iters=3, tol=1e-13):

@@ -79,7 +79,7 @@ def test_jacobian_group_property_nonlinear():
     dets = []
     z3, J3 = eng.flow_with_jacobian(
         z, np.linspace(0, t + s, 65),
-        at_node=lambda k, _, Jk: dets.append(np.linalg.det(Jk[..., 0])))
+        at_node=lambda k, node: dets.append(np.linalg.det(node.J[..., 0])))
     lhs = J2[0] @ J1[0]
     assert np.max(np.abs(lhs - J3[0])) < 1e-8
     # flow group property
@@ -114,10 +114,11 @@ def test_domain_exit_raises_with_time():
 
 
 def _streamed(eng):
-    """flow_with_jacobian with a node consumer."""
+    """flow_with_jacobian with a node consumer that reads the full state,
+    so that it is written out at every node."""
     def solve(points, nodes, substeps=1):
         return eng.flow_with_jacobian(points, nodes, substeps,
-                                      at_node=lambda k, z, J: None)
+                                      at_node=lambda k, node: node.J)
     return solve
 
 
@@ -131,10 +132,10 @@ def test_streamed_nodes_equal_truncated_solves():
     nodes = np.linspace(0.0, 1.0, 9)
     seen, seen_z = [], []
     z_end, J_end = eng.flow_with_jacobian(
-        P, nodes, 2, at_node=lambda k, z, J: seen.append(
-            (k, z.T.copy(), J.transpose(2, 0, 1).copy())))
+        P, nodes, 2, at_node=lambda k, node: seen.append(
+            (k, node.z.T.copy(), node.J.transpose(2, 0, 1).copy())))
     grid_end = eng.flow_on_grid(
-        P, nodes, 2, at_node=lambda k, z: seen_z.append((k, z.T.copy())))
+        P, nodes, 2, at_node=lambda k, node: seen_z.append((k, node.z.T.copy())))
     assert [k for k, _, _ in seen] == [k for k, _ in seen_z] == \
         list(range(len(nodes)))
     for (k, z, J), (_, zg) in zip(seen, seen_z):
@@ -377,9 +378,9 @@ def test_consumers_run_under_the_callers_error_state():
     seen = []
     with np.errstate(over="ignore", divide="warn", invalid="print"):
         eng.flow_on_grid(P, nodes,
-                         at_node=lambda k, z: seen.append(np.geterr()))
+                         at_node=lambda k, node: seen.append(np.geterr()))
         eng.flow_with_jacobian(P, nodes,
-                               at_node=lambda k, z, J: seen.append(np.geterr()))
+                               at_node=lambda k, node: seen.append(np.geterr()))
     assert len(seen) == 6
     assert all((s["over"], s["divide"], s["invalid"]) == ("ignore", "warn", "print")
                for s in seen)

@@ -1,6 +1,7 @@
 """Groupoid structure maps, the quadrature form, multiplication, round trips."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from sprayform.groupoid import (
     SprayGroupoid,
     _left_factors,
     composable_tangents_batch,
-    differential_of_multiplication,
     differentiate_at_units,
     discover_validity_box,
     integrate_cocycle,
@@ -48,7 +48,7 @@ from sprayform.imform import (
 from sprayform.report import SplitMix64
 
 from conftest import XS2, XS3, constant_bivector_r2, so3_bivector
-from product_oracle import stencil_differential
+from product_oracle import differential_of_multiplication, stencil_differential
 
 BOX2 = [[-1.0, 1.0]] * 2
 BOX3 = [[-1.0, 1.0]] * 3
@@ -209,18 +209,20 @@ def _grid_states(G, P, nodes, substeps):
     """(B, T+1, d) states of one flow_on_grid solve, collected per node."""
     seen = []
     G.engine.flow_on_grid(P, nodes, substeps,
-                          lambda k, z: seen.append(z.T.copy()))
+                          lambda k, node: seen.append(node.z.T.copy()))
     return np.stack(seen, axis=1)
 
 
 def _stored_quadrature(G, form_sum, P):
-    """Two-pass oracle: store copies of the flow and its Jacobians at every
-    quadrature node through a collecting consumer, then feed the stored
-    nodes, in order, through the fresh consumer ``form_sum``."""
+    """Two-pass oracle: store copies of the live flow state (which holds the
+    Jacobians) at every quadrature node through a collecting consumer, then
+    feed the stored nodes, in order, through the fresh consumer
+    ``form_sum``."""
     seen = []
-    G.flow_end(P, lambda j, z, J: seen.append((j, z.copy(), J.copy())))
-    for j, z, J in seen:
-        form_sum(j, z, J)
+    G.flow_end(P, lambda j, node: seen.append(
+        (j, SimpleNamespace(X=node.X.copy(), F=node.F.copy()))))
+    for j, node in seen:
+        form_sum(j, node)
     return form_sum.value
 
 

@@ -1,7 +1,9 @@
 """The work of a product-ODE stage besides the flow: the node sum of the
 quadrature forms against the per-node, per-term oracle of
-tests/form_oracle.py, bit for bit, and the condition guard's inverse
-certificate against the SVD test it stands in for."""
+tests/form_oracle.py, bit for bit, beside a consumer of the full state
+too; which form sums run at nodes and where the state is written out; and
+the condition guard's inverse certificate against the SVD test it stands
+in for."""
 
 import sys
 from functools import lru_cache
@@ -11,11 +13,12 @@ import numpy as np
 import pytest
 
 from sprayform import expr as ex
-from sprayform import groupoid, scenarios
+from sprayform import flow, groupoid, scenarios
+from sprayform.algebroid import jacobi_cocycle
 from sprayform.cli import load_config, parse_config
 from sprayform.errors import DegenerateFormError
 from sprayform.expr import FormField, parse
-from sprayform.groupoid import MultFormEvaluator
+from sprayform.groupoid import MultFormEvaluator, integrate_cocycle
 
 from form_oracle import node_term_sum
 
@@ -99,16 +102,16 @@ SO3_FORMS = {
 @pytest.mark.parametrize("case", sorted(SO3_FORMS))
 def test_grouped_constant_terms_match_per_term_oracle(case, complex_rows):
     """Non-unit coefficients, grouped or kept per node, equal the oracle bit
-    for bit; the plan groups what the docstring says it groups."""
+    for bit; the generated node sum groups what its docstring says it
+    groups."""
     G = _scenario("so3").groupoid
     degree, comps, n_grouped, n_per_node = SO3_FORMS[case]
     ev = MultFormEvaluator(G, _constant_form(G, degree, comps))
     P = _points(G, complex_rows)
     _assert_matches_oracle(ev, P)
-    acc = ev.omega_sum()
-    G.flow_end(P[:2], acc)
-    grouped = 0 if acc._group is None else len(acc._group[0])
-    assert (grouped, len(acc._plan)) == (n_grouped, n_per_node)
+    _, grouped, per_node = groupoid._compile_node_sum(
+        ev, *ev._lam, degree, complex_rows)
+    assert (grouped, per_node) == (n_grouped, n_per_node)
 
 
 def test_mixed_terms_match_per_term_oracle():
@@ -149,6 +152,92 @@ def test_zero_dlambda_makes_no_consumer(monkeypatch):
     assert made == [2]
     assert _same_bits(W, ev.omega_full(P))
     assert dW.shape == (len(P),) + (ev.groupoid.dim,) * 3 and not dW.any()
+
+
+def _form_sums_at_nodes(monkeypatch):
+    """For each flow_end call from now on, the set of form sums that run at
+    its nodes."""
+    runs = []
+    flow_end, call = groupoid.SprayGroupoid.flow_end, groupoid._FormSum.__call__
+
+    def counted_flow_end(self, P, *consumers):
+        runs.append(set())
+        return flow_end(self, P, *consumers)
+
+    def counted_call(self, j, node):
+        runs[-1].add(id(self))
+        return call(self, j, node)
+
+    monkeypatch.setattr(groupoid.SprayGroupoid, "flow_end", counted_flow_end)
+    monkeypatch.setattr(groupoid._FormSum, "__call__", counted_call)
+    return runs
+
+
+def test_zero_forms_run_at_no_node(monkeypatch):
+    """The torsion identity's solve runs 3 of the 5 form sums it is handed:
+    d omega of the canonical form and of omega_L are zero on nijenhuis_r2.
+    The gcs identity's solve runs 1 of 2: omega_{L^2} is zero on gcs_r2.
+    The zero sums read as zeros."""
+    nij, gcs = _scenario("nijenhuis_r2"), _scenario("gcs_r2")
+    evL, evL2 = (scenarios.omega_L(nij.pair, nij),
+                 scenarios.omega_L2(nij.pair, nij))
+    P = nij.groupoid.sample_validity_points(3, 606, fiber_scale=0.6)
+    runs = _form_sums_at_nodes(monkeypatch)
+    scenarios.torsion_identity_check(nij, nij.pair, evL, evL2, samples=3)
+    assert len(runs[0]) == 3
+    scenarios.gcs_identity_check(gcs, 3, 7)
+    assert len(runs[-1]) == 1
+    zero = nij.evaluator.domega_sum()
+    nij.groupoid.flow_end(P, zero)
+    assert zero.value.shape == (3,) + (nij.groupoid.dim,) * 3
+    assert not zero.value.any() and len(runs[-1]) == 0
+
+
+def test_product_stage_nodes_write_out_no_state():
+    """A product call of n_steps = 2 writes the full state out (``publish``
+    in ``flow``) 15 times: once at the end of each of its 10 solves (tau(b),
+    the stage grid of a and 8 tangent solves, one per stage) and at the 5
+    nodes of the stage grid, whose consumer reads z.  None at the 65 nodes
+    of a tangent solve, where only the generated omega sum runs."""
+    scen = _scenario("so3")
+    a, b = groupoid.sample_composable_pairs(scen.groupoid, 3, 5)
+    publishes = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "publish" and \
+                frame.f_code.co_filename == flow.__file__:
+            publishes.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(count)
+    try:
+        groupoid.multiply_poisson(scen.groupoid, scen.evaluator, a, b, n_steps=2)
+    finally:
+        sys.setprofile(None)
+    assert len(publishes) == 15
+    assert publishes.count("_views") == 5
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+@pytest.mark.parametrize("name", ["so3", "jacobi_line"])
+def test_form_sum_beside_a_full_view_consumer(name, complex_rows):
+    """One solve that runs a generated form sum beside a consumer that
+    reads the full views at every node, so that the state is written out
+    there, gives the bits of separate solves: omega, the cocycle integral
+    and the returned (z, J), with the form sum after or before it."""
+    scen = _scenario(name)
+    G, ev = scen.groupoid, scen.evaluator
+    P = _points(G, complex_rows)
+    delta = (jacobi_cocycle(G.chart) if name == "jacobi_line"
+             else parse("x1 * y2 - x3 * y1", G.chart.total_vars))
+    om = ev.omega_sum()
+    f = integrate_cocycle(G, delta, P, om)
+    assert _same_bits(f, integrate_cocycle(G, delta, P))
+    assert _same_bits(om.value, ev.omega_full(P))
+    om, seen = ev.omega_sum(), []
+    end = G.flow_end(P, om, lambda j, node: seen.append(node.J[0, 0].copy()))
+    assert len(seen) == len(G.rule.nodes)
+    assert all(map(_same_bits, end, G.flow_end(P)))
+    assert _same_bits(om.value, ev.omega_full(P))
 
 
 # ---------------------------------------------------------------------------
