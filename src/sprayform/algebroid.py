@@ -6,8 +6,8 @@ matrix rho (n x r of expressions in x), and structure functions c_{ij}^k with
 [e_i, e_j] = sum_k c_{ij}^k e_k.  Structure functions are symbolic whenever
 the builder can produce them in closed form; the Dirac builder instead fits
 them pointwise by least squares against the frame (with a residual gate that
-doubles as the involutivity check) and differentiates them by high-order
-finite differences.
+doubles as the involutivity check) and differentiates them by a complex
+step, since the fit is analytic in the point.
 
 Builders:
 
@@ -41,7 +41,7 @@ from .errors import (
     NotInvolutiveError,
     NotLagrangianError,
 )
-from .flow import FlowEngine, central_difference, cumulative_integral
+from .flow import FlowEngine, complex_step, cumulative_integral
 from .report import CheckReport, SplitMix64
 
 __all__ = [
@@ -50,9 +50,6 @@ __all__ = [
     "cotangent_algebroid", "dirac_algebroid", "jacobi_algebroid",
     "transport_weight",
 ]
-
-
-FIT_FD_STEP = 1e-4    # finite-difference step of fitted structure functions
 
 
 def base_vars(n):
@@ -97,12 +94,13 @@ class SymbolicStructure:
 
 
 class FittedStructure:
-    """Structure functions solved pointwise; derivatives by 4th-order FD.
+    """Structure functions solved pointwise; derivatives by a complex step.
 
-    ``solve`` maps a point batch (B, n) to c (B, r, r, r).  The fit residual,
-    the non-involutivity of the frame, is gated at construction time, so
+    ``solve`` maps a point batch (B, n), real or complex, to c (B, r, r, r)
+    by a computation analytic in the point.  The fit residual, the
+    non-involutivity of the frame, is gated at construction time, so
     calling ``values`` on a gated chart is safe anywhere in the box.
-    Derivatives difference ``values`` at step FIT_FD_STEP.
+    Derivatives are ``flow.complex_step`` of ``values``.
     """
 
     def __init__(self, solve):
@@ -110,11 +108,11 @@ class FittedStructure:
 
     def values(self, X):
         """c_{ij}^k at a point batch: (B, n) -> (B, r, r, r)."""
-        return self._solve(np.asarray(X, dtype=np.float64))
+        return self._solve(np.asarray(X, dtype=np.result_type(X, np.float64)))
 
     def directional_derivative(self, X, V):
         """sum_m V^m d_m c for D directions V (B, D, n) at X: (B, D, r, r, r)."""
-        return central_difference(self.values, X, V, FIT_FD_STEP)[1]
+        return complex_step(self.values, X, V)
 
 
 @dataclass
@@ -387,7 +385,8 @@ def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
     candidate subbundle; ``H`` is a closed 3-form (FormField).  The frame
     must be pointwise independent and Lagrangian; structure functions are
     fitted pointwise by least squares and the fit residual gates
-    involutivity.
+    involutivity.  The fit solves the normal equations, which are analytic,
+    so a complex point batch gives the complex step of the fit.
     """
     r = len(sections)
     n = len(sections[0][0])
@@ -432,21 +431,21 @@ def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
 
     def fit(X):
         """Structure functions (B, r, r, r) at X, with the frames and brackets
-        they were fitted to: one rank SVD per batch, then one least-squares
-        call per point for all r^2 brackets."""
+        they were fitted to: one rank SVD of the real frames per batch, then
+        one batched solve of the normal equations F^T F c = F^T b for all
+        r^2 brackets (a plain transpose, so complex rows stay analytic)."""
         frames = frame_fn(X).reshape(len(X), r, 2 * n)
         brackets = bracket_fn(X).reshape(len(X), r, r, 2 * n)
         F = np.swapaxes(frames, 1, 2)   # (B, 2n, r)
-        # matrix_rank(F[p], tol=1e-10) at every point
-        rank = np.count_nonzero(np.linalg.svd(F, compute_uv=False) > 1e-10, axis=-1)
+        # matrix_rank(F[p].real, tol=1e-10) at every point
+        rank = np.count_nonzero(
+            np.linalg.svd(F.real, compute_uv=False) > 1e-10, axis=-1)
         deficient = np.flatnonzero(rank < r)
         if deficient.size:
-            raise NotInvolutiveError(float("inf"), X[deficient[0]])
+            raise NotInvolutiveError(float("inf"), X[deficient[0]].real)
         rhs = brackets.reshape(len(X), r * r, 2 * n)
-        cmat = np.empty((len(X), r * r, r))
-        for p in range(len(X)):
-            cmat[p] = np.linalg.lstsq(F[p], rhs[p].T, rcond=None)[0].T
-        return cmat.reshape(len(X), r, r, r), F, brackets
+        cmat = np.linalg.solve(frames @ F, frames @ np.swapaxes(rhs, 1, 2))
+        return np.swapaxes(cmat, 1, 2).reshape(len(X), r, r, r), F, brackets
 
     # involutivity gate: the worst fit residual over the fit samples
     cmat, F, brackets = fit(grid)

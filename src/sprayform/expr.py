@@ -41,7 +41,6 @@ threads.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -729,8 +728,9 @@ def compile_exprs(exprs, variables):
     array of shape ``(..., len(exprs))``.  Domain violations (division by
     zero, log/sqrt outside their domain, overflow) raise EvalDomainError
     instead of producing silent non-finite values.  A complex ``Z`` runs
-    the same source in complex arithmetic (``exec_generated``); any other
-    ``Z`` is cast to float64.
+    the same source in complex arithmetic after a run on its real parts,
+    so it raises exactly where its real row raises; any other ``Z`` is cast
+    to float64.
     """
     variables = list(variables)
     names = {v: f"v{i}" for i, v in enumerate(variables)}
@@ -743,16 +743,16 @@ def compile_exprs(exprs, variables):
                    if not e.is_zero])     # out starts zeroed
     body.append("return out")
     src = ["def _generated(Z):"] + [f"    {s}" for s in body]
-    generated = functools.cache(
-        lambda complex_rows: exec_generated(src, "expr", complex_rows)["_generated"])
-    real = generated(False)
+    generated = exec_generated(src, "expr")["_generated"]
 
     def wrapped(Z):
         Z = np.asarray(Z)
         with np.errstate(**RAISE):
-            if Z.dtype.kind == "c":
-                return generated(True)(Z.astype(np.complex128, copy=False))
-            return real(np.asarray(Z, dtype=np.float64))
+            if Z.dtype.kind != "c":
+                return generated(np.asarray(Z, dtype=np.float64))
+            Z = Z.astype(np.complex128, copy=False)
+            generated(Z.real)       # the real row's domain errors
+            return generated(Z)
 
     return wrapped
 

@@ -49,7 +49,8 @@ from .errors import (
     DomainExitError,
     NonlinearCocycleError,
 )
-from .flow import FlowEngine, QuadratureRule, central_difference, simpson_step
+from .flow import (COMPLEX_STEP, FlowEngine, QuadratureRule, complex_step,
+                   simpson_step)
 from .report import CheckReport, SplitMix64
 
 __all__ = ["SprayGroupoid", "MultFormEvaluator", "multiply_poisson",
@@ -67,8 +68,6 @@ VALIDITY_SAMPLES = 40
 VALIDITY_SHRINK = 0.7
 VALIDITY_MIN_RADIUS = 1e-4
 VALIDITY_MARGIN = 1.02
-OMEGA_FD_STEP = 1e-3      # d omega of weighted evaluators
-COMPLEX_STEP = 1e-20      # d mu (see the module docstring)
 
 
 @dataclass
@@ -247,7 +246,8 @@ class MultFormEvaluator:
         return _FormSum(self, self._lam, self.degree)
 
     def domega_sum(self):
-        """Flow consumer accumulating d omega, for unweighted evaluators."""
+        """Flow consumer accumulating d omega, for unweighted evaluators;
+        weighted ones take the complex step of omega (``domega_full``)."""
         if self.weight_cocycle is not None:
             raise DimensionError("weighted evaluators differentiate omega "
                                  "numerically: use domega_full")
@@ -266,12 +266,11 @@ class MultFormEvaluator:
         construction, so this is the quadrature of the (symbolic) d Lambda;
         when d Lambda is the constant zero (a constant Lambda, as for the
         canonical Poisson form), that quadrature is zero and needs no solve.
-        Weighted evaluators: 4th-order central differences of the omega
-        coefficients at step OMEGA_FD_STEP (documented looser tolerance
-        ~1e-6).
+        Weighted evaluators: the complex step (``flow.complex_step``) of the
+        omega coefficients, one complex row per point and coordinate.
         """
         if self.weight_cocycle is not None:
-            return self._domega_fd(P)
+            return self._domega_complex_step(P)
         if not self._dlam[0]:
             return np.zeros((len(P),) + (self.groupoid.dim,) * (self.degree + 1))
         acc = self.domega_sum()
@@ -280,23 +279,23 @@ class MultFormEvaluator:
 
     def omega_and_domega_full(self, P):
         """(omega_full(P), domega_full(P)), from one tangent-flow solve on
-        unweighted evaluators; weighted ones difference omega as above.  A
-        zero d Lambda gets zeros, as in ``domega_full``, and no consumer."""
+        unweighted evaluators; weighted ones take omega's complex step as
+        above.  A zero d Lambda gets zeros, as in ``domega_full``, and no
+        consumer."""
         if self.weight_cocycle is not None:
-            return self.omega_full(P), self._domega_fd(P)
+            return self.omega_full(P), self._domega_complex_step(P)
         if not self._dlam[0]:
             return self.omega_full(P), self.domega_full(P)
         om, dom = self.omega_sum(), self.domega_sum()
         self.groupoid.flow_end(P, om, dom)
         return om.value, dom.value
 
-    def _domega_fd(self, P):
+    def _domega_complex_step(self, P):
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
         B, d = P.shape
         k = self.degree
-        _, partials = central_difference(
-            self.omega_full, P, np.broadcast_to(np.eye(d), (B, d, d)),
-            OMEGA_FD_STEP)
+        partials = complex_step(self.omega_full, P,
+                                np.broadcast_to(np.eye(d), (B, d, d)))
         # (d omega)_{j0..jk} = sum_s (-1)^s d_{j_s} omega_{j0..^s..jk}
         return sum((-1) ** s * np.moveaxis(partials, 1, 1 + s)
                    for s in range(k + 1))

@@ -32,7 +32,7 @@ from .algebroid import (
     jacobi_cocycle,
 )
 from .errors import CompatibilityError, SprayformError
-from .flow import central_difference
+from .flow import complex_step
 from .groupoid import (
     VALIDITY_BASE_SCALE,
     MultFormEvaluator,
@@ -69,7 +69,6 @@ __all__ = [
 
 # Floor of the smallest singular value of omega on the Poisson validity sample.
 NONDEGENERACY_MARGIN = 1e-3
-L_FD_STEP = 2e-3    # finite-difference step of the L field (torsion identity)
 CONVERGENCE_ROUNDOFF = 100.0  # order-fit error floor, in eps x max |omega_ref|
 
 
@@ -517,11 +516,12 @@ def torsion_identity_check(scenario, pair, evL, evL2, samples=10, seed=606,
       i_{T_L(u,v)} omega = (i_v i_{Lu} + i_{Lv} i_u) d omega_L
                            - i_{Lv} i_{Lu} d omega - i_v i_u d omega_{L^2}
 
-    at sampled points and random vectors; T_L comes from 4th-order finite
-    differences of the L field at step L_FD_STEP (documented looser floor
-    ~ L-accuracy / step).  Also reports || d omega_{L^2} || when the symbolic
-    torsion vanishes.  The forms at the sample come from one tangent-flow
-    solve, the L field at all stencil offsets from one more.
+    at sampled points and random vectors; T_L comes from the complex step
+    (``flow.complex_step``) of the L field, which is analytic: two
+    quadratures and a solve.  Also reports || d omega_{L^2} || when the
+    symbolic torsion vanishes.  The forms at the sample come from one
+    tangent-flow solve, the L field along all four directions from one more,
+    on 4 x samples complex rows.
     """
     G, ev = scenario.groupoid, scenario.evaluator
     rng = SplitMix64(seed)
@@ -536,8 +536,7 @@ def torsion_identity_check(scenario, pair, evL, evL2, samples=10, seed=606,
     uv = [(rng.direction(G.dim), rng.direction(G.dim)) for _ in pts]
     dirs = np.array([(L @ u, L @ v, u, v) for L, (u, v) in zip(Lmats, uv)])
     # directional derivatives of L along Lu, Lv, u, v: (B, 4, d, d)
-    _, dL = central_difference(lambda Q: L_tensor(scenario, evL, Q), pts,
-                               dirs, L_FD_STEP)
+    dL = complex_step(lambda Q: L_tensor(scenario, evL, Q), pts, dirs)
     resid = np.empty(len(pts))
     for b in range(len(pts)):
         L = Lmats[b]

@@ -1,5 +1,7 @@
 """d mu two ways: the complex step of ``groupoid.product_residuals`` on its
-own, and the 4th-order stencil that the tests compare it with.
+own, and the 4th-order stencil that the tests compare it with.  The stencil,
+``central_difference``, is also the reference for the package's other
+complex steps (``flow.complex_step``).
 
 ``differential_of_multiplication`` builds the complex-step rows with
 ``groupoid._complex_step_rows`` and multiplies them in one
@@ -16,10 +18,30 @@ O(h^4) truncation plus roundoff amplified by 1/h.
 import numpy as np
 
 from sprayform import groupoid
-from sprayform.flow import central_difference
-from sprayform.groupoid import COMPLEX_STEP, multiply_poisson
+from sprayform.flow import COMPLEX_STEP
+from sprayform.groupoid import multiply_poisson
 
 STEP = 1e-4
+_STENCIL = ((-2, 1.0 / 12), (-1, -8.0 / 12), (1, 8.0 / 12), (2, -1.0 / 12))
+
+
+def central_difference(f, X, V, h):
+    """f(X) and the 4th-order central differences of f along V.
+
+    X is (B, n) and V (B, D, n).  ``f`` maps rows to rows and is called
+    once, on X followed by every offset X + (c h) V[:, j], direction-major.
+    Returns f(X) (B, ...) and sum_c (coef_c / h) f(X + c h V) for each
+    direction (B, D, ...).  Its error is about h^4 |f^(5)| from truncation
+    plus eps |f| / h from roundoff.
+    """
+    B, D = V.shape[:2]
+    values = f(np.concatenate([X] + [X + (c * h) * V[:, j] for j in range(D)
+                                     for c, _ in _STENCIL]))
+    shifted = values[B:].reshape((D, len(_STENCIL), B) + values.shape[1:])
+    deriv = np.zeros((B, D) + values.shape[1:])
+    for k, (_, coef) in enumerate(_STENCIL):
+        deriv += (coef / h) * np.swapaxes(shifted[:, k], 0, 1)
+    return values[:B], deriv
 
 
 def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,

@@ -147,6 +147,18 @@ def test_compiled_complex_rows_test_the_real_domain(source, bad):
     assert str(cplx.value) == str(real.value)
 
 
+def test_compiled_complex_rows_raise_where_the_real_row_raises():
+    """The real parts of a complex row run through the whole expression:
+    at x1 = 1e-20 i, x1 * x1 is -1e-40 + 0i, whose reciprocal numpy
+    computes without error, but the real row x1 = 0 divides by zero."""
+    fn = ex.compile_exprs([parse("1/(x1*x1)", ["x1"])], ["x1"])
+    with pytest.raises(EvalDomainError) as real:
+        fn(np.array([[0.0]]))
+    with pytest.raises(EvalDomainError) as cplx:
+        fn(np.array([[1e-20j]]))
+    assert str(cplx.value) == str(real.value)
+
+
 def test_constant_power_folds_like_evaluation():
     # C pow gives 0.026999999999999996; the evaluators' squaring rule 0.027
     assert parse("0.3^3", XS).value == 0.3 * (0.3 * 0.3)

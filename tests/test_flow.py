@@ -1,4 +1,4 @@
-"""Spray flows, variational flow, quadrature, finite differences."""
+"""Spray flows, variational flow, quadrature, complex steps."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from sprayform import expr as ex
 from sprayform.errors import (DomainExitError, EvalDomainError,
                               NonFiniteStateError)
 from sprayform.expr import parse
-from sprayform.flow import (FlowEngine, QuadratureRule, central_difference,
-                            cumulative_integral)
+from sprayform.flow import (COMPLEX_STEP, FlowEngine, QuadratureRule,
+                            complex_step, cumulative_integral)
 
 XS2 = ["x1", "x2"]
 XYP = ["x1", "x2", "y1", "y2"]   # (x, p) on the cotangent space of R^2
@@ -265,7 +265,7 @@ def test_cumulative_integral_matches_simpson_total():
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# complex steps
 
 
 def _quartic(P):
@@ -287,23 +287,23 @@ def _quartic_derivative(P, V):
                      np.stack([d10, d11], axis=-1)], axis=-2)
 
 
-def test_central_difference_exact_on_quartic():
-    """The 4th-order stencil is exact for degree <= 4, up to roundoff; f is
-    called once, on the centre rows and every offset row."""
+def test_complex_step_exact_on_quartic():
+    """The complex step is the exact derivative up to roundoff; f is called
+    once, on one complex row per point and direction, direction-major."""
     rng = np.random.default_rng(2)
     X = rng.uniform(-1, 1, (5, 2))
     V = rng.uniform(-1, 1, (5, 3, 2))
     calls = []
 
     def f(P):
-        calls.append(P.shape)
+        calls.append(P)
         return _quartic(P)
 
-    value, deriv = central_difference(f, X, V, 1e-2)
-    assert calls == [(5 * (1 + 4 * 3), 2)]
-    assert np.array_equal(value, _quartic(X))
+    deriv = complex_step(f, X, V)
+    assert [P.shape for P in calls] == [(5 * 3, 2)]
+    assert np.array_equal(calls[0][5:10], X + 1j * COMPLEX_STEP * V[:, 1])
     assert deriv.shape == (5, 3, 2, 2)
-    assert np.max(np.abs(deriv - _quartic_derivative(X, V))) < 1e-12
+    assert np.max(np.abs(deriv - _quartic_derivative(X, V))) < 1e-14
 
 
 # ---------------------------------------------------------------------------

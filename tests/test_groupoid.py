@@ -23,9 +23,8 @@ from sprayform.errors import (
     NonlinearCocycleError,
 )
 from sprayform.expr import BivectorField, FormField, parse
-from sprayform.flow import FlowEngine
+from sprayform.flow import COMPLEX_STEP, FlowEngine
 from sprayform.groupoid import (
-    COMPLEX_STEP,
     MultFormEvaluator,
     SprayGroupoid,
     _left_factors,
@@ -48,7 +47,8 @@ from sprayform.imform import (
 from sprayform.report import SplitMix64
 
 from conftest import XS2, XS3, constant_bivector_r2, so3_bivector
-from product_oracle import differential_of_multiplication, stencil_differential
+from product_oracle import (central_difference, differential_of_multiplication,
+                            stencil_differential)
 
 BOX2 = [[-1.0, 1.0]] * 2
 BOX3 = [[-1.0, 1.0]] * 3
@@ -295,14 +295,34 @@ def test_domega_poisson_is_zero(so3_groupoid, monkeypatch):
     assert not dW.any() and not solves
 
 
-def test_domega_fd_cross_check(so3_groupoid):
+def test_domega_complex_step_matches_symbolic(so3_groupoid):
+    """On an unweighted evaluator, the complex step of omega that weighted
+    ones use agrees with the quadrature of the symbolic d Lambda to
+    roundoff (1.3e-15 at scale 0.5)."""
     A, G, _ = so3_groupoid
-    varpi = FormField(XS3, 2, {(0, 1): parse("x1", XS3)})
+    varpi = FormField(XS3, 2, {(0, 1): parse("x3", XS3)})
     evE = MultFormEvaluator(G, linear_form(exact_im_pair(A, varpi)))
     pts = G.sample_validity_points(4, seed=5, fiber_scale=0.5)
     exact = evE.domega_full(pts)
-    fd = evE._domega_fd(pts)
-    assert np.max(np.abs(exact - fd)) < 1e-5
+    stepped = evE._domega_complex_step(pts)
+    assert np.max(np.abs(exact)) > 0.1
+    assert np.max(np.abs(exact - stepped)) < 1e-13
+
+
+def test_weighted_domega_matches_stencil(jacobi_line_groupoid):
+    """jacobi_line's weighted d omega, a complex step of omega, agrees with
+    the 4th-order stencil of omega at h = 1e-3 to the stencil's error
+    (4.3e-13 at scale 1.2)."""
+    _, G, ev = jacobi_line_groupoid
+    P = G.sample_validity_points(6, seed=31, fiber_scale=0.8)
+    d = G.dim
+    _, partials = central_difference(ev.omega_full, P,
+                                     np.broadcast_to(np.eye(d), (len(P), d, d)),
+                                     1e-3)
+    want = partials - np.swapaxes(partials, 1, 2)
+    got = ev.domega_full(P)
+    assert np.max(np.abs(got)) > 1.0
+    assert np.max(np.abs(got - want)) < 5e-12
 
 
 def test_omega_gauss_rule_agrees_with_simpson():
@@ -680,8 +700,8 @@ def test_packed_rows_keep_their_check_tolerance(const_groupoid, monkeypatch):
 def test_omega_and_domega_share_one_solve(fixture, solves, request,
                                           monkeypatch):
     """Unweighted evaluators get omega and d omega from one tangent-flow
-    solve; weighted ones difference omega.  Both equal the separate calls
-    bit for bit."""
+    solve; weighted ones take omega's complex step.  Both equal the
+    separate calls bit for bit."""
     _, G, ev = request.getfixturevalue(fixture)
     P = np.vstack([G.units(np.array([[0.1, -0.2, 0.3][:G.n]])),
                    G.sample_validity_points(3, seed=44, fiber_scale=0.5)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sprayform import expr as ex
+from sprayform import scenarios
 from sprayform.algebroid import cotangent_algebroid, default_spray
 from sprayform.errors import CompatibilityError, DomainExitError
 from sprayform.expr import BivectorField, FormField, parse
@@ -12,6 +13,7 @@ from sprayform.imform import linear_form, poisson_im_pair
 from sprayform.scenarios import (
     NijenhuisPair,
     Numerics,
+    build_dirac,
     build_gcs,
     build_jacobi,
     build_nijenhuis,
@@ -29,7 +31,8 @@ from sprayform.scenarios import (
     torsion_identity_check,
 )
 
-from conftest import XS2, XS3, checked, constant_bivector_r2, so3_bivector
+from conftest import (XS2, XS3, checked, constant_bivector_r2, so3_bivector,
+                      twisted_dirac_sections)
 from expr_oracle import tree_eval
 
 BOX2 = [[-1.0, 1.0]] * 2
@@ -236,6 +239,26 @@ def test_holomorphic_identity_on_r2():
     assert rep.all_passed
 
 
+def test_torsion_identity_L_solve_is_one_complex_step(monkeypatch):
+    """The L field is differentiated along Lu, Lv, u and v by one call of
+    L_tensor on 4 x samples complex rows, with no centre rows."""
+    pi = constant_bivector_r2()
+    J0 = [[ex.ZERO, ex.const(-1.0)], [ex.ONE, ex.ZERO]]
+    scen = build_symplectic_groupoid(pi, BOX2, numerics=LIGHT)
+    pair = NijenhuisPair(pi, J0)
+    calls, original = [], scenarios.L_tensor
+
+    def counted(scenario, evL, Q):
+        calls.append((Q.shape, Q.dtype))
+        return original(scenario, evL, Q)
+
+    monkeypatch.setattr(scenarios, "L_tensor", counted)
+    rep = torsion_identity_check(scen, pair, omega_L(pair, scen),
+                                 omega_L2(pair, scen), samples=6, seed=7)
+    assert rep.all_passed
+    assert calls == [((4 * 6, 4), np.complex128)]
+
+
 def test_nijenhuis_gate_rejects_non_symmetric_pair():
     pi = constant_bivector_r2()
     J0 = [[ex.ZERO, ex.const(-1.0)], [ex.ONE, ex.ZERO]]
@@ -339,6 +362,19 @@ def test_dirac_twisted_full_report(dirac_twisted_scenario):
 
 # ---------------------------------------------------------------------------
 # jacobi
+
+
+def test_dirac_twisted_makes_no_lstsq_call(monkeypatch):
+    """The fitted Dirac structure solves batched normal equations: a
+    dirac_twisted build and check make no least-squares call."""
+    calls = []
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kwargs: calls.append(args))
+    H = FormField(XS3, 3, {(0, 1, 2): ex.const(-1.0)})
+    scen = checked(build_dirac(twisted_dirac_sections(), H, BOX3,
+                               numerics=LIGHT))
+    assert scen.report.all_passed
+    assert not calls
 
 
 def test_jacobi_line_full_report(jacobi_line_scenario):
