@@ -530,11 +530,9 @@ def transport_weight(G, P):
 
     w(t) = exp(-int_0^t <R(x_s), p_s> ds) at the quadrature nodes of the
     spray groupoid G on a jacobi chart, computed by a cumulative rule whose
-    total is exactly the composite-Simpson value, so G needs the Simpson
-    rule.  Returns an array shaped like (batch, nodes).
+    total is exactly the composite-Simpson value.  Returns an array shaped
+    like (batch, nodes).
     """
-    if G.quad_kind != "simpson":
-        raise DimensionError("transport weights need the Simpson rule")
     fn = ex.compile_exprs([jacobi_cocycle(G.chart)], G.chart.total_vars)
     vals = []
     G.flow_end(P, lambda j, node: vals.append(fn(node.z.T)[:, 0]))

@@ -105,8 +105,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "quad_nodes": {"type": "integer", "minimum": 2},
-                "quad_kind": {"enum": ["simpson", "gauss"]},
+                "quad_nodes": {"type": "integer", "minimum": 2, "multipleOf": 2},
                 "mu_steps": {"type": "integer", "minimum": 1},
                 "samples": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
@@ -356,7 +355,8 @@ def cmd_check(args):
 def _parse_ladder(text):
     """(n_quad, substeps) rungs of ``--ladder``: comma-separated N or NxM.
 
-    The finest rung is the reference, so fitting an order takes three.
+    N is even, for composite Simpson; the finest rung is the reference, so
+    fitting an order takes three.
     """
     levels = []
     for part in text.split(","):
@@ -365,9 +365,9 @@ def _parse_ladder(text):
             levels.append((int(nq), int(ss) if sep else 1))
         except ValueError:
             levels.append((0, 0))
-    if len(levels) < 3 or min(min(level) for level in levels) < 1:
+    if len(levels) < 3 or any(nq < 2 or nq % 2 or ss < 1 for nq, ss in levels):
         raise ConfigError(f"--ladder {text!r}: need three or more rungs N or "
-                          f"NxM with positive integers N, M")
+                          f"NxM with positive integers N, M and N even")
     return levels
 
 

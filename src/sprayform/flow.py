@@ -24,13 +24,13 @@ in-place add or subtract of the block J_k., a frozen k contributes
 dV_i/dz_k to column k alone, and rows that read only frozen coordinates are
 written once per solve.  numpy floating-point errors raise for the whole
 solve.  One in the evaluation of V or of a partial is EvalDomainError.  One
-in the products with J or in the RK4 arithmetic replays that step under the
-caller's error state, the evaluation still raising: the step's box check
-then names a non-finite state, and a non-finite J is returned as the
-matmul of a dense engine would leave it.  Node consumers run under the
-caller's error state.  A complex batch (a complex step) runs the same source
-in complex arithmetic (``expr.exec_generated``); the box check reads the
-real part of the state, and a non-finite imaginary part is non-finite.
+in the products with J or in the RK4 arithmetic redoes that step with
+errors ignored: NonFiniteStateError then names the first batch row left
+with a non-finite entry of z or J, and a step that leaves none stands.
+Node consumers run under the caller's error state.  A complex batch (a
+complex step) runs the same source in complex arithmetic
+(``expr.exec_generated``); the box check reads the real part of the state,
+and a non-finite imaginary part is non-finite.
 
 Neither solve stores a trajectory.  Each returns the end state batch-major,
 z of shape (B, d) and J of shape (B, d, d) with J[b, i, j] = dz_i/dz_j.  An
@@ -77,15 +77,6 @@ class QuadratureRule:
         w[2:-1:2] = 2.0
         w /= 3.0 * n
         return cls(nodes, w)
-
-    @classmethod
-    def gauss_legendre(cls, n=32):
-        x, w = np.polynomial.legendre.leggauss(n)
-        return cls((x + 1.0) / 2.0, w / 2.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=np.float64))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
 
 
 class FlowEngine:
@@ -184,22 +175,28 @@ class FlowEngine:
             # the state and the RK4 sum alternate between two buffers, so a
             # step that raises leaves its start state intact
             cur, nxt = (S, bind(S, F, K, T)), (acc, bind(acc, F, K, T))
-            at_stage, replay_stage = bind(stage, F, K, T)
+            at_stage = bind(stage, F, K, T)
             if at_node is not None:
                 consume(0, S)
             for k in range(len(nodes) - 1):
                 h = (nodes[k + 1] - nodes[k]) / substeps
                 t = nodes[k]
                 for _ in range(substeps):
-                    (X, (at_X, replay_X)), (Y, _) = cur, nxt
+                    (X, at_X), (Y, _) = cur, nxt
+                    t += h
                     try:
                         _rk4_step(X, Y, K, stage, h, at_X, at_stage)
                     except FloatingPointError:
-                        with np.errstate(**caller):
-                            _rk4_step(X, Y, K, stage, h, replay_X,
-                                      replay_stage)
+                        # products with J or RK4 arithmetic: name the row
+                        with np.errstate(all="ignore"):
+                            _rk4_step(X, Y, K, stage, h, at_X, at_stage)
+                        finite = np.isfinite(Y).all(axis=0)
+                        if not finite.all():
+                            publish(Y)
+                            row = int(np.argmin(finite))
+                            raise NonFiniteStateError(
+                                t, Z[:, row].real.copy(), row=row) from None
                     cur, nxt = nxt, cur
-                    t += h
                     check(Y, t)
                 if at_node is not None:
                     consume(k + 1, cur[0])
@@ -278,7 +275,7 @@ def _compile_rhs(components, variables, live, partials=None,
                  complex_rows=False):
     """Factory of the derivative of the live rows (see the module docstring).
 
-    ``bind(X, F, K, T)`` returns ``(rhs, replay)``.  ``rhs()`` writes into
+    ``bind(X, F, K, T)`` returns ``rhs``.  ``rhs()`` writes into
     K the derivative of the state X: V_i for each live i, then, given
     ``partials`` (the d x d symbolic dV_i/dz_k), the block (DV J)_i. of
     each live i.  F holds the frozen coordinates, one row each, and T is a
@@ -287,9 +284,7 @@ def _compile_rhs(components, variables, live, partials=None,
 
     Each call first evaluates V and the coefficients dV_i/dz_k, where a
     FloatingPointError raises EvalDomainError, then multiplies and adds the
-    rows of J.  ``replay()`` does the same with the evaluation alone under
-    raising error state, for a step replayed under the caller's.
-    ``complex_rows`` binds complex buffers (``ex.exec_generated``).
+    rows of J.  ``complex_rows`` binds complex buffers (``ex.exec_generated``).
     """
     d, m = len(variables), len(live)
     ex.used_variables(components, variables)
@@ -340,15 +335,11 @@ def _compile_rhs(components, variables, live, partials=None,
                 statements(partials[i][k]).append(
                     ex.numpy_assign(f"kJ{i}_{k}", partials[i][k], names))
 
-    replay = (["with np.errstate(**RAISE):"]
-              + [f"    {s}" for s in ex.guard(evaluate)] if evaluate else [])
     src = (["def _bind(X, F, K, T):"]
            + ex.indent(head + ex.guard(once), 4)
            + ["    def rhs():"]
            + ex.indent(ex.guard(evaluate) + products, 8)
-           + ["    def replay():"]
-           + ex.indent(replay + products, 8)
-           + ["    return rhs, replay"])
+           + ["    return rhs"])
     return ex.exec_generated(src, "rhs", complex_rows)["_bind"]
 
 
@@ -401,9 +392,9 @@ def complex_step(f, X, V):
 def cumulative_integral(values, nodes):
     """Cumulative integral on a uniform grid, consistent with Simpson.
 
-    For an even number of intervals the final entry equals the composite
-    Simpson value exactly (see ``simpson_step``).  ``values`` has node values
-    along the last axis.
+    The number of intervals is even, and the final entry equals the
+    composite Simpson value exactly (see ``simpson_step``).  ``values`` has
+    node values along the last axis.
     """
     values = np.asarray(values, dtype=np.float64)
     T = values.shape[-1] - 1
@@ -412,9 +403,6 @@ def cumulative_integral(values, nodes):
     for m in range(0, T - 1, 2):
         out[..., m + 1], out[..., m + 2] = simpson_step(
             out[..., m], values[..., m], values[..., m + 1], values[..., m + 2], h)
-    if T % 2:  # trailing single interval: trapezoid with quadratic correction
-        out[..., T] = out[..., T - 1] + h * 0.5 * (values[..., T - 1]
-                                                   + values[..., T])
     return out
 
 

@@ -82,7 +82,6 @@ class SprayGroupoid:
     spray: object
     n_quad: int = 64
     substeps: int = 1
-    quad_kind: str = "simpson"
     validity_fiber_radius: float | None = None
 
     def __post_init__(self):
@@ -92,19 +91,8 @@ class SprayGroupoid:
         self.total_box = np.vstack([base_box, fiber_box])
         self.engine = FlowEngine(self.spray.components, self.spray.variables,
                                  box=self.total_box)
-        if self.quad_kind == "simpson":
-            self.rule = QuadratureRule.simpson(self.n_quad)
-        elif self.quad_kind == "gauss":
-            self.rule = QuadratureRule.gauss_legendre(self.n_quad)
-        else:
-            raise DimensionError(f"unknown quadrature kind {self.quad_kind!r}")
-        # the structure maps need the endpoint flow, the quadrature the rule's
-        # nodes: t = 0 and t = 1 adjoined when missing, and the nodes' slice
-        nodes = self.rule.nodes
-        pre = [] if nodes[0] == 0.0 else [0.0]
-        post = [] if nodes[-1] == 1.0 else [1.0]
-        self._grid = np.concatenate([pre, nodes, post])
-        self._nodes = slice(len(pre), len(pre) + len(nodes))
+        # Simpson's nodes j/n hold t = 0 and 1: the end flow and the sums
+        self.rule = QuadratureRule.simpson(self.n_quad)
 
     @property
     def n(self):
@@ -130,34 +118,32 @@ class SprayGroupoid:
         return P[:, : self.n]
 
     def flow_end(self, P, *consumers):
-        """(z, J) at t = 1 from one tangent-flow solve that stores nothing.
+        """(z, J) at t = 1 from one tangent-flow solve on the rule's nodes.
 
-        ``consumer(j, node)`` runs at the j-th quadrature node, for each
-        consumer (``MultFormEvaluator.omega_sum``, ``integrate_cocycle``,
-        ``algebroid.transport_weight``); ``node`` is the ``flow.Node`` of
-        ``FlowEngine``'s ``at_node``, valid only during the call.  A form
-        sum that ``skip``s the batch runs at no node.
+        Nothing is stored: each consumer (``MultFormEvaluator.omega_sum``,
+        ``integrate_cocycle``, ``algebroid.transport_weight``) runs as
+        ``consumer(j, node)`` at node j, with the ``flow.Node`` of
+        ``FlowEngine``'s ``at_node``, valid only during the call.  A form sum
+        that ``skip``s the batch runs at no node.
         """
-        sl = self._nodes
         consumers = [c for c in consumers if not (hasattr(c, "skip") and c.skip(P))]
 
-        def at_node(k, node):
-            if sl.start <= k < sl.stop:
-                for consume in consumers:
-                    consume(k - sl.start, node)
+        def at_node(j, node):
+            for consume in consumers:
+                consume(j, node)
 
-        return self.engine.flow_with_jacobian(P, self._grid, self.substeps,
+        return self.engine.flow_with_jacobian(P, self.rule.nodes, self.substeps,
                                               at_node if consumers else None)
 
     def tau(self, P):
-        return self.engine.flow_on_grid(P, self._grid, self.substeps)[:, : self.n]
+        return self.engine.flow_on_grid(P, self.rule.nodes, self.substeps)[:, : self.n]
 
     def tau_with_jacobian(self, P, *consumers):
         end, J = self.flow_end(P, *consumers)
         return end[:, : self.n], J[:, : self.n, :]
 
     def inverse(self, P):
-        end = self.engine.flow_on_grid(P, self._grid, self.substeps)
+        end = self.engine.flow_on_grid(P, self.rule.nodes, self.substeps)
         end[:, self.n:] *= -1.0
         return end
 
@@ -221,8 +207,8 @@ class MultFormEvaluator:
 
     ``weight_cocycle``: optional fiberwise-linear Expr whose cumulative
     integral along the flow produces the scalar parallel transport factor
-    (trivialized line-bundle coefficients).  Requires the Simpson rule so
-    that cumulative and total quadratures agree exactly.
+    (trivialized line-bundle coefficients); its cumulative Simpson rule
+    agrees exactly with the total quadrature.
     """
 
     def __init__(self, groupoid, form, weight_cocycle=None):
@@ -236,8 +222,6 @@ class MultFormEvaluator:
         self.weight_cocycle = weight_cocycle
         if weight_cocycle is not None:
             _assert_fiberwise_linear(weight_cocycle, groupoid.chart)
-            if groupoid.quad_kind != "simpson":
-                raise DimensionError("weighted evaluators need the Simpson rule")
 
     # -- quadrature ---------------------------------------------------------
 
@@ -255,40 +239,37 @@ class MultFormEvaluator:
 
     def omega_full(self, P):
         """Batched full antisymmetric arrays of omega at points P (B, d)."""
-        acc = self.omega_sum()
-        self.groupoid.flow_end(P, acc)
-        return acc.value
+        return self._form_values(P, self.omega_sum())[0]
 
     def domega_full(self, P):
         """Batched full arrays of d omega.
 
         Trivial coefficients: the de Rham differential commutes with the
         construction, so this is the quadrature of the (symbolic) d Lambda;
-        when d Lambda is the constant zero (a constant Lambda, as for the
-        canonical Poisson form), that quadrature is zero and needs no solve.
-        Weighted evaluators: the complex step (``flow.complex_step``) of the
-        omega coefficients, one complex row per point and coordinate.
+        a d Lambda with no components (a constant Lambda, as for the
+        canonical Poisson form) gives zeros from no solve.  Weighted
+        evaluators: the complex step (``flow.complex_step``) of the omega
+        coefficients, one complex row per point and coordinate.
         """
         if self.weight_cocycle is not None:
             return self._domega_complex_step(P)
-        if not self._dlam[0]:
-            return np.zeros((len(P),) + (self.groupoid.dim,) * (self.degree + 1))
-        acc = self.domega_sum()
-        self.groupoid.flow_end(P, acc)
-        return acc.value
+        return self._form_values(P, self.domega_sum())[0]
 
     def omega_and_domega_full(self, P):
         """(omega_full(P), domega_full(P)), from one tangent-flow solve on
         unweighted evaluators; weighted ones take omega's complex step as
-        above.  A zero d Lambda gets zeros, as in ``domega_full``, and no
-        consumer."""
+        above."""
         if self.weight_cocycle is not None:
             return self.omega_full(P), self._domega_complex_step(P)
-        if not self._dlam[0]:
-            return self.omega_full(P), self.domega_full(P)
-        om, dom = self.omega_sum(), self.domega_sum()
-        self.groupoid.flow_end(P, om, dom)
-        return om.value, dom.value
+        return tuple(self._form_values(P, self.omega_sum(), self.domega_sum()))
+
+    def _form_values(self, P, *sums):
+        """The values of the form sums ``sums`` at P, from one tangent-flow
+        solve made only when some sum has components."""
+        live = [s for s in sums if not s.skip(P)]
+        if live:
+            self.groupoid.flow_end(P, *live)
+        return [s.value for s in sums]
 
     def _domega_complex_step(self, P):
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
@@ -410,7 +391,7 @@ class _FormSum:
         c = np.zeros_like(V[:, -1])
         if j:
             (c0, f0), (X1, V1) = self._even, self._odd
-            c1, c = simpson_step(c0, f0, V1[:, -1], V[:, -1], G._grid[1] - G._grid[0])
+            c1, c = simpson_step(c0, f0, V1[:, -1], V[:, -1], G.rule.nodes[1])
             self._add_weighted(j - 1, c1, X1, V1)
         self._add_weighted(j, c, X, V)
         self._even = (c, V[:, -1])

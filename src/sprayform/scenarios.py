@@ -94,7 +94,6 @@ class Numerics:
     mu_steps: int = 32
     samples: int = 100
     seed: int = 20240
-    quad_kind: str = "simpson"
     mult_pairs: int = 25
     assoc_triples: int = 10
     tolerances: dict = field(default_factory=dict)
@@ -228,10 +227,10 @@ def _subspace_angles(A, B):
     return np.where(mask, mu, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
 
 
-def _groupoid(A, nm, seed_offset, christoffel=None, quad_kind=None):
+def _groupoid(A, nm, seed_offset, christoffel=None):
     """Groupoid of the default spray on A, with its validity radius."""
     G = SprayGroupoid(A, default_spray(A, christoffel=christoffel),
-                      n_quad=nm.n_quad, quad_kind=quad_kind or nm.quad_kind)
+                      n_quad=nm.n_quad)
     discover_validity_box(G, seed=nm.seed + seed_offset)
     return G
 
@@ -927,7 +926,7 @@ def build_jacobi(pi, R, box, numerics=None):
     transport-weighted form; ``run_checks`` checks it."""
     nm = numerics or Numerics()
     A = jacobi_algebroid(pi, R, box, seed=nm.seed + 60)
-    G = _groupoid(A, nm, 63, quad_kind="simpson")
+    G = _groupoid(A, nm, 63)
     evaluator = MultFormEvaluator(G, jacobi_linear_form(A),
                                   weight_cocycle=jacobi_cocycle(A))
     return Scenario(nm, A, G, evaluator,

@@ -71,9 +71,9 @@ def quadrature(G, form, states, jacs, delta=None):
 def omega_full(G, form, P, delta=None):
     """The quadrature of ``form`` along the oracle flow of G's spray."""
     seen = []
-    flow_with_jacobian(G.spray.components, G.spray.variables, P, G._grid,
-                       G.substeps, lambda k, z, J: seen.append((z, J)))
-    seen = seen[G._nodes]
+    flow_with_jacobian(G.spray.components, G.spray.variables, P,
+                       G.rule.nodes, G.substeps,
+                       lambda k, z, J: seen.append((z, J)))
     return quadrature(G, form, np.stack([z for z, _ in seen], axis=1),
                       np.stack([J for _, J in seen], axis=1), delta)
 

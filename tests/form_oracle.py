@@ -70,7 +70,7 @@ def node_term_sum(evaluator, form_terms, degree, P):
         cum = [np.zeros_like(f[0])]
         for j in range(2, len(nodes), 2):
             cum.extend(simpson_step(cum[j - 2], f[j - 2], f[j - 1], f[j],
-                                    G._grid[1] - G._grid[0]))
+                                    G.rule.nodes[1] - G.rule.nodes[0]))
         scales = [weights[j] * np.exp(-c) for j, c in enumerate(cum)]
     d, (_, J0) = G.dim, nodes[0]
     total = np.zeros((d,) * degree + (J0.shape[-1],), J0.dtype)

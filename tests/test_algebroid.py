@@ -19,7 +19,6 @@ from sprayform.algebroid import (
 )
 from sprayform.errors import (
     CompatibilityError,
-    DimensionError,
     EvalDomainError,
     NotInvolutiveError,
     NotLagrangianError,
@@ -351,7 +350,3 @@ def test_transport_weight_closed_form_and_composition():
     t_k = G.rule.nodes[k]
     p = pts[:, 2]
     assert np.max(np.abs(w[:, -1] - w[:, k] * np.exp(-(1 - t_k) * p))) < 1e-10
-    # the cumulative rule needs uniform nodes: Gauss nodes are refused
-    Gg = SprayGroupoid(A, default_spray(A), n_quad=16, quad_kind="gauss")
-    with pytest.raises(DimensionError, match="Simpson"):
-        transport_weight(Gg, pts)

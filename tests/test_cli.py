@@ -1,6 +1,7 @@
 """CLI: config validation, exit codes, report artifacts, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -75,6 +76,7 @@ def test_schema_errors_match_jsonschema_validate(tmp_path):
         {**base, "kind": "symplectic"},
         {k: v for k, v in base.items() if k != "chart"},
         {**base, "numerics": {**base["numerics"], "quad_nodes": "many"}},
+        {**base, "numerics": {**base["numerics"], "quad_nodes": 15}},
         {**base, "chart": {"dim": 2, "box": "unit"}},
         {**base, "schema_version": 2},
         [],
@@ -135,7 +137,8 @@ def test_malformed_R_is_config_error_in_every_subcommand(tmp_path, capsys):
     # a well-formed config with a malformed ladder
     raw["coefficients"]["R"] = ["1"]
     path = _write(tmp_path, raw, "good_R.json")
-    for ladder in ("16,32,abc", "16,32,", "16x,32,64", "0,16,32", "16,32"):
+    for ladder in ("16,32,abc", "16,32,", "16x,32,64", "0,16,32", "16,32",
+                   "15,32,64", "16,33x2,64"):
         assert main(["convergence", "--config", path, "--out-dir",
                      str(tmp_path), "--ladder", ladder]) == 2
         assert "config error: --ladder" in capsys.readouterr().err
@@ -281,10 +284,12 @@ def test_check_makes_no_one_row_flow_solves(name, tmp_path, monkeypatch):
 @pytest.fixture(scope="module")
 def so3_check(tmp_path_factory):
     """One ``check`` of the bundled so3 config: its exit code, output
-    directory, product-call row counts and number of tangent-flow solves."""
+    directory, product-call row counts, number of tangent-flow solves and
+    the names of the functions that called ``np.linalg.svd``."""
     out = tmp_path_factory.mktemp("so3_check")
-    rows, solves = [], []
+    rows, solves, svd_callers = [], [], []
     product, solve = groupoid.multiply_poisson, FlowEngine.flow_with_jacobian
+    svd = np.linalg.svd
 
     def counted_product(G, ev, a, b, **kwargs):
         rows.append(len(a))
@@ -294,12 +299,17 @@ def so3_check(tmp_path_factory):
         solves.append(1)
         return solve(self, *args)
 
+    def counted_svd(*args, **kwargs):
+        svd_callers.append(sys._getframe(1).f_code.co_name)
+        return svd(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groupoid, "multiply_poisson", counted_product)
         mp.setattr(FlowEngine, "flow_with_jacobian", counted_solve)
+        mp.setattr(np.linalg, "svd", counted_svd)
         code = main(["check", "--config", str(CONFIGS / "so3.json"),
                      "--out-dir", str(out)])
-    return code, out, rows, len(solves)
+    return code, out, rows, len(solves), svd_callers
 
 
 def test_so3_check_runs_two_balanced_product_calls(so3_check):
@@ -307,10 +317,19 @@ def test_so3_check_runs_two_balanced_product_calls(so3_check):
     go through two product calls of equal size, and check makes 263
     tangent-flow solves: 128 per product call (4 RK4 stages x 32 steps)
     and 7 outside the product."""
-    code, _, rows, solves = so3_check
+    code, _, rows, solves, _ = so3_check
     assert code == 0
     assert rows == [20 + 25, 20 + 25]
     assert solves == 263
+
+
+def test_so3_check_makes_no_guard_svd(so3_check):
+    """The bundled so3 check certifies every product stage by the inverse:
+    no SVD from the guard (the one left is the nondegeneracy margin)."""
+    code, _, _, _, svd_callers = so3_check
+    assert code == 0
+    assert "_check_conditioning" not in svd_callers
+    assert svd_callers.count("build_symplectic_groupoid") == 1
 
 
 _ALGEBROID = ["algebroid_antisymmetry", "algebroid_anchor_morphism",
@@ -579,7 +598,7 @@ def test_bundled_configs_validate():
 
 
 def test_bundled_so3_config_passes(so3_check):
-    code, out, _, _ = so3_check
+    code, out, _, _, _ = so3_check
     assert code == 0
     report = json.loads((out / "so3_report.json").read_text())
     assert report["verdict"] == "pass"

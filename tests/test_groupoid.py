@@ -175,7 +175,7 @@ def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid)
             G.sample_validity_points(6, seed=9, fiber_scale=0.8),
             G.units(G.chart.sample_base_points(3, 10, scale=0.5))])
         batched = ev.omega_full(pts)
-        grids = [(G._grid, G.substeps), (np.linspace(0.0, 0.5, 9), 4)]
+        grids = [(G.rule.nodes, G.substeps), (np.linspace(0.0, 0.5, 9), 4)]
         states = [_grid_states(G, pts, nodes, sub) for nodes, sub in grids]
         tau, dtau = G.tau_with_jacobian(pts)
         d, k = G.dim, ev.degree
@@ -241,12 +241,9 @@ def test_streamed_quadrature_matches_stored_trajectory(so3_groupoid,
     A, G3, ev3 = so3_groupoid
     varpi = FormField(XS3, 2, {(0, 1): parse("x1 * x3", XS3)})
     evE = MultFormEvaluator(G3, linear_form(exact_im_pair(A, varpi)))
-    Gg = SprayGroupoid(A, default_spray(A), n_quad=12, quad_kind="gauss")
-    Gg.validity_fiber_radius = G3.validity_fiber_radius
-    evG = MultFormEvaluator(Gg, linear_form(poisson_im_pair(A)))
     _, GJ, evJ = jacobi_line_groupoid
     cases = [(ev3, False), (ev3, True), (evE, False), (evE, True),
-             (evG, False), (evJ, False)]
+             (evJ, False)]
     for ev, d in cases:
         G = ev.groupoid
         pts = np.concatenate([
@@ -275,7 +272,7 @@ def test_omega_full_stores_no_trajectory(so3_groupoid):
     trajectory (2.7 MiB)."""
     _, G, ev = so3_groupoid
     pts = G.sample_validity_points(900, seed=23, fiber_scale=0.8)
-    state_bytes = 900 * len(G._grid) * G.dim * 8
+    state_bytes = 900 * len(G.rule.nodes) * G.dim * 8
     ev.omega_full(pts[:2])          # warm up lazy allocations
     G.tau(pts[:2])
     assert _peak_bytes(ev.omega_full, pts) < state_bytes * G.dim
@@ -325,21 +322,22 @@ def test_weighted_domega_matches_stencil(jacobi_line_groupoid):
     assert np.max(np.abs(got - want)) < 5e-12
 
 
-def test_omega_gauss_rule_agrees_with_simpson():
+def test_omega_simpson_rule_converges():
+    """omega, tau and the inverse at n = 64 agree with n = 512 (measured
+    1.5e-10 for omega and 1.5e-11 for tau and the inverse on so(3)*)."""
     A = cotangent_algebroid(so3_bivector(), BOX3)
     Gs = SprayGroupoid(A, default_spray(A), n_quad=64)
     discover_validity_box(Gs)
-    Gg = SprayGroupoid(A, default_spray(A), n_quad=24, quad_kind="gauss")
-    Gg.validity_fiber_radius = Gs.validity_fiber_radius
+    Gf = SprayGroupoid(A, default_spray(A), n_quad=512)
+    Gf.validity_fiber_radius = Gs.validity_fiber_radius
     lf = linear_form(poisson_im_pair(A))
     evs = MultFormEvaluator(Gs, lf)
-    evg = MultFormEvaluator(Gg, lf)
+    evf = MultFormEvaluator(Gf, lf)
     pts = Gs.sample_validity_points(5, seed=6, fiber_scale=0.5)
     assert np.max(np.abs(evs.omega_matrices(pts) -
-                         evg.omega_matrices(pts))) < 1e-8
-    # the structure maps use the endpoint flow regardless of the rule's nodes
-    assert np.max(np.abs(Gs.tau(pts) - Gg.tau(pts))) < 1e-8
-    assert np.max(np.abs(Gs.inverse(pts) - Gg.inverse(pts))) < 1e-8
+                         evf.omega_matrices(pts))) < 1e-8
+    assert np.max(np.abs(Gs.tau(pts) - Gf.tau(pts))) < 1e-8
+    assert np.max(np.abs(Gs.inverse(pts) - Gf.inverse(pts))) < 1e-8
 
 
 # ---------------------------------------------------------------------------

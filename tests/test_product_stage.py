@@ -141,16 +141,19 @@ def test_weighted_grouped_terms_match_per_term_oracle(comps, complex_rows):
 
 def test_zero_dlambda_makes_no_consumer(monkeypatch):
     """omega_and_domega_full on the canonical Poisson form, whose d Lambda
-    is zero, returns zeros without a d omega consumer."""
+    is zero, makes one solve, in which the d omega sum runs at no node, and
+    returns zeros for it."""
     ev = _scenario("so3").evaluator
     P = _points(ev.groupoid, False)
-    made = []
+    W0 = ev.omega_full(P)
+    runs, made = _form_sums_at_nodes(monkeypatch), []
     FormSum = groupoid._FormSum
     monkeypatch.setattr(groupoid, "_FormSum", lambda ev_, terms, degree: (
-        made.append(degree), FormSum(ev_, terms, degree))[1])
+        made.append(FormSum(ev_, terms, degree)), made[-1])[1])
     W, dW = ev.omega_and_domega_full(P)
-    assert made == [2]
-    assert _same_bits(W, ev.omega_full(P))
+    assert [s.degree for s in made] == [2, 3]
+    assert runs == [{id(made[0])}]
+    assert _same_bits(W, W0)
     assert dW.shape == (len(P),) + (ev.groupoid.dim,) * 3 and not dW.any()
 
 
@@ -350,20 +353,3 @@ def test_inverse_matrices_factor_once(monkeypatch):
     got = ev.inverse_matrices(P)
     assert calls == ["inv"]
     assert _same_bits(got, want)
-
-
-def test_so3_check_makes_no_guard_svd(monkeypatch):
-    """The bundled so3 check certifies every product stage by the inverse:
-    no SVD from the guard (the one left is the nondegeneracy margin)."""
-    svd, callers = np.linalg.svd, []
-
-    def counted(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    kind, nm, inputs = parse_config(load_config(CONFIGS / "so3.json"))
-    report = scenarios.run_checks(scenarios.build(kind, nm, inputs))
-    assert report.all_passed
-    assert "_check_conditioning" not in callers
-    assert callers.count("build_symplectic_groupoid") == 1
