@@ -60,6 +60,16 @@ def fiber_vars(r):
     return tuple(f"y{j+1}" for j in range(r))
 
 
+def _sample_box(box, count, seed, scale):
+    """``count`` uniform points of the box (n, 2) scaled by ``scale`` about
+    its centre."""
+    rng = SplitMix64(seed)
+    mid = box.mean(axis=1)
+    half = (box[:, 1] - box[:, 0]) / 2.0 * scale
+    return np.stack([mid + half * np.array([rng.uniform(-1, 1) for _ in box])
+                     for _ in range(count)])
+
+
 class SymbolicStructure:
     """Structure functions as expressions; exact directional derivatives."""
 
@@ -165,11 +175,7 @@ class AlgebroidChart:
         return out
 
     def sample_base_points(self, count, seed, scale=1.0):
-        rng = SplitMix64(seed)
-        mid = self.box.mean(axis=1)
-        half = (self.box[:, 1] - self.box[:, 0]) / 2.0 * scale
-        return np.stack([mid + half * np.array([rng.uniform(-1, 1) for _ in range(self.n)])
-                         for _ in range(count)])
+        return _sample_box(self.box, count, seed, scale)
 
 
 @dataclass
@@ -188,15 +194,12 @@ class Spray:
     def variables(self):
         return self.chart.total_vars
 
-    def engine(self):
-        return FlowEngine(self.components, self.variables)
-
 
 # ---------------------------------------------------------------------------
 # Checks
 
 
-def check_algebroid(A, samples=100, seed=2024, tol=1e-9):
+def check_algebroid(A, samples=100, seed=2024):
     """Residuals of the Lie algebroid axioms at sampled base points.
 
     Checks antisymmetry of the structure functions, the anchor-morphism
@@ -207,7 +210,7 @@ def check_algebroid(A, samples=100, seed=2024, tol=1e-9):
     pts = A.sample_base_points(samples, seed, scale=0.9)
     n, r = A.n, A.r
     xs = A.xs
-    B = len(pts)
+    tol = 1e-9
 
     c = A.structure.values(pts)      # (B, r, r, r)
     rho = A.anchor_at(pts)           # (B, n, r)
@@ -221,21 +224,19 @@ def check_algebroid(A, samples=100, seed=2024, tol=1e-9):
     danchor = [ex.partial(A.anchor[a][i], xs[b])
                for a in range(n) for i in range(r) for b in range(n)]
     D = ex.batch_values(danchor, xs, pts, (n, r, n))
+    lhs = np.einsum("zijk,zak->zija", c, rho)
+    comm = np.einsum("zbi,zajb->zija", rho, D) - \
+        np.einsum("zbj,zaib->zija", rho, D)
+    report.add_pointwise("anchor_morphism",
+                         np.max(np.abs(lhs - comm), axis=(1, 2, 3)), tol, pts)
     # Jacobi: sum_cyc [ sum_m c_jk^m c_im^p + rho(e_i)(c_jk^p) ] = 0, with
     # rho_dc[:, i, j, k, p] = rho(e_i)(c_jk^p)
     rho_dc = A.structure.directional_derivative(pts, np.swapaxes(rho, 1, 2))
-    res_anchor = np.empty(B)
-    res_jacobi = np.empty(B)
-    for p in range(B):
-        lhs = np.einsum("ijk,ak->ija", c[p], rho[p])
-        comm = np.einsum("bi,ajb->ija", rho[p], D[p]) - \
-            np.einsum("bj,aib->ija", rho[p], D[p])
-        res_anchor[p] = np.max(np.abs(lhs - comm))
-        term = np.einsum("jkm,imp->ijkp", c[p], c[p]) + rho_dc[p]
-        jac = term + np.einsum("ijkp->jkip", term) + np.einsum("ijkp->kijp", term)
-        res_jacobi[p] = np.max(np.abs(jac))
-    report.add_pointwise("anchor_morphism", res_anchor, tol, pts)
-    report.add_pointwise("jacobi_identity", res_jacobi, tol, pts)
+    term = np.einsum("zjkm,zimp->zijkp", c, c) + rho_dc
+    jac = term + np.einsum("zijkp->zjkip", term) + \
+        np.einsum("zijkp->zkijp", term)
+    report.add_pointwise("jacobi_identity",
+                         np.max(np.abs(jac), axis=(1, 2, 3, 4)), tol, pts)
 
     # Leibniz on coordinate multiples: [e_i, x^b e_j] - x^b [e_i,e_j]
     #   - (rho(e_i) x^b) e_j = 0; with brackets expanded through c this
@@ -250,7 +251,7 @@ def check_algebroid(A, samples=100, seed=2024, tol=1e-9):
             t = [ex.Var(xs[b]) if k == j else ex.ZERO for k in range(r)]
             brackets += A.section_bracket(s, t)
         got = ex.batch_values(brackets, xs, pts, (len(combos), r))
-        res_leibniz = np.zeros(B)
+        res_leibniz = np.zeros(len(pts))
         for q, (i, j, b) in enumerate(combos):
             expect = pts[:, b, None] * c[:, i, j]
             expect[:, j] += rho[:, b, i]
@@ -292,8 +293,7 @@ def default_spray(A, christoffel=None):
     return Spray(A, base, fiber)
 
 
-def check_spray(V, A, samples=40, seed=77, tol_anchor=1e-10, tol_scaling=1e-8,
-                fiber_radius=0.5):
+def check_spray(V, A, samples=40, seed=77):
     """Residuals of the anchor condition and the flow-scaling identity.
 
     The scaling identity phi^s(t a) = t phi^{st}(a) (fiberwise scaling) is the
@@ -302,19 +302,18 @@ def check_spray(V, A, samples=40, seed=77, tol_anchor=1e-10, tol_scaling=1e-8,
     """
     report = CheckReport(environment={"samples": samples, "seed": seed})
     rng = SplitMix64(seed)
-    xs, ys = A.xs, A.ys
 
     # (i) base part equals rho(x) y, evaluated at random total-space points
-    pts = np.stack([np.concatenate([x, [rng.uniform(-fiber_radius, fiber_radius)
+    pts = np.stack([np.concatenate([x, [rng.uniform(-0.5, 0.5)
                                         for _ in range(A.r)]])
                     for x in A.sample_base_points(samples, seed, scale=0.8)])
     rho = A.anchor_at(pts[:, :A.n])
-    vbase = ex.compile_exprs(V.base_part, xs + ys)(pts)
-    res = [np.max(np.abs(vbase[p] - rho[p] @ pts[p, A.n:])) for p in range(len(pts))]
-    report.add_pointwise("anchor_condition", res, tol_anchor, pts)
+    vbase = ex.compile_exprs(V.base_part, A.total_vars)(pts)
+    res = np.max(np.abs(vbase - (rho @ pts[:, A.n:, None])[..., 0]), axis=1)
+    report.add_pointwise("anchor_condition", res, 1e-10, pts)
 
     # (ii) flow scaling on a subset of points
-    engine = V.engine()
+    engine = FlowEngine(V.components, V.variables)
     Z = pts[: min(8, len(pts))]
     res = np.empty((len(Z), 2, 2))
     for i, t in enumerate((0.5, 2.0)):
@@ -326,7 +325,7 @@ def check_spray(V, A, samples=40, seed=77, tol_anchor=1e-10, tol_scaling=1e-8,
                                         substeps=4)
             right[:, A.n:] *= t
             res[:, i, j] = np.max(np.abs(left - right), axis=1)
-    report.add_pointwise("flow_scaling", res.reshape(-1), tol_scaling,
+    report.add_pointwise("flow_scaling", res.reshape(-1), 1e-8,
                          np.repeat(Z, 4, axis=0))
     return report
 
@@ -377,8 +376,7 @@ def _courant_bracket(fr, i, j, xs):
     return lie_vw, form
 
 
-def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
-                    tol_lagrangian=1e-10, tol_involutive=1e-8):
+def dirac_algebroid(sections, H, box, seed=4242):
     """Build the Lie algebroid of an H-twisted Dirac structure.
 
     ``sections`` is a list of (v_exprs, alpha_exprs) pairs spanning the
@@ -398,10 +396,7 @@ def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
                     [list(a) for _, a in sections], H)
 
     box = np.asarray(box, dtype=np.float64)
-    grid = AlgebroidChart(n=n, r=1, box=box,
-                          anchor=[[ex.ZERO]] * n,
-                          structure=SymbolicStructure(n, 1, [[[ex.ZERO]]]),
-                          ).sample_base_points(fit_samples, seed, scale=0.9)
+    grid = _sample_box(box, 25, seed, 0.9)
 
     frame_fn = ex.compile_exprs(
         [e for i in range(r) for e in fr.vectors[i] + fr.covectors[i]], xs)
@@ -419,7 +414,7 @@ def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
                 pair += cov[:, j, a] * vec[:, i, a]
             pairs.append(pair)
     res = float(np.max(np.abs(pairs)))
-    if not res <= tol_lagrangian:  # a NaN fails too
+    if not res <= 1e-10:  # a NaN fails too
         raise NotLagrangianError(res)
 
     cols = []
@@ -452,7 +447,7 @@ def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
     resid = [max(float(np.max(np.abs(F[p] @ cmat[p, i, j] - brackets[p, i, j])))
                  for i in range(r) for j in range(r)) for p in range(len(grid))]
     worst = int(np.argmax(resid))
-    if not resid[worst] <= tol_involutive:
+    if not resid[worst] <= 1e-8:
         raise NotInvolutiveError(float(resid[worst]), grid[worst])
 
     anchor = [[fr.vectors[i][a] for i in range(r)] for a in range(n)]
@@ -461,8 +456,7 @@ def dirac_algebroid(sections, H, box, fit_samples=25, seed=4242,
                           frame=fr)
 
 
-def jacobi_algebroid(pi, R, box, tol_compat=1e-9, compat_samples=40,
-                     seed=99):
+def jacobi_algebroid(pi, R, box, seed=99):
     """First-jet algebroid of a trivialized Jacobi structure (pi, R).
 
     Compatibility ([pi,pi] = 2 R^pi and [pi,R] = 0) is residual-checked
@@ -479,10 +473,10 @@ def jacobi_algebroid(pi, R, box, tol_compat=1e-9, compat_samples=40,
     rng = SplitMix64(seed)
     box = np.asarray(box, dtype=np.float64)
     X = np.array([[rng.uniform(lo, hi) for lo, hi in box]
-                  for _ in range(compat_samples)])
+                  for _ in range(40)])
     res = max(float(np.max(np.abs(v), initial=0.0))
               for v in (br.values(X) - 2.0 * rw.values(X), br_pr.values(X)))
-    if res > tol_compat:
+    if res > 1e-9:
         raise CompatibilityError(
             f"(pi, R) fails the Jacobi compatibility equations (residual {res:.3e})")
 

@@ -30,7 +30,8 @@ import jsonschema
 import numpy as np
 
 from . import expr as ex
-from .algebroid import AlgebroidChart, SymbolicStructure, jacobi_cocycle
+from .algebroid import (AlgebroidChart, SymbolicStructure, base_vars,
+                        jacobi_cocycle)
 from .errors import ConfigError, EvalDomainError, ExprError, SprayformError
 from .groupoid import (
     SprayGroupoid,
@@ -38,8 +39,8 @@ from .groupoid import (
     integrate_cocycle,
     multiply_poisson,
 )
-from .scenarios import (TOLERANCE_NAMES, Numerics, build, convergence_study,
-                        run_checks)
+from .scenarios import (KINDS, TOLERANCE_NAMES, Numerics, build,
+                        convergence_study, run_checks)
 from . import tensor as tn
 
 SCHEMA_VERSION = 1
@@ -57,8 +58,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
-        "kind": {"enum": ["poisson", "nijenhuis", "gcs", "dirac", "jacobi",
-                          "raw_algebroid"]},
+        "kind": {"enum": list(KINDS)},
         "chart": {
             "type": "object",
             "required": ["dim", "box"],
@@ -127,21 +127,9 @@ CONFIG_SCHEMA = {
         },
     },
     "allOf": [
-        {"if": {"properties": {"kind": {"const": "poisson"}}},
-         "then": {"properties": {"coefficients": {"required": ["pi"]}}}},
-        {"if": {"properties": {"kind": {"const": "nijenhuis"}}},
-         "then": {"properties": {"coefficients": {"required": ["pi", "l"]}}}},
-        {"if": {"properties": {"kind": {"const": "gcs"}}},
-         "then": {"properties": {"coefficients":
-                                 {"required": ["pi", "l", "varpi"]}}}},
-        {"if": {"properties": {"kind": {"const": "dirac"}}},
-         "then": {"properties": {"coefficients": {"required": ["sections"]}}}},
-        {"if": {"properties": {"kind": {"const": "jacobi"}}},
-         "then": {"properties": {"coefficients": {"required": ["pi", "R"]}}}},
-        {"if": {"properties": {"kind": {"const": "raw_algebroid"}}},
-         "then": {"properties": {"coefficients":
-                                 {"required": ["rank", "anchor", "c"]}}}},
-    ],
+        {"if": {"properties": {"kind": {"const": kind}}},
+         "then": {"properties": {"coefficients": {"required": required}}}}
+        for kind, (_, required) in KINDS.items()],
 }
 
 
@@ -156,20 +144,21 @@ def _config_validator():
     return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
+def _validate(raw):
+    """Raise the ConfigError of the error jsonschema.validate would raise,
+    without checking the schema again."""
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
+
+
 def load_config(path):
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    # the error jsonschema.validate raises, without checking the schema again
-    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+    _validate(raw)
     return raw
-
-
-def _xs(n):
-    return [f"x{i+1}" for i in range(n)]
 
 
 def _parse(node, xs, path):
@@ -185,20 +174,19 @@ def _parse(node, xs, path):
 
 def _parse_form(mapping, n, degree, what):
     comps = {}
-    xs = _xs(n)
     for key, src in mapping.items():
         idx = tuple(int(ch) - 1 for ch in key)
         if len(idx) != degree or sorted(set(idx)) != list(idx) or max(idx) >= n:
             raise ConfigError(f"{what}: bad multi-index {key!r} for degree "
                               f"{degree} in dimension {n}")
-        comps[idx] = _parse(src, xs, f'{what}["{key}"]')
+        comps[idx] = _parse(src, base_vars(n), f'{what}["{key}"]')
     return comps
 
 
 def _parse_matrix(rows, n_rows, n_cols, n_vars, what):
     if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
         raise ConfigError(f"{what}: expected a {n_rows} x {n_cols} matrix")
-    return _parse(rows, _xs(n_vars), what)
+    return _parse(rows, base_vars(n_vars), what)
 
 
 def build_numerics(raw):
@@ -209,7 +197,7 @@ def build_numerics(raw):
 
 def _bivector(raw, n):
     pi_map = raw["coefficients"].get("pi", {})
-    return ex.BivectorField(n, _parse_form(pi_map, n, 2, "pi"), _xs(n))
+    return ex.BivectorField(n, _parse_form(pi_map, n, 2, "pi"), base_vars(n))
 
 
 def _chart_box(raw):
@@ -231,7 +219,7 @@ def _raw_algebroid_chart(raw, n, box):
     if len(c_raw) != r or any(len(row) != r for row in c_raw) or \
             any(len(cell) != r for row in c_raw for cell in row):
         raise ConfigError("c must be an r x r x r array of expressions")
-    table = _parse(c_raw, _xs(n), "c")
+    table = _parse(c_raw, base_vars(n), "c")
     return AlgebroidChart(n=n, r=r, box=box, anchor=anchor_rows,
                           structure=SymbolicStructure(n, r, table))
 
@@ -247,7 +235,7 @@ def parse_config(raw):
     n, box = _chart_box(raw)
     nm = build_numerics(raw)
     co = raw["coefficients"]
-    xs = _xs(n)
+    xs = base_vars(n)
     inputs = {"box": box}
     if kind in ("poisson", "nijenhuis", "gcs", "jacobi"):
         inputs["pi"] = _bivector(raw, n)
@@ -265,7 +253,7 @@ def parse_config(raw):
         inputs["lmat"] = _parse_matrix(co["l"], n, n, n, "l")
         if kind == "gcs":
             inputs["varpi"] = ex.FormField(
-                tuple(xs), 2, _parse_form(co["varpi"], n, 2, "varpi"))
+                xs, 2, _parse_form(co["varpi"], n, 2, "varpi"))
     elif kind == "dirac":
         sections = []
         for s, sec in enumerate(co["sections"]):
@@ -275,7 +263,7 @@ def parse_config(raw):
             sections.append((_parse(sec["v"], xs, f"sections[{s}].v"),
                              _parse(sec["alpha"], xs, f"sections[{s}].alpha")))
         inputs["sections"] = sections
-        inputs["H"] = ex.FormField(tuple(xs), 3,
+        inputs["H"] = ex.FormField(xs, 3,
                                    _parse_form(co.get("H", {}), n, 3, "H"))
     elif kind == "jacobi":
         R = _parse(co["R"], xs, "R")
@@ -284,16 +272,15 @@ def parse_config(raw):
         inputs["R"] = R
     elif kind == "raw_algebroid":
         inputs = {"chart": _raw_algebroid_chart(raw, n, box)}
-    else:
-        raise ConfigError(f"unknown kind {kind!r}")
     return kind, nm, inputs
 
 
 def _load(args):
-    """The validated config of ``--config``, with ``--seed`` applied."""
+    """The config of ``--config``, validated with ``--seed`` applied."""
     raw = load_config(args.config)
     if args.seed is not None:
         raw.setdefault("numerics", {})["seed"] = args.seed
+        _validate(raw)
     return raw
 
 

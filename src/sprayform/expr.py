@@ -516,25 +516,17 @@ class _Parser:
                                   line, col)
         return self.advance()
 
-    def expression(self):
-        node = self.term()
+    def expression(self, ops="+-"):
+        """A left-associative chain of terms joined by ``+ -``, or with
+        ``ops="*/"`` a term: powers joined by ``* /``."""
+        operand = self.power if ops == "*/" else lambda: self.expression("*/")
+        node = operand()
         while True:
             kind, text, _, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = _BINARY[text].make(node, self.term())
-            else:
+            if kind != "op" or text not in ops:
                 return node
-
-    def term(self):
-        node = self.power()
-        while True:
-            kind, text, _, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = _BINARY[text].make(node, self.power())
-            else:
-                return node
+            self.advance()
+            node = _BINARY[text].make(node, operand())
 
     def power(self):
         base = self.unary()

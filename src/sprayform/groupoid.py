@@ -68,6 +68,7 @@ VALIDITY_SAMPLES = 40
 VALIDITY_SHRINK = 0.7
 VALIDITY_MIN_RADIUS = 1e-4
 VALIDITY_MARGIN = 1.02
+COND_BOUND = 1e12  # largest condition number of omega accepted at a row
 
 
 @dataclass
@@ -287,9 +288,9 @@ class MultFormEvaluator:
             raise DimensionError("omega_matrices needs a degree-2 evaluator")
         return self.omega_full(P)
 
-    def inverse_matrices(self, P, cond_bound=1e12):
+    def inverse_matrices(self, P):
         W = self.omega_matrices(P)
-        inv = _check_conditioning(W, P, cond_bound)
+        inv = _check_conditioning(W, P, COND_BOUND)
         # the guard's inverse is inv(W.real): W itself on real rows
         return np.linalg.inv(W) if inv is None or W.dtype.kind == "c" else inv
 
@@ -528,7 +529,7 @@ def _is_zero_expr(e, chart, samples, seed):
 
 
 def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
-                     cond_bound=1e12):
+                     cond_bound=COND_BOUND):
     """Groupoid product on a symplectic spray groupoid, batched.
 
     ``a``, ``b`` are composable (B, d) batches of points:
@@ -793,7 +794,7 @@ def _max_per_row(diff):
     return np.max(np.abs(diff).reshape(len(diff), -1), axis=1, initial=0.0)
 
 
-def linearization_check(G, evaluator, point, ladder=(0.1, 0.05, 0.025, 0.0125)):
+def linearization_check(G, evaluator, point):
     """Log-log slope of || (1/t) m_t^* omega - Lambda || along a t-ladder.
 
     The linear form is the fiber-scaling derivative of omega at the units,
@@ -804,8 +805,8 @@ def linearization_check(G, evaluator, point, ladder=(0.1, 0.05, 0.025, 0.0125)):
     k = evaluator.degree
     lam_full = tn.comps_to_full_batch(
         evaluator.form.values(point[None, :]), G.dim, k)[0]
-    ts = np.asarray(ladder, dtype=np.float64)
-    # row i of D is the fiber scaling m_t, t = ladder[i], on the total space
+    ts = np.array([0.1, 0.05, 0.025, 0.0125])
+    # row i of D is the fiber scaling m_t, t = ts[i], on the total space
     D = np.ones((len(ts), G.dim))
     D[:, G.n:] = ts[:, None]
     pulled = evaluator.omega_full(point * D)
@@ -817,7 +818,7 @@ def linearization_check(G, evaluator, point, ladder=(0.1, 0.05, 0.025, 0.0125)):
                           - lam_full).tolist()
     if max(resids) < 1e-12:
         return None, resids  # remainder vanishes identically (exactly linear)
-    logs_t = np.log(np.asarray(ladder))
+    logs_t = np.log(ts)
     logs_r = np.log(np.maximum(resids, 1e-300))
     slope = float(np.polyfit(logs_t, logs_r, 1)[0])
     return slope, resids

@@ -9,7 +9,7 @@ documented 64-bit generator that behaves identically across platforms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,6 +69,8 @@ def _fmt(x):
         return [_fmt(v) for v in x.tolist()]
     if isinstance(x, (list, tuple)):
         return [_fmt(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _fmt(v) for k, v in x.items()}
     return x
 
 
@@ -82,13 +84,6 @@ class CheckResult:
     passed: bool
     worst_point: list | None = None
     note: str = ""
-
-    @classmethod
-    def from_residual(cls, name, residual, tolerance, worst_point=None, note=""):
-        residual = float(residual)
-        return cls(name, residual, float(tolerance), residual < tolerance,
-                   worst_point=_fmt(worst_point) if worst_point is not None else None,
-                   note=note)
 
     def to_dict(self):
         d = {
@@ -113,8 +108,9 @@ class CheckReport:
     notes: list = field(default_factory=list)
 
     def add(self, name, residual, tolerance, worst_point=None, note=""):
-        result = CheckResult.from_residual(name, residual, tolerance,
-                                           worst_point, note)
+        residual = float(residual)
+        result = CheckResult(name, residual, float(tolerance),
+                             residual < tolerance, _fmt(worst_point), note)
         self.checks.append(result)
         return result
 
@@ -143,10 +139,7 @@ class CheckReport:
         self.notes.append(text)
 
     def merge(self, other, prefix=""):
-        for c in other.checks:
-            c2 = CheckResult(prefix + c.name, c.residual, c.tolerance, c.passed,
-                             c.worst_point, c.note)
-            self.checks.append(c2)
+        self.checks += [replace(c, name=prefix + c.name) for c in other.checks]
         self.notes.extend(other.notes)
         return self
 
@@ -172,7 +165,7 @@ class CheckReport:
     def to_dict(self):
         return {
             "schema_version": 1,
-            "environment": _fmt_dict(self.environment),
+            "environment": _fmt(self.environment),
             "checks": [c.to_dict() for c in self.checks],
             "notes": list(self.notes),
             "verdict": "pass" if self.all_passed else "fail",
@@ -188,13 +181,3 @@ class CheckReport:
             lines.append(f"{status} {c.name}: residual {c.residual:.3e} "
                          f"(tol {c.tolerance:.1e})")
         return lines
-
-
-def _fmt_dict(d):
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, dict):
-            out[k] = _fmt_dict(v)
-        else:
-            out[k] = _fmt(v)
-    return out

@@ -23,6 +23,7 @@ from . import expr as ex
 from . import tensor as tn
 from .algebroid import (
     AlgebroidChart,
+    base_vars,
     check_algebroid,
     check_spray,
     cotangent_algebroid,
@@ -148,17 +149,21 @@ def run_checks(scenario):
     return report
 
 
-# Module tables name builders and hold only private checks, so that a
-# wrapper on a public module attribute (perfbench/tracer.py) sees every call.
-_BUILDERS = {"poisson": "build_symplectic_groupoid",
-             "nijenhuis": "build_nijenhuis", "gcs": "build_gcs",
-             "dirac": "build_dirac", "jacobi": "build_jacobi",
-             "raw_algebroid": "build_raw_algebroid"}
+# Each config kind's builder and required coefficients, which the config
+# schema is generated from.  Module tables name builders and hold only private
+# checks, so that a wrapper on a public module attribute (perfbench/tracer.py)
+# sees every call.
+KINDS = {"poisson": ("build_symplectic_groupoid", ["pi"]),
+         "nijenhuis": ("build_nijenhuis", ["pi", "l"]),
+         "gcs": ("build_gcs", ["pi", "l", "varpi"]),
+         "dirac": ("build_dirac", ["sections"]),
+         "jacobi": ("build_jacobi", ["pi", "R"]),
+         "raw_algebroid": ("build_raw_algebroid", ["rank", "anchor", "c"])}
 
 
 def build(kind, numerics, inputs):
     """Scenario of a config kind from its builder's keyword inputs."""
-    return globals()[_BUILDERS[kind]](numerics=numerics, **inputs)
+    return globals()[KINDS[kind][0]](numerics=numerics, **inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,20 @@ def sigma_pullback(G, varpi, P):
 def tau_pullback(G, varpi, P):
     """(tau^* varpi) at points P, as full batched tensors."""
     return _pullback_through(varpi, *G.tau_with_jacobian(np.atleast_2d(P)))
+
+
+def _relative_pullback(G, varpi, P, end, J):
+    """tau^* varpi - sigma^* varpi at P, from the flow's ``end`` and ``J``."""
+    return _pullback_through(varpi, end[:, : G.n], J[:, : G.n, :]) - \
+        sigma_pullback(G, varpi, P)
+
+
+def _pushforwards(Pi, dtau, n):
+    """The bivectors Pi (B, d, d) pushed forward by sigma and by tau, whose
+    Jacobian is dtau (B, n, d)."""
+    dsig = np.eye(n, Pi.shape[-1])
+    return (np.einsum("ai,bij,cj->bac", dsig, Pi, dsig),
+            np.einsum("bai,bij,bcj->bac", dtau, Pi, dtau))
 
 
 def _svd_rank(s, shape):
@@ -335,10 +354,7 @@ def _poisson_checks(scen, report):
     G, nm = scen.groupoid, scen.numerics
     # the source pushes omega^{-1} to pi, the target to -pi
     pts, tau, dtau, W = scen.sample
-    Q = np.linalg.inv(W)
-    dsig = np.eye(G.n, G.dim)
-    push_s = np.einsum("ai,bij,cj->bac", dsig, Q, dsig)
-    push_t = np.einsum("bai,bij,bcj->bac", dtau, Q, dtau)
+    push_s, push_t = _pushforwards(np.linalg.inv(W), dtau, G.n)
     pi_s = scen.pi.values(pts[:, : G.n])
     pi_t = scen.pi.values(tau)
     tol_real = nm.tol("realization", 1e-6)
@@ -443,28 +459,19 @@ def nijenhuis_torsion(lmat, variables):
     """
     n = len(variables)
     lv = [[lmat[j][i] for j in range(n)] for i in range(n)]  # vector action
-
-    def d(e, b):
-        return ex.partial(e, variables[b])
-
+    le = [ex.VectorField(variables, lmat[a]) for a in range(n)]  # l e_a
     T = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            # X = l(e_a), Y = l(e_b) as vector fields
-            lie = []
             for i in range(n):
-                total = ex.ZERO
-                for j in range(n):
-                    total = ex.add(total, ex.mul(lv[j][a], d(lv[i][b], j)))
-                    total = ex.sub(total, ex.mul(lv[j][b], d(lv[i][a], j)))
-                lie.append(total)
-            # [l e_a, e_b]^j = -d_b (lv[j][a]);  [e_a, l e_b]^j = d_a (lv[j][b])
-            for i in range(n):
+                lie = ex.sub(le[a].apply_to(lv[i][b]), le[b].apply_to(lv[i][a]))
+                # [l e_a, e_b]^j = -d_b (lv[j][a]);  [e_a, l e_b]^j = d_a (lv[j][b])
                 corr = ex.ZERO
                 for j in range(n):
-                    inner = ex.sub(d(lv[j][b], a), d(lv[j][a], b))
+                    inner = ex.sub(ex.partial(lv[j][b], variables[a]),
+                                   ex.partial(lv[j][a], variables[b]))
                     corr = ex.add(corr, ex.mul(lv[i][j], inner))
-                T[i][a][b] = ex.sub(lie[i], corr)
+                T[i][a][b] = ex.sub(lie, corr)
     return T
 
 
@@ -561,8 +568,8 @@ def torsion_identity_check(scenario, pair, evL, evL2, samples=10, seed=606,
     return report
 
 
-def pi_pushforwards_residual(scenario, pair, evL, samples=30, seed=717, kmax=2):
-    """max over k <= kmax of || dsigma Pi_{L^k} dsigma^T - pi_{l^k} || (and tau).
+def pi_pushforwards_residual(scenario, pair, evL, samples=30, seed=717):
+    """max over k <= 2 of || dsigma Pi_{L^k} dsigma^T - pi_{l^k} || (and tau).
 
     ``evL`` evaluates omega_L; omega, L and (tau, dtau) come from one solve.
     """
@@ -573,17 +580,13 @@ def pi_pushforwards_residual(scenario, pair, evL, samples=30, seed=717, kmax=2):
     Q = np.linalg.inv(om.value)
     Lmats = np.linalg.solve(om.value, omL.value)
     tau, dtau = end[:, : G.n], J[:, : G.n, :]
-    dsig = np.eye(G.n, G.dim)
     base = pts[:, : G.n]
     l_s, l_t = pair.l_covector_matrices(base), pair.l_covector_matrices(tau)
     pi_s, pi_t = scenario.pi.values(base), scenario.pi.values(tau)
     res = 0.0
-    for k in range(kmax + 1):
-        Lk = np.linalg.matrix_power(Lmats, k) if k else \
-            np.broadcast_to(np.eye(G.dim), Lmats.shape)
-        Pk = np.matmul(Lk, Q)
-        push_s = np.einsum("ai,bij,cj->bac", dsig, Pk, dsig)
-        push_t = np.einsum("bai,bij,bcj->bac", dtau, Pk, dtau)
+    for k in range(3):
+        Lk = np.linalg.matrix_power(Lmats, k)
+        push_s, push_t = _pushforwards(np.matmul(Lk, Q), dtau, G.n)
         want_s = np.linalg.matrix_power(np.swapaxes(l_s, 1, 2), k) @ pi_s
         want_t = np.linalg.matrix_power(np.swapaxes(l_t, 1, 2), k) @ pi_t
         res = max(res, float(np.max(np.abs(push_s - want_s))),
@@ -737,7 +740,7 @@ def build_gcs(pi, lmat, varpi, box, numerics=None):
     prechecks the identity rests on fail, only they are reported."""
     nm = numerics or Numerics()
     n = pi.dim
-    xs = tuple(f"x{i+1}" for i in range(n))
+    xs = base_vars(n)
     rng = SplitMix64(nm.seed + 40)
     boxa = np.asarray(box, dtype=np.float64)
     dvarpi = varpi.d()
@@ -808,8 +811,7 @@ def gcs_identity_check(scenario, samples, seed):
     omL2 = omega_L2(scenario.pair, scenario).omega_sum()
     end, J = G.flow_end(pts, om, omL2)
     lhs = om.value + omL2.value
-    rhs = _pullback_through(scenario.varpi, end[:, : G.n], J[:, : G.n, :]) \
-        - sigma_pullback(G, scenario.varpi, pts)
+    rhs = _relative_pullback(G, scenario.varpi, pts, end, J)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -854,9 +856,8 @@ def dirac_checks(scenario, samples, seed):
     dW, W = scenario.evaluator.domega_sum(), scenario.evaluator.omega_sum()
     end, J = G.flow_end(pts, dW, W)
     dW, W = dW.value, W.value
-    tau, dtau = end[:, :n], J[:, :n, :]
-    rhs = _pullback_through(scenario.H, tau, dtau) - \
-        sigma_pullback(G, scenario.H, pts)
+    dtau = J[:, :n, :]
+    rhs = _relative_pullback(G, scenario.H, pts, end, J)
     report.add("relative_H_closedness", float(np.max(np.abs(dW - rhs))),
                nm.tol("relative_H_closedness", 1e-6))
 

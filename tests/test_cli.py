@@ -1,5 +1,6 @@
 """CLI: config validation, exit codes, report artifacts, determinism."""
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -102,10 +103,12 @@ def test_kind_specific_requirements(tmp_path):
         load_config(bad)
 
 
-def test_tolerance_names_are_the_names_check_reads(tmp_path, monkeypatch):
+def test_tolerance_names_are_the_names_check_reads(tmp_path, monkeypatch,
+                                                   so3_check):
     """The tolerance keys the schema accepts are, without repeats, exactly
-    the names that ``check`` of the bundled configs reads."""
-    read, original = set(), Numerics.tol
+    the names that ``check`` of the bundled configs reads (so3's from the
+    module's one so3 run)."""
+    read, original = set(so3_check[5]), Numerics.tol
 
     def recorded(self, name, default):
         read.add(name)
@@ -113,7 +116,8 @@ def test_tolerance_names_are_the_names_check_reads(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Numerics, "tol", recorded)
     for config in sorted(CONFIGS.glob("*.json")):
-        main(["check", "--config", str(config), "--out-dir", str(tmp_path)])
+        if config.name != "so3.json":
+            main(["check", "--config", str(config), "--out-dir", str(tmp_path)])
     assert len(set(TOLERANCE_NAMES)) == len(TOLERANCE_NAMES)
     assert read == set(TOLERANCE_NAMES)
     assert CONFIG_SCHEMA["properties"]["numerics"]["properties"][
@@ -178,6 +182,34 @@ def test_schema_subcommand(capsys):
     assert main(["schema"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == CONFIG_SCHEMA
+
+
+def test_numerics_keys_are_the_numerics_fields():
+    """Each key of the schema's numerics is one field of ``Numerics``
+    (``quad_nodes`` is ``n_quad``), and each field is one key, so a
+    validated numerics block always builds."""
+    keys = CONFIG_SCHEMA["properties"]["numerics"]["properties"]
+    fields = {f.name for f in dataclasses.fields(Numerics)}
+    assert {"n_quad" if k == "quad_nodes" else k for k in keys} == fields
+    assert len(keys) == len(fields)
+
+
+def test_seed_override_is_validated(tmp_path, capsys):
+    """``--seed`` is checked against the schema like a seed in the file."""
+    path = str(CONFIGS / "jacobi_line.json")
+    assert main(["check", "--config", path, "--seed", "-1",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("config error: config schema "
+                                       "violation: -1 is less than the "
+                                       "minimum of 0\n")
+
+
+def test_seed_override_reaches_the_report(tmp_path):
+    path = str(CONFIGS / "jacobi_line.json")   # seed 77 in the file
+    assert main(["check", "--config", path, "--seed", "5",
+                 "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "jacobi_line_report.json").read_text())
+    assert report["environment"]["seed"] == 5
 
 
 def test_bad_expression_is_config_error(tmp_path, capsys):
@@ -284,12 +316,13 @@ def test_check_makes_no_one_row_flow_solves(name, tmp_path, monkeypatch):
 @pytest.fixture(scope="module")
 def so3_check(tmp_path_factory):
     """One ``check`` of the bundled so3 config: its exit code, output
-    directory, product-call row counts, number of tangent-flow solves and
-    the names of the functions that called ``np.linalg.svd``."""
+    directory, product-call row counts, number of tangent-flow solves, the
+    names of the functions that called ``np.linalg.svd`` and the tolerance
+    names it read through ``Numerics.tol``."""
     out = tmp_path_factory.mktemp("so3_check")
-    rows, solves, svd_callers = [], [], []
+    rows, solves, svd_callers, tol_names = [], [], [], set()
     product, solve = groupoid.multiply_poisson, FlowEngine.flow_with_jacobian
-    svd = np.linalg.svd
+    svd, tol = np.linalg.svd, Numerics.tol
 
     def counted_product(G, ev, a, b, **kwargs):
         rows.append(len(a))
@@ -303,13 +336,18 @@ def so3_check(tmp_path_factory):
         svd_callers.append(sys._getframe(1).f_code.co_name)
         return svd(*args, **kwargs)
 
+    def recorded_tol(self, name, default):
+        tol_names.add(name)
+        return tol(self, name, default)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groupoid, "multiply_poisson", counted_product)
         mp.setattr(FlowEngine, "flow_with_jacobian", counted_solve)
         mp.setattr(np.linalg, "svd", counted_svd)
+        mp.setattr(Numerics, "tol", recorded_tol)
         code = main(["check", "--config", str(CONFIGS / "so3.json"),
                      "--out-dir", str(out)])
-    return code, out, rows, len(solves), svd_callers
+    return code, out, rows, len(solves), svd_callers, tol_names
 
 
 def test_so3_check_runs_two_balanced_product_calls(so3_check):
@@ -317,7 +355,7 @@ def test_so3_check_runs_two_balanced_product_calls(so3_check):
     go through two product calls of equal size, and check makes 263
     tangent-flow solves: 128 per product call (4 RK4 stages x 32 steps)
     and 7 outside the product."""
-    code, _, rows, solves, _ = so3_check
+    code, _, rows, solves, _, _ = so3_check
     assert code == 0
     assert rows == [20 + 25, 20 + 25]
     assert solves == 263
@@ -326,7 +364,7 @@ def test_so3_check_runs_two_balanced_product_calls(so3_check):
 def test_so3_check_makes_no_guard_svd(so3_check):
     """The bundled so3 check certifies every product stage by the inverse:
     no SVD from the guard (the one left is the nondegeneracy margin)."""
-    code, _, _, _, svd_callers = so3_check
+    code, _, _, _, svd_callers, _ = so3_check
     assert code == 0
     assert "_check_conditioning" not in svd_callers
     assert svd_callers.count("build_symplectic_groupoid") == 1
@@ -598,7 +636,7 @@ def test_bundled_configs_validate():
 
 
 def test_bundled_so3_config_passes(so3_check):
-    code, out, _, _, _ = so3_check
+    code, out, _, _, _, _ = so3_check
     assert code == 0
     report = json.loads((out / "so3_report.json").read_text())
     assert report["verdict"] == "pass"

@@ -8,8 +8,11 @@
 #     50 associativity triples) and on dirac_twisted, nijenhuis_r2, gcs_r2
 #     and jacobi_line, each at seeds 20240 and 7319, written from configs/
 #     at run time;
+#   - `check` on configs/so3.json with `--seed 7319`, the command-line
+#     override of the config seed;
 #   - `convergence` on so3 and jacobi_line over rungs 32..1024;
-#   - `eval` on every kind's build.
+#   - `eval` on every kind's build;
+#   - `schema`, the generated config schema.
 #
 # Usage (from the repository root, whose configs/ both sides read):
 #
@@ -18,7 +21,8 @@
 #   diff -r OUT/base OUT/head
 #
 # stdout of `check` and `convergence` names the output path, which differs
-# by side, so it is not kept.
+# by side, so it is not kept; the stdout of `eval` and `schema` is their
+# result.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -49,24 +53,24 @@ EOF
 done
 
 # run NAME SUBCOMMAND ARGS...: one CLI run into $out/NAME; stdout is kept
-# only for eval, whose output is the result
+# only for eval and schema, whose output is the result
 run() {
-  local dir="$out/$1" cmd=$2 status=0
+  local dir="$out/$1" cmd=$2 status=0 stdout
   shift 2
   mkdir -p "$dir"
-  if [ "$cmd" = eval ]; then
-    PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 python3 -m sprayform.cli eval \
-      "$@" > "$dir/stdout" 2> "$dir/stderr" || status=$?
-  else
-    PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 python3 -m sprayform.cli "$cmd" \
-      "$@" --out-dir "$dir" > /dev/null 2> "$dir/stderr" || status=$?
-  fi
+  case $cmd in
+    check|convergence) set -- "$@" --out-dir "$dir"; stdout=/dev/null ;;
+    *) stdout="$dir/stdout" ;;
+  esac
+  PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 python3 -m sprayform.cli "$cmd" \
+    "$@" > "$stdout" 2> "$dir/stderr" || status=$?
   echo "$status" > "$dir/exit_code"
 }
 
 for cfg in configs/*.json "$seeded"/*.json; do
   run "$(basename "$cfg" .json)" check --config "$cfg"
 done
+run so3_seed_7319 check --config configs/so3.json --seed 7319
 for name in so3 jacobi_line; do
   run "convergence_$name" convergence --config "configs/$name.json" \
     --ladder 32,64,128,256,512,1024
@@ -88,3 +92,4 @@ run eval_gcs_r2 eval --config configs/gcs_r2.json \
   --point 0.1,0.2,0.3,-0.1 --pair "0.2,0.5,0.2,0.1|0.1,0.2,0.3,-0.1"
 run eval_bad_poisson eval --config configs/bad_poisson.json \
   --point 0.1,0.2,-0.1,0.2,0.1,-0.1
+run schema schema
