@@ -41,6 +41,7 @@ from .errors import (
     NotInvolutiveError,
     NotLagrangianError,
 )
+from .expr import base_vars, fiber_vars
 from .flow import FlowEngine, complex_step, cumulative_integral
 from .report import CheckReport, SplitMix64
 
@@ -52,22 +53,12 @@ __all__ = [
 ]
 
 
-def base_vars(n):
-    return tuple(f"x{i+1}" for i in range(n))
-
-
-def fiber_vars(r):
-    return tuple(f"y{j+1}" for j in range(r))
-
-
 def _sample_box(box, count, seed, scale):
     """``count`` uniform points of the box (n, 2) scaled by ``scale`` about
     its centre."""
-    rng = SplitMix64(seed)
     mid = box.mean(axis=1)
     half = (box[:, 1] - box[:, 0]) / 2.0 * scale
-    return np.stack([mid + half * np.array([rng.uniform(-1, 1) for _ in box])
-                     for _ in range(count)])
+    return mid + half * SplitMix64(seed).uniform_rows([(-1, 1)] * len(box), count)
 
 
 class SymbolicStructure:
@@ -301,12 +292,10 @@ def check_spray(V, A, samples=40, seed=77):
     t in {0.5, 2} and s in {0.25, 0.5}.
     """
     report = CheckReport(environment={"samples": samples, "seed": seed})
-    rng = SplitMix64(seed)
 
     # (i) base part equals rho(x) y, evaluated at random total-space points
-    pts = np.stack([np.concatenate([x, [rng.uniform(-0.5, 0.5)
-                                        for _ in range(A.r)]])
-                    for x in A.sample_base_points(samples, seed, scale=0.8)])
+    pts = np.hstack([A.sample_base_points(samples, seed, scale=0.8),
+                     SplitMix64(seed).uniform_rows([(-0.5, 0.5)] * A.r, samples)])
     rho = A.anchor_at(pts[:, :A.n])
     vbase = ex.compile_exprs(V.base_part, A.total_vars)(pts)
     res = np.max(np.abs(vbase - (rho @ pts[:, A.n:, None])[..., 0]), axis=1)
@@ -404,16 +393,8 @@ def dirac_algebroid(sections, H, box, seed=4242):
         raise CompatibilityError("H is not closed")
     # Lagrangian gate: <e_i, e_j>_+ = alpha_i(v_j) + alpha_j(v_i) == 0
     F = frame_fn(grid).reshape(len(grid), r, 2 * n)
-    vec, cov = F[..., :n], F[..., n:]
-    pairs = []
-    for i in range(r):
-        for j in range(i, r):
-            pair = np.zeros(len(grid))
-            for a in range(n):
-                pair += cov[:, i, a] * vec[:, j, a]
-                pair += cov[:, j, a] * vec[:, i, a]
-            pairs.append(pair)
-    res = float(np.max(np.abs(pairs)))
+    pairing = F[..., n:] @ np.swapaxes(F[..., :n], 1, 2)    # alpha_i(v_j)
+    res = float(np.max(np.abs(pairing + np.swapaxes(pairing, 1, 2))))
     if not res <= 1e-10:  # a NaN fails too
         raise NotLagrangianError(res)
 
@@ -444,8 +425,8 @@ def dirac_algebroid(sections, H, box, seed=4242):
 
     # involutivity gate: the worst fit residual over the fit samples
     cmat, F, brackets = fit(grid)
-    resid = [max(float(np.max(np.abs(F[p] @ cmat[p, i, j] - brackets[p, i, j])))
-                 for i in range(r) for j in range(r)) for p in range(len(grid))]
+    resid = np.max(np.abs(np.einsum("pak,pijk->pija", F, cmat) - brackets),
+                   axis=(1, 2, 3))
     worst = int(np.argmax(resid))
     if not resid[worst] <= 1e-8:
         raise NotInvolutiveError(float(resid[worst]), grid[worst])
@@ -470,10 +451,8 @@ def jacobi_algebroid(pi, R, box, seed=99):
     br = ex.schouten(pi, pi)
     rw = ex.wedge_vector_bivector(Rfield, pi)
     br_pr = ex.schouten(pi, Rfield)
-    rng = SplitMix64(seed)
     box = np.asarray(box, dtype=np.float64)
-    X = np.array([[rng.uniform(lo, hi) for lo, hi in box]
-                  for _ in range(40)])
+    X = SplitMix64(seed).uniform_rows(box, 40)
     res = max(float(np.max(np.abs(v), initial=0.0))
               for v in (br.values(X) - 2.0 * rw.values(X), br_pr.values(X)))
     if res > 1e-9:

@@ -61,7 +61,7 @@ __all__ = [
     "parse", "partial", "subst", "to_source", "compile_exprs", "batch_values",
     "VectorField", "BivectorField", "FormField",
     "PolyVectorField", "schouten", "wedge_vector_bivector",
-    "ZERO", "ONE", "const", "var",
+    "ZERO", "ONE", "const", "var", "base_vars", "fiber_vars",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -293,7 +293,7 @@ class Mul(_Binary):
 
 class Div(_Binary):
     __slots__ = ()
-    op, call, prec, make = "/", "_divide", _PREC["mul"], staticmethod(div)
+    op, call, prec, make = "/", "np.divide", _PREC["mul"], staticmethod(div)
 
     def diff(self, name):
         # (a/b)' = a'/b - a b'/b^2
@@ -595,13 +595,12 @@ def parse(source, variables):
 # ---------------------------------------------------------------------------
 # Compilation to vectorized numpy code
 #
-# ``signed``, ``numpy_source``, ``numpy_assign``, ``guard``, ``indent`` and
-# ``exec_generated`` are the one code generator: ``compile_exprs`` below,
-# the flow engine's right-hand side (``flow._compile_rhs``) and the form
-# node sum (``groupoid._compile_node_sum``) write their statements with them.
+# ``signed``, ``numpy_source``, ``numpy_assign``, ``real_pass``, ``guard``,
+# ``indent`` and ``exec_generated`` are the one code generator:
+# ``compile_exprs`` below, the flow engine's right-hand side
+# (``flow._compile_rhs``) and the form node sum
+# (``groupoid._compile_node_sum``) write their statements with them.
 
-_CODEGEN_FNS = {"sin": "np.sin", "cos": "np.cos", "exp": "np.exp",
-                "log": "_log", "sqrt": "_sqrt"}
 # the numpy error state generated code runs under
 RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 
@@ -650,10 +649,11 @@ def numpy_source(e, names):
         src = (f"{core.call}({a}, {b})" if isinstance(core, Div)
                else f"({a} {core.op} {b})")
     elif isinstance(core, Pow):
-        power = "_int_power" if core.n >= 0 else "_inverse_power"
-        src = f"{power}({numpy_source(core.a, names)}, {abs(core.n)})"
+        src = f"_int_power({numpy_source(core.a, names)}, {abs(core.n)})"
+        if core.n < 0:
+            src = f"np.divide(1.0, {src})"
     elif isinstance(core, Call):
-        src = f"{_CODEGEN_FNS[core.fn]}({numpy_source(core.a, names)})"
+        src = f"np.{core.fn}({numpy_source(core.a, names)})"
     else:
         raise TypeError(type(core))
     return src if sign > 0 else f"(-{src})"
@@ -673,6 +673,31 @@ def numpy_assign(target, e, names):
     return f"np.copyto({target}, {numpy_source(core, names)})"
 
 
+def real_pass(exprs, names, test):
+    """Statements that, where the source ``test`` holds (a complex batch),
+    evaluate each of ``exprs`` that can raise at a finite real row on the
+    real parts of its variables, so that a complex row raises the
+    EvalDomainError of its real row: numpy's complex sqrt and log of
+    x < 0, and its division by i y, raise nothing.  Emitted before the
+    batch's own statements, in their guard; no lines when none can raise.
+    """
+    real = {v: f"{name}.real" for v, name in names.items()}
+    lines = [numpy_source(e, real) for e in dict.fromkeys(exprs) if _can_raise(e)]
+    return [f"if {test}:"] + indent(lines, 4) if lines else []
+
+
+def _can_raise(e):
+    """Whether ``e`` can raise at a finite real row other than by overflow:
+    a division by a non-constant, a log, a sqrt or a negative power."""
+    if isinstance(e, (Const, Var)):
+        return False
+    if (isinstance(e, Div) and not isinstance(e.b, Const)
+            or isinstance(e, Call) and e.fn in ("log", "sqrt")
+            or isinstance(e, Pow) and e.n < 0):
+        return True
+    return any(map(_can_raise, (e.a, e.b) if isinstance(e, _Binary) else (e.a,)))
+
+
 def guard(lines):
     """Statement ``lines`` in a try block that turns a FloatingPointError
     into EvalDomainError; no lines for none."""
@@ -688,29 +713,13 @@ def indent(lines, n):
     return [" " * n + s for s in lines or ["pass"]]
 
 
-def exec_generated(lines, name, complex_rows=False):
+def exec_generated(lines, name):
     """The namespace left by running the generated source ``lines``, which
-    sees ``np``, ``_int_power``, ``_domain_violation``, ``RAISE`` and the
-    ``_REAL_OPS``, or with ``complex_rows`` the ``_COMPLEX_OPS``."""
+    sees ``np``, ``_int_power``, ``_domain_violation`` and ``RAISE``."""
     namespace = {"np": np, "_int_power": _int_power,
-                 "_domain_violation": _domain_violation, "RAISE": RAISE,
-                 **(_COMPLEX_OPS if complex_rows else _REAL_OPS)}
+                 "_domain_violation": _domain_violation, "RAISE": RAISE}
     exec(compile("\n".join(lines), f"<sprayform-{name}>", "exec"), namespace)
     return namespace
-
-
-def _real_parts_first(fn):
-    """``fn``, run first on the real parts so as to raise where a real row
-    does: numpy's complex sqrt and log of x < 0 and division by i y do not."""
-    def checked(*args, **kwargs):
-        fn(*(np.real(a) for a in args))
-        return fn(*args, **kwargs)
-    return checked
-
-
-_REAL_OPS = {"_sqrt": np.sqrt, "_log": np.log, "_divide": np.divide,
-             "_inverse_power": lambda base, n: 1.0 / _int_power(base, n)}
-_COMPLEX_OPS = {name: _real_parts_first(fn) for name, fn in _REAL_OPS.items()}
 
 
 def compile_exprs(exprs, variables):
@@ -720,9 +729,9 @@ def compile_exprs(exprs, variables):
     array of shape ``(..., len(exprs))``.  Domain violations (division by
     zero, log/sqrt outside their domain, overflow) raise EvalDomainError
     instead of producing silent non-finite values.  A complex ``Z`` runs
-    the same source in complex arithmetic after a run on its real parts,
-    so it raises exactly where its real row raises; any other ``Z`` is cast
-    to float64.
+    the same source in complex arithmetic, after ``real_pass`` has
+    evaluated the expressions that can raise on its real parts, so it
+    raises where its real row raises; any other ``Z`` is cast to float64.
     """
     variables = list(variables)
     names = {v: f"v{i}" for i, v in enumerate(variables)}
@@ -730,21 +739,19 @@ def compile_exprs(exprs, variables):
     body = [f"{names[v]} = Z[..., {i}]" for i, v in enumerate(variables)
             if v in used]
     body.append(f"out = np.zeros(Z.shape[:-1] + ({len(exprs)},), Z.dtype)")
-    body += guard([numpy_assign(f"out[..., {j}]", e, names)
-                   for j, e in enumerate(exprs)
-                   if not e.is_zero])     # out starts zeroed
+    body += guard(real_pass(exprs, names, "Z.dtype.kind == 'c'")
+                  + [numpy_assign(f"out[..., {j}]", e, names)
+                     for j, e in enumerate(exprs)
+                     if not e.is_zero])     # out starts zeroed
     body.append("return out")
     src = ["def _generated(Z):"] + [f"    {s}" for s in body]
     generated = exec_generated(src, "expr")["_generated"]
 
     def wrapped(Z):
         Z = np.asarray(Z)
+        dtype = np.complex128 if Z.dtype.kind == "c" else np.float64
         with np.errstate(**RAISE):
-            if Z.dtype.kind != "c":
-                return generated(np.asarray(Z, dtype=np.float64))
-            Z = Z.astype(np.complex128, copy=False)
-            generated(Z.real)       # the real row's domain errors
-            return generated(Z)
+            return generated(Z.astype(dtype, copy=False))
 
     return wrapped
 
@@ -776,6 +783,16 @@ def batch_values(exprs, variables, P, shape):
 
 # ---------------------------------------------------------------------------
 # Coefficient fields
+
+
+def base_vars(n):
+    """The chart's base coordinate names x1..xn."""
+    return tuple(f"x{i+1}" for i in range(n))
+
+
+def fiber_vars(r):
+    """The chart's fiber coordinate names y1..yr."""
+    return tuple(f"y{j+1}" for j in range(r))
 
 
 class VectorField:
@@ -906,8 +923,7 @@ class BivectorField:
 
     def __init__(self, dim, components=None, variables=None):
         self.dim = int(dim)
-        self.variables = tuple(variables) if variables else tuple(
-            f"x{i+1}" for i in range(dim))
+        self.variables = tuple(variables) if variables else base_vars(dim)
         comps = {}
         if components:
             for (i, j), e in components.items():
@@ -940,8 +956,7 @@ class PolyVectorField:
     def __init__(self, dim, degree, components=None, variables=None):
         self.dim = int(dim)
         self.degree = int(degree)
-        self.variables = tuple(variables) if variables else tuple(
-            f"x{i+1}" for i in range(dim))
+        self.variables = tuple(variables) if variables else base_vars(dim)
         self.components = dict(components or {})
 
     def values(self, P):

@@ -28,9 +28,10 @@ in the products with J or in the RK4 arithmetic redoes that step with
 errors ignored: NonFiniteStateError then names the first batch row left
 with a non-finite entry of z or J, and a step that leaves none stands.
 Node consumers run under the caller's error state.  A complex batch (a
-complex step) runs the same source in complex arithmetic
-(``expr.exec_generated``); the box check reads the real part of the state,
-and a non-finite imaginary part is non-finite.
+complex step) runs the same source in complex arithmetic, after
+``expr.real_pass`` has evaluated the coefficients that can raise on the
+real parts, so it raises where its real rows raise; the box check reads
+the real part of the state, and a non-finite imaginary part is non-finite.
 
 Neither solve stores a trajectory.  Each returns the end state batch-major,
 z of shape (B, d) and J of shape (B, d, d) with J[b, i, j] = dz_i/dz_j.  An
@@ -102,9 +103,9 @@ class FlowEngine:
         self.live = tuple(i for i, c in enumerate(self.components)
                           if not (c.is_zero and all(p.is_zero for p in partials[i])))
         self.frozen = tuple(i for i in range(self.dim) if i not in self.live)
-        self._rhs = functools.cache(lambda jacobian, complex_rows: _compile_rhs(
+        self._rhs = functools.cache(lambda jacobian: _compile_rhs(
             self.components, self.variables, self.live,
-            partials if jacobian else None, complex_rows))
+            partials if jacobian else None))
         if box is None:
             box = [[-np.inf, np.inf]] * self.dim
         # +-inf bounds become +-float max, so the one comparison per step
@@ -171,7 +172,7 @@ class FlowEngine:
             inside = _inside(Z, self._lo, self._hi)
             if not inside.all():
                 _raise_state_error(Z, inside, float(nodes[0]))
-            bind = self._rhs(jacobian, dtype.kind == "c")
+            bind = self._rhs(jacobian)
             # the state and the RK4 sum alternate between two buffers, so a
             # step that raises leaves its start state intact
             cur, nxt = (S, bind(S, F, K, T)), (acc, bind(acc, F, K, T))
@@ -271,8 +272,7 @@ def _raise_state_error(Z, inside, t):
 # Right-hand side generation
 
 
-def _compile_rhs(components, variables, live, partials=None,
-                 complex_rows=False):
+def _compile_rhs(components, variables, live, partials=None):
     """Factory of the derivative of the live rows (see the module docstring).
 
     ``bind(X, F, K, T)`` returns ``rhs``.  ``rhs()`` writes into
@@ -284,7 +284,8 @@ def _compile_rhs(components, variables, live, partials=None,
 
     Each call first evaluates V and the coefficients dV_i/dz_k, where a
     FloatingPointError raises EvalDomainError, then multiplies and adds the
-    rows of J.  ``complex_rows`` binds complex buffers (``ex.exec_generated``).
+    rows of J.  Complex buffers first take ``ex.real_pass`` of what is
+    evaluated.
     """
     d, m = len(variables), len(live)
     ex.used_variables(components, variables)
@@ -297,10 +298,10 @@ def _compile_rhs(components, variables, live, partials=None,
     once, evaluate, products = [], [], []
     counter = itertools.count()
 
-    def statements(e):
-        """Where a value of ``e`` is evaluated: once per solve when ``e``
-        reads only frozen coordinates, else at every call."""
-        return once if e.variables() <= fixed else evaluate
+    def emit(e, line):
+        """Evaluate ``e`` by ``line`` once per solve when ``e`` reads only
+        frozen coordinates, else at every call."""
+        (once if e.variables() <= fixed else evaluate).append((e, line))
 
     def coefficient(e):
         """Source of the coefficient ``e`` for a product with J: a variable
@@ -308,14 +309,13 @@ def _compile_rhs(components, variables, live, partials=None,
         if isinstance(e, (ex.Var, ex.Const)):
             return ex.numpy_source(e, names)
         name = f"c{next(counter)}"
-        statements(e).append(f"{name} = {ex.numpy_source(e, names)}")
+        emit(e, f"{name} = {ex.numpy_source(e, names)}")
         return name
 
     for a, i in enumerate(live):
         head.append(f"k{i} = K[{a}]")
         if not components[i].is_zero:
-            statements(components[i]).append(
-                ex.numpy_assign(f"k{i}", components[i], names))
+            emit(components[i], ex.numpy_assign(f"k{i}", components[i], names))
         if partials is None:
             continue
         base = m + a * d
@@ -332,15 +332,20 @@ def _compile_rhs(components, variables, live, partials=None,
                             for k, sign, core in outer)
         else:
             for k, _, _ in outer:
-                statements(partials[i][k]).append(
-                    ex.numpy_assign(f"kJ{i}_{k}", partials[i][k], names))
+                emit(partials[i][k],
+                     ex.numpy_assign(f"kJ{i}_{k}", partials[i][k], names))
+
+    def checked(evaluations):
+        return ex.guard(ex.real_pass([e for e, _ in evaluations], names,
+                                     "X.dtype.kind == 'c'")
+                        + [line for _, line in evaluations])
 
     src = (["def _bind(X, F, K, T):"]
-           + ex.indent(head + ex.guard(once), 4)
+           + ex.indent(head + checked(once), 4)
            + ["    def rhs():"]
-           + ex.indent(ex.guard(evaluate) + products, 8)
+           + ex.indent(checked(evaluate) + products, 8)
            + ["    return rhs"])
-    return ex.exec_generated(src, "rhs", complex_rows)["_bind"]
+    return ex.exec_generated(src, "rhs")["_bind"]
 
 
 def _add_row(target, sign, core, coefficient):

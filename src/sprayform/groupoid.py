@@ -167,10 +167,9 @@ class SprayGroupoid:
         return np.vstack([base, fiber])
 
     def sample_validity_points(self, count, seed, fiber_scale=1.0):
-        rng = SplitMix64(seed)
-        box = self.validity_box().copy()
+        box = self.validity_box()
         box[self.n:, :] *= fiber_scale
-        return np.stack([rng.point_in_box(box) for _ in range(count)])
+        return SplitMix64(seed).uniform_rows(box, count)
 
 
 def discover_validity_box(G, seed=505):
@@ -219,7 +218,7 @@ class MultFormEvaluator:
         if self.degree > 3:
             raise DimensionError("evaluators support degree <= 3")
         self._lam, self._dlam = _form_terms(form), _form_terms(form.d())
-        self._codes = {}      # (degree, complex rows) -> _compile_node_sum
+        self._codes = {}      # degree -> _compile_node_sum
         self.weight_cocycle = weight_cocycle
         if weight_cocycle is not None:
             _assert_fiberwise_linear(weight_cocycle, groupoid.chart)
@@ -375,11 +374,11 @@ class _FormSum:
     def __call__(self, j, node):
         X, G = node.X, self.ev.groupoid
         if j == 0:
-            key = (self.degree, X.dtype.kind == "c")
-            if key not in self.ev._codes:
-                self.ev._codes[key] = _compile_node_sum(self.ev, *self.terms, *key)
+            if self.degree not in self.ev._codes:
+                self.ev._codes[self.degree] = _compile_node_sum(
+                    self.ev, *self.terms, self.degree)
             self._sum, self._finish, self._values, self._add = \
-                self.ev._codes[key][0](node.F, X.shape[1])
+                self.ev._codes[self.degree][0](node.F, X.shape[1])
             self._value = None
         if self.ev.weight_cocycle is None:
             self._add(X, self._values(X), G.rule.weights[j])
@@ -409,7 +408,7 @@ class _FormSum:
         self._add(X, V, self.ev.groupoid.rule.weights[j] * self.transport)
 
 
-def _compile_node_sum(ev, terms, exprs, degree, complex_rows):
+def _compile_node_sum(ev, terms, exprs, degree):
     """(bind, grouped, per_node): the node sum of ``_FormSum`` for the terms
     of ``_form_terms``, and how many terms it adds in groups and one by one.
 
@@ -417,8 +416,8 @@ def _compile_node_sum(ev, terms, exprs, degree, complex_rows):
     and returns S, ``finish()``, which copies the group sums into S,
     ``values(X)``, None or a new (B, n) array of the non-constant
     coefficients, then a weighted evaluator's cocycle, at the live rows X
-    (written as ``compile_exprs`` writes its columns), and ``add(X, V, s)``,
-    which adds the node with c = s.
+    (written as ``compile_exprs`` writes its columns, complex rows after
+    ``ex.real_pass``), and ``add(X, V, s)``, which adds the node with c = s.
 
     A frozen row J_i = e_i (see ``flow``) is a fixed index of S, not a
     factor.  Constant components with one live row whose part of S no other
@@ -453,9 +452,8 @@ def _compile_node_sum(ev, terms, exprs, degree, complex_rows):
             plan.append((rows, value, col, at))
     consts, head, body, finish = {}, [], [], []
     for r, run in enumerate(runs):
-        n = len(run)   # K: complex for complex rows, the cast numpy makes anyway
-        consts[f"K{r}"] = np.array([v for _, v, _ in run],
-                                   complex if complex_rows else float)[:, None, None]
+        n = len(run)   # K: float64, cast to complex on complex rows
+        consts[f"K{r}"] = np.array([v for _, v, _ in run])[:, None, None]
         head += [f"G{r}, P{r} = np.zeros(({n}, {d}, B), F.dtype), "
                  f"np.empty(({n}, {d}, B), F.dtype)"]
         body += [f"np.multiply({rows_of(run[0][0], n)}.reshape({n}, {d}, B), "
@@ -479,8 +477,9 @@ def _compile_node_sum(ev, terms, exprs, degree, complex_rows):
               for i, v in enumerate(G.spray.variables) if v in used]
     values += [f"V = np.zeros((B, {len(columns)}), X.dtype)",
                "with np.errstate(**RAISE):"] + ex.indent(ex.guard(
-                   [ex.numpy_assign(f"V[:, {c}]", e, names)
-                    for c, e in enumerate(columns)]), 4) if columns else ["V = None"]
+                   ex.real_pass(columns, names, "X.dtype.kind == 'c'")
+                   + [ex.numpy_assign(f"V[:, {c}]", e, names)
+                      for c, e in enumerate(columns)]), 4) if columns else ["V = None"]
     src = ([f"def _bind({', '.join(['F', 'B', *consts])}):",
             f"    S = np.zeros({(d,) * degree} + (B,), F.dtype)"]
            + ex.indent(head, 4)
@@ -488,7 +487,7 @@ def _compile_node_sum(ev, terms, exprs, degree, complex_rows):
            + ["    def add(X, V, s):"] + ex.indent(body, 8)
            + ["    def finish():"] + ex.indent(finish, 8)
            + ["    return S, finish, values, add"])
-    bind = ex.exec_generated(src, "form", complex_rows)["_bind"]
+    bind = ex.exec_generated(src, "form")["_bind"]
     return functools.partial(bind, **consts), sum(map(len, runs)), len(plan)
 
 
@@ -503,24 +502,23 @@ def _alternate(M, degree):
     return out
 
 
-def _assert_fiberwise_linear(delta, chart, samples=8, seed=17):
+def _assert_fiberwise_linear(delta, chart):
     """delta must be linear in the fiber variables (exact symbolic check)."""
     for yi in chart.ys:
         for yj in chart.ys:
             second = ex.partial(ex.partial(delta, yi), yj)
-            if not _is_zero_expr(second, chart, samples, seed):
+            if not _is_zero_expr(second, chart):
                 raise NonlinearCocycleError("cocycle is not fiberwise linear")
     at_zero = ex.subst(delta, {y: ex.ZERO for y in chart.ys})
-    if not _is_zero_expr(at_zero, chart, samples, seed):
+    if not _is_zero_expr(at_zero, chart):
         raise NonlinearCocycleError("cocycle does not vanish on the zero section")
 
 
-def _is_zero_expr(e, chart, samples, seed):
+def _is_zero_expr(e, chart):
+    """Whether ``e`` is zero to 1e-12 at 8 seeded points of [-1, 1]^d."""
     if e.is_zero:
         return True
-    rng = SplitMix64(seed)
-    Z = np.array([[rng.uniform(-1, 1) for _ in chart.total_vars]
-                  for _ in range(samples)])
+    Z = SplitMix64(17).uniform_rows([(-1, 1)] * len(chart.total_vars), 8)
     return not np.any(np.abs(ex.compile_exprs([e], chart.total_vars)(Z)) > 1e-12)
 
 
@@ -528,8 +526,7 @@ def _is_zero_expr(e, chart, samples, seed):
 # Poisson multiplication
 
 
-def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
-                     cond_bound=COND_BOUND):
+def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9):
     """Groupoid product on a symplectic spray groupoid, batched.
 
     ``a``, ``b`` are composable (B, d) batches of points:
@@ -538,7 +535,7 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
     multiplication ODE by RK4 with ``n_steps`` steps; each stage evaluates
     omega^{-1} and dtau at the current solution, which costs one
     flow-with-Jacobian per stage.  omega must be nondegenerate with
-    condition number at most ``cond_bound`` at every row on its own.
+    condition number at most ``COND_BOUND`` at every row on its own.
     Complex rows multiply in complex arithmetic, checked by real parts.
     """
     A, Bp = np.asarray(a), np.asarray(b)
@@ -568,7 +565,7 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
         _, J = G.flow_end(k_pts, acc)
         dtau = J[:, :n, :]
         W = acc.value
-        _check_conditioning(W, k_pts, cond_bound)
+        _check_conditioning(W, k_pts, COND_BOUND)
         beta = np.einsum("baj,ba->bj", dtau, p_stage[stage_idx])
         return np.linalg.solve(W, beta[..., None])[..., 0]
 
@@ -588,11 +585,12 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9,
 # Batched multiplicativity / associativity checks (the expensive residuals)
 
 
-def sample_composable_pairs(G, count, seed, fiber_scale=0.5):
-    """Composable (a, b) batches: sigma(a) = tau(b) exactly by construction."""
+def sample_composable_pairs(G, count, seed):
+    """Composable (a, b) batches: sigma(a) = tau(b) exactly by construction,
+    fibers at half the validity radius."""
     rng = SplitMix64(seed)
-    b = G.sample_validity_points(count, seed, fiber_scale=fiber_scale)
-    return _left_factors(G, b, rng, fiber_scale), b
+    b = G.sample_validity_points(count, seed, fiber_scale=0.5)
+    return _left_factors(G, b, rng, 0.5), b
 
 
 def _left_factors(G, right, rng, fiber_scale):
@@ -614,8 +612,7 @@ def composable_tangents_batch(dtau, v_bases, rng):
     out = []
     for v_base in v_bases:
         w = np.einsum("bja,ba->bj", pinv, v_base)
-        rand = np.array([[rng.uniform(-1, 1) for _ in range(d)]
-                         for _ in range(B)])
+        rand = rng.uniform_rows([(-1, 1)] * d, B)
         w += rand - np.einsum("bjk,bk->bj", proj, rand)
         out.append(w)
     return out
@@ -696,10 +693,9 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     the bits a call of its own gives.
     """
     rng = SplitMix64(mult_seed)
-    a, b = sample_composable_pairs(G, n_pairs, mult_seed, fiber_scale=0.5)
+    a, b = sample_composable_pairs(G, n_pairs, mult_seed)
     d = G.dim
-    v1 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
-    v2 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
+    v1, v2 = (rng.uniform_rows([(-1, 1)] * d, n_pairs) for _ in range(2))
     # one tangent-flow solve per batch: dtau and omega at b, the inverse
     # and omega at a
     om_b, om_a = evaluator.omega_sum(), evaluator.omega_sum()

@@ -40,9 +40,11 @@ class SplitMix64:
         u = self.next_u64() >> 11  # 53 bits
         return lo + (hi - lo) * (u * (1.0 / (1 << 53)))
 
-    def point_in_box(self, box):
-        """Uniform point in a list of (lo, hi) intervals."""
-        return np.array([self.uniform(lo, hi) for lo, hi in box])
+    def uniform_rows(self, box, count):
+        """(count, len(box)) uniform points of the (lo, hi) intervals
+        ``box``, drawn row by row."""
+        return np.array([[self.uniform(lo, hi) for lo, hi in box]
+                         for _ in range(count)]).reshape(count, len(box))
 
     def direction(self, dim):
         """Unit vector; Gaussian components via Box-Muller on uniforms."""
@@ -58,6 +60,10 @@ class SplitMix64:
             i += 2
         norm = np.linalg.norm(out)
         return out / (norm if norm > 0 else 1.0)
+
+    def directions(self, count, dim):
+        """(count, dim) unit vectors, one ``direction`` per row."""
+        return np.array([self.direction(dim) for _ in range(count)]).reshape(count, dim)
 
 
 def _fmt(x):
@@ -114,15 +120,15 @@ class CheckReport:
         self.checks.append(result)
         return result
 
-    def add_pointwise(self, name, residuals, tolerance, points, note=""):
+    def add_pointwise(self, name, residuals, tolerance, points):
         """Add the largest per-point residual with the first point attaining
         it (none if all are 0); a NaN counts as largest, so it fails."""
         residuals = np.asarray(residuals)
         i = int(np.argmax(residuals))
         worst = points[i] if not residuals[i] <= 0.0 else None
-        return self.add(name, residuals[i], tolerance, worst, note)
+        return self.add(name, residuals[i], tolerance, worst)
 
-    def add_margin(self, name, value, floor, worst_point=None, note=""):
+    def add_margin(self, name, value, floor, note=""):
         """A lower-bound check: passes iff ``value >= floor``.
 
         Stored with residual = floor - value (negative when comfortably
@@ -130,7 +136,6 @@ class CheckReport:
         """
         result = CheckResult(name, float(floor) - float(value), 0.0,
                              float(value) >= float(floor),
-                             worst_point=worst_point,
                              note=note or f"value {value:.6g}, floor {floor:.6g}")
         self.checks.append(result)
         return result

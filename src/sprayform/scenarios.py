@@ -316,9 +316,7 @@ def build_symplectic_groupoid(pi, box, numerics=None, christoffel=None):
     its fiber radius shrunk until omega is nondegenerate on the sample."""
     nm = numerics or Numerics()
     tol = nm.tol("poisson_identity", 1e-9)
-    rng = SplitMix64(nm.seed)
-    X = np.array([[rng.uniform(lo, hi) for lo, hi in np.asarray(box, float)]
-                  for _ in range(min(50, nm.samples))])
+    X = SplitMix64(nm.seed).uniform_rows(box, min(50, nm.samples))
     res = float(np.max(np.abs(ex.schouten(pi, pi).values(X)), initial=0.0))
     if res > tol:
         raise CompatibilityError(
@@ -366,13 +364,12 @@ def _poisson_checks(scen, report):
     report.add("closedness", float(np.max(np.abs(dW))), nm.tol("closedness", 1e-7))
 
     # units formula
-    rng = SplitMix64(nm.seed + 9)
     xu = G.chart.sample_base_points(10, nm.seed + 10, scale=0.5)
     Wu = scen.evaluator.omega_matrices(G.units(xu))
     # four draws of (v, a, w, b) per unit, in sampling order
     X = np.repeat(xu, 4, axis=0)
-    v, a, w, b = np.moveaxis(np.array(
-        [[rng.direction(G.n) for _ in range(4)] for _ in X]), 1, 0)
+    v, a, w, b = np.moveaxis(SplitMix64(nm.seed + 9).directions(
+        len(X) * 4, G.n).reshape(len(X), 4, G.n), 1, 0)
     P = scen.pi.values(X)
     pred = units_form_predictor(G.chart, scen.data.l, X, [(v, a), (w, b)])
     res_units = 0.0
@@ -530,7 +527,6 @@ def torsion_identity_check(scenario, pair, evL, evL2, samples=10, seed=606,
     on 4 x samples complex rows.
     """
     G, ev = scenario.groupoid, scenario.evaluator
-    rng = SplitMix64(seed)
     pts = G.sample_validity_points(samples, seed, fiber_scale=0.6)
     sums = (ev.omega_sum(), evL.omega_sum(), ev.domega_sum(),
             evL.domega_sum(), evL2.domega_sum())
@@ -539,7 +535,8 @@ def torsion_identity_check(scenario, pair, evL, evL2, samples=10, seed=606,
     Lmats = np.linalg.solve(W, WL)
 
     report = CheckReport()
-    uv = [(rng.direction(G.dim), rng.direction(G.dim)) for _ in pts]
+    uv = SplitMix64(seed).directions(len(pts) * 2, G.dim).reshape(
+        len(pts), 2, G.dim)
     dirs = np.array([(L @ u, L @ v, u, v) for L, (u, v) in zip(Lmats, uv)])
     # directional derivatives of L along Lu, Lv, u, v: (B, 4, d, d)
     dL = complex_step(lambda Q: L_tensor(scenario, evL, Q), pts, dirs)
@@ -741,8 +738,6 @@ def build_gcs(pi, lmat, varpi, box, numerics=None):
     nm = numerics or Numerics()
     n = pi.dim
     xs = base_vars(n)
-    rng = SplitMix64(nm.seed + 40)
-    boxa = np.asarray(box, dtype=np.float64)
     dvarpi = varpi.d()
     T = nijenhuis_torsion(lmat, xs)
     # varpi_l(u, v) = varpi(l u, v); on frames (varpi_l)_{ab} =
@@ -761,8 +756,7 @@ def build_gcs(pi, lmat, varpi, box, numerics=None):
     varpi_l = ex.FormField(xs, 2, varpi_l_comps)
     dvarpi_l = varpi_l.d()
 
-    X = np.array([[rng.uniform(lo, hi) for lo, hi in boxa]
-                  for _ in range(min(30, nm.samples))])
+    X = SplitMix64(nm.seed + 40).uniform_rows(box, min(30, nm.samples))
     L = NijenhuisPair(pi, lmat).l_covector_matrices(X)
     lv = np.swapaxes(L, 1, 2)
     Tv = ex.batch_values([T[i][a][b] for i in range(n) for a in range(n)

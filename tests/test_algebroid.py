@@ -1,5 +1,8 @@
 """Algebroid charts, sprays, and the three family builders."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from sprayform.algebroid import (
     AlgebroidChart,
     SymbolicStructure,
     _courant_bracket,
+    _sample_box,
     base_vars,
     check_algebroid,
     check_spray,
@@ -189,6 +193,44 @@ def test_dirac_rejects_non_involutive():
         sections.append((v, alpha))
     with pytest.raises(NotInvolutiveError):
         dirac_algebroid(sections, FormField(XS3, 3, {}), BOX3)
+
+
+def test_dirac_gate_residuals_match_the_pair_loops():
+    """The residuals NotLagrangianError and NotInvolutiveError carry are the
+    worst, over the 25 gate points, of a closed form of the pairings and of
+    one least-squares fit per point and bracket (to roundoff: the gates
+    sum in another order)."""
+    grid = _sample_box(np.asarray(BOX3), 25, 4242, 0.9)
+    x1, x2, x3 = (parse(v, XS3) for v in XS3)
+    # alpha_i(v_j) + alpha_j(v_i): 2 x1, x2 + x1 x3 and 0
+    secs = [([x1, ex.ZERO, ex.ZERO], [ex.ONE, x2, ex.ZERO]),
+            ([ex.ZERO, ex.ONE, ex.ZERO], [x3, ex.ZERO, ex.ZERO])]
+    with pytest.raises(NotLagrangianError) as err:
+        dirac_algebroid(secs, FormField(XS3, 3, {}), BOX3)
+    x = grid.T
+    want = np.max(np.abs([2 * x[0], x[1] + x[0] * x[2]]))
+    assert err.value.residual == pytest.approx(want, rel=1e-15)
+
+    # the untwisted graph of a bivector that is not Poisson
+    pi = BivectorField(3, {(0, 1): ex.const(-1.0), (1, 2): x2}, XS3)
+    fr = SimpleNamespace(vectors=[[pi.entry(i, a) for a in range(3)] for i in range(3)],
+                         covectors=[[ex.ONE if a == i else ex.ZERO for a in range(3)]
+                                    for i in range(3)],
+                         H=FormField(XS3, 3, {}))
+    with pytest.raises(NotInvolutiveError) as err:
+        dirac_algebroid(list(zip(fr.vectors, fr.covectors)), fr.H, BOX3)
+    frames = ex.compile_exprs([e for v, a in zip(fr.vectors, fr.covectors)
+                               for e in v + a], XS3)(grid).reshape(25, 3, 6)
+    resid = np.zeros(25)
+    for i, j in itertools.product(range(3), repeat=2):
+        lie_vw, form = _courant_bracket(fr, i, j, XS3)
+        b = ex.compile_exprs(lie_vw + [form.component((a,)) for a in range(3)],
+                             XS3)(grid)
+        for p in range(25):
+            c = np.linalg.lstsq(frames[p].T, b[p], rcond=None)[0]
+            resid[p] = max(resid[p], np.max(np.abs(frames[p].T @ c - b[p])))
+    assert err.value.residual == pytest.approx(resid.max(), rel=1e-12)
+    assert np.array_equal(err.value.worst_point, grid[np.argmax(resid)])
 
 
 @pytest.mark.parametrize("sections,H,bound", [

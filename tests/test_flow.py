@@ -404,10 +404,11 @@ def test_complex_step_of_the_flow_is_its_tangent_map():
 
 
 @pytest.mark.parametrize("field, start", [("1/x1", 0.5), ("sqrt(x1)", 0.3),
-                                          ("log(x1)", 0.3)])
+                                          ("log(x1)", 0.3), ("1/(x1*x1)", 0.5)])
 def test_complex_rows_in_rhs_raise_the_real_domain_error(field, start):
     # x1 = start - t: its real part leaves the field's domain, where the
-    # complex sqrt, log and division of numpy raise nothing
+    # complex sqrt, log and division of numpy raise nothing; at x1 = i h,
+    # x1 * x1 is -h^2, not 0, so only the real row's value divides by zero
     eng = FlowEngine([ex.const(-1.0), parse(field, XS2)], XS2)
     P = np.array([[0.9, 0.0], [start, 0.0]])
     nodes = np.linspace(0.0, 1.0, 5)

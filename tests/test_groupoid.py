@@ -20,6 +20,7 @@ from sprayform.errors import (
     DegenerateFormError,
     DimensionError,
     DomainExitError,
+    EvalDomainError,
     NonlinearCocycleError,
 )
 from sprayform.expr import BivectorField, FormField, parse
@@ -197,7 +198,7 @@ def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid)
             assert np.array_equal(tau[b], tau_b[0])
             assert np.array_equal(dtau[b], dtau_b[0])
     # the product: a stacked batch equals its blocks computed separately
-    a, b = sample_composable_pairs(G3, 5, seed=24, fiber_scale=0.5)
+    a, b = sample_composable_pairs(G3, 5, seed=24)
     stacked = multiply_poisson(G3, ev3, a, b, n_steps=4)
     for block in (slice(0, 2), slice(2, 5)):
         assert np.array_equal(stacked[block],
@@ -396,6 +397,38 @@ def test_degenerate_complex_rows_are_named_by_real_parts(flat_groupoid):
     _degenerate_rows_are_named(flat_groupoid, 1e-3j)
 
 
+def test_complex_rows_in_node_sum_raise_the_real_domain_error(const_groupoid):
+    """A coefficient singular at the real part of a complex row raises the
+    real row's EvalDomainError: at x1 = i h, y1 = 0 the denominator is
+    -h^2, whose reciprocal numpy computes without error."""
+    A, G, _ = const_groupoid
+    form = FormField(A.total_vars, 2, {
+        (0, 2): parse("1/(y1*y1 + x1*x1)", A.total_vars), (1, 3): ex.ONE})
+    ev = MultFormEvaluator(G, form)
+    P = np.array([[0.0, 0.1, 0.0, 0.0]])
+    with pytest.raises(EvalDomainError) as real:
+        ev.omega_full(P)
+    with pytest.raises(EvalDomainError) as cplx:
+        ev.omega_full(P + [COMPLEX_STEP * 1j, 0, 0, 0])
+    assert str(cplx.value) == str(real.value)
+
+
+def test_real_and_complex_rows_share_one_kernel():
+    """One generated right-hand side per solve kind and one node sum per
+    degree serve real and complex rows alike."""
+    A = cotangent_algebroid(constant_bivector_r2(), BOX2)
+    G = SprayGroupoid(A, default_spray(A), n_quad=16)
+    form = FormField(A.total_vars, 2, {(0, 2): parse("1 + x1 * y2", A.total_vars),
+                                       (1, 3): ex.ONE})
+    ev = MultFormEvaluator(G, form)
+    P = np.array([[0.1, 0.2, 0.1, -0.1], [-0.2, 0.1, 0.0, 0.2]])
+    for rows in (P, P + COMPLEX_STEP * 1j):
+        G.tau(rows)
+        ev.omega_full(rows)
+    assert G.engine._rhs.cache_info().currsize == 2     # grid and tangent
+    assert list(ev._codes) == [2]
+
+
 def _degenerate_rows_are_named(flat_groupoid, step):
     """Rows a + step v (complex for step != 0, judged and named by their
     real parts) whose omega is degenerate raise at their row and point."""
@@ -422,8 +455,8 @@ def _degenerate_rows_are_named(flat_groupoid, step):
     assert "point (0, 0.2, 0.2, 0.1)" in str(err.value)
 
 
-def test_condition_guard_is_per_row(flat_groupoid):
-    """Each row's omega is checked against cond_bound on its own: rows that
+def test_condition_guard_is_per_row(flat_groupoid, monkeypatch):
+    """Each row's omega is checked against COND_BOUND on its own: rows that
     are each well conditioned pass together even when the batch's largest
     singular value over its smallest exceeds the bound, and get the bits of
     one-row calls."""
@@ -436,14 +469,15 @@ def test_condition_guard_is_per_row(flat_groupoid):
     b = np.array([[0.1, 0.2, 0.1, 0.0], [0.5, -0.1, 0.2, 0.1]])
     a = b.copy()
     a[:, 2:] = 0.05
-    got = multiply_poisson(G, ev, a, b, n_steps=2, cond_bound=2.0)
+    monkeypatch.setattr(groupoid, "COND_BOUND", 2.0)
+    got = multiply_poisson(G, ev, a, b, n_steps=2)
     for r in range(2):
-        one = multiply_poisson(G, ev, a[r:r + 1], b[r:r + 1], n_steps=2,
-                               cond_bound=2.0)
+        one = multiply_poisson(G, ev, a[r:r + 1], b[r:r + 1], n_steps=2)
         assert np.array_equal(got[r], one[0])
 
 
-def test_condition_guard_names_the_row_over_its_own_bound(flat_groupoid):
+def test_condition_guard_names_the_row_over_its_own_bound(flat_groupoid,
+                                                          monkeypatch):
     A, G, _ = flat_groupoid
     # Lambda = x1 dx1^dy1 + dx2^dy2: condition number 1/|x1| for |x1| < 1
     form = FormField(A.total_vars, 2, {(0, 2): parse("x1", A.total_vars),
@@ -453,8 +487,9 @@ def test_condition_guard_names_the_row_over_its_own_bound(flat_groupoid):
                   [0.02, 0.1, 0.0, 0.1]])
     a = b.copy()
     a[:, 2:] = 0.05
+    monkeypatch.setattr(groupoid, "COND_BOUND", 10.0)
     with pytest.raises(DegenerateFormError) as err:
-        multiply_poisson(G, ev, a, b, n_steps=2, cond_bound=10.0)
+        multiply_poisson(G, ev, a, b, n_steps=2)
     assert err.value.row == 1
     assert err.value.smallest_singular_value == pytest.approx(0.05)
 
@@ -522,7 +557,7 @@ def test_complex_step_dmu_matches_the_stencil(so3_groupoid):
     """The complex-step d mu on so(3)* agrees with the 4th-order stencil
     along Newton-corrected composable curves, whose own error is ~1e-10."""
     _, G, ev = so3_groupoid
-    a, b = sample_composable_pairs(G, 3, 21, fiber_scale=0.5)
+    a, b = sample_composable_pairs(G, 3, 21)
     pairs = _tangent_pairs(G, b, 2, 22)
     mu, dmu = differential_of_multiplication(G, ev, a, b, pairs, n_steps=8)
     mu_fd, dmu_fd = stencil_differential(G, ev, a, b, pairs, n_steps=8)
@@ -535,7 +570,7 @@ def test_complex_step_rows_are_tangent_composable(so3_groupoid):
     dsigma(v) - dtau(w), vanishes to roundoff: the complex rows lie on the
     tangent of the composable set, with no Newton correction."""
     _, G, _ = so3_groupoid
-    a, b = sample_composable_pairs(G, 6, 23, fiber_scale=0.5)
+    a, b = sample_composable_pairs(G, 6, 23)
     rows = groupoid._complex_step_rows(a, b, _tangent_pairs(G, b, 2, 24))
     gap = (rows.a[:, : G.n] - G.tau(rows.b)).imag / COMPLEX_STEP
     assert np.max(np.abs(gap)) < 1e-12
@@ -581,7 +616,7 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
     monkeypatch.undo()
 
     rng = SplitMix64(11)
-    a, b = sample_composable_pairs(G, n_pairs, 11, fiber_scale=0.5)
+    a, b = sample_composable_pairs(G, n_pairs, 11)
     v1 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
     v2 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
     w1, w2 = composable_tangents_batch(G.tau_with_jacobian(b)[1],

@@ -109,8 +109,7 @@ def test_grouped_constant_terms_match_per_term_oracle(case, complex_rows):
     ev = MultFormEvaluator(G, _constant_form(G, degree, comps))
     P = _points(G, complex_rows)
     _assert_matches_oracle(ev, P)
-    _, grouped, per_node = groupoid._compile_node_sum(
-        ev, *ev._lam, degree, complex_rows)
+    _, grouped, per_node = groupoid._compile_node_sum(ev, *ev._lam, degree)
     assert (grouped, per_node) == (n_grouped, n_per_node)
 
 

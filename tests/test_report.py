@@ -31,6 +31,26 @@ def test_direction_is_unit():
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_batch_draws_equal_the_scalar_draws():
+    """uniform_rows and directions draw what the scalar calls draw, row by
+    row, bit for bit, and leave the generator where they would."""
+    box = [(-1.0, 2.0), (0.5, 0.75), (-3, -1)]
+    rng, ref = SplitMix64(5), SplitMix64(5)
+    rows = rng.uniform_rows(box, 4)
+    want = [[ref.uniform(lo, hi) for lo, hi in box] for _ in range(4)]
+    assert rows.shape == (4, 3)
+    assert np.array_equal(_bits(rows), _bits(want))
+    assert rng.uniform_rows(box, 0).shape == (0, 3)
+    dirs = rng.directions(3, 5)
+    assert dirs.shape == (3, 5)
+    assert np.array_equal(_bits(dirs), _bits([ref.direction(5) for _ in range(3)]))
+    assert rng.next_u64() == ref.next_u64()
+
+
 def test_residual_check_verdicts():
     rep = CheckReport()
     rep.add("fine", 1e-9, 1e-6)
