@@ -30,8 +30,7 @@ import jsonschema
 import numpy as np
 
 from . import expr as ex
-from .algebroid import (AlgebroidChart, SymbolicStructure, base_vars,
-                        jacobi_cocycle)
+from .algebroid import AlgebroidChart, SymbolicStructure, base_vars
 from .errors import ConfigError, EvalDomainError, ExprError, SprayformError
 from .groupoid import (
     SprayGroupoid,
@@ -109,8 +108,8 @@ CONFIG_SCHEMA = {
                 "mu_steps": {"type": "integer", "minimum": 1},
                 "samples": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
-                "mult_pairs": {"type": "integer", "minimum": 0},
-                "assoc_triples": {"type": "integer", "minimum": 0},
+                "mult_pairs": {"type": "integer", "minimum": 1},
+                "assoc_triples": {"type": "integer", "minimum": 1},
                 "tolerances": {"type": "object",
                                "propertyNames": {"enum": list(TOLERANCE_NAMES)},
                                "additionalProperties": {"type": "number"}},
@@ -128,8 +127,10 @@ CONFIG_SCHEMA = {
     },
     "allOf": [
         {"if": {"properties": {"kind": {"const": kind}}},
-         "then": {"properties": {"coefficients": {"required": required}}}}
-        for kind, (_, required) in KINDS.items()],
+         "then": {"properties": {"coefficients": {
+             "required": required,
+             "propertyNames": {"enum": required + optional}}}}}
+        for kind, (_, required, optional) in KINDS.items()],
 }
 
 
@@ -173,6 +174,7 @@ def _parse(node, xs, path):
 
 
 def _parse_form(mapping, n, degree, what):
+    """The FormField of a coefficient's {multi-index: expression} mapping."""
     comps = {}
     for key, src in mapping.items():
         idx = tuple(int(ch) - 1 for ch in key)
@@ -180,24 +182,39 @@ def _parse_form(mapping, n, degree, what):
             raise ConfigError(f"{what}: bad multi-index {key!r} for degree "
                               f"{degree} in dimension {n}")
         comps[idx] = _parse(src, base_vars(n), f'{what}["{key}"]')
-    return comps
+    return ex.FormField(base_vars(n), degree, comps)
 
 
-def _parse_matrix(rows, n_rows, n_cols, n_vars, what):
-    if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
-        raise ConfigError(f"{what}: expected a {n_rows} x {n_cols} matrix")
-    return _parse(rows, base_vars(n_vars), what)
+def _parse_array(entry, shape, n, what):
+    """The expressions of the nested lists ``entry``, which must have
+    ``shape``, in the chart's n variables."""
+    if np.shape(np.array(entry, dtype=object)) != shape:
+        raise ConfigError(f"{what}: expected an array of expressions of "
+                          f"shape {shape}")
+    return _parse(entry, base_vars(n), what)
+
+
+# Each coefficient's parser: (config entry or None, n) -> the builder
+# argument of the same name.  A kind reads the keys that KINDS lists for it.
+_COEFFICIENTS = {
+    "pi": lambda entry, n: ex.BivectorField(
+        n, _parse_form(entry, n, 2, "pi").components),
+    "l": lambda entry, n: _parse_array(entry, (n, n), n, "l"),
+    "varpi": lambda entry, n: _parse_form(entry, n, 2, "varpi"),
+    "christoffel": lambda entry, n: None if entry is None else _parse_array(
+        entry, (n, n, n), n, "christoffel"),
+    "H": lambda entry, n: _parse_form(entry or {}, n, 3, "H"),
+    "R": lambda entry, n: _parse_array(entry, (n,), n, "R"),
+    "sections": lambda entry, n: [
+        tuple(_parse_array(sec[key], (n,), n, f"sections[{s}].{key}")
+              for key in ("v", "alpha")) for s, sec in enumerate(entry)],
+}
 
 
 def build_numerics(raw):
     """The config's numerics keys; ``Numerics`` supplies the defaults."""
     return Numerics(**{"n_quad" if key == "quad_nodes" else key: value
                        for key, value in raw.get("numerics", {}).items()})
-
-
-def _bivector(raw, n):
-    pi_map = raw["coefficients"].get("pi", {})
-    return ex.BivectorField(n, _parse_form(pi_map, n, 2, "pi"), base_vars(n))
 
 
 def _chart_box(raw):
@@ -211,67 +228,30 @@ def _chart_box(raw):
     return n, box
 
 
-def _raw_algebroid_chart(raw, n, box):
-    co = raw["coefficients"]
-    r = co["rank"]
-    anchor_rows = _parse_matrix(co["anchor"], n, r, n, "anchor")
-    c_raw = co["c"]
-    if len(c_raw) != r or any(len(row) != r for row in c_raw) or \
-            any(len(cell) != r for row in c_raw for cell in row):
-        raise ConfigError("c must be an r x r x r array of expressions")
-    table = _parse(c_raw, base_vars(n), "c")
-    return AlgebroidChart(n=n, r=r, box=box, anchor=anchor_rows,
-                          structure=SymbolicStructure(n, r, table))
-
-
 def parse_config(raw):
     """Kind, numerics and builder inputs of a validated config.
 
     Every subcommand builds from this one parse, so a bad coefficient
     is a config error (exit 2) whichever subcommand reads it.  The inputs
-    are the keyword arguments of the kind's builder (``scenarios.build``).
+    are the keyword arguments of the kind's builder (``scenarios.build``):
+    the box and each coefficient the kind reads, an optional one left out
+    parsed from None.
     """
     kind = raw["kind"]
     n, box = _chart_box(raw)
     nm = build_numerics(raw)
     co = raw["coefficients"]
-    xs = base_vars(n)
+    if kind == "raw_algebroid":   # its three coefficients make one chart
+        r = co["rank"]
+        anchor = _parse_array(co["anchor"], (n, r), n, "anchor")
+        table = _parse_array(co["c"], (r, r, r), n, "c")
+        return kind, nm, {"chart": AlgebroidChart(
+            n=n, r=r, box=box, anchor=anchor,
+            structure=SymbolicStructure(n, r, table))}
+    _, required, optional = KINDS[kind]
     inputs = {"box": box}
-    if kind in ("poisson", "nijenhuis", "gcs", "jacobi"):
-        inputs["pi"] = _bivector(raw, n)
-    if kind == "poisson":
-        christoffel = None
-        if "christoffel" in co:
-            raw_c = co["christoffel"]
-            if len(raw_c) != n or any(len(row) != n for row in raw_c) or \
-                    any(len(cell) != n for row in raw_c for cell in row):
-                raise ConfigError("christoffel must be an r x n x r array of "
-                                  "expressions (r = n for poisson)")
-            christoffel = _parse(raw_c, xs, "christoffel")
-        inputs["christoffel"] = christoffel
-    elif kind in ("nijenhuis", "gcs"):
-        inputs["lmat"] = _parse_matrix(co["l"], n, n, n, "l")
-        if kind == "gcs":
-            inputs["varpi"] = ex.FormField(
-                xs, 2, _parse_form(co["varpi"], n, 2, "varpi"))
-    elif kind == "dirac":
-        sections = []
-        for s, sec in enumerate(co["sections"]):
-            if len(sec["v"]) != n or len(sec["alpha"]) != n:
-                raise ConfigError("each section needs n vector and n covector "
-                                  "components")
-            sections.append((_parse(sec["v"], xs, f"sections[{s}].v"),
-                             _parse(sec["alpha"], xs, f"sections[{s}].alpha")))
-        inputs["sections"] = sections
-        inputs["H"] = ex.FormField(xs, 3,
-                                   _parse_form(co.get("H", {}), n, 3, "H"))
-    elif kind == "jacobi":
-        R = _parse(co["R"], xs, "R")
-        if len(R) != n:
-            raise ConfigError("R needs one component per dimension")
-        inputs["R"] = R
-    elif kind == "raw_algebroid":
-        inputs = {"chart": _raw_algebroid_chart(raw, n, box)}
+    for key in required + optional:
+        inputs[key] = _COEFFICIENTS[key](co.get(key), n)
     return kind, nm, inputs
 
 
@@ -431,13 +411,13 @@ def cmd_eval(args):
                 out["Pi"] = ev.inverse_matrices(point[None, :])[0].tolist()
             except SprayformError:
                 out["Pi"] = None
-        if pair is not None and raw["kind"] in ("poisson", "nijenhuis", "gcs"):
+        if pair is not None and ev.degree == 2 and scen.pi is not None:
             a, b = [_check_length(v, G.dim) for v in pair]
             out["mu"] = multiply_poisson(G, ev, a[None, :], b[None, :],
                                          n_steps=scen.numerics.mu_steps)[0].tolist()
-    if raw["kind"] == "jacobi":
-        out["cocycle"] = float(integrate_cocycle(
-            G, jacobi_cocycle(scen.chart), point[None, :])[0])
+        if ev.weight_cocycle is not None:
+            out["cocycle"] = float(integrate_cocycle(
+                G, ev.weight_cocycle, point[None, :])[0])
     print(json.dumps(out, indent=2))
     return 0
 

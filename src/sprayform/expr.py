@@ -673,17 +673,21 @@ def numpy_assign(target, e, names):
     return f"np.copyto({target}, {numpy_source(core, names)})"
 
 
-def real_pass(exprs, names, test):
-    """Statements that, where the source ``test`` holds (a complex batch),
-    evaluate each of ``exprs`` that can raise at a finite real row on the
-    real parts of its variables, so that a complex row raises the
-    EvalDomainError of its real row: numpy's complex sqrt and log of
-    x < 0, and its division by i y, raise nothing.  Emitted before the
-    batch's own statements, in their guard; no lines when none can raise.
+def real_pass(evaluations, names, test):
+    """The statements of ``evaluations``, (expression, statement) pairs, in
+    order; where the source ``test`` holds (a complex batch), each whose
+    expression can raise at a finite real row is preceded by that
+    expression on the real parts of its variables, so a complex row raises
+    its real row's first EvalDomainError: numpy's complex sqrt and log of
+    x < 0, and its division by i y, raise nothing.
     """
     real = {v: f"{name}.real" for v, name in names.items()}
-    lines = [numpy_source(e, real) for e in dict.fromkeys(exprs) if _can_raise(e)]
-    return [f"if {test}:"] + indent(lines, 4) if lines else []
+    lines = []
+    for e, line in evaluations:
+        if _can_raise(e):
+            lines.append(f"if {test}: {numpy_source(e, real)}")
+        lines.append(line)
+    return lines
 
 
 def _can_raise(e):
@@ -729,9 +733,10 @@ def compile_exprs(exprs, variables):
     array of shape ``(..., len(exprs))``.  Domain violations (division by
     zero, log/sqrt outside their domain, overflow) raise EvalDomainError
     instead of producing silent non-finite values.  A complex ``Z`` runs
-    the same source in complex arithmetic, after ``real_pass`` has
-    evaluated the expressions that can raise on its real parts, so it
-    raises where its real row raises; any other ``Z`` is cast to float64.
+    the same source in complex arithmetic, and ``real_pass`` evaluates each
+    expression that can raise on its real parts right before its own
+    statement, so it raises where, and as, its real row raises; any other
+    ``Z`` is cast to float64.
     """
     variables = list(variables)
     names = {v: f"v{i}" for i, v in enumerate(variables)}
@@ -739,10 +744,10 @@ def compile_exprs(exprs, variables):
     body = [f"{names[v]} = Z[..., {i}]" for i, v in enumerate(variables)
             if v in used]
     body.append(f"out = np.zeros(Z.shape[:-1] + ({len(exprs)},), Z.dtype)")
-    body += guard(real_pass(exprs, names, "Z.dtype.kind == 'c'")
-                  + [numpy_assign(f"out[..., {j}]", e, names)
-                     for j, e in enumerate(exprs)
-                     if not e.is_zero])     # out starts zeroed
+    body += guard(real_pass([(e, numpy_assign(f"out[..., {j}]", e, names))
+                             for j, e in enumerate(exprs)
+                             if not e.is_zero],     # out starts zeroed
+                            names, "Z.dtype.kind == 'c'"))
     body.append("return out")
     src = ["def _generated(Z):"] + [f"    {s}" for s in body]
     generated = exec_generated(src, "expr")["_generated"]

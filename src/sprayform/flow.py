@@ -28,10 +28,11 @@ in the products with J or in the RK4 arithmetic redoes that step with
 errors ignored: NonFiniteStateError then names the first batch row left
 with a non-finite entry of z or J, and a step that leaves none stands.
 Node consumers run under the caller's error state.  A complex batch (a
-complex step) runs the same source in complex arithmetic, after
-``expr.real_pass`` has evaluated the coefficients that can raise on the
-real parts, so it raises where its real rows raise; the box check reads
-the real part of the state, and a non-finite imaginary part is non-finite.
+complex step) runs the same source in complex arithmetic, and
+``expr.real_pass`` evaluates each coefficient that can raise on the real
+parts right before its own statement, so it raises where, and as, its real
+rows raise; the box check reads the real part of the state, and a
+non-finite imaginary part is non-finite.
 
 Neither solve stores a trajectory.  Each returns the end state batch-major,
 z of shape (B, d) and J of shape (B, d, d) with J[b, i, j] = dz_i/dz_j.  An
@@ -284,8 +285,9 @@ def _compile_rhs(components, variables, live, partials=None):
 
     Each call first evaluates V and the coefficients dV_i/dz_k, where a
     FloatingPointError raises EvalDomainError, then multiplies and adds the
-    rows of J.  Complex buffers first take ``ex.real_pass`` of what is
-    evaluated.
+    rows of J.  On complex buffers ``ex.real_pass`` evaluates each
+    coefficient that can raise on the real parts right before its own
+    statement.
     """
     d, m = len(variables), len(live)
     ex.used_variables(components, variables)
@@ -336,9 +338,8 @@ def _compile_rhs(components, variables, live, partials=None):
                      ex.numpy_assign(f"kJ{i}_{k}", partials[i][k], names))
 
     def checked(evaluations):
-        return ex.guard(ex.real_pass([e for e, _ in evaluations], names,
-                                     "X.dtype.kind == 'c'")
-                        + [line for _, line in evaluations])
+        return ex.guard(ex.real_pass(evaluations, names,
+                                     "X.dtype.kind == 'c'"))
 
     src = (["def _bind(X, F, K, T):"]
            + ex.indent(head + checked(once), 4)

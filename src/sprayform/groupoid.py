@@ -416,7 +416,7 @@ def _compile_node_sum(ev, terms, exprs, degree):
     and returns S, ``finish()``, which copies the group sums into S,
     ``values(X)``, None or a new (B, n) array of the non-constant
     coefficients, then a weighted evaluator's cocycle, at the live rows X
-    (written as ``compile_exprs`` writes its columns, complex rows after
+    (written as ``compile_exprs`` writes its columns, complex rows through
     ``ex.real_pass``), and ``add(X, V, s)``, which adds the node with c = s.
 
     A frozen row J_i = e_i (see ``flow``) is a fixed index of S, not a
@@ -476,10 +476,10 @@ def _compile_node_sum(ev, terms, exprs, degree):
     values = [f"z{i} = X[{pos[i]}]" if i in pos else f"z{i} = F[{frozen.index(i)}]"
               for i, v in enumerate(G.spray.variables) if v in used]
     values += [f"V = np.zeros((B, {len(columns)}), X.dtype)",
-               "with np.errstate(**RAISE):"] + ex.indent(ex.guard(
-                   ex.real_pass(columns, names, "X.dtype.kind == 'c'")
-                   + [ex.numpy_assign(f"V[:, {c}]", e, names)
-                      for c, e in enumerate(columns)]), 4) if columns else ["V = None"]
+               "with np.errstate(**RAISE):"] + ex.indent(ex.guard(ex.real_pass(
+                   [(e, ex.numpy_assign(f"V[:, {c}]", e, names))
+                    for c, e in enumerate(columns)],
+                   names, "X.dtype.kind == 'c'")), 4) if columns else ["V = None"]
     src = ([f"def _bind({', '.join(['F', 'B', *consts])}):",
             f"    S = np.zeros({(d,) * degree} + (B,), F.dtype)"]
            + ex.indent(head, 4)

@@ -149,16 +149,17 @@ def run_checks(scenario):
     return report
 
 
-# Each config kind's builder and required coefficients, which the config
-# schema is generated from.  Module tables name builders and hold only private
-# checks, so that a wrapper on a public module attribute (perfbench/tracer.py)
-# sees every call.
-KINDS = {"poisson": ("build_symplectic_groupoid", ["pi"]),
-         "nijenhuis": ("build_nijenhuis", ["pi", "l"]),
-         "gcs": ("build_gcs", ["pi", "l", "varpi"]),
-         "dirac": ("build_dirac", ["sections"]),
-         "jacobi": ("build_jacobi", ["pi", "R"]),
-         "raw_algebroid": ("build_raw_algebroid", ["rank", "anchor", "c"])}
+# Each config kind's builder, required and optional coefficients: the one
+# source of the config schema's kind clauses, whose coefficients are exactly
+# these, and of the coefficients ``cli.parse_config`` reads.  Module tables
+# name builders and hold only private checks, so that a wrapper on a public
+# module attribute (perfbench/tracer.py) sees every call.
+KINDS = {"poisson": ("build_symplectic_groupoid", ["pi"], ["christoffel"]),
+         "nijenhuis": ("build_nijenhuis", ["pi", "l"], []),
+         "gcs": ("build_gcs", ["pi", "l", "varpi"], []),
+         "dirac": ("build_dirac", ["sections"], ["H"]),
+         "jacobi": ("build_jacobi", ["pi", "R"], []),
+         "raw_algebroid": ("build_raw_algebroid", ["rank", "anchor", "c"], [])}
 
 
 def build(kind, numerics, inputs):
@@ -636,7 +637,7 @@ def omega_Lk_two_ways(scenario, pair, k, samples=15, seed=808):
     return float(np.max(np.abs(route_a.value - WB)))
 
 
-def build_nijenhuis(pi, lmat, box, numerics=None):
+def build_nijenhuis(pi, l, box, numerics=None):
     """Symplectic-Nijenhuis scenario: the Poisson scenario plus the pair.
 
     The pair must be genuinely infinitesimally multiplicative: the bivector
@@ -649,7 +650,7 @@ def build_nijenhuis(pi, lmat, box, numerics=None):
     scen = build_symplectic_groupoid(pi, box, numerics=numerics)
     nm = scen.numerics
     gate = im_residuals(scen.chart,
-                        im_pair_from_covector_map(scen.chart, lmat, negate=True),
+                        im_pair_from_covector_map(scen.chart, l, negate=True),
                         samples=min(60, nm.samples), seed=nm.seed + 21,
                         tol=nm.tol("pair_im_residuals", 1e-8))
     if not gate.all_passed:
@@ -660,7 +661,7 @@ def build_nijenhuis(pi, lmat, box, numerics=None):
     return replace(scen, environment={**scen.environment, "kind": "nijenhuis"},
                    gates={**scen.gates, "pair_invariants":
                           CheckReport().merge(gate, prefix="pair_")},
-                   checks=_NIJENHUIS_CHECKS, pair=NijenhuisPair(pi, lmat))
+                   checks=_NIJENHUIS_CHECKS, pair=NijenhuisPair(pi, l))
 
 
 def _nijenhuis_checks(scen, report):
@@ -732,16 +733,16 @@ def holomorphic_check(scenario, pair, numerics=None):
 # Generalized complex
 
 
-def build_gcs(pi, lmat, varpi, box, numerics=None):
+def build_gcs(pi, l, varpi, box, numerics=None):
     """Generalized-complex scenario of the triple (pi, l, varpi); if the
     prechecks the identity rests on fail, only they are reported."""
     nm = numerics or Numerics()
     n = pi.dim
     xs = base_vars(n)
     dvarpi = varpi.d()
-    T = nijenhuis_torsion(lmat, xs)
+    T = nijenhuis_torsion(l, xs)
     # varpi_l(u, v) = varpi(l u, v); on frames (varpi_l)_{ab} =
-    # sum_i lv[i][a] varpi_{ib} with lv[i][a] = lmat[a][i]
+    # sum_i lv[i][a] varpi_{ib} with lv[i][a] = l[a][i]
     varpi_l_comps = {}
     for a in range(n):
         for b in range(a + 1, n):
@@ -751,13 +752,13 @@ def build_gcs(pi, lmat, varpi, box, numerics=None):
                     continue
                 W_ib = varpi.component((i, b)) if i < b else \
                     ex.neg(varpi.component((b, i)))
-                total = ex.add(total, ex.mul(lmat[a][i], W_ib))
+                total = ex.add(total, ex.mul(l[a][i], W_ib))
             varpi_l_comps[(a, b)] = total
     varpi_l = ex.FormField(xs, 2, varpi_l_comps)
     dvarpi_l = varpi_l.d()
 
     X = SplitMix64(nm.seed + 40).uniform_rows(box, min(30, nm.samples))
-    L = NijenhuisPair(pi, lmat).l_covector_matrices(X)
+    L = NijenhuisPair(pi, l).l_covector_matrices(X)
     lv = np.swapaxes(L, 1, 2)
     Tv = ex.batch_values([T[i][a][b] for i in range(n) for a in range(n)
                           for b in range(n)], xs, X, (n, n, n))
@@ -793,7 +794,7 @@ def build_gcs(pi, lmat, varpi, box, numerics=None):
     scen = build_symplectic_groupoid(pi, box, numerics=nm)
     return replace(scen, environment=_environment("gcs", nm, scen.groupoid),
                    gates={**scen.gates, **gates}, checks=_GCS_CHECKS,
-                   pair=NijenhuisPair(pi, lmat), varpi=varpi)
+                   pair=NijenhuisPair(pi, l), varpi=varpi)
 
 
 def gcs_identity_check(scenario, samples, seed):

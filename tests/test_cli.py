@@ -103,6 +103,73 @@ def test_kind_specific_requirements(tmp_path):
         load_config(bad)
 
 
+# a schema-valid placeholder of each coefficient: the schema rejects a
+# config before any coefficient is parsed
+_PLACEHOLDERS = {"pi": {}, "l": [], "varpi": {}, "R": [], "H": {},
+                 "sections": [], "rank": 1, "anchor": [], "c": [],
+                 "christoffel": []}
+
+
+def _minimal(kind, keys):
+    return {"schema_version": 1, "kind": kind,
+            "chart": {"dim": 1, "box": [[-1, 1]]},
+            "coefficients": {key: _PLACEHOLDERS[key] for key in keys}}
+
+
+def test_schema_coefficients_are_the_kinds_coefficients(tmp_path):
+    """Each kind's schema clause requires its required coefficients and
+    accepts exactly its required and optional ones."""
+    assert set(_PLACEHOLDERS) == set(CONFIG_SCHEMA["properties"][
+        "coefficients"]["properties"])
+    for clause, (kind, (_, required, optional)) in zip(
+            CONFIG_SCHEMA["allOf"], scenarios.KINDS.items()):
+        assert clause["if"]["properties"]["kind"] == {"const": kind}
+        assert clause["then"]["properties"]["coefficients"] == {
+            "required": required,
+            "propertyNames": {"enum": required + optional}}
+        load_config(_write(tmp_path, _minimal(kind, required + optional)))
+
+
+@pytest.mark.parametrize("kind", list(scenarios.KINDS))
+def test_coefficient_a_kind_does_not_read_is_config_error(kind, tmp_path,
+                                                          capsys):
+    """A coefficient outside the kind's KINDS entry exits 2 and names the
+    key, instead of being ignored."""
+    _, required, optional = scenarios.KINDS[kind]
+    for key in sorted(set(_PLACEHOLDERS) - set(required + optional)):
+        path = _write(tmp_path, _minimal(kind, required + [key]))
+        assert main(["check", "--config", path,
+                     "--out-dir", str(tmp_path)]) == 2
+        assert f"config schema violation: {key!r} is not one of" in \
+            capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["mult_pairs", "assoc_triples"])
+def test_zero_product_samples_are_config_error(key, tmp_path, capsys):
+    raw = json.loads((CONFIGS / "so3.json").read_text())
+    raw["numerics"][key] = 0
+    path = _write(tmp_path, raw)
+    assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("config error: config schema "
+                                       "violation: 0 is less than the "
+                                       "minimum of 1\n")
+
+
+@pytest.mark.parametrize("config",
+                         sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_numerics_at_their_schema_minimum_exit_with_a_code(config, tmp_path):
+    """Every bundled config with each numerics key at the minimum the schema
+    allows ends in a documented exit code, not an uncaught exception."""
+    raw = json.loads((CONFIGS / config).read_text())
+    for key, spec in CONFIG_SCHEMA["properties"]["numerics"][
+            "properties"].items():
+        if "minimum" in spec:
+            raw.setdefault("numerics", {})[key] = spec["minimum"]
+    path = _write(tmp_path, raw)
+    assert main(["check", "--config", path,
+                 "--out-dir", str(tmp_path)]) in (0, 1, 2, 3)
+
+
 def test_tolerance_names_are_the_names_check_reads(tmp_path, monkeypatch,
                                                    so3_check):
     """The tolerance keys the schema accepts are, without repeats, exactly
@@ -137,7 +204,8 @@ def test_malformed_R_is_config_error_in_every_subcommand(tmp_path, capsys):
     assert main(["convergence", "--config", path, "--out-dir", str(tmp_path),
                  "--ladder", "8,16"]) == 2
     assert main(["eval", "--config", path, "--point", "0,0,0"]) == 2
-    assert "R needs one component" in capsys.readouterr().err
+    assert "R: expected an array of expressions of shape (1,)" in \
+        capsys.readouterr().err
     # a well-formed config with a malformed ladder
     raw["coefficients"]["R"] = ["1"]
     path = _write(tmp_path, raw, "good_R.json")
@@ -171,7 +239,8 @@ def test_malformed_christoffel_is_config_error(tmp_path, capsys):
     raw["coefficients"]["christoffel"] = [[["0"]]]
     path = _write(tmp_path, raw)
     assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 2
-    assert "christoffel must be an r x n x r array" in capsys.readouterr().err
+    assert "christoffel: expected an array of expressions of shape" in \
+        capsys.readouterr().err
     n = raw["chart"]["dim"]
     raw["coefficients"]["christoffel"] = [[["0"] * n] * n] * n
     _, _, inputs = parse_config(raw)

@@ -159,6 +159,19 @@ def test_compiled_complex_rows_raise_where_the_real_row_raises():
     assert str(cplx.value) == str(real.value)
 
 
+def test_compiled_complex_rows_raise_the_first_real_error():
+    """Each column's real pass runs right before its own statement, so a
+    complex row raises the error its real row raises first: the overflow of
+    exp(x1), not the division by zero of the later column 1/x2."""
+    fn = ex.compile_exprs([parse("exp(x1)", XS), parse("1/x2", XS)], XS)
+    with pytest.raises(EvalDomainError, match="overflow encountered in exp") \
+            as real:
+        fn(np.array([[1000.0, 0.0, 0.0]]))
+    with pytest.raises(EvalDomainError) as cplx:
+        fn(np.array([[1000.0 + 1e-20j, 0.0, 0.0]]))
+    assert str(cplx.value) == str(real.value)
+
+
 def test_constant_power_folds_like_evaluation():
     # C pow gives 0.026999999999999996; the evaluators' squaring rule 0.027
     assert parse("0.3^3", XS).value == 0.3 * (0.3 * 0.3)

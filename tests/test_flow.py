@@ -420,6 +420,21 @@ def test_complex_rows_in_rhs_raise_the_real_domain_error(field, start):
         assert str(cplx.value) == str(real.value)
 
 
+def test_complex_rows_in_rhs_raise_the_first_real_error():
+    # V_1 = exp(x1) overflows before V_2 = 1/x2 divides by zero, on the real
+    # row and on the complex row alike
+    eng = FlowEngine([parse("exp(x1)", XS2), parse("1/x2", XS2)], XS2)
+    P = np.array([[1000.0, 0.0]])
+    nodes = np.linspace(0.0, 1.0, 5)
+    for solve in _solves(eng):
+        with pytest.raises(EvalDomainError,
+                           match="overflow encountered in exp") as real:
+            solve(P, nodes)
+        with pytest.raises(EvalDomainError) as cplx:
+            solve(P + 1e-20j, nodes)
+        assert str(cplx.value) == str(real.value)
+
+
 def test_nonfinite_imaginary_part_raises():
     # the imaginary part of x1 overflows in the RK4 sum of the first step
     # in row 1 (and turns its real part NaN: numpy's complex product

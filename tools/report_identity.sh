@@ -10,6 +10,9 @@
 #     at run time;
 #   - `check` on configs/so3.json with `--seed 7319`, the command-line
 #     override of the config seed;
+#   - two config errors (exit 2): `check` on nijenhuis_r2 with a
+#     `christoffel` coefficient, which the kind does not read, and on so3
+#     with `mult_pairs: 0`, both written from configs/ at run time;
 #   - `convergence` on so3 and jacobi_line over rungs 32..1024;
 #   - `eval` on every kind's build;
 #   - `schema`, the generated config schema.
@@ -51,6 +54,22 @@ with open(f"{out}/{name}_{seed}.json", "w") as f:
 EOF
   done
 done
+
+python3 - "$seeded" <<'EOF'
+import json, sys
+out = sys.argv[1]
+with open("configs/nijenhuis_r2.json") as f:
+    cfg = json.load(f)
+n = cfg["chart"]["dim"]
+cfg["coefficients"]["christoffel"] = [[["0"] * n] * n] * n
+with open(f"{out}/nijenhuis_r2_christoffel.json", "w") as f:
+    json.dump(cfg, f, indent=2)
+with open("configs/so3.json") as f:
+    cfg = json.load(f)
+cfg["numerics"]["mult_pairs"] = 0
+with open(f"{out}/so3_mult_pairs_0.json", "w") as f:
+    json.dump(cfg, f, indent=2)
+EOF
 
 # run NAME SUBCOMMAND ARGS...: one CLI run into $out/NAME; stdout is kept
 # only for eval and schema, whose output is the result
