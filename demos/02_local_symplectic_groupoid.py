@@ -39,6 +39,6 @@ print("source of a:", G.sigma(a[None, :])[0], " target of a:", G.tau(a[None, :])
 from sprayform.groupoid import multiply_poisson, sample_composable_pairs
 
 A, B = sample_composable_pairs(G, 1, seed=12)
-mu = multiply_poisson(G, scen.evaluator, A, B, n_steps=32)
+mu = multiply_poisson(G, scen.evaluator, A, B, max_sweeps=32)
 print("\na  =", A[0], "\nb  =", B[0], "\nab =", mu[0])
 print("source(ab) == source(b):", np.allclose(mu[0][:3], B[0][:3], atol=1e-9))

@@ -414,7 +414,7 @@ def cmd_eval(args):
         if pair is not None and ev.degree == 2 and scen.pi is not None:
             a, b = [_check_length(v, G.dim) for v in pair]
             out["mu"] = multiply_poisson(G, ev, a[None, :], b[None, :],
-                                         n_steps=scen.numerics.mu_steps)[0].tolist()
+                                         max_sweeps=scen.numerics.mu_steps)[0].tolist()
         if ev.weight_cocycle is not None:
             out["cocycle"] = float(integrate_cocycle(
                 G, ev.weight_cocycle, point[None, :])[0])

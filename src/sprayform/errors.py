@@ -58,9 +58,9 @@ class BatchRowError(SprayformError):
         return ", ".join(where)
 
     def relocate(self, owner, row):
-        """Put ``owner: `` in front and name ``row`` as the batch row."""
+        """Name ``row`` as the batch row, with ``owner: `` in front if given."""
         self.row = row
-        self.args = (f"{owner}: {self._message()}",)
+        self.args = (("" if owner is None else f"{owner}: ") + self._message(),)
 
 
 class DomainExitError(BatchRowError):
@@ -101,6 +101,18 @@ class DegenerateFormError(BatchRowError):
         return ("2-form is degenerate (smallest singular value "
                 f"{self.smallest_singular_value:.3e})"
                 + (" at " + where if where else ""))
+
+
+class ProductConvergenceError(BatchRowError):
+    """A product row whose last update after ``sweeps`` sweeps exceeds ``bound``."""
+
+    def __init__(self, sweeps, update, bound, point=None, row=None):
+        self.sweeps, self.update, self.bound = sweeps, update, bound
+        super().__init__(point, row)
+
+    def _message(self):
+        return (f"product did not converge in {self.sweeps} sweeps (last update "
+                f"{self.update:.3e} > {self.bound:.1e}) at {self._where()}")
 
 
 class NotLagrangianError(SprayformError):

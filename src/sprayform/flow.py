@@ -38,9 +38,9 @@ Neither solve stores a trajectory.  Each returns the end state batch-major,
 z of shape (B, d) and J of shape (B, d, d) with J[b, i, j] = dz_i/dz_j.  An
 optional ``at_node(k, node)`` consumer sees each node k as the loop passes
 it (``Node``): the live rows X and frozen rows F, or the full state
-component-major, z (d, B) and J (d, d, B), written from X only when read.
-Batch-major views are z.T and J.transpose(2, 0, 1).  All are valid only
-during the call.
+component-major, z (d, B) and J (d, d, B), each written from X only when
+read.  Batch-major views are z.T and J.transpose(2, 0, 1).  All are valid
+only during the call.
 """
 
 from __future__ import annotations
@@ -150,9 +150,10 @@ class FlowEngine:
         acc, stage, T = np.empty_like(S), np.empty_like(S), np.empty((d, B), dtype)
         lo, hi = self._lo[live], self._hi[live]
 
-        def publish(X):
-            Z[live] = X[:m]
-            if J is not None:
+        def publish(X, part=None):     # z (part 0), J (1) or both (None)
+            if part != 1:
+                Z[live] = X[:m]
+            if part != 0 and J is not None:
                 J[live] = X[m:].reshape(m, d, B)
 
         def check(X, t):
@@ -164,7 +165,7 @@ class FlowEngine:
         node = Node(F, publish, Z, J)
 
         def consume(k, X):
-            node.X, node.stale = X, True
+            node.X, node.stale = X, [True, True]
             with np.errstate(**caller):
                 at_node(k, node)
 
@@ -209,28 +210,29 @@ class FlowEngine:
 class Node:
     """A solve's state at one node: ``X`` the live rows of the RK4 state and
     ``F`` the frozen coordinates (see the module docstring); ``z`` and ``J``
-    (None without the tangent flow) the full state, written from X by
-    ``publish`` when first read after the solve marks X ``stale``."""
+    (None without the tangent flow) the full state, each written from X by
+    ``publish`` when first read after the solve marks X ``stale``, so a
+    consumer that reads z alone writes out z alone."""
 
     __slots__ = ("X", "F", "stale", "_publish", "_full")
 
     def __init__(self, F, publish, z, J):
-        self.X, self.F, self.stale = None, F, False
+        self.X, self.F, self.stale = None, F, [False, False]
         self._publish, self._full = publish, (z, J)
 
     @property
     def z(self):
-        return self._views()[0]
+        return self._view(0)
 
     @property
     def J(self):
-        return self._views()[1]
+        return self._view(1)
 
-    def _views(self):
-        if self.stale:
-            self._publish(self.X)
-            self.stale = False
-        return self._full
+    def _view(self, part):
+        if self.stale[part]:
+            self._publish(self.X, part)
+            self.stale[part] = False
+        return self._full[part]
 
 
 def _inside(z, lo, hi):

@@ -16,14 +16,15 @@ exp(-int_0^t <R, a_s> ds) for the trivialized jacobi case.
 The quadrature streams: ``SprayGroupoid.flow_end`` hands each node of one
 tangent-flow solve to consumers that accumulate as it goes, so nothing
 stores a trajectory.  The omega and d omega sums of every check and
-product-ODE stage run code generated from Lambda on the live RK4 state;
-cocycles and transport weights read the full state, written out for them.
+product sweep run code generated from Lambda on the live RK4 state;
+cocycles and transport weights read z, written out for them.
 
 The Poisson multiplication solves  dk/dt = -Pi#_k( dtau_k^T p_t ),  k_0 = b,
 where p_t is the fiber of phi^t(a), Pi is the pointwise inverse of omega and
 dtau the Jacobian of target = projection o time-1 flow.  With the sharp/flat
 conventions used here this is  dk/dt = solve(W_k, dtau_k^T p_t)  for the
-antisymmetric matrix W of omega.  Everything is batched over points.
+antisymmetric matrix W of omega, solved by Gauss collocation: each Picard
+sweep is one tangent-flow solve at every node.  Everything is batched.
 
 d mu is a complex step: the product is analytic, so on composable tangents
 d mu(v, w) = Im mu(a + i h v, b + i h w) / h to roundoff at h = COMPLEX_STEP,
@@ -47,7 +48,9 @@ from .errors import (
     DegenerateFormError,
     DimensionError,
     DomainExitError,
+    NonFiniteStateError,
     NonlinearCocycleError,
+    ProductConvergenceError,
 )
 from .flow import (COMPLEX_STEP, FlowEngine, QuadratureRule, complex_step,
                    simpson_step)
@@ -69,6 +72,8 @@ VALIDITY_SHRINK = 0.7
 VALIDITY_MIN_RADIUS = 1e-4
 VALIDITY_MARGIN = 1.02
 COND_BOUND = 1e12  # largest condition number of omega accepted at a row
+PRODUCT_NODES = 6  # Gauss-Legendre nodes of the product's collocation
+PICARD_BOUND = 1e-13  # largest last update of a converged product row
 
 
 @dataclass
@@ -526,24 +531,27 @@ def _is_zero_expr(e, chart):
 # Poisson multiplication
 
 
-def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9):
+def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
     """Groupoid product on a symplectic spray groupoid, batched.
 
     ``a``, ``b`` are composable (B, d) batches of points:
     sigma(a) = tau(b) within ``composability_tol``, a scalar or one
     tolerance per row (checked strictly, no silent projection).  Solves the
-    multiplication ODE by RK4 with ``n_steps`` steps; each stage evaluates
-    omega^{-1} and dtau at the current solution, which costs one
-    flow-with-Jacobian per stage.  omega must be nondegenerate with
+    multiplication ODE by Gauss collocation (``_collocation``) from k = b
+    at every node.  Each Picard sweep makes one flow-with-Jacobian at every
+    node of the active rows.  A row stops once its update at the nodes and
+    at t = 1 is at most ``PICARD_BOUND``, in real parts and, on complex
+    rows, in imaginary parts over ``COMPLEX_STEP``; a row decides alone, so
+    it gets the bits of a call of its own.  A row still active after
+    ``max_sweeps`` sweeps raises ProductConvergenceError.  omega must have
     condition number at most ``COND_BOUND`` at every row on its own.
-    Complex rows multiply in complex arithmetic, checked by real parts.
     """
     A, Bp = np.asarray(a), np.asarray(b)
     dtype = np.result_type(A, Bp, np.float64)
     A, Bp = A.astype(dtype), Bp.astype(dtype)
     if A.ndim != 2 or A.shape != Bp.shape:
         raise DimensionError("a and b must be (B, d) batches of one shape")
-    n = G.n
+    n, d, m = G.n, G.dim, PRODUCT_NODES
     tau_b = G.tau(Bp)
     viols = np.max(np.abs((A[:, :n] - tau_b).real), axis=1)
     tol = np.broadcast_to(np.asarray(composability_tol, dtype=np.float64),
@@ -553,32 +561,57 @@ def multiply_poisson(G, evaluator, a, b, n_steps=32, composability_tol=1e-9):
         worst = int(np.argmax(np.where(over, viols, -np.inf)))
         raise ComposabilityError(viols[worst], tol[worst], worst)
 
-    # fiber of phi^t(a) at the RK4 stage times: grid spacing h/2
-    stage_grid = np.linspace(0.0, 1.0, 2 * n_steps + 1)
-    p_stage = []
-    G.engine.flow_on_grid(A, stage_grid, G.substeps,
-                          lambda k, node: p_stage.append(node.z[n:].T.copy()))
-
-    def rhs(k_pts, stage_idx):
-        # one streamed tangent-flow solve gives dtau and the omega quadrature
+    # fiber of phi^t(a) at the nodes, no step longer than the rule's
+    t, S = _collocation(m)
+    grid, fibers = np.append(0.0, t), []
+    substeps = int(np.ceil(np.max(np.diff(grid)) * G.n_quad)) * G.substeps
+    G.engine.flow_on_grid(A, grid, substeps,
+                          lambda j, node: fibers.append(node.z[n:].T.copy()))
+    p = np.stack(fibers[1:])
+    Y = np.repeat(Bp[None], m + 1, axis=0)   # k at the nodes, then at t = 1
+    out, active = np.empty_like(Bp), np.arange(len(Bp))
+    for _ in range(max_sweeps):
+        k = len(active)
+        K = Y[:m, active].reshape(m * k, d)   # node-major: row j is active[j % k]
         acc = evaluator.omega_sum()
-        _, J = G.flow_end(k_pts, acc)
-        dtau = J[:, :n, :]
-        W = acc.value
-        _check_conditioning(W, k_pts, COND_BOUND)
-        beta = np.einsum("baj,ba->bj", dtau, p_stage[stage_idx])
-        return np.linalg.solve(W, beta[..., None])[..., 0]
+        try:
+            _, J = G.flow_end(K, acc)
+            W = acc.value
+            _check_conditioning(W, K, COND_BOUND)
+        except (DomainExitError, NonFiniteStateError, DegenerateFormError) as exc:
+            if exc.row is not None:
+                exc.relocate(None, int(active[exc.row % k]))
+            raise
+        beta = np.einsum("baj,ba->bj", J[:, :n, :], p[:, active].reshape(m * k, n))
+        F = np.linalg.solve(W, beta[..., None]).reshape(m, k, d)
+        # node by node in a fixed order, so each row's sum is its own
+        new = Bp[active] + sum(S[:, j, None, None] * F[j] for j in range(m))
+        del J, W, acc, F     # before the next sweep's solve
+        step = new - Y[:, active]
+        update = np.max(np.maximum(abs(step.real), abs(step.imag) / COMPLEX_STEP),
+                        axis=(0, 2))
+        done = update <= PICARD_BOUND
+        out[active[done]] = new[m, done]
+        Y[:, active] = new
+        active, update = active[~done], update[~done]
+        if not len(active):
+            return out
+    raise ProductConvergenceError(max_sweeps, float(update[0]), PICARD_BOUND,
+                                  Bp[active[0]].real, int(active[0]))
 
-    h = 1.0 / n_steps
-    k = Bp.copy()
-    for step in range(n_steps):
-        s0 = 2 * step
-        k1 = rhs(k, s0)
-        k2 = rhs(k + 0.5 * h * k1, s0 + 1)
-        k3 = rhs(k + 0.5 * h * k2, s0 + 1)
-        k4 = rhs(k + h * k3, s0 + 2)
-        k = k + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return k
+
+@functools.cache
+def _collocation(m):
+    """Gauss-Legendre collocation on [0, 1]: the m nodes t, and S whose row
+    i < m holds the integrals over [0, t_i] of the Lagrange basis l_j of the
+    nodes, and row m those over [0, 1], the Gauss weights.  The Legendre
+    basis keeps the digits a monomial Vandermonde loses; numpy.polynomial
+    is imported here, so the package's import does not pay for it."""
+    from numpy.polynomial import legendre
+    x, _ = legendre.leggauss(m)
+    lagrange = np.linalg.inv(legendre.legvander(x, m - 1))   # l_j: column j
+    S = legendre.legval(np.append(x, 1.0), legendre.legint(lagrange, lbnd=-1))
+    return (x + 1.0) / 2.0, S.T / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +671,7 @@ class _ProductRows:
                         first_row=self.first_row + k))
 
 
-def _multiply_rows(G, evaluator, blocks, n_steps):
+def _multiply_rows(G, evaluator, blocks, max_sweeps):
     """One ``multiply_poisson`` call on the rows of ``blocks``, packed in
     order; returns each block's products.
 
@@ -654,7 +687,7 @@ def _multiply_rows(G, evaluator, blocks, n_steps):
         out = multiply_poisson(G, evaluator,
                                np.concatenate([blk.a for blk in blocks]),
                                np.concatenate([blk.b for blk in blocks]),
-                               n_steps=n_steps, composability_tol=tol)
+                               max_sweeps=max_sweeps, composability_tol=tol)
     except BatchRowError as exc:
         if exc.row is not None:
             i = int(np.searchsorted(ends, exc.row, side="right"))
@@ -677,7 +710,7 @@ def _complex_step_rows(a, b, tangent_pairs):
 
 
 def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
-                      assoc_seed, n_steps=32):
+                      assoc_seed, max_sweeps=32):
     """Multiplicativity, inversion antisymmetry and associativity of the
     Poisson product, from two product calls of (nearly) equal size.
 
@@ -712,11 +745,11 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     head, tail = steps.split((len(steps.a) + 1) // 2)
     stage1 = _ProductRows("associativity stage 1", np.concatenate([ta, tb]),
                           np.concatenate([tb, tc]))
-    first, head_products = _multiply_rows(G, evaluator, [stage1, head], n_steps)
+    first, head_products = _multiply_rows(G, evaluator, [stage1, head], max_sweeps)
     ab, bc = first[:n_triples], first[n_triples:]
     stage2 = _ProductRows("associativity stage 2", np.concatenate([ab, ta]),
                           np.concatenate([tc, bc]), composability_tol=1e-8)
-    second, tail_products = _multiply_rows(G, evaluator, [stage2, tail], n_steps)
+    second, tail_products = _multiply_rows(G, evaluator, [stage2, tail], max_sweeps)
 
     products = np.concatenate([head_products, tail_products])
     mu = products[:n_pairs].real

@@ -35,6 +35,7 @@ from .algebroid import (
 from .errors import CompatibilityError, SprayformError
 from .flow import complex_step
 from .groupoid import (
+    PRODUCT_NODES,
     VALIDITY_BASE_SCALE,
     MultFormEvaluator,
     SprayGroupoid,
@@ -343,7 +344,8 @@ def build_symplectic_groupoid(pi, box, numerics=None, christoffel=None):
         note=f"min singular value {margin:.3e} on the validity box")
     return Scenario(
         nm, A, G, evaluator,
-        _environment("poisson", nm, G, mu_steps=nm.mu_steps), gates,
+        _environment("poisson", nm, G, mu_steps=nm.mu_steps,
+                     mu_nodes=PRODUCT_NODES), gates,
         _POISSON_CHECKS, data=data, pi=pi,
         sample=(pts, end[:, : G.n], J[:, : G.n, :], acc.value))
 
@@ -385,7 +387,7 @@ def _product(scen, report):
     """Multiplicativity and inversion antisymmetry of omega; associativity."""
     G, ev, nm = scen.groupoid, scen.evaluator, scen.numerics
     out = product_residuals(G, ev, nm.mult_pairs, nm.assoc_triples,
-                            nm.seed + 11, nm.seed + 12, n_steps=nm.mu_steps)
+                            nm.seed + 11, nm.seed + 12, max_sweeps=nm.mu_steps)
     for name in ("multiplicativity", "inversion_antisymmetry", "associativity"):
         report.add(name, out[name], nm.tol(name, 1e-6))
 

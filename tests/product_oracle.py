@@ -1,7 +1,11 @@
-"""d mu two ways: the complex step of ``groupoid.product_residuals`` on its
-own, and the 4th-order stencil that the tests compare it with.  The stencil,
-``central_difference``, is also the reference for the package's other
-complex steps (``flow.complex_step``).
+"""The product by a second method, and d mu two ways: the complex step of
+``groupoid.product_residuals`` on its own, and the 4th-order stencil that
+the tests compare it with.  The stencil, ``central_difference``, is also the
+reference for the package's other complex steps (``flow.complex_step``).
+
+``rk4_product`` solves the multiplication ODE by classical RK4 with a fixed
+step count, one tangent-flow solve per stage: the reference that the
+collocation product of ``groupoid.multiply_poisson`` is measured against.
 
 ``differential_of_multiplication`` builds the complex-step rows with
 ``groupoid._complex_step_rows`` and multiplies them in one
@@ -44,14 +48,46 @@ def central_difference(f, X, V, h):
     return values[:B], deriv
 
 
+def rk4_product(G, evaluator, a, b, n_steps):
+    """mu(a, b) by RK4 with ``n_steps`` steps on the multiplication ODE
+    dk/dt = solve(W_k, dtau_k^T p_t), k_0 = b, for composable (B, d)
+    batches; p_t, the fiber of phi^t(a), comes from one flow of a on the
+    stage grid (spacing 1 / (2 n_steps)), and each stage makes one
+    tangent-flow solve at the current k, real or complex."""
+    a, b = np.asarray(a), np.asarray(b)
+    n = G.n
+    stage_grid = np.linspace(0.0, 1.0, 2 * n_steps + 1)
+    p_stage = []
+    G.engine.flow_on_grid(a, stage_grid, G.substeps,
+                          lambda k, node: p_stage.append(node.z[n:].T.copy()))
+
+    def rhs(k_pts, stage_idx):
+        acc = evaluator.omega_sum()
+        _, J = G.flow_end(k_pts, acc)
+        groupoid._check_conditioning(acc.value, k_pts, groupoid.COND_BOUND)
+        beta = np.einsum("baj,ba->bj", J[:, :n, :], p_stage[stage_idx])
+        return np.linalg.solve(acc.value, beta[..., None])[..., 0]
+
+    h = 1.0 / n_steps
+    k = b.astype(np.result_type(a, b, np.float64))
+    for step in range(n_steps):
+        s0 = 2 * step
+        k1 = rhs(k, s0)
+        k2 = rhs(k + 0.5 * h * k1, s0 + 1)
+        k3 = rhs(k + 0.5 * h * k2, s0 + 1)
+        k4 = rhs(k + h * k3, s0 + 2)
+        k = k + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return k
+
+
 def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
-                                   n_steps=32):
+                                   max_sweeps=32):
     """mu(a, b) and [d mu(v, w) for each pair] at (a, b) on composable
     tangent pairs (v, w), dtau(w) = dsigma(v): one complex row per pair and
     point, all in one ``multiply_poisson`` call."""
     (products,) = groupoid._multiply_rows(
         G, evaluator, [groupoid._complex_step_rows(a, b, tangent_pairs)],
-        n_steps)
+        max_sweeps)
     dmu = products.imag.reshape(-1, len(a), G.dim) / COMPLEX_STEP
     return products[: len(a)].real, list(dmu)
 
@@ -68,7 +104,7 @@ def newton_composable(G, a_base, b_guess, iters=3, tol=1e-13):
     return b
 
 
-def stencil_differential(G, evaluator, a, b, tangent_pairs, n_steps=32,
+def stencil_differential(G, evaluator, a, b, tangent_pairs, max_sweeps=32,
                          h=STEP):
     """mu(a, b) and [d mu(v, w) for each pair] by the central difference."""
     d = G.dim
@@ -77,7 +113,7 @@ def stencil_differential(G, evaluator, a, b, tangent_pairs, n_steps=32,
         a_s = rows[:, :d]
         return multiply_poisson(
             G, evaluator, a_s, newton_composable(G, a_s[:, : G.n], rows[:, d:]),
-            n_steps=n_steps)
+            max_sweeps=max_sweeps)
 
     V = np.stack([np.hstack([v, w]) for v, w in tangent_pairs], axis=1)
     mu, dmu = central_difference(product, np.hstack([a, b]), V, h)

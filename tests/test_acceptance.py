@@ -78,7 +78,7 @@ def test_criterion_1_zero_poisson_identity():
     for i in range(20):
         a[i, 2:] = 0.4 * rng.direction(2)
     a[:, :2] = G.tau(b)
-    mu = multiply_poisson(G, ev, a, b, n_steps=8)
+    mu = multiply_poisson(G, ev, a, b, max_sweeps=8)
     want = b.copy()
     want[:, 2:] += a[:, 2:]
     mu_err = float(np.max(np.abs(mu - want)))

@@ -421,13 +421,14 @@ def so3_check(tmp_path_factory):
 
 def test_so3_check_runs_two_balanced_product_calls(so3_check):
     """so3's product rows (50 complex d mu rows, 20 per associativity stage)
-    go through two product calls of equal size, and check makes 263
-    tangent-flow solves: 128 per product call (4 RK4 stages x 32 steps)
-    and 7 outside the product."""
+    go through two product calls of equal size, and check makes 29
+    tangent-flow solves: 11 per product call (one per collocation sweep,
+    each over every node of the rows still active) and 7 outside the
+    product."""
     code, _, rows, solves, _, _ = so3_check
     assert code == 0
     assert rows == [20 + 25, 20 + 25]
-    assert solves == 263
+    assert solves == 29
 
 
 def test_so3_check_makes_no_guard_svd(so3_check):

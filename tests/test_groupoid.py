@@ -199,11 +199,10 @@ def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid)
             assert np.array_equal(dtau[b], dtau_b[0])
     # the product: a stacked batch equals its blocks computed separately
     a, b = sample_composable_pairs(G3, 5, seed=24)
-    stacked = multiply_poisson(G3, ev3, a, b, n_steps=4)
+    stacked = multiply_poisson(G3, ev3, a, b)
     for block in (slice(0, 2), slice(2, 5)):
         assert np.array_equal(stacked[block],
-                              multiply_poisson(G3, ev3, a[block], b[block],
-                                               n_steps=4))
+                              multiply_poisson(G3, ev3, a[block], b[block]))
 
 
 def _grid_states(G, P, nodes, substeps):
@@ -349,10 +348,10 @@ def test_multiply_flat_is_fiberwise_addition(flat_groupoid):
     _, G, ev = flat_groupoid
     a = np.array([[0.3, -0.1, 0.2, 0.4]])
     b = np.array([[0.3, -0.1, -0.3, 0.1]])
-    mu = multiply_poisson(G, ev, a, b, n_steps=8)
+    mu = multiply_poisson(G, ev, a, b, max_sweeps=8)
     assert np.max(np.abs(mu - [[0.3, -0.1, -0.1, 0.5]])) < 1e-10
     with pytest.raises(DimensionError, match=r"\(B, d\) batches"):
-        multiply_poisson(G, ev, a[0], b[0], n_steps=8)
+        multiply_poisson(G, ev, a[0], b[0], max_sweeps=8)
 
 
 def test_multiply_unit_laws(so3_groupoid):
@@ -360,12 +359,12 @@ def test_multiply_unit_laws(so3_groupoid):
     b = G.sample_validity_points(4, seed=7, fiber_scale=0.4)
     tau_b = G.tau(b)
     units = np.hstack([tau_b, np.zeros((4, 3))])
-    left = multiply_poisson(G, ev, units, b, n_steps=32)
+    left = multiply_poisson(G, ev, units, b, max_sweeps=32)
     assert np.max(np.abs(left - b)) < 1e-8
     a = b
     sig_a = G.sigma(a)
     units2 = np.hstack([sig_a, np.zeros((4, 3))])
-    right = multiply_poisson(G, ev, a, units2, n_steps=32)
+    right = multiply_poisson(G, ev, a, units2, max_sweeps=32)
     assert np.max(np.abs(right - a)) < 1e-8
 
 
@@ -384,7 +383,7 @@ def test_composability_error_names_the_worst_row(flat_groupoid):
     a = b.copy()
     a[2, 0] += 0.4   # sigma(a) misses tau(b) in row 2 only
     with pytest.raises(ComposabilityError, match="row 2"):
-        multiply_poisson(G, ev, a, b, n_steps=2)
+        multiply_poisson(G, ev, a, b, max_sweeps=2)
 
 
 def test_degenerate_form_in_product_names_row_and_point(flat_groupoid):
@@ -439,7 +438,7 @@ def _degenerate_rows_are_named(flat_groupoid, step):
     a[:, 2:] = 0.1
     zero = MultFormEvaluator(G, FormField(A.total_vars, 2))
     with pytest.raises(DegenerateFormError) as err:
-        multiply_poisson(G, zero, a, b, n_steps=2)
+        multiply_poisson(G, zero, a, b, max_sweeps=2)
     assert err.value.smallest_singular_value == 0.0
     assert err.value.row == 0
     # Lambda = x1 dx1^dy1 + dx2^dy2 is degenerate exactly where x1 = 0; for
@@ -448,7 +447,7 @@ def _degenerate_rows_are_named(flat_groupoid, step):
                                        (1, 3): ex.ONE})
     ev = MultFormEvaluator(G, form)
     with pytest.raises(DegenerateFormError) as err:
-        multiply_poisson(G, ev, a, b, n_steps=2)
+        multiply_poisson(G, ev, a, b, max_sweeps=2)
     assert err.value.row == 1
     assert np.array_equal(err.value.point, b[1].real)   # first stage: k = b
     assert "row 1" in str(err.value)
@@ -470,9 +469,9 @@ def test_condition_guard_is_per_row(flat_groupoid, monkeypatch):
     a = b.copy()
     a[:, 2:] = 0.05
     monkeypatch.setattr(groupoid, "COND_BOUND", 2.0)
-    got = multiply_poisson(G, ev, a, b, n_steps=2)
+    got = multiply_poisson(G, ev, a, b, max_sweeps=2)
     for r in range(2):
-        one = multiply_poisson(G, ev, a[r:r + 1], b[r:r + 1], n_steps=2)
+        one = multiply_poisson(G, ev, a[r:r + 1], b[r:r + 1], max_sweeps=2)
         assert np.array_equal(got[r], one[0])
 
 
@@ -489,7 +488,7 @@ def test_condition_guard_names_the_row_over_its_own_bound(flat_groupoid,
     a[:, 2:] = 0.05
     monkeypatch.setattr(groupoid, "COND_BOUND", 10.0)
     with pytest.raises(DegenerateFormError) as err:
-        multiply_poisson(G, ev, a, b, n_steps=2)
+        multiply_poisson(G, ev, a, b, max_sweeps=2)
     assert err.value.row == 1
     assert err.value.smallest_singular_value == pytest.approx(0.05)
 
@@ -504,11 +503,11 @@ def test_composability_tolerance_per_row(flat_groupoid):
     a[0, 0] += 5e-9
     a[1, 0] += 2e-9
     with pytest.raises(ComposabilityError, match="row 0"):
-        multiply_poisson(G, ev, a, b, n_steps=2)
+        multiply_poisson(G, ev, a, b, max_sweeps=2)
     with pytest.raises(ComposabilityError, match="row 1: violation 2"):
-        multiply_poisson(G, ev, a, b, n_steps=2,
+        multiply_poisson(G, ev, a, b, max_sweeps=2,
                          composability_tol=np.array([1e-8, 1e-9, 1e-9]))
-    multiply_poisson(G, ev, a, b, n_steps=2,
+    multiply_poisson(G, ev, a, b, max_sweeps=2,
                      composability_tol=np.array([1e-8, 1e-8, 1e-9]))
 
 
@@ -520,10 +519,10 @@ def test_constant_pi_associativity(const_groupoid):
     b = np.hstack([tau_c, 0.3 * np.stack([rng.direction(2) for _ in range(6)])])
     tau_b = G.tau(b)
     a = np.hstack([tau_b, 0.3 * np.stack([rng.direction(2) for _ in range(6)])])
-    ab = multiply_poisson(G, ev, a, b, n_steps=32)
-    bc = multiply_poisson(G, ev, b, c, n_steps=32)
-    left = multiply_poisson(G, ev, ab, c, n_steps=32, composability_tol=1e-8)
-    right = multiply_poisson(G, ev, a, bc, n_steps=32, composability_tol=1e-8)
+    ab = multiply_poisson(G, ev, a, b, max_sweeps=32)
+    bc = multiply_poisson(G, ev, b, c, max_sweeps=32)
+    left = multiply_poisson(G, ev, ab, c, max_sweeps=32, composability_tol=1e-8)
+    right = multiply_poisson(G, ev, a, bc, max_sweeps=32, composability_tol=1e-8)
     assert np.max(np.abs(left - right)) < 1e-6
 
 
@@ -537,7 +536,7 @@ def test_differential_of_multiplication_flat(flat_groupoid):
     v = np.array([[0.3, -0.2, 0.5, 0.7], [-0.4, 0.1, 0.2, 0.0]])
     (w,) = composable_tangents_batch(G.tau_with_jacobian(b)[1], [v[:, :2]], rng)
     mu, (dmu,) = differential_of_multiplication(G, ev, a, b, [(v, w)],
-                                                n_steps=8)
+                                                max_sweeps=8)
     assert np.max(np.abs(mu - np.hstack([b[:, :2], a[:, 2:] + b[:, 2:]]))) < 1e-12
     want = np.hstack([w[:, :2], v[:, 2:] + w[:, 2:]])
     assert np.max(np.abs(dmu - want)) < 1e-13
@@ -559,8 +558,8 @@ def test_complex_step_dmu_matches_the_stencil(so3_groupoid):
     _, G, ev = so3_groupoid
     a, b = sample_composable_pairs(G, 3, 21)
     pairs = _tangent_pairs(G, b, 2, 22)
-    mu, dmu = differential_of_multiplication(G, ev, a, b, pairs, n_steps=8)
-    mu_fd, dmu_fd = stencil_differential(G, ev, a, b, pairs, n_steps=8)
+    mu, dmu = differential_of_multiplication(G, ev, a, b, pairs)
+    mu_fd, dmu_fd = stencil_differential(G, ev, a, b, pairs)
     assert np.max(np.abs(mu - mu_fd)) < 1e-14
     assert max(np.max(np.abs(x - y)) for x, y in zip(dmu, dmu_fd)) < 1e-8
 
@@ -589,7 +588,7 @@ def test_multiplicativity_residual_solves_each_batch_once(const_groupoid,
         return original(self, P, *args)
 
     monkeypatch.setattr(FlowEngine, "flow_with_jacobian", counted)
-    out = product_residuals(G, ev, 4, 2, 2718, 5, n_steps=4)
+    out = product_residuals(G, ev, 4, 2, 2718, 5, max_sweeps=4)
     for P in out["pairs"]:
         assert sum(S.shape == P.shape and np.array_equal(S, P)
                    for S in solved) == 1
@@ -602,7 +601,7 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
     built from separate products: the complex d mu rows in one call of
     their own and each associativity product in its own complex call."""
     _, G, ev = so3_groupoid
-    n_pairs, n_triples, n_steps, d = 3, 2, 4, G.dim
+    n_pairs, n_triples, d = 3, 2, G.dim
     calls, original = [], groupoid.multiply_poisson
 
     def counted(G_, ev_, a, b, **kwargs):
@@ -610,7 +609,7 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
         return original(G_, ev_, a, b, **kwargs)
 
     monkeypatch.setattr(groupoid, "multiply_poisson", counted)
-    out = product_residuals(G, ev, n_pairs, n_triples, 11, 12, n_steps=n_steps)
+    out = product_residuals(G, ev, n_pairs, n_triples, 11, 12)
     # 2 complex rows per pair, 2 rows per triple and stage
     assert calls == [4 + 3, 4 + 3]
     monkeypatch.undo()
@@ -624,8 +623,7 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
 
     step = 1j * COMPLEX_STEP
     products = multiply_poisson(G, ev, np.vstack([a + step * v1, a + step * v2]),
-                                np.vstack([b + step * w1, b + step * w2]),
-                                n_steps=n_steps)
+                                np.vstack([b + step * w1, b + step * w2]))
     mu = products[:n_pairs].real
     dmu1, dmu2 = np.split(products.imag / COMPLEX_STEP, 2)
     W_a, W_b, W_mu = (ev.omega_matrices(P) for P in (a, b, mu))
@@ -643,11 +641,10 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
     bb = _left_factors(G, c, rng, 0.4)
     aa = _left_factors(G, bb, rng, 0.4)
     aa, bb, c = (P.astype(complex) for P in (aa, bb, c))
-    ab = multiply_poisson(G, ev, aa, bb, n_steps=n_steps)
-    bc = multiply_poisson(G, ev, bb, c, n_steps=n_steps)
-    left = multiply_poisson(G, ev, ab, c, n_steps=n_steps, composability_tol=1e-8)
-    right = multiply_poisson(G, ev, aa, bc, n_steps=n_steps,
-                             composability_tol=1e-8)
+    ab = multiply_poisson(G, ev, aa, bb)
+    bc = multiply_poisson(G, ev, bb, c)
+    left = multiply_poisson(G, ev, ab, c, composability_tol=1e-8)
+    right = multiply_poisson(G, ev, aa, bc, composability_tol=1e-8)
     assoc = float(np.max(np.abs((left - right).real)))
     assert out["associativity"] == assoc
 
@@ -659,12 +656,12 @@ def _edit_rows(monkeypatch, check, row, edit):
     the rows are packed."""
     original = groupoid._multiply_rows
 
-    def packed(G, evaluator, blocks, n_steps):
+    def packed(G, evaluator, blocks, max_sweeps):
         for blk in blocks:
             i = row - blk.first_row
             if blk.check == check and 0 <= i < len(blk.a):
                 edit(blk, i)
-        return original(G, evaluator, blocks, n_steps)
+        return original(G, evaluator, blocks, max_sweeps)
 
     monkeypatch.setattr(groupoid, "_multiply_rows", packed)
 
@@ -683,7 +680,7 @@ def test_packed_product_error_names_check_and_its_row(const_groupoid,
 
     def run():
         # 2 pairs, 3 triples: 2 + 2 complex rows, 6 stage rows per call
-        return product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)
+        return product_residuals(G, ev, 2, 3, 1, 2, max_sweeps=2)
 
     _edit_rows(monkeypatch, "associativity stage 1", 4, _shift(0.3))
     with pytest.raises(ComposabilityError) as err:
@@ -719,13 +716,13 @@ def test_packed_rows_keep_their_check_tolerance(const_groupoid, monkeypatch):
     same packed call."""
     _, G, ev = const_groupoid
     _edit_rows(monkeypatch, "associativity stage 2", 0, _shift(5e-9))
-    out = product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)
+    out = product_residuals(G, ev, 2, 3, 1, 2, max_sweeps=2)
     assert np.isfinite(out["associativity"])
     monkeypatch.undo()
     _edit_rows(monkeypatch, "multiplicativity", 2, _shift(5e-9))
     with pytest.raises(ComposabilityError,
                        match="^multiplicativity: .* row 2: violation 5"):
-        product_residuals(G, ev, 2, 3, 1, 2, n_steps=2)
+        product_residuals(G, ev, 2, 3, 1, 2, max_sweeps=2)
 
 
 @pytest.mark.parametrize("fixture, solves", [("so3_groupoid", 1),
@@ -799,7 +796,7 @@ def test_cocycle_additivity_on_so3(so3_groupoid):
     b = G.sample_validity_points(6, seed=14, fiber_scale=0.35)
     tau_b = G.tau(b)
     a = np.hstack([tau_b, 0.3 * np.stack([rng.direction(3) for _ in range(6)])])
-    mu = multiply_poisson(G, ev, a, b, n_steps=32)
+    mu = multiply_poisson(G, ev, a, b, max_sweeps=32)
     lhs = integrate_cocycle(G, delta, mu)
     rhs = integrate_cocycle(G, delta, a) + integrate_cocycle(G, delta, b)
     assert np.max(np.abs(lhs - rhs)) < 1e-6

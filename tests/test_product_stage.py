@@ -1,4 +1,4 @@
-"""The work of a product-ODE stage besides the flow: the node sum of the
+"""The work of a product sweep besides the flow: the node sum of the
 quadrature forms against the per-node, per-term oracle of
 tests/form_oracle.py, bit for bit, beside a consumer of the full state
 too; which form sums run at nodes and where the state is written out; and
@@ -196,27 +196,49 @@ def test_zero_forms_run_at_no_node(monkeypatch):
 
 
 def test_product_stage_nodes_write_out_no_state():
-    """A product call of n_steps = 2 writes the full state out (``publish``
-    in ``flow``) 15 times: once at the end of each of its 10 solves (tau(b),
-    the stage grid of a and 8 tangent solves, one per stage) and at the 5
-    nodes of the stage grid, whose consumer reads z.  None at the 65 nodes
-    of a tangent solve, where only the generated omega sum runs."""
+    """A product call writes the state out (``publish`` in ``flow``) 18
+    times on 3 so3 pairs: z and J at the end of each of its 11 solves
+    (tau(b), the node grid of a and 9 tangent solves, one per collocation
+    sweep), and z alone at the 7 nodes of the node grid, whose consumer
+    reads z.  None at the 65 nodes of a tangent solve, where only the
+    generated omega sum runs."""
     scen = _scenario("so3")
     a, b = groupoid.sample_composable_pairs(scen.groupoid, 3, 5)
+    publishes = _publishes(lambda: groupoid.multiply_poisson(
+        scen.groupoid, scen.evaluator, a, b))
+    assert len(publishes) == 18
+    assert publishes.count(("_view", 0)) == 7
+    assert publishes.count(("_solve", None)) == 11
+
+
+def test_cocycle_nodes_write_out_z_alone():
+    """The cocycle integral reads z alone, so its solve writes out z alone
+    at each of the 65 nodes of jacobi_line (z and J before), then z and J
+    once at the end."""
+    G = _scenario("jacobi_line").groupoid
+    P = G.sample_validity_points(4, 9)
+    publishes = _publishes(lambda: integrate_cocycle(
+        G, jacobi_cocycle(G.chart), P))
+    assert publishes == [("_view", 0)] * 65 + [("_solve", None)]
+
+
+def _publishes(run):
+    """(caller, part) of each ``publish`` call in ``flow`` while ``run()``
+    runs, counted with a ``sys.setprofile`` hook."""
     publishes = []
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code.co_name == "publish" and \
                 frame.f_code.co_filename == flow.__file__:
-            publishes.append(frame.f_back.f_code.co_name)
+            publishes.append((frame.f_back.f_code.co_name,
+                              frame.f_locals["part"]))
 
     sys.setprofile(count)
     try:
-        groupoid.multiply_poisson(scen.groupoid, scen.evaluator, a, b, n_steps=2)
+        run()
     finally:
         sys.setprofile(None)
-    assert len(publishes) == 15
-    assert publishes.count("_views") == 5
+    return publishes
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])

@@ -13,8 +13,12 @@
 #   - two config errors (exit 2): `check` on nijenhuis_r2 with a
 #     `christoffel` coefficient, which the kind does not read, and on so3
 #     with `mult_pairs: 0`, both written from configs/ at run time;
+#   - `check` on so3 with `mu_steps: 3`, written from configs/ at run time,
+#     a product sweep cap that its rows exceed (exit 3, naming the check
+#     and the row);
 #   - `convergence` on so3 and jacobi_line over rungs 32..1024;
-#   - `eval` on every kind's build;
+#   - `eval` on every kind's build, and `eval --pair` on so3 with a
+#     composable pair written at 17 digits, a nonlinear product;
 #   - `schema`, the generated config schema.
 #
 # Usage (from the repository root, whose configs/ both sides read):
@@ -69,6 +73,11 @@ with open("configs/so3.json") as f:
 cfg["numerics"]["mult_pairs"] = 0
 with open(f"{out}/so3_mult_pairs_0.json", "w") as f:
     json.dump(cfg, f, indent=2)
+with open("configs/so3.json") as f:
+    cfg = json.load(f)
+cfg["numerics"]["mu_steps"] = 3
+with open(f"{out}/so3_mu_steps_3.json", "w") as f:
+    json.dump(cfg, f, indent=2)
 EOF
 
 # run NAME SUBCOMMAND ARGS...: one CLI run into $out/NAME; stdout is kept
@@ -101,6 +110,10 @@ run eval_constant_poisson_pair eval --config configs/constant_poisson.json \
 run eval_so3_vectors eval --config configs/so3.json \
   --point 0.1,0.2,-0.1,0.2,0.1,-0.1 \
   --vectors "1,0,0.2,0,0.5,0;0,1,0,0.3,0,-0.4"
+# a = (tau(b), y_a): tau(b) at 17 digits is composable with b to roundoff
+run eval_so3_pair eval --config configs/so3.json \
+  --point 0.1,0.2,-0.1,0.2,0.1,-0.1 \
+  --pair "0.092089720406810585,0.18661716546571916,-0.12920339372065978,0.1,-0.2,0.15|0.1,0.2,-0.1,0.2,0.1,-0.1"
 run eval_jacobi_line eval --config configs/jacobi_line.json --point 0.0,0.3,0.5
 run eval_nijenhuis_r2 eval --config configs/nijenhuis_r2.json \
   --point 0.1,0.2,0.3,-0.1 --vectors "1,0.5,0,-0.2;0.3,0,1,0.7" \
