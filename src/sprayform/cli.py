@@ -277,26 +277,15 @@ def _groupoid_scenario(kind, nm, inputs):
 # Output writers
 
 
-def write_report(report, path):
+def _write(path, text):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(report.to_json() + "\n")
+    Path(path).write_text(text)
 
 
 def _csv_text(rows):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
-
-
-def residuals_csv_text(report):
-    return _csv_text([["check", "residual", "tolerance", "verdict"]] + [
-        [c.name, format(c.residual, ".17g"), format(c.tolerance, ".17g"),
-         "pass" if c.passed else "fail"] for c in report.checks])
-
-
-def write_csv(text, path):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +299,11 @@ def cmd_check(args):
     out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     report_path = out_dir / outputs.get("report", "report.json")
     csv_path = out_dir / outputs.get("csv", "residuals.csv")
-    write_report(report, report_path)
-    write_csv(residuals_csv_text(report), csv_path)
+    text = _csv_text([["check", "residual", "tolerance", "verdict"]] + [
+        [c.name, format(c.residual, ".17g"), format(c.tolerance, ".17g"),
+         "pass" if c.passed else "fail"] for c in report.checks])
+    _write(report_path, report.to_json() + "\n")
+    _write(csv_path, text)
     for line in report.summary_lines():
         print(line)
     print(f"report: {report_path}")
@@ -359,7 +351,7 @@ def cmd_convergence(args):
     out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     csv_path = out_dir / raw.get("outputs", {}).get("convergence_csv",
                                                     "convergence.csv")
-    write_csv(text, csv_path)
+    _write(csv_path, text)
     print(text, end="")
     print(f"fitted order: {order:.4f}")
     print(f"table: {csv_path}")

@@ -61,7 +61,7 @@ __all__ = [
     "parse", "partial", "subst", "to_source", "compile_exprs", "batch_values",
     "VectorField", "BivectorField", "FormField",
     "PolyVectorField", "schouten", "wedge_vector_bivector",
-    "ZERO", "ONE", "const", "var", "base_vars", "fiber_vars",
+    "ZERO", "ONE", "const", "base_vars", "fiber_vars",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -156,10 +156,6 @@ ONE = Const(1.0)
 
 def const(value):
     return Const(value)
-
-
-def var(name):
-    return Var(name)
 
 
 # Smart constructors: constant folding only (including 0/1 absorption, which

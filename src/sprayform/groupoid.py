@@ -561,13 +561,20 @@ def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
         worst = int(np.argmax(np.where(over, viols, -np.inf)))
         raise ComposabilityError(viols[worst], tol[worst], worst)
 
-    # fiber of phi^t(a) at the nodes, no step longer than the rule's
+    # fiber of phi^t(a) at the nodes: each gap in the fewest equal steps no
+    # longer than the rule's, p read at the running step counts
     t, S = _collocation(m)
-    grid, fibers = np.append(0.0, t), []
-    substeps = int(np.ceil(np.max(np.diff(grid)) * G.n_quad)) * G.substeps
-    G.engine.flow_on_grid(A, grid, substeps,
-                          lambda j, node: fibers.append(node.z[n:].T.copy()))
-    p = np.stack(fibers[1:])
+    steps = np.ceil(np.diff(t, prepend=0.0) * G.n_quad * G.substeps).astype(int)
+    grid = np.concatenate([[0.0]] + [np.linspace(lo, hi, k + 1)[1:] for lo, hi, k
+                                     in zip(np.append(0.0, t), t, steps)])
+    marks, fibers = set(np.cumsum(steps).tolist()), []
+
+    def at_node(j, node):
+        if j in marks:
+            fibers.append(node.z[n:].T.copy())
+
+    G.engine.flow_on_grid(A, grid, 1, at_node)
+    p = np.stack(fibers)
     Y = np.repeat(Bp[None], m + 1, axis=0)   # k at the nodes, then at t = 1
     out, active = np.empty_like(Bp), np.arange(len(Bp))
     for _ in range(max_sweeps):

@@ -141,17 +141,16 @@ def im_residuals(A, data, samples=60, seed=313, tol=1e-8):
 # Ready-made pairs
 
 
-def im_pair_from_covector_map(A, lmat, negate=False):
-    """Degree-2 pair (l, 0) from an n x n Expr matrix acting on covectors.
+def im_pair_from_covector_map(A, lmat):
+    """Degree-2 pair (-l, 0) from an n x n Expr matrix acting on covectors.
 
     ``lmat[i][j]`` is the coefficient of dx^i in l(dx^j); the frame of A must
-    be the coordinate coframe (cotangent chart).  ``negate`` builds (-l, 0).
+    be the coordinate coframe (cotangent chart).
     """
     n = A.n
-    sign = -1.0 if negate else 1.0
     ls = []
     for j in range(n):
-        comps = {(i,): ex.mul(ex.Const(sign), lmat[i][j]) for i in range(n)
+        comps = {(i,): ex.mul(ex.Const(-1.0), lmat[i][j]) for i in range(n)
                  if not lmat[i][j].is_zero}
         ls.append(ex.FormField(A.xs, 1, comps))
     nus = [ex.FormField(A.xs, 2, {}) for _ in range(n)]
@@ -162,7 +161,7 @@ def poisson_im_pair(A):
     """The canonical closed pair (-id, 0) on a cotangent chart."""
     n = A.n
     ident = [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
-    return im_pair_from_covector_map(A, ident, negate=True)
+    return im_pair_from_covector_map(A, ident)
 
 
 def dirac_im_pair(A):

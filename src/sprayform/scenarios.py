@@ -150,24 +150,6 @@ def run_checks(scenario):
     return report
 
 
-# Each config kind's builder, required and optional coefficients: the one
-# source of the config schema's kind clauses, whose coefficients are exactly
-# these, and of the coefficients ``cli.parse_config`` reads.  Module tables
-# name builders and hold only private checks, so that a wrapper on a public
-# module attribute (perfbench/tracer.py) sees every call.
-KINDS = {"poisson": ("build_symplectic_groupoid", ["pi"], ["christoffel"]),
-         "nijenhuis": ("build_nijenhuis", ["pi", "l"], []),
-         "gcs": ("build_gcs", ["pi", "l", "varpi"], []),
-         "dirac": ("build_dirac", ["sections"], ["H"]),
-         "jacobi": ("build_jacobi", ["pi", "R"], []),
-         "raw_algebroid": ("build_raw_algebroid", ["rank", "anchor", "c"], [])}
-
-
-def build(kind, numerics, inputs):
-    """Scenario of a config kind from its builder's keyword inputs."""
-    return globals()[KINDS[kind][0]](numerics=numerics, **inputs)
-
-
 # ---------------------------------------------------------------------------
 # Shared helpers
 
@@ -446,8 +428,7 @@ def _expr_matmul(Amat, Bmat):
 
 def omega_L(pair, scenario, k=1):
     """Evaluator of the multiplicative form of the pair (-l^k, 0)."""
-    data = im_pair_from_covector_map(scenario.chart, pair.lmat_power(k),
-                                     negate=True)
+    data = im_pair_from_covector_map(scenario.chart, pair.lmat_power(k))
     return MultFormEvaluator(scenario.groupoid, linear_form(data))
 
 
@@ -494,7 +475,7 @@ def torsion_nu_fields(lmat, variables):
 def omega_L2_pair(pair, chart):
     """The IM pair (-l^2, -T_l) integrated by omega_{L^2}."""
     l2 = pair.lmat_power(2)
-    base = im_pair_from_covector_map(chart, l2, negate=True)
+    base = im_pair_from_covector_map(chart, l2)
     nus = torsion_nu_fields(pair.lmat, chart.xs)
     return IMFormData(chart, 2, base.l, nus)
 
@@ -652,7 +633,7 @@ def build_nijenhuis(pi, l, box, numerics=None):
     scen = build_symplectic_groupoid(pi, box, numerics=numerics)
     nm = scen.numerics
     gate = im_residuals(scen.chart,
-                        im_pair_from_covector_map(scen.chart, l, negate=True),
+                        im_pair_from_covector_map(scen.chart, l),
                         samples=min(60, nm.samples), seed=nm.seed + 21,
                         tol=nm.tol("pair_im_residuals", 1e-8))
     if not gate.all_passed:
@@ -799,28 +780,22 @@ def build_gcs(pi, l, varpi, box, numerics=None):
                    pair=NijenhuisPair(pi, l), varpi=varpi)
 
 
-def gcs_identity_check(scenario, samples, seed):
-    """max |omega + omega_{L^2} - (tau* varpi - sigma* varpi)| at ``samples``
-    validity points; every form and tau come from one tangent-flow solve."""
-    G = scenario.groupoid
-    pts = G.sample_validity_points(samples, seed, fiber_scale=0.7)
+def gcs_identity_check(scenario, report):
+    """max |omega + omega_{L^2} - (tau* varpi - sigma* varpi)| at the
+    validity sample; every form and tau come from one tangent-flow solve."""
+    G, nm = scenario.groupoid, scenario.numerics
+    pts = G.sample_validity_points(nm.samples, nm.seed + 41, fiber_scale=0.7)
     om = scenario.evaluator.omega_sum()
     omL2 = omega_L2(scenario.pair, scenario).omega_sum()
     end, J = G.flow_end(pts, om, omL2)
     lhs = om.value + omL2.value
     rhs = _relative_pullback(G, scenario.varpi, pts, end, J)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def _gcs_identity(scen, report):
-    nm = scen.numerics
-    report.add("gcs_identity",
-               gcs_identity_check(scen, nm.samples, nm.seed + 41),
+    report.add("gcs_identity", float(np.max(np.abs(lhs - rhs))),
                nm.tol("gcs_identity", 1e-6))
 
 
 # ``base`` reports the Poisson checks without the product as ``base_*``
-_GCS_CHECKS = (_gate("gcs_prechecks"), ("gcs_identity", _gcs_identity),
+_GCS_CHECKS = (_gate("gcs_prechecks"), ("gcs_identity", gcs_identity_check),
                ("base", lambda scen, report: report.merge(run_checks(
                    replace(scen, checks=_POISSON_CORE + _ROUNDTRIP)),
                    prefix="base_")))
@@ -842,11 +817,11 @@ def build_dirac(sections, H, box, numerics=None):
                     data=data, H=H)
 
 
-def dirac_checks(scenario, samples, seed):
+def dirac_checks(scenario, report):
     """Relative H-closedness, robustness margin, forward-Dirac image."""
     nm, G, A = scenario.numerics, scenario.groupoid, scenario.chart
-    report = CheckReport()
-    pts = G.sample_validity_points(samples, seed, fiber_scale=0.7)
+    seed = nm.seed + 55
+    pts = G.sample_validity_points(nm.samples, seed, fiber_scale=0.7)
 
     n, d = G.n, G.dim
     # one tangent-flow solve serves d omega, omega and (tau, dtau)
@@ -901,17 +876,11 @@ def dirac_checks(scenario, samples, seed):
             want = a2 @ v1 - a1 @ (v2 + w2)
             res_units = max(res_units, abs(got - want))
     report.add("units_formula", res_units, nm.tol("units_formula", 1e-8))
-    return report
-
-
-def _dirac_checks(scen, report):
-    nm = scen.numerics
-    report.merge(dirac_checks(scen, nm.samples, nm.seed + 55))
 
 
 _DIRAC_CHECKS = (
     ("axioms", _axioms, 60, 51, 40, 1e-8),
-    ("dirac_checks", _dirac_checks),
+    ("dirac_checks", dirac_checks),
 ) + _ROUNDTRIP
 
 
@@ -954,12 +923,18 @@ def _jacobi_closed_form(scenario, pts):
     return out
 
 
-def jacobi_checks(scenario, samples, seed):
-    """Contact margin, units kernel, transport consistency, closed form."""
+def jacobi_checks(scenario, report):
+    """Spencer Leibniz rule, closed form, contact margin, units kernel and
+    transport consistency."""
     nm, G, A = scenario.numerics, scenario.groupoid, scenario.chart
     n = A.n
-    report = CheckReport()
-    pts = G.sample_validity_points(samples, seed, fiber_scale=0.7)
+    report.add("spencer_leibniz",
+               ScalarSpencer(A).leibniz_residual(seed=nm.seed + 64),
+               nm.tol("spencer_leibniz", 1e-12))
+    report.note("general Spencer compatibility for nontrivial coefficients "
+                "is assumed for the canonical first-jet operator")
+    seed = nm.seed + 65
+    pts = G.sample_validity_points(min(40, nm.samples), seed, fiber_scale=0.7)
 
     # one tangent-flow solve serves omega, the cocycle and the transport
     om = scenario.evaluator.omega_sum()
@@ -995,22 +970,11 @@ def jacobi_checks(scenario, samples, seed):
     report.add("cocycle_weight_consistency",
                float(np.max(np.abs(np.exp(-cocycle) - transport_end))),
                nm.tol("cocycle_weight", 1e-10))
-    return report
-
-
-def _jacobi_checks(scen, report):
-    nm = scen.numerics
-    report.add("spencer_leibniz",
-               ScalarSpencer(scen.chart).leibniz_residual(seed=nm.seed + 64),
-               nm.tol("spencer_leibniz", 1e-12))
-    report.note("general Spencer compatibility for nontrivial coefficients "
-                "is assumed for the canonical first-jet operator")
-    report.merge(jacobi_checks(scen, min(40, nm.samples), nm.seed + 65))
 
 
 _JACOBI_CHECKS = (
     ("axioms", _axioms, 60, 61),
-    ("jacobi_checks", _jacobi_checks),
+    ("jacobi_checks", jacobi_checks),
     ("roundtrip", _roundtrip, 69, 0.2),
 )
 
@@ -1028,6 +992,22 @@ def build_raw_algebroid(chart, numerics=None):
            "validity_box": G.validity_box().tolist()}
     return Scenario(nm, chart, G, None, env, {},
                     (("axioms", _axioms, 100, 1),))
+
+
+# Each config kind's builder, required and optional coefficients: the one
+# source of the config schema's kind clauses, whose coefficients are exactly
+# these, and of the coefficients ``cli.parse_config`` reads.
+KINDS = {"poisson": (build_symplectic_groupoid, ["pi"], ["christoffel"]),
+         "nijenhuis": (build_nijenhuis, ["pi", "l"], []),
+         "gcs": (build_gcs, ["pi", "l", "varpi"], []),
+         "dirac": (build_dirac, ["sections"], ["H"]),
+         "jacobi": (build_jacobi, ["pi", "R"], []),
+         "raw_algebroid": (build_raw_algebroid, ["rank", "anchor", "c"], [])}
+
+
+def build(kind, numerics, inputs):
+    """Scenario of a config kind from its builder's keyword inputs."""
+    return KINDS[kind][0](numerics=numerics, **inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,28 @@
 """Dead code in src/sprayform, found with the standard library's ast alone:
-a name that a module imports and never uses, and a module-level private
+a name that a module imports and never uses, a module-level private
 (``_name``) function, class or constant that nothing in the package
-references outside its own definition."""
+references outside its own definition, and a module-level public function
+or class that no code of the repository names outside its own definition."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sprayform"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sprayform"
 TREES = {path.name: ast.parse(path.read_text(), str(path))
          for path in sorted(SRC.glob("*.py"))}
+# the code that may name a public definition; a name in a string does not
+CALLERS = [path for folder in ("src", "demos", "perfbench", "tests")
+           for path in sorted((ROOT / folder).rglob("*.py"))]
 
 
 def _references(node):
     """Names read under ``node``, as bare names and as attributes."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+        if isinstance(sub, (ast.Name, ast.Attribute)) and \
+                isinstance(sub.ctx, ast.Load):
+            yield sub.id if isinstance(sub, ast.Name) else sub.attr
 
 
 def _private_definitions(tree):
@@ -64,3 +68,16 @@ def test_every_private_definition_is_referenced():
             if package[name] == Counter(_references(node))[name]:
                 unreferenced.append(f"{module}:{node.lineno} {name}")
     assert unreferenced == []
+
+
+def test_every_public_definition_is_named():
+    named = Counter(name for path in CALLERS
+                    for name in _references(ast.parse(path.read_text(), str(path))))
+    unnamed = []
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    not node.name.startswith("_") and \
+                    named[node.name] == Counter(_references(node))[node.name]:
+                unnamed.append(f"{module}:{node.lineno} {node.name}")
+    assert unnamed == []

@@ -81,6 +81,27 @@ def test_collocation_is_as_accurate_as_rk4_32(name):
         assert error <= max(np.max(np.abs(part(rk32) - part(rk64))), ROUNDOFF)
 
 
+def test_fiber_flight_steps_each_gap_on_its_own(monkeypatch):
+    """a flies to the Gauss nodes on a grid that gives each gap of
+    [0, t_1, ..., t_6] the fewest equal steps of at most 1/64 on so3:
+    3 + 9 + 14 + 16 + 14 + 9 = 65 steps, 66 nodes (16 steps in every gap
+    took 96), with every t_i a node of its own."""
+    grids, original = [], FlowEngine.flow_on_grid
+
+    def recorded(self, P, nodes, *args):
+        grids.append(nodes)
+        return original(self, P, nodes, *args)
+
+    monkeypatch.setattr(FlowEngine, "flow_on_grid", recorded)
+    G, ev = _case("so3")
+    multiply_poisson(G, ev, *sample_composable_pairs(G, 2, 5))
+    grid = grids[-1]         # after the flight of tau(b)
+    t, _ = groupoid._collocation(PRODUCT_NODES)
+    assert len(grid) == 66 and grid[0] == 0.0
+    assert np.max(np.diff(grid)) <= 1 / 64
+    assert np.array_equal(grid[[3, 12, 26, 42, 56, 65]], t)
+
+
 def test_constant_poisson_product_inverse_and_dmu_are_affine():
     """On constant_poisson (pi = d1 ^ d2) the flow is x + t R y with
     R = [[0, -1], [1, 0]], so tau(x, y) = x + R y, the inverse is

@@ -19,6 +19,7 @@ from sprayform.cli import load_config, parse_config
 from sprayform.errors import DegenerateFormError
 from sprayform.expr import FormField, parse
 from sprayform.groupoid import MultFormEvaluator, integrate_cocycle
+from sprayform.report import CheckReport
 
 from form_oracle import node_term_sum
 
@@ -187,7 +188,7 @@ def test_zero_forms_run_at_no_node(monkeypatch):
     runs = _form_sums_at_nodes(monkeypatch)
     scenarios.torsion_identity_check(nij, nij.pair, evL, evL2, samples=3)
     assert len(runs[0]) == 3
-    scenarios.gcs_identity_check(gcs, 3, 7)
+    scenarios.gcs_identity_check(gcs, CheckReport())
     assert len(runs[-1]) == 1
     zero = nij.evaluator.domega_sum()
     nij.groupoid.flow_end(P, zero)
@@ -196,18 +197,18 @@ def test_zero_forms_run_at_no_node(monkeypatch):
 
 
 def test_product_stage_nodes_write_out_no_state():
-    """A product call writes the state out (``publish`` in ``flow``) 18
+    """A product call writes the state out (``publish`` in ``flow``) 17
     times on 3 so3 pairs: z and J at the end of each of its 11 solves
-    (tau(b), the node grid of a and 9 tangent solves, one per collocation
-    sweep), and z alone at the 7 nodes of the node grid, whose consumer
-    reads z.  None at the 65 nodes of a tangent solve, where only the
-    generated omega sum runs."""
+    (tau(b), the flight of a and 9 tangent solves, one per collocation
+    sweep), and z alone at the 6 Gauss nodes of the flight of a, whose
+    consumer reads z there and nowhere else.  None at the 65 nodes of a
+    tangent solve, where only the generated omega sum runs."""
     scen = _scenario("so3")
     a, b = groupoid.sample_composable_pairs(scen.groupoid, 3, 5)
     publishes = _publishes(lambda: groupoid.multiply_poisson(
         scen.groupoid, scen.evaluator, a, b))
-    assert len(publishes) == 18
-    assert publishes.count(("_view", 0)) == 7
+    assert len(publishes) == 17
+    assert publishes.count(("_view", 0)) == 6
     assert publishes.count(("_solve", None)) == 11
 
 

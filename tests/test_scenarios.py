@@ -180,7 +180,7 @@ def test_conformal_factor_is_not_an_im_pair_in_3d(so3_scenario):
     from sprayform.imform import im_pair_from_covector_map, im_residuals
     g = parse("1 + x1/4", XS3)
     lmat = [[g if i == j else ex.ZERO for j in range(3)] for i in range(3)]
-    data = im_pair_from_covector_map(so3_scenario.chart, lmat, negate=True)
+    data = im_pair_from_covector_map(so3_scenario.chart, lmat)
     rep = im_residuals(so3_scenario.chart, data, samples=20, seed=12)
     assert not rep.all_passed
 
