@@ -360,10 +360,13 @@ def cmd_convergence(args):
 
 def _parse_numbers(text):
     try:
-        return np.array([float(t) for t in text.split(",") if t.strip() != ""])
+        vals = np.array([float(t) for t in text.split(",") if t.strip() != ""])
     except ValueError:
         raise ConfigError(f"{text!r} is not a comma-separated list of numbers") \
             from None
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{text!r} holds a number that is not finite")
+    return vals
 
 
 def _check_length(vals, expected):
@@ -380,8 +383,14 @@ def cmd_eval(args):
         if args.vectors else None
     pair = [_parse_numbers(t) for t in args.pair.partition("|")[::2]] \
         if args.pair else None
-    scen = _groupoid_scenario(*parse_config(raw))
+    kind, nm, inputs = parse_config(raw)
+    scen = _groupoid_scenario(kind, nm, inputs)
     G, ev = scen.groupoid, scen.evaluator
+    if vecs is not None and ev is None:
+        raise ConfigError(f"--vectors: kind {kind!r} has no form to evaluate")
+    has_product = ev is not None and ev.degree == 2 and scen.pi is not None
+    if pair is not None and not has_product:
+        raise ConfigError(f"--pair: kind {kind!r} has no Poisson product")
     out = {"schema_version": SCHEMA_VERSION}
     point = _check_length(point, G.dim)
     if ev is not None:
@@ -403,7 +412,7 @@ def cmd_eval(args):
                 out["Pi"] = ev.inverse_matrices(point[None, :])[0].tolist()
             except SprayformError:
                 out["Pi"] = None
-        if pair is not None and ev.degree == 2 and scen.pi is not None:
+        if pair is not None:
             a, b = [_check_length(v, G.dim) for v in pair]
             out["mu"] = multiply_poisson(G, ev, a[None, :], b[None, :],
                                          max_sweeps=scen.numerics.mu_steps)[0].tolist()

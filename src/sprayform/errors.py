@@ -40,8 +40,8 @@ class BatchRowError(SprayformError):
     """An error at one row of a point batch: ``row`` is the batch index of
     the offending point (when known) and ``point`` the point.
 
-    ``relocate`` moves the error to the row's place in the batch of the
-    caller that owns it, for calls that pack several callers' rows.
+    ``relocate`` moves the error to the row's place in its caller's batch
+    and can name the check that owns the row.
     """
 
     def __init__(self, point=None, row=None):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -534,17 +534,17 @@ def _is_zero_expr(e, chart):
 def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
     """Groupoid product on a symplectic spray groupoid, batched.
 
-    ``a``, ``b`` are composable (B, d) batches of points:
-    sigma(a) = tau(b) within ``composability_tol``, a scalar or one
-    tolerance per row (checked strictly, no silent projection).  Solves the
-    multiplication ODE by Gauss collocation (``_collocation``) from k = b
-    at every node.  Each Picard sweep makes one flow-with-Jacobian at every
-    node of the active rows.  A row stops once its update at the nodes and
-    at t = 1 is at most ``PICARD_BOUND``, in real parts and, on complex
-    rows, in imaginary parts over ``COMPLEX_STEP``; a row decides alone, so
-    it gets the bits of a call of its own.  A row still active after
-    ``max_sweeps`` sweeps raises ProductConvergenceError.  omega must have
-    condition number at most ``COND_BOUND`` at every row on its own.
+    ``a``, ``b`` are composable (B, d) batches of points, real or complex:
+    sigma(a) = tau(b) within ``composability_tol`` at every row (checked
+    strictly, no silent projection).  Solves the multiplication ODE by
+    Gauss collocation (``_collocation``) from k = b at every node.  Each
+    Picard sweep makes one flow-with-Jacobian at every node of the active
+    rows.  A row stops once its update at the nodes and at t = 1 is at most
+    ``PICARD_BOUND``, in real parts and, on complex rows, in imaginary
+    parts over ``COMPLEX_STEP``; a row decides alone, so it gets the bits
+    of a call of its own.  A row still active after ``max_sweeps`` sweeps
+    raises ProductConvergenceError.  omega must have condition number at
+    most ``COND_BOUND`` at every row on its own.
     """
     A, Bp = np.asarray(a), np.asarray(b)
     dtype = np.result_type(A, Bp, np.float64)
@@ -554,12 +554,10 @@ def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
     n, d, m = G.n, G.dim, PRODUCT_NODES
     tau_b = G.tau(Bp)
     viols = np.max(np.abs((A[:, :n] - tau_b).real), axis=1)
-    tol = np.broadcast_to(np.asarray(composability_tol, dtype=np.float64),
-                          viols.shape)
-    over = viols > tol
+    over = viols > composability_tol
     if over.any():
         worst = int(np.argmax(np.where(over, viols, -np.inf)))
-        raise ComposabilityError(viols[worst], tol[worst], worst)
+        raise ComposabilityError(viols[worst], composability_tol, worst)
 
     # fiber of phi^t(a) at the nodes: each gap in the fewest equal steps no
     # longer than the rule's, p read at the running step counts
@@ -658,79 +656,43 @@ def composable_tangents_batch(dtau, v_bases, rng):
     return out
 
 
-@dataclass
-class _ProductRows:
-    """Rows of one check's product: composable (B, d) batches ``a`` and
-    ``b`` (real, or the complex rows of a complex step), the composability
-    tolerance the check asks for, and the index of row 0 in the check's own
-    batch (a check's rows may be split across product calls)."""
-
-    check: str
-    a: np.ndarray
-    b: np.ndarray
-    composability_tol: float = 1e-9
-    first_row: int = 0
-
-    def split(self, k):
-        """Rows [:k] and [k:], each knowing its place in the check's batch."""
-        return (replace(self, a=self.a[:k], b=self.b[:k]),
-                replace(self, a=self.a[k:], b=self.b[k:],
-                        first_row=self.first_row + k))
-
-
-def _multiply_rows(G, evaluator, blocks, max_sweeps):
-    """One ``multiply_poisson`` call on the rows of ``blocks``, packed in
-    order; returns each block's products.
-
-    Each row is checked for composability against its own block's
-    tolerance.  Batched evaluation is row invariant, so a block gets the
-    bits a call of its own gives.  An error at a packed row names the check
-    that owns it and the row's index in that check's own batch.
-    """
-    sizes = [len(blk.a) for blk in blocks]
-    ends = np.cumsum(sizes)
-    tol = np.repeat([blk.composability_tol for blk in blocks], sizes)
+def _multiply(G, evaluator, check, a, b, max_sweeps, composability_tol=1e-9):
+    """``multiply_poisson`` on one check's rows; an error at a row names
+    the check."""
     try:
-        out = multiply_poisson(G, evaluator,
-                               np.concatenate([blk.a for blk in blocks]),
-                               np.concatenate([blk.b for blk in blocks]),
-                               max_sweeps=max_sweeps, composability_tol=tol)
+        return multiply_poisson(G, evaluator, a, b, max_sweeps=max_sweeps,
+                                composability_tol=composability_tol)
     except BatchRowError as exc:
         if exc.row is not None:
-            i = int(np.searchsorted(ends, exc.row, side="right"))
-            start = ends[i] - sizes[i]
-            exc.relocate(blocks[i].check,
-                         blocks[i].first_row + exc.row - start)
+            exc.relocate(check, exc.row)
         raise
-    return np.split(out, ends[:-1])
 
 
 def _complex_step_rows(a, b, tangent_pairs):
     """The product rows of d mu at (a, b) on composable tangent pairs (v, w):
     (a + i h v, b + i h w) at h = COMPLEX_STEP, one row per pair and point,
-    direction-major.  Their products give mu, the real part of the first
-    direction's rows, and each d mu(v, w), imaginary part over h."""
+    direction-major, as the pair (a rows, b rows).  Their products give mu,
+    the real part of the first direction's rows, and each d mu(v, w),
+    imaginary part over h."""
     step = 1j * COMPLEX_STEP
-    return _ProductRows("multiplicativity",
-                        np.concatenate([a + step * v for v, _ in tangent_pairs]),
-                        np.concatenate([b + step * w for _, w in tangent_pairs]))
+    return (np.concatenate([a + step * v for v, _ in tangent_pairs]),
+            np.concatenate([b + step * w for _, w in tangent_pairs]))
 
 
 def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
                       assoc_seed, max_sweeps=32):
     """Multiplicativity, inversion antisymmetry and associativity of the
-    Poisson product, from two product calls of (nearly) equal size.
+    Poisson product, from one product call per check's rows.
 
     Multiplicativity maximizes, over sampled composable pairs (a, b) with
     two composable tangent pairs each,
         | omega_{mu}(dmu(v,w), dmu(v',w')) - omega_a(v,v') - omega_b(w,w') |;
     inversion antisymmetry | iota^* omega + omega | over the same a-points;
     associativity || mu(mu(a,b),c) - mu(a,mu(b,c)) || over sampled
-    composable triples.  Call 1 multiplies stage 1, mu(a, b) and mu(b, c),
-    with the first half of the complex d mu rows (2 per pair), call 2
-    stage 2 (complex rows with zero imaginary part, like stage 1) with the
-    second half; the split comes from the row counts alone.  Each row gets
-    the bits a call of its own gives.
+    composable triples.  The calls run in order: associativity stage 1,
+    mu(a, b) and mu(b, c), on real rows; the complex d mu rows, 2 per
+    pair; stage 2, real, at composability tolerance 1e-8.  An error at a
+    row names its check, and stage 1 runs first, so its errors come first.
     """
     rng = SplitMix64(mult_seed)
     a, b = sample_composable_pairs(G, n_pairs, mult_seed)
@@ -742,23 +704,22 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     _, dtau = G.tau_with_jacobian(b, om_b)
     w1, w2 = composable_tangents_batch(dtau, [v1[:, : G.n], v2[:, : G.n]], rng)
     inv_a, dinv = G.inverse_with_jacobian(a, om_a)
-    steps = _complex_step_rows(a, b, [(v1, w1), (v2, w2)])
 
     rng, fiber_scale = SplitMix64(assoc_seed), 0.4
     tc = G.sample_validity_points(n_triples, assoc_seed, fiber_scale=fiber_scale)
     tb = _left_factors(G, tc, rng, fiber_scale)
     ta = _left_factors(G, tb, rng, fiber_scale)
 
-    head, tail = steps.split((len(steps.a) + 1) // 2)
-    stage1 = _ProductRows("associativity stage 1", np.concatenate([ta, tb]),
-                          np.concatenate([tb, tc]))
-    first, head_products = _multiply_rows(G, evaluator, [stage1, head], max_sweeps)
-    ab, bc = first[:n_triples], first[n_triples:]
-    stage2 = _ProductRows("associativity stage 2", np.concatenate([ab, ta]),
-                          np.concatenate([tc, bc]), composability_tol=1e-8)
-    second, tail_products = _multiply_rows(G, evaluator, [stage2, tail], max_sweeps)
+    ab, bc = np.split(_multiply(G, evaluator, "associativity stage 1",
+                                np.concatenate([ta, tb]), np.concatenate([tb, tc]),
+                                max_sweeps), 2)
+    products = _multiply(G, evaluator, "multiplicativity",
+                         *_complex_step_rows(a, b, [(v1, w1), (v2, w2)]),
+                         max_sweeps)
+    stage2 = _multiply(G, evaluator, "associativity stage 2",
+                       np.concatenate([ab, ta]), np.concatenate([tc, bc]),
+                       max_sweeps, composability_tol=1e-8)
 
-    products = np.concatenate([head_products, tail_products])
     mu = products[:n_pairs].real
     dmu1, dmu2 = products.imag.reshape(2, n_pairs, d) / COMPLEX_STEP
     # omega at the products and at the inverses from one solve
@@ -768,7 +729,7 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     rhs = np.einsum("bi,bij,bj->b", v1, om_a.value, v2) + \
         np.einsum("bi,bij,bj->b", w1, om_b.value, w2)
     pulled = np.einsum("bji,bjk,bkl->bil", dinv, W_inv, dinv)
-    assoc = (second[:n_triples] - second[n_triples:]).real
+    assoc = stage2[:n_triples] - stage2[n_triples:]
     return {"multiplicativity": float(np.max(np.abs(lhs - rhs))),
             "inversion_antisymmetry": float(np.max(np.abs(pulled + om_a.value))),
             "associativity": float(np.max(np.abs(assoc))),

@@ -36,9 +36,8 @@ from .errors import DimensionError
 from .report import CheckReport
 
 __all__ = ["IMFormData", "ScalarSpencer", "linear_form",
-           "im_residuals", "d_IM", "jacobi_linear_form",
-           "poisson_im_pair", "dirac_im_pair", "exact_im_pair",
-           "im_pair_from_covector_map"]
+           "im_residuals", "jacobi_linear_form", "poisson_im_pair",
+           "dirac_im_pair", "im_pair_from_covector_map"]
 
 
 @dataclass
@@ -78,13 +77,6 @@ def linear_form(data):
             K = tuple(I) + (n + j,)
             comps[K] = ex.add(comps.get(K, ex.ZERO), ex.mul(sign, e))
     return ex.FormField(total, k, comps)
-
-
-def d_IM(data):
-    """Differential on IM pairs: (l, nu) -> (nu, 0), degree k -> k+1."""
-    A = data.chart
-    zero = [ex.FormField(A.xs, data.degree + 1, {}) for _ in range(A.r)]
-    return IMFormData(A, data.degree + 1, list(data.nu), zero)
 
 
 def im_residuals(A, data, samples=60, seed=313, tol=1e-8):
@@ -176,18 +168,6 @@ def dirac_im_pair(A):
         v = ex.VectorField(A.xs, fr.vectors[i])
         nus.append(fr.H.interior(v))
     return IMFormData(A, 2, ls, nus)
-
-
-def exact_im_pair(A, varpi):
-    """The pair (varpi-flat o rho, (d varpi)-flat o rho) for a k-form varpi."""
-    k = varpi.degree
-    dvarpi = varpi.d()
-    ls, nus = [], []
-    for i in range(A.r):
-        rho_i = A.anchor_of_section(i)
-        ls.append(varpi.interior(rho_i))
-        nus.append(dvarpi.interior(rho_i))
-    return IMFormData(A, k, ls, nus)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,7 @@ __all__ = [
     "omega_L2", "omega_L2_pair", "L_tensor", "nijenhuis_torsion",
     "torsion_nu_fields", "torsion_identity_check", "holomorphic_check",
     "gcs_identity_check", "dirac_checks", "jacobi_checks", "sigma_pullback",
-    "tau_pullback", "pi_pushforwards_residual", "omega_Lk_two_ways",
-    "convergence_study",
+    "pi_pushforwards_residual", "omega_Lk_two_ways", "convergence_study",
 ]
 
 # Floor of the smallest singular value of omega on the Poisson validity sample.
@@ -166,11 +165,6 @@ def sigma_pullback(G, varpi, P):
     dsig = np.zeros((P.shape[0], G.n, G.dim))
     dsig[:, :, : G.n] = np.eye(G.n)
     return _pullback_through(varpi, P[:, : G.n], dsig)
-
-
-def tau_pullback(G, varpi, P):
-    """(tau^* varpi) at points P, as full batched tensors."""
-    return _pullback_through(varpi, *G.tau_with_jacobian(np.atleast_2d(P)))
 
 
 def _relative_pullback(G, varpi, P, end, J):

@@ -9,7 +9,7 @@ collocation product of ``groupoid.multiply_poisson`` is measured against.
 
 ``differential_of_multiplication`` builds the complex-step rows with
 ``groupoid._complex_step_rows`` and multiplies them in one
-``groupoid._multiply_rows`` call, as ``product_residuals`` does.
+``multiply_poisson`` call, as ``product_residuals`` does.
 
 The stencil is the independent reference.
 Each offset runs along an exactly composable curve: a_s = a + s v, and b_s
@@ -85,9 +85,9 @@ def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
     """mu(a, b) and [d mu(v, w) for each pair] at (a, b) on composable
     tangent pairs (v, w), dtau(w) = dsigma(v): one complex row per pair and
     point, all in one ``multiply_poisson`` call."""
-    (products,) = groupoid._multiply_rows(
-        G, evaluator, [groupoid._complex_step_rows(a, b, tangent_pairs)],
-        max_sweeps)
+    products = multiply_poisson(
+        G, evaluator, *groupoid._complex_step_rows(a, b, tangent_pairs),
+        max_sweeps=max_sweeps)
     dmu = products.imag.reshape(-1, len(a), G.dim) / COMPLEX_STEP
     return products[: len(a)].real, list(dmu)
 

@@ -25,11 +25,7 @@ from sprayform.groupoid import (
     linearization_check,
     multiply_poisson,
 )
-from sprayform.imform import (
-    exact_im_pair,
-    linear_form,
-    poisson_im_pair,
-)
+from sprayform.imform import linear_form, poisson_im_pair
 from sprayform.report import SplitMix64
 from sprayform.scenarios import (
     NijenhuisPair,
@@ -43,12 +39,12 @@ from sprayform.scenarios import (
     omega_L2_pair,
     run_checks,
     sigma_pullback,
-    tau_pullback,
     torsion_identity_check,
 )
 from sprayform import tensor as tn
 
 from conftest import XS2, XS3, constant_bivector_r2
+from exact_pairs import exact_im_pair, tau_pullback
 
 _T0 = time.perf_counter()
 

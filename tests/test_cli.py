@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -234,6 +235,24 @@ def test_malformed_eval_vector_is_config_error(flags, tmp_path, capsys,
     assert "is not a comma-separated list of numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--point", "inf,0,0,0"],
+    ["--point", "0,0,0.1,0.2", "--vectors", "nan,0,0,0;0,1,0,0"],
+    ["--point", "0,0,0.1,0.2", "--pair", "0.1,0.2,0.3,-0.1|0.1,-inf,0,0"],
+])
+def test_non_finite_eval_number_is_config_error(flags, tmp_path, capsys,
+                                                monkeypatch):
+    """A NaN or infinite entry of --point, a --vectors row or a --pair side
+    exits 2 before the scenario is built: it is no number to evaluate at."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("build ran before the numbers parsed")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    path = _fast_poisson(tmp_path)
+    assert main(["eval", "--config", path] + flags) == 2
+    assert "holds a number that is not finite" in capsys.readouterr().err
+
+
 def test_malformed_christoffel_is_config_error(tmp_path, capsys):
     raw = json.loads((CONFIGS / "constant_poisson.json").read_text())
     raw["coefficients"]["christoffel"] = [[["0"]]]
@@ -385,21 +404,18 @@ def test_check_makes_no_one_row_flow_solves(name, tmp_path, monkeypatch):
 @pytest.fixture(scope="module")
 def so3_check(tmp_path_factory):
     """One ``check`` of the bundled so3 config: its exit code, output
-    directory, product-call row counts, number of tangent-flow solves, the
+    directory, the (rows, dtype) of each product call, the number of flow
+    solves of each kind (``flow_with_jacobian``, ``flow_on_grid``), the
     names of the functions that called ``np.linalg.svd`` and the tolerance
     names it read through ``Numerics.tol``."""
     out = tmp_path_factory.mktemp("so3_check")
-    rows, solves, svd_callers, tol_names = [], [], [], set()
-    product, solve = groupoid.multiply_poisson, FlowEngine.flow_with_jacobian
+    rows, solves, svd_callers, tol_names = [], Counter(), [], set()
+    product = groupoid.multiply_poisson
     svd, tol = np.linalg.svd, Numerics.tol
 
     def counted_product(G, ev, a, b, **kwargs):
-        rows.append(len(a))
+        rows.append((len(a), np.result_type(a, b).name))
         return product(G, ev, a, b, **kwargs)
-
-    def counted_solve(self, *args):
-        solves.append(1)
-        return solve(self, *args)
 
     def counted_svd(*args, **kwargs):
         svd_callers.append(sys._getframe(1).f_code.co_name)
@@ -411,24 +427,31 @@ def so3_check(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groupoid, "multiply_poisson", counted_product)
-        mp.setattr(FlowEngine, "flow_with_jacobian", counted_solve)
+        for method in ("flow_with_jacobian", "flow_on_grid"):
+            def counted_solve(self, *args, _method=method,
+                              _solve=getattr(FlowEngine, method), **kwargs):
+                solves[_method] += 1
+                return _solve(self, *args, **kwargs)
+
+            mp.setattr(FlowEngine, method, counted_solve)
         mp.setattr(np.linalg, "svd", counted_svd)
         mp.setattr(Numerics, "tol", recorded_tol)
         code = main(["check", "--config", str(CONFIGS / "so3.json"),
                      "--out-dir", str(out)])
-    return code, out, rows, len(solves), svd_callers, tol_names
+    return code, out, rows, solves, svd_callers, tol_names
 
 
-def test_so3_check_runs_two_balanced_product_calls(so3_check):
-    """so3's product rows (50 complex d mu rows, 20 per associativity stage)
-    go through two product calls of equal size, and check makes 29
-    tangent-flow solves: 11 per product call (one per collocation sweep,
-    each over every node of the rows still active) and 7 outside the
-    product."""
+def test_so3_check_runs_one_product_call_per_check(so3_check):
+    """so3's product rows go through one product call per check, in order:
+    associativity stage 1 (20 real rows), the 50 complex d mu rows, and
+    stage 2 (20 real rows).  check makes 38 tangent-flow solves, one per
+    collocation sweep over every node of the rows still active and 7
+    outside the product, and 18 grid solves, 2 per product call (tau(b)
+    and the flight of a) and 12 outside the product."""
     code, _, rows, solves, _, _ = so3_check
     assert code == 0
-    assert rows == [20 + 25, 20 + 25]
-    assert solves == 29
+    assert rows == [(20, "float64"), (50, "complex128"), (20, "float64")]
+    assert solves == {"flow_with_jacobian": 38, "flow_on_grid": 18}
 
 
 def test_so3_check_makes_no_guard_svd(so3_check):
@@ -548,8 +571,8 @@ def test_check_failure_exit_code(tmp_path, capsys):
     assert "'multiplicativty' is not one of" in capsys.readouterr().err
 
 
-def test_check_raw_algebroid(tmp_path):
-    raw = {
+def _raw_algebroid(tmp_path):
+    return _write(tmp_path, {
         "schema_version": 1,
         "kind": "raw_algebroid",
         "chart": {"dim": 3, "box": [[-1, 1]] * 3},
@@ -564,8 +587,11 @@ def test_check_raw_algebroid(tmp_path):
         },
         "numerics": {"samples": 20, "seed": 4},
         "outputs": {"report": "raw.json", "csv": "raw.csv"},
-    }
-    path = _write(tmp_path, raw)
+    })
+
+
+def test_check_raw_algebroid(tmp_path):
+    path = _raw_algebroid(tmp_path)
     assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 0
 
 
@@ -651,6 +677,26 @@ def test_eval_out_of_box_is_runtime_error(tmp_path, capsys):
     cfg_path = _fast_poisson(tmp_path)
     code = main(["eval", "--config", cfg_path, "--point", "5,0,0,0"])
     assert code == 3
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ("dirac_twisted", ["--point", "0.1,0.2,-0.1,0.2,0.1,-0.1",
+                       "--pair", "0,0,0,0,0,0|0,0,0,0,0,0"],
+     "--pair: kind 'dirac' has no Poisson product"),
+    ("jacobi_line", ["--point", "0.0,0.3,0.5", "--pair", "0,0,0|0,0,0"],
+     "--pair: kind 'jacobi' has no Poisson product"),
+    (None, ["--point", "0,0,0,0,0,0", "--pair", "0,0,0,0,0,0|0,0,0,0,0,0"],
+     "--pair: kind 'raw_algebroid' has no Poisson product"),
+    (None, ["--point", "0,0,0,0,0,0", "--vectors", "1,0,0,0,0,0"],
+     "--vectors: kind 'raw_algebroid' has no form to evaluate"),
+])
+def test_eval_option_the_kind_cannot_use_is_config_error(config, flags, message,
+                                                         tmp_path, capsys):
+    """--pair on a kind with no Poisson product and --vectors on a kind with
+    no form exit 2 and name the kind; they are not ignored."""
+    path = str(CONFIGS / f"{config}.json") if config else _raw_algebroid(tmp_path)
+    assert main(["eval", "--config", path] + flags) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_eval_jacobi_cocycle(tmp_path, capsys):

@@ -40,7 +40,6 @@ from sprayform.groupoid import (
     units_form_predictor,
 )
 from sprayform.imform import (
-    exact_im_pair,
     jacobi_linear_form,
     linear_form,
     poisson_im_pair,
@@ -48,6 +47,7 @@ from sprayform.imform import (
 from sprayform.report import SplitMix64
 
 from conftest import XS2, XS3, constant_bivector_r2, so3_bivector
+from exact_pairs import exact_im_pair
 from product_oracle import (central_difference, differential_of_multiplication,
                             stencil_differential)
 
@@ -494,8 +494,8 @@ def test_condition_guard_names_the_row_over_its_own_bound(flat_groupoid,
 
 
 def test_composability_tolerance_per_row(flat_groupoid):
-    """A scalar or per-row composability tolerance; the error names the
-    worst row among those over their own tolerance."""
+    """Every row is checked against the one composability tolerance; the
+    error names the worst row among those over it."""
     _, G, ev = flat_groupoid
     b = np.array([[0.1, 0.2, 0.1, 0.0], [0.0, -0.1, 0.2, 0.1],
                   [0.3, 0.0, -0.1, 0.2]])
@@ -504,11 +504,7 @@ def test_composability_tolerance_per_row(flat_groupoid):
     a[1, 0] += 2e-9
     with pytest.raises(ComposabilityError, match="row 0"):
         multiply_poisson(G, ev, a, b, max_sweeps=2)
-    with pytest.raises(ComposabilityError, match="row 1: violation 2"):
-        multiply_poisson(G, ev, a, b, max_sweeps=2,
-                         composability_tol=np.array([1e-8, 1e-9, 1e-9]))
-    multiply_poisson(G, ev, a, b, max_sweeps=2,
-                     composability_tol=np.array([1e-8, 1e-8, 1e-9]))
+    multiply_poisson(G, ev, a, b, max_sweeps=2, composability_tol=1e-8)
 
 
 def test_constant_pi_associativity(const_groupoid):
@@ -570,8 +566,9 @@ def test_complex_step_rows_are_tangent_composable(so3_groupoid):
     tangent of the composable set, with no Newton correction."""
     _, G, _ = so3_groupoid
     a, b = sample_composable_pairs(G, 6, 23)
-    rows = groupoid._complex_step_rows(a, b, _tangent_pairs(G, b, 2, 24))
-    gap = (rows.a[:, : G.n] - G.tau(rows.b)).imag / COMPLEX_STEP
+    rows_a, rows_b = groupoid._complex_step_rows(a, b,
+                                                 _tangent_pairs(G, b, 2, 24))
+    gap = (rows_a[:, : G.n] - G.tau(rows_b)).imag / COMPLEX_STEP
     assert np.max(np.abs(gap)) < 1e-12
 
 
@@ -597,21 +594,22 @@ def test_multiplicativity_residual_solves_each_batch_once(const_groupoid,
 
 
 def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
-    """The schedule's two product calls give, bit for bit, the residuals
-    built from separate products: the complex d mu rows in one call of
-    their own and each associativity product in its own complex call."""
+    """The schedule's product calls, one per check, give, bit for bit, the
+    residuals built from separate products: the complex d mu rows in one
+    call of their own and each associativity product in its own real
+    call."""
     _, G, ev = so3_groupoid
     n_pairs, n_triples, d = 3, 2, G.dim
     calls, original = [], groupoid.multiply_poisson
 
     def counted(G_, ev_, a, b, **kwargs):
-        calls.append(len(a))
+        calls.append((len(a), np.result_type(a, b).kind))
         return original(G_, ev_, a, b, **kwargs)
 
     monkeypatch.setattr(groupoid, "multiply_poisson", counted)
     out = product_residuals(G, ev, n_pairs, n_triples, 11, 12)
-    # 2 complex rows per pair, 2 rows per triple and stage
-    assert calls == [4 + 3, 4 + 3]
+    # 2 real rows per triple and stage, 2 complex rows per pair
+    assert calls == [(4, "f"), (6, "c"), (4, "f")]
     monkeypatch.undo()
 
     rng = SplitMix64(11)
@@ -640,89 +638,94 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
     c = G.sample_validity_points(n_triples, 12, fiber_scale=0.4)
     bb = _left_factors(G, c, rng, 0.4)
     aa = _left_factors(G, bb, rng, 0.4)
-    aa, bb, c = (P.astype(complex) for P in (aa, bb, c))
     ab = multiply_poisson(G, ev, aa, bb)
     bc = multiply_poisson(G, ev, bb, c)
     left = multiply_poisson(G, ev, ab, c, composability_tol=1e-8)
     right = multiply_poisson(G, ev, aa, bc, composability_tol=1e-8)
-    assoc = float(np.max(np.abs((left - right).real)))
-    assert out["associativity"] == assoc
+    assert out["associativity"] == float(np.max(np.abs(left - right)))
 
 
 def _edit_rows(monkeypatch, check, row, edit):
-    """Wrap the one product-packing seam, ``groupoid._multiply_rows``, so
-    that ``edit(block, i)`` changes row ``row`` of ``check``'s own batch
-    (local row ``i = row - first_row`` of the block that holds it) before
-    the rows are packed."""
-    original = groupoid._multiply_rows
+    """Wrap the per-check product seam, ``groupoid._multiply``, so that
+    ``edit(a, b, row)`` changes row ``row`` of ``check``'s rows before
+    they are multiplied.  Wraps stack: each edits its own check."""
+    original = groupoid._multiply
 
-    def packed(G, evaluator, blocks, max_sweeps):
-        for blk in blocks:
-            i = row - blk.first_row
-            if blk.check == check and 0 <= i < len(blk.a):
-                edit(blk, i)
-        return original(G, evaluator, blocks, max_sweeps)
+    def edited(G, evaluator, name, a, b, *args, **kwargs):
+        if name == check:
+            edit(a, b, row)
+        return original(G, evaluator, name, a, b, *args, **kwargs)
 
-    monkeypatch.setattr(groupoid, "_multiply_rows", packed)
+    monkeypatch.setattr(groupoid, "_multiply", edited)
 
 
 def _shift(by):
-    def edit(blk, i):
-        blk.a[i, 0] += by
+    def edit(a, b, i):
+        a[i, 0] += by
     return edit
 
 
-def test_packed_product_error_names_check_and_its_row(const_groupoid,
-                                                       monkeypatch):
-    """An error at a packed product row names the check that owns the row
-    and the row's index in that check's own batch."""
+def _product_rows(G, ev):
+    # 2 pairs, 3 triples: 6 stage-1 rows, 4 complex rows, 6 stage-2 rows
+    return product_residuals(G, ev, 2, 3, 1, 2, max_sweeps=2)
+
+
+def test_product_error_names_check_and_its_row(const_groupoid, monkeypatch):
+    """An error at a product row names the check that owns the row and the
+    row's index in that check's own batch."""
     _, G, ev = const_groupoid
-
-    def run():
-        # 2 pairs, 3 triples: 2 + 2 complex rows, 6 stage rows per call
-        return product_residuals(G, ev, 2, 3, 1, 2, max_sweeps=2)
-
     _edit_rows(monkeypatch, "associativity stage 1", 4, _shift(0.3))
     with pytest.raises(ComposabilityError) as err:
-        run()
+        _product_rows(G, ev)
     assert err.value.row == 4
     assert str(err.value) == ("associativity stage 1: sigma(a) != tau(b) at "
                               "batch row 4: violation 3.000e-01 > 1.0e-09")
     monkeypatch.undo()
 
-    def leave_box(blk, i):
-        blk.b[i, 0] = 3.0   # outside the chart box [-1, 1]
+    def leave_box(a, b, i):
+        b[i, 0] = 3.0   # outside the chart box [-1, 1]
 
     _edit_rows(monkeypatch, "associativity stage 2", 1, leave_box)
     with pytest.raises(DomainExitError) as err:
-        run()
+        _product_rows(G, ev)
     assert err.value.row == 1
     assert str(err.value).startswith(
         "associativity stage 2: trajectory left the domain box at t=0, "
         "batch row 1, point (3, ")
     monkeypatch.undo()
 
-    # row 6 + 1 of the second call is row 2 + 1 of the 4 complex rows
     _edit_rows(monkeypatch, "multiplicativity", 3, _shift(0.3))
     with pytest.raises(ComposabilityError) as err:
-        run()
+        _product_rows(G, ev)
     assert err.value.row == 3
     assert str(err.value).startswith(
         "multiplicativity: sigma(a) != tau(b) at batch row 3: ")
 
 
-def test_packed_rows_keep_their_check_tolerance(const_groupoid, monkeypatch):
-    """Stage 2 rows are checked at 1e-8 and complex d mu rows at 1e-9 in the
-    same packed call."""
+def test_stage_1_errors_come_before_dmu_errors(const_groupoid, monkeypatch):
+    """With a stage-1 row and a d mu row both corrupted, the error names
+    associativity stage 1, though the d mu row's violation is the larger:
+    stage 1's call runs first."""
+    _, G, ev = const_groupoid
+    _edit_rows(monkeypatch, "multiplicativity", 0, _shift(0.5))
+    _edit_rows(monkeypatch, "associativity stage 1", 2, _shift(0.3))
+    with pytest.raises(ComposabilityError) as err:
+        _product_rows(G, ev)
+    assert str(err.value).startswith(
+        "associativity stage 1: sigma(a) != tau(b) at batch row 2: ")
+
+
+def test_product_rows_keep_their_check_tolerance(const_groupoid, monkeypatch):
+    """Stage 2 rows are checked at 1e-8 and complex d mu rows at 1e-9, each
+    in its check's own call."""
     _, G, ev = const_groupoid
     _edit_rows(monkeypatch, "associativity stage 2", 0, _shift(5e-9))
-    out = product_residuals(G, ev, 2, 3, 1, 2, max_sweeps=2)
-    assert np.isfinite(out["associativity"])
+    assert np.isfinite(_product_rows(G, ev)["associativity"])
     monkeypatch.undo()
     _edit_rows(monkeypatch, "multiplicativity", 2, _shift(5e-9))
     with pytest.raises(ComposabilityError,
                        match="^multiplicativity: .* row 2: violation 5"):
-        product_residuals(G, ev, 2, 3, 1, 2, max_sweeps=2)
+        _product_rows(G, ev)
 
 
 @pytest.mark.parametrize("fixture, solves", [("so3_groupoid", 1),

@@ -14,9 +14,7 @@ from sprayform.expr import BivectorField, FormField, VectorField, parse
 from sprayform.imform import (
     IMFormData,
     ScalarSpencer,
-    d_IM,
     dirac_im_pair,
-    exact_im_pair,
     im_residuals,
     jacobi_linear_form,
     linear_form,
@@ -24,6 +22,7 @@ from sprayform.imform import (
 )
 
 from conftest import XS2, XS3, so3_bivector, twisted_dirac_sections
+from exact_pairs import d_IM, exact_im_pair
 from expr_oracle import tree_eval
 from form_oracle import evaluate, pullback
 

@@ -74,8 +74,8 @@ def test_collocation_is_as_accurate_as_rk4_32(name):
     on d mu), and the gate compares rounding: it allows ROUNDOFF."""
     G, ev = _case(name)
     rows = _dmu_rows(G, 6, 31)[0]
-    got = multiply_poisson(G, ev, rows.a, rows.b)
-    rk32, rk64 = (rk4_product(G, ev, rows.a, rows.b, n) for n in (32, 64))
+    got = multiply_poisson(G, ev, *rows)
+    rk32, rk64 = (rk4_product(G, ev, *rows, n) for n in (32, 64))
     for part in (np.real, lambda x: np.imag(x) / COMPLEX_STEP):
         error = np.max(np.abs(part(got) - part(rk64)))
         assert error <= max(np.max(np.abs(part(rk32) - part(rk64))), ROUNDOFF)
@@ -111,7 +111,7 @@ def test_constant_poisson_product_inverse_and_dmu_are_affine():
     G, ev = _case("constant_poisson")
     rows, v, w, a, b = _dmu_rows(G, 8, 41)
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    got = multiply_poisson(G, ev, rows.a, rows.b)
+    got = multiply_poisson(G, ev, *rows)
     mu = np.hstack([b[:, :2], a[:, 2:] + b[:, 2:]])
     dmu = np.hstack([w[:, :2], v[:, 2:] + w[:, 2:]])
     assert np.max(np.abs(got.real - mu)) <= ROUNDOFF

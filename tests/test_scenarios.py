@@ -27,12 +27,12 @@ from sprayform.scenarios import (
     pi_pushforwards_residual,
     run_checks,
     sigma_pullback,
-    tau_pullback,
     torsion_identity_check,
 )
 
 from conftest import (XS2, XS3, checked, constant_bivector_r2, so3_bivector,
                       twisted_dirac_sections)
+from exact_pairs import tau_pullback
 from expr_oracle import tree_eval
 
 BOX2 = [[-1.0, 1.0]] * 2

@@ -16,11 +16,17 @@
 #   - `check` on so3 with `mu_steps: 3`, written from configs/ at run time,
 #     a product sweep cap that its rows exceed (exit 3, naming the check
 #     and the row);
+#   - `check` on so3 with `quad_nodes: 2` and one sample, pair and triple
+#     (`so3_coarse`), written from configs/ at run time, whose coarse flow
+#     leaves an associativity stage 2 row uncomposable (exit 3, naming
+#     the check and the row);
 #   - `convergence` on so3 and jacobi_line over rungs 32..1024, and on so3
 #     over the NxM rungs 16x8..128x1, which hold the step fixed and move
 #     the quadrature nodes and the RK4 substeps against each other;
 #   - `eval` on every kind's build, and `eval --pair` on so3 with a
 #     composable pair written at 17 digits, a nonlinear product;
+#   - two `eval` config errors (exit 2): `--pair` on dirac_twisted, a kind
+#     with no Poisson product, and a NaN `--vectors` entry on so3;
 #   - `schema`, the generated config schema.
 #
 # Usage (from the repository root, whose configs/ both sides read):
@@ -80,6 +86,11 @@ with open("configs/so3.json") as f:
 cfg["numerics"]["mu_steps"] = 3
 with open(f"{out}/so3_mu_steps_3.json", "w") as f:
     json.dump(cfg, f, indent=2)
+with open("configs/so3.json") as f:
+    cfg = json.load(f)
+cfg["numerics"].update(quad_nodes=2, samples=1, mult_pairs=1, assoc_triples=1)
+with open(f"{out}/so3_coarse.json", "w") as f:
+    json.dump(cfg, f, indent=2)
 EOF
 
 # run NAME SUBCOMMAND ARGS...: one CLI run into $out/NAME; stdout is kept
@@ -126,6 +137,11 @@ run eval_dirac_twisted eval --config configs/dirac_twisted.json \
   --point 0.1,0.2,-0.1,0.2,0.1,-0.1
 run eval_gcs_r2 eval --config configs/gcs_r2.json \
   --point 0.1,0.2,0.3,-0.1 --pair "0.2,0.5,0.2,0.1|0.1,0.2,0.3,-0.1"
+run eval_dirac_pair eval --config configs/dirac_twisted.json \
+  --point 0.1,0.2,-0.1,0.2,0.1,-0.1 \
+  --pair "0.1,0.2,-0.1,0.2,0.1,-0.1|0.1,0.2,-0.1,0.2,0.1,-0.1"
+run eval_so3_nonfinite_vector eval --config configs/so3.json \
+  --point 0.1,0,0,0,0,0 --vectors "nan,0,0,0,0,0;0,1,0,0,0,0"
 run eval_bad_poisson eval --config configs/bad_poisson.json \
   --point 0.1,0.2,-0.1,0.2,0.1,-0.1
 run schema schema
