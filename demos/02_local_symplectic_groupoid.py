@@ -31,9 +31,9 @@ print(G.validity_box())
 
 # Evaluate the symplectic form and its inverse at a point of the groupoid.
 a = G.sample_validity_points(1, seed=3)[0]
-W = scen.evaluator.omega_matrices(a[None, :])[0]
+W = scen.evaluator.omega_full(a[None, :])[0]
 print("\nomega at a:\n", np.round(W, 6))
-print("source of a:", G.sigma(a[None, :])[0], " target of a:", G.tau(a[None, :])[0])
+print("source of a:", a[:G.n], " target of a:", G.tau(a[None, :])[0])
 
 # The product of two composable arrows, by the multiplication ODE.
 from sprayform.groupoid import multiply_poisson, sample_composable_pairs

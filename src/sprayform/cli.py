@@ -153,9 +153,14 @@ def _validate(raw):
         raise ConfigError(f"config schema violation: {error.message}")
 
 
+def _non_finite(constant):
+    raise ConfigError(f"config number {constant} is not finite")
+
+
 def load_config(path):
+    """The validated config at ``path``, whose numbers are all finite."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=_non_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _validate(raw)
@@ -278,8 +283,11 @@ def _groupoid_scenario(kind, nm, inputs):
 
 
 def _write(path, text):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(text)
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _csv_text(rows):

@@ -38,9 +38,9 @@ Neither solve stores a trajectory.  Each returns the end state batch-major,
 z of shape (B, d) and J of shape (B, d, d) with J[b, i, j] = dz_i/dz_j.  An
 optional ``at_node(k, node)`` consumer sees each node k as the loop passes
 it (``Node``): the live rows X and frozen rows F, or the full state
-component-major, z (d, B) and J (d, d, B), each written from X only when
-read.  Batch-major views are z.T and J.transpose(2, 0, 1).  All are valid
-only during the call.
+component-major, z (d, B) and J (d, d, B), each written from X when read.
+Batch-major views are z.T and J.transpose(2, 0, 1).  All are valid only
+during the call.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ class FlowEngine:
         node = Node(F, publish, Z, J)
 
         def consume(k, X):
-            node.X, node.stale = X, [True, True]
+            node.X = X
             with np.errstate(**caller):
                 at_node(k, node)
 
@@ -210,29 +210,24 @@ class FlowEngine:
 class Node:
     """A solve's state at one node: ``X`` the live rows of the RK4 state and
     ``F`` the frozen coordinates (see the module docstring); ``z`` and ``J``
-    (None without the tangent flow) the full state, each written from X by
-    ``publish`` when first read after the solve marks X ``stale``, so a
-    consumer that reads z alone writes out z alone."""
+    (None without the tangent flow) the full state, written from X by
+    ``publish`` each time it is read, so a consumer that reads z alone
+    writes out z alone."""
 
-    __slots__ = ("X", "F", "stale", "_publish", "_full")
+    __slots__ = ("X", "F", "_publish", "_full")
 
     def __init__(self, F, publish, z, J):
-        self.X, self.F, self.stale = None, F, [False, False]
-        self._publish, self._full = publish, (z, J)
+        self.X, self.F, self._publish, self._full = None, F, publish, (z, J)
 
     @property
     def z(self):
-        return self._view(0)
+        self._publish(self.X, 0)
+        return self._full[0]
 
     @property
     def J(self):
-        return self._view(1)
-
-    def _view(self, part):
-        if self.stale[part]:
-            self._publish(self.X, part)
-            self.stale[part] = False
-        return self._full[part]
+        self._publish(self.X, 1)
+        return self._full[1]
 
 
 def _inside(z, lo, hi):

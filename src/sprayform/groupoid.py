@@ -119,10 +119,6 @@ class SprayGroupoid:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return np.concatenate([X, np.zeros((len(X), self.r))], axis=1)
 
-    def sigma(self, P):
-        P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-        return P[:, : self.n]
-
     def flow_end(self, P, *consumers):
         """(z, J) at t = 1 from one tangent-flow solve on the rule's nodes.
 
@@ -143,21 +139,6 @@ class SprayGroupoid:
 
     def tau(self, P):
         return self.engine.flow_on_grid(P, self.rule.nodes, self.substeps)[:, : self.n]
-
-    def tau_with_jacobian(self, P, *consumers):
-        end, J = self.flow_end(P, *consumers)
-        return end[:, : self.n], J[:, : self.n, :]
-
-    def inverse(self, P):
-        end = self.engine.flow_on_grid(P, self.rule.nodes, self.substeps)
-        end[:, self.n:] *= -1.0
-        return end
-
-    def inverse_with_jacobian(self, P, *consumers):
-        end, J = self.flow_end(P, *consumers)
-        end[:, self.n:] *= -1.0
-        J[:, self.n:, :] *= -1.0
-        return end, J
 
     def validity_box(self):
         """Total-space box actually certified by the discovery procedure."""
@@ -286,14 +267,8 @@ class MultFormEvaluator:
         return sum((-1) ** s * np.moveaxis(partials, 1, 1 + s)
                    for s in range(k + 1))
 
-    def omega_matrices(self, P):
-        """(B, d, d) antisymmetric matrices (degree-2 evaluators only)."""
-        if self.degree != 2:
-            raise DimensionError("omega_matrices needs a degree-2 evaluator")
-        return self.omega_full(P)
-
     def inverse_matrices(self, P):
-        W = self.omega_matrices(P)
+        W = self.omega_full(P)
         inv = _check_conditioning(W, P, COND_BOUND)
         # the guard's inverse is inv(W.real): W itself on real rows
         return np.linalg.inv(W) if inv is None or W.dtype.kind == "c" else inv
@@ -699,11 +674,13 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     d = G.dim
     v1, v2 = (rng.uniform_rows([(-1, 1)] * d, n_pairs) for _ in range(2))
     # one tangent-flow solve per batch: dtau and omega at b, the inverse
-    # and omega at a
+    # (the end point with its fiber negated) and omega at a
     om_b, om_a = evaluator.omega_sum(), evaluator.omega_sum()
-    _, dtau = G.tau_with_jacobian(b, om_b)
+    dtau = G.flow_end(b, om_b)[1][:, : G.n]
     w1, w2 = composable_tangents_batch(dtau, [v1[:, : G.n], v2[:, : G.n]], rng)
-    inv_a, dinv = G.inverse_with_jacobian(a, om_a)
+    inv_a, dinv = G.flow_end(a, om_a)
+    inv_a[:, G.n:] *= -1.0
+    dinv[:, G.n:] *= -1.0
 
     rng, fiber_scale = SplitMix64(assoc_seed), 0.4
     tc = G.sample_validity_points(n_triples, assoc_seed, fiber_scale=fiber_scale)
@@ -724,7 +701,7 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     dmu1, dmu2 = products.imag.reshape(2, n_pairs, d) / COMPLEX_STEP
     # omega at the products and at the inverses from one solve
     W_mu, W_inv = np.split(
-        evaluator.omega_matrices(np.concatenate([mu, inv_a])), [n_pairs])
+        evaluator.omega_full(np.concatenate([mu, inv_a])), [n_pairs])
     lhs = np.einsum("bi,bij,bj->b", dmu1, W_mu, dmu2)
     rhs = np.einsum("bi,bij,bj->b", v1, om_a.value, v2) + \
         np.einsum("bi,bij,bj->b", w1, om_b.value, w2)
@@ -821,53 +798,20 @@ def linearization_check(G, evaluator, point):
     return slope, resids
 
 
-def units_form_predictor(A, l_fields, X, args):
-    """Closed-form values of omega at units from l alone, batched.
+def units_form_predictor(A, l_fields, X, v, a, w, b):
+    """Closed-form omega at units from l alone, batched: row q is omega at
+    the unit over X[q] (B, n) on the tangents (v, a) and (w, b), split as
+    T(units) = TM + A into (B, n) and (B, r) parts,
 
-    ``X`` is a (B, n) batch of base points and ``args`` a list of k pairs
-    (tm_part (B, n), fiber_part (B, r)); row b of the result is omega at
-    the unit over X[b] on the row-b arguments.  The value expands
-    multilinearly over the splitting T(units) = TM + A and evaluates each
-    pure term by the alternating-sum formula
+        l(a)(w) - l(b)(v) + (l(a)(rho b) - l(b)(rho a)) / 2,
 
-        omega(a_1..a_j, v_1..v_{k-j})
-          = (1/j) sum_i (-1)^{i-1} l(a_i)(rho a_1, .., hat i, .., rho a_j,
-                                          v_1, .., v_{k-j})
+    with l(a) = sum_m a_m l(e_m) the 1-form of l at a."""
+    l_vals = [f.values(X) for f in l_fields]    # r batches (B, n)
 
-    with the convention that pure-horizontal values (j = 0) vanish.
-    """
-    X = np.asarray(X, dtype=np.float64)
+    def l_at(s, u):       # l(s)(u), summed in index order
+        ls = sum(l_vals[m] * s[:, m, None] for m in range(A.r))
+        return sum(ls[:, i] * u[:, i] for i in range(A.n))
+
     rho = A.anchor_at(X)
-    l_vals = np.stack([f.values(X) for f in l_fields], axis=1)   # (B, r, nC)
-    k = len(args)
-
-    def pure_value(fiber_list, tm_list):
-        j = len(fiber_list)
-        if j == 0:
-            return 0.0
-        total = 0.0
-        for i in range(j):
-            a_i = fiber_list[i]
-            others = [np.matmul(rho, fiber_list[m][..., None])[..., 0]
-                      for m in range(j) if m != i]
-            cols = others + list(tm_list)
-            V = np.stack(cols, axis=-1) if cols else np.zeros((len(X), A.n, 0))
-            lt = np.zeros((len(X), l_vals.shape[2]))
-            for m in range(A.r):
-                lt = lt + l_vals[:, m] * a_i[:, m, None]
-            total = total + ((-1.0) ** i) * tn.evaluate_batch(lt, V)
-        return total / j
-
-    out = np.zeros(len(X))
-    # which arguments are fiber arguments, the first varying fastest
-    for pattern in (p[::-1] for p in itertools.product((False, True), repeat=k)):
-        fibers, tms, sign = [], [], 1
-        for pos, take_fiber in enumerate(pattern):
-            if take_fiber:
-                # moving this fiber argument in front of the tm args before it
-                sign *= (-1) ** len(tms)
-                fibers.append(np.asarray(args[pos][1], dtype=np.float64))
-            else:
-                tms.append(np.asarray(args[pos][0], dtype=np.float64))
-        out += sign * pure_value(fibers, tms)
-    return out
+    rho_a, rho_b = ((rho @ x[..., None])[..., 0] for x in (a, b))
+    return l_at(a, w) - l_at(b, v) + (l_at(a, rho_b) - l_at(b, rho_a)) / 2

@@ -34,4 +34,5 @@ def exact_im_pair(A, varpi):
 
 def tau_pullback(G, varpi, P):
     """(tau^* varpi) at points P, as full batched tensors."""
-    return _pullback_through(varpi, *G.tau_with_jacobian(np.atleast_2d(P)))
+    end, J = G.flow_end(np.atleast_2d(P))
+    return _pullback_through(varpi, end[:, : G.n], J[:, : G.n])

@@ -92,15 +92,23 @@ def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
     return products[: len(a)].real, list(dmu)
 
 
+def inverse(G, P):
+    """The groupoid inverse of the points P: the end of the time-1 flow
+    with its fiber negated."""
+    end = G.engine.flow_on_grid(P, G.rule.nodes, G.substeps)
+    end[:, G.n:] *= -1.0
+    return end
+
+
 def newton_composable(G, a_base, b_guess, iters=3, tol=1e-13):
     """Correct b so that tau(b) = a_base, batched."""
     b = b_guess.copy()
     for _ in range(iters):
-        tau_b, dtau = G.tau_with_jacobian(b)
-        res = a_base - tau_b
+        end, J = G.flow_end(b)
+        res = a_base - end[:, : G.n]
         if float(np.max(np.abs(res))) < tol:
             break
-        b = b + np.einsum("bja,ba->bj", np.linalg.pinv(dtau), res)
+        b = b + np.einsum("bja,ba->bj", np.linalg.pinv(J[:, : G.n]), res)
     return b
 
 

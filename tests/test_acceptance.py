@@ -62,7 +62,7 @@ def test_criterion_1_zero_poisson_identity():
     discover_validity_box(G)
     ev = MultFormEvaluator(G, linear_form(poisson_im_pair(A)))
     pts = G.sample_validity_points(50, seed=101)
-    W = ev.omega_matrices(pts)
+    W = ev.omega_full(pts)
     W0 = np.zeros((4, 4))
     W0[0, 2] = W0[1, 3] = 1.0
     W0 -= W0.T
@@ -94,7 +94,7 @@ def test_criterion_2_constant_pi_closed_form():
     discover_validity_box(G)
     ev = MultFormEvaluator(G, linear_form(poisson_im_pair(A)))
     pts = G.sample_validity_points(100, seed=201)
-    W = ev.omega_matrices(pts)
+    W = ev.omega_full(pts)
     Wexp = np.zeros((4, 4))
     Wexp[0, 2] = Wexp[1, 3] = 1.0
     Wexp[2, 3] = 1.0

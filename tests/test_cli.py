@@ -253,6 +253,57 @@ def test_non_finite_eval_number_is_config_error(flags, tmp_path, capsys,
     assert "holds a number that is not finite" in capsys.readouterr().err
 
 
+def _nan_box(raw):
+    raw["chart"]["box"] = [[float("nan"), 1.0]]
+
+
+def _minus_inf_bound(raw):
+    raw["chart"]["box"][0][0] = float("-inf")
+
+
+def _nan_tolerance(raw):
+    raw["numerics"]["tolerances"] = {"closed_form": float("nan")}
+
+
+@pytest.mark.parametrize("config, edit, constant", [
+    ("jacobi_line", _nan_box, "NaN"),
+    ("so3", _minus_inf_bound, "-Infinity"),
+    ("jacobi_line", _nan_tolerance, "NaN"),
+])
+def test_non_finite_config_number_is_config_error(config, edit, constant,
+                                                  tmp_path, capsys):
+    """json reads NaN, Infinity and -Infinity as numbers, and the schema
+    takes them as numbers; ``load_config`` rejects them, naming the
+    constant.  Read as numbers, the NaN box left the domain at t = 0 (exit
+    3), the -Infinity bound gave a non-finite flow state (exit 3) and the
+    NaN tolerance failed its check and wrote NaN, which is not JSON, into
+    the report (exit 1)."""
+    raw = json.loads((CONFIGS / f"{config}.json").read_text())
+    edit(raw)
+    path = _write(tmp_path, raw)
+    assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: config number {constant} is not finite\n"
+    assert list(tmp_path.iterdir()) == [Path(path)]
+
+
+@pytest.mark.parametrize("config, command", [
+    ("jacobi_line.json", ["check"]),
+    ("so3.json", ["convergence", "--ladder", "8,16,32"]),
+])
+def test_unwritable_output_is_config_error(config, command, tmp_path, capsys):
+    """An output path under a regular file exits 2 with a message naming
+    the path, not 1 (a failed check) with a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    assert main(command[:1] + ["--config", str(CONFIGS / config),
+                               "--out-dir", str(out)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}/") and \
+        err.count("\n") == 1
+
+
 def test_malformed_christoffel_is_config_error(tmp_path, capsys):
     raw = json.loads((CONFIGS / "constant_poisson.json").read_text())
     raw["coefficients"]["christoffel"] = [[["0"]]]

@@ -1,8 +1,10 @@
 """Dead code in src/sprayform, found with the standard library's ast alone:
 a name that a module imports and never uses, a module-level private
 (``_name``) function, class or constant that nothing in the package
-references outside its own definition, and a module-level public function
-or class that no code of the repository names outside its own definition."""
+references outside its own definition, and a module-level public function,
+class or method of a class that no caller names outside its own definition.
+The callers are the package (not its ``__init__`` re-exports), the demos and
+the benchmark; a test alone does not keep a definition alive."""
 
 import ast
 from collections import Counter
@@ -13,16 +15,19 @@ SRC = ROOT / "src" / "sprayform"
 TREES = {path.name: ast.parse(path.read_text(), str(path))
          for path in sorted(SRC.glob("*.py"))}
 # the code that may name a public definition; a name in a string does not
-CALLERS = [path for folder in ("src", "demos", "perfbench", "tests")
-           for path in sorted((ROOT / folder).rglob("*.py"))]
+CALLERS = [path for folder in ("src", "demos", "perfbench")
+           for path in sorted((ROOT / folder).rglob("*.py"))
+           if path != SRC / "__init__.py"]
 
 
-def _references(node):
-    """Names read under ``node``, as bare names and as attributes."""
+def _references(node, bare=True):
+    """Names read under ``node``, as attributes and, if ``bare``, as bare
+    names."""
     for sub in ast.walk(node):
-        if isinstance(sub, (ast.Name, ast.Attribute)) and \
-                isinstance(sub.ctx, ast.Load):
-            yield sub.id if isinstance(sub, ast.Name) else sub.attr
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif bare and isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
 
 
 def _private_definitions(tree):
@@ -70,14 +75,27 @@ def test_every_private_definition_is_referenced():
     assert unreferenced == []
 
 
+def _public(body, kinds):
+    return [node for node in body
+            if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
 def test_every_public_definition_is_named():
-    named = Counter(name for path in CALLERS
-                    for name in _references(ast.parse(path.read_text(), str(path))))
+    """A method counts as named only where an attribute reads it: a bare
+    local ``inverse`` does not name a method ``inverse``."""
+    callers = [ast.parse(path.read_text(), str(path)) for path in CALLERS]
+    named = Counter(name for tree in callers for name in _references(tree))
+    loaded = Counter(name for tree in callers
+                     for name in _references(tree, bare=False))
     unnamed = []
     for module, tree in TREES.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    not node.name.startswith("_") and \
-                    named[node.name] == Counter(_references(node))[node.name]:
+        for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef)):
+            if named[node.name] == Counter(_references(node))[node.name]:
                 unnamed.append(f"{module}:{node.lineno} {node.name}")
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for method in _public(methods, ast.FunctionDef):
+                if loaded[method.name] == \
+                        Counter(_references(method, bare=False))[method.name]:
+                    unnamed.append(f"{module}:{method.lineno} "
+                                   f"{node.name}.{method.name}")
     assert unnamed == []

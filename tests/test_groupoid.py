@@ -1,6 +1,7 @@
 """Groupoid structure maps, the quadrature form, multiplication, round trips."""
 
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,8 @@ from sprayform.algebroid import (
     jacobi_algebroid,
     jacobi_cocycle,
 )
-from sprayform import groupoid
+from sprayform import groupoid, scenarios
+from sprayform.cli import load_config, parse_config
 from sprayform.errors import (
     ComposabilityError,
     DegenerateFormError,
@@ -49,7 +51,7 @@ from sprayform.report import SplitMix64
 from conftest import XS2, XS3, constant_bivector_r2, so3_bivector
 from exact_pairs import exact_im_pair
 from product_oracle import (central_difference, differential_of_multiplication,
-                            stencil_differential)
+                            inverse, stencil_differential)
 
 BOX2 = [[-1.0, 1.0]] * 2
 BOX3 = [[-1.0, 1.0]] * 3
@@ -103,23 +105,23 @@ def test_units_and_projections(so3_groupoid):
     U = G.units(X)
     assert U.shape == (2, G.dim)
     assert np.array_equal(U[:, G.n:], np.zeros((2, G.r)))
-    assert np.allclose(G.sigma(U), X)
+    assert np.allclose(U[:, : G.n], X)
     assert np.allclose(G.tau(U), X)
 
 
 def test_inverse_is_an_involution(so3_groupoid):
     A, G, _ = so3_groupoid
     pts = G.sample_validity_points(6, seed=42, fiber_scale=0.6)
-    double = G.inverse(G.inverse(pts))
+    double = inverse(G, inverse(G, pts))
     assert np.max(np.abs(double - pts)) < 1e-9
 
 
 def test_inverse_swaps_source_and_target(so3_groupoid):
     A, G, _ = so3_groupoid
     pts = G.sample_validity_points(6, seed=43, fiber_scale=0.6)
-    inv = G.inverse(pts)
-    assert np.max(np.abs(G.sigma(inv) - G.tau(pts))) < 1e-10
-    assert np.max(np.abs(G.tau(inv) - G.sigma(pts))) < 1e-9
+    inv = inverse(G, pts)
+    assert np.max(np.abs(inv[:, : G.n] - G.tau(pts))) < 1e-10
+    assert np.max(np.abs(G.tau(inv) - pts[:, : G.n])) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +131,7 @@ def test_inverse_swaps_source_and_target(so3_groupoid):
 def test_omega_flat_case_is_canonical(flat_groupoid):
     _, G, ev = flat_groupoid
     pts = G.sample_validity_points(20, seed=1)
-    W = ev.omega_matrices(pts)
+    W = ev.omega_full(pts)
     W0 = np.zeros((4, 4))
     W0[0, 2] = W0[1, 3] = 1.0
     W0 -= W0.T
@@ -141,7 +143,7 @@ def test_omega_constant_pi_closed_form(const_groupoid):
     integrate; omega = omega_0 + sum_{i<j} pi^{ij} dp_i ^ dp_j."""
     _, G, ev = const_groupoid
     pts = G.sample_validity_points(30, seed=2)
-    W = ev.omega_matrices(pts)
+    W = ev.omega_full(pts)
     Wexp = np.zeros((4, 4))
     Wexp[0, 2] = Wexp[1, 3] = 1.0
     Wexp[2, 3] = 1.0
@@ -178,7 +180,7 @@ def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid)
         batched = ev.omega_full(pts)
         grids = [(G.rule.nodes, G.substeps), (np.linspace(0.0, 0.5, 9), 4)]
         states = [_grid_states(G, pts, nodes, sub) for nodes, sub in grids]
-        tau, dtau = G.tau_with_jacobian(pts)
+        end, J = G.flow_end(pts)
         d, k = G.dim, ev.degree
         comps = tn.full_to_comps_batch(batched, d, k)
         V = np.random.default_rng(11).uniform(-1, 1, (len(pts), d, k))
@@ -194,9 +196,9 @@ def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid)
             assert np.array_equal(wedged[b], tn.wedge_batch(one, one, d, k, k)[0])
             for (nodes, sub), S in zip(grids, states):
                 assert np.array_equal(S[b], _grid_states(G, row, nodes, sub)[0])
-            tau_b, dtau_b = G.tau_with_jacobian(row)
-            assert np.array_equal(tau[b], tau_b[0])
-            assert np.array_equal(dtau[b], dtau_b[0])
+            end_b, J_b = G.flow_end(row)
+            assert np.array_equal(end[b], end_b[0])
+            assert np.array_equal(J[b], J_b[0])
     # the product: a stacked batch equals its blocks computed separately
     a, b = sample_composable_pairs(G3, 5, seed=24)
     stacked = multiply_poisson(G3, ev3, a, b)
@@ -334,10 +336,10 @@ def test_omega_simpson_rule_converges():
     evs = MultFormEvaluator(Gs, lf)
     evf = MultFormEvaluator(Gf, lf)
     pts = Gs.sample_validity_points(5, seed=6, fiber_scale=0.5)
-    assert np.max(np.abs(evs.omega_matrices(pts) -
-                         evf.omega_matrices(pts))) < 1e-8
+    assert np.max(np.abs(evs.omega_full(pts) -
+                         evf.omega_full(pts))) < 1e-8
     assert np.max(np.abs(Gs.tau(pts) - Gf.tau(pts))) < 1e-8
-    assert np.max(np.abs(Gs.inverse(pts) - Gf.inverse(pts))) < 1e-8
+    assert np.max(np.abs(inverse(Gs, pts) - inverse(Gf, pts))) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +364,7 @@ def test_multiply_unit_laws(so3_groupoid):
     left = multiply_poisson(G, ev, units, b, max_sweeps=32)
     assert np.max(np.abs(left - b)) < 1e-8
     a = b
-    sig_a = G.sigma(a)
+    sig_a = a[:, : G.n]
     units2 = np.hstack([sig_a, np.zeros((4, 3))])
     right = multiply_poisson(G, ev, a, units2, max_sweeps=32)
     assert np.max(np.abs(right - a)) < 1e-8
@@ -530,7 +532,7 @@ def test_differential_of_multiplication_flat(flat_groupoid):
     b = np.array([[0.2, 0.1, 0.05, 0.3], [-0.1, 0.3, 0.2, -0.1]])
     rng = SplitMix64(15)
     v = np.array([[0.3, -0.2, 0.5, 0.7], [-0.4, 0.1, 0.2, 0.0]])
-    (w,) = composable_tangents_batch(G.tau_with_jacobian(b)[1], [v[:, :2]], rng)
+    (w,) = composable_tangents_batch(G.flow_end(b)[1][:, : G.n], [v[:, :2]], rng)
     mu, (dmu,) = differential_of_multiplication(G, ev, a, b, [(v, w)],
                                                 max_sweeps=8)
     assert np.max(np.abs(mu - np.hstack([b[:, :2], a[:, 2:] + b[:, 2:]]))) < 1e-12
@@ -543,7 +545,7 @@ def _tangent_pairs(G, b, count, seed):
     rng = SplitMix64(seed)
     vs = [np.array([[rng.uniform(-1, 1) for _ in range(G.dim)] for _ in b])
           for _ in range(count)]
-    ws = composable_tangents_batch(G.tau_with_jacobian(b)[1],
+    ws = composable_tangents_batch(G.flow_end(b)[1][:, : G.n],
                                    [v[:, : G.n] for v in vs], rng)
     return list(zip(vs, ws))
 
@@ -616,7 +618,7 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
     a, b = sample_composable_pairs(G, n_pairs, 11)
     v1 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
     v2 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
-    w1, w2 = composable_tangents_batch(G.tau_with_jacobian(b)[1],
+    w1, w2 = composable_tangents_batch(G.flow_end(b)[1][:, : G.n],
                                        [v1[:, : G.n], v2[:, : G.n]], rng)
 
     step = 1j * COMPLEX_STEP
@@ -624,14 +626,16 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
                                 np.vstack([b + step * w1, b + step * w2]))
     mu = products[:n_pairs].real
     dmu1, dmu2 = np.split(products.imag / COMPLEX_STEP, 2)
-    W_a, W_b, W_mu = (ev.omega_matrices(P) for P in (a, b, mu))
+    W_a, W_b, W_mu = (ev.omega_full(P) for P in (a, b, mu))
     lhs = np.einsum("bi,bij,bj->b", dmu1, W_mu, dmu2)
     rhs = np.einsum("bi,bij,bj->b", v1, W_a, v2) + \
         np.einsum("bi,bij,bj->b", w1, W_b, w2)
     assert out["multiplicativity"] == float(np.max(np.abs(lhs - rhs)))
     assert np.array_equal(out["mu"], mu)
-    inv_a, dinv = G.inverse_with_jacobian(a)
-    pulled = np.einsum("bji,bjk,bkl->bil", dinv, ev.omega_matrices(inv_a), dinv)
+    inv_a, dinv = G.flow_end(a)
+    inv_a[:, G.n:] *= -1.0
+    dinv[:, G.n:] *= -1.0
+    pulled = np.einsum("bji,bjk,bkl->bil", dinv, ev.omega_full(inv_a), dinv)
     assert out["inversion_antisymmetry"] == float(np.max(np.abs(pulled + W_a)))
 
     rng = SplitMix64(12)
@@ -859,7 +863,7 @@ def test_units_form_predictor_poisson(so3_groupoid):
         for _ in range(5)])
     v, a, w, b = (np.stack([rng.direction(3) for _ in range(5)])
                   for _ in range(4))
-    pred = units_form_predictor(A, data.l, X, [(v, a), (w, b)])
+    pred = units_form_predictor(A, data.l, X, v, a, w, b)
     P = pi.values(X)
     for q in range(5):
         want = b[q] @ v[q] - a[q] @ w[q] + a[q] @ (P[q] @ b[q])
@@ -873,4 +877,24 @@ def test_units_form_predictor_pure_tangent_vanishes(so3_groupoid):
     X = np.array([[0.2, 0.1, -0.3]])
     v, w = rng.direction(3)[None, :], rng.direction(3)[None, :]
     zero = np.zeros((1, 3))
-    assert units_form_predictor(A, data.l, X, [(v, zero), (w, zero)])[0] == 0.0
+    assert units_form_predictor(A, data.l, X, v, zero, w, zero)[0] == 0.0
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["dirac_twisted", "so3", "nijenhuis_r2"])
+def test_units_form_predictor_matches_quadrature(name):
+    """The closed form from l alone against the quadrature omega at the
+    units of the bundled configs, dirac_twisted among them, whose l is not
+    that of a Poisson structure (4.4e-16 measured)."""
+    kind, nm, inputs = parse_config(load_config(CONFIGS / f"{name}.json"))
+    scen = scenarios.build(kind, nm, inputs)
+    A, G = scen.chart, scen.groupoid
+    X = A.sample_base_points(6, 31, scale=0.5)
+    v, w = (SplitMix64(32 + i).uniform_rows([(-1, 1)] * A.n, 6) for i in range(2))
+    a, b = (SplitMix64(34 + i).uniform_rows([(-1, 1)] * A.r, 6) for i in range(2))
+    W = scen.evaluator.omega_full(G.units(X))
+    want = np.einsum("bi,bij,bj->b", np.hstack([v, a]), W, np.hstack([w, b]))
+    got = units_form_predictor(A, scen.data.l, X, v, a, w, b)
+    assert np.max(np.abs(got - want)) <= 4.5e-16

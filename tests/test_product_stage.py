@@ -208,7 +208,7 @@ def test_product_stage_nodes_write_out_no_state():
     publishes = _publishes(lambda: groupoid.multiply_poisson(
         scen.groupoid, scen.evaluator, a, b))
     assert len(publishes) == 17
-    assert publishes.count(("_view", 0)) == 6
+    assert publishes.count(("z", 0)) == 6
     assert publishes.count(("_solve", None)) == 11
 
 
@@ -220,7 +220,7 @@ def test_cocycle_nodes_write_out_z_alone():
     P = G.sample_validity_points(4, 9)
     publishes = _publishes(lambda: integrate_cocycle(
         G, jacobi_cocycle(G.chart), P))
-    assert publishes == [("_view", 0)] * 65 + [("_solve", None)]
+    assert publishes == [("z", 0)] * 65 + [("_solve", None)]
 
 
 def _publishes(run):
@@ -366,7 +366,7 @@ def test_inverse_matrices_factor_once(monkeypatch):
     the bits of inv(omega)."""
     ev = _scenario("so3").evaluator
     P = _points(ev.groupoid, False)
-    want = np.linalg.inv(ev.omega_matrices(P))
+    want = np.linalg.inv(ev.omega_full(P))
     calls = []
     for name in ("inv", "svd"):
         fn = getattr(np.linalg, name)

@@ -98,8 +98,8 @@ def test_identity_pair_gives_same_form(so3_scenario):
                           for i in range(3)])
     evL = omega_L(pair, so3_scenario, k=1)
     pts = so3_scenario.groupoid.sample_validity_points(8, seed=3)
-    assert np.max(np.abs(evL.omega_matrices(pts) -
-                         so3_scenario.evaluator.omega_matrices(pts))) < 1e-13
+    assert np.max(np.abs(evL.omega_full(pts) -
+                         so3_scenario.evaluator.omega_full(pts))) < 1e-13
 
 
 def test_scalar_pair_scales_form(so3_scenario):
@@ -109,8 +109,8 @@ def test_scalar_pair_scales_form(so3_scenario):
                            for j in range(3)] for i in range(3)])
     evL = omega_L(pair, so3_scenario, k=1)
     pts = so3_scenario.groupoid.sample_validity_points(8, seed=4)
-    assert np.max(np.abs(evL.omega_matrices(pts) -
-                         c * so3_scenario.evaluator.omega_matrices(pts))) < 1e-13
+    assert np.max(np.abs(evL.omega_full(pts) -
+                         c * so3_scenario.evaluator.omega_full(pts))) < 1e-13
 
 
 def test_conformal_pair_full_report(conformal_pair_scenario):
@@ -141,7 +141,7 @@ def test_omega_L_closed_form_constant_rotation():
         M[2:, 2:] = nmat
         acc += wgt * (M.T @ W0 @ M)
     pts = scen.groupoid.sample_validity_points(6, seed=5)
-    assert np.max(np.abs(evL.omega_matrices(pts) - acc)) < 1e-12
+    assert np.max(np.abs(evL.omega_full(pts) - acc)) < 1e-12
 
 
 def test_nijenhuis_torsion_constant_is_zero():
@@ -214,12 +214,12 @@ def test_invertible_pair_transported_spray_cross_check():
     # ell(x, p) = (x, N p); pullback through d ell = diag(I, N)
     mapped = pts.copy()
     mapped[:, 2:] = pts[:, 2:] @ N.T
-    W2 = scen2.evaluator.omega_matrices(mapped)
+    W2 = scen2.evaluator.omega_full(mapped)
     D = np.zeros((4, 4))
     D[:2, :2] = np.eye(2)
     D[2:, 2:] = N
     pulled = D.T @ W2 @ D
-    WL = evL.omega_matrices(pts)
+    WL = evL.omega_full(pts)
     assert np.max(np.abs(pulled - WL)) < 1e-6
 
 
@@ -329,7 +329,7 @@ def test_dirac_graph_of_constant_form_exactness():
     G = ds.groupoid
     varpi = FormField(XS2, 2, {(0, 1): ex.const(c)})
     pts = G.sample_validity_points(10, seed=22, fiber_scale=0.6)
-    om = ds.evaluator.omega_matrices(pts)
+    om = ds.evaluator.omega_full(pts)
     want = sigma_pullback(G, varpi, pts) - tau_pullback(G, varpi, pts)
     assert np.max(np.abs(om - want)) < 1e-7
 
@@ -414,7 +414,7 @@ def test_jacobi_r_zero_reduces_to_poisson_channel(so3_scenario):
     keep = [0, 1, 2, 4, 5, 6]
     block = dom[:, keep][:, :, keep]
     pp = pts[:, keep]
-    W = so3_scenario.evaluator.omega_matrices(pp)
+    W = so3_scenario.evaluator.omega_full(pp)
     assert np.max(np.abs(block - W)) < 1e-5
 
 

@@ -10,9 +10,11 @@
 #     at run time;
 #   - `check` on configs/so3.json with `--seed 7319`, the command-line
 #     override of the config seed;
-#   - two config errors (exit 2): `check` on nijenhuis_r2 with a
-#     `christoffel` coefficient, which the kind does not read, and on so3
-#     with `mult_pairs: 0`, both written from configs/ at run time;
+#   - three config errors (exit 2): `check` on nijenhuis_r2 with a
+#     `christoffel` coefficient, which the kind does not read, on so3 with
+#     `mult_pairs: 0`, and on jacobi_line with a `NaN` box bound
+#     (`jacobi_line_nan_box`, exit 3 before non-finite config numbers were
+#     rejected), all written from configs/ at run time;
 #   - `check` on so3 with `mu_steps: 3`, written from configs/ at run time,
 #     a product sweep cap that its rows exceed (exit 3, naming the check
 #     and the row);
@@ -90,6 +92,11 @@ with open("configs/so3.json") as f:
     cfg = json.load(f)
 cfg["numerics"].update(quad_nodes=2, samples=1, mult_pairs=1, assoc_triples=1)
 with open(f"{out}/so3_coarse.json", "w") as f:
+    json.dump(cfg, f, indent=2)
+with open("configs/jacobi_line.json") as f:
+    cfg = json.load(f)
+cfg["chart"]["box"] = [[float("nan"), 1.0]]
+with open(f"{out}/jacobi_line_nan_box.json", "w") as f:
     json.dump(cfg, f, indent=2)
 EOF
 
