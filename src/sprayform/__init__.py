@@ -22,7 +22,7 @@ from .algebroid import (
 )
 from .errors import SprayformError
 from .expr import BivectorField, Expr, FormField, VectorField, parse, partial, schouten
-from .flow import FlowEngine, QuadratureRule
+from .flow import FlowEngine, TimeRule
 from .groupoid import (
     MultFormEvaluator,
     SprayGroupoid,

@@ -42,7 +42,7 @@ from .errors import (
     NotLagrangianError,
 )
 from .expr import base_vars, fiber_vars
-from .flow import FlowEngine, complex_step, cumulative_integral
+from .flow import FlowEngine, complex_step
 from .report import CheckReport, SplitMix64
 
 __all__ = [
@@ -502,11 +502,12 @@ def transport_weight(G, P):
     """Scalar parallel transport weights along the jacobi-spray flows of P.
 
     w(t) = exp(-int_0^t <R(x_s), p_s> ds) at the quadrature nodes of the
-    spray groupoid G on a jacobi chart, computed by a cumulative rule whose
-    total is exactly the composite-Simpson value.  Returns an array shaped
-    like (batch, nodes).
+    spray groupoid G on a jacobi chart, by the rule's running integral,
+    whose total is the rule's quadrature to roundoff.  Returns an array
+    shaped like (batch, nodes).
     """
     fn = ex.compile_exprs([jacobi_cocycle(G.chart)], G.chart.total_vars)
-    vals = []
-    G.flow_end(P, lambda j, node: vals.append(fn(node.z.T)[:, 0]))
-    return np.exp(-cumulative_integral(np.stack(vals, axis=1), G.rule.nodes))
+    running, out = G.rule.running(), []
+    G.flow_end(P, lambda j, node: out.extend(
+        c for _, c in running(j, fn(node.z.T)[:, 0])))
+    return np.exp(-np.stack(out, axis=1))

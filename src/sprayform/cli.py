@@ -32,6 +32,7 @@ import numpy as np
 from . import expr as ex
 from .algebroid import AlgebroidChart, SymbolicStructure, base_vars
 from .errors import ConfigError, EvalDomainError, ExprError, SprayformError
+from .flow import TimeRule
 from .groupoid import (
     SprayGroupoid,
     discover_validity_box,
@@ -322,8 +323,8 @@ def cmd_check(args):
 def _parse_ladder(text):
     """(n_quad, substeps) rungs of ``--ladder``: comma-separated N or NxM.
 
-    N is even, for composite Simpson; the finest rung is the reference, so
-    fitting an order takes three.
+    Each rung must make a ``TimeRule``; the finest rung is the reference,
+    so fitting an order takes three.
     """
     levels = []
     for part in text.split(","):
@@ -332,7 +333,7 @@ def _parse_ladder(text):
             levels.append((int(nq), int(ss) if sep else 1))
         except ValueError:
             levels.append((0, 0))
-    if len(levels) < 3 or any(nq < 2 or nq % 2 or ss < 1 for nq, ss in levels):
+    if len(levels) < 3 or not all(TimeRule.admits(*rung) for rung in levels):
         raise ConfigError(f"--ladder {text!r}: need three or more rungs N or "
                           f"NxM with positive integers N, M and N even")
     return levels

@@ -1,12 +1,13 @@
-"""Flows of sprays with tangent (variational) flow, 1-D quadrature, and the
-complex step that differentiates every map that exists only numerically.
+"""Flows of sprays with tangent (variational) flow, the time rule that
+integrates along them, and the complex step that differentiates every map
+that exists only numerically.
 
-The integrator is classical fixed-step RK4.  Steps are aligned with the
-quadrature nodes on [0, 1]: the state is computed exactly at the nodes that
-the time integral of pulled-back forms is evaluated on, so no dense-output
-interpolation error enters the quadrature.  The tangent flow J_t solves the
-variational equation dJ/dt = DV(phi^t) J in lockstep with the state, using
-exact symbolic partials of the vector field.
+The integrator is classical fixed-step RK4.  ``TimeRule`` aligns its steps
+with the quadrature nodes on [0, 1]: the state is computed exactly at the
+nodes that the time integral of pulled-back forms is evaluated on, so no
+dense-output interpolation error enters the quadrature.  The tangent flow
+J_t solves the variational equation dJ/dt = DV(phi^t) J in lockstep with
+the state, using exact symbolic partials of the vector field.
 
 State layout.  A coordinate z_i is live when its component V_i or one of
 its partials dV_i/dz_k is not the symbolic zero (``Expr.is_zero``), and
@@ -47,38 +48,89 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expr as ex
 from .errors import DimensionError, DomainExitError, NonFiniteStateError
 
-__all__ = ["QuadratureRule", "FlowEngine", "Node", "cumulative_integral",
-           "simpson_step", "complex_step"]
+__all__ = ["TimeRule", "FlowEngine", "Node", "complex_step"]
 
 _FLOAT_MAX = np.finfo(np.float64).max
 COMPLEX_STEP = 1e-20      # the step h of ``complex_step``
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights on [0, 1].  Weights sum to one."""
+class TimeRule:
+    """The time rule on [0, 1]: composite Simpson with n subintervals on
+    the nodes j/n, which hold t = 0 and 1, weights summing to one, and RK4
+    with ``substeps`` equal steps in each gap between nodes.  The forms
+    read the flow on the nodes (``flow``) and running integrals along it
+    (``running``); the product's flight reads the flow at other times
+    (``flight``).
+    """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def simpson(cls, n=64):
-        """Composite Simpson with n subintervals (n even), nodes j/n."""
-        if n % 2 or n < 2:
-            raise DimensionError("composite Simpson needs an even n >= 2")
-        nodes = np.linspace(0.0, 1.0, n + 1)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
+    def __init__(self, n=64, substeps=1):
+        if not self.admits(n, substeps):
+            raise DimensionError("composite Simpson needs an even n >= 2 "
+                                 "and substeps >= 1")
+        self.n, self.substeps = n, substeps
+        self.step = 1.0 / (n * substeps)   # RK4 step: h of reports, rungs
+        self.nodes = np.linspace(0.0, 1.0, n + 1)
+        self.weights = w = np.ones(n + 1)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         w /= 3.0 * n
-        return cls(nodes, w)
+
+    @staticmethod
+    def admits(n, substeps=1):
+        """Whether n >= 2 is even, for composite Simpson, and substeps >= 1."""
+        return n >= 2 and n % 2 == 0 and substeps >= 1
+
+    def flow(self, engine, points, at_node=None, jacobian=True):
+        """``engine``'s flow of ``points`` over the nodes: the end (z, J),
+        or z alone without ``jacobian``; ``at_node(j, node)`` sees node j."""
+        solve = engine.flow_with_jacobian if jacobian else engine.flow_on_grid
+        return solve(points, self.nodes, self.substeps, at_node)
+
+    def flight(self, engine, points, times):
+        """The states (len(times), B, d) of ``engine``'s flow of ``points``
+        at the increasing ``times`` in (0, 1]: each gap in the fewest equal
+        RK4 steps no longer than the rule's, so each time is a node."""
+        steps = np.ceil(np.diff(times, prepend=0.0) * self.n
+                        * self.substeps).astype(int)
+        grid = np.concatenate([[0.0]] + [
+            np.linspace(lo, hi, k + 1)[1:]
+            for lo, hi, k in zip(np.append(0.0, times), times, steps)])
+        marks, states = set(np.cumsum(steps).tolist()), []
+
+        def at_node(j, node):
+            if j in marks:
+                states.append(node.z.T.copy())
+
+        engine.flow_on_grid(points, grid, 1, at_node)
+        return np.stack(states)
+
+    def running(self):
+        """``push(j, f, item)``, fed node values f in node order, returns
+        the (item, int_0^{t_k} f dt) pairs of the nodes k that node j
+        completes: node 0 with zeros, an even node the odd node before it
+        (by the half panel h (5 f0 + 8 f1 - f2) / 12) and itself (by the
+        Simpson panel h (f0 + 4 f1 + f2) / 3).  At t = 1 this is the
+        weights' sum to roundoff."""
+        h, even, odd = self.nodes[1], None, None   # (c, f), (f, item)
+
+        def push(j, f, item=None):
+            nonlocal even, odd
+            if j % 2:
+                odd = (f, item)
+                return []
+            if not j:
+                even = (np.zeros_like(f), f)
+                return [(item, even[0])]
+            (c0, f0), (f1, held) = even, odd
+            even = (c0 + h * (f0 + 4.0 * f1 + f) / 3.0, f)
+            return [(held, c0 + h * (5.0 * f0 + 8.0 * f1 - f) / 12.0),
+                    (item, even[0])]
+
+        return push
 
 
 class FlowEngine:
@@ -391,30 +443,3 @@ def complex_step(f, X, V):
     return np.swapaxes(values.imag.reshape((D, B) + values.shape[1:]),
                        0, 1) / COMPLEX_STEP
 
-
-def cumulative_integral(values, nodes):
-    """Cumulative integral on a uniform grid, consistent with Simpson.
-
-    The number of intervals is even, and the final entry equals the
-    composite Simpson value exactly (see ``simpson_step``).  ``values`` has
-    node values along the last axis.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    T = values.shape[-1] - 1
-    h = nodes[1] - nodes[0]
-    out = np.zeros_like(values)
-    for m in range(0, T - 1, 2):
-        out[..., m + 1], out[..., m + 2] = simpson_step(
-            out[..., m], values[..., m], values[..., m + 1], values[..., m + 2], h)
-    return out
-
-
-def simpson_step(c0, f0, f1, f2, h):
-    """Cumulative integrals at the next two nodes of a uniform grid.
-
-    ``c0`` is the integral up to the node of value f0.  The far node adds the
-    Simpson panel h (f0 + 4 f1 + f2) / 3; the middle node adds the half-panel
-    integral of the local quadratic, h (5 f0 + 8 f1 - f2) / 12.
-    """
-    return (c0 + h * (5.0 * f0 + 8.0 * f1 - f2) / 12.0,
-            c0 + h * (f0 + 4.0 * f1 + f2) / 3.0)

@@ -52,8 +52,7 @@ from .errors import (
     NonlinearCocycleError,
     ProductConvergenceError,
 )
-from .flow import (COMPLEX_STEP, FlowEngine, QuadratureRule, complex_step,
-                   simpson_step)
+from .flow import COMPLEX_STEP, FlowEngine, TimeRule, complex_step
 from .report import CheckReport, SplitMix64
 
 __all__ = ["SprayGroupoid", "MultFormEvaluator", "multiply_poisson",
@@ -78,11 +77,10 @@ PICARD_BOUND = 1e-13  # largest last update of a converged product row
 
 @dataclass
 class SprayGroupoid:
-    """Structure maps of the local groupoid of a spray.
-
-    Evaluations are batched over points; ``validity_fiber_radius`` is set by
-    ``discover_validity_box``.
-    """
+    """Structure maps of the local groupoid of a spray, whose flows and form
+    integrals step ``rule``, the ``flow.TimeRule`` of ``n_quad`` and
+    ``substeps``.  Evaluations are batched over points;
+    ``validity_fiber_radius`` is set by ``discover_validity_box``."""
 
     chart: object
     spray: object
@@ -97,8 +95,7 @@ class SprayGroupoid:
         self.total_box = np.vstack([base_box, fiber_box])
         self.engine = FlowEngine(self.spray.components, self.spray.variables,
                                  box=self.total_box)
-        # Simpson's nodes j/n hold t = 0 and 1: the end flow and the sums
-        self.rule = QuadratureRule.simpson(self.n_quad)
+        self.rule = TimeRule(self.n_quad, self.substeps)
 
     @property
     def n(self):
@@ -134,11 +131,10 @@ class SprayGroupoid:
             for consume in consumers:
                 consume(j, node)
 
-        return self.engine.flow_with_jacobian(P, self.rule.nodes, self.substeps,
-                                              at_node if consumers else None)
+        return self.rule.flow(self.engine, P, at_node if consumers else None)
 
     def tau(self, P):
-        return self.engine.flow_on_grid(P, self.rule.nodes, self.substeps)[:, : self.n]
+        return self.rule.flow(self.engine, P, jacobian=False)[:, : self.n]
 
     def validity_box(self):
         """Total-space box actually certified by the discovery procedure."""
@@ -193,8 +189,8 @@ class MultFormEvaluator:
 
     ``weight_cocycle``: optional fiberwise-linear Expr whose cumulative
     integral along the flow produces the scalar parallel transport factor
-    (trivialized line-bundle coefficients); its cumulative Simpson rule
-    agrees exactly with the total quadrature.
+    (trivialized line-bundle coefficients); the rule's running integral
+    agrees with its total quadrature to roundoff.
     """
 
     def __init__(self, groupoid, form, weight_cocycle=None):
@@ -327,9 +323,9 @@ class _FormSum:
 
     F is the evaluator's Lambda or d Lambda and qw the rule weights.  The
     weight w_j is 1, or for a weighted evaluator the transport
-    exp(-int_0^t_j delta), whose cumulative Simpson value at an odd node
-    needs the next node: those terms are added one node late, from a copy
-    of the node's live rows.  Code generated from the form
+    exp(-int_0^t_j delta), whose running integral completes an odd node
+    at the next node: each term is added when its node completes, from a
+    copy of the node's live rows.  Code generated from the form
     (``_compile_node_sum``) adds, in place from the live RK4 state, the
     outer product c F_I(z) J_{i_1} x .. x J_{i_k} of rows of J for each
     component I = (i_1 < .. < i_k), c = qw_j w_j, to a component-major
@@ -341,7 +337,6 @@ class _FormSum:
     def __init__(self, evaluator, form_terms, degree):
         self.ev, self.degree, self.terms = evaluator, degree, form_terms
         self.transport = self._value = None
-        self._even = self._odd = None   # (integral, delta), (X, values)
 
     def skip(self, P):
         """Before a solve of P: whether the form has no components (zeros)."""
@@ -360,21 +355,14 @@ class _FormSum:
             self._sum, self._finish, self._values, self._add = \
                 self.ev._codes[self.degree][0](node.F, X.shape[1])
             self._value = None
+            self._running = G.rule.running()
         if self.ev.weight_cocycle is None:
             self._add(X, self._values(X), G.rule.weights[j])
             return
-        if j % 2:
-            X = X.copy()
-            self._odd = (X, self._values(X))
-            return
         V = self._values(X)
-        c = np.zeros_like(V[:, -1])
-        if j:
-            (c0, f0), (X1, V1) = self._even, self._odd
-            c1, c = simpson_step(c0, f0, V1[:, -1], V[:, -1], G.rule.nodes[1])
-            self._add_weighted(j - 1, c1, X1, V1)
-        self._add_weighted(j, c, X, V)
-        self._even = (c, V[:, -1])
+        for (k, Xk, Vk), c in self._running(j, V[:, -1], (j, X.copy(), V)):
+            self.transport = np.exp(-c)
+            self._add(Xk, Vk, G.rule.weights[k] * self.transport)
 
     @property
     def value(self):
@@ -382,10 +370,6 @@ class _FormSum:
             self._finish()
             self._value = _alternate(self._sum, self.degree)
         return self._value
-
-    def _add_weighted(self, j, integral, X, V):
-        self.transport = np.exp(-integral)
-        self._add(X, V, self.ev.groupoid.rule.weights[j] * self.transport)
 
 
 def _compile_node_sum(ev, terms, exprs, degree):
@@ -534,20 +518,8 @@ def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
         worst = int(np.argmax(np.where(over, viols, -np.inf)))
         raise ComposabilityError(viols[worst], composability_tol, worst)
 
-    # fiber of phi^t(a) at the nodes: each gap in the fewest equal steps no
-    # longer than the rule's, p read at the running step counts
     t, S = _collocation(m)
-    steps = np.ceil(np.diff(t, prepend=0.0) * G.n_quad * G.substeps).astype(int)
-    grid = np.concatenate([[0.0]] + [np.linspace(lo, hi, k + 1)[1:] for lo, hi, k
-                                     in zip(np.append(0.0, t), t, steps)])
-    marks, fibers = set(np.cumsum(steps).tolist()), []
-
-    def at_node(j, node):
-        if j in marks:
-            fibers.append(node.z[n:].T.copy())
-
-    G.engine.flow_on_grid(A, grid, 1, at_node)
-    p = np.stack(fibers)
+    p = G.rule.flight(G.engine, A, t)[..., n:]   # fiber of phi^t(a) at t
     Y = np.repeat(Bp[None], m + 1, axis=0)   # k at the nodes, then at t = 1
     out, active = np.empty_like(Bp), np.arange(len(Bp))
     for _ in range(max_sweeps):

@@ -214,7 +214,7 @@ def _groupoid(A, nm, seed_offset, christoffel=None):
 def _environment(kind, nm, G, **between):
     """The report environment, in report order."""
     return {"kind": kind, "n_quad": nm.n_quad, **between,
-            "samples": nm.samples, "seed": nm.seed, "h": 1.0 / nm.n_quad,
+            "samples": nm.samples, "seed": nm.seed, "h": G.rule.step,
             "validity_box": G.validity_box().tolist()}
 
 
@@ -986,33 +986,32 @@ def convergence_study(chart, spray, form, points, levels=None,
                       weight_cocycle=None, reference=None):
     """Errors and fitted order of the quadrature form along a resolution ladder.
 
-    ``levels`` is a list of (n_quad, substeps) pairs; the effective step is
-    h = 1 / (n_quad * substeps).  Errors are measured against ``reference``
-    values (same shape as the form output) when given, else against the
-    finest ladder level, which is then excluded from the order fit, as is
-    every level whose error is roundoff (see CONVERGENCE_ROUNDOFF).  Returns
-    a list of rows {n_quad, substeps, h, error} plus the fitted order.  A
-    library error raised on a rung names the rung.
+    ``levels`` is a list of (n_quad, substeps) pairs; the effective step h
+    is the RK4 step of their ``TimeRule``.  Errors are measured against
+    ``reference`` values (same shape as the form output) when given, else
+    against the finest ladder level, which is then excluded from the order
+    fit, as is every level whose error is roundoff (see
+    CONVERGENCE_ROUNDOFF).  Returns a list of rows {n_quad, substeps, h,
+    error} plus the fitted order.  A library error raised on a rung names
+    the rung.
     """
     levels = levels or [(16, 1), (32, 1), (64, 1), (128, 1)]
     points = np.atleast_2d(points)
-    values = []
+    values, rows = [], []
     for n_quad, substeps in levels:
         with _named(f"convergence rung {n_quad}x{substeps}"):
             G = SprayGroupoid(chart, spray, n_quad=n_quad, substeps=substeps)
             ev = MultFormEvaluator(G, form, weight_cocycle=weight_cocycle)
             values.append(ev.omega_full(points))
+        rows.append({"n_quad": n_quad, "substeps": substeps, "h": G.rule.step})
     if reference is None:
         ref = values[-1]
         fit_slice = slice(0, len(levels) - 1)
     else:
         ref = reference
         fit_slice = slice(0, len(levels))
-    rows = []
-    for (n_quad, substeps), val in zip(levels, values):
-        err = float(np.max(np.abs(val - ref)))
-        rows.append({"n_quad": n_quad, "substeps": substeps,
-                     "h": 1.0 / (n_quad * substeps), "error": err})
+    for row, val in zip(rows, values):
+        row["error"] = float(np.max(np.abs(val - ref)))
     errs = np.array([r["error"] for r in rows])[fit_slice]
     hs = np.array([r["h"] for r in rows])[fit_slice]
     if np.ptp(hs) < 1e-15 * np.max(hs):

@@ -7,14 +7,16 @@ live rows, with the same IEEE operations per element, so its z agrees with
 the engine's bit for bit and its J to roundoff (``matmul`` may use fused
 multiply-adds).  It has no box and no error handling.  ``omega_full``
 pulls a form back through it with ``tensor.pullback_full_batch`` at every
-quadrature node and reduces over the nodes in one call.
+quadrature node and reduces over the nodes in one call.  Its Simpson
+running integral (``running_integral``) is written out here, apart from
+the package's ``TimeRule``, so that a fault there cannot pass its own
+reference.
 """
 
 import numpy as np
 
 from sprayform import expr as ex
 from sprayform import tensor as tn
-from sprayform.flow import cumulative_integral
 
 
 def flow_with_jacobian(components, variables, points, nodes, substeps=1,
@@ -64,7 +66,8 @@ def quadrature(G, form, states, jacs, delta=None):
     if delta is None:
         return np.einsum("bt...,t->b...", pulled, G.rule.weights)
     vals = ex.compile_exprs([delta], G.spray.variables)(states)[..., 0]
-    w = G.rule.weights * np.exp(-cumulative_integral(vals, G.rule.nodes))
+    w = G.rule.weights * np.exp(-running_integral(
+        vals, G.rule.nodes[1] - G.rule.nodes[0]))
     return np.sum(pulled * w.reshape(w.shape + (1,) * form.degree), axis=1)
 
 
@@ -72,10 +75,23 @@ def omega_full(G, form, P, delta=None):
     """The quadrature of ``form`` along the oracle flow of G's spray."""
     seen = []
     flow_with_jacobian(G.spray.components, G.spray.variables, P,
-                       G.rule.nodes, G.substeps,
+                       G.rule.nodes, G.rule.substeps,
                        lambda k, z, J: seen.append((z, J)))
     return quadrature(G, form, np.stack([z for z, _ in seen], axis=1),
                       np.stack([J for _, J in seen], axis=1), delta)
+
+
+def running_integral(values, h):
+    """int_0^{t_j} f dt at every node j of a uniform grid of spacing h and
+    an even number of gaps, from the node values (..., T + 1): each panel
+    adds h (f0 + 4 f1 + f2) / 3 at its far node and the half-panel integral
+    of its quadratic, h (5 f0 + 8 f1 - f2) / 12, at its middle node."""
+    out = np.zeros_like(values)
+    for m in range(0, values.shape[-1] - 2, 2):
+        f0, f1, f2 = values[..., m], values[..., m + 1], values[..., m + 2]
+        out[..., m + 1] = out[..., m] + h * (5.0 * f0 + 8.0 * f1 - f2) / 12.0
+        out[..., m + 2] = out[..., m] + h * (f0 + 4.0 * f1 + f2) / 3.0
+    return out
 
 
 def roundoff(got, want):

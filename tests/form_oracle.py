@@ -11,8 +11,9 @@ import itertools
 import numpy as np
 
 from sprayform.expr import compile_exprs
-from sprayform.flow import simpson_step
 from sprayform.tensor import index_list
+
+from flow_oracle import running_integral
 
 
 def evaluate(a, *vectors):
@@ -51,7 +52,8 @@ def node_term_sum(evaluator, form_terms, degree, P):
     the unit vector it is), then alternate.
 
     The weight w_j is 1, or for a weighted evaluator exp(-c_j) with c_j the
-    cumulative Simpson integral of the cocycle to node j.  The products with
+    cumulative Simpson integral of the cocycle to node j
+    (``flow_oracle.running_integral``).  The products with
     the zero entries of frozen rows add zeros, which move no bit of a finite
     sum, so the result is the per-term sum bit for bit.
     """
@@ -66,12 +68,9 @@ def node_term_sum(evaluator, form_terms, degree, P):
         scales = list(weights)
     else:
         delta = compile_exprs([evaluator.weight_cocycle], G.spray.variables)
-        f = [delta(z)[..., 0] for z, _ in nodes]
-        cum = [np.zeros_like(f[0])]
-        for j in range(2, len(nodes), 2):
-            cum.extend(simpson_step(cum[j - 2], f[j - 2], f[j - 1], f[j],
-                                    G.rule.nodes[1] - G.rule.nodes[0]))
-        scales = [weights[j] * np.exp(-c) for j, c in enumerate(cum)]
+        f = np.stack([delta(z)[..., 0] for z, _ in nodes], axis=-1)
+        cum = running_integral(f, G.rule.nodes[1] - G.rule.nodes[0])
+        scales = [weights[j] * np.exp(-cum[..., j]) for j in range(len(nodes))]
     d, (_, J0) = G.dim, nodes[0]
     total = np.zeros((d,) * degree + (J0.shape[-1],), J0.dtype)
     for (z, J), scale in zip(nodes, scales):

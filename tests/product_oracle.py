@@ -58,7 +58,7 @@ def rk4_product(G, evaluator, a, b, n_steps):
     n = G.n
     stage_grid = np.linspace(0.0, 1.0, 2 * n_steps + 1)
     p_stage = []
-    G.engine.flow_on_grid(a, stage_grid, G.substeps,
+    G.engine.flow_on_grid(a, stage_grid, G.rule.substeps,
                           lambda k, node: p_stage.append(node.z[n:].T.copy()))
 
     def rhs(k_pts, stage_idx):
@@ -95,7 +95,7 @@ def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,
 def inverse(G, P):
     """The groupoid inverse of the points P: the end of the time-1 flow
     with its fiber negated."""
-    end = G.engine.flow_on_grid(P, G.rule.nodes, G.substeps)
+    end = G.engine.flow_on_grid(P, G.rule.nodes, G.rule.substeps)
     end[:, G.n:] *= -1.0
     return end
 

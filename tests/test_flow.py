@@ -7,8 +7,8 @@ from sprayform import expr as ex
 from sprayform.errors import (DomainExitError, EvalDomainError,
                               NonFiniteStateError)
 from sprayform.expr import parse
-from sprayform.flow import (COMPLEX_STEP, FlowEngine, QuadratureRule,
-                            complex_step, cumulative_integral)
+from sprayform.errors import DimensionError
+from sprayform.flow import COMPLEX_STEP, FlowEngine, TimeRule, complex_step
 
 XS2 = ["x1", "x2"]
 XYP = ["x1", "x2", "y1", "y2"]   # (x, p) on the cotangent space of R^2
@@ -195,26 +195,26 @@ def test_nan_state_raises_with_time(box):
 
 def test_simpson_weights_sum_to_one():
     for n in (2, 16, 64):
-        rule = QuadratureRule.simpson(n)
+        rule = TimeRule(n)
         assert abs(rule.weights.sum() - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("deg", [0, 1, 2, 3])
 def test_simpson_exact_on_low_degree_polynomials(deg):
-    rule = QuadratureRule.simpson(8)
+    rule = TimeRule(8)
     vals = rule.nodes ** deg
     assert vals @ rule.weights == pytest.approx(1.0 / (deg + 1), abs=1e-15)
 
 
 def test_quad_constant_tensor():
-    rule = QuadratureRule.simpson(16)
+    rule = TimeRule(16)
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     vals = np.broadcast_to(A[..., None], (2, 2, 17))
     assert np.allclose(vals @ rule.weights, A)
 
 
 def test_quad_linear_in_t():
-    rule = QuadratureRule.simpson(4)
+    rule = TimeRule(4)
     A = np.array([2.0, -1.0])
     vals = A[:, None] * rule.nodes
     assert np.allclose(vals @ rule.weights, A / 2.0)
@@ -222,34 +222,98 @@ def test_quad_linear_in_t():
 
 def test_quad_exponential_against_antiderivative():
     # composite Simpson truncation at n=64 is ~(1/64)^4 (1-1/e)/180 ~ 2.1e-10
-    rule = QuadratureRule.simpson(64)
+    rule = TimeRule(64)
     vals = np.exp(-rule.nodes)
     want = 1.0 - np.exp(-1.0)
     assert vals @ rule.weights == pytest.approx(want, abs=1e-9)
-    fine = QuadratureRule.simpson(128)
+    fine = TimeRule(128)
     assert np.exp(-fine.nodes) @ fine.weights == pytest.approx(want, abs=1e-10)
 
 
 def test_simpson_observed_order():
     # quadrature error of a smooth integrand drops ~16x when doubling n
     f = lambda t: np.exp(np.sin(3.0 * t))
-    ref = QuadratureRule.simpson(4096)
+    ref = TimeRule(4096)
     exact = f(ref.nodes) @ ref.weights
     errs = []
     for n in (16, 32):
-        rule = QuadratureRule.simpson(n)
+        rule = TimeRule(n)
         errs.append(abs(f(rule.nodes) @ rule.weights - exact))
     assert 12.0 <= errs[0] / errs[1] <= 20.0
 
 
+def _running_integral(rule, vals):
+    """The rule's running integral of node values ``vals`` (..., n + 1),
+    pushed node by node, at every node."""
+    push, out = rule.running(), []
+    for j in range(len(rule.nodes)):
+        out.extend(c for _, c in push(j, vals[..., j]))
+    return np.stack(out, axis=-1)
+
+
 def test_cumulative_integral_matches_simpson_total():
-    # same rule mathematically; summation order differs by ulps only
-    rule = QuadratureRule.simpson(32)
-    vals = np.exp(-rule.nodes)
-    cum = cumulative_integral(vals, rule.nodes)
-    assert cum[-1] == pytest.approx(vals @ rule.weights, abs=1e-14)
+    """The running integral's last value is the weights' sum to roundoff,
+    not bit for bit (the summation order differs): at most 2.4 eps
+    relative over these cases, pinned at 4 eps."""
+    eps = np.finfo(np.float64).eps
+    for n in (8, 16, 32, 64, 128):
+        rule = TimeRule(n)
+        for f in (lambda t: np.exp(-t), lambda t: np.sin(3.0 * t),
+                  lambda t: 1.0 / (1.0 + t * t)):
+            vals = f(rule.nodes)
+            cum = _running_integral(rule, vals)
+            total = vals @ rule.weights
+            assert abs(cum[-1] - total) <= 4 * eps * abs(total)
     # additivity: increments are consistent prefix sums
-    assert np.all(np.diff(cum) > 0)
+    rule = TimeRule(32)
+    assert np.all(np.diff(_running_integral(rule, np.exp(-rule.nodes))) > 0)
+
+
+def test_running_integral_completes_nodes_in_order():
+    """Node 0 completes at once; an odd node's item waits for the next even
+    node, which completes both, odd first; batched values run per row."""
+    rule = TimeRule(4)
+    push = rule.running()
+    vals = np.stack([rule.nodes, rule.nodes ** 2])
+    done = [[item for item, _ in push(j, vals[:, j], j)] for j in range(5)]
+    assert done == [[0], [], [1, 2], [], [3, 4]]
+    cum = _running_integral(rule, vals)
+    # the half panel integrates the local quadratic: exact on t and t^2
+    assert np.allclose(cum, [rule.nodes ** 2 / 2, rule.nodes ** 3 / 3],
+                       rtol=0, atol=1e-16)
+
+
+def test_rule_admits_even_n_and_positive_substeps():
+    assert TimeRule.admits(2) and TimeRule.admits(64, 4)
+    for n, substeps in ((0, 1), (3, 1), (64, 0)):
+        assert not TimeRule.admits(n, substeps)
+        with pytest.raises(DimensionError):
+            TimeRule(n, substeps)
+
+
+def test_flight_makes_each_time_a_node():
+    """The flight's grid gives each gap the fewest equal steps no longer
+    than the rule's 1 / (n substeps), and its states at the times are the
+    flows to those times."""
+    eng, grids = _const_pi_engine(), []
+    solve = eng.flow_on_grid
+
+    def recorded(P, nodes, *args):
+        grids.append(nodes)
+        return solve(P, nodes, *args)
+
+    eng.flow_on_grid = recorded
+    z0 = np.array([[0.1, 0.2, 0.3, -0.4]])
+    times = np.array([0.1, 0.55, 1.0])
+    states = TimeRule(8, 2).flight(eng, z0, times)
+    (grid,) = grids          # gaps of 0.1, 0.45, 0.45 at steps <= 1/16
+    assert len(grid) == 1 + 2 + 8 + 8 and grid[0] == 0.0
+    assert np.max(np.diff(grid)) <= 1 / 16
+    assert np.array_equal(grid[[2, 10, 18]], times)
+    assert states.shape == (3, 1, 4)
+    for t, z in zip(times, states):
+        want = z0[0] + t * np.array([0.4, 0.3, 0.0, 0.0])
+        assert np.allclose(z[0], want, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,12 @@ def test_engine_matches_dense_oracle(name, B):
     every config's flows stay in the box."""
     G, ev = _case(name)
     P = G.sample_validity_points(B, seed=31, fiber_scale=0.5)
-    z, J = G.engine.flow_with_jacobian(P, G.rule.nodes, G.substeps)
+    z, J = G.rule.flow(G.engine, P)
     z0, J0 = flow_oracle.flow_with_jacobian(G.spray.components,
                                             G.spray.variables, P, G.rule.nodes,
-                                            G.substeps)
+                                            G.rule.substeps)
     assert np.array_equal(z, z0)
-    assert np.array_equal(G.engine.flow_on_grid(P, G.rule.nodes, G.substeps), z0)
+    assert np.array_equal(G.rule.flow(G.engine, P, jacobian=False), z0)
     errs = [flow_oracle.roundoff(J, J0), flow_oracle.roundoff(
         ev.omega_full(P), flow_oracle.omega_full(G, ev.form, P, ev.weight_cocycle))]
     if ev.weight_cocycle is None:

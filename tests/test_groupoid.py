@@ -178,7 +178,8 @@ def test_batched_evaluation_is_row_invariant(so3_groupoid, jacobi_line_groupoid)
             G.sample_validity_points(6, seed=9, fiber_scale=0.8),
             G.units(G.chart.sample_base_points(3, 10, scale=0.5))])
         batched = ev.omega_full(pts)
-        grids = [(G.rule.nodes, G.substeps), (np.linspace(0.0, 0.5, 9), 4)]
+        grids = [(G.rule.nodes, G.rule.substeps),
+                 (np.linspace(0.0, 0.5, 9), 4)]
         states = [_grid_states(G, pts, nodes, sub) for nodes, sub in grids]
         end, J = G.flow_end(pts)
         d, k = G.dim, ev.degree

@@ -1,15 +1,19 @@
 """End-to-end scenario pipelines and their family-specific identities."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sprayform import expr as ex
 from sprayform import scenarios
+from sprayform.cli import load_config, parse_config
 from sprayform.algebroid import cotangent_algebroid, default_spray
 from sprayform.errors import CompatibilityError, DomainExitError
 from sprayform.expr import BivectorField, FormField, parse
 from sprayform.groupoid import SprayGroupoid, discover_validity_box
 from sprayform.imform import linear_form, poisson_im_pair
+from sprayform.report import SplitMix64
 from sprayform.scenarios import (
     NijenhuisPair,
     Numerics,
@@ -35,6 +39,7 @@ from conftest import (XS2, XS3, checked, constant_bivector_r2, so3_bivector,
 from exact_pairs import tau_pullback
 from expr_oracle import tree_eval
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BOX2 = [[-1.0, 1.0]] * 2
 BOX3 = [[-1.0, 1.0]] * 3
 
@@ -334,20 +339,66 @@ def test_dirac_graph_of_constant_form_exactness():
     assert np.max(np.abs(om - want)) < 1e-7
 
 
-def test_dirac_graph_of_so3_matches_poisson_pipeline(so3_scenario):
-    """Cross-pipeline comparison through the frame-transport map a -> (pi#a, a)."""
-    pi = so3_bivector()
-    sections = []
-    for i in range(3):
-        v = [pi.entry(i, a) for a in range(3)]
-        alpha = [ex.ONE if a == i else ex.ZERO for a in range(3)]
-        sections.append((v, alpha))
-    from sprayform.scenarios import build_dirac
-    nm = Numerics(n_quad=64, samples=30, seed=23)
-    ds = checked(build_dirac(sections, FormField(XS3, 3, {}), BOX3,
-                             numerics=nm))
-    assert ds.report.all_passed
-    assert ds.report["relative_H_closedness"].residual < 1e-7
+def _graph_config(poisson):
+    """The dirac config of graph(pi), H = 0, for a poisson config: the
+    sections (pi# dx^i, dx^i), written at run time."""
+    n, pi = poisson["chart"]["dim"], poisson["coefficients"]["pi"]
+
+    def entry(i, a):     # pi^{ia}, 1-based indices
+        key = f"{min(i, a)}{max(i, a)}"
+        if i == a or key not in pi:
+            return "0"
+        return pi[key] if i < a else f"-({pi[key]})"
+
+    sections = [{"v": [entry(i, a) for a in range(1, n + 1)],
+                 "alpha": ["1" if a == i else "0" for a in range(1, n + 1)]}
+                for i in range(1, n + 1)]
+    numerics = {k: poisson["numerics"][k] for k in ("quad_nodes", "samples",
+                                                     "seed")}
+    return {"schema_version": 1, "kind": "dirac", "chart": poisson["chart"],
+            "coefficients": {"sections": sections, "H": {}},
+            "numerics": numerics}
+
+
+def _graph_matches_poisson(name):
+    """A Poisson pi is the Dirac structure graph(pi) with H = 0, and its
+    presymplectic groupoid is the symplectic one.  Neither the spray nor
+    the form reads the structure functions, so omega and tau of the two
+    builds of config ``name`` are bit-identical on 20 validity points.  The
+    Dirac build's fitted structure functions match the symbolic cotangent
+    ones at 50 points within 2 eps, their complex-step derivatives the
+    symbolic ones within 1e-15, and every Dirac check passes."""
+    poisson = load_config(CONFIGS / f"{name}.json")
+    P, D = (scenarios.build(*parse_config(cfg))
+            for cfg in (poisson, _graph_config(poisson)))
+    pts = P.groupoid.sample_validity_points(20, seed=23)
+    assert np.array_equal(P.evaluator.omega_full(pts),
+                          D.evaluator.omega_full(pts))
+    assert np.array_equal(P.groupoid.tau(pts), D.groupoid.tau(pts))
+    X = P.chart.sample_base_points(50, seed=24)
+    assert np.max(np.abs(D.chart.structure.values(X)
+                         - P.chart.structure.values(X))) <= 4.4e-16
+    # the fit's complex-step derivative against the symbolic one
+    V = SplitMix64(25).uniform_rows([(-1, 1)] * P.chart.n, 100)
+    dc = [S.chart.structure.directional_derivative(X, V.reshape(50, 2, -1))
+          for S in (D, P)]
+    assert np.max(np.abs(dc[0] - dc[1])) <= 1e-15
+    report = checked(D).report
+    assert report.all_passed
+    assert report["relative_H_closedness"].residual < 1e-7
+
+
+def test_dirac_graph_of_so3_matches_poisson_pipeline():
+    """Fitted against symbolic structure functions: 1.1e-16 at this draw,
+    at most 2.2e-16 over ten draws; their derivatives 3.9e-16 here, at
+    most 5.0e-16 over ten draws (the symbolic ones are 0: pi is linear)."""
+    _graph_matches_poisson("so3")
+
+
+def test_dirac_graph_of_constant_poisson_matches_poisson_pipeline():
+    """Constant pi: the fitted structure functions and their derivatives
+    are 0, as the symbolic ones are."""
+    _graph_matches_poisson("constant_poisson")
 
 
 def test_dirac_twisted_full_report(dirac_twisted_scenario):

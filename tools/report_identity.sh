@@ -23,8 +23,10 @@
 #     leaves an associativity stage 2 row uncomposable (exit 3, naming
 #     the check and the row);
 #   - `convergence` on so3 and jacobi_line over rungs 32..1024, and on so3
-#     over the NxM rungs 16x8..128x1, which hold the step fixed and move
-#     the quadrature nodes and the RK4 substeps against each other;
+#     and jacobi_line over the NxM rungs 16x8..128x1, which hold the step
+#     fixed and move the quadrature nodes and the RK4 substeps against each
+#     other; on jacobi_line they run the weighted running integral and the
+#     transport at more than one substep;
 #   - `eval` on every kind's build, and `eval --pair` on so3 with a
 #     composable pair written at 17 digits, a nonlinear product;
 #   - two `eval` config errors (exit 2): `--pair` on dirac_twisted, a kind
@@ -125,6 +127,8 @@ for name in so3 jacobi_line; do
 done
 run convergence_so3_quadrature_axis convergence --config configs/so3.json \
   --ladder 16x8,32x4,64x2,128x1
+run convergence_jacobi_quadrature_axis convergence \
+  --config configs/jacobi_line.json --ladder 16x8,32x4,64x2,128x1
 run eval_constant_poisson_vectors eval --config configs/constant_poisson.json \
   --point 0.1,0.2,0.3,-0.1 --vectors "1,0.5,0,-0.2;0.3,0,1,0.7"
 run eval_constant_poisson_pair eval --config configs/constant_poisson.json \
