@@ -33,7 +33,7 @@ from .groupoid import (
     multiply_poisson,
     units_form_predictor,
 )
-from .imform import IMFormData, ScalarSpencer, im_residuals, linear_form
+from .imform import IMFormData, im_residuals, linear_form
 from .report import CheckReport, SplitMix64
 from .scenarios import (
     NijenhuisPair,

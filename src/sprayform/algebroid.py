@@ -69,9 +69,6 @@ class SymbolicStructure:
         self.xs = base_vars(n)
         self.table = table  # table[i][j][k] -> Expr
 
-    def entry(self, i, j, k):
-        return self.table[i][j][k]
-
     def values(self, X):
         """c_{ij}^k at a point batch: (B, n) -> (B, r, r, r)."""
         r = self.r
@@ -147,24 +144,6 @@ class AlgebroidChart:
         """rho(e_i) as a VectorField on the base."""
         return ex.VectorField(self.xs, [self.anchor[a][i] for a in range(self.n)])
 
-    def section_bracket(self, s, t):
-        """Bracket of sections given as r-lists of Exprs in x (symbolic c only)."""
-        if not isinstance(self.structure, SymbolicStructure):
-            raise DimensionError("symbolic section bracket needs symbolic structure")
-        out = []
-        for k in range(self.r):
-            total = ex.ZERO
-            for i in range(self.r):
-                for j in range(self.r):
-                    cij = self.structure.entry(i, j, k)
-                    total = ex.add(total, ex.mul(ex.mul(s[i], t[j]), cij))
-            for i in range(self.r):
-                rho_i = self.anchor_of_section(i)
-                total = ex.add(total, ex.mul(s[i], rho_i.apply_to(t[k])))
-                total = ex.sub(total, ex.mul(t[i], rho_i.apply_to(s[k])))
-            out.append(total)
-        return out
-
     def sample_base_points(self, count, seed, scale=1.0):
         return _sample_box(self.box, count, seed, scale)
 
@@ -194,8 +173,9 @@ def check_algebroid(A, samples=100, seed=2024):
     """Residuals of the Lie algebroid axioms at sampled base points.
 
     Checks antisymmetry of the structure functions, the anchor-morphism
-    identity, the Jacobi identity of the bracket on frame sections, and the
-    Leibniz rule on coordinate multiples of frame sections.
+    identity and the Jacobi identity of the bracket on frame sections.  The
+    bracket of other sections is defined from (rho, c) by the Leibniz rule,
+    so that rule holds by construction and is not checked.
     """
     report = CheckReport(environment={"samples": samples, "seed": seed})
     pts = A.sample_base_points(samples, seed, scale=0.9)
@@ -228,27 +208,6 @@ def check_algebroid(A, samples=100, seed=2024):
         np.einsum("zijkp->zkijp", term)
     report.add_pointwise("jacobi_identity",
                          np.max(np.abs(jac), axis=(1, 2, 3, 4)), tol, pts)
-
-    # Leibniz on coordinate multiples: [e_i, x^b e_j] - x^b [e_i,e_j]
-    #   - (rho(e_i) x^b) e_j = 0; with brackets expanded through c this
-    # reduces to an exact identity, evaluated here as a guard against
-    # inconsistent (anchor, structure) pairs.
-    if isinstance(A.structure, SymbolicStructure):
-        combos = [(i, j, b) for i in range(min(r, 2)) for j in range(min(r, 2))
-                  for b in range(min(n, 2))]
-        brackets = []
-        for i, j, b in combos:
-            s = [ex.ONE if k == i else ex.ZERO for k in range(r)]
-            t = [ex.Var(xs[b]) if k == j else ex.ZERO for k in range(r)]
-            brackets += A.section_bracket(s, t)
-        got = ex.batch_values(brackets, xs, pts, (len(combos), r))
-        res_leibniz = np.zeros(len(pts))
-        for q, (i, j, b) in enumerate(combos):
-            expect = pts[:, b, None] * c[:, i, j]
-            expect[:, j] += rho[:, b, i]
-            res_leibniz = np.maximum(
-                res_leibniz, np.max(np.abs(got[:, q] - expect), axis=1))
-        report.add_pointwise("leibniz_rule", res_leibniz, tol, pts)
     return report
 
 

@@ -105,7 +105,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "quad_nodes": {"type": "integer", "minimum": 2, "multipleOf": 2},
+                "quad_nodes": {"type": "integer"},
                 "mu_steps": {"type": "integer", "minimum": 1},
                 "samples": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
@@ -219,8 +219,12 @@ _COEFFICIENTS = {
 
 def build_numerics(raw):
     """The config's numerics keys; ``Numerics`` supplies the defaults."""
-    return Numerics(**{"n_quad" if key == "quad_nodes" else key: value
-                       for key, value in raw.get("numerics", {}).items()})
+    nm = Numerics(**{"n_quad" if key == "quad_nodes" else key: value
+                     for key, value in raw.get("numerics", {}).items()})
+    if not TimeRule.admits(nm.n_quad):
+        raise ConfigError(f"numerics.quad_nodes {nm.n_quad}: need an even "
+                          f"count of at least 2")
+    return nm
 
 
 def _chart_box(raw):

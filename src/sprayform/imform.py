@@ -35,7 +35,7 @@ from . import expr as ex
 from .errors import DimensionError
 from .report import CheckReport
 
-__all__ = ["IMFormData", "ScalarSpencer", "linear_form",
+__all__ = ["IMFormData", "linear_form",
            "im_residuals", "jacobi_linear_form", "poisson_im_pair",
            "dirac_im_pair", "im_pair_from_covector_map"]
 
@@ -168,57 +168,6 @@ def dirac_im_pair(A):
         v = ex.VectorField(A.xs, fr.vectors[i])
         nus.append(fr.H.interior(v))
     return IMFormData(A, 2, ls, nus)
-
-
-# ---------------------------------------------------------------------------
-# Jacobi (trivialized line bundle) Spencer data
-
-
-@dataclass
-class ScalarSpencer:
-    """Canonical first-jet Spencer data on a trivialized-line jacobi chart.
-
-    l = pr (the u-component) and D(u, a) = du - a; the transport cocycle
-    delta(u, a) = <R, a> is ``algebroid.jacobi_cocycle``.  The Leibniz
-    identity D(f s) = f D(s) + df ^ l(s) is checked on coordinate multiples
-    by ``leibniz_residual``.
-    """
-
-    chart: object
-
-    def l_of_section(self, f, alpha):
-        return f
-
-    def D_of_section(self, f, alpha):
-        """D(f, alpha) = df - alpha as a 1-FormField; inputs are Exprs."""
-        xs = self.chart.xs
-        return ex.FormField(xs, 1, {(a,): ex.sub(ex.partial(f, name), alpha[a])
-                                    for a, name in enumerate(xs)})
-
-    def leibniz_residual(self, seed=11):
-        """max | D(f s) - f D(s) - df ^ l(s) | on coordinate multiples, at
-        25 base points."""
-        A = self.chart
-        xs = A.xs
-        pts = A.sample_base_points(25, seed, scale=0.9)
-        # frame sections: e_0 = (1, 0), e_i = (0, dx^i)
-        frames = [(ex.ONE, [ex.ZERO] * A.n)]
-        for i in range(A.n):
-            frames.append((ex.ZERO, [ex.ONE if a == i else ex.ZERO
-                                     for a in range(A.n)]))
-        exprs = []
-        for b in range(A.n):
-            f = ex.Var(xs[b])
-            df = ex.FormField(xs, 1, {(b,): ex.ONE})
-            for (u, alpha) in frames:
-                fu = ex.mul(f, u)
-                falpha = [ex.mul(f, a) for a in alpha]
-                lhs = self.D_of_section(fu, falpha)
-                rhs = self.D_of_section(u, alpha).scale(f) + \
-                    df.scale(self.l_of_section(u, alpha))
-                exprs += (lhs - rhs).exprs_dense()
-        vals = ex.batch_values(exprs, xs, pts, (len(exprs),))
-        return float(np.max(np.abs(vals), initial=0.0))
 
 
 def jacobi_linear_form(A):

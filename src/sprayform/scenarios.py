@@ -48,7 +48,6 @@ from .groupoid import (
 )
 from .imform import (
     IMFormData,
-    ScalarSpencer,
     dirac_im_pair,
     im_pair_from_covector_map,
     im_residuals,
@@ -83,7 +82,7 @@ TOLERANCE_NAMES = (
     "L2_units_recovery", "omega_L2_pointwise", "gcs_prechecks", "gcs_identity",
     "relative_H_closedness", "robustness_margin", "forward_dirac_angles",
     "closed_form", "contact_margin", "units_kernel", "units_recover_pr",
-    "cocycle_weight", "spencer_leibniz",
+    "cocycle_weight",
 )
 
 
@@ -896,13 +895,9 @@ def _jacobi_closed_form(scenario, pts):
 
 
 def jacobi_checks(scenario, report):
-    """Spencer Leibniz rule, closed form, contact margin, units kernel and
-    transport consistency."""
+    """Closed form, contact margin, units kernel and transport consistency."""
     nm, G, A = scenario.numerics, scenario.groupoid, scenario.chart
     n = A.n
-    report.add("spencer_leibniz",
-               ScalarSpencer(A).leibniz_residual(seed=nm.seed + 64),
-               nm.tol("spencer_leibniz", 1e-12))
     report.note("general Spencer compatibility for nontrivial coefficients "
                 "is assumed for the canonical first-jet operator")
     seed = nm.seed + 65

@@ -78,7 +78,7 @@ def test_so3_cotangent_structure_functions_and_residuals():
 
 def test_corrupted_structure_function_flagged():
     A = cotangent_algebroid(so3_bivector(), BOX3)
-    table = [[[A.structure.entry(i, j, k) for k in range(3)]
+    table = [[[A.structure.table[i][j][k] for k in range(3)]
               for j in range(3)] for i in range(3)]
     table[0][1][0] = ex.add(table[0][1][0], ex.ONE)   # c_12^1 += 1
     bad = AlgebroidChart(n=3, r=3, box=np.array(BOX3),

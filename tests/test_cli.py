@@ -78,7 +78,6 @@ def test_schema_errors_match_jsonschema_validate(tmp_path):
         {**base, "kind": "symplectic"},
         {k: v for k, v in base.items() if k != "chart"},
         {**base, "numerics": {**base["numerics"], "quad_nodes": "many"}},
-        {**base, "numerics": {**base["numerics"], "quad_nodes": 15}},
         {**base, "chart": {"dim": 2, "box": "unit"}},
         {**base, "schema_version": 2},
         [],
@@ -90,6 +89,24 @@ def test_schema_errors_match_jsonschema_validate(tmp_path):
             load_config(_write(tmp_path, raw, f"bad{i}.json"))
         assert str(got.value) == \
             f"config schema violation: {want.value.message}"
+
+
+@pytest.mark.parametrize("n_quad", [15, 0, -2])
+def test_quad_nodes_the_time_rule_rejects_is_config_error(n_quad, tmp_path,
+                                                         capsys):
+    """The schema reads quad_nodes as an integer; the time rule's evenness
+    rule, not a restated schema clause, rejects an odd or too small count."""
+    path = _fast_poisson(tmp_path)
+    raw = json.loads(Path(path).read_text())
+    raw["numerics"]["quad_nodes"] = n_quad
+    path = _write(tmp_path, raw, "bad.json")
+    accepted = load_config(path)     # the schema reads an integer
+    with pytest.raises(ConfigError, match="numerics.quad_nodes"):
+        parse_config(accepted)
+    assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: numerics.quad_nodes {n_quad}: need an even count of "
+        f"at least 2\n")
 
 
 def test_kind_specific_requirements(tmp_path):
@@ -160,12 +177,14 @@ def test_zero_product_samples_are_config_error(key, tmp_path, capsys):
                          sorted(p.name for p in CONFIGS.glob("*.json")))
 def test_numerics_at_their_schema_minimum_exit_with_a_code(config, tmp_path):
     """Every bundled config with each numerics key at the minimum the schema
-    allows ends in a documented exit code, not an uncaught exception."""
+    allows, and quad_nodes at the least the time rule admits, ends in a
+    documented exit code, not an uncaught exception."""
     raw = json.loads((CONFIGS / config).read_text())
+    raw.setdefault("numerics", {})["quad_nodes"] = 2
     for key, spec in CONFIG_SCHEMA["properties"]["numerics"][
             "properties"].items():
         if "minimum" in spec:
-            raw.setdefault("numerics", {})[key] = spec["minimum"]
+            raw["numerics"][key] = spec["minimum"]
     path = _write(tmp_path, raw)
     assert main(["check", "--config", path,
                  "--out-dir", str(tmp_path)]) in (0, 1, 2, 3)
@@ -515,7 +534,7 @@ def test_so3_check_makes_no_guard_svd(so3_check):
 
 
 _ALGEBROID = ["algebroid_antisymmetry", "algebroid_anchor_morphism",
-              "algebroid_jacobi_identity", "algebroid_leibniz_rule"]
+              "algebroid_jacobi_identity"]
 _SPRAY = ["spray_anchor_condition", "spray_flow_scaling"]
 _IM = ["im_covariance_nu", "im_covariance_l", "im_anchor_antisymmetry"]
 _POISSON_CORE = ["poisson_identity", *_ALGEBROID, *_SPRAY, *_IM,
@@ -535,11 +554,11 @@ REPORT_CHECKS = {
         "gcs_algebraic_relation", "gcs_torsion_relation",
         "gcs_l_varpi_commute", "gcs_dvarpi_cyclic", "gcs_identity",
         *("base_" + name for name in _POISSON_CORE + _ROUNDTRIP)],
-    "dirac_twisted": _ALGEBROID[:3] + _SPRAY + _IM + [
+    "dirac_twisted": _ALGEBROID + _SPRAY + _IM + [
         "relative_H_closedness", "robustness_margin", "forward_dirac_angles",
         "units_formula", *_ROUNDTRIP],
     "jacobi_line": _ALGEBROID + _SPRAY + [
-        "spencer_leibniz", "closed_form", "contact_margin",
+        "closed_form", "contact_margin",
         "units_kernel_angles", "units_recover_pr",
         "cocycle_weight_consistency", "linearization_slope"],
 }
@@ -644,6 +663,35 @@ def _raw_algebroid(tmp_path):
 def test_check_raw_algebroid(tmp_path):
     path = _raw_algebroid(tmp_path)
     assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 0
+
+
+def test_broken_raw_algebroid_fails_each_axiom(tmp_path):
+    """A chart whose anchor and structure functions are not a Lie algebroid
+    fails antisymmetry, the anchor morphism and Jacobi at their measured
+    residuals.  No Leibniz check is reported: the bracket of other sections
+    is defined from (rho, c) by that rule."""
+    path = _write(tmp_path, {
+        "schema_version": 1,
+        "kind": "raw_algebroid",
+        "chart": {"dim": 2, "box": [[-1, 1]] * 2},
+        "coefficients": {
+            "rank": 2,
+            "anchor": [["x1*x2", "2"], ["1", "x1"]],
+            "c": [[["x1", "1"], ["x2", "0"]], [["0", "x1"], ["1", "x2"]]],
+        },
+        "numerics": {"samples": 20, "seed": 4},
+        "outputs": {"report": "raw.json", "csv": "raw.csv"},
+    })
+    assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    checks = {c["name"]: c for c in json.loads(
+        (tmp_path / "raw.json").read_text())["checks"]}
+    for name, residual in (("algebroid_antisymmetry", 2.0),
+                           ("algebroid_anchor_morphism", 3.6219487862705648),
+                           ("algebroid_jacobi_identity", 6.7835673765418827)):
+        assert checks[name]["verdict"] == "fail"
+        assert checks[name]["residual"] == pytest.approx(residual, rel=1e-12)
+    assert "algebroid_leibniz_rule" not in checks
+    assert [c["verdict"] for c in checks.values()].count("fail") == 3
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,7 @@ def _batched_cases(e, Z):
         (PolyVectorField(3, 3, {(0, 1, 2): e[3]}, XS).values(Z), [e[3]]),
         (A.anchor_at(Z), [x for row in A.anchor for x in row]),
         (A.structure.values(Z),
-         [A.structure.entry(i, j, k) for i in range(3) for j in range(3)
+         [A.structure.table[i][j][k] for i in range(3) for j in range(3)
           for k in range(3)]),
         (NijenhuisPair(pi, lmat).l_covector_matrices(Z),
          [x for row in lmat for x in row]),
@@ -470,6 +470,6 @@ def test_directional_derivative_matches_tree_eval():
             want = np.zeros((3, 3, 3))
             for m in range(3):
                 want += V[b, d, m] * np.array(
-                    [[[tree_eval(partial(S.entry(i, j, k), XS[m]), env)
+                    [[[tree_eval(partial(S.table[i][j][k], XS[m]), env)
                        for k in range(3)] for j in range(3)] for i in range(3)])
             assert np.array_equal(out[b, d], want)

@@ -13,7 +13,6 @@ from sprayform.algebroid import (
 from sprayform.expr import BivectorField, FormField, VectorField, parse
 from sprayform.imform import (
     IMFormData,
-    ScalarSpencer,
     dirac_im_pair,
     im_residuals,
     jacobi_linear_form,
@@ -226,7 +225,7 @@ def test_chain_map_d_of_linear_form(so3_chart):
 
 
 # ---------------------------------------------------------------------------
-# jacobi Spencer data
+# jacobi linear form
 
 
 def test_jacobi_linear_form_components():
@@ -258,12 +257,6 @@ def test_jacobi_recovers_pr_via_interior():
     lam = lf.values(np.array([[0.3, 0.0, 0.0]]))[0]
     assert evaluate(lam, np.array([0.0, 1.0, 0.0])) == pytest.approx(1.0)
     assert evaluate(lam, np.array([0.0, 0.0, 1.0])) == pytest.approx(0.0)
-
-
-def test_scalar_spencer_leibniz():
-    pi0 = BivectorField(2, {}, XS2)
-    A = jacobi_algebroid(pi0, [ex.ZERO, ex.ZERO], [[-1, 1]] * 2)
-    assert ScalarSpencer(A).leibniz_residual() < 1e-14
 
 
 def test_scaling_symbolic_by_fiber_degree(so3_chart):

@@ -84,3 +84,47 @@ def test_stderr_and_missing_files_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS  so3/stderr: differs" in out
     assert "DIFFERS  so3/extra.csv: only in head" in out
+
+
+def _with_check(report, csv, name):
+    """REPORT and CSV with a second check ``name`` after closedness."""
+    report = json.loads(json.dumps(report))
+    report["checks"].append({"name": name, "residual": 0.0,
+                             "tolerance": 1e-09, "verdict": "pass"})
+    return report, csv + f"{name},0,1.0000000000000001e-09,pass\n"
+
+
+def test_removed_check_is_named_and_the_rest_still_compared(tmp_path, capsys):
+    """A check on the base side only is a difference that names it, and a
+    residual that moved beside it is still listed, in the report and in
+    the CSV."""
+    base = _tree(tmp_path / "a", *_with_check(REPORT, CSV, "leibniz_rule"))
+    head = _tree(tmp_path / "b", _edited(residual=3e-15),
+                 CSV.replace("1.0000000000000001e-15", "3e-15"))
+    assert report_diff.main([str(base), str(head)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "moved  so3/so3_report.json.checks[closedness].residual: "
+        "1e-15 -> 3e-15  |d| 2e-15  tol 1e-07",
+        "moved  so3/so3_residuals.csv[closedness].residual#0: "
+        "1e-15 -> 3e-15  |d| 2e-15  tol 9.9999999999999995e-08",
+        "DIFFERS  so3/so3_report.json.checks: check removed leibniz_rule",
+        "DIFFERS  so3/so3_residuals.csv: check removed leibniz_rule",
+        "2 numeric values moved, 2 other differences"]
+
+
+def test_added_and_reordered_checks_differ(tmp_path, capsys):
+    report, csv = _with_check(REPORT, CSV, "jacobi_identity")
+    base = _tree(tmp_path / "a", report, csv)
+    head = _tree(tmp_path / "b", *_with_check(REPORT, CSV, "anchor_morphism"))
+    assert report_diff.main([str(base), str(head)]) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERS  so3/so3_report.json.checks: check added anchor_morphism" in out
+    assert "DIFFERS  so3/so3_residuals.csv: check removed jacobi_identity" in out
+
+    report["checks"].reverse()
+    lines = csv.splitlines(keepends=True)
+    head = _tree(tmp_path / "c", report, lines[0] + lines[2] + lines[1])
+    assert report_diff.main([str(base), str(head)]) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERS  so3/so3_report.json.checks: checks reordered" in out
+    assert "DIFFERS  so3/so3_residuals.csv: checks reordered" in out

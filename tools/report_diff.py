@@ -10,11 +10,16 @@ tolerance it is checked against ("-" for values no check reads: eval
 output, convergence errors, notes).  Numbers are read from report JSON,
 eval output, CSV cells and numbers inside text such as a check's note.
 
+Report checks and residual-CSV rows are paired by check name, so a check
+present on one side only prints as ``check removed NAME`` or ``check added
+NAME`` and every check on both sides is still compared value by value.
+
 It exits 1 on any other difference, which a deliberate re-baseline of
 numerics must not make: a file present on one side only, an exit code,
-stderr, a check name, verdict or tolerance, the report ``environment``
-(validity_box included), or text once its numbers are set aside.  It exits
-0 when only numeric values moved, and 2 on bad usage.
+stderr, a check removed, added or reordered, a verdict or tolerance, the
+report ``environment`` (validity_box included), or text once its numbers
+are set aside.  It exits 0 when only numeric values moved, and 2 on bad
+usage.
 """
 
 import csv
@@ -76,31 +81,52 @@ class Diff:
                 self.value(f"{path}.{key}", old[key], new[key], tol,
                            strict or key in STRICT_KEYS)
         elif isinstance(old, list) and isinstance(new, list):
+            self.entries(path, old, new, "name", lambda label, a, b: self.value(
+                f"{path}[{label}]", a, b, tol, strict))
+        else:
+            self.broken.append((path, f"{old!r} -> {new!r}"))
+
+    def entries(self, path, old, new, key, compare):
+        """Lists whose entries all carry a distinct ``key`` (checks by name,
+        CSV rows by check) are paired by it: an entry on one side only is a
+        removed or added check, and the names on both sides must keep their
+        order.  Other lists are paired by position and must match in length.
+        ``compare(label, a, b)`` compares one pair."""
+        named_a, named_b = _by_key(old, key), _by_key(new, key)
+        if named_a is None or named_b is None:
             if len(old) != len(new):
                 self.broken.append((path, f"length {len(old)} -> {len(new)}"))
                 return
             for k, (a, b) in enumerate(zip(old, new)):
-                label = a.get("name", k) if isinstance(a, dict) else k
-                self.value(f"{path}[{label}]", a, b, tol, strict)
-        else:
-            self.broken.append((path, f"{old!r} -> {new!r}"))
+                compare(k, a, b)
+            return
+        self.broken += [(path, f"check removed {name}")
+                        for name in named_a if name not in named_b]
+        self.broken += [(path, f"check added {name}")
+                        for name in named_b if name not in named_a]
+        common = [name for name in named_a if name in named_b]
+        if common != [name for name in named_b if name in named_a]:
+            self.broken.append((path, "checks reordered"))
+        for name in common:
+            compare(name, named_a[name], named_b[name])
 
     def csv(self, path, old, new):
         """CSV tables: header, check names, tolerances and verdicts exact;
         other cells as numbers, checked against their row's tolerance."""
         rows_a = list(csv.reader(io.StringIO(old)))
         rows_b = list(csv.reader(io.StringIO(new)))
-        if not rows_a or rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
-            self.broken.append((path, "header or row count differs"))
+        if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+            self.broken.append((path, "header differs"))
             return
         header = rows_a[0]
-        for k, (a, b) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
-            rec_a, rec_b = dict(zip(header, a)), dict(zip(header, b))
-            label = rec_a.get("check", k)
-            tol = rec_a.get("tolerance", "-")
+
+        def row(label, a, b):
             for col in header:
-                self.text(f"{path}[{label}].{col}", rec_a[col], rec_b[col],
-                          tol, col in STRICT_KEYS)
+                self.text(f"{path}[{label}].{col}", a[col], b[col],
+                          a.get("tolerance", "-"), col in STRICT_KEYS)
+
+        self.entries(path, [dict(zip(header, r)) for r in rows_a[1:]],
+                     [dict(zip(header, r)) for r in rows_b[1:]], "check", row)
 
     def file(self, rel, a, b):
         old, new = a.read_text(), b.read_text()
@@ -115,6 +141,16 @@ class Diff:
                 self.value(rel, json.loads(old), json.loads(new))
             except json.JSONDecodeError:
                 self.text(rel, old, new, "-", False)
+
+
+def _by_key(items, key):
+    """{item[key]: item} when every item is a dict with a distinct string
+    ``key``, else None."""
+    if not all(isinstance(i, dict) and isinstance(i.get(key), str)
+               for i in items):
+        return None
+    keyed = {i[key]: i for i in items}
+    return keyed if len(keyed) == len(items) else None
 
 
 def _files(root):
