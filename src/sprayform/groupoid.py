@@ -24,7 +24,8 @@ where p_t is the fiber of phi^t(a), Pi is the pointwise inverse of omega and
 dtau the Jacobian of target = projection o time-1 flow.  With the sharp/flat
 conventions used here this is  dk/dt = solve(W_k, dtau_k^T p_t)  for the
 antisymmetric matrix W of omega, solved by Gauss collocation: each Picard
-sweep is one tangent-flow solve at every node.  Everything is batched.
+sweep is one tangent-flow solve at every node, first on a quarter of the
+nodes (nested iteration).  Everything is batched.
 
 d mu is a complex step: the product is analytic, so on composable tangents
 d mu(v, w) = Im mu(a + i h v, b + i h w) / h to roundoff at h = COMPLEX_STEP,
@@ -116,8 +117,9 @@ class SprayGroupoid:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return np.concatenate([X, np.zeros((len(X), self.r))], axis=1)
 
-    def flow_end(self, P, *consumers):
-        """(z, J) at t = 1 from one tangent-flow solve on the rule's nodes.
+    def flow_end(self, P, *consumers, rule=None):
+        """(z, J) at t = 1 from one tangent-flow solve on the nodes of
+        ``rule`` (default ``self.rule``).
 
         Nothing is stored: each consumer (``MultFormEvaluator.omega_sum``,
         ``integrate_cocycle``, ``algebroid.transport_weight``) runs as
@@ -131,7 +133,7 @@ class SprayGroupoid:
             for consume in consumers:
                 consume(j, node)
 
-        return self.rule.flow(self.engine, P, at_node if consumers else None)
+        return (rule or self.rule).flow(self.engine, P, at_node if consumers else None)
 
     def tau(self, P):
         return self.rule.flow(self.engine, P, jacobian=False)[:, : self.n]
@@ -207,9 +209,10 @@ class MultFormEvaluator:
 
     # -- quadrature ---------------------------------------------------------
 
-    def omega_sum(self):
-        """Flow consumer accumulating omega (see ``_FormSum``)."""
-        return _FormSum(self, self._lam, self.degree)
+    def omega_sum(self, rule=None):
+        """Flow consumer accumulating omega on the nodes of ``rule``
+        (default the groupoid's; see ``_FormSum``)."""
+        return _FormSum(self, self._lam, self.degree, rule)
 
     def domega_sum(self):
         """Flow consumer accumulating d omega, for unweighted evaluators;
@@ -334,8 +337,9 @@ class _FormSum:
     weight.  A form with no components ``skip``s: zeros, and no node.
     """
 
-    def __init__(self, evaluator, form_terms, degree):
+    def __init__(self, evaluator, form_terms, degree, rule=None):
         self.ev, self.degree, self.terms = evaluator, degree, form_terms
+        self.rule = rule or evaluator.groupoid.rule
         self.transport = self._value = None
 
     def skip(self, P):
@@ -347,7 +351,7 @@ class _FormSum:
         return not self.terms[0]
 
     def __call__(self, j, node):
-        X, G = node.X, self.ev.groupoid
+        X, rule = node.X, self.rule
         if j == 0:
             if self.degree not in self.ev._codes:
                 self.ev._codes[self.degree] = _compile_node_sum(
@@ -355,14 +359,14 @@ class _FormSum:
             self._sum, self._finish, self._values, self._add = \
                 self.ev._codes[self.degree][0](node.F, X.shape[1])
             self._value = None
-            self._running = G.rule.running()
+            self._running = rule.running()
         if self.ev.weight_cocycle is None:
-            self._add(X, self._values(X), G.rule.weights[j])
+            self._add(X, self._values(X), rule.weights[j])
             return
         V = self._values(X)
         for (k, Xk, Vk), c in self._running(j, V[:, -1], (j, X.copy(), V)):
             self.transport = np.exp(-c)
-            self._add(Xk, Vk, G.rule.weights[k] * self.transport)
+            self._add(Xk, Vk, rule.weights[k] * self.transport)
 
     @property
     def value(self):
@@ -496,14 +500,17 @@ def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
     ``a``, ``b`` are composable (B, d) batches of points, real or complex:
     sigma(a) = tau(b) within ``composability_tol`` at every row (checked
     strictly, no silent projection).  Solves the multiplication ODE by
-    Gauss collocation (``_collocation``) from k = b at every node.  Each
-    Picard sweep makes one flow-with-Jacobian at every node of the active
-    rows.  A row stops once its update at the nodes and at t = 1 is at most
-    ``PICARD_BOUND``, in real parts and, on complex rows, in imaginary
-    parts over ``COMPLEX_STEP``; a row decides alone, so it gets the bits
-    of a call of its own.  A row still active after ``max_sweeps`` sweeps
-    raises ProductConvergenceError.  omega must have condition number at
-    most ``COND_BOUND`` at every row on its own.
+    Gauss collocation (``_collocation``) from k = b at every node, by
+    Picard sweeps: first on the rule of a quarter of ``G.rule``'s nodes,
+    when that is a rule, until a row's update is at most its RK4 step^4
+    (RK4's global error), then on ``G.rule`` until the update at the nodes
+    and at t = 1 is at most ``PICARD_BOUND``, in real parts and, on complex
+    rows, in imaginary parts over ``COMPLEX_STEP``.  A row that leaves the
+    first phase unconverged, at the cap or a flow or guard error, starts
+    the second from b, so the first never raises.  A row decides alone, so
+    it gets the bits of a call of its own.  A row still active after
+    ``max_sweeps`` second-phase sweeps raises ProductConvergenceError.
+    omega must have condition number at most ``COND_BOUND`` at every row.
     """
     A, Bp = np.asarray(a), np.asarray(b)
     dtype = np.result_type(A, Bp, np.float64)
@@ -521,35 +528,57 @@ def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
     t, S = _collocation(m)
     p = G.rule.flight(G.engine, A, t)[..., n:]   # fiber of phi^t(a) at t
     Y = np.repeat(Bp[None], m + 1, axis=0)   # k at the nodes, then at t = 1
-    out, active = np.empty_like(Bp), np.arange(len(Bp))
-    for _ in range(max_sweeps):
-        k = len(active)
-        K = Y[:m, active].reshape(m * k, d)   # node-major: row j is active[j % k]
-        acc = evaluator.omega_sum()
-        try:
-            _, J = G.flow_end(K, acc)
-            W = acc.value
-            _check_conditioning(W, K, COND_BOUND)
-        except (DomainExitError, NonFiniteStateError, DegenerateFormError) as exc:
-            if exc.row is not None:
-                exc.relocate(None, int(active[exc.row % k]))
-            raise
-        beta = np.einsum("baj,ba->bj", J[:, :n, :], p[:, active].reshape(m * k, n))
-        F = np.linalg.solve(W, beta[..., None]).reshape(m, k, d)
-        # node by node in a fixed order, so each row's sum is its own
-        new = Bp[active] + sum(S[:, j, None, None] * F[j] for j in range(m))
-        del J, W, acc, F     # before the next sweep's solve
-        step = new - Y[:, active]
-        update = np.max(np.maximum(abs(step.real), abs(step.imag) / COMPLEX_STEP),
-                        axis=(0, 2))
-        done = update <= PICARD_BOUND
-        out[active[done]] = new[m, done]
-        Y[:, active] = new
-        active, update = active[~done], update[~done]
-        if not len(active):
-            return out
-    raise ProductConvergenceError(max_sweeps, float(update[0]), PICARD_BOUND,
-                                  Bp[active[0]].real, int(active[0]))
+    fresh = True          # every node at b: a sweep flies each row once
+
+    def sweep(rule, bound, fallback):
+        """Sweeps on ``rule``, each one flow-with-Jacobian at every node of
+        the active rows, of Y in place.  Returns the rows still active
+        after ``max_sweeps`` sweeps with their updates, then, by
+        ``fallback``, those of flow or guard errors, whose sweep is made
+        again without them; otherwise the error names its product row."""
+        nonlocal fresh
+        active, update, failed, sweeps = np.arange(len(Bp)), None, [], 0
+        while len(active) and sweeps < max_sweeps:
+            k = len(active)
+            # node-major: row j is active[j % k]
+            K = Y[0 if fresh else slice(m), active].reshape(-1, d)
+            acc = evaluator.omega_sum(rule)
+            try:
+                _, J = G.flow_end(K, acc, rule=rule)
+                W = acc.value
+                _check_conditioning(W, K, COND_BOUND)
+            except (DomainExitError, NonFiniteStateError, DegenerateFormError) as exc:
+                if exc.row is not None:
+                    exc.relocate(None, int(active[exc.row % k]))
+                if not fallback:
+                    raise
+                failed.append(active if exc.row is None else [exc.row])
+                active = np.setdiff1d(active, failed[-1])
+                continue
+            if fresh:
+                J, W, fresh = np.tile(J, (m, 1, 1)), np.tile(W, (m, 1, 1)), False
+            beta = np.einsum("baj,ba->bj", J[:, :n, :], p[:, active].reshape(m * k, n))
+            F = np.linalg.solve(W, beta[..., None]).reshape(m, k, d)
+            # node by node in a fixed order, so each row's sum is its own
+            new = Bp[active] + sum(S[:, j, None, None] * F[j] for j in range(m))
+            del J, W, acc, F     # before the next sweep's solve
+            step = new - Y[:, active]
+            update = np.max(np.maximum(abs(step.real), abs(step.imag) / COMPLEX_STEP),
+                            axis=(0, 2))
+            done, sweeps = update <= bound, sweeps + 1
+            Y[:, active] = new
+            active, update = active[~done], update[~done]
+        return np.concatenate([active, *failed]), update
+
+    if TimeRule.admits(G.rule.n // 4):
+        coarse = TimeRule(G.rule.n // 4, G.rule.substeps)
+        left, _ = sweep(coarse, coarse.step ** 4, True)
+        Y[:, left] = Bp[left]             # the one-level path from b
+    left, update = sweep(G.rule, PICARD_BOUND, False)
+    if len(left):
+        raise ProductConvergenceError(max_sweeps, float(update[0]), PICARD_BOUND,
+                                      Bp[left[0]].real, int(left[0]))
+    return Y[m].copy()
 
 
 @functools.cache

@@ -6,6 +6,9 @@ reference for the package's other complex steps (``flow.complex_step``).
 ``rk4_product`` solves the multiplication ODE by classical RK4 with a fixed
 step count, one tangent-flow solve per stage: the reference that the
 collocation product of ``groupoid.multiply_poisson`` is measured against.
+``collocation_product`` solves the same collocation equations as
+``multiply_poisson`` on one level: Picard sweeps on the groupoid's own time
+rule from b at every node, each flying every node of every active row.
 
 ``differential_of_multiplication`` builds the complex-step rows with
 ``groupoid._complex_step_rows`` and multiplies them in one
@@ -78,6 +81,42 @@ def rk4_product(G, evaluator, a, b, n_steps):
         k4 = rhs(k + h * k3, s0 + 2)
         k = k + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return k
+
+
+def collocation_product(G, evaluator, a, b, max_sweeps=32):
+    """mu(a, b) by Picard sweeps of the Gauss collocation equations
+    k_i = b + sum_j S_ij f(k_j, t_j) on ``G.rule`` alone, for composable
+    (B, d) batches: each row sweeps until its update at the nodes and at
+    t = 1 is at most ``PICARD_BOUND`` (real parts, and imaginary parts
+    over ``COMPLEX_STEP``), and a row still active after ``max_sweeps``
+    sweeps raises AssertionError."""
+    a, b = np.asarray(a), np.asarray(b)
+    dtype = np.result_type(a, b, np.float64)
+    a, b = a.astype(dtype), b.astype(dtype)
+    n, d = G.n, G.dim
+    t, S = groupoid._collocation(groupoid.PRODUCT_NODES)
+    m = len(t)
+    p = G.rule.flight(G.engine, a, t)[..., n:]
+    Y = np.repeat(b[None], m + 1, axis=0)
+    active = np.arange(len(b))
+    for _ in range(max_sweeps):
+        k = len(active)
+        K = Y[:m, active].reshape(m * k, d)
+        acc = evaluator.omega_sum()
+        _, J = G.flow_end(K, acc)
+        groupoid._check_conditioning(acc.value, K, groupoid.COND_BOUND)
+        beta = np.einsum("baj,ba->bj", J[:, :n, :],
+                         p[:, active].reshape(m * k, n))
+        F = np.linalg.solve(acc.value, beta[..., None]).reshape(m, k, d)
+        new = b[active] + sum(S[:, j, None, None] * F[j] for j in range(m))
+        step = new - Y[:, active]
+        update = np.max(np.maximum(abs(step.real),
+                                   abs(step.imag) / COMPLEX_STEP), axis=(0, 2))
+        Y[:, active] = new
+        active = active[update > groupoid.PICARD_BOUND]
+        if not len(active):
+            return Y[m]
+    raise AssertionError(f"rows {active} did not converge in {max_sweeps} sweeps")
 
 
 def differential_of_multiplication(G, evaluator, a, b, tangent_pairs,

@@ -1,6 +1,8 @@
 """The collocation product of ``groupoid.multiply_poisson``: its accuracy
-against the RK4 reference of ``product_oracle``, closed forms on the affine
-constant-Poisson groupoid, and the contracts of its per-row stop rule."""
+against the RK4 reference of ``product_oracle`` and against the one-level
+sweeps of ``product_oracle.collocation_product``, closed forms on the
+affine constant-Poisson groupoid, and the contracts of its per-row stop
+rule and of its coarse phase."""
 
 from functools import lru_cache
 from pathlib import Path
@@ -28,7 +30,7 @@ from sprayform.groupoid import (
 from sprayform.report import SplitMix64
 
 import product_oracle
-from product_oracle import rk4_product
+from product_oracle import collocation_product, rk4_product
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # every product on the affine constant_poisson groupoid is exact up to the
@@ -82,6 +84,21 @@ def test_collocation_is_as_accurate_as_rk4_32(name):
         assert error <= max(np.max(np.abs(part(rk32) - part(rk64))), ROUNDOFF)
 
 
+@pytest.mark.parametrize("name, bound", [("so3", 1e-14),
+                                         ("constant_poisson", 0.0)])
+def test_two_level_sweeps_match_one_level_collocation(name, bound):
+    """The two-phase product agrees with the one-level Picard sweeps of
+    the same collocation equations on 40 complex d mu rows: on so3 to
+    8.3e-16 in mu and 4.1e-15 in d mu (measured), and bit for bit on the
+    affine constant_poisson, where the coarse rule's flow and omega are
+    the fine rule's."""
+    G, ev = _case(name)
+    rows = _dmu_rows(G, 40, 77)[0]
+    got, want = multiply_poisson(G, ev, *rows), collocation_product(G, ev, *rows)
+    assert np.max(np.abs(got.real - want.real)) <= bound
+    assert np.max(np.abs(got.imag - want.imag)) / COMPLEX_STEP <= bound
+
+
 def test_fiber_flight_steps_each_gap_on_its_own(monkeypatch):
     """a flies to the Gauss nodes on a grid that gives each gap of
     [0, t_1, ..., t_6] the fewest equal steps of at most 1/64 on so3:
@@ -122,8 +139,9 @@ def test_constant_poisson_product_inverse_and_dmu_are_affine():
 
 
 def test_sweep_cap_raises_a_named_row_error():
-    """so3 rows need 9 to 11 sweeps: a cap of 3 raises at the first row,
-    and through the product schedule the error names its check."""
+    """so3 pairs need 3 to 6 coarse and 3 to 6 fine sweeps: a cap of 3
+    leaves phase 1 unconverged and raises in phase 2 at the first row, and
+    through the product schedule the error names its check."""
     G, ev = _case("so3")
     a, b = sample_composable_pairs(G, 3, 5)
     with pytest.raises(ProductConvergenceError) as err:
@@ -140,20 +158,23 @@ def test_sweep_cap_raises_a_named_row_error():
 
 
 def test_rows_stop_on_their_own(monkeypatch):
-    """Unit rows (a a unit, so p = 0) stop after 1 sweep and so3 pairs
-    after 9.  Interleaved in one call, each row gets the bits of a call of
-    its own, and the call narrows to the active rows after sweep 1."""
+    """Unit rows (a a unit, so p = 0) stop after 1 sweep in each phase,
+    and so3 pairs after 4 coarse and 5 fine sweeps.  Interleaved in one
+    call, each row gets the bits of a call of its own, and each phase
+    narrows to the active rows after its sweep 1; the call's first sweep
+    flies each row once."""
     G, ev = _case("so3")
     a, b = sample_composable_pairs(G, 3, 5)
     units = G.units(G.tau(b))
     A, B = np.stack([units, a], axis=1), np.stack([b, b], axis=1)
     widths = _tangent_solves(monkeypatch)
     mixed = multiply_poisson(G, ev, A.reshape(6, -1), B.reshape(6, -1))
-    assert widths == [PRODUCT_NODES * 6] + [PRODUCT_NODES * 3] * 8
+    assert widths == ([6] + [PRODUCT_NODES * 3] * 3 + [PRODUCT_NODES * 6]
+                      + [PRODUCT_NODES * 3] * 4)
     widths.clear()
     alone = [multiply_poisson(G, ev, A[i, j][None], B[i, j][None])[0]
              for i in range(3) for j in range(2)]
-    assert widths == [PRODUCT_NODES] * (3 * (1 + 9))
+    assert widths == ([1, PRODUCT_NODES] + [1] + [PRODUCT_NODES] * 8) * 3
     assert all(np.array_equal(x, y) for x, y in zip(mixed, alone))
     assert np.array_equal(mixed[::2], b)
 
@@ -161,7 +182,8 @@ def test_rows_stop_on_their_own(monkeypatch):
 def test_complex_rows_sweep_until_their_derivative_converges(monkeypatch):
     """A unit a + i h (0, v) has a real part that converges at sweep 1, as
     the real unit does, but an imaginary part over h that needs a second
-    sweep: the row keeps sweeping, and d mu agrees with RK4-32."""
+    sweep in each phase: the row keeps sweeping, and d mu agrees with
+    RK4-32."""
     G, ev = _case("so3")
     _, b = sample_composable_pairs(G, 2, 5)
     units = G.units(G.tau(b))
@@ -173,7 +195,7 @@ def test_complex_rows_sweep_until_their_derivative_converges(monkeypatch):
     assert err.value.row == 0
     widths = _tangent_solves(monkeypatch)
     got = multiply_poisson(G, ev, stepped, b)
-    assert widths == [PRODUCT_NODES * 2] * 2
+    assert widths == [2] + [PRODUCT_NODES * 2] * 3
     monkeypatch.undo()
     assert np.array_equal(got.real, b)
     want = rk4_product(G, ev, stepped, b, 32).imag / COMPLEX_STEP
@@ -186,10 +208,14 @@ def test_complex_rows_sweep_until_their_derivative_converges(monkeypatch):
                                                (3 * PRODUCT_NODES, 7, 3)])
 def test_node_row_errors_name_their_product_row(error, width, index, row,
                                                 monkeypatch):
-    """A row error raised at index j of a sweep's wide batch (nodes major,
-    k active rows each) names product row active[j % k] and keeps its
-    point.  Rows: unit, pair, unit, pair, unit, pair; the units stop after
-    sweep 1, so sweep 2 has k = 3 active rows, 1, 3 and 5."""
+    """A row error raised at index j of a fine sweep's wide batch (nodes
+    major, k active rows each) names product row active[j % k] and keeps
+    its point.  Rows: unit, pair, unit, pair, unit, pair; the units stop
+    after sweep 1 of each phase.  The coarse sweeps are 6 rows wide (the
+    first flies each row once), then 3 x 6; the fine ones 6 x 6, then
+    3 x 6, so k = 3 active rows, 1, 3 and 5.  An error at a 3 x 6 coarse
+    sweep is the coarse phase's: row 3 then starts the fine phase from b,
+    and the error raised is the fine sweep's, the second."""
     G, ev = _case("so3")
     a, b = sample_composable_pairs(G, 3, 5)
     A = np.stack([G.units(G.tau(b)), a], axis=1).reshape(6, -1)
@@ -200,12 +226,43 @@ def test_node_row_errors_name_their_product_row(error, width, index, row,
     def guard(W, points, bound):
         if len(points) == width:
             seen.append(points[index].real.copy())
-            raise error(0.5, seen[0], row=index)
+            raise error(0.5, seen[-1], row=index)
         return original(W, points, bound)
 
     monkeypatch.setattr(groupoid, "_check_conditioning", guard)
     with pytest.raises(error) as err:
         multiply_poisson(G, ev, A, B)
-    assert err.value.row == row
+    coarse_too = width == 3 * PRODUCT_NODES   # a coarse sweep's width too
+    assert err.value.row == row and len(seen) == 1 + coarse_too
     assert f"batch row {row}, point (" in str(err.value)
-    assert np.array_equal(err.value.point, seen[0])
+    assert np.array_equal(err.value.point, seen[-1])
+
+
+@pytest.mark.parametrize("error", [DomainExitError, NonFiniteStateError,
+                                   DegenerateFormError])
+def test_coarse_row_error_restarts_the_row_on_the_fine_rule(error,
+                                                            monkeypatch):
+    """An error at index 7 of the first 3 x 6 coarse sweep (rows unit,
+    pair, unit, pair, unit, pair, as above) is row 3's: the call returns,
+    that row is the one-level product's bit for bit, the coarse sweep is
+    made again without it (2 x 6 rows), and every other row has the bits
+    of a call of its own."""
+    G, ev = _case("so3")
+    a, b = sample_composable_pairs(G, 3, 5)
+    A = np.stack([G.units(G.tau(b)), a], axis=1).reshape(6, -1)
+    B = np.repeat(b, 2, axis=0)
+    alone = [multiply_poisson(G, ev, A[i][None], B[i][None])[0] for i in range(6)]
+    one_level = collocation_product(G, ev, A[3][None], B[3][None])[0]
+    original, widths = groupoid._check_conditioning, []
+
+    def guard(W, points, bound):
+        widths.append(len(points))
+        if widths == [6, 3 * PRODUCT_NODES]:
+            raise error(0.5, points[7].real, row=7)
+        return original(W, points, bound)
+
+    monkeypatch.setattr(groupoid, "_check_conditioning", guard)
+    got = multiply_poisson(G, ev, A, B)
+    assert widths[:3] == [6, 3 * PRODUCT_NODES, 2 * PRODUCT_NODES]
+    assert np.array_equal(got[3], one_level)
+    assert all(np.array_equal(got[i], alone[i]) for i in (0, 1, 2, 4, 5))

@@ -22,6 +22,12 @@
 #     (`so3_coarse`), written from configs/ at run time, whose coarse flow
 #     leaves an associativity stage 2 row uncomposable (exit 3, naming
 #     the check and the row);
+#   - `check` on so3 with `quad_nodes: 8` (`so3_quad8`), written from
+#     configs/ at run time, the smallest time rule whose product has a
+#     coarse phase (on the rule of 8 / 4 = 2 nodes): the associativity
+#     stage 1 and d mu product calls run both phases, then its flow leaves
+#     an associativity stage 2 row uncomposable (exit 3, naming the check
+#     and the row);
 #   - `convergence` on so3 and jacobi_line over rungs 32..1024, and on so3
 #     and jacobi_line over the NxM rungs 16x8..128x1, which hold the step
 #     fixed and move the quadrature nodes and the RK4 substeps against each
@@ -94,6 +100,11 @@ with open("configs/so3.json") as f:
     cfg = json.load(f)
 cfg["numerics"].update(quad_nodes=2, samples=1, mult_pairs=1, assoc_triples=1)
 with open(f"{out}/so3_coarse.json", "w") as f:
+    json.dump(cfg, f, indent=2)
+with open("configs/so3.json") as f:
+    cfg = json.load(f)
+cfg["numerics"]["quad_nodes"] = 8
+with open(f"{out}/so3_quad8.json", "w") as f:
     json.dump(cfg, f, indent=2)
 with open("configs/jacobi_line.json") as f:
     cfg = json.load(f)
