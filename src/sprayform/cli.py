@@ -327,8 +327,9 @@ def cmd_check(args):
 def _parse_ladder(text):
     """(n_quad, substeps) rungs of ``--ladder``: comma-separated N or NxM.
 
-    Each rung must make a ``TimeRule``; the finest rung is the reference,
-    so fitting an order takes three.
+    Each rung must make a ``TimeRule`` and refine the one before: differ,
+    with no fewer nodes and no longer a step.  The last rung is the
+    reference, so fitting an order takes three.
     """
     levels = []
     for part in text.split(","):
@@ -337,9 +338,12 @@ def _parse_ladder(text):
             levels.append((int(nq), int(ss) if sep else 1))
         except ValueError:
             levels.append((0, 0))
-    if len(levels) < 3 or not all(TimeRule.admits(*rung) for rung in levels):
+    if len(levels) < 3 or not all(TimeRule.admits(*rung) for rung in levels) \
+            or any(b == a or b[0] < a[0] or TimeRule(*b).step > TimeRule(*a).step
+                   for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"--ladder {text!r}: need three or more rungs N or "
-                          f"NxM with positive integers N, M and N even")
+                          f"NxM with positive integers N, M and N even, each "
+                          f"refining the one before")
     return levels
 
 

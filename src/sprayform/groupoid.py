@@ -160,7 +160,7 @@ def discover_validity_box(G, seed=505):
     """Shrink the fiber radius until all unit-time flows stay in the chart box.
 
     See the VALIDITY_* constants.  Sets ``G.validity_fiber_radius`` and
-    returns it.
+    returns it, or raises the last radius's DomainExitError, named.
     """
     A = G.chart
     half = (A.box[:, 1] - A.box[:, 0]) / 2.0
@@ -169,6 +169,7 @@ def discover_validity_box(G, seed=505):
     mid = A.box.mean(axis=1)
     base_half = half * VALIDITY_BASE_SCALE
     grid = np.linspace(0.0, VALIDITY_MARGIN, 17)
+    exit_error = DomainExitError(0.0)
     while radius >= VALIDITY_MIN_RADIUS:
         pts = []
         for _ in range(VALIDITY_SAMPLES):
@@ -177,12 +178,15 @@ def discover_validity_box(G, seed=505):
             pts.append(np.concatenate([x, y]))
         try:
             G.engine.flow_on_grid(np.stack(pts), grid, substeps=4)
-        except DomainExitError:
-            radius *= VALIDITY_SHRINK
+        except DomainExitError as exc:
+            radius, exit_error = radius * VALIDITY_SHRINK, exc
             continue
         G.validity_fiber_radius = radius
         return radius
-    raise DomainExitError(0.0, None)
+    exit_error.relocate(f"validity discovery: no fiber radius >= {VALIDITY_MIN_RADIUS} "
+                        f"keeps the {VALIDITY_SAMPLES} sample flows in the chart box",
+                        exit_error.row)
+    raise exit_error
 
 
 class MultFormEvaluator:
@@ -331,10 +335,10 @@ class _FormSum:
     copy of the node's live rows.  Code generated from the form
     (``_compile_node_sum``) adds, in place from the live RK4 state, the
     outer product c F_I(z) J_{i_1} x .. x J_{i_k} of rows of J for each
-    component I = (i_1 < .. < i_k), c = qw_j w_j, to a component-major
-    (d, .., d, B) sum.  ``value`` is its alternation, batch axis first: the
-    pullback sum_I F_I det-minors of J.  ``transport`` is the last node's
-    weight.  A form with no components ``skip``s: zeros, and no node.
+    component I = (i_1 < .. < i_k), c = qw_j w_j, term by term to a
+    component-major (d, .., d, B) sum.  ``value`` is its alternation, batch
+    axis first: the pullback sum_I F_I det-minors of J; ``transport`` is the
+    last node's weight.  A form with no components ``skip``s: no node, zeros.
     """
 
     def __init__(self, evaluator, form_terms, degree, rule=None):
@@ -353,11 +357,10 @@ class _FormSum:
     def __call__(self, j, node):
         X, rule = node.X, self.rule
         if j == 0:
-            if self.degree not in self.ev._codes:
-                self.ev._codes[self.degree] = _compile_node_sum(
-                    self.ev, *self.terms, self.degree)
-            self._sum, self._finish, self._values, self._add = \
-                self.ev._codes[self.degree][0](node.F, X.shape[1])
+            codes = self.ev._codes
+            if self.degree not in codes:
+                codes[self.degree] = _compile_node_sum(self.ev, *self.terms, self.degree)
+            self._sum, self._values, self._add = codes[self.degree](node.F, X.shape[1])
             self._value = None
             self._running = rule.running()
         if self.ev.weight_cocycle is None:
@@ -371,92 +374,58 @@ class _FormSum:
     @property
     def value(self):
         if self._value is None:
-            self._finish()
             self._value = _alternate(self._sum, self.degree)
         return self._value
 
 
 def _compile_node_sum(ev, terms, exprs, degree):
-    """(bind, grouped, per_node): the node sum of ``_FormSum`` for the terms
-    of ``_form_terms``, and how many terms it adds in groups and one by one.
-
+    """The node sum of ``_FormSum`` for the terms of ``_form_terms``:
     ``bind(F, B)`` allocates the zero sum S for B rows with frozen rows F
-    and returns S, ``finish()``, which copies the group sums into S,
-    ``values(X)``, None or a new (B, n) array of the non-constant
-    coefficients, then a weighted evaluator's cocycle, at the live rows X
-    (written as ``compile_exprs`` writes its columns, complex rows through
-    ``ex.real_pass``), and ``add(X, V, s)``, which adds the node with c = s.
+    and returns S, ``values(X)``, None or a new (B, n) array of the
+    non-constant coefficients, then a weighted evaluator's cocycle, at the
+    live rows X (written as ``compile_exprs`` writes its columns, complex
+    rows through ``ex.real_pass``), and ``add(X, V, s)``, which adds the
+    node with c = s.
 
     A frozen row J_i = e_i (see ``flow``) is a fixed index of S, not a
-    factor.  Constant components with one live row whose part of S no other
-    component writes are grouped: a run of them on consecutive live rows is
-    one product of a block of X with their c F_I and one add into the run's
-    own sum.  Each part of S gets the additions of the term-by-term sum in
-    its order, so grouping moves no bit.  The other terms are added one by
-    one.
+    factor.  Each term is c = s F_I times its live rows of J, added into its
+    part of S, kept contiguous by S's swapped first and last form axes when
+    its live indices precede its frozen ones (as on every bundled kind).
     """
     G = ev.groupoid
     d, live, frozen = G.dim, G.engine.live, G.engine.frozen
-    m, pos = len(live), {i: a for a, i in enumerate(live)}
-
-    def rows_of(i, n=1):
-        return f"X[{m + pos[i] * d}:{m + (pos[i] + n) * d}]"
-
-    def index(at):
-        return ", ".join(":" if isinstance(i, slice) else str(i) for i in at) or "()"
-
-    ats = [tuple(i if i in frozen else slice(None) for i in I) for I, _, _ in terms]
-    writes = np.zeros((d,) * degree, int)
-    for at in ats:
-        writes[at] += 1
-    runs, plan = [], []
-    for (I, value, col), at in zip(terms, ats):
-        rows = [i for i in I if i in pos]
-        if col is None and len(rows) == 1 and np.all(writes[at] == 1):
-            if not runs or pos[rows[0]] != pos[runs[-1][-1][0]] + 1:
-                runs.append([])
-            runs[-1].append((rows[0], value, at))
-        else:
-            plan.append((rows, value, col, at))
-    consts, head, body, finish = {}, [], [], []
-    for r, run in enumerate(runs):
-        n = len(run)   # K: float64, cast to complex on complex rows
-        consts[f"K{r}"] = np.array([v for _, v, _ in run])[:, None, None]
-        head += [f"G{r}, P{r} = np.zeros(({n}, {d}, B), F.dtype), "
-                 f"np.empty(({n}, {d}, B), F.dtype)"]
-        body += [f"np.multiply({rows_of(run[0][0], n)}.reshape({n}, {d}, B), "
-                 f"s * K{r}, out=P{r})",
-                 f"np.add(G{r}, P{r}, out=G{r})"]
-        finish += [f"np.copyto(S[{index(at)}], G{r}[{g}])"
-                   for g, (_, _, at) in enumerate(run)]
-    depth = max((len(rows) for rows, _, _, _ in plan), default=0)
-    head += [f"T{k} = np.empty({(d,) * k} + (B,), F.dtype)" for k in range(1, depth + 1)]
-    for n, (rows, value, col, at) in enumerate(plan):
-        head.append(f"S{n} = S[{index(at)}]")
+    m = len(live)
+    rows_of = {i: f"X[{m + a * d}:{m + (a + 1) * d}]" for a, i in enumerate(live)}
+    head, body, depth = [], [], 0
+    for n, (I, value, col) in enumerate(terms):
+        rows = [i for i in I if i in live]
+        depth = max(depth, len(rows))
+        at = ", ".join(str(i) if i in frozen else ":" for i in I)
+        head.append(f"S{n} = S[{at}]")
         body.append(f"c = s * {f'V[:, {col}]' if value is None else f'({value!r})'}")
-        factors = [f"np.multiply({rows_of(rows[0])}, c, out=T1)"] if rows else []
-        factors += [f"np.multiply(T{k}[..., None, :], {rows_of(i)}, out=T{k + 1})"
-                    for k, i in enumerate(rows[1:], start=1)]
-        body += factors + [f"np.add(S{n}, {f'T{len(rows)}' if rows else 'c'}, out=S{n})"]
+        body += [f"np.multiply({rows_of[i]}, c, out=T1)" if k == 1 else
+                 f"np.multiply(T{k - 1}[..., None, :], {rows_of[i]}, out=T{k})"
+                 for k, i in enumerate(rows, start=1)]
+        body.append(f"np.add(S{n}, {f'T{len(rows)}' if rows else 'c'}, out=S{n})")
+    head += [f"T{k} = np.empty({(d,) * k} + (B,), F.dtype)" for k in range(1, depth + 1)]
     columns = exprs + ([ev.weight_cocycle] if ev.weight_cocycle is not None else [])
     used = ex.used_variables(columns, G.spray.variables)
     names = {v: f"z{i}" for i, v in enumerate(G.spray.variables)}
-    values = [f"z{i} = X[{pos[i]}]" if i in pos else f"z{i} = F[{frozen.index(i)}]"
+    values = [f"z{i} = X[{live.index(i)}]" if i in live
+              else f"z{i} = F[{frozen.index(i)}]"
               for i, v in enumerate(G.spray.variables) if v in used]
     values += [f"V = np.zeros((B, {len(columns)}), X.dtype)",
                "with np.errstate(**RAISE):"] + ex.indent(ex.guard(ex.real_pass(
                    [(e, ex.numpy_assign(f"V[:, {c}]", e, names))
                     for c, e in enumerate(columns)],
                    names, "X.dtype.kind == 'c'")), 4) if columns else ["V = None"]
-    src = ([f"def _bind({', '.join(['F', 'B', *consts])}):",
-            f"    S = np.zeros({(d,) * degree} + (B,), F.dtype)"]
+    src = (["def _bind(F, B):",
+            f"    S = np.zeros({(d,) * degree} + (B,), F.dtype).swapaxes(0, -2)"]
            + ex.indent(head, 4)
            + ["    def values(X):"] + ex.indent(values + ["return V"], 8)
            + ["    def add(X, V, s):"] + ex.indent(body, 8)
-           + ["    def finish():"] + ex.indent(finish, 8)
-           + ["    return S, finish, values, add"])
-    bind = ex.exec_generated(src, "form")["_bind"]
-    return functools.partial(bind, **consts), sum(map(len, runs)), len(plan)
+           + ["    return S, values, add"])
+    return ex.exec_generated(src, "form")["_bind"]
 
 
 def _alternate(M, degree):

@@ -152,9 +152,6 @@ class CheckReport:
     def all_passed(self):
         return all(c.passed for c in self.checks)
 
-    def failed(self):
-        return [c for c in self.checks if not c.passed]
-
     def worst(self):
         """The check with the largest residual/tolerance ratio."""
         return max(self.checks,

@@ -230,7 +230,8 @@ def test_malformed_R_is_config_error_in_every_subcommand(tmp_path, capsys):
     raw["coefficients"]["R"] = ["1"]
     path = _write(tmp_path, raw, "good_R.json")
     for ladder in ("16,32,abc", "16,32,", "16x,32,64", "0,16,32", "16,32",
-                   "15,32,64", "16,33x2,64"):
+                   "15,32,64", "16,33x2,64", "32,32,32", "64,32,16",
+                   "16x8,16x8,32x4"):
         assert main(["convergence", "--config", path, "--out-dir",
                      str(tmp_path), "--ladder", ladder]) == 2
         assert "config error: --ladder" in capsys.readouterr().err
@@ -589,6 +590,21 @@ def test_check_report_order(name, tmp_path):
         # the product is affine: the complex-step d mu leaves roundoff only
         (mult,) = (c for c in report["checks"] if c["name"] == "multiplicativity")
         assert mult["residual"] < 1e-13
+
+
+def test_failed_validity_discovery_names_itself(tmp_path, capsys):
+    """When no fiber radius keeps the sample flows in the box, check exits
+    3 with the discovery named and the last exit's time, row and point."""
+    path = _fast_poisson(tmp_path, coefficients={"pi": {"12": "1e6"}})
+    assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    prefix = ("runtime error: validity discovery: no fiber radius >= 0.0001 "
+              "keeps the 40 sample flows in the chart box: trajectory left "
+              "the domain box at t=")
+    assert err.startswith(prefix), err
+    t, where = err[len(prefix):].split(", ", 1)
+    assert 0 < float(t) <= 1.02 and where.startswith("batch row ")
+    assert ", point (" in where
 
 
 def test_runtime_error_names_its_check(tmp_path, capsys, monkeypatch):

@@ -86,32 +86,27 @@ def _constant_form(G, degree, comps):
 
 
 # so(3)*: coordinates 3, 4, 5 (the fibers) are frozen, 0, 1, 2 live;
-# (degree, components, grouped terms, terms kept per node)
+# (degree, components)
 SO3_FORMS = {
-    # one group of two coefficients
-    "two_values": (2, {(0, 3): 0.3, (1, 4): -1.7, (2, 5): 0.3}, 3, 0),
-    "one_value": (2, {(0, 3): -1.7, (1, 4): -1.7, (2, 5): -1.7}, 3, 0),
-    # (0, 3) and (1, 3) write one column: both stay per node
-    "shared_target": (2, {(0, 3): 0.3, (1, 3): -1.7, (2, 5): 0.3}, 1, 2),
-    # a group whose rows repeat
-    "repeated_row": (2, {(0, 3): 0.3, (0, 4): 0.3, (1, 5): -1.7}, 3, 0),
-    "degree_3": (3, {(0, 3, 4): 0.3, (1, 3, 5): -1.7, (2, 4, 5): 0.3}, 3, 0),
+    "two_values": (2, {(0, 3): 0.3, (1, 4): -1.7, (2, 5): 0.3}),
+    "one_value": (2, {(0, 3): -1.7, (1, 4): -1.7, (2, 5): -1.7}),
+    # (0, 3) and (1, 3) write one column
+    "shared_target": (2, {(0, 3): 0.3, (1, 3): -1.7, (2, 5): 0.3}),
+    # two components on one live row
+    "repeated_row": (2, {(0, 3): 0.3, (0, 4): 0.3, (1, 5): -1.7}),
+    "degree_3": (3, {(0, 3, 4): 0.3, (1, 3, 5): -1.7, (2, 4, 5): 0.3}),
 }
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])
 @pytest.mark.parametrize("case", sorted(SO3_FORMS))
 def test_grouped_constant_terms_match_per_term_oracle(case, complex_rows):
-    """Non-unit coefficients, grouped or kept per node, equal the oracle bit
-    for bit; the generated node sum groups what its docstring says it
-    groups."""
+    """Non-unit constant coefficients on one live row each, some sharing a
+    row or a part of the sum, equal the oracle bit for bit."""
     G = _scenario("so3").groupoid
-    degree, comps, n_grouped, n_per_node = SO3_FORMS[case]
+    degree, comps = SO3_FORMS[case]
     ev = MultFormEvaluator(G, _constant_form(G, degree, comps))
-    P = _points(G, complex_rows)
-    _assert_matches_oracle(ev, P)
-    _, grouped, per_node = groupoid._compile_node_sum(ev, *ev._lam, degree)
-    assert (grouped, per_node) == (n_grouped, n_per_node)
+    _assert_matches_oracle(ev, _points(G, complex_rows))
 
 
 def test_mixed_terms_match_per_term_oracle():
@@ -130,7 +125,7 @@ def test_mixed_terms_match_per_term_oracle():
 @pytest.mark.parametrize("comps", [{(0, 1): 0.3, (0, 2): -1.7},
                                    {(0, 1): 0.3, (0, 2): 0.3}])
 def test_weighted_grouped_terms_match_per_term_oracle(comps, complex_rows):
-    """Grouped terms under the jacobi transport weight, whose odd nodes are
+    """Constant terms under the jacobi transport weight, whose odd nodes are
     added one node late."""
     scen = _scenario("jacobi_line")
     G = scen.groupoid

@@ -56,7 +56,7 @@ def test_residual_check_verdicts():
     rep.add("fine", 1e-9, 1e-6)
     rep.add("broken", 1e-3, 1e-6)
     assert not rep.all_passed
-    assert [c.name for c in rep.failed()] == ["broken"]
+    assert [c.passed for c in rep.checks] == [True, False]
     assert rep.worst().name == "broken"
 
 
