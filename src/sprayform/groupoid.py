@@ -25,7 +25,10 @@ dtau the Jacobian of target = projection o time-1 flow.  With the sharp/flat
 conventions used here this is  dk/dt = solve(W_k, dtau_k^T p_t)  for the
 antisymmetric matrix W of omega, solved by Gauss collocation: each Picard
 sweep is one tangent-flow solve at every node, first on a quarter of the
-nodes (nested iteration).  Everything is batched.
+nodes (nested iteration), then in FAS cycles (the full approximation
+scheme): one sweep on every node, then sweeps on the quarter corrected by
+the difference of the two rules' f there, so so(3)* rows stop after two
+full sweeps.  Everything is batched.
 
 d mu is a complex step: the product is analytic, so on composable tangents
 d mu(v, w) = Im mu(a + i h v, b + i h w) / h to roundoff at h = COMPLEX_STEP,
@@ -470,16 +473,20 @@ def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
     sigma(a) = tau(b) within ``composability_tol`` at every row (checked
     strictly, no silent projection).  Solves the multiplication ODE by
     Gauss collocation (``_collocation``) from k = b at every node, by
-    Picard sweeps: first on the rule of a quarter of ``G.rule``'s nodes,
-    when that is a rule, until a row's update is at most its RK4 step^4
-    (RK4's global error), then on ``G.rule`` until the update at the nodes
-    and at t = 1 is at most ``PICARD_BOUND``, in real parts and, on complex
-    rows, in imaginary parts over ``COMPLEX_STEP``.  A row that leaves the
-    first phase unconverged, at the cap or a flow or guard error, starts
-    the second from b, so the first never raises.  A row decides alone, so
-    it gets the bits of a call of its own.  A row still active after
-    ``max_sweeps`` second-phase sweeps raises ProductConvergenceError.
-    omega must have condition number at most ``COND_BOUND`` at every row.
+    Picard sweeps k <- b + S (f(k) + C).  Phase 1 sweeps with C = 0 on the
+    coarse rule of a quarter of ``G.rule``'s nodes, when that is a rule,
+    until a row's update is at most its RK4 step^4.  Then each FAS cycle
+    makes one sweep on ``G.rule``, which stops a row whose update at the
+    nodes and at t = 1 is at most ``PICARD_BOUND`` (real parts and, on
+    complex rows, imaginary parts over ``COMPLEX_STEP``); any other row
+    takes C = f_fine - f_coarse at that sweep's nodes and sweeps on the
+    coarse rule until its update is at most ``PICARD_BOUND``.  A coarse
+    loop that does not converge in ``max_sweeps`` sweeps, or meets a flow
+    or guard error, restarts its row from b on ``G.rule`` alone, so no
+    coarse sweep raises.  A row decides alone, so it gets the bits of a
+    call of its own; one still active after ``max_sweeps`` fine sweeps
+    from its start raises ProductConvergenceError.  omega must have
+    condition number at most ``COND_BOUND`` at every row.
     """
     A, Bp = np.asarray(a), np.asarray(b)
     dtype = np.result_type(A, Bp, np.float64)
@@ -497,20 +504,21 @@ def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
     t, S = _collocation(m)
     p = G.rule.flight(G.engine, A, t)[..., n:]   # fiber of phi^t(a) at t
     Y = np.repeat(Bp[None], m + 1, axis=0)   # k at the nodes, then at t = 1
+    C = np.zeros((m,) + Bp.shape, dtype)     # f_fine - f_coarse at the nodes
     fresh = True          # every node at b: a sweep flies each row once
 
-    def sweep(rule, bound, fallback):
-        """Sweeps on ``rule``, each one flow-with-Jacobian at every node of
-        the active rows, of Y in place.  Returns the rows still active
-        after ``max_sweeps`` sweeps with their updates, then, by
-        ``fallback``, those of flow or guard errors, whose sweep is made
-        again without them; otherwise the error names its product row."""
+    def rhs(rule, rows, fallback):
+        """(rows, F, failed): f (m, k, d) at the nodes of Y's ``rows`` on
+        ``rule``, from one flow-with-Jacobian solve.  A flow or guard
+        error names its product row; by ``fallback`` the rows it names
+        join ``failed`` and the solve is made again without them,
+        otherwise it raises."""
         nonlocal fresh
-        active, update, failed, sweeps = np.arange(len(Bp)), None, [], 0
-        while len(active) and sweeps < max_sweeps:
-            k = len(active)
-            # node-major: row j is active[j % k]
-            K = Y[0 if fresh else slice(m), active].reshape(-1, d)
+        failed = []
+        while len(rows):
+            k = len(rows)
+            # node-major: row j is rows[j % k]
+            K = Y[0 if fresh else slice(m), rows].reshape(-1, d)
             acc = evaluator.omega_sum(rule)
             try:
                 _, J = G.flow_end(K, acc, rule=rule)
@@ -518,35 +526,65 @@ def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
                 _check_conditioning(W, K, COND_BOUND)
             except (DomainExitError, NonFiniteStateError, DegenerateFormError) as exc:
                 if exc.row is not None:
-                    exc.relocate(None, int(active[exc.row % k]))
+                    exc.relocate(None, int(rows[exc.row % k]))
                 if not fallback:
                     raise
-                failed.append(active if exc.row is None else [exc.row])
-                active = np.setdiff1d(active, failed[-1])
+                failed.append(rows if exc.row is None else [exc.row])
+                rows = np.setdiff1d(rows, failed[-1])
                 continue
             if fresh:
                 J, W, fresh = np.tile(J, (m, 1, 1)), np.tile(W, (m, 1, 1)), False
-            beta = np.einsum("baj,ba->bj", J[:, :n, :], p[:, active].reshape(m * k, n))
-            F = np.linalg.solve(W, beta[..., None]).reshape(m, k, d)
-            # node by node in a fixed order, so each row's sum is its own
-            new = Bp[active] + sum(S[:, j, None, None] * F[j] for j in range(m))
-            del J, W, acc, F     # before the next sweep's solve
-            step = new - Y[:, active]
-            update = np.max(np.maximum(abs(step.real), abs(step.imag) / COMPLEX_STEP),
-                            axis=(0, 2))
-            done, sweeps = update <= bound, sweeps + 1
-            Y[:, active] = new
-            active, update = active[~done], update[~done]
-        return np.concatenate([active, *failed]), update
+            beta = np.einsum("baj,ba->bj", J[:, :n, :], p[:, rows].reshape(m * k, n))
+            return rows, np.linalg.solve(W, beta[..., None]).reshape(m, k, d), failed
+        return rows, np.zeros((m, 0, d), dtype), failed
 
-    if TimeRule.admits(G.rule.n // 4):
-        coarse = TimeRule(G.rule.n // 4, G.rule.substeps)
-        left, _ = sweep(coarse, coarse.step ** 4, True)
-        Y[:, left] = Bp[left]             # the one-level path from b
-    left, update = sweep(G.rule, PICARD_BOUND, False)
-    if len(left):
-        raise ProductConvergenceError(max_sweeps, float(update[0]), PICARD_BOUND,
-                                      Bp[left[0]].real, int(left[0]))
+    def advance(rows, F):
+        """b + S F at ``rows``, node by node in a fixed order, so each
+        row's sum is its own, and each row's update from Y."""
+        new = Bp[rows] + sum(S[:, j, None, None] * F[j] for j in range(m))
+        step = new - Y[:, rows]
+        return new, np.max(np.maximum(abs(step.real), abs(step.imag) / COMPLEX_STEP),
+                           axis=(0, 2))
+
+    def sweep(rows, bound):
+        """Coarse sweeps of Y's ``rows`` in place until each row's update
+        is at most ``bound``; returns the rows left after ``max_sweeps``
+        sweeps, then those of flow or guard errors."""
+        failed = []
+        for _ in range(max_sweeps):
+            if not len(rows):
+                break
+            rows, F, lost = rhs(coarse, rows, True)
+            failed += lost
+            new, update = advance(rows, F + C[:, rows])
+            Y[:, rows] = new
+            rows = rows[update > bound]
+        return np.concatenate([rows, *failed]).astype(int)
+
+    active = restart = np.arange(len(Bp))    # restart: on the fine rule alone
+    sweeps, cycling = np.zeros(len(Bp), int), np.zeros(len(Bp), bool)
+    coarse = TimeRule.admits(G.rule.n // 4) and TimeRule(G.rule.n // 4, G.rule.substeps)
+    if coarse:
+        restart, cycling[:] = sweep(active, coarse.step ** 4), True
+    # FAS cycles: a fine sweep, then C and the corrected coarse sweeps of
+    # the cycling rows it did not stop
+    while len(active):
+        Y[:, restart], sweeps[restart], cycling[restart] = Bp[restart], 0, False
+        _, F, _ = rhs(G.rule, active, False)
+        new, update = advance(active, F)
+        sweeps[active] += 1
+        done = update <= PICARD_BOUND
+        capped = ~done & (sweeps[active] >= max_sweeps)
+        if capped.any():
+            i = int(np.argmax(capped))
+            raise ProductConvergenceError(max_sweeps, float(update[i]), PICARD_BOUND,
+                                          Bp[active[i]].real, int(active[i]))
+        C[:, active] = F
+        rows, F, lost = rhs(coarse, active[~done & cycling[active]], True)
+        C[:, rows] -= F       # at the fine sweep's Y
+        Y[:, active] = new
+        active = active[~done]
+        restart = np.concatenate([sweep(rows, PICARD_BOUND), *lost]).astype(int)
     return Y[m].copy()
 
 

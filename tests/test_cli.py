@@ -476,8 +476,9 @@ def test_check_makes_no_one_row_flow_solves(name, tmp_path, monkeypatch):
 def so3_check(tmp_path_factory):
     """One ``check`` of the bundled so3 config: its exit code, output
     directory, the (rows, dtype) of each product call, the number of flow
-    solves of each kind (``flow_with_jacobian``, ``flow_on_grid``) and
-    their total RK4 steps (``rk4_steps``, steps per solve, not per row), the
+    solves of each kind (``flow_with_jacobian``, ``flow_on_grid``), their
+    total RK4 steps (``rk4_steps``, steps per solve, not per row) and the
+    tangent solves' steps times rows (``tangent_row_steps``), the
     names of the functions that called ``np.linalg.svd`` and the tolerance
     names it read through ``Numerics.tol``."""
     out = tmp_path_factory.mktemp("so3_check")
@@ -497,9 +498,11 @@ def so3_check(tmp_path_factory):
         tol_names.add(name)
         return tol(self, name, default)
 
-    def stepped(self, points, nodes, substeps, *args):
-        solves["rk4_steps"] += (len(nodes) - 1) * substeps
-        return solve(self, points, nodes, substeps, *args)
+    def stepped(self, points, nodes, substeps, jacobian, *args):
+        steps = (len(nodes) - 1) * substeps
+        solves["rk4_steps"] += steps
+        solves["tangent_row_steps"] += len(points) * steps if jacobian else 0
+        return solve(self, points, nodes, substeps, jacobian, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groupoid, "multiply_poisson", counted_product)
@@ -521,18 +524,21 @@ def so3_check(tmp_path_factory):
 def test_so3_check_runs_one_product_call_per_check(so3_check):
     """so3's product rows go through one product call per check, in order:
     associativity stage 1 (20 real rows), the 50 complex d mu rows, and
-    stage 2 (20 real rows).  check makes 41 tangent-flow solves, one per
-    collocation sweep over every node of the rows still active (5, 6 and 5
-    on the 16-node coarse rule, then 6 each on the 64-node rule) and 7
-    outside the product, and 18 grid solves, 2 per product call (tau(b)
-    and the flight of a) and 12 outside the product: 2,755 RK4 steps
-    (the one-level sweeps, 10, 11 and 10 on the 64-node rule, took 38
-    tangent solves and 3,331 steps)."""
+    stage 2 (20 real rows).  check makes 47 tangent-flow solves, 40 in
+    the product calls, one per collocation sweep or coarse evaluation over
+    every node of the rows still active (11, 12 and 11 on the 16-node
+    coarse rule, then 2 each on the 64-node rule), and 7 outside the
+    product, and 18 grid solves, 2 per product call (tau(b) and the
+    flight of a) and 12 outside the product: 2,275 RK4 steps and 158,208
+    tangent row-steps.  Phase 1 and the fine rule alone (5, 6 and 5
+    coarse then 6 fine sweeps each) took 41 tangent solves, 2,755 steps
+    and 222,432 row-steps; the one-level sweeps (10, 11 and 10 on the
+    64-node rule) 38 tangent solves and 3,331 steps."""
     code, _, rows, solves, _, _ = so3_check
     assert code == 0
     assert rows == [(20, "float64"), (50, "complex128"), (20, "float64")]
-    assert solves == {"flow_with_jacobian": 41, "flow_on_grid": 18,
-                      "rk4_steps": 2755}
+    assert solves == {"flow_with_jacobian": 47, "flow_on_grid": 18,
+                      "rk4_steps": 2275, "tangent_row_steps": 158208}
 
 
 def test_so3_check_makes_no_guard_svd(so3_check):

@@ -39,8 +39,12 @@ ROUNDOFF = 1e-14
 
 
 @lru_cache(maxsize=None)
-def _case(name):
-    kind, nm, inputs = parse_config(load_config(CONFIGS / f"{name}.json"))
+def _case(name, quad_nodes=None):
+    """(groupoid, evaluator) of a bundled config, at ``quad_nodes`` if given."""
+    raw = load_config(CONFIGS / f"{name}.json")
+    if quad_nodes is not None:
+        raw["numerics"]["quad_nodes"] = quad_nodes
+    kind, nm, inputs = parse_config(raw)
     scen = scenarios.build(kind, nm, inputs)
     return scen.groupoid, scen.evaluator
 
@@ -55,13 +59,15 @@ def _dmu_rows(G, count, seed):
     return groupoid._complex_step_rows(a, b, [(v, w)]), v, w, a, b
 
 
-def _tangent_solves(monkeypatch):
-    """The row count of each tangent-flow solve made from now on."""
+def _tangent_solves(monkeypatch, steps=None):
+    """The row count of each tangent-flow solve made from now on, or of
+    those of ``steps`` RK4 steps alone."""
     widths, original = [], FlowEngine.flow_with_jacobian
 
-    def counted(self, P, *args):
-        widths.append(len(P))
-        return original(self, P, *args)
+    def counted(self, P, nodes, *args):
+        if steps in (None, len(nodes) - 1):
+            widths.append(len(P))
+        return original(self, P, nodes, *args)
 
     monkeypatch.setattr(FlowEngine, "flow_with_jacobian", counted)
     return widths
@@ -84,15 +90,20 @@ def test_collocation_is_as_accurate_as_rk4_32(name):
         assert error <= max(np.max(np.abs(part(rk32) - part(rk64))), ROUNDOFF)
 
 
-@pytest.mark.parametrize("name, bound", [("so3", 1e-14),
-                                         ("constant_poisson", 0.0)])
-def test_two_level_sweeps_match_one_level_collocation(name, bound):
-    """The two-phase product agrees with the one-level Picard sweeps of
-    the same collocation equations on 40 complex d mu rows: on so3 to
-    8.3e-16 in mu and 4.1e-15 in d mu (measured), and bit for bit on the
-    affine constant_poisson, where the coarse rule's flow and omega are
-    the fine rule's."""
-    G, ev = _case(name)
+@pytest.mark.parametrize("name, bound, quad_nodes", [
+    pytest.param("so3", 1e-14, None, id="so3-1e-14"),
+    pytest.param("so3", 1e-14, 8, id="so3-1e-14-quad8"),
+    pytest.param("so3", 1e-14, 16, id="so3-1e-14-quad16"),
+    pytest.param("constant_poisson", 0.0, None, id="constant_poisson-0.0")])
+def test_two_level_sweeps_match_one_level_collocation(name, bound, quad_nodes):
+    """The two-level product (phase 1 and FAS cycles) agrees with the
+    one-level Picard sweeps of the same collocation equations on 40
+    complex d mu rows: on so3 at 64 nodes to 9.4e-16 in mu and 1.7e-15 in
+    d mu (measured), at 8 and 16 nodes, whose coarse rules have 2 and 4
+    nodes, to 8.9e-16 and 1.7e-15, and bit for bit on the affine
+    constant_poisson, where the coarse rule's flow and omega are the fine
+    rule's."""
+    G, ev = _case(name, quad_nodes)
     rows = _dmu_rows(G, 40, 77)[0]
     got, want = multiply_poisson(G, ev, *rows), collocation_product(G, ev, *rows)
     assert np.max(np.abs(got.real - want.real)) <= bound
@@ -139,9 +150,10 @@ def test_constant_poisson_product_inverse_and_dmu_are_affine():
 
 
 def test_sweep_cap_raises_a_named_row_error():
-    """so3 pairs need 3 to 6 coarse and 3 to 6 fine sweeps: a cap of 3
-    leaves phase 1 unconverged and raises in phase 2 at the first row, and
-    through the product schedule the error names its check."""
+    """so3 pairs need 3 to 6 phase-1 sweeps: a cap of 3 leaves phase 1
+    unconverged, so every row restarts on the fine rule alone and the
+    first row raises after 3 fine sweeps, and through the product
+    schedule the error names its check."""
     G, ev = _case("so3")
     a, b = sample_composable_pairs(G, 3, 5)
     with pytest.raises(ProductConvergenceError) as err:
@@ -158,11 +170,12 @@ def test_sweep_cap_raises_a_named_row_error():
 
 
 def test_rows_stop_on_their_own(monkeypatch):
-    """Unit rows (a a unit, so p = 0) stop after 1 sweep in each phase,
-    and so3 pairs after 4 coarse and 5 fine sweeps.  Interleaved in one
-    call, each row gets the bits of a call of its own, and each phase
-    narrows to the active rows after its sweep 1; the call's first sweep
-    flies each row once."""
+    """Unit rows (a a unit, so p = 0) stop after 1 phase-1 sweep and 1
+    fine sweep, and so3 pairs after 4 phase-1 sweeps and one FAS cycle:
+    a fine sweep, the coarse evaluation of C, 4 corrected coarse sweeps,
+    then the second fine sweep.  Interleaved in one call, each row gets
+    the bits of a call of its own, and each sweep narrows to the rows
+    still active; the call's first sweep flies each row once."""
     G, ev = _case("so3")
     a, b = sample_composable_pairs(G, 3, 5)
     units = G.units(G.tau(b))
@@ -170,11 +183,11 @@ def test_rows_stop_on_their_own(monkeypatch):
     widths = _tangent_solves(monkeypatch)
     mixed = multiply_poisson(G, ev, A.reshape(6, -1), B.reshape(6, -1))
     assert widths == ([6] + [PRODUCT_NODES * 3] * 3 + [PRODUCT_NODES * 6]
-                      + [PRODUCT_NODES * 3] * 4)
+                      + [PRODUCT_NODES * 3] * 6)
     widths.clear()
     alone = [multiply_poisson(G, ev, A[i, j][None], B[i, j][None])[0]
              for i in range(3) for j in range(2)]
-    assert widths == ([1, PRODUCT_NODES] + [1] + [PRODUCT_NODES] * 8) * 3
+    assert widths == ([1, PRODUCT_NODES] + [1] + [PRODUCT_NODES] * 10) * 3
     assert all(np.array_equal(x, y) for x, y in zip(mixed, alone))
     assert np.array_equal(mixed[::2], b)
 
@@ -182,8 +195,9 @@ def test_rows_stop_on_their_own(monkeypatch):
 def test_complex_rows_sweep_until_their_derivative_converges(monkeypatch):
     """A unit a + i h (0, v) has a real part that converges at sweep 1, as
     the real unit does, but an imaginary part over h that needs a second
-    sweep in each phase: the row keeps sweeping, and d mu agrees with
-    RK4-32."""
+    phase-1 sweep and a second fine sweep, after the coarse evaluation of
+    C and 1 corrected coarse sweep: the row keeps sweeping, and d mu
+    agrees with RK4-32."""
     G, ev = _case("so3")
     _, b = sample_composable_pairs(G, 2, 5)
     units = G.units(G.tau(b))
@@ -195,7 +209,7 @@ def test_complex_rows_sweep_until_their_derivative_converges(monkeypatch):
     assert err.value.row == 0
     widths = _tangent_solves(monkeypatch)
     got = multiply_poisson(G, ev, stepped, b)
-    assert widths == [2] + [PRODUCT_NODES * 2] * 3
+    assert widths == [2] + [PRODUCT_NODES * 2] * 5
     monkeypatch.undo()
     assert np.array_equal(got.real, b)
     want = rk4_product(G, ev, stepped, b, 32).imag / COMPLEX_STEP
@@ -211,11 +225,13 @@ def test_node_row_errors_name_their_product_row(error, width, index, row,
     """A row error raised at index j of a fine sweep's wide batch (nodes
     major, k active rows each) names product row active[j % k] and keeps
     its point.  Rows: unit, pair, unit, pair, unit, pair; the units stop
-    after sweep 1 of each phase.  The coarse sweeps are 6 rows wide (the
-    first flies each row once), then 3 x 6; the fine ones 6 x 6, then
-    3 x 6, so k = 3 active rows, 1, 3 and 5.  An error at a 3 x 6 coarse
-    sweep is the coarse phase's: row 3 then starts the fine phase from b,
-    and the error raised is the fine sweep's, the second."""
+    after their first phase-1 and first fine sweep.  The phase-1 sweeps
+    are 6 rows wide (the first flies each row once), then 3 x 6; the
+    first fine sweep 6 x 6.  An error at 3 x 6 first strikes phase 1's
+    second sweep, a coarse one: row 3 then restarts from b on the fine
+    rule alone, rows 1 and 5 sweep 2 x 6 on the coarse rule, and the
+    error raised is that of the second fine sweep, 3 x 6 wide over rows
+    1, 3 and 5 (k = 3), the second error seen."""
     G, ev = _case("so3")
     a, b = sample_composable_pairs(G, 3, 5)
     A = np.stack([G.units(G.tau(b)), a], axis=1).reshape(6, -1)
@@ -238,31 +254,95 @@ def test_node_row_errors_name_their_product_row(error, width, index, row,
     assert np.array_equal(err.value.point, seen[-1])
 
 
-@pytest.mark.parametrize("error", [DomainExitError, NonFiniteStateError,
-                                   DegenerateFormError])
-def test_coarse_row_error_restarts_the_row_on_the_fine_rule(error,
-                                                            monkeypatch):
-    """An error at index 7 of the first 3 x 6 coarse sweep (rows unit,
-    pair, unit, pair, unit, pair, as above) is row 3's: the call returns,
-    that row is the one-level product's bit for bit, the coarse sweep is
-    made again without it (2 x 6 rows), and every other row has the bits
-    of a call of its own."""
-    G, ev = _case("so3")
-    a, b = sample_composable_pairs(G, 3, 5)
-    A = np.stack([G.units(G.tau(b)), a], axis=1).reshape(6, -1)
-    B = np.repeat(b, 2, axis=0)
-    alone = [multiply_poisson(G, ev, A[i][None], B[i][None])[0] for i in range(6)]
-    one_level = collocation_product(G, ev, A[3][None], B[3][None])[0]
+# the guard calls of the call below: phase 1 (6, then 3 x 6 wide, three
+# times), the first fine sweep (6 x 6), the coarse evaluation of C and the
+# corrected coarse sweeps (3 x 6 each), the second fine sweep (3 x 6)
+_GUARD_CALLS = {"phase1": 1, "correction": 5, "corrected": 6}
+_ROW_ERRORS = [DomainExitError, NonFiniteStateError, DegenerateFormError]
+
+
+def _erring_guard(error, at, monkeypatch):
+    """The widths of every guard call from now on; guard call ``at``
+    raises ``error`` at flat index 7, product row 3 of rows 1, 3, 5."""
     original, widths = groupoid._check_conditioning, []
 
     def guard(W, points, bound):
         widths.append(len(points))
-        if widths == [6, 3 * PRODUCT_NODES]:
+        if len(widths) == at + 1:
+            assert len(points) == 3 * PRODUCT_NODES
             raise error(0.5, points[7].real, row=7)
         return original(W, points, bound)
 
     monkeypatch.setattr(groupoid, "_check_conditioning", guard)
+    return widths
+
+
+def _units_and_pairs(G):
+    """Rows unit, pair, unit, pair, unit, pair over 3 so3 pairs."""
+    a, b = sample_composable_pairs(G, 3, 5)
+    A = np.stack([G.units(G.tau(b)), a], axis=1).reshape(6, -1)
+    return A, np.repeat(b, 2, axis=0)
+
+
+@pytest.mark.parametrize("error, at", [
+    *(pytest.param(e, "phase1", id=e.__name__) for e in _ROW_ERRORS),
+    *(pytest.param(e, at, id=f"{e.__name__}-{at}") for e in _ROW_ERRORS
+      for at in ("correction", "corrected"))])
+def test_coarse_row_error_restarts_the_row_on_the_fine_rule(error, at,
+                                                            monkeypatch):
+    """An error at index 7 of a 3 x 6 coarse solve (rows unit, pair, unit,
+    pair, unit, pair, as above) is row 3's, whether it strikes phase 1's
+    second sweep, the coarse evaluation of C after the first fine sweep,
+    or the first corrected coarse sweep: the call returns, that row is
+    the one-level product's bit for bit, the coarse solve is made again
+    without it (2 x 6 rows), and every other row has the bits of a call
+    of its own."""
+    G, ev = _case("so3")
+    A, B = _units_and_pairs(G)
+    alone = [multiply_poisson(G, ev, A[i][None], B[i][None])[0] for i in range(6)]
+    one_level = collocation_product(G, ev, A[3][None], B[3][None])[0]
+    at = _GUARD_CALLS[at]
+    widths = _erring_guard(error, at, monkeypatch)
     got = multiply_poisson(G, ev, A, B)
-    assert widths[:3] == [6, 3 * PRODUCT_NODES, 2 * PRODUCT_NODES]
+    assert widths[at:at + 2] == [3 * PRODUCT_NODES, 2 * PRODUCT_NODES]
     assert np.array_equal(got[3], one_level)
     assert all(np.array_equal(got[i], alone[i]) for i in (0, 1, 2, 4, 5))
+
+
+@pytest.mark.parametrize("error", _ROW_ERRORS)
+def test_restarted_row_meets_the_fine_sweep_cap(error, monkeypatch):
+    """At a cap of 5 the pairs' FAS cycle fits (4 phase-1 sweeps, 4
+    corrected coarse sweeps, 2 fine sweeps), but row 3, restarted from b
+    by an error at its first corrected coarse sweep, needs more than 5
+    fine sweeps alone: its fine-sweep cap raises ProductConvergenceError
+    naming row 3."""
+    G, ev = _case("so3")
+    _erring_guard(error, _GUARD_CALLS["corrected"], monkeypatch)
+    with pytest.raises(ProductConvergenceError) as err:
+        multiply_poisson(G, ev, *_units_and_pairs(G), max_sweeps=5)
+    assert (err.value.row, err.value.sweeps) == (3, 5)
+    assert err.value.update > PICARD_BOUND
+    assert "> 1.0e-13) at batch row 3, point (" in str(err.value)
+
+
+def test_bundled_so3_rows_take_two_fine_sweeps(monkeypatch):
+    """Every row of the three product calls of the bundled so3 check (20
+    real, 50 complex and 20 real rows, at the check's seeds) stops at its
+    second fine sweep: each call makes two solves on the 64-node rule,
+    each over every node of every row (one-level sweeps took 10, 11 and
+    10; phase 1 then the fine rule, 6, 6 and 6)."""
+    raw = load_config(CONFIGS / "so3.json")
+    nm = parse_config(raw)[1]
+    G, ev = _case("so3")
+    fine, calls, product = _tangent_solves(monkeypatch, 64), [], multiply_poisson
+
+    def counted(G, ev, a, b, **kwargs):
+        start = len(fine)
+        out = product(G, ev, a, b, **kwargs)
+        calls.append((len(a), fine[start:]))
+        return out
+
+    monkeypatch.setattr(groupoid, "multiply_poisson", counted)
+    product_residuals(G, ev, nm.mult_pairs, nm.assoc_triples, nm.seed + 11,
+                      nm.seed + 12, max_sweeps=nm.mu_steps)
+    assert calls == [(rows, [PRODUCT_NODES * rows] * 2) for rows in (20, 50, 20)]

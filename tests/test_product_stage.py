@@ -192,19 +192,20 @@ def test_zero_forms_run_at_no_node(monkeypatch):
 
 
 def test_product_stage_nodes_write_out_no_state():
-    """A product call writes the state out (``publish`` in ``flow``) 17
-    times on 3 so3 pairs: z and J at the end of each of its 11 solves
-    (tau(b), the flight of a and 9 tangent solves, one per collocation
-    sweep), and z alone at the 6 Gauss nodes of the flight of a, whose
-    consumer reads z there and nowhere else.  None at the 65 nodes of a
-    tangent solve, where only the generated omega sum runs."""
+    """A product call writes the state out (``publish`` in ``flow``) 19
+    times on 3 so3 pairs: z and J at the end of each of its 13 solves
+    (tau(b), the flight of a and 11 tangent solves, one per collocation
+    sweep or coarse evaluation), and z alone at the 6 Gauss nodes of the
+    flight of a, whose consumer reads z there and nowhere else.  None at
+    the nodes of a tangent solve, where only the generated omega sum
+    runs."""
     scen = _scenario("so3")
     a, b = groupoid.sample_composable_pairs(scen.groupoid, 3, 5)
     publishes = _publishes(lambda: groupoid.multiply_poisson(
         scen.groupoid, scen.evaluator, a, b))
-    assert len(publishes) == 17
+    assert len(publishes) == 19
     assert publishes.count(("z", 0)) == 6
-    assert publishes.count(("_solve", None)) == 11
+    assert publishes.count(("_solve", None)) == 13
 
 
 def test_cocycle_nodes_write_out_z_alone():

@@ -60,7 +60,19 @@ def test_moved_residual_and_note_are_listed(tmp_path, capsys):
         "0.6503 -> 0.6504  |d| 0.0001  tol 1e-07",
         "moved  so3/so3_residuals.csv[closedness].residual#0: "
         "1e-15 -> 3e-15  |d| 2e-15  tol 9.9999999999999995e-08",
-        "3 numeric values moved, 0 other differences"]
+        "3 numeric values moved (largest |d| 0.0001 at "
+        "so3/so3_report.json.checks[closedness].note#0), 0 other differences"]
+
+
+def test_summary_names_the_first_of_equal_largest_moves(tmp_path, capsys):
+    """The residual moves by 2e-15 in the report and in the CSV: the
+    summary names the first of the two equal moves."""
+    head = _tree(tmp_path / "b", _edited(residual=3e-15),
+                 CSV.replace("1.0000000000000001e-15", "3e-15"))
+    assert report_diff.main([str(_tree(tmp_path / "a")), str(head)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 numeric values moved (largest |d| 2e-15 at "
+        "so3/so3_report.json.checks[closedness].residual), 0 other differences")
 
 
 @pytest.mark.parametrize("edit", [
@@ -109,7 +121,8 @@ def test_removed_check_is_named_and_the_rest_still_compared(tmp_path, capsys):
         "1e-15 -> 3e-15  |d| 2e-15  tol 9.9999999999999995e-08",
         "DIFFERS  so3/so3_report.json.checks: check removed leibniz_rule",
         "DIFFERS  so3/so3_residuals.csv: check removed leibniz_rule",
-        "2 numeric values moved, 2 other differences"]
+        "2 numeric values moved (largest |d| 2e-15 at "
+        "so3/so3_report.json.checks[closedness].residual), 2 other differences"]
 
 
 def test_added_and_reordered_checks_differ(tmp_path, capsys):

@@ -9,6 +9,9 @@ value that moved: its path, old and new value, |new - old| and the
 tolerance it is checked against ("-" for values no check reads: eval
 output, convergence errors, notes).  Numbers are read from report JSON,
 eval output, CSV cells and numbers inside text such as a check's note.
+The last line counts the moved values, names the largest |new - old| and
+its path (the first such path on a tie), and counts the other
+differences, so a deliberate re-baseline states its bound in one line.
 
 Report checks and residual-CSV rows are paired by check name, so a check
 present on one side only prints as ``check removed NAME`` or ``check added
@@ -173,7 +176,11 @@ def main(argv):
               f"tol {tol}")
     for path, what in diff.broken:
         print(f"DIFFERS  {path}: {what}")
-    print(f"{len(diff.moved)} numeric values moved, "
+    largest = ""
+    if diff.moved:
+        path, old, new, _ = max(diff.moved, key=lambda m: abs(m[2] - m[1]))
+        largest = f" (largest |d| {abs(new - old):.3g} at {path})"
+    print(f"{len(diff.moved)} numeric values moved{largest}, "
           f"{len(diff.broken)} other differences")
     return 1 if diff.broken else 0
 
