@@ -11,7 +11,8 @@ import sys
 
 from sprayform.algebroid import cotangent_algebroid, default_spray
 from sprayform.expr import BivectorField, parse
-from sprayform.groupoid import SprayGroupoid, discover_validity_box
+from sprayform.groupoid import (MultFormEvaluator, SprayGroupoid,
+                                discover_validity_box)
 from sprayform.imform import linear_form, poisson_im_pair
 from sprayform.scenarios import convergence_study
 
@@ -24,20 +25,22 @@ V = default_spray(A)
 G = SprayGroupoid(A, V, n_quad=16)
 discover_validity_box(G)
 pts = G.sample_validity_points(6, seed=5)
-lf = linear_form(poisson_im_pair(A))
+ev = MultFormEvaluator(G, linear_form(poisson_im_pair(A)))
 
-rows, order = convergence_study(A, V, lf, pts)
+# each rung (N, M) is the time rule of N quadrature subintervals and M RK4
+# steps per node gap, flown on G itself
+rows, order = convergence_study(ev, pts, [(16, 1), (32, 1), (64, 1), (128, 1)])
 print("combined ladder (h = 1/n):")
 for r in rows:
     print(f"  n={r['n_quad']:4d}  error={r['error']:.3e}")
 print(f"fitted order: {order:.3f}")
 
-rows, order = convergence_study(A, V, lf, pts,
-                                levels=[(16, 8), (32, 4), (64, 2), (128, 1)])
+rows, order = convergence_study(ev, pts,
+                                [(16, 8), (32, 4), (64, 2), (128, 1)])
 print(f"quadrature axis (step fixed at 1/128): order {order:.3f}")
 
-rows, order = convergence_study(A, V, lf, pts,
-                                levels=[(128, 1), (128, 2), (128, 4), (128, 8)])
+rows, order = convergence_study(ev, pts,
+                                [(128, 1), (128, 2), (128, 4), (128, 8)])
 print(f"flow axis (nodes fixed at 128): order {order:.3f}")
 
 # The CLI runs the same pipelines from JSON configs:

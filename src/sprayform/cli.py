@@ -31,14 +31,9 @@ import numpy as np
 
 from . import expr as ex
 from .algebroid import AlgebroidChart, SymbolicStructure, base_vars
-from .errors import ConfigError, EvalDomainError, ExprError, SprayformError
+from .errors import ConfigError, ExprError, SprayformError, named
 from .flow import TimeRule
-from .groupoid import (
-    SprayGroupoid,
-    discover_validity_box,
-    integrate_cocycle,
-    multiply_poisson,
-)
+from .groupoid import discover_validity_box, integrate_cocycle, multiply_poisson
 from .scenarios import (KINDS, TOLERANCE_NAMES, Numerics, build,
                         convergence_study, run_checks)
 from . import tensor as tn
@@ -173,10 +168,8 @@ def _parse(node, xs, path):
     An entry that does not parse or fold names itself: ``pi["12"]: ...``."""
     if isinstance(node, list):
         return [_parse(e, xs, f"{path}[{i}]") for i, e in enumerate(node)]
-    try:
+    with named(path):
         return ex.parse(node, xs)
-    except (EvalDomainError, ExprError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _parse_form(mapping, n, degree, what):
@@ -353,14 +346,12 @@ def cmd_convergence(args):
     levels = _parse_ladder(args.ladder)
     if kind not in ("poisson", "nijenhuis", "gcs", "jacobi"):
         raise ConfigError(f"convergence ladder not supported for kind {kind!r}")
-    # the chart, spray and form that check certifies
+    # the groupoid and form that check certifies; each rung is a time rule
+    # on them.  The radius is discovered again, at seed + 3, for the points.
     scen = _groupoid_scenario(kind, nm, inputs)
-    A, V, ev = scen.chart, scen.groupoid.spray, scen.evaluator
-    G0 = SprayGroupoid(A, V, n_quad=levels[0][0])
-    discover_validity_box(G0, seed=nm.seed + 3)
-    pts = G0.sample_validity_points(min(10, nm.samples), nm.seed + 4)
-    rows, order = convergence_study(A, V, ev.form, pts, levels=levels,
-                                    weight_cocycle=ev.weight_cocycle)
+    discover_validity_box(scen.groupoid, seed=nm.seed + 3)
+    pts = scen.groupoid.sample_validity_points(min(10, nm.samples), nm.seed + 4)
+    rows, order = convergence_study(scen.evaluator, pts, levels)
 
     text = _csv_text([["n_quad", "substeps", "h", "error", "fitted_order"]] + [
         [r["n_quad"], r["substeps"], format(r["h"], ".17g"),

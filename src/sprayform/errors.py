@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and ``named``, which puts
+the stage that was running in front of an error's message."""
+
+from contextlib import contextmanager
 
 
 class SprayformError(Exception):
@@ -40,8 +43,7 @@ class BatchRowError(SprayformError):
     """An error at one row of a point batch: ``row`` is the batch index of
     the offending point (when known) and ``point`` the point.
 
-    ``relocate`` moves the error to the row's place in its caller's batch
-    and can name the check that owns the row.
+    ``relocate`` moves the error to the row's place in its caller's batch.
     """
 
     def __init__(self, point=None, row=None):
@@ -57,10 +59,10 @@ class BatchRowError(SprayformError):
                                                for v in self.point) + ")")
         return ", ".join(where)
 
-    def relocate(self, owner, row):
-        """Name ``row`` as the batch row, with ``owner: `` in front if given."""
+    def relocate(self, row):
+        """Name ``row`` as the batch row."""
         self.row = row
-        self.args = (("" if owner is None else f"{owner}: ") + self._message(),)
+        self.args = (self._message(),)
 
 
 class DomainExitError(BatchRowError):
@@ -160,3 +162,13 @@ class NonlinearCocycleError(SprayformError):
 
 class ConfigError(SprayformError):
     """Invalid problem configuration."""
+
+
+@contextmanager
+def named(name):
+    """Put ``name: `` in front of the message of a library error raised inside."""
+    try:
+        yield
+    except SprayformError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise

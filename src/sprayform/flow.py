@@ -5,7 +5,8 @@ that exists only numerically.
 The integrator is classical fixed-step RK4.  ``TimeRule`` aligns its steps
 with the quadrature nodes on [0, 1]: the state is computed exactly at the
 nodes that the time integral of pulled-back forms is evaluated on, so no
-dense-output interpolation error enters the quadrature.  The tangent flow
+dense-output interpolation error enters the quadrature.  A solve takes the
+rule's nodes and substeps, so one engine flies every rule.  The tangent flow
 J_t solves the variational equation dJ/dt = DV(phi^t) J in lockstep with
 the state, using exact symbolic partials of the vector field.
 
@@ -62,10 +63,11 @@ COMPLEX_STEP = 1e-20      # the step h of ``complex_step``
 class TimeRule:
     """The time rule on [0, 1]: composite Simpson with n subintervals on
     the nodes j/n, which hold t = 0 and 1, weights summing to one, and RK4
-    with ``substeps`` equal steps in each gap between nodes.  The forms
-    read the flow on the nodes (``flow``) and running integrals along it
-    (``running``); the product's flight reads the flow at other times
-    (``flight``).
+    with ``substeps`` equal steps in each gap between nodes.  It is a
+    parameter of each solve, not of the engine: a ``FlowEngine`` solve on
+    its ``nodes`` and ``substeps`` flies it, the forms sum its ``weights``
+    and running integrals (``running``) over the nodes, and the product's
+    flight reads the flow at other times (``flight``).
     """
 
     def __init__(self, n=64, substeps=1):
@@ -83,12 +85,6 @@ class TimeRule:
     def admits(n, substeps=1):
         """Whether n >= 2 is even, for composite Simpson, and substeps >= 1."""
         return n >= 2 and n % 2 == 0 and substeps >= 1
-
-    def flow(self, engine, points, at_node=None, jacobian=True):
-        """``engine``'s flow of ``points`` over the nodes: the end (z, J),
-        or z alone without ``jacobian``; ``at_node(j, node)`` sees node j."""
-        solve = engine.flow_with_jacobian if jacobian else engine.flow_on_grid
-        return solve(points, self.nodes, self.substeps, at_node)
 
     def flight(self, engine, points, times):
         """The states (len(times), B, d) of ``engine``'s flow of ``points``

@@ -47,7 +47,6 @@ import numpy as np
 from . import expr as ex
 from . import tensor as tn
 from .errors import (
-    BatchRowError,
     ComposabilityError,
     DegenerateFormError,
     DimensionError,
@@ -55,6 +54,7 @@ from .errors import (
     NonFiniteStateError,
     NonlinearCocycleError,
     ProductConvergenceError,
+    named,
 )
 from .flow import COMPLEX_STEP, FlowEngine, TimeRule, complex_step
 from .report import CheckReport, SplitMix64
@@ -82,14 +82,13 @@ PICARD_BOUND = 1e-13  # largest last update of a converged product row
 @dataclass
 class SprayGroupoid:
     """Structure maps of the local groupoid of a spray, whose flows and form
-    integrals step ``rule``, the ``flow.TimeRule`` of ``n_quad`` and
-    ``substeps``.  Evaluations are batched over points;
+    integrals step ``rule``, the ``flow.TimeRule`` of ``n_quad``, unless a
+    call is given another rule.  Evaluations are batched over points;
     ``validity_fiber_radius`` is set by ``discover_validity_box``."""
 
     chart: object
     spray: object
     n_quad: int = 64
-    substeps: int = 1
     validity_fiber_radius: float | None = None
 
     def __post_init__(self):
@@ -99,7 +98,7 @@ class SprayGroupoid:
         self.total_box = np.vstack([base_box, fiber_box])
         self.engine = FlowEngine(self.spray.components, self.spray.variables,
                                  box=self.total_box)
-        self.rule = TimeRule(self.n_quad, self.substeps)
+        self.rule = TimeRule(self.n_quad)
 
     @property
     def n(self):
@@ -121,8 +120,8 @@ class SprayGroupoid:
         return np.concatenate([X, np.zeros((len(X), self.r))], axis=1)
 
     def flow_end(self, P, *consumers, rule=None):
-        """(z, J) at t = 1 from one tangent-flow solve on the nodes of
-        ``rule`` (default ``self.rule``).
+        """(z, J) at t = 1 from one tangent-flow solve of ``rule`` (default
+        ``self.rule``): RK4 over its nodes at its substeps.
 
         Nothing is stored: each consumer (``MultFormEvaluator.omega_sum``,
         ``integrate_cocycle``, ``algebroid.transport_weight``) runs as
@@ -136,10 +135,13 @@ class SprayGroupoid:
             for consume in consumers:
                 consume(j, node)
 
-        return (rule or self.rule).flow(self.engine, P, at_node if consumers else None)
+        rule = rule or self.rule
+        return self.engine.flow_with_jacobian(P, rule.nodes, rule.substeps,
+                                              at_node if consumers else None)
 
     def tau(self, P):
-        return self.rule.flow(self.engine, P, jacobian=False)[:, : self.n]
+        return self.engine.flow_on_grid(P, self.rule.nodes,
+                                        self.rule.substeps)[:, : self.n]
 
     def validity_box(self):
         """Total-space box actually certified by the discovery procedure."""
@@ -186,10 +188,9 @@ def discover_validity_box(G, seed=505):
             continue
         G.validity_fiber_radius = radius
         return radius
-    exit_error.relocate(f"validity discovery: no fiber radius >= {VALIDITY_MIN_RADIUS} "
-                        f"keeps the {VALIDITY_SAMPLES} sample flows in the chart box",
-                        exit_error.row)
-    raise exit_error
+    with named(f"validity discovery: no fiber radius >= {VALIDITY_MIN_RADIUS} "
+               f"keeps the {VALIDITY_SAMPLES} sample flows in the chart box"):
+        raise exit_error
 
 
 class MultFormEvaluator:
@@ -526,7 +527,7 @@ def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
                 _check_conditioning(W, K, COND_BOUND)
             except (DomainExitError, NonFiniteStateError, DegenerateFormError) as exc:
                 if exc.row is not None:
-                    exc.relocate(None, int(rows[exc.row % k]))
+                    exc.relocate(int(rows[exc.row % k]))
                 if not fallback:
                     raise
                 failed.append(rows if exc.row is None else [exc.row])
@@ -563,7 +564,7 @@ def multiply_poisson(G, evaluator, a, b, max_sweeps=32, composability_tol=1e-9):
 
     active = restart = np.arange(len(Bp))    # restart: on the fine rule alone
     sweeps, cycling = np.zeros(len(Bp), int), np.zeros(len(Bp), bool)
-    coarse = TimeRule.admits(G.rule.n // 4) and TimeRule(G.rule.n // 4, G.rule.substeps)
+    coarse = TimeRule.admits(G.rule.n // 4) and TimeRule(G.rule.n // 4)
     if coarse:
         restart, cycling[:] = sweep(active, coarse.step ** 4), True
     # FAS cycles: a fine sweep, then C and the corrected coarse sweeps of
@@ -639,18 +640,6 @@ def composable_tangents_batch(dtau, v_bases, rng):
     return out
 
 
-def _multiply(G, evaluator, check, a, b, max_sweeps, composability_tol=1e-9):
-    """``multiply_poisson`` on one check's rows; an error at a row names
-    the check."""
-    try:
-        return multiply_poisson(G, evaluator, a, b, max_sweeps=max_sweeps,
-                                composability_tol=composability_tol)
-    except BatchRowError as exc:
-        if exc.row is not None:
-            exc.relocate(check, exc.row)
-        raise
-
-
 def _complex_step_rows(a, b, tangent_pairs):
     """The product rows of d mu at (a, b) on composable tangent pairs (v, w):
     (a + i h v, b + i h w) at h = COMPLEX_STEP, one row per pair and point,
@@ -674,8 +663,8 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     associativity || mu(mu(a,b),c) - mu(a,mu(b,c)) || over sampled
     composable triples.  The calls run in order: associativity stage 1,
     mu(a, b) and mu(b, c), on real rows; the complex d mu rows, 2 per
-    pair; stage 2, real, at composability tolerance 1e-8.  An error at a
-    row names its check, and stage 1 runs first, so its errors come first.
+    pair; stage 2, real, at composability tolerance 1e-8.  An error in a
+    call names its check, and stage 1 runs first, so its errors come first.
     """
     rng = SplitMix64(mult_seed)
     a, b = sample_composable_pairs(G, n_pairs, mult_seed)
@@ -695,15 +684,18 @@ def product_residuals(G, evaluator, n_pairs, n_triples, mult_seed,
     tb = _left_factors(G, tc, rng, fiber_scale)
     ta = _left_factors(G, tb, rng, fiber_scale)
 
-    ab, bc = np.split(_multiply(G, evaluator, "associativity stage 1",
-                                np.concatenate([ta, tb]), np.concatenate([tb, tc]),
-                                max_sweeps), 2)
-    products = _multiply(G, evaluator, "multiplicativity",
-                         *_complex_step_rows(a, b, [(v1, w1), (v2, w2)]),
-                         max_sweeps)
-    stage2 = _multiply(G, evaluator, "associativity stage 2",
-                       np.concatenate([ab, ta]), np.concatenate([tc, bc]),
-                       max_sweeps, composability_tol=1e-8)
+    with named("associativity stage 1"):
+        ab, bc = np.split(multiply_poisson(
+            G, evaluator, np.concatenate([ta, tb]), np.concatenate([tb, tc]),
+            max_sweeps=max_sweeps), 2)
+    with named("multiplicativity"):
+        products = multiply_poisson(
+            G, evaluator, *_complex_step_rows(a, b, [(v1, w1), (v2, w2)]),
+            max_sweeps=max_sweeps)
+    with named("associativity stage 2"):
+        stage2 = multiply_poisson(
+            G, evaluator, np.concatenate([ab, ta]), np.concatenate([tc, bc]),
+            max_sweeps=max_sweeps, composability_tol=1e-8)
 
     mu = products[:n_pairs].real
     dmu1, dmu2 = products.imag.reshape(2, n_pairs, d) / COMPLEX_STEP

@@ -14,7 +14,6 @@ from its own seed; a library error raised in one is prefixed with its name.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,8 +31,8 @@ from .algebroid import (
     jacobi_algebroid,
     jacobi_cocycle,
 )
-from .errors import CompatibilityError, SprayformError
-from .flow import complex_step
+from .errors import CompatibilityError, ConfigError, named
+from .flow import TimeRule, complex_step
 from .groupoid import (
     PRODUCT_NODES,
     VALIDITY_BASE_SCALE,
@@ -129,21 +128,11 @@ class Scenario:
     sample: tuple | None = None
 
 
-@contextmanager
-def _named(name):
-    """Put ``name: `` in front of the message of a library error raised inside."""
-    try:
-        yield
-    except SprayformError as exc:
-        exc.args = (f"{name}: {exc}",)
-        raise
-
-
 def run_checks(scenario):
     """The scenario's report: its environment, then each named check in order."""
     report = CheckReport(environment=dict(scenario.environment))
     for name, check, *args in scenario.checks:
-        with _named(name):
+        with named(name):
             check(scenario, report, *args)
     return report
 
@@ -285,14 +274,15 @@ def build_symplectic_groupoid(pi, box, numerics=None, christoffel=None):
     data = poisson_im_pair(A)
     evaluator = MultFormEvaluator(G, linear_form(data))
     # the solve that gives omega also gives (tau, dtau) for the realization
-    for _ in range(30):
-        pts = G.sample_validity_points(nm.samples, nm.seed + 8)
-        acc = evaluator.omega_sum()
-        end, J = G.flow_end(pts, acc)
-        margin = float(np.min(np.linalg.svd(acc.value, compute_uv=False)[:, -1]))
-        if margin >= NONDEGENERACY_MARGIN:
-            break
-        G.validity_fiber_radius *= 0.7
+    with named("validity sample"):
+        for _ in range(30):
+            pts = G.sample_validity_points(nm.samples, nm.seed + 8)
+            acc = evaluator.omega_sum()
+            end, J = G.flow_end(pts, acc)
+            margin = float(np.min(np.linalg.svd(acc.value, compute_uv=False)[:, -1]))
+            if margin >= NONDEGENERACY_MARGIN:
+                break
+            G.validity_fiber_radius *= 0.7
     gates["nondegeneracy_margin"].add_margin(
         "nondegeneracy_margin", margin, NONDEGENERACY_MARGIN,
         note=f"min singular value {margin:.3e} on the validity box")
@@ -977,34 +967,36 @@ def build(kind, numerics, inputs):
 # Convergence studies
 
 
-def convergence_study(chart, spray, form, points, levels=None,
-                      weight_cocycle=None, reference=None):
-    """Errors and fitted order of the quadrature form along a resolution ladder.
+def convergence_study(evaluator, points, levels, reference=None):
+    """Errors and fitted order of ``evaluator``'s form along a ladder of
+    time rules.
 
-    ``levels`` is a list of (n_quad, substeps) pairs; the effective step h
-    is the RK4 step of their ``TimeRule``.  Errors are measured against
-    ``reference`` values (same shape as the form output) when given, else
-    against the finest ladder level, which is then excluded from the order
-    fit, as is every level whose error is roundoff (see
-    CONVERGENCE_ROUNDOFF).  Returns a list of rows {n_quad, substeps, h,
+    ``levels`` is a list of (n_quad, substeps) rungs.  A rung is the
+    ``TimeRule`` of the pair, flown on the evaluator's own groupoid: one
+    tangent-flow solve of ``points`` with the form summed on the rule, and
+    its effective step h is the rule's RK4 step.  Errors are measured
+    against ``reference`` values (same shape as the form output) when
+    given, else against the finest ladder level, which is then excluded
+    from the order fit, as is every level whose error is roundoff (see
+    CONVERGENCE_ROUNDOFF).  A ladder that leaves fewer than two rungs to
+    fit is a ConfigError.  Returns a list of rows {n_quad, substeps, h,
     error} plus the fitted order.  A library error raised on a rung names
     the rung.
     """
-    levels = levels or [(16, 1), (32, 1), (64, 1), (128, 1)]
+    fit_slice = slice(0, len(levels) - (reference is None))
+    if len(levels[fit_slice]) < 2:
+        raise ConfigError(f"convergence ladder {levels}: an order fit needs "
+                          f"two rungs besides the reference")
     points = np.atleast_2d(points)
     values, rows = [], []
     for n_quad, substeps in levels:
-        with _named(f"convergence rung {n_quad}x{substeps}"):
-            G = SprayGroupoid(chart, spray, n_quad=n_quad, substeps=substeps)
-            ev = MultFormEvaluator(G, form, weight_cocycle=weight_cocycle)
-            values.append(ev.omega_full(points))
-        rows.append({"n_quad": n_quad, "substeps": substeps, "h": G.rule.step})
-    if reference is None:
-        ref = values[-1]
-        fit_slice = slice(0, len(levels) - 1)
-    else:
-        ref = reference
-        fit_slice = slice(0, len(levels))
+        with named(f"convergence rung {n_quad}x{substeps}"):
+            rule = TimeRule(n_quad, substeps)
+            acc = evaluator.omega_sum(rule)
+            evaluator.groupoid.flow_end(points, acc, rule=rule)
+            values.append(acc.value)
+        rows.append({"n_quad": n_quad, "substeps": substeps, "h": rule.step})
+    ref = values[-1] if reference is None else reference
     for row, val in zip(rows, values):
         row["error"] = float(np.max(np.abs(val - ref)))
     errs = np.array([r["error"] for r in rows])[fit_slice]

@@ -256,15 +256,14 @@ def test_criterion_9_jacobi_line(jacobi_line_scenario):
 
 
 def test_criterion_10_convergence_orders(so3_scenario):
-    A = so3_scenario.chart
-    V = so3_scenario.groupoid.spray
-    lf = so3_scenario.evaluator.form
+    ev = so3_scenario.evaluator
     pts = so3_scenario.groupoid.sample_validity_points(8, 1001)
-    _, order_combined = convergence_study(A, V, lf, pts)
+    _, order_combined = convergence_study(
+        ev, pts, [(16, 1), (32, 1), (64, 1), (128, 1)])
     _, order_quad = convergence_study(
-        A, V, lf, pts, levels=[(16, 8), (32, 4), (64, 2), (128, 1)])
+        ev, pts, [(16, 8), (32, 4), (64, 2), (128, 1)])
     _, order_ode = convergence_study(
-        A, V, lf, pts, levels=[(128, 1), (128, 2), (128, 4), (128, 8)])
+        ev, pts, [(128, 1), (128, 2), (128, 4), (128, 8)])
     suite_elapsed = time.perf_counter() - _T0
     ok = (order_combined >= 3.5 and order_quad >= 3.5 and order_ode >= 3.5)
     _report(10, ok,

@@ -846,14 +846,22 @@ def test_eval_jacobi_cocycle(tmp_path, capsys):
 
 
 def test_convergence_integrates_the_checked_spray(tmp_path, monkeypatch):
-    """convergence studies the spray that check certifies, including a
-    poisson config's christoffel terms."""
+    """convergence studies the scenario's own evaluator, on the groupoid of
+    the spray that check certifies, including a poisson config's
+    christoffel terms."""
     class Captured(Exception):
         pass
 
-    def capture(chart, spray, *args, **kwargs):
-        raise Captured(spray)
+    built = []
 
+    def build(*args):
+        built.append(scenarios.build(*args))
+        return built[-1]
+
+    def capture(evaluator, *args, **kwargs):
+        raise Captured(evaluator)
+
+    monkeypatch.setattr(cli, "build", build)
     monkeypatch.setattr(cli, "convergence_study", capture)
     raw = json.loads((CONFIGS / "constant_poisson.json").read_text())
     raw["coefficients"]["christoffel"] = [[["0.1", "0"], ["0", "0"]],
@@ -861,8 +869,27 @@ def test_convergence_integrates_the_checked_spray(tmp_path, monkeypatch):
     with pytest.raises(Captured) as got:
         main(["convergence", "--config", _write(tmp_path, raw),
               "--out-dir", str(tmp_path)])
-    spray = got.value.args[0]
-    assert any(not e.is_zero for e in spray.fiber_part)
+    evaluator = got.value.args[0]
+    assert len(built) == 1 and evaluator is built[0].evaluator
+    assert any(not e.is_zero for e in evaluator.groupoid.spray.fiber_part)
+
+
+def test_build_time_sample_error_names_its_stage(tmp_path, capsys):
+    """so3.json with the se(3)* bracket on [-1, 1]^6: at seed 1 a point of
+    the nondegeneracy sample, drawn from the fiber cube around the
+    discovered sphere, leaves the box, and the error names the build's
+    validity sample."""
+    raw = json.loads((CONFIGS / "so3.json").read_text())
+    raw["chart"] = {"dim": 6, "box": [[-1.0, 1.0]] * 6}
+    raw["coefficients"]["pi"] = {
+        "12": "x3", "13": "-x2", "23": "x1", "15": "x6", "16": "-x5",
+        "24": "-x6", "26": "x4", "34": "x5", "35": "-x4"}
+    code = main(["check", "--config", _write(tmp_path, raw), "--seed", "1",
+                 "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "runtime error: validity sample: trajectory left the domain box at "
+        "t=0.734375, batch row 74, ")
 
 
 def test_convergence_command(tmp_path, capsys):

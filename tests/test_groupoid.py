@@ -1,5 +1,6 @@
 """Groupoid structure maps, the quadrature form, multiplication, round trips."""
 
+import itertools
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -650,18 +651,23 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
     assert out["associativity"] == float(np.max(np.abs(left - right)))
 
 
+# the checks of ``product_residuals``' product calls, in call order
+_PRODUCT_CALLS = ("associativity stage 1", "multiplicativity",
+                  "associativity stage 2")
+
+
 def _edit_rows(monkeypatch, check, row, edit):
-    """Wrap the per-check product seam, ``groupoid._multiply``, so that
-    ``edit(a, b, row)`` changes row ``row`` of ``check``'s rows before
-    they are multiplied.  Wraps stack: each edits its own check."""
-    original = groupoid._multiply
+    """Wrap ``groupoid.multiply_poisson`` so that ``edit(a, b, row)``
+    changes row ``row`` of ``check``'s rows before they are multiplied.
+    Wraps stack: each edits its own check."""
+    original, calls = groupoid.multiply_poisson, itertools.count()
 
-    def edited(G, evaluator, name, a, b, *args, **kwargs):
-        if name == check:
+    def edited(G, evaluator, a, b, *args, **kwargs):
+        if _PRODUCT_CALLS[next(calls) % len(_PRODUCT_CALLS)] == check:
             edit(a, b, row)
-        return original(G, evaluator, name, a, b, *args, **kwargs)
+        return original(G, evaluator, a, b, *args, **kwargs)
 
-    monkeypatch.setattr(groupoid, "_multiply", edited)
+    monkeypatch.setattr(groupoid, "multiply_poisson", edited)
 
 
 def _shift(by):

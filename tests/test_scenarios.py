@@ -1,17 +1,20 @@
 """End-to-end scenario pipelines and their family-specific identities."""
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sprayform import expr as ex
-from sprayform import scenarios
+from sprayform import flow, groupoid, scenarios
 from sprayform.cli import load_config, parse_config
 from sprayform.algebroid import cotangent_algebroid, default_spray
-from sprayform.errors import CompatibilityError, DomainExitError
+from sprayform.errors import CompatibilityError, ConfigError, DomainExitError
 from sprayform.expr import BivectorField, FormField, parse
-from sprayform.groupoid import SprayGroupoid, discover_validity_box
+from sprayform.flow import TimeRule
+from sprayform.groupoid import (MultFormEvaluator, SprayGroupoid,
+                                discover_validity_box)
 from sprayform.imform import linear_form, poisson_im_pair
 from sprayform.report import SplitMix64
 from sprayform.scenarios import (
@@ -473,52 +476,116 @@ def test_jacobi_r_zero_reduces_to_poisson_channel(so3_scenario):
 # convergence
 
 
+# the CLI's default ladder
+LADDER = [(16, 1), (32, 1), (64, 1), (128, 1)]
+
+
 def test_convergence_orders_all_axes(so3_scenario):
-    A = so3_scenario.chart
-    V = so3_scenario.groupoid.spray
-    lf = so3_scenario.evaluator.form
+    ev = so3_scenario.evaluator
     pts = so3_scenario.groupoid.sample_validity_points(8, seed=28)
-    _, order_combined = convergence_study(A, V, lf, pts)
+    _, order_combined = convergence_study(ev, pts, LADDER)
     assert order_combined >= 3.5
     rows, order_quad = convergence_study(
-        A, V, lf, pts, levels=[(16, 8), (32, 4), (64, 2), (128, 1)])
+        ev, pts, [(16, 8), (32, 4), (64, 2), (128, 1)])
     assert order_quad >= 3.5
     # doubling the node count divides the omega error by 16 +- 25%
     for a, b in zip(rows[:-2], rows[1:-1]):
         assert 12.0 <= a["error"] / b["error"] <= 20.0
     _, order_ode = convergence_study(
-        A, V, lf, pts, levels=[(128, 1), (128, 2), (128, 4), (128, 8)])
+        ev, pts, [(128, 1), (128, 2), (128, 4), (128, 8)])
     assert order_ode >= 3.5
 
 
 def test_convergence_jacobi_line_against_closed_form(jacobi_line_scenario):
     """The weighted (transport) quadrature is also fourth order."""
     js = jacobi_line_scenario
-    from sprayform.algebroid import jacobi_cocycle
-    from sprayform.imform import jacobi_linear_form
-    G = js.groupoid
-    pts = G.sample_validity_points(6, seed=31)
+    pts = js.groupoid.sample_validity_points(6, seed=31)
     p = pts[:, 2]
     ref = np.zeros((len(pts), 3))
     ref[:, 1] = (2 - 2 * np.exp(-p) - p * np.exp(-p)) / p
     ref[:, 0] = -(1 - np.exp(-p))
-    rows, order = convergence_study(js.chart, G.spray,
-                                    jacobi_linear_form(js.chart), pts,
-                                    weight_cocycle=jacobi_cocycle(js.chart),
-                                    reference=ref)
+    rows, order = convergence_study(js.evaluator, pts, LADDER, reference=ref)
     assert order >= 3.5
     assert rows[-1]["error"] < 1e-11
 
 
+def _fresh_rung_errors(scen, pts, ladder):
+    """The ladder's errors at ``pts`` from a groupoid and evaluator built
+    for each rung (N, M): ``SprayGroupoid(n_quad=N)``, whose own rule is
+    the rung's when M = 1, else flown on ``TimeRule(N, M)``."""
+    ev, values = scen.evaluator, []
+    for n_quad, substeps in ladder:
+        G = SprayGroupoid(scen.chart, scen.groupoid.spray, n_quad=n_quad)
+        fresh = MultFormEvaluator(G, ev.form, weight_cocycle=ev.weight_cocycle)
+        if substeps == 1:
+            values.append(fresh.omega_full(pts))
+            continue
+        rule = TimeRule(n_quad, substeps)
+        acc = fresh.omega_sum(rule)
+        G.flow_end(pts, acc, rule=rule)
+        values.append(acc.value)
+    return [float(np.max(np.abs(v - values[-1]))) for v in values]
+
+
+@pytest.mark.parametrize("fixture", ["so3_scenario", "jacobi_line_scenario"])
+def test_convergence_rungs_are_time_rules_on_the_groupoid(fixture, request,
+                                                          monkeypatch):
+    """A rung is a time rule flown on the evaluator's own groupoid: a
+    6-rung ladder builds no FlowEngine and compiles the tangent right-hand
+    side and the node sum at most once each (a groupoid per rung made 6 of
+    each).  Its errors equal, bit for bit, those of a groupoid and
+    evaluator built per rung, weighted on jacobi_line, and so do those of
+    an NxM ladder."""
+    scen = request.getfixturevalue(fixture)
+    pts = scen.groupoid.sample_validity_points(6, seed=32, fiber_scale=0.5)
+    counts = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((flow.FlowEngine, "__init__"), (flow, "_compile_rhs"),
+                        (groupoid, "_compile_node_sum")):
+        count(owner, name)
+    ladder = [(32, 1), (64, 1), (128, 1), (256, 1), (512, 1), (1024, 1)]
+    rows, _ = convergence_study(scen.evaluator, pts, ladder)
+    monkeypatch.undo()
+    assert counts["__init__"] == 0
+    assert counts["_compile_rhs"] <= 1 and counts["_compile_node_sum"] <= 1
+    assert [r["error"] for r in rows] == _fresh_rung_errors(scen, pts, ladder)
+    assert [r["h"] for r in rows] == [1.0 / n for n, _ in ladder]
+
+    ladder = [(16, 8), (32, 4), (64, 2), (128, 1)]
+    rows, _ = convergence_study(scen.evaluator, pts, ladder)
+    assert [r["error"] for r in rows] == _fresh_rung_errors(scen, pts, ladder)
+
+
+def test_convergence_short_ladder_is_a_config_error(so3_scenario):
+    """Fewer than two rungs to fit, the finest not counted when it is the
+    reference, is a ConfigError, not an order fitted to one point."""
+    ev = so3_scenario.evaluator
+    pts = so3_scenario.groupoid.sample_validity_points(4, seed=33)
+    ref = ev.omega_full(pts)
+    for levels, reference in (([(16, 1), (32, 1)], None), ([(16, 1)], None),
+                              ([(16, 1)], ref), ([], ref)):
+        with pytest.raises(ConfigError, match="needs two rungs"):
+            convergence_study(ev, pts, levels, reference=reference)
+    rows, order = convergence_study(ev, pts, [(16, 1), (32, 1)], reference=ref)
+    assert len(rows) == 2 and 3.5 <= order < float("inf")
+
+
 def test_convergence_flat_case_roundoff():
     A = cotangent_algebroid(BivectorField(2, {}, XS2), BOX2)
-    V = default_spray(A)
-    G = SprayGroupoid(A, V, n_quad=16)
+    G = SprayGroupoid(A, default_spray(A), n_quad=16)
     discover_validity_box(G)
     pts = G.sample_validity_points(4, seed=29)
-    lf = linear_form(poisson_im_pair(A))
-    rows, order = convergence_study(A, V, lf, pts,
-                                    levels=[(16, 1), (32, 1), (64, 1)])
+    ev = MultFormEvaluator(G, linear_form(poisson_im_pair(A)))
+    rows, order = convergence_study(ev, pts, [(16, 1), (32, 1), (64, 1)])
     assert all(r["error"] < 1e-14 for r in rows)
     assert order == float("inf")
 
@@ -526,9 +593,10 @@ def test_convergence_flat_case_roundoff():
 def test_convergence_error_names_the_rung():
     """A flow that leaves the box on a rung names that rung."""
     A = cotangent_algebroid(BivectorField(2, {}, XS2), BOX2)
-    lf = linear_form(poisson_im_pair(A))
+    ev = MultFormEvaluator(SprayGroupoid(A, default_spray(A)),
+                           linear_form(poisson_im_pair(A)))
     with pytest.raises(DomainExitError) as got:
-        convergence_study(A, default_spray(A), lf, np.array([[5.0, 0, 0, 0]]),
-                          levels=[(8, 2), (16, 1), (32, 1)])
+        convergence_study(ev, np.array([[5.0, 0, 0, 0]]),
+                          [(8, 2), (16, 1), (32, 1)])
     assert str(got.value).startswith(
         "convergence rung 8x2: trajectory left the domain box at t=0")

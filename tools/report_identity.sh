@@ -33,6 +33,11 @@
 #     fixed and move the quadrature nodes and the RK4 substeps against each
 #     other; on jacobi_line they run the weighted running integral and the
 #     transport at more than one substep;
+#   - `convergence` with the default ladder on nijenhuis_r2 and gcs_r2, so
+#     every kind the subcommand supports has a run;
+#   - `convergence` on jacobi_line with `--seed 13` over rungs 32..1024,
+#     whose rung 32x1 leaves the domain box (exit 3, naming the rung), and
+#     on dirac_twisted, a kind the subcommand does not support (exit 2);
 #   - `eval` on every kind's build, and `eval --pair` on so3 with a
 #     composable pair written at 17 digits, a nonlinear product;
 #   - two `eval` config errors (exit 2): `--pair` on dirac_twisted, a kind
@@ -140,6 +145,12 @@ run convergence_so3_quadrature_axis convergence --config configs/so3.json \
   --ladder 16x8,32x4,64x2,128x1
 run convergence_jacobi_quadrature_axis convergence \
   --config configs/jacobi_line.json --ladder 16x8,32x4,64x2,128x1
+for name in nijenhuis_r2 gcs_r2; do
+  run "convergence_$name" convergence --config "configs/$name.json"
+done
+run convergence_jacobi_line_seed_13 convergence \
+  --config configs/jacobi_line.json --seed 13 --ladder 32,64,128,256,512,1024
+run convergence_dirac_twisted convergence --config configs/dirac_twisted.json
 run eval_constant_poisson_vectors eval --config configs/constant_poisson.json \
   --point 0.1,0.2,0.3,-0.1 --vectors "1,0.5,0,-0.2;0.3,0,1,0.7"
 run eval_constant_poisson_pair eval --config configs/constant_poisson.json \
