@@ -22,9 +22,12 @@ the state has 3 + 3 * 6 = 21 rows instead of 6 + 36.
 One generated function per engine and solve kind writes the derivative of
 the live rows into the stage buffer in place, emitted from the symbolic
 partials: (DV J)_i. = sum_k dV_i/dz_k J_k., where a +-1 coefficient is one
-in-place add or subtract of the block J_k., a frozen k contributes
-dV_i/dz_k to column k alone, and rows that read only frozen coordinates are
-written once per solve.  numpy floating-point errors raise for the whole
+in-place add or subtract of the block J_k. and a frozen k contributes
+dV_i/dz_k to column k alone.  Once per solve, it writes the rows that read
+only frozen coordinates and tiles the frozen coefficients of blocks (and
+the box bounds) to their operands' shapes; if nothing is left per call, K
+is constant and a step adds RK4's increment, formed once per step size by
+the same operations.  numpy floating-point errors raise for the whole
 solve.  One in the evaluation of V or of a partial is EvalDomainError.  One
 in the products with J or in the RK4 arithmetic redoes that step with
 errors ignored: NonFiniteStateError then names the first batch row left
@@ -179,8 +182,8 @@ class FlowEngine:
         return z.T.copy(), J.transpose(2, 0, 1).copy()
 
     def _solve(self, points, nodes, substeps, jacobian, at_node):
-        """RK4 on the live rows; the full (d, B) z and (d, d, B) J (None
-        without ``jacobian``) at the last node."""
+        """RK4 on the live rows after one ``prepare`` of the kernel; the full
+        (d, B) z and (d, d, B) J (None without ``jacobian``) at the last node."""
         dtype = np.result_type(np.asarray(points), np.float64)
         Z = np.atleast_2d(np.asarray(points, dtype=dtype)).T.copy()
         d, B = Z.shape
@@ -196,7 +199,7 @@ class FlowEngine:
         F = Z[frozen]
         K = np.zeros_like(S)     # never-written rows are zero for good
         acc, stage, T = np.empty_like(S), np.empty_like(S), np.empty((d, B), dtype)
-        lo, hi = self._lo[live], self._hi[live]
+        lo, hi = (np.repeat(b[live], B, axis=1) for b in (self._lo, self._hi))
 
         def publish(X, part=None):     # z (part 0), J (1) or both (None)
             if part != 1:
@@ -222,36 +225,45 @@ class FlowEngine:
             inside = _inside(Z, self._lo, self._hi)
             if not inside.all():
                 _raise_state_error(Z, inside, float(nodes[0]))
-            bind = self._rhs(jacobian)
+            bind = self._rhs(jacobian)(F, K, T)
+            if bind is None:    # K is constant: RK4's increment, once per h
+                increment = functools.cache(
+                    lambda h: (((K + K * 2.0) + K * 2.0) + K) * (h / 6.0))
+
+                def step(X, Y, h):
+                    np.add(increment(h), X, out=Y)
+            else:
+                at_S, at_acc, at_stage = bind(S), bind(acc), bind(stage)
+
+                def step(X, Y, h):
+                    _rk4_step(X, Y, K, stage, h, at_S if X is S else at_acc, at_stage)
             # the state and the RK4 sum alternate between two buffers, so a
             # step that raises leaves its start state intact
-            cur, nxt = (S, bind(S, F, K, T)), (acc, bind(acc, F, K, T))
-            at_stage = bind(stage, F, K, T)
+            X, Y = S, acc
             if at_node is not None:
-                consume(0, S)
+                consume(0, X)
             for k in range(len(nodes) - 1):
                 h = (nodes[k + 1] - nodes[k]) / substeps
                 t = nodes[k]
                 for _ in range(substeps):
-                    (X, at_X), (Y, _) = cur, nxt
                     t += h
                     try:
-                        _rk4_step(X, Y, K, stage, h, at_X, at_stage)
+                        step(X, Y, h)
                     except FloatingPointError:
                         # products with J or RK4 arithmetic: name the row
                         with np.errstate(all="ignore"):
-                            _rk4_step(X, Y, K, stage, h, at_X, at_stage)
+                            step(X, Y, h)
                         finite = np.isfinite(Y).all(axis=0)
                         if not finite.all():
                             publish(Y)
                             row = int(np.argmin(finite))
                             raise NonFiniteStateError(
                                 t, Z[:, row].real.copy(), row=row) from None
-                    cur, nxt = nxt, cur
-                    check(Y, t)
+                    X, Y = Y, X
+                    check(X, t)
                 if at_node is not None:
-                    consume(k + 1, cur[0])
-            publish(cur[0])
+                    consume(k + 1, X)
+            publish(X)
         return Z, J
 
 
@@ -321,12 +333,12 @@ def _raise_state_error(Z, inside, t):
 def _compile_rhs(components, variables, live, partials=None):
     """Factory of the derivative of the live rows (see the module docstring).
 
-    ``bind(X, F, K, T)`` returns ``rhs``.  ``rhs()`` writes into
-    K the derivative of the state X: V_i for each live i, then, given
-    ``partials`` (the d x d symbolic dV_i/dz_k), the block (DV J)_i. of
-    each live i.  F holds the frozen coordinates, one row each, and T is a
-    (d, B) scratch block.  K starts zeroed: a symbolically zero row is never
-    written, and ``bind`` writes the rows that read only frozen coordinates.
+    ``prepare(F, K, T)``, once per solve, binds the frozen coordinates F
+    (a row each), K (zeroed) and T (a (d, B) scratch block), writes the rows
+    of K that read only F and returns ``bind``, None if nothing is left per
+    call.  ``bind(X)`` returns ``rhs``, which writes into K the rest of the
+    derivative of X: V_i for each live i, then, given ``partials`` (the d x
+    d symbolic dV_i/dz_k), the block (DV J)_i. of each live i.
 
     Each call first evaluates V and the coefficients dV_i/dz_k, where a
     FloatingPointError raises EvalDomainError, then multiplies and adds the
@@ -340,9 +352,9 @@ def _compile_rhs(components, variables, live, partials=None):
     frozen = [i for i in range(d) if i not in pos]
     fixed = {variables[i] for i in frozen}
     names = {v: f"z{i}" for i, v in enumerate(variables)}
-    head = [f"z{i} = X[{pos[i]}]" if i in pos else f"z{i} = F[{frozen.index(i)}]"
-            for i in range(d)]
-    once, evaluate, products = [], [], []
+    head = [f"z{i} = F[{frozen.index(i)}]" for i in frozen]
+    state = [f"z{i} = X[{pos[i]}]" for i in live]
+    once, evaluate, products, tiles = [], [], [], {}
     counter = itertools.count()
 
     def emit(e, line):
@@ -350,15 +362,20 @@ def _compile_rhs(components, variables, live, partials=None):
         frozen coordinates, else at every call."""
         (once if e.variables() <= fixed else evaluate).append((e, line))
 
-    def coefficient(e):
+    def coefficient(e, tile=False):
         """Source of the coefficient ``e`` for a product with J: a variable
-        or constant itself, any other the name of its value."""
+        or constant itself, any other the name of its value; with ``tile``,
+        one that reads only F is repeated to a block's (d, B) shape."""
         if isinstance(e, (ex.Var, ex.Const)):
-            return ex.numpy_source(e, names)
-        name = f"c{next(counter)}"
-        emit(e, f"{name} = {ex.numpy_source(e, names)}")
-        return name
+            c = ex.numpy_source(e, names)
+        else:
+            c = f"c{next(counter)}"
+            emit(e, f"{c} = {ex.numpy_source(e, names)}")
+        if tile and e.variables() and e.variables() <= fixed:
+            return tiles.setdefault(c, f"t{len(tiles)}")
+        return c
 
+    tiled = functools.partial(coefficient, tile=True)
     for a, i in enumerate(live):
         head.append(f"k{i} = K[{a}]")
         if not components[i].is_zero:
@@ -367,14 +384,14 @@ def _compile_rhs(components, variables, live, partials=None):
             continue
         base = m + a * d
         head.append(f"kJ{i} = K[{base}:{base + d}]")
-        head.append(f"J{i} = X[{base}:{base + d}]")
+        state.append(f"J{i} = X[{base}:{base + d}]")
         terms = [(k, *ex.signed(p)) for k, p in enumerate(partials[i])
                  if not p.is_zero]
         inner = [t for t in terms if t[0] in pos]
         outer = [t for t in terms if t[0] not in pos]
         head.extend(f"kJ{i}_{k} = K[{base + k}]" for k, _, _ in outer)
         if inner:
-            products.extend(_block(f"kJ{i}", inner, coefficient))
+            products.extend(_block(f"kJ{i}", inner, tiled))
             products.extend(_add_row(f"kJ{i}_{k}", sign, core, coefficient)
                             for k, sign, core in outer)
         else:
@@ -384,14 +401,17 @@ def _compile_rhs(components, variables, live, partials=None):
 
     def checked(evaluations):
         return ex.guard(ex.real_pass(evaluations, names,
-                                     "X.dtype.kind == 'c'"))
+                                     "F.dtype.kind == 'c'"))
 
-    src = (["def _bind(X, F, K, T):"]
+    per_call = checked(evaluate) + products
+    src = (["def _prepare(F, K, T):"]
            + ex.indent(head + checked(once), 4)
-           + ["    def rhs():"]
-           + ex.indent(checked(evaluate) + products, 8)
-           + ["    return rhs"])
-    return ex.exec_generated(src, "rhs")["_bind"]
+           + [f"    {t} = np.repeat(({c})[None], {d}, axis=0)"
+              for c, t in tiles.items()]
+           + (["    def bind(X):"] + ex.indent(state + ["def rhs():"], 8)
+              + ex.indent(per_call, 12) + ["        return rhs", "    return bind"]
+              if per_call else ["    return None"]))
+    return ex.exec_generated(src, "rhs")["_prepare"]
 
 
 def _add_row(target, sign, core, coefficient):

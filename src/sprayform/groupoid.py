@@ -364,14 +364,14 @@ class _FormSum:
             codes = self.ev._codes
             if self.degree not in codes:
                 codes[self.degree] = _compile_node_sum(self.ev, *self.terms, self.degree)
-            self._sum, self._values, self._add = codes[self.degree](node.F, X.shape[1])
             self._value = None
             self._running = rule.running()
+            self._sum, self._values, self._add = codes[self.degree](node.F, X.shape[1])
         if self.ev.weight_cocycle is None:
             self._add(X, self._values(X), rule.weights[j])
             return
         V = self._values(X)
-        for (k, Xk, Vk), c in self._running(j, V[:, -1], (j, X.copy(), V)):
+        for (k, Xk, Vk), c in self._running(j, V[-1], (j, X.copy(), V)):
             self.transport = np.exp(-c)
             self._add(Xk, Vk, rule.weights[k] * self.transport)
 
@@ -385,11 +385,11 @@ class _FormSum:
 def _compile_node_sum(ev, terms, exprs, degree):
     """The node sum of ``_FormSum`` for the terms of ``_form_terms``:
     ``bind(F, B)`` allocates the zero sum S for B rows with frozen rows F
-    and returns S, ``values(X)``, None or a new (B, n) array of the
+    and returns S, ``values(X)``, None or an (n, B) array of the
     non-constant coefficients, then a weighted evaluator's cocycle, at the
     live rows X (written as ``compile_exprs`` writes its columns, complex
-    rows through ``ex.real_pass``), and ``add(X, V, s)``, which adds the
-    node with c = s.
+    rows through ``ex.real_pass``; once, by ``bind``, if none reads X), and
+    ``add(X, V, s)``, which adds the node with c = s.
 
     A frozen row J_i = e_i (see ``flow``) is a fixed index of S, not a
     factor.  Each term is c = s F_I times its live rows of J, added into its
@@ -406,7 +406,7 @@ def _compile_node_sum(ev, terms, exprs, degree):
         depth = max(depth, len(rows))
         at = ", ".join(str(i) if i in frozen else ":" for i in I)
         head.append(f"S{n} = S[{at}]")
-        body.append(f"c = s * {f'V[:, {col}]' if value is None else f'({value!r})'}")
+        body.append(f"c = s * {f'V[{col}]' if value is None else f'({value!r})'}")
         body += [f"np.multiply({rows_of[i]}, c, out=T1)" if k == 1 else
                  f"np.multiply(T{k - 1}[..., None, :], {rows_of[i]}, out=T{k})"
                  for k, i in enumerate(rows, start=1)]
@@ -418,11 +418,13 @@ def _compile_node_sum(ev, terms, exprs, degree):
     values = [f"z{i} = X[{live.index(i)}]" if i in live
               else f"z{i} = F[{frozen.index(i)}]"
               for i, v in enumerate(G.spray.variables) if v in used]
-    values += [f"V = np.zeros((B, {len(columns)}), X.dtype)",
+    values += [f"V = np.zeros(({len(columns)}, B), F.dtype)",
                "with np.errstate(**RAISE):"] + ex.indent(ex.guard(ex.real_pass(
-                   [(e, ex.numpy_assign(f"V[:, {c}]", e, names))
+                   [(e, ex.numpy_assign(f"V[{c}]", e, names))
                     for c, e in enumerate(columns)],
-                   names, "X.dtype.kind == 'c'")), 4) if columns else ["V = None"]
+                   names, "F.dtype.kind == 'c'")), 4) if columns else ["V = None"]
+    if not used & {G.spray.variables[i] for i in live}:     # V is constant
+        head, values = head + values, []
     src = (["def _bind(F, B):",
             f"    S = np.zeros({(d,) * degree} + (B,), F.dtype).swapaxes(0, -2)"]
            + ex.indent(head, 4)

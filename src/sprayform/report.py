@@ -16,6 +16,7 @@ import numpy as np
 __all__ = ["SplitMix64", "CheckResult", "CheckReport"]
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -30,7 +31,7 @@ class SplitMix64:
         self.state = int(seed) & _MASK
 
     def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -42,9 +43,16 @@ class SplitMix64:
 
     def uniform_rows(self, box, count):
         """(count, len(box)) uniform points of the (lo, hi) intervals
-        ``box``, drawn row by row."""
-        return np.array([[self.uniform(lo, hi) for lo, hi in box]
-                         for _ in range(count)]).reshape(count, len(box))
+        ``box``, drawn row by row: ``uniform``'s values and state, bit for
+        bit, in one pass of wrapping uint64 arithmetic."""
+        n, u64 = count * len(box), np.uint64
+        z = u64(self.state) + np.arange(1, n + 1, dtype=u64) * u64(_GAMMA)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+        u = ((z ^ (z >> u64(31))) >> u64(11)).astype(np.float64) * (1.0 / (1 << 53))
+        bounds = np.array([(lo, hi - lo) for lo, hi in box], np.float64).reshape(-1, 2)
+        return bounds[:, 0] + bounds[:, 1] * u.reshape(count, len(box))
 
     def direction(self, dim):
         """Unit vector; Gaussian components via Box-Muller on uniforms."""

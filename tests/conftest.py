@@ -1,5 +1,6 @@
 """Shared fixtures: the expensive pipelines are built once per session."""
 
+import numpy as np
 import pytest
 
 from sprayform import expr as ex
@@ -33,6 +34,50 @@ def twisted_dirac_sections():
         ([ex.neg(ex.ONE), ex.ZERO, ex.ZERO], [ex.ZERO, ex.ONE, ex.ZERO]),
         ([ex.ZERO, ex.ZERO, ex.ZERO], [ex.ZERO, ex.ZERO, ex.ONE]),
     ]
+
+
+class NumpySpy:
+    """numpy for generated code: each call is logged in ``calls`` as its
+    function's name and the shapes of its positional operands."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if not callable(fn):
+            return fn
+
+        def logged(*args, **kwargs):
+            self.calls.append((name, [np.shape(a) for a in args]))
+            return fn(*args, **kwargs)
+
+        return logged
+
+
+def same_bits(a, b):
+    """Whether a and b have one shape and the same bits, real and imaginary
+    parts alike."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and all(
+        np.array_equal(np.ascontiguousarray(x).view(np.uint64),
+                       np.ascontiguousarray(y).view(np.uint64))
+        for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def spy_generated(monkeypatch, kind):
+    """A NumpySpy that sees the numpy calls of the code generated as ``kind``
+    ("rhs", "form") from now on."""
+    spy, generate = NumpySpy(), ex.exec_generated
+
+    def exec_generated(lines, name):
+        namespace = generate(lines, name)
+        if name == kind:
+            namespace["np"] = spy
+        return namespace
+
+    monkeypatch.setattr(ex, "exec_generated", exec_generated)
+    return spy
 
 
 def checked(scen):

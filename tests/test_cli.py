@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sprayform import cli, groupoid, scenarios
+from sprayform import cli, flow, groupoid, scenarios
 from sprayform.cli import CONFIG_SCHEMA, load_config, main, parse_config
 from sprayform.errors import ConfigError, DomainExitError
 from sprayform.flow import FlowEngine
@@ -472,19 +472,40 @@ def test_check_makes_no_one_row_flow_solves(name, tmp_path, monkeypatch):
     assert len(batch_sizes["flow_with_jacobian"]) == CHECK_JAC_SOLVES[name]
 
 
+def _count_solves(mp, solves):
+    """Count into the Counter ``solves`` the flow solves of each kind
+    (``flow_with_jacobian``, ``flow_on_grid``), their total RK4 steps
+    (``rk4_steps``, steps per solve, not per row) and the tangent solves'
+    steps times rows (``tangent_row_steps``)."""
+    solve = FlowEngine._solve
+
+    def stepped(self, points, nodes, substeps, jacobian, *args):
+        steps = (len(nodes) - 1) * substeps
+        solves["rk4_steps"] += steps
+        solves["tangent_row_steps"] += len(points) * steps if jacobian else 0
+        return solve(self, points, nodes, substeps, jacobian, *args)
+
+    for method in ("flow_with_jacobian", "flow_on_grid"):
+        def counted_solve(self, *args, _method=method,
+                          _solve=getattr(FlowEngine, method), **kwargs):
+            solves[_method] += 1
+            return _solve(self, *args, **kwargs)
+
+        mp.setattr(FlowEngine, method, counted_solve)
+    mp.setattr(FlowEngine, "_solve", stepped)
+
+
 @pytest.fixture(scope="module")
 def so3_check(tmp_path_factory):
     """One ``check`` of the bundled so3 config: its exit code, output
-    directory, the (rows, dtype) of each product call, the number of flow
-    solves of each kind (``flow_with_jacobian``, ``flow_on_grid``), their
-    total RK4 steps (``rk4_steps``, steps per solve, not per row) and the
-    tangent solves' steps times rows (``tangent_row_steps``), the
-    names of the functions that called ``np.linalg.svd`` and the tolerance
-    names it read through ``Numerics.tol``."""
+    directory, the (rows, dtype) of each product call, its flow solves and
+    steps (``_count_solves``), the names of the functions that called
+    ``np.linalg.svd`` and the tolerance names it read through
+    ``Numerics.tol``."""
     out = tmp_path_factory.mktemp("so3_check")
     rows, solves, svd_callers, tol_names = [], Counter(), [], set()
     product = groupoid.multiply_poisson
-    svd, tol, solve = np.linalg.svd, Numerics.tol, FlowEngine._solve
+    svd, tol = np.linalg.svd, Numerics.tol
 
     def counted_product(G, ev, a, b, **kwargs):
         rows.append((len(a), np.result_type(a, b).name))
@@ -498,22 +519,9 @@ def so3_check(tmp_path_factory):
         tol_names.add(name)
         return tol(self, name, default)
 
-    def stepped(self, points, nodes, substeps, jacobian, *args):
-        steps = (len(nodes) - 1) * substeps
-        solves["rk4_steps"] += steps
-        solves["tangent_row_steps"] += len(points) * steps if jacobian else 0
-        return solve(self, points, nodes, substeps, jacobian, *args)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groupoid, "multiply_poisson", counted_product)
-        for method in ("flow_with_jacobian", "flow_on_grid"):
-            def counted_solve(self, *args, _method=method,
-                              _solve=getattr(FlowEngine, method), **kwargs):
-                solves[_method] += 1
-                return _solve(self, *args, **kwargs)
-
-            mp.setattr(FlowEngine, method, counted_solve)
-        mp.setattr(FlowEngine, "_solve", stepped)
+        _count_solves(mp, solves)
         mp.setattr(np.linalg, "svd", counted_svd)
         mp.setattr(Numerics, "tol", recorded_tol)
         code = main(["check", "--config", str(CONFIGS / "so3.json"),
@@ -539,6 +547,27 @@ def test_so3_check_runs_one_product_call_per_check(so3_check):
     assert rows == [(20, "float64"), (50, "complex128"), (20, "float64")]
     assert solves == {"flow_with_jacobian": 47, "flow_on_grid": 18,
                       "rk4_steps": 2275, "tangent_row_steps": 158208}
+
+
+def test_gcs_check_makes_no_general_rk4_step(tmp_path, monkeypatch):
+    """gcs_r2's spray reads only frozen coordinates, so every solve of its
+    check steps by one add of a constant increment: 5 tangent-flow and 11
+    grid solves, 768 RK4 steps and 14,976 tangent row-steps, none of them
+    a general RK4 step (``flow._rk4_step``), which evaluates the four
+    stages of what is here a constant derivative."""
+    solves, rk4_step = Counter(), flow._rk4_step
+
+    def counted(*args):
+        solves["general_rk4_steps"] += 1
+        return rk4_step(*args)
+
+    _count_solves(monkeypatch, solves)
+    monkeypatch.setattr(flow, "_rk4_step", counted)
+    assert main(["check", "--config", str(CONFIGS / "gcs_r2.json"),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert solves["general_rk4_steps"] == 0
+    assert solves == {"flow_with_jacobian": 5, "flow_on_grid": 11,
+                      "rk4_steps": 768, "tangent_row_steps": 14976}
 
 
 def test_so3_check_makes_no_guard_svd(so3_check):

@@ -1,18 +1,29 @@
 """Spray flows, variational flow, quadrature, complex steps."""
 
+import copy
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sprayform import expr as ex
+from sprayform import flow, scenarios
+from sprayform.algebroid import cotangent_algebroid, default_spray
+from sprayform.cli import load_config, parse_config
 from sprayform.errors import (DomainExitError, EvalDomainError,
                               NonFiniteStateError)
-from sprayform.expr import parse
+from sprayform.expr import BivectorField, parse
 from sprayform.errors import DimensionError
 from sprayform.flow import COMPLEX_STEP, FlowEngine, TimeRule, complex_step
+from sprayform.report import SplitMix64
+
+from conftest import same_bits, spy_generated
 
 XS2 = ["x1", "x2"]
 XYP = ["x1", "x2", "y1", "y2"]   # (x, p) on the cotangent space of R^2
 JVARS = ["x1", "y1", "y2"]       # jacobi line: (x; u, p)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _const_pi_engine():
@@ -514,3 +525,118 @@ def test_nonfinite_imaginary_part_raises():
         with pytest.raises(NonFiniteStateError,
                            match=r"t=0, batch row 0, point \(0.1, 0.2\)"):
             solve(np.array([[complex(0.1, np.inf), 0.2]]), nodes)
+
+
+# ---------------------------------------------------------------------------
+# solve constants: what depends only on the frozen coordinates, the step
+# size and the box is computed once per solve
+
+
+@lru_cache(maxsize=None)
+def _bundled_groupoid(name):
+    kind, nm, inputs = parse_config(load_config(CONFIGS / f"{name}.json"))
+    return scenarios.build(kind, nm, inputs).groupoid
+
+
+def _general(eng):
+    """A copy of ``eng`` that takes the general RK4 step on every field: a
+    kernel with no statement left per call gets a no-op ``rhs``."""
+    general = copy.copy(eng)
+    general._rhs = lambda jacobian: lambda F, K, T: (
+        eng._rhs(jacobian)(F, K, T) or (lambda X: lambda: None))
+    return general
+
+
+def _runs(eng, P):
+    """Every solve of P: the tangent and grid solves at substeps 1 and 3,
+    each with the (z, J) it streams at every node, then the flight of the
+    rule's unequal-gap grid, whose gaps take many step sizes."""
+    rule, out = TimeRule(16), []
+    for substeps in (1, 3):
+        for solve in (eng.flow_with_jacobian, eng.flow_on_grid):
+            seen = []
+            end = solve(P, rule.nodes, substeps, lambda k, node: seen.append(
+                (node.z.T.copy(), None if node.J is None
+                 else node.J.transpose(2, 0, 1).copy())))
+            out.append((end if isinstance(end, tuple) else (end,), seen))
+    times = np.array([0.05, 0.11, 0.3, 0.3171, 0.62, 0.9, 1.0])
+    out.append(rule.flight(eng, P, times))
+    return out
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+@pytest.mark.parametrize("name", ["jacobi_line", "gcs_r2", "constant_poisson"])
+def test_constant_field_steps_by_one_add(monkeypatch, name, complex_rows):
+    """A spray that reads only frozen coordinates has a constant derivative:
+    its solves make no general RK4 step, and their ends, streamed nodes and
+    flights equal, bit for bit, the general RK4 step's on the same field."""
+    G = _bundled_groupoid(name)
+    P = G.sample_validity_points(5, seed=41, fiber_scale=0.6)
+    if complex_rows:
+        P = P + 1e-3j * np.random.default_rng(43).uniform(-1, 1, P.shape)
+    calls, rk4_step = [], flow._rk4_step
+
+    def counted(*args):
+        calls.append(1)
+        return rk4_step(*args)
+
+    monkeypatch.setattr(flow, "_rk4_step", counted)
+    got = _runs(G.engine, P)
+    assert not calls
+    want = _runs(_general(G.engine), P)
+    assert len(calls) == 2 * (16 + 48) + 19      # 19 flight steps
+    for g, w in zip(got[:-1], want[:-1]):
+        (g_end, g_nodes), (w_end, w_nodes) = g, w
+        assert all(same_bits(a, b) for a, b in zip(g_end, w_end))
+        assert len(g_nodes) == len(w_nodes) == 17
+        for (gz, gJ), (wz, wJ) in zip(g_nodes, w_nodes):
+            assert same_bits(gz, wz)
+            assert gJ is wJ is None or same_bits(gJ, wJ)
+    assert same_bits(got[-1], want[-1])
+
+
+def test_solve_constants_are_computed_once_per_solve(monkeypatch):
+    """x1' = sin(x3) reads only the frozen x3: its row and its partial
+    cos(x3) are written once per solve, while x2' = x1 x2 runs at every
+    stage."""
+    spy = spy_generated(monkeypatch, "rhs")
+    xs = ["x1", "x2", "x3"]
+    eng = FlowEngine([parse("sin(x3)", xs), parse("x1 * x2", xs), ex.ZERO], xs)
+    assert eng.frozen == (2,)
+    P = np.array([[0.1, 0.2, 0.3], [-0.2, 0.1, 0.5]])
+    for solve, once in ((eng.flow_on_grid, ["sin"]),
+                        (eng.flow_with_jacobian, ["sin", "cos"])):
+        spy.calls.clear()
+        solve(P, np.linspace(0.0, 1.0, 5), 2)
+        names = [name for name, _ in spy.calls]
+        assert all(names.count(fn) == 1 for fn in once)
+        assert names.count("multiply") >= 4 * 8      # every stage of 8 steps
+
+
+def _lie_poisson(dim, entries):
+    xs = ex.base_vars(dim)
+    pi = BivectorField(dim, {ij: parse(e, xs) for ij, e in entries.items()}, xs)
+    return default_spray(cotangent_algebroid(pi, [[-1.0, 1.0]] * dim))
+
+
+SO3 = {(0, 1): "x3", (0, 2): "-x2", (1, 2): "x1"}
+SE3 = {(0, 1): "x3", (0, 2): "-x2", (1, 2): "x1", (0, 4): "x6", (0, 5): "-x5",
+       (1, 3): "-x6", (1, 5): "x4", (2, 3): "x5", (2, 4): "-x4"}
+
+
+@pytest.mark.parametrize("dim, entries, per_call", [(3, SO3, 6), (6, SE3, 18)])
+def test_block_products_read_coefficients_of_the_block_shape(monkeypatch, dim,
+                                                             entries, per_call):
+    """On so(3)* and se(3)* every coefficient of a product with a block
+    J_k. reads only frozen fiber coordinates: each is tiled to the block's
+    (d, B) shape once per solve, so no multiply broadcasts."""
+    spy = spy_generated(monkeypatch, "rhs")
+    V = _lie_poisson(dim, entries)
+    eng = FlowEngine(V.components, V.variables)
+    P = SplitMix64(3).uniform_rows([(-0.5, 0.5)] * 2 * dim, 7)
+    eng.flow_with_jacobian(P, np.linspace(0.0, 1.0, 3))
+    blocks = [shapes for name, shapes in spy.calls
+              if name == "multiply" and len(shapes[0]) == 2]
+    assert len(blocks) == 2 * 4 * per_call        # 2 steps of 4 calls
+    assert all(shapes == [(2 * dim, 7)] * 2 for shapes in blocks)
+    assert sum(name == "repeat" for name, _ in spy.calls) == dim

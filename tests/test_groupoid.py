@@ -49,7 +49,9 @@ from sprayform.imform import (
 )
 from sprayform.report import SplitMix64
 
-from conftest import XS2, XS3, constant_bivector_r2, so3_bivector
+from conftest import (XS2, XS3, constant_bivector_r2, same_bits, so3_bivector,
+                      spy_generated)
+from form_oracle import node_term_sum
 from exact_pairs import exact_im_pair
 from product_oracle import (central_difference, differential_of_multiplication,
                             inverse, stencil_differential)
@@ -430,6 +432,24 @@ def test_real_and_complex_rows_share_one_kernel():
         ev.omega_full(rows)
     assert G.engine._rhs.cache_info().currsize == 2     # grid and tangent
     assert list(ev._codes) == [2]
+
+
+def test_constant_node_values_are_evaluated_once_per_solve(monkeypatch):
+    """jacobi_line's omega and cocycle read only the frozen fiber
+    coordinates: the node sum evaluates them once per solve, at node 0 (the
+    one errstate the generated node sum enters), and its weighted sum still
+    equals the per-term oracle bit for bit on real and complex rows."""
+    kind, nm, inputs = parse_config(load_config(CONFIGS / "jacobi_line.json"))
+    scen = scenarios.build(kind, nm, inputs)
+    G, spy = scen.groupoid, spy_generated(monkeypatch, "form")
+    ev = MultFormEvaluator(G, scen.evaluator.form,
+                           weight_cocycle=scen.evaluator.weight_cocycle)
+    P = G.sample_validity_points(6, seed=41, fiber_scale=0.6)
+    for rows in (P, P + 1e-3j * np.random.default_rng(43).uniform(-1, 1, P.shape)):
+        spy.calls.clear()
+        got = ev.omega_full(rows)
+        assert [name for name, _ in spy.calls].count("errstate") == 1
+        assert same_bits(got, node_term_sum(ev, ev._lam, ev.degree, rows))
 
 
 def _degenerate_rows_are_named(flat_groupoid, step):

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sprayform.report import CheckReport, SplitMix64
 
@@ -80,3 +81,22 @@ def test_report_json_round_trip():
     assert payload["verdict"] == "pass"
     assert payload["checks"][0]["worst_point"] == [0.1, 0.2]
     assert payload["notes"] == ["context"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 20240, 2 ** 63 + 11, 2 ** 64 - 1])
+def test_uniform_rows_are_the_scalar_stream(seed):
+    """uniform_rows, one numpy pass, draws the values of the scalar
+    ``uniform`` calls bit for bit, and leaves the state where they do,
+    through the wrap of the state mod 2^64, on float, integer, empty and
+    degenerate boxes, for zero rows too."""
+    boxes = [[(-1.0, 1.0)] * 6, [(0, 3), (-2, 5)],
+             [(0.25, 0.25), (-1e-300, 1e300), (-3.5, -1)], []]
+    for box in boxes:
+        for count in (0, 1, 100):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            rows = rng.uniform_rows(box, count)
+            want = np.array([[ref.uniform(lo, hi) for lo, hi in box]
+                             for _ in range(count)]).reshape(count, len(box))
+            assert rows.shape == want.shape
+            assert np.array_equal(_bits(rows), _bits(want))
+            assert rng.state == ref.state
