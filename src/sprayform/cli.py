@@ -149,14 +149,20 @@ def _validate(raw):
         raise ConfigError(f"config schema violation: {error.message}")
 
 
-def _non_finite(constant):
-    raise ConfigError(f"config number {constant} is not finite")
+def _finite(literal, number=float):
+    """A json number or constant; one whose float is not finite (NaN,
+    Infinity, 1e999, an integer past 1.8e308) is a ConfigError."""
+    if not np.isfinite(float(literal)):
+        raise ConfigError(f"config number {literal} is not finite")
+    return number(literal)
 
 
 def load_config(path):
     """The validated config at ``path``, whose numbers are all finite."""
     try:
-        raw = json.loads(Path(path).read_text(), parse_constant=_non_finite)
+        raw = json.loads(Path(path).read_text(), parse_constant=_finite,
+                         parse_float=_finite,
+                         parse_int=functools.partial(_finite, number=int))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _validate(raw)

@@ -48,6 +48,7 @@ from . import expr as ex
 from . import tensor as tn
 from .errors import (
     ComposabilityError,
+    ConfigError,
     DegenerateFormError,
     DimensionError,
     DomainExitError,
@@ -164,27 +165,30 @@ class SprayGroupoid:
 def discover_validity_box(G, seed=505):
     """Shrink the fiber radius until all unit-time flows stay in the chart box.
 
-    See the VALIDITY_* constants.  Sets ``G.validity_fiber_radius`` and
-    returns it, or raises the last radius's DomainExitError, named.
+    See the VALIDITY_* constants.  Each radius flies the next rows of one
+    SplitMix64 stream: base uniforms, then a fiber direction.  Sets
+    ``G.validity_fiber_radius`` and returns it, or raises the last radius's
+    DomainExitError, named; a chart box thinner than the radius floor is a
+    ConfigError.
     """
     A = G.chart
     half = (A.box[:, 1] - A.box[:, 0]) / 2.0
     radius = float(np.min(half))
+    if radius < VALIDITY_MIN_RADIUS:
+        raise ConfigError(f"validity discovery: smallest chart half-width {radius:g} "
+                          f"is below the fiber radius floor {VALIDITY_MIN_RADIUS}")
     rng = SplitMix64(seed)
     mid = A.box.mean(axis=1)
     base_half = half * VALIDITY_BASE_SCALE
     grid = np.linspace(0.0, VALIDITY_MARGIN, 17)
-    exit_error = DomainExitError(0.0)
     while radius >= VALIDITY_MIN_RADIUS:
-        pts = []
-        for _ in range(VALIDITY_SAMPLES):
-            x = mid + base_half * np.array([rng.uniform(-1, 1) for _ in range(A.n)])
-            y = radius * rng.direction(A.r)
-            pts.append(np.concatenate([x, y]))
+        x, y = rng.rows(VALIDITY_SAMPLES, [(-1, 1)] * A.n, A.r)
         try:
-            G.engine.flow_on_grid(np.stack(pts), grid, substeps=4)
+            G.engine.flow_on_grid(np.hstack([mid + base_half * x, radius * y]),
+                                  grid, substeps=4)
         except DomainExitError as exc:
-            radius, exit_error = radius * VALIDITY_SHRINK, exc
+            # the error without its traceback, whose frames would hold it
+            radius, exit_error = radius * VALIDITY_SHRINK, exc.with_traceback(None)
             continue
         G.validity_fiber_radius = radius
         return radius
@@ -618,13 +622,11 @@ def sample_composable_pairs(G, count, seed):
 
 
 def _left_factors(G, right, rng, fiber_scale):
-    """Points a with sigma(a) = tau(right), fibers drawn from ``rng``."""
-    left = np.empty_like(right)
-    left[:, : G.n] = G.tau(right)
+    """Points a with sigma(a) = tau(right), one row of ``rng`` per fiber:
+    a scale in [0.2, 1) of the radius, then a direction."""
+    scale, fiber = rng.rows(len(right), [(0.2, 1.0)], G.r)
     rad = G.validity_fiber_radius * fiber_scale
-    for i in range(len(right)):
-        left[i, G.n:] = rad * rng.uniform(0.2, 1.0) * rng.direction(G.r)
-    return left
+    return np.hstack([G.tau(right), (rad * scale) * fiber])
 
 
 def composable_tangents_batch(dtau, v_bases, rng):

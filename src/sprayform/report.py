@@ -2,7 +2,7 @@
 
 Reports are deterministic given (configuration, seed): entries are kept in
 insertion order, floats are serialized with a fixed 17-significant-digit
-format, and sampling everywhere goes through :class:`SplitMix64`, a
+format, and every sample set is rows of one :class:`SplitMix64` stream, a
 documented 64-bit generator that behaves identically across platforms.
 """
 
@@ -20,58 +20,54 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """SplitMix-style 64-bit generator.
+    """SplitMix-style 64-bit generator (Steele, Lea and Flood, OOPSLA 2014).
 
-    state' = state + 0x9E3779B97F4A7C15;  the output mixes the new state with
-    two xor-shift-multiply rounds.  ``uniform`` maps the top 53 bits into
-    [0, 1).  Deterministic and platform independent; not cryptographic.
+    state' = state + 0x9E3779B97F4A7C15;  each draw mixes the new state with
+    two xor-shift-multiply rounds and maps its top 53 bits into [0, 1).
+    Draws come in rows of parts (``rows``).  Deterministic and platform
+    independent; not cryptographic.
     """
 
     def __init__(self, seed):
         self.state = int(seed) & _MASK
 
-    def next_u64(self):
-        self.state = (self.state + _GAMMA) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
-    def uniform(self, lo=0.0, hi=1.0):
-        u = self.next_u64() >> 11  # 53 bits
-        return lo + (hi - lo) * (u * (1.0 / (1 << 53)))
-
-    def uniform_rows(self, box, count):
-        """(count, len(box)) uniform points of the (lo, hi) intervals
-        ``box``, drawn row by row: ``uniform``'s values and state, bit for
-        bit, in one pass of wrapping uint64 arithmetic."""
-        n, u64 = count * len(box), np.uint64
+    def rows(self, count, *parts):
+        """``count`` rows drawn one after another, each part by part, as one
+        (count, width) array per part: a box, a list of (lo, hi), draws a
+        uniform value per interval, an int dim a unit vector (Box-Muller on
+        2 ceil(dim / 2) draws).  One pass of wrapping uint64 arithmetic."""
+        widths = [2 * -(-p // 2) if np.ndim(p) == 0 else len(p) for p in parts]
+        n, u64 = count * sum(widths), np.uint64
         z = u64(self.state) + np.arange(1, n + 1, dtype=u64) * u64(_GAMMA)
         self.state = (self.state + n * _GAMMA) & _MASK
         z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
         u = ((z ^ (z >> u64(31))) >> u64(11)).astype(np.float64) * (1.0 / (1 << 53))
-        bounds = np.array([(lo, hi - lo) for lo, hi in box], np.float64).reshape(-1, 2)
-        return bounds[:, 0] + bounds[:, 1] * u.reshape(count, len(box))
+        blocks = np.split(u.reshape(count, sum(widths)), np.cumsum(widths)[:-1], axis=1)
+        return [_directions(b, p) if np.ndim(p) == 0 else _uniforms(b, p)
+                for b, p in zip(blocks, parts)]
 
-    def direction(self, dim):
-        """Unit vector; Gaussian components via Box-Muller on uniforms."""
-        out = np.empty(dim)
-        i = 0
-        while i < dim:
-            u1 = max(self.uniform(), 1e-300)
-            u2 = self.uniform()
-            r = np.sqrt(-2.0 * np.log(u1))
-            out[i] = r * np.cos(2 * np.pi * u2)
-            if i + 1 < dim:
-                out[i + 1] = r * np.sin(2 * np.pi * u2)
-            i += 2
-        norm = np.linalg.norm(out)
-        return out / (norm if norm > 0 else 1.0)
+    def uniform_rows(self, box, count):
+        """(count, len(box)) uniform points of the (lo, hi) intervals ``box``."""
+        return self.rows(count, box)[0]
 
-    def directions(self, count, dim):
-        """(count, dim) unit vectors, one ``direction`` per row."""
-        return np.array([self.direction(dim) for _ in range(count)]).reshape(count, dim)
+
+def _uniforms(u, box):
+    """lo + (hi - lo) u on each interval (lo, hi) of ``box``."""
+    bounds = np.array([(lo, hi - lo) for lo, hi in box], np.float64).reshape(-1, 2)
+    return bounds[:, 0] + bounds[:, 1] * u
+
+
+def _directions(u, dim):
+    """Box-Muller on the draw pairs (u1 >= 1e-300, u2), the last sine dropped
+    for odd dim.  Each row is divided by the root of its own dot product, as
+    a 1-D ``norm`` is (``norm(axis=1)`` rounds otherwise)."""
+    r = np.sqrt(-2.0 * np.log(np.maximum(u[:, 0::2], 1e-300)))
+    angle = 2 * np.pi * u[:, 1::2]
+    g = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=2)
+    g = g.reshape(u.shape)[:, :dim]
+    norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None]))[:, 0]
+    return g / np.where(norm > 0, norm, 1.0)
 
 
 def _fmt(x):

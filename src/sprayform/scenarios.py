@@ -315,8 +315,7 @@ def _poisson_checks(scen, report):
     Wu = scen.evaluator.omega_full(G.units(xu))
     # four draws of (v, a, w, b) per unit, in sampling order
     X = np.repeat(xu, 4, axis=0)
-    v, a, w, b = np.moveaxis(SplitMix64(nm.seed + 9).directions(
-        len(X) * 4, G.n).reshape(len(X), 4, G.n), 1, 0)
+    v, a, w, b = SplitMix64(nm.seed + 9).rows(len(X), G.n, G.n, G.n, G.n)
     P = scen.pi.values(X)
     pred = units_form_predictor(G.chart, scen.data.l, X, v, a, w, b)
     res_units = 0.0
@@ -481,9 +480,8 @@ def torsion_identity_check(scenario, pair, evL, evL2, samples=10, seed=606,
     Lmats = np.linalg.solve(W, WL)
 
     report = CheckReport()
-    uv = SplitMix64(seed).directions(len(pts) * 2, G.dim).reshape(
-        len(pts), 2, G.dim)
-    dirs = np.array([(L @ u, L @ v, u, v) for L, (u, v) in zip(Lmats, uv)])
+    uv = SplitMix64(seed).rows(len(pts), G.dim, G.dim)
+    dirs = np.array([(L @ u, L @ v, u, v) for L, u, v in zip(Lmats, *uv)])
     # directional derivatives of L along Lu, Lv, u, v: (B, 4, d, d)
     dL = complex_step(lambda Q: L_tensor(scenario, evL, Q), pts, dirs)
     resid = np.empty(len(pts))
@@ -823,19 +821,17 @@ def dirac_checks(scenario, report):
     report.add("forward_dirac_angles", res_angle,
                nm.tol("forward_dirac_angles", 1e-5))
 
-    # at-units closed-form value
-    rng = SplitMix64(seed + 1)
+    # at-units closed-form value, four draws of (v1, lam1, v2, lam2) per unit
     res_units = 0.0
     xu = A.sample_base_points(8, seed + 2, scale=0.5)
-    for Wu, F in zip(scenario.evaluator.omega_full(G.units(xu)), frames(xu)):
-        for _ in range(4):
-            v1, lam1 = rng.direction(n), rng.direction(A.r)
-            v2, lam2 = rng.direction(n), rng.direction(A.r)
-            w1, a1 = lam1 @ F[:, :n], lam1 @ F[:, n:]
-            w2, a2 = lam2 @ F[:, :n], lam2 @ F[:, n:]
-            got = np.concatenate([v1, lam1]) @ Wu @ np.concatenate([v2, lam2])
-            want = a2 @ v1 - a1 @ (v2 + w2)
-            res_units = max(res_units, abs(got - want))
+    units = (np.repeat(a, 4, axis=0)
+             for a in (scenario.evaluator.omega_full(G.units(xu)), frames(xu)))
+    draws = SplitMix64(seed + 1).rows(4 * len(xu), n, A.r, n, A.r)
+    for Wu, F, v1, lam1, v2, lam2 in zip(*units, *draws):
+        w2, a1, a2 = lam2 @ F[:, :n], lam1 @ F[:, n:], lam2 @ F[:, n:]
+        got = np.concatenate([v1, lam1]) @ Wu @ np.concatenate([v2, lam2])
+        want = a2 @ v1 - a1 @ (v2 + w2)
+        res_units = max(res_units, abs(got - want))
     report.add("units_formula", res_units, nm.tol("units_formula", 1e-8))
 
 

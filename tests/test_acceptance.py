@@ -26,7 +26,6 @@ from sprayform.groupoid import (
     multiply_poisson,
 )
 from sprayform.imform import linear_form, poisson_im_pair
-from sprayform.report import SplitMix64
 from sprayform.scenarios import (
     NijenhuisPair,
     Numerics,
@@ -45,6 +44,7 @@ from sprayform import tensor as tn
 
 from conftest import XS2, XS3, constant_bivector_r2
 from exact_pairs import exact_im_pair, tau_pullback
+from rng_oracle import ScalarSplitMix64
 
 _T0 = time.perf_counter()
 
@@ -68,7 +68,7 @@ def test_criterion_1_zero_poisson_identity():
     W0 -= W0.T
     omega_err = float(np.max(np.abs(W - W0)))
 
-    rng = SplitMix64(102)
+    rng = ScalarSplitMix64(102)
     b = G.sample_validity_points(20, seed=103, fiber_scale=0.5)
     a = b.copy()
     for i in range(20):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -285,22 +286,42 @@ def _nan_tolerance(raw):
     raw["numerics"]["tolerances"] = {"closed_form": float("nan")}
 
 
+def _overflowing_box(raw):
+    raw["chart"]["box"] = [["-1e999", 1.0]]      # written as a number
+
+
+def _overflowing_tolerance(raw):
+    raw["numerics"]["tolerances"] = {"closed_form": "1e999"}
+
+
+def _integer_past_float_tolerance(raw):
+    raw["numerics"]["tolerances"] = {"closed_form": 10 ** 400}
+
+
 @pytest.mark.parametrize("config, edit, constant", [
     ("jacobi_line", _nan_box, "NaN"),
     ("so3", _minus_inf_bound, "-Infinity"),
     ("jacobi_line", _nan_tolerance, "NaN"),
+    ("jacobi_line", _overflowing_box, "-1e999"),
+    ("jacobi_line", _overflowing_tolerance, "1e999"),
+    pytest.param("jacobi_line", _integer_past_float_tolerance, str(10 ** 400),
+                 id="jacobi_line-integer_past_float-tolerance"),
 ])
 def test_non_finite_config_number_is_config_error(config, edit, constant,
                                                   tmp_path, capsys):
-    """json reads NaN, Infinity and -Infinity as numbers, and the schema
-    takes them as numbers; ``load_config`` rejects them, naming the
-    constant.  Read as numbers, the NaN box left the domain at t = 0 (exit
-    3), the -Infinity bound gave a non-finite flow state (exit 3) and the
-    NaN tolerance failed its check and wrote NaN, which is not JSON, into
-    the report (exit 1)."""
+    """json reads NaN, Infinity and -Infinity as numbers, and 1e999 as inf,
+    and the schema takes them as numbers; ``load_config`` rejects them,
+    naming the constant or literal.  Read as numbers, the NaN box left the
+    domain at t = 0 (exit 3), the -Infinity and -1e999 bounds gave a
+    non-finite flow state (exit 3), the NaN tolerance failed its check and
+    wrote NaN, which is not JSON, into the report (exit 1), the 1e999
+    tolerance passed and wrote Infinity there (exit 0), and a 401-digit
+    integer raised OverflowError with a traceback (exit 1)."""
     raw = json.loads((CONFIGS / f"{config}.json").read_text())
     edit(raw)
     path = _write(tmp_path, raw)
+    text = Path(path).read_text()
+    Path(path).write_text(re.sub(r'"(-?1e999)"', r"\1", text))
     assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == \
         f"config error: config number {constant} is not finite\n"
@@ -640,6 +661,20 @@ def test_failed_validity_discovery_names_itself(tmp_path, capsys):
     t, where = err[len(prefix):].split(", ", 1)
     assert 0 < float(t) <= 1.02 and where.startswith("batch row ")
     assert ", point (" in where
+
+
+def test_chart_below_the_radius_floor_is_config_error(tmp_path, capsys):
+    """A chart whose smallest half-width is below the fiber radius floor
+    leaves discovery no radius to fly: check exits 2, naming the
+    half-width and the floor, where it claimed a domain exit at t = 0
+    (exit 3) before."""
+    raw = json.loads((CONFIGS / "so3.json").read_text())
+    raw["chart"]["box"] = [[-5e-5, 5e-5]] * 3
+    path = _write(tmp_path, raw)
+    assert main(["check", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: validity discovery: smallest chart half-width 5e-05 "
+        "is below the fiber radius floor 0.0001\n")
 
 
 def test_runtime_error_names_its_check(tmp_path, capsys, monkeypatch):

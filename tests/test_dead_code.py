@@ -109,3 +109,37 @@ def test_every_public_definition_is_named():
                     unnamed.append(f"{module}:{method.lineno} "
                                    f"{node.name}.{method.name}")
     assert unnamed == []
+
+
+# the draws of report.SplitMix64, each a batch of rows, with the position of
+# its row count
+ROW_DRAWS = {"rows": 0, "uniform_rows": 1}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _single_row_draws(tree):
+    """Lines of the draws of one row (a literal count 1) inside a loop."""
+    for loop in ast.walk(tree):
+        for call in ast.walk(loop) if isinstance(loop, LOOPS) else ():
+            if isinstance(call, ast.Call) and \
+                    isinstance(call.func, ast.Attribute) and \
+                    call.func.attr in ROW_DRAWS:
+                count = call.args[ROW_DRAWS[call.func.attr]:][:1]
+                if [getattr(a, "value", None) for a in count] == [1]:
+                    yield call.lineno
+
+
+def test_seeded_draws_come_in_rows():
+    """SplitMix64 has no draw of one value (the scalar stream is the oracle
+    of tests/rng_oracle.py), and no loop in the package draws one row per
+    pass."""
+    (mix,) = [node for node in TREES["report.py"].body
+              if isinstance(node, ast.ClassDef) and node.name == "SplitMix64"]
+    assert {node.name for node in _public(mix.body, ast.FunctionDef)} == \
+        set(ROW_DRAWS)
+    assert [f"{module}:{line}" for module, tree in TREES.items()
+            for line in _single_row_draws(tree)] == []
+    witness = ast.parse("for p in P:\n    x = rng.uniform_rows(box, 1)\n"
+                        "y = [rng.rows(1, 3) for _ in P]")
+    assert sorted(set(_single_row_draws(witness))) == [2, 3]

@@ -1,7 +1,9 @@
 """Groupoid structure maps, the quadrature form, multiplication, round trips."""
 
+import gc
 import itertools
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -53,6 +55,7 @@ from conftest import (XS2, XS3, constant_bivector_r2, same_bits, so3_bivector,
                       spy_generated)
 from form_oracle import node_term_sum
 from exact_pairs import exact_im_pair
+from rng_oracle import ScalarSplitMix64
 from product_oracle import (central_difference, differential_of_multiplication,
                             inverse, stencil_differential)
 
@@ -125,6 +128,67 @@ def test_inverse_swaps_source_and_target(so3_groupoid):
     inv = inverse(G, pts)
     assert np.max(np.abs(inv[:, : G.n] - G.tau(pts))) < 1e-10
     assert np.max(np.abs(G.tau(inv) - pts[:, : G.n])) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# validity discovery and composable factors: seeded rows
+
+
+def test_discovery_flies_the_scalar_draws(monkeypatch):
+    """Each radius flies 40 rows of the seed's stream, the values of the
+    scalar calls bit for bit: base uniforms in the half box, then a fiber
+    direction at the radius.  A shrunk radius flies the next 40 rows."""
+    A = cotangent_algebroid(so3_bivector(), BOX3)
+    G = SprayGroupoid(A, default_spray(A), n_quad=16)
+    flown, original = [], G.engine.flow_on_grid
+
+    def exits_first(P, grid, substeps):
+        flown.append(P.copy())
+        if len(flown) == 1:
+            raise DomainExitError(0.5, P[0], row=0)
+        return original(P, grid, substeps=substeps)
+
+    monkeypatch.setattr(G.engine, "flow_on_grid", exits_first)
+    assert discover_validity_box(G, seed=505) == 0.7
+    ref, mid = ScalarSplitMix64(505), A.box.mean(axis=1)
+    base_half = (A.box[:, 1] - A.box[:, 0]) / 2.0 * 0.5
+    want = [[np.concatenate([
+        mid + base_half * np.array([ref.uniform(-1, 1) for _ in range(A.n)]),
+        radius * ref.direction(A.r)]) for _ in range(40)] for radius in (1.0, 0.7)]
+    assert len(flown) == 2 and same_bits(flown, want)
+
+
+def test_left_factors_are_the_scalar_draws(so3_groupoid):
+    """One row per right factor: a fiber scale in [0.2, 1), then a
+    direction, the values of the scalar calls bit for bit, and the
+    generator left where they leave it."""
+    _, G, _ = so3_groupoid
+    right = G.sample_validity_points(7, seed=61, fiber_scale=0.4)
+    rng, ref = SplitMix64(62), ScalarSplitMix64(62)
+    left = _left_factors(G, right, rng, 0.4)
+    rad = G.validity_fiber_radius * 0.4
+    fibers = [rad * ref.uniform(0.2, 1.0) * ref.direction(G.r) for _ in right]
+    assert same_bits(left, np.hstack([G.tau(right), fibers]))
+    assert rng.state == ref.state
+
+
+def test_discovery_with_exits_leaves_no_cyclic_garbage():
+    """A discovery whose first radii leave the box keeps none of their
+    tracebacks: it leaves no cycle of frames and errors to the collector."""
+    A = jacobi_algebroid(BivectorField(1, {}, ["x1"]), [ex.ONE], [[-1, 1]])
+    G = SprayGroupoid(A, default_spray(A), n_quad=64)
+    discover_validity_box(G)          # compiles the flow
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        radius = discover_validity_box(G)
+        gc.collect()
+        garbage = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert radius < 0.7               # two radii left the box
+    assert garbage == Counter()
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +597,7 @@ def test_composability_tolerance_per_row(flat_groupoid):
 
 def test_constant_pi_associativity(const_groupoid):
     _, G, ev = const_groupoid
-    rng = SplitMix64(99)
+    rng = ScalarSplitMix64(99)
     c = G.sample_validity_points(6, seed=9, fiber_scale=0.3)
     tau_c = G.tau(c)
     b = np.hstack([tau_c, 0.3 * np.stack([rng.direction(2) for _ in range(6)])])
@@ -564,7 +628,7 @@ def test_differential_of_multiplication_flat(flat_groupoid):
 
 def _tangent_pairs(G, b, count, seed):
     """``count`` composable tangent pairs (v, w) at the right factors b."""
-    rng = SplitMix64(seed)
+    rng = ScalarSplitMix64(seed)
     vs = [np.array([[rng.uniform(-1, 1) for _ in range(G.dim)] for _ in b])
           for _ in range(count)]
     ws = composable_tangents_batch(G.flow_end(b)[1][:, : G.n],
@@ -636,7 +700,7 @@ def test_product_schedule_equals_separate_products(so3_groupoid, monkeypatch):
     assert calls == [(4, "f"), (6, "c"), (4, "f")]
     monkeypatch.undo()
 
-    rng = SplitMix64(11)
+    rng = ScalarSplitMix64(11)
     a, b = sample_composable_pairs(G, n_pairs, 11)
     v1 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
     v2 = np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n_pairs)])
@@ -826,7 +890,7 @@ def test_cocycle_additivity_on_so3(so3_groupoid):
     """f(mu(a,b)) = f(a) + f(b) for the rotational algebroid cocycle."""
     _, G, ev = so3_groupoid
     delta = parse("-x2*y1 + x1*y2", G.spray.variables)
-    rng = SplitMix64(77)
+    rng = ScalarSplitMix64(77)
     b = G.sample_validity_points(6, seed=14, fiber_scale=0.35)
     tau_b = G.tau(b)
     a = np.hstack([tau_b, 0.3 * np.stack([rng.direction(3) for _ in range(6)])])
@@ -883,7 +947,7 @@ def test_linearization_slope_jacobi(jacobi_line_groupoid):
 def test_units_form_predictor_poisson(so3_groupoid):
     A, G, ev = so3_groupoid
     data = poisson_im_pair(A)
-    rng = SplitMix64(20)
+    rng = ScalarSplitMix64(20)
     pi = so3_bivector()
     X = np.concatenate([
         A.sample_base_points(1, seed=rng.next_u64() % 10**6, scale=0.5)
@@ -900,7 +964,7 @@ def test_units_form_predictor_poisson(so3_groupoid):
 def test_units_form_predictor_pure_tangent_vanishes(so3_groupoid):
     A, _, _ = so3_groupoid
     data = poisson_im_pair(A)
-    rng = SplitMix64(21)
+    rng = ScalarSplitMix64(21)
     X = np.array([[0.2, 0.1, -0.3]])
     v, w = rng.direction(3)[None, :], rng.direction(3)[None, :]
     zero = np.zeros((1, 3))

@@ -41,6 +41,7 @@ from conftest import (XS2, XS3, checked, constant_bivector_r2, so3_bivector,
                       twisted_dirac_sections)
 from exact_pairs import tau_pullback
 from expr_oracle import tree_eval
+from rng_oracle import ScalarSplitMix64
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BOX2 = [[-1.0, 1.0]] * 2
@@ -412,6 +413,29 @@ def test_dirac_twisted_full_report(dirac_twisted_scenario):
     # robustness margin is strictly positive on the reported box
     note = rep["robustness_margin"].note
     assert float(note.split(":")[-1]) > 1e-3
+
+
+def test_dirac_units_formula_draws_the_scalar_stream(dirac_twisted_scenario):
+    """The units formula draws (v1, lam1, v2, lam2) as one row, four rows
+    per unit: its residual is, bit for bit, the one that the scalar
+    directions, drawn a vector at a time, give."""
+    scen = dirac_twisted_scenario
+    A, G, n = scen.chart, scen.groupoid, scen.groupoid.n
+    seed = scen.numerics.seed + 55
+    xu = A.sample_base_points(8, seed + 2, scale=0.5)
+    frame = ex.compile_exprs([e for i in range(A.r) for e in
+                              A.frame.vectors[i] + A.frame.covectors[i]], A.xs)
+    rng, want = ScalarSplitMix64(seed + 1), 0.0
+    for Wu, F in zip(scen.evaluator.omega_full(G.units(xu)),
+                     frame(xu).reshape(len(xu), A.r, 2 * n)):
+        for _ in range(4):
+            v1, lam1 = rng.direction(n), rng.direction(A.r)
+            v2, lam2 = rng.direction(n), rng.direction(A.r)
+            w2, a1, a2 = lam2 @ F[:, :n], lam1 @ F[:, n:], lam2 @ F[:, n:]
+            got = np.concatenate([v1, lam1]) @ Wu @ np.concatenate([v2, lam2])
+            want = max(want, abs(got - (a2 @ v1 - a1 @ (v2 + w2))))
+    assert want > 0.0
+    assert scen.report["units_formula"].residual == want
 
 
 # ---------------------------------------------------------------------------

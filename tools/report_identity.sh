@@ -10,6 +10,12 @@
 #     at run time;
 #   - `check` on configs/so3.json with `--seed 7319`, the command-line
 #     override of the config seed;
+#   - `check` on se(3)*, so3.json with the chart changed to dim 6, box
+#     [-1, 1]^6 and the se(3)* bracket, written at run time: the one run
+#     that draws directions of dimension 6 (the bundled configs draw
+#     dim <= 3), at seed 3 (`se3_seed_3`, exit 0) and at seed 1
+#     (`se3_seed_1`, exit 3, a point of the validity sample leaving the
+#     box);
 #   - three config errors (exit 2): `check` on nijenhuis_r2 with a
 #     `christoffel` coefficient, which the kind does not read, on so3 with
 #     `mult_pairs: 0`, and on jacobi_line with a `NaN` box bound
@@ -116,6 +122,17 @@ with open("configs/jacobi_line.json") as f:
 cfg["chart"]["box"] = [[float("nan"), 1.0]]
 with open(f"{out}/jacobi_line_nan_box.json", "w") as f:
     json.dump(cfg, f, indent=2)
+for seed in (3, 1):
+    with open("configs/so3.json") as f:
+        cfg = json.load(f)
+    cfg["chart"] = {"dim": 6, "box": [[-1.0, 1.0]] * 6}
+    cfg["coefficients"]["pi"] = {
+        "12": "x3", "13": "-x2", "23": "x1", "15": "x6", "16": "-x5",
+        "24": "-x6", "26": "x4", "34": "x5", "35": "-x4"}
+    cfg["numerics"]["seed"] = seed
+    cfg["outputs"] = {"report": "report.json", "csv": "residuals.csv"}
+    with open(f"{out}/se3_seed_{seed}.json", "w") as f:
+        json.dump(cfg, f, indent=2)
 EOF
 
 # run NAME SUBCOMMAND ARGS...: one CLI run into $out/NAME; stdout is kept
