@@ -307,6 +307,7 @@ class DiracFrame:
     vectors: list      # r entries, each an n-list of Exprs
     covectors: list    # r entries, each an n-list of Exprs
     H: ex.FormField    # closed 3-form (may be zero form field)
+    values: object     # X (B, n) -> (B, r, 2n), v_i then alpha_i, compiled
 
 
 def _courant_bracket(fr, i, j, xs):
@@ -340,18 +341,19 @@ def dirac_algebroid(sections, H, box, seed=4242):
     if H.variables != xs or H.degree != 3:
         raise DimensionError("H must be a 3-form over the base variables")
     dH = H.d()
+    frame_fn = ex.compile_exprs(
+        [e for v, a in sections for e in list(v) + list(a)], xs)
     fr = DiracFrame([list(v) for v, _ in sections],
-                    [list(a) for _, a in sections], H)
+                    [list(a) for _, a in sections], H,
+                    lambda X: frame_fn(X).reshape(len(X), r, 2 * n))
 
     box = np.asarray(box, dtype=np.float64)
     grid = _sample_box(box, 25, seed, 0.9)
 
-    frame_fn = ex.compile_exprs(
-        [e for i in range(r) for e in fr.vectors[i] + fr.covectors[i]], xs)
     if np.any(np.abs(dH.values(grid)) > 1e-12):
         raise CompatibilityError("H is not closed")
     # Lagrangian gate: <e_i, e_j>_+ = alpha_i(v_j) + alpha_j(v_i) == 0
-    F = frame_fn(grid).reshape(len(grid), r, 2 * n)
+    F = fr.values(grid)
     pairing = F[..., n:] @ np.swapaxes(F[..., :n], 1, 2)    # alpha_i(v_j)
     res = float(np.max(np.abs(pairing + np.swapaxes(pairing, 1, 2))))
     if not res <= 1e-10:  # a NaN fails too
@@ -369,7 +371,7 @@ def dirac_algebroid(sections, H, box, seed=4242):
         they were fitted to: one rank SVD of the real frames per batch, then
         one batched solve of the normal equations F^T F c = F^T b for all
         r^2 brackets (a plain transpose, so complex rows stay analytic)."""
-        frames = frame_fn(X).reshape(len(X), r, 2 * n)
+        frames = fr.values(X)
         brackets = bracket_fn(X).reshape(len(X), r, r, 2 * n)
         F = np.swapaxes(frames, 1, 2)   # (B, 2n, r)
         # matrix_rank(F[p].real, tol=1e-10) at every point

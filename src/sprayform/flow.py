@@ -155,9 +155,10 @@ class FlowEngine:
         self.live = tuple(i for i, c in enumerate(self.components)
                           if not (c.is_zero and all(p.is_zero for p in partials[i])))
         self.frozen = tuple(i for i in range(self.dim) if i not in self.live)
+        # the cache closes over the field, not ``self``: no reference cycle
+        field, variables, live = self.components, self.variables, self.live
         self._rhs = functools.cache(lambda jacobian: _compile_rhs(
-            self.components, self.variables, self.live,
-            partials if jacobian else None))
+            field, variables, live, partials if jacobian else None))
         if box is None:
             box = [[-np.inf, np.inf]] * self.dim
         # +-inf bounds become +-float max, so the one comparison per step

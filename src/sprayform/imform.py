@@ -116,10 +116,10 @@ def im_residuals(A, data, samples=60, seed=313, tol=1e-8):
         forms = np.stack([next(vals) for _ in range(r)], axis=1)  # (B, r, nC)
         for i in range(r):
             for j in range(r):
-                want = next(vals)
-                for b in range(B):
-                    res[name][b, i, j] = np.max(
-                        np.abs(c[b, i, j] @ forms[b] - want[b]), initial=0.0)
+                # per row c[b, i, j] @ forms[b]; c @ forms[:, None] rounds otherwise
+                got = (c[:, i, j, None] @ forms)[:, 0]
+                res[name][:, i, j] = np.max(np.abs(got - next(vals)), axis=1,
+                                            initial=0.0)
     for i in range(len(eq3_pieces)):
         for j in range(r):
             res["anchor_antisymmetry"][:, i, j] = np.max(

@@ -36,6 +36,7 @@ from .flow import TimeRule, complex_step
 from .groupoid import (
     PRODUCT_NODES,
     VALIDITY_BASE_SCALE,
+    VALIDITY_SHRINK,
     MultFormEvaluator,
     SprayGroupoid,
     differentiate_at_units,
@@ -168,6 +169,22 @@ def _pushforwards(Pi, dtau, n):
             np.einsum("bai,bij,bcj->bac", dtau, Pi, dtau))
 
 
+def _vm(x, M):
+    """x[b] @ M[b] for rows x (B, m) and matrices M (B, m, k): (B, k), one
+    product per row, which rounds as the per-row ``@`` does (so do _mv, _dot)."""
+    return (x[:, None] @ M)[:, 0]
+
+
+def _mv(M, x):
+    """M[b] @ x[b] for matrices M (B, k, m) and rows x (B, m): (B, k)."""
+    return (M @ x[..., None])[..., 0]
+
+
+def _dot(x, y):
+    """x[b] @ y[b] for rows x, y (B, m): (B,)."""
+    return _vm(x, y[..., None])[:, 0]
+
+
 def _orth(A):
     """Orthonormal basis of the column space of A (M, N), as (M, rank), cut
     at max(s) * eps * max(M, N) as in scipy's orth."""
@@ -282,7 +299,7 @@ def build_symplectic_groupoid(pi, box, numerics=None, christoffel=None):
             margin = float(np.min(np.linalg.svd(acc.value, compute_uv=False)[:, -1]))
             if margin >= NONDEGENERACY_MARGIN:
                 break
-            G.validity_fiber_radius *= 0.7
+            G.validity_fiber_radius *= VALIDITY_SHRINK
     gates["nondegeneracy_margin"].add_margin(
         "nondegeneracy_margin", margin, NONDEGENERACY_MARGIN,
         note=f"min singular value {margin:.3e} on the validity box")
@@ -310,20 +327,17 @@ def _poisson_checks(scen, report):
     dW = scen.evaluator.domega_full(pts[: min(20, len(pts))])
     report.add("closedness", float(np.max(np.abs(dW))), nm.tol("closedness", 1e-7))
 
-    # units formula
+    # units formula, four draws of (v, a, w, b) per unit, in sampling order
     xu = G.chart.sample_base_points(10, nm.seed + 10, scale=0.5)
-    Wu = scen.evaluator.omega_full(G.units(xu))
-    # four draws of (v, a, w, b) per unit, in sampling order
+    Wu = np.repeat(scen.evaluator.omega_full(G.units(xu)), 4, axis=0)
     X = np.repeat(xu, 4, axis=0)
     v, a, w, b = SplitMix64(nm.seed + 9).rows(len(X), G.n, G.n, G.n, G.n)
     P = scen.pi.values(X)
     pred = units_form_predictor(G.chart, scen.data.l, X, v, a, w, b)
-    res_units = 0.0
-    for q in range(len(X)):
-        got = np.concatenate([v[q], a[q]]) @ Wu[q // 4] @ np.concatenate([w[q], b[q]])
-        want = b[q] @ v[q] - a[q] @ w[q] + a[q] @ (P[q] @ b[q])
-        res_units = max(res_units, abs(got - want), abs(pred[q] - want))
-    report.add("units_formula", res_units, nm.tol("units_formula", 1e-8))
+    got = _dot(_vm(np.hstack([v, a]), Wu), np.hstack([w, b]))
+    want = _dot(b, v) - _dot(a, w) + _dot(a, _mv(P, b))
+    report.add("units_formula", np.max(np.abs([got - want, pred - want])),
+               nm.tol("units_formula", 1e-8))
 
 
 def _product(scen, report):
@@ -480,24 +494,21 @@ def torsion_identity_check(scenario, pair, evL, evL2, samples=10, seed=606,
     Lmats = np.linalg.solve(W, WL)
 
     report = CheckReport()
-    uv = SplitMix64(seed).rows(len(pts), G.dim, G.dim)
-    dirs = np.array([(L @ u, L @ v, u, v) for L, u, v in zip(Lmats, *uv)])
+    u, v = SplitMix64(seed).rows(len(pts), G.dim, G.dim)
+    Lu, Lv = _mv(Lmats, u), _mv(Lmats, v)
     # directional derivatives of L along Lu, Lv, u, v: (B, 4, d, d)
-    dL = complex_step(lambda Q: L_tensor(scenario, evL, Q), pts, dirs)
-    resid = np.empty(len(pts))
-    for b in range(len(pts)):
-        L = Lmats[b]
-        Lu, Lv, u, v = dirs[b]
-        dLu, dLv, du_, dv_ = dL[b]
-        TL = dLu @ v - dLv @ u - L @ (du_ @ v - dv_ @ u)
-        # i_{T} omega as a covector: omega(T, w) = T^T W w, so lhs = W^T T
-        lhs = W[b].T @ TL
-        rhs = (np.einsum("ijk,i,j->k", dWL[b], Lu, v)
-               + np.einsum("ijk,i,j->k", dWL[b], u, Lv)
-               - np.einsum("ijk,i,j->k", dW[b], Lu, Lv)
-               - np.einsum("ijk,i,j->k", dWL2[b], u, v))
-        resid[b] = np.max(np.abs(lhs - rhs))
-    report.add_pointwise("torsion_identity", resid, tol, pts)
+    dL = complex_step(lambda Q: L_tensor(scenario, evL, Q), pts,
+                      np.stack([Lu, Lv, u, v], axis=1))
+    TL = _mv(dL[:, 0], v) - _mv(dL[:, 1], u) - _mv(
+        Lmats, _mv(dL[:, 2], v) - _mv(dL[:, 3], u))
+    # i_{T} omega as a covector: omega(T, w) = T^T W w, so lhs = W^T T
+    lhs = _mv(np.swapaxes(W, 1, 2), TL)
+    rhs = (np.einsum("bijk,bi,bj->bk", dWL, Lu, v)
+           + np.einsum("bijk,bi,bj->bk", dWL, u, Lv)
+           - np.einsum("bijk,bi,bj->bk", dW, Lu, Lv)
+           - np.einsum("bijk,bi,bj->bk", dWL2, u, v))
+    report.add_pointwise("torsion_identity",
+                         np.max(np.abs(lhs - rhs), axis=1), tol, pts)
 
     torsion_syms = nijenhuis_torsion(pair.lmat, scenario.chart.xs)
     flat = [e for row in torsion_syms for col in row for e in col]
@@ -524,15 +535,14 @@ def pi_pushforwards_residual(scenario, pair, evL, samples=30, seed=717):
     base = pts[:, : G.n]
     l_s, l_t = pair.l_covector_matrices(base), pair.l_covector_matrices(tau)
     pi_s, pi_t = scenario.pi.values(base), scenario.pi.values(tau)
-    res = 0.0
+    res = []
     for k in range(3):
         Lk = np.linalg.matrix_power(Lmats, k)
         push_s, push_t = _pushforwards(np.matmul(Lk, Q), dtau, G.n)
         want_s = np.linalg.matrix_power(np.swapaxes(l_s, 1, 2), k) @ pi_s
         want_t = np.linalg.matrix_power(np.swapaxes(l_t, 1, 2), k) @ pi_t
-        res = max(res, float(np.max(np.abs(push_s - want_s))),
-                  float(np.max(np.abs(push_t + want_t))))
-    return res
+        res += [np.max(np.abs(push_s - want_s)), np.max(np.abs(push_t + want_t))]
+    return float(np.max(res))
 
 
 def omega_Lk_two_ways(scenario, pair, k, samples=15, seed=808):
@@ -630,9 +640,9 @@ def _nijenhuis_checks(scen, report):
     W, WL, WL2 = (s.value for s in sums)
     Lm = np.linalg.solve(W, WL)
     lv = np.swapaxes(pair.l_covector_matrices(pts[:, :n]), 1, 2)
-    res_sigma = max(float(np.max(np.abs(Lm[:, :n, :n] - lv))),
-                    float(np.max(np.abs(Lm[:, :n, n:]))))
-    report.add("L_sigma_related", res_sigma, nm.tol("L_sigma_related", 1e-6))
+    want = np.pad(lv, ((0, 0), (0, 0), (0, n)))     # [l^T, 0]
+    report.add("L_sigma_related", np.max(np.abs(Lm[:, :n] - want)),
+               nm.tol("L_sigma_related", 1e-6))
 
     report.merge(torsion_identity_check(
         scen, pair, evL, evL2, samples=min(10, nm.samples),
@@ -641,8 +651,8 @@ def _nijenhuis_checks(scen, report):
                pi_pushforwards_residual(scen, pair, evL, seed=nm.seed + 25),
                nm.tol("pi_pushforwards", 1e-6))
     report.add("omega_Lk_two_ways",
-               max(omega_Lk_two_ways(scen, pair, 1, seed=nm.seed + 26),
-                   omega_Lk_two_ways(scen, pair, 2, seed=nm.seed + 27)),
+               np.max([omega_Lk_two_ways(scen, pair, k, seed=nm.seed + 25 + k)
+                       for k in (1, 2)]),
                nm.tol("omega_Lk_two_ways", 1e-7))
 
     # recovery of (-l^2, -T_l) at units from omega_{L^2}
@@ -794,45 +804,32 @@ def dirac_checks(scenario, report):
                nm.tol("relative_H_closedness", 1e-6))
 
     dsig = np.eye(n, d)
-    smin = np.inf
-    res_angle = 0.0
-    frame_fn = ex.compile_exprs(
-        [e for i in range(A.r)
-         for e in (A.frame.vectors[i] + A.frame.covectors[i])], A.xs)
-
-    def frames(X):
-        return frame_fn(X).reshape(len(X), A.r, 2 * n)
-
-    L_pts = frames(pts[:, :n])
-    for b in range(len(pts)):
-        stack = np.vstack([W[b].T, dsig, dtau[b]])
-        s = np.linalg.svd(stack, compute_uv=False)
-        smin = min(smin, float(s[-1]))
-        # forward image of graph(omega) under sigma
-        Mker = np.hstack([W[b].T, -dsig.T])
-        _, sv, vt = np.linalg.svd(Mker)
-        rank = int(np.sum(sv > 1e-10 * sv[0]))
-        K = vt[rank:].T                      # (d + n, dim ker)
-        img = np.vstack([dsig @ K[:d], K[d:]])   # (2n, dim ker)
-        res_angle = max(res_angle, _max_angle(img, L_pts[b].T))
+    Wt, dsigs = np.swapaxes(W, 1, 2), np.broadcast_to(dsig, (len(pts), n, d))
+    smin = float(np.min(np.linalg.svd(np.concatenate([Wt, dsigs, dtau], axis=1),
+                                      compute_uv=False)[:, -1]))
     report.add_margin("robustness_margin", smin,
                       nm.tol("robustness_margin", 1e-3),
                       note=f"min singular value of [omega-flat; dsigma; dtau]: {smin:.3e}")
-    report.add("forward_dirac_angles", res_angle,
+    # forward image of graph(omega) under sigma, row by row (ragged kernels)
+    _, sv, vt = np.linalg.svd(
+        np.concatenate([Wt, -np.swapaxes(dsigs, 1, 2)], axis=2))
+    angles = []
+    for s, v, F in zip(sv, vt, A.frame.values(pts[:, :n])):
+        K = v[int(np.sum(s > 1e-10 * s[0])):].T      # (d + n, dim ker)
+        angles.append(_max_angle(np.vstack([dsig @ K[:d], K[d:]]), F.T))
+    report.add("forward_dirac_angles", np.max(angles),
                nm.tol("forward_dirac_angles", 1e-5))
 
     # at-units closed-form value, four draws of (v1, lam1, v2, lam2) per unit
-    res_units = 0.0
     xu = A.sample_base_points(8, seed + 2, scale=0.5)
-    units = (np.repeat(a, 4, axis=0)
-             for a in (scenario.evaluator.omega_full(G.units(xu)), frames(xu)))
-    draws = SplitMix64(seed + 1).rows(4 * len(xu), n, A.r, n, A.r)
-    for Wu, F, v1, lam1, v2, lam2 in zip(*units, *draws):
-        w2, a1, a2 = lam2 @ F[:, :n], lam1 @ F[:, n:], lam2 @ F[:, n:]
-        got = np.concatenate([v1, lam1]) @ Wu @ np.concatenate([v2, lam2])
-        want = a2 @ v1 - a1 @ (v2 + w2)
-        res_units = max(res_units, abs(got - want))
-    report.add("units_formula", res_units, nm.tol("units_formula", 1e-8))
+    Wu, F = (np.repeat(a, 4, axis=0) for a in (
+        scenario.evaluator.omega_full(G.units(xu)), A.frame.values(xu)))
+    v1, lam1, v2, lam2 = SplitMix64(seed + 1).rows(4 * len(xu), n, A.r, n, A.r)
+    w2, a1, a2 = _vm(lam2, F[..., :n]), _vm(lam1, F[..., n:]), _vm(lam2, F[..., n:])
+    got = _dot(_vm(np.hstack([v1, lam1]), Wu), np.hstack([v2, lam2]))
+    want = _dot(a2, v1) - _dot(a1, v2 + w2)
+    report.add("units_formula", np.max(np.abs(got - want)),
+               nm.tol("units_formula", 1e-8))
 
 
 _DIRAC_CHECKS = (
@@ -976,8 +973,8 @@ def convergence_study(evaluator, points, levels, reference=None):
     from the order fit, as is every level whose error is roundoff (see
     CONVERGENCE_ROUNDOFF).  A ladder that leaves fewer than two rungs to
     fit is a ConfigError.  Returns a list of rows {n_quad, substeps, h,
-    error} plus the fitted order.  A library error raised on a rung names
-    the rung.
+    error} plus the fitted order, NaN if a fitted error is.  A library
+    error raised on a rung names the rung.
     """
     fit_slice = slice(0, len(levels) - (reference is None))
     if len(levels[fit_slice]) < 2:
@@ -1001,7 +998,7 @@ def convergence_study(evaluator, points, levels, reference=None):
         # pure quadrature ladder (step held fixed): fit against the node count
         hs = 1.0 / np.array([r["n_quad"] for r in rows])[fit_slice]
     floor = CONVERGENCE_ROUNDOFF * np.finfo(np.float64).eps * np.max(np.abs(ref))
-    good = errs > floor
+    good = ~(errs <= floor)      # a NaN rung stays in the fit: a NaN order
     if int(np.sum(good)) >= 2:
         order = float(np.polyfit(np.log(hs[good]), np.log(errs[good]), 1)[0])
     else:
